@@ -3,10 +3,11 @@
 //! Every job in a sweep needs the same expensive per-chip-configuration
 //! artifacts: the machine description with its AMD ring decomposition,
 //! the RC thermal model (one LU factorization of `B`), and the
-//! eigendecomposition of `C = −A⁻¹B` behind both the transient solver
-//! and Algorithm 1's rotation-peak solver. [`ModelCache`] memoizes one
-//! [`ChipArtifacts`] per grid size; jobs then *clone* the handles — a
-//! plain matrix copy — instead of re-factorizing.
+//! eigendecomposition of `C = −A⁻¹B` with its modal operators
+//! ([`ModalBasis`]) behind both the transient solver and Algorithm 1's
+//! rotation-peak solver. [`ModelCache`] memoizes one [`ChipArtifacts`]
+//! per grid size; jobs then *clone* the handles — the solvers share the
+//! one basis by reference count — instead of re-factorizing.
 //!
 //! The cache is keyed by grid dimensions plus the named
 //! [`ThermalProfile`]: within one profile the RC parameters are fixed,
@@ -22,7 +23,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use hotpotato::RotationPeakSolver;
 use hp_linalg::eigen::SystemEigen;
 use hp_manycore::{ArchConfig, Machine};
-use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
+use hp_thermal::{ModalBasis, RcThermalModel, ThermalConfig, TransientSolver};
 
 use crate::error::{CampaignError, Result};
 
@@ -75,25 +76,24 @@ impl ThermalProfile {
 /// size and shared across every job of a campaign via `Arc`.
 ///
 /// All fields are cheap to clone relative to construction: the solvers'
-/// `Clone` impls copy already-factorized matrices and start fresh
-/// activity tallies.
+/// `Clone` impls share the one [`ModalBasis`] and start fresh activity
+/// tallies.
 #[derive(Debug)]
 pub struct ChipArtifacts {
     /// The machine (floorplan + AMD ring decomposition).
     pub machine: Machine,
     /// The RC thermal model (LU of `B` already factorized).
     pub model: RcThermalModel,
-    /// The engine's transient solver, sharing the one eigendecomposition.
+    /// The engine's transient solver, on the one modal basis.
     pub transient: TransientSolver,
-    /// Algorithm 1's rotation-peak solver, sharing the same
-    /// eigendecomposition.
+    /// Algorithm 1's rotation-peak solver, sharing the same modal basis.
     pub peak: RotationPeakSolver,
 }
 
 impl ChipArtifacts {
     /// Builds the artifacts for a `width × height` grid with the given
     /// thermal profile: one machine, one LU factorization, one
-    /// eigendecomposition shared by both solvers.
+    /// eigendecomposition and one modal basis shared by both solvers.
     ///
     /// # Errors
     ///
@@ -116,8 +116,11 @@ impl ChipArtifacts {
             .map_err(|e| build_err("thermal model", &e))?;
         let eigen = SystemEigen::new(model.a_diag(), model.b())
             .map_err(|e| build_err("eigendecomposition", &e))?;
-        let transient = TransientSolver::with_eigen(eigen.clone());
-        let peak = RotationPeakSolver::with_eigen(model.clone(), eigen);
+        let basis =
+            Arc::new(ModalBasis::new(&model, eigen).map_err(|e| build_err("modal basis", &e))?);
+        let transient = TransientSolver::with_basis(Arc::clone(&basis));
+        let peak = RotationPeakSolver::with_basis(model.clone(), basis)
+            .map_err(|e| build_err("rotation-peak solver", &e))?;
         Ok(ChipArtifacts {
             machine,
             model,
@@ -282,5 +285,31 @@ mod tests {
         for i in 0..cached.len() {
             assert_eq!(cached[i].to_bits(), direct[i].to_bits());
         }
+    }
+
+    #[test]
+    fn artifacts_share_one_modal_basis() {
+        let art = ChipArtifacts::build(4, 4, ThermalProfile::Default).unwrap();
+        assert!(std::ptr::eq(art.transient.eigen(), art.peak.eigen()));
+        // Job handles are clones; they keep pointing at the same basis.
+        let job_transient = art.transient.clone();
+        let job_peak = art.peak.clone();
+        assert!(std::ptr::eq(job_transient.basis(), art.transient.basis()));
+        assert!(std::ptr::eq(job_peak.eigen(), art.peak.eigen()));
+    }
+
+    #[test]
+    fn cached_peak_solver_matches_fresh_construction() {
+        use hotpotato::EpochPowerSequence;
+        use hp_linalg::Vector;
+        let art = ChipArtifacts::build(4, 4, ThermalProfile::Default).unwrap();
+        let fresh = RotationPeakSolver::new(art.model.clone()).unwrap();
+        let epochs = (0..4)
+            .map(|e| Vector::from_fn(16, |c| if c % 4 == e { 7.0 } else { 0.3 }))
+            .collect();
+        let seq = EpochPowerSequence::new(1e-3, epochs).unwrap();
+        let cached = art.peak.peak_celsius(&seq).unwrap();
+        let direct = fresh.peak_celsius(&seq).unwrap();
+        assert_eq!(cached.to_bits(), direct.to_bits());
     }
 }

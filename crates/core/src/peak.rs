@@ -55,20 +55,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hp_floorplan::CoreId;
+use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, NumericalError, Vector};
-use hp_thermal::{DenseStepper, NumericsStats, RcThermalModel, CONDITION_FALLBACK_THRESHOLD};
+use hp_thermal::{DenseStepper, ModalBasis, NumericsStats, RcThermalModel};
 
 use crate::{EpochPowerSequence, HotPotatoError, Result};
 
 /// Distinct τ values cached per solver; the scheduler's τ-acceleration
 /// explores a handful, so the cap only guards against pathological churn.
 const DECAY_CACHE_CAP: usize = 64;
-
-/// Basis residual `‖V·V⁻¹ − I‖∞` beyond which the eigendecomposition is
-/// not trusted even if the eigenvalue spread looks acceptable (the same
-/// threshold the transient solver applies).
-const BASIS_RESIDUAL_THRESHOLD: f64 = 1e-6;
 
 /// Peak outputs may undershoot ambient by round-off but never by a
 /// degree; anything below trips the runtime invariant guard.
@@ -295,33 +291,18 @@ pub struct PeakReport {
 #[derive(Debug)]
 pub struct RotationPeakSolver {
     model: RcThermalModel,
-    eigen: SystemEigen,
-    /// Precomputed `-diag(1/λ) · V⁻¹ · A⁻¹` restricted to the junction
-    /// columns: maps a per-core power vector straight to the eigen-space
-    /// steady-state contribution (`y = proj·p + y_amb`), replacing a
-    /// linear solve per epoch with one thin mat-vec.
-    proj: Matrix,
-    /// `V⁻¹ · B⁻¹·G·T_amb` — the ambient term in eigen coordinates.
-    y_amb: Vector,
-    /// The junction rows of `V` (`cores × nodes`), used by the scalar
-    /// paths' per-boundary junction dots.
-    v_junction: Matrix,
-    /// `projᵀ` (`cores × nodes`): right-hand side of the transposed
-    /// stage-1 GEMM in [`peak_celsius_many`](Self::peak_celsius_many),
-    /// whose batch matrices keep each epoch contiguous as a row.
-    proj_t: Matrix,
-    /// `V_junctionᵀ` (`nodes × cores`): right-hand side of the transposed
-    /// stage-3 GEMM in [`peak_celsius_many`](Self::peak_celsius_many).
-    v_junction_t: Matrix,
+    /// The eigenbasis and its modal operators: `projᵀ` maps per-core
+    /// power straight to the eigen-space steady state
+    /// (`y = P·projᵀ + y_amb`, one thin GEMM row per epoch instead of a
+    /// linear solve), `V_Jᵀ` reads junction temperatures back out, and
+    /// the construction-time trust verdict arms the dense fallback.
+    /// Shareable with the transient solver of the same chip.
+    basis: Arc<ModalBasis>,
     /// `τ.to_bits() → EpochDecay`, cached because the scheduler probes
     /// many candidate rotations at few distinct τ.
     decay_cache: Mutex<BTreeMap<u64, Arc<EpochDecay>>>,
     /// Activity tallies for run reports ([`RotationPeakSolver::stats`]).
     stats: StatsCells,
-    /// Construction-time verdict: the eigendecomposition failed its trust
-    /// checks, so every peak evaluation routes through the dense cycle
-    /// fallback from the start. Immutable — a property of the model.
-    armed: bool,
     /// Runtime verdict: an invariant guard tripped on an eigen-path peak.
     /// Sticky for the solver's lifetime.
     tripped: AtomicBool,
@@ -342,17 +323,11 @@ impl Clone for RotationPeakSolver {
             .unwrap_or_default();
         RotationPeakSolver {
             model: self.model.clone(),
-            eigen: self.eigen.clone(),
-            proj: self.proj.clone(),
-            y_amb: self.y_amb.clone(),
-            v_junction: self.v_junction.clone(),
-            proj_t: self.proj_t.clone(),
-            v_junction_t: self.v_junction_t.clone(),
+            basis: Arc::clone(&self.basis),
             decay_cache: Mutex::new(cache),
             // A clone starts its own tally: stats describe what *this*
             // handle performed, not its ancestry.
             stats: StatsCells::default(),
-            armed: self.armed,
             // The degradation verdict is inherited: it describes the
             // model, and a clone evaluates the same model.
             // xtask: allow(relaxed) — single flag, no ordering payload.
@@ -371,47 +346,39 @@ impl RotationPeakSolver {
     /// Propagates eigendecomposition failures.
     pub fn new(model: RcThermalModel) -> Result<Self> {
         let eigen = SystemEigen::new(model.a_diag(), model.b())?;
-        Ok(Self::with_eigen(model, eigen))
+        let basis = Arc::new(ModalBasis::new(&model, eigen)?);
+        Self::with_basis(model, basis)
     }
 
-    /// Builds the solver from a prebuilt eigendecomposition of the
-    /// model's `C = −A⁻¹B` (the design-time phase already paid for).
+    /// Builds the solver around a prebuilt [`ModalBasis`] of `model` (the
+    /// design-time phase already paid for).
     ///
     /// This is the cache-handle constructor used by sweep runners that
-    /// factorize each chip configuration once and share the result
-    /// across jobs. The eigendecomposition must belong to `model`; a
-    /// mismatch yields meaningless peak estimates (not unsoundness).
-    pub fn with_eigen(model: RcThermalModel, eigen: SystemEigen) -> Self {
-        let nodes = model.node_count();
-        let cores = model.core_count();
-        let v_inv = eigen.v_inv();
-        let lambda = eigen.eigenvalues();
-        let a = model.a_diag();
-        let proj = Matrix::from_fn(nodes, cores, |i, j| -v_inv[(i, j)] / (lambda[i] * a[j]));
-        let y_amb = v_inv.mul_vector(model.ambient_response());
-        let v = eigen.v();
-        let v_junction = Matrix::from_fn(cores, nodes, |c, k| v[(c, k)]);
-        let proj_t = proj.transpose();
-        let v_junction_t = v_junction.transpose();
-        // Construction-time trust verdict on the fast path, mirroring the
-        // transient solver's arming rule.
-        let armed = eigen.eigenvalue_spread() >= CONDITION_FALLBACK_THRESHOLD
-            || eigen.basis_residual() > BASIS_RESIDUAL_THRESHOLD;
-        RotationPeakSolver {
+    /// factorize each chip configuration once and share the one basis
+    /// between this solver and the engine's transient solver. The basis
+    /// must belong to `model`; a same-sized basis of a different chip
+    /// yields meaningless peak estimates (not unsoundness).
+    ///
+    /// # Errors
+    ///
+    /// [`HotPotatoError::InvalidParameter`] if the basis's node or core
+    /// count differs from the model's.
+    pub fn with_basis(model: RcThermalModel, basis: Arc<ModalBasis>) -> Result<Self> {
+        if basis.node_count() != model.node_count() || basis.core_count() != model.core_count() {
+            return Err(HotPotatoError::InvalidParameter {
+                name: "modal basis node count",
+                value: usize_to_f64(basis.node_count()),
+            });
+        }
+        Ok(RotationPeakSolver {
             model,
-            eigen,
-            proj,
-            y_amb,
-            v_junction,
-            proj_t,
-            v_junction_t,
+            basis,
             decay_cache: Mutex::new(BTreeMap::new()),
             stats: StatsCells::default(),
-            armed,
             tripped: AtomicBool::new(false),
             dense_cache: Mutex::new(BTreeMap::new()),
             numerics: NumericsCells::default(),
-        }
+        })
     }
 
     /// Whether peak evaluations currently route through the dense cycle
@@ -420,7 +387,7 @@ impl RotationPeakSolver {
     /// or because a runtime invariant guard tripped (sticky).
     pub fn degraded(&self) -> bool {
         // xtask: allow(relaxed) — single sticky flag, no ordering payload.
-        self.armed || self.tripped.load(Ordering::Relaxed)
+        self.basis.armed() || self.tripped.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the numerical-integrity tallies (fallback activations
@@ -505,7 +472,7 @@ impl RotationPeakSolver {
         if cache.len() >= DECAY_CACHE_CAP {
             cache.clear();
         }
-        let d = Arc::new(EpochDecay::new(self.eigen.eigenvalues(), tau));
+        let d = Arc::new(EpochDecay::new(self.basis.eigen().eigenvalues(), tau));
         cache.insert(tau.to_bits(), Arc::clone(&d));
         d
     }
@@ -673,7 +640,7 @@ impl RotationPeakSolver {
             }
             z_t.row_mut(e).copy_from_slice(z.as_slice());
         }
-        let t = z_t.mul_matrix(&self.v_junction_t)?; // δ × cores
+        let t = z_t.mul_matrix(self.basis.v_junction_t())?; // δ × cores
 
         let mut boundary_temps = Vec::with_capacity(delta);
         let mut peak = f64::NEG_INFINITY;
@@ -727,7 +694,7 @@ impl RotationPeakSolver {
             for i in 0..nodes {
                 z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * y[i];
             }
-            let t_nodes = self.eigen.v().mul_vector(&z);
+            let t_nodes = self.basis.eigen().v().mul_vector(&z);
             let cores = self.model.core_temperatures(&t_nodes);
             if let Some(idx) = cores.argmax() {
                 if cores[idx] > peak {
@@ -777,7 +744,7 @@ impl RotationPeakSolver {
                 // boundary k.
                 let e = (k + delta - age) % delta;
                 let filter = Vector::from_fn(nodes, |i| cycle_weight(decay.lam_tau[i], delta, age));
-                let contrib = self.eigen.spectral_apply(&filter, &steady[e]);
+                let contrib = self.basis.eigen().spectral_apply(&filter, &steady[e]);
                 t_nodes += &contrib;
             }
             let cores = self.model.core_temperatures(&t_nodes);
@@ -806,8 +773,10 @@ impl RotationPeakSolver {
         self.validate_seq(seq)?;
         let nodes = self.model.node_count();
         let decay = self.decay_for(seq.tau());
+        let p_t = Matrix::from_fn(seq.delta(), self.model.core_count(), |e, j| seq.epoch(e)[j]);
+        let y_t = self.basis.steady_modal(&p_t)?; // δ × nodes
         let ys: Vec<Vector> = (0..seq.delta())
-            .map(|e| &self.proj.mul_vector(seq.epoch(e)) + &self.y_amb)
+            .map(|e| Vector::from(y_t.row(e).to_vec()))
             .collect();
         Ok((seq.delta(), nodes, decay, ys))
     }
@@ -828,6 +797,7 @@ impl RotationPeakSolver {
         }
         let (delta, nodes, decay, ys) = self.prepare(seq)?;
         let cores = self.model.core_count();
+        let v = self.basis.eigen().v();
         let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
         let mut peak = f64::NEG_INFINITY;
         for y in &ys {
@@ -835,7 +805,7 @@ impl RotationPeakSolver {
                 z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * y[i];
             }
             for c in 0..cores {
-                let row = self.v_junction.row(c);
+                let row = v.row(c);
                 let t: f64 = row.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
                 peak = peak.max(t);
             }
@@ -914,12 +884,7 @@ impl RotationPeakSolver {
                 row += 1;
             }
         }
-        let mut y_t = p_t.mul_matrix(&self.proj_t)?; // Σδ × nodes
-        for r in 0..total {
-            for (v, &amb) in y_t.row_mut(r).iter_mut().zip(self.y_amb.iter()) {
-                *v += amb;
-            }
-        }
+        let y_t = self.basis.steady_modal(&p_t)?; // Σδ × nodes
 
         // Stage 2: close each candidate's steady cycle in eigen space and
         // pack the boundary states row-wise.
@@ -941,7 +906,7 @@ impl RotationPeakSolver {
 
         // Stage 3: all junction temperatures at once, then a per-candidate
         // max over its boundary rows.
-        let t = z_t.mul_matrix(&self.v_junction_t)?; // Σδ × cores
+        let t = z_t.mul_matrix(self.basis.v_junction_t())?; // Σδ × cores
         let mut peaks = Vec::with_capacity(seqs.len());
         let mut row0 = 0;
         for seq in seqs {
@@ -1014,7 +979,7 @@ impl RotationPeakSolver {
                 row += 1;
             }
         }
-        let t = z_t.mul_matrix(&self.v_junction_t)?; // δ·samples × cores
+        let t = z_t.mul_matrix(self.basis.v_junction_t())?; // δ·samples × cores
         let mut peak = f64::NEG_INFINITY;
         for &v in t.as_slice() {
             peak = peak.max(v);
@@ -1045,6 +1010,7 @@ impl RotationPeakSolver {
         }
         let (delta, nodes, decay, ys) = self.prepare(seq)?;
         let cores = self.model.core_count();
+        let v = self.basis.eigen().v();
         let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
         let sub = self.decay_for(seq.tau() / samples as f64);
         let mut peak = f64::NEG_INFINITY;
@@ -1054,7 +1020,7 @@ impl RotationPeakSolver {
                     z[i] = sub.m[i] * z[i] + sub.one_minus_m[i] * y[i];
                 }
                 for c in 0..cores {
-                    let row = self.v_junction.row(c);
+                    let row = v.row(c);
                     let t: f64 = row.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
                     peak = peak.max(t);
                 }
@@ -1065,12 +1031,12 @@ impl RotationPeakSolver {
 
     /// The spectral decomposition backing the solver (for diagnostics).
     pub fn eigen(&self) -> &SystemEigen {
-        &self.eigen
+        self.basis.eigen()
     }
 
     /// Dense `e^{Cτ}` for diagnostics and tests.
     pub fn exponential(&self, tau: f64) -> Matrix {
-        self.eigen.exp_matrix(tau)
+        self.basis.eigen().exp_matrix(tau)
     }
 }
 
@@ -1320,8 +1286,8 @@ mod tests {
     fn cloned_solver_agrees() {
         let s = solver_4x4();
         let seq = fig1_sequence(0.5e-3);
+        let clone = s.clone();
         let a = s.peak_celsius(&seq).unwrap();
-        let clone = s;
         let b = clone.peak_celsius(&seq).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
     }
@@ -1572,5 +1538,85 @@ mod tests {
         };
         s.restore_numerics(stats);
         assert_eq!(s.numerics(), stats);
+    }
+
+    fn model_4x4() -> RcThermalModel {
+        let fp = GridFloorplan::new(4, 4).unwrap();
+        RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap()
+    }
+
+    fn basis_of(model: &RcThermalModel) -> Arc<ModalBasis> {
+        let eigen = SystemEigen::new(model.a_diag(), model.b()).unwrap();
+        Arc::new(ModalBasis::new(model, eigen).unwrap())
+    }
+
+    #[test]
+    fn with_basis_rejects_a_basis_of_another_chip() {
+        let fp = GridFloorplan::new(2, 2).unwrap();
+        let small = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+        let err = RotationPeakSolver::with_basis(model_4x4(), basis_of(&small)).unwrap_err();
+        assert!(
+            matches!(err, HotPotatoError::InvalidParameter { name: "modal basis node count", value } if value == 12.0),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn with_basis_matches_new_bit_for_bit() {
+        let model = model_4x4();
+        let shared = RotationPeakSolver::with_basis(model.clone(), basis_of(&model)).unwrap();
+        let fresh = RotationPeakSolver::new(model).unwrap();
+        for tau in [0.25e-3, 1e-3, 4e-3] {
+            let seq = fig1_sequence(tau);
+            let a = shared.peak(&seq).unwrap();
+            let b = fresh.peak(&seq).unwrap();
+            assert_eq!(
+                a.peak_celsius.to_bits(),
+                b.peak_celsius.to_bits(),
+                "tau {tau}"
+            );
+            assert_eq!(a.boundary_temps, b.boundary_temps, "tau {tau}");
+        }
+    }
+
+    #[test]
+    fn clone_shares_the_basis() {
+        let s = solver_4x4();
+        let clone = s.clone();
+        assert!(std::ptr::eq(s.eigen(), clone.eigen()));
+    }
+
+    #[test]
+    fn armed_basis_degrades_from_construction() {
+        let fp = GridFloorplan::new(4, 4).unwrap();
+        let model = RcThermalModel::new(&fp, &ThermalConfig::ill_conditioned()).unwrap();
+        let basis = basis_of(&model);
+        assert!(basis.armed());
+        let s = RotationPeakSolver::with_basis(model, basis).unwrap();
+        // Degraded before any evaluation, with nothing counted yet.
+        assert!(s.degraded());
+        assert_eq!(s.numerics(), NumericsStats::default());
+    }
+
+    #[test]
+    fn shared_basis_serves_the_transient_solver_too() {
+        let model = model_4x4();
+        let basis = basis_of(&model);
+        let transient = TransientSolver::with_basis(Arc::clone(&basis));
+        let peak = RotationPeakSolver::with_basis(model.clone(), Arc::clone(&basis)).unwrap();
+        assert!(std::ptr::eq(transient.eigen(), peak.eigen()));
+        assert_eq!(Arc::strong_count(&basis), 3);
+        // Both solvers read the same steady state off the one basis: a
+        // one-epoch (constant) power sequence peaks at the hottest
+        // junction of the transient solver's long-run limit.
+        let mut p = Vector::constant(16, 0.3);
+        p[6] = 7.0;
+        let seq = EpochPowerSequence::new(1e-3, vec![p.clone()]).unwrap();
+        let limit = transient
+            .step(&model, &model.ambient_state(), &p, 1e4)
+            .unwrap();
+        let hottest = model.core_temperatures(&limit).max();
+        let peak_c = peak.peak_celsius(&seq).unwrap();
+        assert!((peak_c - hottest).abs() < 1e-6, "{peak_c} vs {hottest}");
     }
 }

@@ -1,9 +1,12 @@
 //! Property-based tests for the rotation analytics (Algorithm 1).
 
+use std::sync::Arc;
+
 use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_floorplan::GridFloorplan;
+use hp_linalg::eigen::SystemEigen;
 use hp_linalg::Vector;
-use hp_thermal::{RcThermalModel, ThermalConfig};
+use hp_thermal::{ModalBasis, RcThermalModel, ThermalConfig, TransientSolver};
 use proptest::prelude::*;
 
 fn solver(w: usize, h: usize) -> RotationPeakSolver {
@@ -187,5 +190,28 @@ proptest! {
         let p_slow = s.peak_celsius_sampled(&slow, 8).unwrap();
         let p_fast = s.peak_celsius_sampled(&fast, 8).unwrap();
         prop_assert!(p_fast <= p_slow + 0.1, "fast {p_fast} > slow {p_slow}");
+    }
+
+    #[test]
+    fn shared_basis_peaks_match_a_private_basis(seqs in proptest::collection::vec(sequences(), 1..4)) {
+        // A sweep cache builds one basis and hands it to both solvers of
+        // a chip; Algorithm 1 on it must equal a solver that derived its
+        // own, bit for bit, on the scalar and the batched entry points.
+        let model = RcThermalModel::new(
+            &GridFloorplan::new(3, 3).expect("grid"),
+            &ThermalConfig::default(),
+        )
+        .expect("valid config");
+        let eigen = SystemEigen::new(model.a_diag(), model.b()).expect("decomposes");
+        let basis = Arc::new(ModalBasis::new(&model, eigen).expect("basis"));
+        let _transient = TransientSolver::with_basis(Arc::clone(&basis));
+        let shared = RotationPeakSolver::with_basis(model, basis).expect("matching basis");
+        let private = solver(3, 3);
+        let batch = shared.peak_celsius_many(&seqs).unwrap();
+        for (seq, b) in seqs.iter().zip(&batch) {
+            let a = private.peak_celsius(seq).unwrap();
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(a.to_bits(), shared.peak_celsius(seq).unwrap().to_bits());
+        }
     }
 }

@@ -1,9 +1,11 @@
-//! Versioned engine checkpoints (`hp-ckpt-v1`): mid-run state capture
+//! Versioned engine checkpoints (`hp-ckpt-v2`): mid-run state capture
 //! with content digests and spec binding (DESIGN.md §13).
 //!
 //! A checkpoint freezes everything [`Simulation::run_with_options`]
 //! (crate::Simulation) mutates between intervals — simulated time, the
-//! thermal node-state vector, queues, per-thread runtimes, fault-injector
+//! thermal node-state vector and its eigen coordinates (the modal state
+//! the engine steps, `null` once it steps in node space), queues,
+//! per-thread runtimes, fault-injector
 //! RNG cursors, metrics and observability counters, the recorded trace,
 //! and the scheduler's opaque snapshot blob — so a run killed at a
 //! checkpoint boundary resumes *bit-identical* to an uninterrupted one
@@ -13,7 +15,7 @@
 //! backend; see `hp_obs::json`) wrapped in an integrity envelope:
 //!
 //! ```json
-//! {"schema": "hp-ckpt-v1",
+//! {"schema": "hp-ckpt-v2",
 //!  "spec_hash": "0011223344556677",
 //!  "digest":    "8899aabbccddeeff",
 //!  "state": { ... }}
@@ -27,7 +29,9 @@
 //!   scheduler) tuple; resuming against anything else is a typed
 //!   [`CheckpointError::SpecMismatch`].
 //! * Truncated or malformed documents are [`CheckpointError::Parse`];
-//!   an unknown schema string is [`CheckpointError::Version`].
+//!   an unknown schema string is [`CheckpointError::Version`]. That
+//!   includes `hp-ckpt-v1`: its documents carry no modal state, and
+//!   re-projecting the node vector would not resume bit-identically.
 //!
 //! Non-finite floats (a fresh thread's `last_cpi` is ∞) are encoded as
 //! the strings `"inf"` / `"-inf"` / `"nan"`; finite floats use Rust's
@@ -46,14 +50,14 @@ use crate::metrics::{JobRecord, Robustness};
 use crate::trace::{TraceEvent, TraceEventKind};
 use crate::SimConfig;
 
-/// The schema string every `hp-ckpt-v1` document carries.
-pub const CHECKPOINT_SCHEMA: &str = "hp-ckpt-v1";
+/// The schema string every `hp-ckpt-v2` document carries.
+pub const CHECKPOINT_SCHEMA: &str = "hp-ckpt-v2";
 
 /// Typed failures of checkpoint save/load/verify.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CheckpointError {
-    /// The document is truncated or not well-formed `hp-ckpt-v1` JSON.
+    /// The document is truncated or not well-formed `hp-ckpt-v2` JSON.
     Parse {
         /// What failed, with position where available.
         message: String,
@@ -267,6 +271,9 @@ pub(crate) struct TraceState {
 pub(crate) struct CheckpointState {
     pub step: u64,
     pub node_temps: Vec<f64>,
+    /// Eigen coordinates of `node_temps` as the engine carried them;
+    /// `None` once the run steps in node space (dense fallback).
+    pub modal_temps: Option<Vec<f64>>,
     pub levels: Vec<usize>,
     pub occupancy: Vec<Option<ThreadId>>,
     pub pending: Vec<usize>,
@@ -288,8 +295,7 @@ pub(crate) struct CheckpointState {
     /// `[batch_calls, batched_states, decay_cache_hits, decay_cache_misses]`.
     pub thermal_stats: [u64; 4],
     /// `NumericsStats` of the thermal solver, in declaration order:
-    /// `[fallback_activations, fallback_steps, guard_trips]`. Absent in
-    /// checkpoints predating the numerical-integrity layer (all zero).
+    /// `[fallback_activations, fallback_steps, guard_trips]`.
     pub numerics_stats: [u64; 3],
     pub scheduler_name: String,
     pub scheduler_blob: Option<String>,
@@ -327,7 +333,7 @@ impl EngineCheckpoint {
         self.state.metrics.simulated_time
     }
 
-    /// Renders the full `hp-ckpt-v1` document, digest included.
+    /// Renders the full `hp-ckpt-v2` document, digest included.
     pub fn to_json_string(&self) -> String {
         let state = encode_state(&self.state);
         let digest = fnv1a(state.as_bytes());
@@ -337,7 +343,7 @@ impl EngineCheckpoint {
         )
     }
 
-    /// Parses and verifies an `hp-ckpt-v1` document.
+    /// Parses and verifies an `hp-ckpt-v2` document.
     ///
     /// # Errors
     ///
@@ -497,6 +503,11 @@ fn encode_state(s: &CheckpointState) -> String {
     let _ = write!(o, "\"step\":{}", s.step);
     o.push_str(",\"node_temps\":");
     push_f64_arr(&mut o, &s.node_temps);
+    o.push_str(",\"modal_temps\":");
+    match &s.modal_temps {
+        None => o.push_str("null"),
+        Some(z) => push_f64_arr(&mut o, z),
+    }
     o.push_str(",\"levels\":");
     push_usize_arr(&mut o, &s.levels);
     o.push_str(",\"occupancy\":[");
@@ -842,6 +853,10 @@ fn decode_state(v: &Json) -> CkptResult<CheckpointState> {
     }
     let step = dec_u64(field(v, "step")?, "step")?;
     let node_temps = dec_f64_vec(field(v, "node_temps")?, "node_temps")?;
+    let modal_temps = match field(v, "modal_temps")? {
+        Json::Null => None,
+        z => Some(dec_f64_vec(z, "modal_temps")?),
+    };
     let levels = dec_usize_vec(field(v, "levels")?, "levels")?;
     let occupancy = arr(field(v, "occupancy")?, "occupancy")?
         .iter()
@@ -992,13 +1007,9 @@ fn decode_state(v: &Json) -> CkptResult<CheckpointState> {
     let thermal_stats: [u64; 4] = ts
         .try_into()
         .map_err(|_| shape("thermal_stats", "an array of 4 counters"))?;
-    // Optional: absent in checkpoints predating the numerical-integrity layer.
-    let numerics_stats: [u64; 3] = match v.get("numerics_stats") {
-        Some(j) => dec_u64_vec(j, "numerics_stats")?
-            .try_into()
-            .map_err(|_| shape("numerics_stats", "an array of 3 counters"))?,
-        None => [0, 0, 0],
-    };
+    let numerics_stats: [u64; 3] = dec_u64_vec(field(v, "numerics_stats")?, "numerics_stats")?
+        .try_into()
+        .map_err(|_| shape("numerics_stats", "an array of 3 counters"))?;
     let sc = field(v, "scheduler")?;
     let scheduler_name = dec_str(field(sc, "name")?, "scheduler.name")?;
     let scheduler_blob = match field(sc, "blob")? {
@@ -1008,6 +1019,7 @@ fn decode_state(v: &Json) -> CkptResult<CheckpointState> {
     Ok(CheckpointState {
         step,
         node_temps,
+        modal_temps,
         levels,
         occupancy,
         pending,
@@ -1157,6 +1169,7 @@ mod tests {
         CheckpointState {
             step: 42,
             node_temps: vec![45.0, 46.25, -0.0],
+            modal_temps: Some(vec![-1.5e-3, 0.1 + 0.2, f64::MIN_POSITIVE]),
             levels: vec![2, 0],
             occupancy: vec![
                 Some(ThreadId {
@@ -1303,11 +1316,66 @@ mod tests {
             spec_hash: 1,
             state: sample_state(),
         };
-        let json = ckpt.to_json_string().replace("hp-ckpt-v1", "hp-ckpt-v9");
+        let json = ckpt
+            .to_json_string()
+            .replace(CHECKPOINT_SCHEMA, "hp-ckpt-v9");
         assert!(matches!(
             EngineCheckpoint::from_json_str(&json),
             Err(CheckpointError::Version { found }) if found == "hp-ckpt-v9"
         ));
+    }
+
+    #[test]
+    fn v1_document_is_refused_with_a_version_error() {
+        // A v1 document has no modal state; refusing it by schema keeps
+        // a resume from silently re-projecting the node vector.
+        let ckpt = EngineCheckpoint {
+            spec_hash: 1,
+            state: sample_state(),
+        };
+        let v2 = ckpt.to_json_string();
+        let modal = v2.find(",\"modal_temps\":").expect("modal member");
+        let levels = v2.find(",\"levels\":").expect("levels member");
+        let v1 =
+            format!("{}{}", &v2[..modal], &v2[levels..]).replace(CHECKPOINT_SCHEMA, "hp-ckpt-v1");
+        match EngineCheckpoint::from_json_str(&v1) {
+            Err(CheckpointError::Version { found }) => assert_eq!(found, "hp-ckpt-v1"),
+            other => panic!("expected Version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn modal_state_roundtrips_bit_for_bit() {
+        let mut state = sample_state();
+        let z = vec![
+            -0.0,
+            1.0 / 3.0,
+            -1e-310,
+            123_456.789_012_345_6,
+            f64::EPSILON,
+        ];
+        state.modal_temps = Some(z.clone());
+        let ckpt = EngineCheckpoint {
+            spec_hash: 7,
+            state,
+        };
+        let back = EngineCheckpoint::from_json_str(&ckpt.to_json_string()).expect("roundtrip");
+        let got = back.state.modal_temps.expect("modal state survives");
+        assert_eq!(got.len(), z.len());
+        for (a, b) in got.iter().zip(&z) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // Node-space states carry an explicit null.
+        let mut node_space = sample_state();
+        node_space.modal_temps = None;
+        let ckpt = EngineCheckpoint {
+            spec_hash: 7,
+            state: node_space,
+        };
+        let json = ckpt.to_json_string();
+        assert!(json.contains("\"modal_temps\":null"));
+        let back = EngineCheckpoint::from_json_str(&json).expect("roundtrip");
+        assert_eq!(back.state.modal_temps, None);
     }
 
     #[test]
@@ -1403,5 +1471,197 @@ mod tests {
             ..config
         };
         assert_ne!(a, spec_hash(&machine, &other, &jobs, "pinned"));
+    }
+
+    /// `json` with the state member `key` (a flat array of numbers) cut
+    /// out, as a document written without it would read.
+    fn without_member(json: &str, key: &str) -> String {
+        let start = json
+            .find(&format!(",\"{key}\":"))
+            .unwrap_or_else(|| panic!("`{key}` member"));
+        let len = json[start + 1..].find(",\"").expect("a member follows") + 1;
+        format!("{}{}", &json[..start], &json[start + len..])
+    }
+
+    fn sample_document() -> String {
+        EngineCheckpoint {
+            spec_hash: 5,
+            state: sample_state(),
+        }
+        .to_json_string()
+    }
+
+    #[test]
+    fn missing_modal_member_is_a_parse_error() {
+        // `null` is the node-space marker; an absent member is not.
+        let json = without_member(&sample_document(), "modal_temps");
+        match EngineCheckpoint::from_json_str(&json) {
+            Err(CheckpointError::Parse { message }) => {
+                assert!(message.contains("modal_temps"), "{message}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn missing_numerics_stats_is_a_parse_error() {
+        let json = without_member(&sample_document(), "numerics_stats");
+        match EngineCheckpoint::from_json_str(&json) {
+            Err(CheckpointError::Parse { message }) => {
+                assert!(message.contains("numerics_stats"), "{message}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn modal_member_of_the_wrong_type_is_a_parse_error() {
+        let mut state = sample_state();
+        state.modal_temps = Some(vec![1.5, 2.5]);
+        let json = EngineCheckpoint {
+            spec_hash: 5,
+            state,
+        }
+        .to_json_string();
+        assert!(json.contains("\"modal_temps\":[1.5,2.5]"));
+        for bad in ["\"hot\"", "{}", "[1.5,\"warm\"]", "7"] {
+            let tampered = json.replace("[1.5,2.5]", bad);
+            assert!(
+                matches!(
+                    EngineCheckpoint::from_json_str(&tampered),
+                    Err(CheckpointError::Parse { .. })
+                ),
+                "modal_temps = {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_modal_vector_is_not_null() {
+        let mut state = sample_state();
+        state.modal_temps = Some(Vec::new());
+        let ckpt = EngineCheckpoint {
+            spec_hash: 9,
+            state,
+        };
+        let json = ckpt.to_json_string();
+        assert!(json.contains("\"modal_temps\":[]"));
+        let back = EngineCheckpoint::from_json_str(&json).expect("roundtrip");
+        assert_eq!(back.state.modal_temps, Some(Vec::new()));
+    }
+
+    #[test]
+    fn digest_covers_the_modal_state() {
+        let mut state = sample_state();
+        state.modal_temps = Some(vec![1.5, 2.5]);
+        let json = EngineCheckpoint {
+            spec_hash: 5,
+            state,
+        }
+        .to_json_string();
+        let tampered = json.replace("\"modal_temps\":[1.5,2.5]", "\"modal_temps\":[1.5,2.75]");
+        assert_ne!(tampered, json);
+        assert!(matches!(
+            EngineCheckpoint::from_json_str(&tampered),
+            Err(CheckpointError::DigestMismatch { .. })
+        ));
+    }
+
+    fn small_sim() -> crate::Simulation {
+        use hp_manycore::{ArchConfig, Machine};
+        let machine = Machine::new(ArchConfig {
+            grid_width: 2,
+            grid_height: 2,
+            ..ArchConfig::default()
+        })
+        .expect("machine");
+        crate::Simulation::new(
+            machine,
+            hp_thermal::ThermalConfig::default(),
+            SimConfig::default(),
+        )
+        .expect("valid sim config")
+    }
+
+    fn small_batch() -> Vec<hp_workload::Job> {
+        hp_workload::closed_batch(hp_workload::Benchmark::Blackscholes, 2, 3)
+    }
+
+    /// The last checkpoint of a healthy 2×2 run cut short after 120
+    /// intervals. `tag` keeps each test's scratch file its own.
+    fn interrupted_checkpoint(tag: &str) -> EngineCheckpoint {
+        let dir = std::env::temp_dir().join(format!("hp-ckpt-unit-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("run.ckpt.json");
+        let mut sim = small_sim();
+        sim.run_with_options(
+            small_batch(),
+            &mut crate::schedulers::PinnedScheduler::new(),
+            &crate::RunOptions {
+                checkpoint_every_seconds: Some(5e-3),
+                checkpoint_path: Some(path.clone()),
+                max_intervals: Some(120),
+                ..crate::RunOptions::default()
+            },
+        )
+        .expect_err("the interval budget cuts the run short");
+        let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint written");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            ckpt.state.modal_temps.is_some(),
+            "a healthy run carries its eigen coordinates"
+        );
+        ckpt
+    }
+
+    fn resume(ckpt: EngineCheckpoint) -> crate::Result<crate::Metrics> {
+        small_sim().run_with_options(
+            small_batch(),
+            &mut crate::schedulers::PinnedScheduler::new(),
+            &crate::RunOptions {
+                resume_from: Some(ckpt),
+                ..crate::RunOptions::default()
+            },
+        )
+    }
+
+    fn assert_thermal_state_rejected(result: crate::Result<crate::Metrics>) {
+        match result {
+            Err(crate::SimError::Checkpoint(CheckpointError::Invalid { message })) => {
+                assert!(message.contains("thermal state rejected"), "{message}");
+            }
+            other => panic!("expected an Invalid checkpoint, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_modal_state_of_the_wrong_length() {
+        let mut ckpt = interrupted_checkpoint("modal-length");
+        ckpt.state.modal_temps = Some(vec![45.0; 5]);
+        assert_thermal_state_rejected(resume(ckpt));
+    }
+
+    #[test]
+    fn resume_rejects_a_non_finite_modal_state() {
+        let mut ckpt = interrupted_checkpoint("modal-nan");
+        if let Some(z) = ckpt.state.modal_temps.as_mut() {
+            z[3] = f64::NAN;
+        }
+        assert_thermal_state_rejected(resume(ckpt));
+    }
+
+    #[test]
+    fn node_space_checkpoint_resumes_in_node_space() {
+        // A checkpoint without eigen coordinates (a run that had fallen
+        // back to dense stepping) resumes on the dense path, not by
+        // re-projecting the node vector.
+        let mut ckpt = interrupted_checkpoint("node-space");
+        ckpt.state.modal_temps = None;
+        let metrics = resume(ckpt).expect("resumed run completes");
+        let obs = &metrics.observability;
+        assert_eq!(obs.counter("numerics.fallback.activations"), Some(1));
+        assert!(obs.counter("numerics.fallback.steps").unwrap_or(0) > 0);
+        assert_eq!(obs.counter("numerics.guard.trips"), Some(0));
+        assert!(metrics.peak_temperature.is_finite());
     }
 }

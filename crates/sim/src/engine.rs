@@ -8,7 +8,7 @@ use hp_floorplan::CoreId;
 use hp_linalg::Vector;
 use hp_manycore::Machine;
 use hp_power::DvfsLevel;
-use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver, TransientStats};
+use hp_thermal::{RcThermalModel, ThermalConfig, ThermalState, TransientSolver, TransientStats};
 use hp_workload::{Job, JobId};
 
 use crate::checkpoint::{
@@ -106,7 +106,13 @@ struct RunState {
     n: usize,
     dt: f64,
     sched_every: u64,
-    node_temps: Vector,
+    /// Node temperatures plus, while the eigen path is live, their eigen
+    /// coordinates — advanced in modal form every interval.
+    thermal: ThermalState,
+    /// Junction temperatures of `thermal`, °C: read out once per
+    /// interval after the thermal step and used by the next interval's
+    /// sensors, DTM watchdog and power evaluation.
+    core_temps: Vector,
     levels: Vec<DvfsLevel>,
     occupancy: Vec<Option<ThreadId>>,
     pending: VecDeque<Job>,
@@ -165,16 +171,18 @@ impl Simulation {
     /// [`Simulation::new`] performs.
     ///
     /// This is the cache-handle constructor for sweep runners: each job
-    /// clones shared, already-factorized handles (both clones are plain
-    /// matrix copies) instead of re-deriving them. The model and solver
-    /// must describe `machine`'s floorplan — a mismatch is rejected when
-    /// the node counts disagree, but a same-sized model for a different
-    /// chip produces wrong temperatures, not unsoundness.
+    /// clones shared, already-factorized handles (the model clone is a
+    /// plain matrix copy, the solver clone shares its modal basis)
+    /// instead of re-deriving them. The model and solver must describe
+    /// `machine`'s floorplan — a mismatch is rejected when the core or
+    /// node counts disagree, but a same-sized model for a different chip
+    /// produces wrong temperatures, not unsoundness.
     ///
     /// # Errors
     ///
     /// Propagates configuration validation failures and rejects a model
-    /// whose core count does not match `machine`.
+    /// whose core count does not match `machine`, or a solver whose node
+    /// count does not match the model.
     pub fn with_thermal(
         machine: Machine,
         model: RcThermalModel,
@@ -186,6 +194,12 @@ impl Simulation {
             return Err(SimError::InvalidParameter {
                 name: "thermal model core count",
                 value: model.core_count() as f64,
+            });
+        }
+        if solver.basis().node_count() != model.node_count() {
+            return Err(SimError::InvalidParameter {
+                name: "transient solver node count",
+                value: solver.basis().node_count() as f64,
             });
         }
         Ok(Simulation {
@@ -392,6 +406,8 @@ impl Simulation {
             None => self.thermal.ambient_state(),
             Some(p) => self.thermal.steady_state(&Vector::constant(n, p))?,
         };
+        let thermal = self.solver.initial_state(&node_temps)?;
+        let core_temps = self.thermal.core_temperatures(&node_temps);
 
         let faults = if self.config.faults.is_inert() {
             None
@@ -418,10 +434,7 @@ impl Simulation {
         if self.config.record_trace {
             // The t = 0 starting condition (ambient or prewarmed) leads
             // the trace; the per-interval loop appends at `now + dt`.
-            self.trace.push(
-                0.0,
-                self.thermal.core_temperatures(&node_temps).into_inner(),
-            );
+            self.trace.push(0.0, core_temps.as_slice().to_vec());
         }
         let mut metrics = Metrics {
             scheduler: scheduler_name.to_string(),
@@ -435,7 +448,8 @@ impl Simulation {
             n,
             dt,
             sched_every,
-            node_temps,
+            thermal,
+            core_temps,
             levels: vec![self.machine.config().dvfs.max_level(); n],
             occupancy: vec![None; n],
             pending: VecDeque::new(),
@@ -552,7 +566,8 @@ impl Simulation {
             spec_hash: spec,
             state: CheckpointState {
                 step: st.step,
-                node_temps: st.node_temps.as_slice().to_vec(),
+                node_temps: st.thermal.nodes().as_slice().to_vec(),
+                modal_temps: st.thermal.modal().map(|z| z.as_slice().to_vec()),
                 levels: st.levels.iter().map(|l| l.index()).collect(),
                 occupancy: st.occupancy.clone(),
                 pending: st.pending.iter().map(|j| j.id.0).collect(),
@@ -631,13 +646,21 @@ impl Simulation {
                 "checkpoint core count disagrees with the machine's {n} cores"
             )));
         }
-        if s.node_temps.len() != self.thermal.ambient_state().as_slice().len() {
+        if s.node_temps.len() != self.thermal.node_count() {
             return Err(invalid(format!(
                 "checkpoint thermal state has {} nodes, the model expects {}",
                 s.node_temps.len(),
-                self.thermal.ambient_state().as_slice().len()
+                self.thermal.node_count()
             )));
         }
+        let thermal = self
+            .solver
+            .restore_state(
+                Vector::from(s.node_temps.clone()),
+                s.modal_temps.clone().map(Vector::from),
+            )
+            .map_err(|e| invalid(format!("checkpoint thermal state rejected: {e}")))?;
+        let core_temps = self.thermal.core_temperatures(thermal.nodes());
 
         let total_jobs = jobs.len();
         let mut by_id: BTreeMap<usize, Job> = BTreeMap::new();
@@ -838,7 +861,8 @@ impl Simulation {
             n,
             dt: self.config.dt,
             sched_every: (self.config.sched_period / self.config.dt).round().max(1.0) as u64,
-            node_temps: Vector::from(s.node_temps.clone()),
+            thermal,
+            core_temps,
             levels,
             occupancy: s.occupancy.clone(),
             pending,
@@ -891,10 +915,11 @@ impl Simulation {
         }
 
         // True junction temperatures for this interval, shared by the
-        // DTM check and the power evaluation (node_temps only changes at
-        // the thermal step below). With faults active, schedulers see
-        // the conditioned sensor view built right below instead.
-        let core_temps = self.thermal.core_temperatures(&st.node_temps);
+        // DTM check and the power evaluation (read out at the end of the
+        // previous interval's thermal step; the step below replaces
+        // them). With faults active, schedulers see the conditioned
+        // sensor view built right below instead.
+        let core_temps = std::mem::take(&mut st.core_temps);
 
         // 1b. Fault layer: draw this interval's sensor faults and
         // condition the readings into the trusted view.
@@ -1129,16 +1154,16 @@ impl Simulation {
             }
         }
 
-        // 5. Exact thermal step for the interval. `step` is the
-        // batched GEMM kernel applied to a batch of one; the fixed
-        // `dt` hits the solver's decay cache every interval, so no
-        // per-step eigenvalue exponentials are recomputed.
+        // 5. Exact thermal step for the interval, in modal form: the
+        // carried eigen coordinates relax towards this interval's power
+        // and the full node vector is read out for the envelope guard
+        // (DESIGN.md §6a). The fixed `dt` hits the solver's decay cache
+        // every interval, so no per-step exponentials are recomputed.
         // xtask: allow(nondet) — wall-clock observability timing; the
         // histogram it feeds is excluded from golden outputs.
         let thermal_start = Instant::now();
-        st.node_temps = self
-            .solver
-            .step(&self.thermal, &st.node_temps, &power, dt)?;
+        self.solver
+            .advance(&self.thermal, &mut st.thermal, &power, dt)?;
         st.obs
             .observe_seconds("engine.thermal_step", thermal_start.elapsed().as_secs_f64());
         // Record the (at most one per run) transition onto the dense
@@ -1161,12 +1186,13 @@ impl Simulation {
                 ),
             );
         }
-        let after = self.thermal.core_temperatures(&st.node_temps);
+        let after = self.thermal.core_temperatures(st.thermal.nodes());
         st.metrics.peak_temperature = st.metrics.peak_temperature.max(after.max());
         st.metrics.energy += power.sum() * dt;
         if self.config.record_trace {
-            self.trace.push(now + dt, after.into_inner());
+            self.trace.push(now + dt, after.as_slice().to_vec());
         }
+        st.core_temps = after;
 
         // 6. Barrier release / phase advance / completion.
         let done_ids: Vec<JobId> = st

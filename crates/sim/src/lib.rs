@@ -11,7 +11,8 @@
 //!   1. admit arrived jobs, run the scheduler (place / migrate / DVFS)
 //!   2. performance: WorkPoint × core × frequency → instructions retired
 //!   3. power: CPI activity + DVFS point + temperature → per-core watts
-//!   4. thermal: exact RC transient step (MatEx route)
+//!   4. thermal: exact RC transient step (MatEx route), the state carried
+//!      in eigen coordinates and read out to every node for the guard
 //!   5. DTM: hardware frequency crash while any junction ≥ T_DTM
 //! ```
 //!

@@ -1,4 +1,4 @@
-//! Property tests for the `hp-ckpt-v1` checkpoint codec.
+//! Property tests for the `hp-ckpt-v2` checkpoint codec.
 //!
 //! Checkpoints are generated the only way real ones are — by running the
 //! engine with periodic checkpointing over randomized machines, fault
@@ -6,7 +6,8 @@
 //!
 //! * encode → decode → encode must be byte-identical (the canonical
 //!   encoding is its own fixpoint, which is what the content digest is
-//!   computed over);
+//!   computed over) — the carried eigen coordinates included, so they
+//!   survive bit for bit;
 //! * any single-byte corruption of the state block must be rejected as
 //!   `DigestMismatch` (or `Parse` when it breaks JSON syntax) — never
 //!   silently accepted;
@@ -25,8 +26,16 @@ use hp_workload::{closed_batch, Benchmark};
 
 /// Runs a short faulted batch with checkpointing on and returns the last
 /// checkpoint written. Interrupts via the interval budget so the file is
-/// guaranteed to exist (budget > first checkpoint boundary).
-fn make_checkpoint(width: usize, cores: usize, seed: u64, dropout: f64) -> EngineCheckpoint {
+/// guaranteed to exist (budget > first checkpoint boundary). Each test
+/// passes its own `scratch` name, so tests running in parallel never
+/// share a checkpoint file.
+fn make_checkpoint(
+    scratch: &str,
+    width: usize,
+    cores: usize,
+    seed: u64,
+    dropout: f64,
+) -> EngineCheckpoint {
     let machine = Machine::new(ArchConfig {
         grid_width: width,
         grid_height: width,
@@ -45,7 +54,7 @@ fn make_checkpoint(width: usize, cores: usize, seed: u64, dropout: f64) -> Engin
     let mut sim =
         Simulation::new(machine, ThermalConfig::default(), config).expect("valid sim config");
     let mut sched = PinnedScheduler::new();
-    let dir = std::env::temp_dir().join(format!("hp-ckpt-prop-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("hp-ckpt-prop-{}-{scratch}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let path = dir.join(format!("{width}x{width}-{cores}-{seed}.ckpt.json"));
     let _ = sim.run_with_options(
@@ -60,6 +69,7 @@ fn make_checkpoint(width: usize, cores: usize, seed: u64, dropout: f64) -> Engin
     );
     let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint written and loads");
     std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
     ckpt
 }
 
@@ -76,13 +86,16 @@ proptest! {
         seed in 0u64..1000,
         dropout in 0.0f64..0.3,
     ) {
-        let ckpt = make_checkpoint(width, cores, seed, dropout);
+        let ckpt = make_checkpoint("fixpoint", width, cores, seed, dropout);
         let first = ckpt.to_json_string();
         let decoded = EngineCheckpoint::from_json_str(&first).expect("own encoding decodes");
         let second = decoded.to_json_string();
         prop_assert_eq!(first, second, "canonical encoding must be a fixpoint");
         prop_assert_eq!(decoded.spec_hash(), ckpt.spec_hash());
         prop_assert_eq!(decoded.step(), ckpt.step());
+        // A healthy run carries its eigen coordinates; the byte-identical
+        // re-encoding above means every one of them decoded bit for bit.
+        prop_assert!(first.contains("\"modal_temps\":["), "modal state is captured");
     }
 
     #[test]
@@ -91,7 +104,7 @@ proptest! {
         cut in 1usize..200,
         flip in 0usize..400,
     ) {
-        let ckpt = make_checkpoint(3, 2, seed, 0.1);
+        let ckpt = make_checkpoint("corruption", 3, 2, seed, 0.1);
         let doc = ckpt.to_json_string();
 
         // Truncation: always a typed error, never a panic or a resume.
@@ -140,9 +153,9 @@ proptest! {
 
 #[test]
 fn schema_tampering_is_a_version_error() {
-    let ckpt = make_checkpoint(3, 1, 7, 0.0);
+    let ckpt = make_checkpoint("schema", 3, 1, 7, 0.0);
     let doc = ckpt.to_json_string();
-    let tampered = doc.replace("hp-ckpt-v1", "hp-ckpt-v9");
+    let tampered = doc.replace(hp_sim::CHECKPOINT_SCHEMA, "hp-ckpt-v9");
     assert_ne!(tampered, doc);
     match EngineCheckpoint::from_json_str(&tampered) {
         Err(CheckpointError::Version { found, .. }) => assert_eq!(found, "hp-ckpt-v9"),

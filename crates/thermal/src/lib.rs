@@ -21,7 +21,9 @@
 //!   (paper Eq. 3), using a cached LU factorization of `B`.
 //! * [`TransientSolver`] — `T(t) = T_steady + e^{C·t}(T_init − T_steady)`
 //!   (paper Eq. 4) through the eigendecomposition of `C = −A⁻¹B`, the same
-//!   route as the MatEx solver the paper builds on.
+//!   route as the MatEx solver the paper builds on, evaluated in eigen
+//!   coordinates with the operators of a shared [`ModalBasis`]; the
+//!   interval engine carries its [`ThermalState`] in that form.
 //! * [`tsp`] — Thermal Safe Power budgets (paper ref. \[14\]): the largest
 //!   uniform per-core power for a given active-core mapping such that no
 //!   steady-state junction temperature exceeds the DTM threshold.
@@ -48,6 +50,7 @@
 mod config;
 mod error;
 mod fallback;
+mod modal;
 mod model;
 mod transient;
 
@@ -57,8 +60,9 @@ pub mod tsp;
 pub use config::ThermalConfig;
 pub use error::ThermalError;
 pub use fallback::{DenseStepper, DENSE_SUBSTEPS};
+pub use modal::ModalBasis;
 pub use model::{Layer, ModelHealth, RcThermalModel, CONDITION_FALLBACK_THRESHOLD};
-pub use transient::{NumericsStats, TransientSolver, TransientStats};
+pub use transient::{NumericsStats, ThermalState, TransientSolver, TransientStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ThermalError>;

@@ -4,9 +4,9 @@ use std::sync::{Arc, Mutex};
 
 use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
-use hp_linalg::{Matrix, NumericalError, Vector};
+use hp_linalg::{LinalgError, Matrix, NumericalError, Vector};
 
-use crate::{DenseStepper, RcThermalModel, Result, ThermalError, CONDITION_FALLBACK_THRESHOLD};
+use crate::{DenseStepper, ModalBasis, RcThermalModel, Result, ThermalError};
 
 /// Distinct `dt` values cached per solver; an interval simulator steps at
 /// one fixed `dt` (plus the occasional trace sub-step), so the cap only
@@ -21,10 +21,6 @@ const GUARD_SLACK_CELSIUS: f64 = 1.0;
 /// survives a kilokelvin rise, so an eigen-path output beyond it is
 /// numerical garbage, not physics.
 const GUARD_CEILING_RISE_CELSIUS: f64 = 1000.0;
-
-/// Basis residual `‖V·V⁻¹ − I‖∞` beyond which the eigendecomposition is
-/// not trusted even if the eigenvalue spread looks acceptable.
-const BASIS_RESIDUAL_THRESHOLD: f64 = 1e-6;
 
 /// Snapshot of a solver's internal activity tallies, taken with
 /// [`TransientSolver::stats`]. All values count events since
@@ -160,14 +156,45 @@ impl NumericsCells {
     }
 }
 
+/// The thermal state the interval engine carries from one interval to
+/// the next: the node temperatures `T` (°C) and, while the eigen path is
+/// live, their eigen coordinates `z = V⁻¹·T`.
+///
+/// Carrying `z` is what lets [`TransientSolver::advance`] skip the
+/// node-to-modal projection every interval; the node vector is still
+/// materialized every step, for the envelope guard, the junction
+/// readings and the dense fallback. Once the solver steps in node space
+/// (an armed model or a tripped guard) `z` is dropped for good. Build a
+/// state with [`TransientSolver::initial_state`] or, when resuming from
+/// a checkpoint, [`TransientSolver::restore_state`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThermalState {
+    nodes: Vector,
+    modal: Option<Vector>,
+}
+
+impl ThermalState {
+    /// Node temperatures `T`, °C.
+    pub fn nodes(&self) -> &Vector {
+        &self.nodes
+    }
+
+    /// Eigen coordinates `z` of [`nodes`](ThermalState::nodes), °C, or
+    /// `None` once the state is stepped in node space.
+    pub fn modal(&self) -> Option<&Vector> {
+        self.modal.as_ref()
+    }
+}
+
 /// MatEx-style transient temperature solver.
 ///
-/// Holds the eigendecomposition of `C = −A⁻¹B` once per model and evaluates
-/// the exact solution of the linear ODE for piecewise-constant power
-/// (paper Eq. 4):
+/// Holds the [`ModalBasis`] of `C = −A⁻¹B` (shareable with the
+/// rotation-peak solver of the same chip) and evaluates the exact
+/// solution of the linear ODE for piecewise-constant power (paper Eq. 4)
+/// in eigen coordinates:
 ///
 /// ```text
-/// T(t₀ + Δt) = T_steady(P) + e^{C·Δt} · (T(t₀) − T_steady(P))
+/// z ← e^{λΔt}∘z + (1 − e^{λΔt})∘(projᵀ·P + y_amb),    T = V·z
 /// ```
 ///
 /// Because the power is constant inside a simulation interval, a single
@@ -175,22 +202,25 @@ impl NumericsCells {
 /// time-discretization error — which is what lets the interval simulator
 /// take millisecond steps safely.
 ///
-/// # Batch evaluation
+/// # Step layout
 ///
-/// Every entry point funnels through the same row-stacked batched kernel
-/// (the layout of `hotpotato`'s `peak_celsius_many`): states are packed as
-/// contiguous rows, mapped to eigen space with one GEMM against `V⁻¹ᵀ`,
-/// scaled by the cached decay factors `e^{λΔt}`, and mapped back with one
-/// GEMM against `Vᵀ`. Because the register-tiled GEMM accumulates each
-/// output element in ascending inner-index order — the same order as the
-/// scalar dot products — the batched results are bit-identical to the
-/// serial mat-vec forms (kept as [`step_reference`] /
-/// [`trajectory_reference`] for differential testing). Decay vectors are
+/// Every stepping entry point runs the same modal update: the power map
+/// becomes its eigen-space steady state through one `cores × N` GEMM row
+/// (no linear solve), the eigen coordinates relax towards it with the
+/// cached decay factors `e^{λΔt}`, and one `N × N` GEMM row reads the
+/// node temperatures back out. [`step`](TransientSolver::step) and
+/// [`step_many`](TransientSolver::step_many) first project their node
+/// input once (`z = V⁻¹·T`, one more `N × N` GEMM row per state);
+/// [`advance`](TransientSolver::advance) carries `z` in a
+/// [`ThermalState`] from one call to the next and skips it. Because the
+/// register-tiled GEMM accumulates each output element in ascending
+/// inner-index order — the same order as the scalar dot products — the
+/// batched results are bit-identical to the serial mat-vec form (kept as
+/// [`step_reference`] for differential testing). Decay vectors are
 /// cached per distinct `dt`, so an interval simulator computes the `N`
 /// exponentials once instead of every interval.
 ///
 /// [`step_reference`]: TransientSolver::step_reference
-/// [`trajectory_reference`]: TransientSolver::trajectory_reference
 ///
 /// # Example
 ///
@@ -214,22 +244,13 @@ impl NumericsCells {
 /// ```
 #[derive(Debug)]
 pub struct TransientSolver {
-    eigen: SystemEigen,
-    /// `Vᵀ`: right-hand side of the eigen-to-node GEMM over row-stacked
-    /// batch states.
-    v_t: Matrix,
-    /// `V⁻¹ᵀ`: right-hand side of the node-to-eigen GEMM.
-    v_inv_t: Matrix,
+    /// Eigenbasis and modal operators; shared, never mutated.
+    basis: Arc<ModalBasis>,
     /// `dt.to_bits() → e^{λ·dt}`, cached because an interval simulator
     /// steps at one fixed `dt`.
     decay_cache: Mutex<BTreeMap<u64, Arc<Vector>>>,
     /// Activity tallies for run reports ([`TransientSolver::stats`]).
     stats: StatsCells,
-    /// Construction-time verdict: the eigendecomposition's spread or
-    /// basis residual exceeded its trust threshold, so every step routes
-    /// through the dense fallback from the start. Immutable — it is a
-    /// property of the model, not of the run.
-    armed: bool,
     /// Runtime verdict: an invariant guard tripped on an eigen-path
     /// output. Sticky by design — once the fast path has produced
     /// garbage on this model there is no evidence later steps would not.
@@ -249,14 +270,11 @@ impl Clone for TransientSolver {
             .map(|c| c.clone())
             .unwrap_or_default();
         TransientSolver {
-            eigen: self.eigen.clone(),
-            v_t: self.v_t.clone(),
-            v_inv_t: self.v_inv_t.clone(),
+            basis: Arc::clone(&self.basis),
             decay_cache: Mutex::new(cache),
             // A clone starts its own tally: stats describe what *this*
             // handle performed, not its ancestry.
             stats: StatsCells::default(),
-            armed: self.armed,
             // The degradation verdict is inherited: it describes the
             // model, and a clone steps the same model.
             // xtask: allow(relaxed) — single flag, no ordering payload.
@@ -264,6 +282,15 @@ impl Clone for TransientSolver {
             dense_cache: Mutex::new(BTreeMap::new()),
             numerics: NumericsCells::default(),
         }
+    }
+}
+
+/// One modal update `z ← m∘z + (1 − m)∘y`, written into `out`. Every
+/// stepping path goes through this one expression, which is what keeps
+/// the batched, the state-carrying and the serial forms bit-identical.
+fn relax(m: &Vector, z: &[f64], y: &[f64], out: &mut [f64]) {
+    for (i, slot) in out.iter_mut().enumerate() {
+        *slot = m[i] * z[i] + (1.0 - m[i]) * y[i];
     }
 }
 
@@ -275,38 +302,32 @@ impl TransientSolver {
     /// Propagates eigendecomposition failures as [`ThermalError::Linalg`].
     pub fn new(model: &RcThermalModel) -> Result<Self> {
         let eigen = SystemEigen::new(model.a_diag(), model.b())?;
-        Ok(Self::with_eigen(eigen))
+        Ok(Self::with_basis(Arc::new(ModalBasis::new(model, eigen)?)))
     }
 
-    /// Builds the solver from a prebuilt eigendecomposition of the
-    /// model's `C = −A⁻¹B`, skipping the factorization entirely.
+    /// Builds the solver around a prebuilt [`ModalBasis`], skipping the
+    /// eigendecomposition entirely.
     ///
     /// This is the cache-handle constructor: a sweep runner that
-    /// factorizes each chip configuration once can hand every job a
-    /// solver derived from the shared [`SystemEigen`] instead of paying
-    /// the decomposition per job. The eigendecomposition must belong to
-    /// the model the solver is later stepped with — a mismatch produces
+    /// factorizes each chip configuration once hands the same basis to
+    /// the transient solver and to Algorithm 1's rotation-peak solver.
+    /// The basis must belong to the model the solver is later stepped
+    /// with — a same-sized basis of a different chip produces
     /// meaningless temperatures (not unsoundness).
-    pub fn with_eigen(eigen: SystemEigen) -> Self {
-        let v_t = eigen.v().transpose();
-        let v_inv_t = eigen.v_inv().transpose();
-        // Construction-time trust verdict on the fast path: an eigenvalue
-        // spread beyond the condition threshold or a basis that fails to
-        // invert cleanly means eigen-path outputs cannot be trusted, so
-        // the solver routes through the dense fallback from step one.
-        let armed = eigen.eigenvalue_spread() >= CONDITION_FALLBACK_THRESHOLD
-            || eigen.basis_residual() > BASIS_RESIDUAL_THRESHOLD;
+    pub fn with_basis(basis: Arc<ModalBasis>) -> Self {
         TransientSolver {
-            eigen,
-            v_t,
-            v_inv_t,
+            basis,
             decay_cache: Mutex::new(BTreeMap::new()),
             stats: StatsCells::default(),
-            armed,
             tripped: AtomicBool::new(false),
             dense_cache: Mutex::new(BTreeMap::new()),
             numerics: NumericsCells::default(),
         }
+    }
+
+    /// The eigenbasis and modal operators the solver steps with.
+    pub fn basis(&self) -> &ModalBasis {
+        &self.basis
     }
 
     /// Whether solver calls currently route through the dense
@@ -316,7 +337,7 @@ impl TransientSolver {
     /// eigen-path output (`tripped`, sticky for the solver's lifetime).
     pub fn degraded(&self) -> bool {
         // xtask: allow(relaxed) — single sticky flag, no ordering payload.
-        self.armed || self.tripped.load(Ordering::Relaxed)
+        self.basis.armed() || self.tripped.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the numerical-integrity tallies (fallback activations
@@ -335,7 +356,7 @@ impl TransientSolver {
 
     /// The underlying eigendecomposition of `C = −A⁻¹B`.
     pub fn eigen(&self) -> &SystemEigen {
-        &self.eigen
+        self.basis.eigen()
     }
 
     /// Snapshot of the solver's activity tallies (batch counts,
@@ -390,10 +411,41 @@ impl TransientSolver {
         if cache.len() >= DECAY_CACHE_CAP {
             cache.clear();
         }
-        let lambda = self.eigen.eigenvalues();
-        let m = Arc::new(Vector::from_fn(lambda.len(), |i| (lambda[i] * dt).exp()));
+        let m = Arc::new(self.decay_vector(dt));
         cache.insert(dt.to_bits(), Arc::clone(&m));
         m
+    }
+
+    /// Fresh decay factors `e^{λᵢ·dt}` — the one expression behind both
+    /// the cache and the serial reference form.
+    fn decay_vector(&self, dt: f64) -> Vector {
+        let lambda = self.basis.eigen().eigenvalues();
+        Vector::from_fn(lambda.len(), |i| (lambda[i] * dt).exp())
+    }
+
+    /// Rejects a node vector whose length is not the model's node count.
+    fn check_nodes(&self, nodes: &Vector) -> Result<()> {
+        let n = self.basis.node_count();
+        if nodes.len() != n {
+            return Err(ThermalError::Linalg(LinalgError::DimensionMismatch {
+                op: "thermal node state",
+                left: (n, 1),
+                right: (nodes.len(), 1),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Rejects a `(node state, core power)` input of the wrong shape.
+    fn check_shape(&self, node_temps: &Vector, core_power: &Vector) -> Result<()> {
+        let cores = self.basis.core_count();
+        if core_power.len() != cores {
+            return Err(ThermalError::PowerLengthMismatch {
+                expected: cores,
+                got: core_power.len(),
+            });
+        }
+        self.check_nodes(node_temps)
     }
 
     fn check_dt(dt: f64, name: &'static str) -> Result<()> {
@@ -496,9 +548,11 @@ impl TransientSolver {
     /// power map.
     ///
     /// This is the batched kernel applied to a batch of one — see
-    /// [`step_many`](TransientSolver::step_many) for the layout — so the
-    /// interval simulator's per-step cost is two thin GEMM rows plus one
-    /// cached-decay lookup instead of `N` exponentials per interval.
+    /// [`step_many`](TransientSolver::step_many) for the layout. An
+    /// interval simulator that steps the same state repeatedly should
+    /// carry it in a [`ThermalState`] and call
+    /// [`advance`](TransientSolver::advance) instead, which skips the
+    /// per-step node-to-modal projection.
     ///
     /// # Errors
     ///
@@ -521,12 +575,15 @@ impl TransientSolver {
     /// in one batched evaluation, agreeing with per-pair
     /// [`step`](TransientSolver::step) calls bit for bit.
     ///
-    /// The deviations `T − T_steady(P)` are row-stacked into a `B × N`
-    /// matrix, one GEMM against `V⁻¹ᵀ` maps the whole batch to eigen
-    /// space, the rows are scaled by the cached decay `e^{λ·dt}`, and one
-    /// GEMM against `Vᵀ` maps back. Transposing both GEMM operands leaves
-    /// every dot product's terms and their ascending-`k` order unchanged,
-    /// which is why the batch is bit-identical to the serial
+    /// The node states are row-stacked into a `B × N` matrix and
+    /// projected to eigen coordinates with one GEMM against `V⁻¹ᵀ`; the
+    /// power maps are row-stacked into a `B × cores` matrix and mapped to
+    /// their eigen-space steady states with one GEMM against `projᵀ`;
+    /// each row relaxes towards its steady state with the cached decay
+    /// `e^{λ·dt}`; and one GEMM against `Vᵀ` reads the node states back
+    /// out. Transposing the GEMM operands leaves every dot product's
+    /// terms and their ascending-`k` order unchanged, which is why the
+    /// batch is bit-identical to the serial
     /// [`step_reference`](TransientSolver::step_reference) form.
     ///
     /// # Degradation
@@ -553,6 +610,9 @@ impl TransientSolver {
     ) -> Result<Vec<Vector>> {
         Self::check_dt(dt, "dt")?;
         Self::check_pairs_finite(pairs)?;
+        for (temps, power) in pairs {
+            self.check_shape(temps, power)?;
+        }
         if pairs.is_empty() {
             return Ok(Vec::new());
         }
@@ -567,32 +627,21 @@ impl TransientSolver {
         if self.degraded() {
             return self.step_many_dense(model, pairs, dt);
         }
-        let n = self.eigen.dim();
+        let n = self.basis.node_count();
+        let cores = self.basis.core_count();
         let m = self.decay_for(dt);
 
-        let mut steadies = Vec::with_capacity(pairs.len());
-        let mut dev = Matrix::zeros(pairs.len(), n);
-        for (r, (temps, power)) in pairs.iter().enumerate() {
-            let t_steady = model.steady_state(power)?;
-            let row = dev.row_mut(r);
-            for (i, slot) in row.iter_mut().enumerate() {
-                *slot = temps[i] - t_steady[i];
-            }
-            steadies.push(t_steady);
-        }
-
-        let mut y = dev.mul_matrix(&self.v_inv_t)?; // B × N, eigen space
+        let temps = Matrix::from_fn(pairs.len(), n, |r, i| pairs[r].0[i]);
+        let powers = Matrix::from_fn(pairs.len(), cores, |r, j| pairs[r].1[j]);
+        let z = temps.mul_matrix(self.basis.v_inv_t())?; // B × N, eigen space
+        let y = self.basis.steady_modal(&powers)?; // B × N, eigen space
+        let mut z_next = Matrix::zeros(pairs.len(), n);
         for r in 0..pairs.len() {
-            for (v, &mi) in y.row_mut(r).iter_mut().zip(m.iter()) {
-                *v *= mi;
-            }
+            relax(&m, z.row(r), y.row(r), z_next.row_mut(r));
         }
-        let decayed = y.mul_matrix(&self.v_t)?; // B × N, node space
-
-        let out: Vec<Vector> = steadies
-            .into_iter()
-            .enumerate()
-            .map(|(r, t_steady)| Vector::from_fn(n, |i| t_steady[i] + decayed[(r, i)]))
+        let t = z_next.mul_matrix(self.basis.v_t())?; // B × N, node space
+        let out: Vec<Vector> = (0..pairs.len())
+            .map(|r| Vector::from(t.row(r).to_vec()))
             .collect();
 
         // Runtime invariant guard: an eigen output outside the physical
@@ -608,10 +657,11 @@ impl TransientSolver {
         Ok(out)
     }
 
-    /// Serial mat-vec form of [`step`](TransientSolver::step) — the
-    /// textbook evaluation `T_steady + V·e^{Λdt}·V⁻¹·(T − T_steady)` with
-    /// per-call exponentials and no batching. Kept as the differential-
-    /// testing reference the batched kernel must match bit for bit.
+    /// Serial mat-vec form of [`step`](TransientSolver::step): the same
+    /// modal update `T' = V·(m∘(V⁻¹·T) + (1 − m)∘(proj·P + y_amb))` with
+    /// per-call exponentials, per-element dot products and no batching.
+    /// Kept as the differential-testing reference the batched kernel must
+    /// match bit for bit.
     ///
     /// # Errors
     ///
@@ -619,7 +669,7 @@ impl TransientSolver {
     #[doc(hidden)]
     pub fn step_reference(
         &self,
-        model: &RcThermalModel,
+        _model: &RcThermalModel,
         node_temps: &Vector,
         core_power: &Vector,
         dt: f64,
@@ -627,10 +677,128 @@ impl TransientSolver {
         Self::check_dt(dt, "dt")?;
         Self::check_finite(node_temps, "input node temperatures")?;
         Self::check_finite(core_power, "input core power")?;
-        let t_steady = model.steady_state(core_power)?;
-        let deviation = node_temps - &t_steady;
-        let decayed = self.eigen.exp_apply(dt, &deviation);
-        Ok(&t_steady + &decayed)
+        self.check_shape(node_temps, core_power)?;
+        let eigen = self.basis.eigen();
+        let proj_t = self.basis.proj_t();
+        let y_amb = self.basis.y_amb();
+        let m = self.decay_vector(dt);
+        let z = eigen.v_inv().mul_vector(node_temps);
+        let y = Vector::from_fn(eigen.dim(), |i| {
+            let mut acc = 0.0;
+            for (j, &p) in core_power.iter().enumerate() {
+                acc += p * proj_t[(j, i)];
+            }
+            acc + y_amb[i]
+        });
+        let mut z_next = Vector::zeros(eigen.dim());
+        relax(&m, z.as_slice(), y.as_slice(), z_next.as_mut_slice());
+        Ok(eigen.v().mul_vector(&z_next))
+    }
+
+    /// The state [`advance`](TransientSolver::advance) starts from: the
+    /// node temperatures `node_temps` (°C) with their eigen coordinates,
+    /// projected through the same GEMM as [`step`](TransientSolver::step)
+    /// — so the first `advance` from it equals `step` bit for bit. On a
+    /// [`degraded`](TransientSolver::degraded) solver the state carries
+    /// no eigen coordinates and is stepped in node space.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::Linalg`] for a wrong-length or non-finite
+    /// `node_temps`.
+    pub fn initial_state(&self, node_temps: &Vector) -> Result<ThermalState> {
+        Self::check_finite(node_temps, "input node temperatures")?;
+        self.check_nodes(node_temps)?;
+        if self.degraded() {
+            return Ok(ThermalState {
+                nodes: node_temps.clone(),
+                modal: None,
+            });
+        }
+        let row = Matrix::from_fn(1, node_temps.len(), |_, i| node_temps[i]);
+        let z = row.mul_matrix(self.basis.v_inv_t())?;
+        Ok(ThermalState {
+            nodes: node_temps.clone(),
+            modal: Some(Vector::from(z.row(0).to_vec())),
+        })
+    }
+
+    /// Rebuilds a [`ThermalState`] from its parts — the checkpoint-resume
+    /// path. `modal` must be exactly the eigen coordinates the captured
+    /// state carried (`None` for a state stepped in node space); the
+    /// resumed run then continues bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::Linalg`] if either vector has the wrong length or
+    /// a non-finite entry.
+    pub fn restore_state(&self, nodes: Vector, modal: Option<Vector>) -> Result<ThermalState> {
+        Self::check_finite(&nodes, "restored node temperatures")?;
+        self.check_nodes(&nodes)?;
+        if let Some(z) = &modal {
+            Self::check_finite(z, "restored modal coordinates")?;
+            self.check_nodes(z)?;
+        }
+        Ok(ThermalState { nodes, modal })
+    }
+
+    /// Advances a carried [`ThermalState`] by `dt` seconds under a
+    /// constant per-core power map — the interval engine's step.
+    ///
+    /// While the state carries eigen coordinates the update is the modal
+    /// form of [`step`](TransientSolver::step) without its projection:
+    /// one `cores × N` GEMM row maps the power to its eigen-space steady
+    /// state, `z` relaxes towards it, and one `N × N` GEMM row
+    /// materializes the full node vector, which the unchanged envelope
+    /// guard then checks. A guard trip (counted, sticky) recomputes the
+    /// interval with the dense fallback from the previous node vector and
+    /// drops `z`, as does a [`degraded`](TransientSolver::degraded)
+    /// solver: from then on the state is stepped in node space.
+    ///
+    /// Takes `&mut self` because the engine owns its solver outright: the
+    /// activity tallies update through exclusive access instead of atomic
+    /// read-modify-writes. Counts exactly like a [`step`] call (one batch
+    /// of one state, one decay-cache lookup).
+    ///
+    /// [`step`]: TransientSolver::step
+    ///
+    /// # Errors
+    ///
+    /// Same as [`step`](TransientSolver::step).
+    pub fn advance(
+        &mut self,
+        model: &RcThermalModel,
+        state: &mut ThermalState,
+        core_power: &Vector,
+        dt: f64,
+    ) -> Result<()> {
+        Self::check_dt(dt, "dt")?;
+        Self::check_finite(&state.nodes, "input node temperatures")?;
+        Self::check_finite(core_power, "input core power")?;
+        self.check_shape(&state.nodes, core_power)?;
+        *self.stats.batch_calls.get_mut() += 1;
+        *self.stats.batched_states.get_mut() += 1;
+        if let Some(z) = state.modal.as_ref().filter(|_| !self.degraded()) {
+            let m = self.decay_for(dt);
+            let powers = Matrix::from_fn(1, core_power.len(), |_, j| core_power[j]);
+            let y = self.basis.steady_modal(&powers)?;
+            let mut z_next = Matrix::zeros(1, z.len());
+            relax(&m, z.as_slice(), y.row(0), z_next.row_mut(0));
+            let nodes = Vector::from(z_next.mul_matrix(self.basis.v_t())?.row(0).to_vec());
+            if !Self::violates_envelope(model, &nodes) {
+                state.nodes = nodes;
+                state.modal = Some(Vector::from(z_next.row(0).to_vec()));
+                return Ok(());
+            }
+            *self.numerics.guard_trips.get_mut() += 1;
+            *self.tripped.get_mut() = true;
+        }
+        state.modal = None;
+        let out = self.step_many_dense(model, &[(&state.nodes, core_power)], dt)?;
+        if let Some(next) = out.into_iter().next() {
+            state.nodes = next;
+        }
+        Ok(())
     }
 
     /// Peak junction temperature (and the time it occurs) within
@@ -663,9 +831,10 @@ impl TransientSolver {
         }
         let t_steady = model.steady_state(core_power)?;
         let deviation = node_temps - &t_steady;
-        let w = self.eigen.v_inv().mul_vector(&deviation);
-        let v = self.eigen.v();
-        let lambda = self.eigen.eigenvalues();
+        let eigen = self.basis.eigen();
+        let w = eigen.v_inv().mul_vector(&deviation);
+        let v = eigen.v();
+        let lambda = eigen.eigenvalues();
         let cores = model.core_count();
         let nodes = model.node_count();
 
@@ -699,7 +868,7 @@ impl TransientSolver {
                 *slot = (lambda[k] * t).exp() * w[k];
             }
         }
-        let traj = e.mul_matrix(&self.v_t)?; // (SAMPLES+1) × nodes
+        let traj = e.mul_matrix(self.basis.v_t())?; // (SAMPLES+1) × nodes
         let mut best_t = 0.0;
         let mut best_v = f64::NEG_INFINITY;
         for s in 0..=SAMPLES {
@@ -815,9 +984,10 @@ impl TransientSolver {
         }
         let t_steady = model.steady_state(core_power)?;
         let deviation = node_temps - &t_steady;
-        let y = self.eigen.v_inv().mul_vector(&deviation);
-        let n = self.eigen.dim();
-        let lambda = self.eigen.eigenvalues();
+        let eigen = self.basis.eigen();
+        let y = eigen.v_inv().mul_vector(&deviation);
+        let n = eigen.dim();
+        let lambda = eigen.eigenvalues();
 
         let mut e = Matrix::zeros(samples, n);
         for k in 1..=samples {
@@ -827,7 +997,7 @@ impl TransientSolver {
                 *slot = (lambda[i] * t).exp() * y[i];
             }
         }
-        let decayed = e.mul_matrix(&self.v_t)?; // samples × N
+        let decayed = e.mul_matrix(self.basis.v_t())?; // samples × N
         let out: Vec<Vector> = (0..samples)
             .map(|k| Vector::from_fn(n, |i| t_steady[i] + decayed[(k, i)]))
             .collect();
@@ -889,7 +1059,7 @@ impl TransientSolver {
         let mut out = Vec::with_capacity(samples);
         for k in 1..=samples {
             let t = dt * usize_to_f64(k) / usize_to_f64(samples);
-            let decayed = self.eigen.exp_apply(t, &deviation);
+            let decayed = self.basis.eigen().exp_apply(t, &deviation);
             out.push(&t_steady + &decayed);
         }
         Ok(out)
@@ -965,6 +1135,306 @@ mod tests {
         }
     }
 
+    /// The retired per-interval formulation, kept as test code only:
+    /// an LU solve for the steady state, then `T_ss + V·e^{Λdt}·V⁻¹·(T − T_ss)`.
+    fn lu_step(
+        solver: &TransientSolver,
+        model: &RcThermalModel,
+        t: &Vector,
+        p: &Vector,
+        dt: f64,
+    ) -> Vector {
+        let t_ss = model.steady_state(p).unwrap();
+        &t_ss + &solver.eigen().exp_apply(dt, &(t - &t_ss))
+    }
+
+    #[test]
+    fn modal_step_agrees_with_the_retired_lu_form() {
+        let (model, solver) = setup();
+        let mut t = model.ambient_state();
+        let mut t_lu = model.ambient_state();
+        for k in 0..50 {
+            let p = Vector::from_fn(16, |c| if (c + k) % 5 == 0 { 6.0 } else { 0.3 });
+            t = solver.step(&model, &t, &p, 1e-4).unwrap();
+            t_lu = lu_step(&solver, &model, &t_lu, &p, 1e-4);
+            assert!((&t - &t_lu).norm_inf() < 1e-9, "step {k}");
+        }
+    }
+
+    #[test]
+    fn first_advance_equals_step_bit_for_bit() {
+        let (model, mut solver) = setup();
+        let mut p = Vector::constant(16, 0.3);
+        p[6] = 6.5;
+        let t0 = solver
+            .step(&model, &model.ambient_state(), &p, 0.2)
+            .unwrap();
+        let stepped = solver.step(&model, &t0, &p, 1e-4).unwrap();
+        let mut state = solver.initial_state(&t0).unwrap();
+        solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        for i in 0..model.node_count() {
+            assert_eq!(state.nodes()[i].to_bits(), stepped[i].to_bits(), "node {i}");
+        }
+        // Later steps keep z instead of re-projecting, so they agree with
+        // chained `step` calls to round-off, not bit for bit.
+        let mut t = stepped;
+        for k in 0..200 {
+            let p = Vector::from_fn(16, |c| if (c + k) % 3 == 0 { 5.0 } else { 0.4 });
+            t = solver.step(&model, &t, &p, 1e-4).unwrap();
+            solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        }
+        assert!((state.nodes() - &t).norm_inf() < 1e-9);
+        assert!(state.modal().is_some());
+    }
+
+    #[test]
+    fn advance_counts_like_step() {
+        let (model, mut solver) = setup();
+        let p = Vector::constant(16, 0.5);
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        for _ in 0..3 {
+            solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        }
+        let s = solver.stats();
+        assert_eq!(s.batch_calls, 3);
+        assert_eq!(s.batched_states, 3);
+        assert_eq!(s.decay_cache_misses, 1);
+        assert_eq!(s.decay_cache_hits, 2);
+        assert_eq!(solver.numerics(), NumericsStats::default());
+    }
+
+    #[test]
+    fn poisoned_modal_state_trips_the_guard_and_steps_densely() {
+        let (model, mut solver) = setup();
+        let p = Vector::constant(16, 0.5);
+        let t0 = model.ambient_state();
+        let good = solver.initial_state(&t0).unwrap();
+        let garbage = good.modal().unwrap().scaled(1e6);
+        let mut state = solver.restore_state(t0.clone(), Some(garbage)).unwrap();
+        solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        // The interval was recomputed densely from the previous nodes.
+        assert!(solver.degraded());
+        assert!(state.modal().is_none());
+        let dense = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
+        assert_eq!(state.nodes(), &dense[0]);
+        let n = solver.numerics();
+        assert_eq!(n.guard_trips, 1);
+        assert_eq!(n.fallback_activations, 1);
+        // Sticky: the next interval is dense without another trip.
+        solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        let n = solver.numerics();
+        assert_eq!(n.guard_trips, 1);
+        assert!(n.fallback_steps >= 2);
+    }
+
+    #[test]
+    fn armed_solver_steps_states_in_node_space() {
+        let (model, mut solver) = setup_stiff();
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        assert!(state.modal().is_none());
+        let p = Vector::constant(16, 2.0);
+        solver.advance(&model, &mut state, &p, 5e-4).unwrap();
+        assert!(state.nodes().iter().all(|v| v.is_finite()));
+        let n = solver.numerics();
+        assert_eq!(
+            (n.fallback_activations, n.fallback_steps, n.guard_trips),
+            (1, 1, 0)
+        );
+    }
+
+    #[test]
+    fn restore_state_rejects_bad_shapes() {
+        let (model, solver) = setup();
+        let t0 = model.ambient_state();
+        assert!(solver.restore_state(Vector::zeros(5), None).is_err());
+        assert!(solver
+            .restore_state(t0.clone(), Some(Vector::zeros(5)))
+            .is_err());
+        let mut bad = t0.clone();
+        bad[0] = f64::NAN;
+        assert!(solver.restore_state(t0.clone(), Some(bad)).is_err());
+        assert!(solver.initial_state(&Vector::zeros(3)).is_err());
+        let state = solver.restore_state(t0.clone(), None).unwrap();
+        assert_eq!(state.nodes(), &t0);
+    }
+
+    /// A warm, non-uniform starting state: one hot core after 0.2 s.
+    fn warm_state(model: &RcThermalModel, solver: &TransientSolver) -> Vector {
+        let mut p = Vector::constant(16, 0.3);
+        p[9] = 6.0;
+        solver.step(model, &model.ambient_state(), &p, 0.2).unwrap()
+    }
+
+    #[test]
+    fn with_basis_shares_one_basis_between_solvers() {
+        let (model, fresh) = setup();
+        let eigen = SystemEigen::new(model.a_diag(), model.b()).unwrap();
+        let basis = Arc::new(ModalBasis::new(&model, eigen).unwrap());
+        let a = TransientSolver::with_basis(Arc::clone(&basis));
+        let b = TransientSolver::with_basis(Arc::clone(&basis));
+        assert!(std::ptr::eq(a.basis(), &*basis));
+        assert!(std::ptr::eq(a.basis(), b.basis()));
+        assert_eq!(Arc::strong_count(&basis), 3);
+        // Same model, same decomposition: every constructor steps alike.
+        let t0 = warm_state(&model, &fresh);
+        let p = Vector::constant(16, 1.5);
+        let x = a.step(&model, &t0, &p, 1e-4).unwrap();
+        let y = b.step(&model, &t0, &p, 1e-4).unwrap();
+        let z = fresh.step(&model, &t0, &p, 1e-4).unwrap();
+        for i in 0..model.node_count() {
+            assert_eq!(x[i].to_bits(), y[i].to_bits(), "node {i}");
+            assert_eq!(x[i].to_bits(), z[i].to_bits(), "node {i}");
+        }
+    }
+
+    #[test]
+    fn clone_shares_the_basis_and_copies_the_decay_cache() {
+        let (model, solver) = setup();
+        let p = Vector::constant(16, 1.0);
+        solver
+            .step(&model, &model.ambient_state(), &p, 1e-4)
+            .unwrap();
+        let clone = solver.clone();
+        assert!(std::ptr::eq(solver.basis(), clone.basis()));
+        // The cached decay vector came along: the clone's first step at
+        // the same dt is a hit, counted in the clone's own fresh tally.
+        clone
+            .step(&model, &model.ambient_state(), &p, 1e-4)
+            .unwrap();
+        let s = clone.stats();
+        assert_eq!((s.decay_cache_hits, s.decay_cache_misses), (1, 0));
+        assert_eq!(solver.stats().batch_calls, 1);
+    }
+
+    #[test]
+    fn initial_state_carries_the_eigen_coordinates() {
+        let (model, solver) = setup();
+        let t0 = warm_state(&model, &solver);
+        let state = solver.initial_state(&t0).unwrap();
+        assert_eq!(state.nodes(), &t0);
+        let z = state.modal().expect("healthy solver carries z");
+        assert_eq!(z.len(), model.node_count());
+        let back = solver.eigen().v().mul_vector(z);
+        assert!((&back - &t0).norm_inf() < 1e-9);
+    }
+
+    #[test]
+    fn initial_state_rejects_non_finite_temperatures() {
+        let (model, solver) = setup();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut t0 = model.ambient_state();
+            t0[7] = bad;
+            assert!(matches!(
+                solver.initial_state(&t0),
+                Err(ThermalError::Linalg(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn zero_dt_advance_keeps_the_modal_state() {
+        let (model, mut solver) = setup();
+        let t0 = warm_state(&model, &solver);
+        let mut state = solver.initial_state(&t0).unwrap();
+        let z0 = state.modal().unwrap().clone();
+        solver
+            .advance(&model, &mut state, &Vector::constant(16, 4.0), 0.0)
+            .unwrap();
+        // e^{0} = 1: z is kept exactly; the readout returns to T.
+        assert_eq!(state.modal(), Some(&z0));
+        assert!((state.nodes() - &t0).norm_inf() < 1e-9);
+    }
+
+    #[test]
+    fn long_advance_reaches_steady_state() {
+        let (model, mut solver) = setup();
+        let mut p = Vector::constant(16, 0.3);
+        p[2] = 7.0;
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        solver.advance(&model, &mut state, &p, 1e4).unwrap();
+        let t_ss = model.steady_state(&p).unwrap();
+        assert!((state.nodes() - &t_ss).norm_inf() < 1e-6);
+        assert!(state.modal().is_some());
+    }
+
+    #[test]
+    fn restored_state_continues_bit_identically() {
+        // The solver-level half of checkpoint resume: rebuilding a state
+        // from its captured parts continues exactly where it left off.
+        let (model, mut solver) = setup();
+        let power =
+            |k: usize| Vector::from_fn(16, |c| if (c + k).is_multiple_of(4) { 6.0 } else { 0.4 });
+        let mut live = solver.initial_state(&model.ambient_state()).unwrap();
+        for k in 0..25 {
+            solver.advance(&model, &mut live, &power(k), 1e-4).unwrap();
+        }
+        let mut resumed = solver
+            .restore_state(live.nodes().clone(), live.modal().cloned())
+            .unwrap();
+        assert_eq!(resumed, live);
+        for k in 25..75 {
+            solver.advance(&model, &mut live, &power(k), 1e-4).unwrap();
+            solver
+                .advance(&model, &mut resumed, &power(k), 1e-4)
+                .unwrap();
+        }
+        for i in 0..model.node_count() {
+            assert_eq!(live.nodes()[i].to_bits(), resumed.nodes()[i].to_bits());
+        }
+        assert_eq!(live.modal(), resumed.modal());
+    }
+
+    #[test]
+    fn node_space_state_on_a_healthy_solver_steps_densely_without_tripping() {
+        let (model, mut solver) = setup();
+        let t0 = model.ambient_state();
+        let p = Vector::constant(16, 2.0);
+        let mut state = solver.restore_state(t0.clone(), None).unwrap();
+        solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        assert!(state.modal().is_none());
+        assert!(!solver.degraded(), "no guard tripped");
+        let dense = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
+        assert_eq!(state.nodes(), &dense[0]);
+        let n = solver.numerics();
+        assert_eq!(n.guard_trips, 0);
+        assert_eq!(n.fallback_activations, 1);
+        // The dense step tracks the exact one to well under a kelvin.
+        let exact = solver.step(&model, &t0, &p, 1e-4).unwrap();
+        assert!((state.nodes() - &exact).norm_inf() < 0.05);
+    }
+
+    #[test]
+    fn advance_on_a_tripped_solver_drops_the_modal_state() {
+        let (model, mut solver) = setup();
+        let p = Vector::constant(16, 1.0);
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        // A node state far outside the physical envelope trips the guard
+        // on the batched path.
+        let scorching = Vector::constant(model.node_count(), 1e5);
+        solver.step(&model, &scorching, &p, 1e-4).unwrap();
+        assert!(solver.degraded());
+        assert_eq!(solver.numerics().guard_trips, 1);
+        // The carried z is not trusted on a tripped solver: the interval
+        // runs densely without a second trip and z is gone for good.
+        solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+        assert!(state.modal().is_none());
+        assert_eq!(solver.numerics().guard_trips, 1);
+        assert!(state.nodes().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn advance_reuses_the_decay_cache_of_step() {
+        let (model, mut solver) = setup();
+        let p = Vector::constant(16, 1.0);
+        let t0 = model.ambient_state();
+        solver.step(&model, &t0, &p, 2.5e-4).unwrap();
+        let mut state = solver.initial_state(&t0).unwrap();
+        solver.advance(&model, &mut state, &p, 2.5e-4).unwrap();
+        let s = solver.stats();
+        assert_eq!((s.decay_cache_hits, s.decay_cache_misses), (1, 1));
+        assert_eq!((s.batch_calls, s.batched_states), (2, 2));
+    }
+
     #[test]
     fn step_many_matches_per_pair_steps() {
         let (model, solver) = setup();
@@ -1016,8 +1486,9 @@ mod tests {
         let mut p = Vector::constant(16, 0.3);
         p[3] = 6.0;
         let t0 = model.ambient_state();
+        let clone = solver.clone();
         let a = solver.step(&model, &t0, &p, 5e-4).unwrap();
-        let b = solver.step(&model, &t0, &p, 5e-4).unwrap();
+        let b = clone.step(&model, &t0, &p, 5e-4).unwrap();
         for i in 0..model.node_count() {
             assert_eq!(a[i].to_bits(), b[i].to_bits());
         }

@@ -94,3 +94,65 @@ fn config_rejects_non_finite_ambient() {
         );
     }
 }
+
+#[test]
+fn advance_rejects_bad_inputs_without_touching_the_state() {
+    let model = model_4x4();
+    let mut solver = TransientSolver::new(&model).expect("decomposes");
+    let mut state = solver
+        .initial_state(&model.ambient_state())
+        .expect("initial state");
+    let before = state.clone();
+    let good = Vector::constant(16, 1.0);
+    let mut nan_power = good.clone();
+    nan_power[3] = f64::NAN;
+    let cases = [
+        (good.clone(), -1e-4),
+        (good.clone(), f64::NAN),
+        (good, f64::INFINITY),
+        (Vector::constant(9, 1.0), 1e-4),
+        (nan_power, 1e-4),
+    ];
+    for (power, dt) in &cases {
+        assert!(
+            solver.advance(&model, &mut state, power, *dt).is_err(),
+            "power of {} cores, dt {dt}",
+            power.len()
+        );
+    }
+    // A rejected interval neither moves the state nor counts as a step.
+    assert_eq!(state, before);
+    assert_eq!(solver.stats().batch_calls, 0);
+    assert!(!solver.degraded());
+}
+
+#[test]
+fn restore_state_rejects_non_finite_nodes() {
+    let model = model_4x4();
+    let solver = TransientSolver::new(&model).expect("decomposes");
+    let mut nodes = model.ambient_state();
+    nodes[40] = f64::NEG_INFINITY;
+    let err = solver
+        .restore_state(nodes, None)
+        .expect_err("non-finite node temperature");
+    assert!(matches!(err, ThermalError::Linalg(_)), "{err}");
+}
+
+#[test]
+fn step_reference_rejects_bad_inputs_like_step() {
+    let model = model_4x4();
+    let solver = TransientSolver::new(&model).expect("decomposes");
+    let t0 = model.ambient_state();
+    let p = Vector::constant(16, 1.0);
+    assert!(matches!(
+        solver.step_reference(&model, &t0, &p, -1.0),
+        Err(ThermalError::InvalidParameter { name: "dt", .. })
+    ));
+    assert!(matches!(
+        solver.step_reference(&model, &t0, &Vector::constant(4, 1.0), 1e-4),
+        Err(ThermalError::PowerLengthMismatch { .. })
+    ));
+    let mut hot = t0;
+    hot[0] = f64::NAN;
+    assert!(solver.step_reference(&model, &hot, &p, 1e-4).is_err());
+}

@@ -4,7 +4,7 @@
 //! into proptest form.
 
 use hp_floorplan::GridFloorplan;
-use hp_linalg::Vector;
+use hp_linalg::{Matrix, Vector};
 use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 use proptest::prelude::*;
 
@@ -163,5 +163,108 @@ proptest! {
                 (sample - &t).norm_inf()
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn first_advance_is_bit_identical_to_step(
+        model in models(),
+        pool in power_pool(),
+        dt in 1e-5..5e-3f64,
+    ) {
+        // `initial_state` projects through the same GEMM as `step`, so
+        // the engine's first interval reproduces the batched kernel.
+        let mut solver = TransientSolver::new(&model).unwrap();
+        let p = power_for(&model, &pool);
+        let t0 = solver.step(&model, &model.ambient_state(), &p, 0.05).unwrap();
+        let stepped = solver.step(&model, &t0, &p, dt).unwrap();
+        let mut state = solver.initial_state(&t0).unwrap();
+        solver.advance(&model, &mut state, &p, dt).unwrap();
+        for i in 0..model.node_count() {
+            prop_assert_eq!(state.nodes()[i].to_bits(), stepped[i].to_bits(), "node {}", i);
+        }
+    }
+
+    #[test]
+    fn advance_chain_tracks_step_chain(
+        model in models(),
+        pool in power_pool(),
+        dt in 1e-5..2e-3f64,
+    ) {
+        // Carrying z instead of re-projecting every interval changes only
+        // round-off, never the trajectory.
+        let mut solver = TransientSolver::new(&model).unwrap();
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        let mut t = model.ambient_state();
+        for k in 0..40 {
+            let p = Vector::from_fn(model.core_count(), |c| pool[(c + k) % pool.len()]);
+            t = solver.step(&model, &t, &p, dt).unwrap();
+            solver.advance(&model, &mut state, &p, dt).unwrap();
+        }
+        let drift = (state.nodes() - &t).norm_inf();
+        prop_assert!(drift < 1e-9, "advance drifted {} from step", drift);
+    }
+
+    #[test]
+    fn restored_state_resumes_bit_identically(
+        model in models(),
+        pool in power_pool(),
+        split in 1usize..20,
+    ) {
+        let mut solver = TransientSolver::new(&model).unwrap();
+        let p = power_for(&model, &pool);
+        let mut live = solver.initial_state(&model.ambient_state()).unwrap();
+        for _ in 0..split {
+            solver.advance(&model, &mut live, &p, 1e-4).unwrap();
+        }
+        let mut resumed = solver
+            .restore_state(live.nodes().clone(), live.modal().cloned())
+            .unwrap();
+        for _ in split..20 {
+            solver.advance(&model, &mut live, &p, 1e-4).unwrap();
+            solver.advance(&model, &mut resumed, &p, 1e-4).unwrap();
+        }
+        prop_assert_eq!(live, resumed);
+    }
+
+    #[test]
+    fn modal_steady_state_matches_the_lu_solve(model in models(), pool in power_pool()) {
+        // projᵀ folds the linear solve B⁻¹P into the basis; reading its
+        // output back through V must land on the LU steady state.
+        let solver = TransientSolver::new(&model).unwrap();
+        let basis = solver.basis();
+        let p = power_for(&model, &pool);
+        let row = Matrix::from_fn(1, model.core_count(), |_, j| p[j]);
+        let t = basis.steady_modal(&row).unwrap().mul_matrix(basis.v_t()).unwrap();
+        let t_ss = model.steady_state(&p).unwrap();
+        for i in 0..model.node_count() {
+            prop_assert!(
+                (t[(0, i)] - t_ss[i]).abs() < 1e-8,
+                "node {}: {} vs {}",
+                i,
+                t[(0, i)],
+                t_ss[i]
+            );
+        }
+    }
+
+    #[test]
+    fn initial_state_reads_back_through_the_basis(
+        model in models(),
+        pool in power_pool(),
+        warmup in 1e-3..1.0f64,
+    ) {
+        // z = V⁻¹·T and V·z = T: the carried coordinates describe the
+        // node state they were projected from.
+        let solver = TransientSolver::new(&model).unwrap();
+        let p = power_for(&model, &pool);
+        let t0 = solver.step(&model, &model.ambient_state(), &p, warmup).unwrap();
+        let state = solver.initial_state(&t0).unwrap();
+        let z = state.modal().expect("a healthy solver carries z");
+        let back = solver.eigen().v().mul_vector(z);
+        prop_assert!((&back - &t0).norm_inf() < 1e-9, "read-back error {}", (&back - &t0).norm_inf());
     }
 }

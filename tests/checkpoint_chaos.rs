@@ -8,8 +8,9 @@
 //! the run mid-flight), the interrupt points are drawn pseudo-randomly,
 //! and the workload runs under injected sensor faults through the full
 //! degradation chain, so the checkpoint must carry RNG cursors, fault
-//! state, scheduler bookkeeping, and solver cache warmth — not just
-//! temperatures.
+//! state, scheduler bookkeeping, solver cache warmth and the engine's
+//! eigen-coordinate thermal state — not just node temperatures. A stiff
+//! model stepped on the dense fallback must resume just as exactly.
 
 use std::path::PathBuf;
 
@@ -152,6 +153,11 @@ fn interrupted_and_resumed_run_is_bit_identical_to_golden() {
 
         // --- Resumed leg: fresh engine + fresh scheduler, state from the
         //     last checkpoint on disk. ---
+        let doc = std::fs::read_to_string(&path).expect("checkpoint written");
+        assert!(
+            doc.contains("\"modal_temps\":["),
+            "a healthy run resumes from its carried eigen coordinates"
+        );
         let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint loads");
         assert!(ckpt.step() > 0 && ckpt.step() <= interrupt);
         let mut resumed_sim = fresh_sim();
@@ -308,5 +314,74 @@ fn resume_rejects_checkpoint_from_a_different_run() {
         ),
         "wrong error: {err}"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn ill_conditioned_run_resumes_bit_identically_on_the_dense_fallback() {
+    use hp_sim::schedulers::PinnedScheduler;
+
+    // The stiff profile arms the dense fallback at construction: the
+    // engine steps in node space from the first interval, the checkpoint
+    // carries no modal state, and the resumed run must still match.
+    let stiff_sim = || {
+        Simulation::new(
+            machine_4x4(),
+            ThermalConfig::ill_conditioned(),
+            SimConfig {
+                horizon: 120.0,
+                record_trace: true,
+                ..SimConfig::default()
+            },
+        )
+        .expect("valid sim config")
+    };
+    let work = || closed_batch(Benchmark::Blackscholes, 2, 3);
+
+    let mut golden_sim = stiff_sim();
+    let golden = golden_sim
+        .run(work(), &mut PinnedScheduler::new())
+        .expect("stiff run completes on the dense path");
+    assert_eq!(
+        golden
+            .observability
+            .counter("numerics.fallback.activations"),
+        Some(1)
+    );
+    let total_intervals = golden
+        .observability
+        .counter("engine.intervals")
+        .unwrap_or(0);
+    assert!(total_intervals > 100, "workload long enough to interrupt");
+
+    let path = scratch_file("ill-conditioned");
+    let mut sim = stiff_sim();
+    sim.run_with_options(
+        work(),
+        &mut PinnedScheduler::new(),
+        &RunOptions {
+            checkpoint_every_seconds: Some(5e-3),
+            checkpoint_path: Some(path.clone()),
+            max_intervals: Some(total_intervals / 2),
+            ..RunOptions::default()
+        },
+    )
+    .expect_err("interval budget must abort the run");
+    let doc = std::fs::read_to_string(&path).expect("checkpoint written");
+    assert!(doc.contains("\"modal_temps\":null"), "node-space state");
+    let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint loads");
+    let mut resumed_sim = stiff_sim();
+    let resumed = resumed_sim
+        .run_with_options(
+            work(),
+            &mut PinnedScheduler::new(),
+            &RunOptions {
+                resume_from: Some(ckpt),
+                ..RunOptions::default()
+            },
+        )
+        .expect("resumed run completes");
+    assert_eq!(normalized(&resumed), normalized(&golden));
+    assert_eq!(resumed_sim.trace(), golden_sim.trace());
     std::fs::remove_file(&path).ok();
 }

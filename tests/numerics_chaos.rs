@@ -284,3 +284,76 @@ fn default_profile_sweep_stays_clean() {
     );
     assert_eq!(report.degraded_numerics(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// Section 4: the engine's modal path keeps the envelope guard
+// ---------------------------------------------------------------------------
+
+#[test]
+fn envelope_violation_on_the_engines_modal_path_switches_to_dense_stepping() {
+    use hp_faults::FaultPlan;
+    use hp_manycore::{ArchConfig, Machine};
+    use hp_sim::schedulers::PinnedScheduler;
+    use hp_sim::{RunOptions, SimConfig, SimError, Simulation, TraceEventKind};
+    use hp_workload::{closed_batch, Benchmark};
+
+    // A 10 kW spike on one junction for one 100 µs interval heats it by
+    // over a kilokelvin: the modal step's full node vector leaves the
+    // physical envelope, which must trip the guard and hand the interval
+    // — and every later one — to the dense fallback.
+    let machine = Machine::new(ArchConfig {
+        grid_width: 4,
+        grid_height: 4,
+        ..ArchConfig::default()
+    })
+    .expect("4x4 machine");
+    let config = SimConfig {
+        faults: FaultPlan {
+            seed: 3,
+            power_spike_rate: 1.0,
+            power_spike_watts: 1e4,
+            power_spike_intervals: 1,
+            ..FaultPlan::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(machine, ThermalConfig::default(), config).expect("valid sim");
+    let err = sim
+        .run_with_options(
+            closed_batch(Benchmark::Blackscholes, 2, 1),
+            &mut PinnedScheduler::new(),
+            &RunOptions {
+                max_intervals: Some(20),
+                ..RunOptions::default()
+            },
+        )
+        .expect_err("the interval budget stops the run");
+    let partial = match &err {
+        SimError::Aborted { partial, .. } => partial,
+        other => panic!("expected an aborted run with partials, got {other}"),
+    };
+    let report = &partial.observability;
+    assert_eq!(
+        report.counter("numerics.guard.trips"),
+        Some(1),
+        "one trip, then sticky"
+    );
+    assert_eq!(report.counter("numerics.degraded"), Some(1));
+    assert_eq!(report.counter("numerics.fallback.activations"), Some(1));
+    let dense_steps = report.counter("numerics.fallback.steps").unwrap_or(0);
+    let intervals = report.counter("engine.intervals").unwrap_or(0);
+    assert!(
+        dense_steps >= 1 && dense_steps <= intervals,
+        "{dense_steps} dense steps over {intervals} intervals"
+    );
+    assert_eq!(report.counter("thermal.step_batches"), Some(intervals));
+    assert_eq!(
+        sim.trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::NumericalDegradation)
+            .count(),
+        1
+    );
+    assert!(partial.peak_temperature > 45.0 + 1000.0);
+}
