@@ -17,8 +17,7 @@
 //! to arm the solvers' dense fallback at construction.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hotpotato::RotationPeakSolver;
 use hp_linalg::eigen::SystemEigen;
@@ -145,9 +144,15 @@ impl ChipArtifacts {
 #[derive(Debug)]
 pub struct ModelCache {
     enabled: bool,
-    entries: Mutex<BTreeMap<(usize, usize, ThermalProfile), Arc<ChipArtifacts>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    state: Mutex<CacheState>,
+}
+
+/// The entries and the lookup tallies, updated under one lock.
+#[derive(Debug, Default)]
+struct CacheState {
+    entries: BTreeMap<(usize, usize, ThermalProfile), Arc<ChipArtifacts>>,
+    hits: u64,
+    misses: u64,
 }
 
 impl ModelCache {
@@ -156,10 +161,14 @@ impl ModelCache {
     pub fn new(enabled: bool) -> Self {
         ModelCache {
             enabled,
-            entries: Mutex::new(BTreeMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            state: Mutex::new(CacheState::default()),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        // A poisoned lock only means another worker panicked mid-insert;
+        // the map holds immutable Arcs, so its contents stay valid.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The artifacts for a `width × height` grid under the given thermal
@@ -175,23 +184,20 @@ impl ModelCache {
         thermal: ThermalProfile,
     ) -> Result<Arc<ChipArtifacts>> {
         if !self.enabled {
-            // xtask: allow(relaxed) — monotonic tally; read only after the
-            // worker pool joins, so no ordering is needed for correctness.
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            // Counted, then built outside the lock: a disabled cache
+            // serializes nothing.
+            self.lock().misses += 1;
             return Ok(Arc::new(ChipArtifacts::build(width, height, thermal)?));
         }
-        // A poisoned lock only means another worker panicked mid-insert;
-        // the map holds immutable Arcs, so its contents stay valid.
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(art) = entries.get(&(width, height, thermal)) {
-            // xtask: allow(relaxed) — monotonic tally, read after join.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(art));
+        let key = (width, height, thermal);
+        let mut state = self.lock();
+        if let Some(art) = state.entries.get(&key).cloned() {
+            state.hits += 1;
+            return Ok(art);
         }
-        // xtask: allow(relaxed) — monotonic tally, read after join.
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        state.misses += 1;
         let art = Arc::new(ChipArtifacts::build(width, height, thermal)?);
-        entries.insert((width, height, thermal), Arc::clone(&art));
+        state.entries.insert(key, Arc::clone(&art));
         Ok(art)
     }
 
@@ -202,15 +208,12 @@ impl ModelCache {
 
     /// Lookups served from the cache.
     pub fn hits(&self) -> u64 {
-        // xtask: allow(relaxed) — counter read for reporting; callers
-        // observe it only after all workers have joined.
-        self.hits.load(Ordering::Relaxed)
+        self.lock().hits
     }
 
     /// Lookups that built fresh artifacts.
     pub fn misses(&self) -> u64 {
-        // xtask: allow(relaxed) — counter read for reporting, after join.
-        self.misses.load(Ordering::Relaxed)
+        self.lock().misses
     }
 }
 

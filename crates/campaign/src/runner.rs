@@ -21,12 +21,12 @@ use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hp_obs::json;
-use hp_obs::RunReport;
+use hp_obs::{Registry, RunReport};
 use hp_sim::{EngineCheckpoint, RunOptions, SimError, Simulation};
 
 use crate::cache::ModelCache;
@@ -90,13 +90,6 @@ impl Default for CampaignConfig {
     }
 }
 
-/// `ckpt.*` counter aggregation across workers.
-#[derive(Default)]
-struct CkptCounters {
-    saves: AtomicU64,
-    resumes: AtomicU64,
-}
-
 /// Supervision context for one execution attempt.
 struct Attempt<'a> {
     /// Per-job checkpoint file (requires `out_dir` + checkpoint cadence).
@@ -106,7 +99,8 @@ struct Attempt<'a> {
     deadline: Option<Instant>,
     /// Whether to seed the run from an existing on-disk checkpoint.
     try_resume: bool,
-    ckpt: &'a CkptCounters,
+    /// Campaign-level retry and checkpoint tallies, shared by workers.
+    tallies: &'a Registry,
 }
 
 /// Runs every job and assembles the deterministic campaign report.
@@ -135,9 +129,7 @@ pub fn run_campaign(jobs: &[CampaignJob], config: &CampaignConfig) -> Result<Cam
     let slots: Mutex<Vec<Option<JobOutcome>>> = Mutex::new(resumed);
     let cursor = AtomicUsize::new(0);
     let workers = config.workers.max(1).min(pending.len().max(1));
-    let ckpt = CkptCounters::default();
-    let retry_attempts = AtomicU64::new(0);
-    let retry_succeeded = AtomicU64::new(0);
+    let tallies = Registry::new();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -149,15 +141,7 @@ pub fn run_campaign(jobs: &[CampaignJob], config: &CampaignConfig) -> Result<Cam
                 let Some(&index) = pending.get(at) else {
                     break;
                 };
-                let outcome = supervise_job(
-                    index,
-                    &jobs[index],
-                    config,
-                    &cache,
-                    &ckpt,
-                    &retry_attempts,
-                    &retry_succeeded,
-                );
+                let outcome = supervise_job(index, &jobs[index], config, &cache, &tallies);
                 if let Some(sink) = &sink {
                     sink.record(index, &outcome);
                 }
@@ -171,23 +155,16 @@ pub fn run_campaign(jobs: &[CampaignJob], config: &CampaignConfig) -> Result<Cam
 
     let outcomes = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut report = assemble(outcomes, &cache);
-    // xtask: allow(relaxed) — single-threaded aggregation after the pool
-    // has joined; no concurrent writers remain.
-    let attempts = retry_attempts.load(Ordering::Relaxed);
-    // xtask: allow(relaxed) — post-join read, as above.
-    let succeeded = retry_succeeded.load(Ordering::Relaxed);
-    // xtask: allow(relaxed) — post-join read, as above.
-    let saves = ckpt.saves.load(Ordering::Relaxed);
-    // xtask: allow(relaxed) — post-join read, as above.
-    let resumes = ckpt.resumes.load(Ordering::Relaxed);
-    report
-        .campaign
-        .push_counter("campaign.retry.attempts", attempts);
-    report
-        .campaign
-        .push_counter("campaign.retry.succeeded", succeeded);
-    report.campaign.push_counter("ckpt.saves", saves);
-    report.campaign.push_counter("ckpt.resumes", resumes);
+    let counted = tallies.snapshot();
+    for name in [
+        "campaign.retry.attempts",
+        "campaign.retry.succeeded",
+        "ckpt.saves",
+        "ckpt.resumes",
+    ] {
+        let value = counted.counter(name).unwrap_or(0);
+        report.campaign.push_counter(name, value);
+    }
     report.campaign.push_counter(
         "campaign.quarantine",
         report.jobs.iter().filter(|j| j.quarantined).count() as u64,
@@ -206,9 +183,7 @@ fn supervise_job(
     job: &CampaignJob,
     config: &CampaignConfig,
     cache: &ModelCache,
-    ckpt: &CkptCounters,
-    retry_attempts: &AtomicU64,
-    retry_succeeded: &AtomicU64,
+    tallies: &Registry,
 ) -> JobOutcome {
     let ckpt_path = match (&config.out_dir, config.checkpoint_every_seconds) {
         (Some(dir), Some(_)) => Some(dir.join(checkpoint_file_name(index))),
@@ -232,7 +207,7 @@ fn supervise_job(
             // checkpoint instead of restarting (so watchdog-limited
             // attempts still make forward progress).
             try_resume: config.resume || attempt_no > 1,
-            ckpt,
+            tallies,
         };
         let mut outcome = execute_job(job, cache, &attempt);
         outcome.attempts = attempt_no;
@@ -243,8 +218,7 @@ fn supervise_job(
                     JobStatus::Completed | JobStatus::DegradedNumerics
                 )
             {
-                // xtask: allow(relaxed) — monotonic tally, read after join.
-                retry_succeeded.fetch_add(1, Ordering::Relaxed);
+                tallies.inc("campaign.retry.succeeded");
             }
             return outcome;
         }
@@ -252,8 +226,7 @@ fn supervise_job(
             outcome.quarantined = config.retries > 0;
             return outcome;
         }
-        // xtask: allow(relaxed) — monotonic tally, read after join.
-        retry_attempts.fetch_add(1, Ordering::Relaxed);
+        tallies.inc("campaign.retry.attempts");
     }
 }
 
@@ -303,16 +276,10 @@ fn execute_job(job: &CampaignJob, cache: &ModelCache, attempt: &Attempt<'_>) -> 
         let run = catch_unwind(AssertUnwindSafe(|| {
             sim.run_with_options(workload, scheduler.as_mut(), &options)
         }));
-        // xtask: allow(relaxed) — monotonic tallies, read after join.
+        attempt.tallies.add("ckpt.saves", sim.checkpoint_saves());
         attempt
-            .ckpt
-            .saves
-            .fetch_add(sim.checkpoint_saves(), Ordering::Relaxed);
-        // xtask: allow(relaxed) — monotonic tallies, read after join.
-        attempt
-            .ckpt
-            .resumes
-            .fetch_add(sim.checkpoint_resumes(), Ordering::Relaxed);
+            .tallies
+            .add("ckpt.resumes", sim.checkpoint_resumes());
         match run {
             Ok(Ok(m)) => break (sim, JobStatus::Completed, String::new(), m),
             Ok(Err(SimError::Checkpoint(_))) if resumed_from_ckpt => {

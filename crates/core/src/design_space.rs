@@ -78,9 +78,39 @@ pub fn exhaustive_best_assignment(
             "demand must predict IPS for every ring"
         );
     }
-    let k = demands.len();
+    let feasible = feasible_assignments(ring_cores, demands.len());
+    let peaks = evaluate_peaks_parallel(solver, ring_cores, demands, &feasible, tau, idle_power)?;
 
-    // Odometer enumeration of ring indices, pruning capacity violations.
+    // Serial merge in enumeration order: same winner and same tie-breaking
+    // ("strictly greater replaces", so the first enumerated assignment
+    // wins ties) as the original sequential scan.
+    let explored = feasible.len();
+    let mut best: Option<OracleResult> = None;
+    for (assignment, &peak) in feasible.iter().zip(&peaks) {
+        if peak + delta < t_dtm {
+            let total_ips: f64 = demands
+                .iter()
+                .zip(assignment)
+                .map(|(d, &r)| d.ips_per_ring[r])
+                .sum();
+            if best.as_ref().is_none_or(|b| total_ips > b.total_ips) {
+                best = Some(OracleResult {
+                    assignment: assignment.clone(),
+                    total_ips,
+                    peak_celsius: peak,
+                    explored,
+                });
+            }
+        }
+    }
+    Ok(best)
+}
+
+/// Every assignment of `k` threads to the rings of `ring_cores` that
+/// respects the ring capacities, in odometer order (thread 0 varies
+/// fastest).
+fn feasible_assignments(ring_cores: &[Vec<usize>], k: usize) -> Vec<Vec<usize>> {
+    let rings = ring_cores.len();
     let mut feasible: Vec<Vec<usize>> = Vec::new();
     let mut assignment = vec![0usize; k];
     'enumerate: loop {
@@ -109,32 +139,7 @@ pub fn exhaustive_best_assignment(
             i += 1;
         }
     }
-
-    let peaks = evaluate_peaks_parallel(solver, ring_cores, demands, &feasible, tau, idle_power)?;
-
-    // Serial merge in enumeration order: same winner and same tie-breaking
-    // ("strictly greater replaces", so the first enumerated assignment
-    // wins ties) as the original sequential scan.
-    let explored = feasible.len();
-    let mut best: Option<OracleResult> = None;
-    for (assignment, &peak) in feasible.iter().zip(&peaks) {
-        if peak + delta < t_dtm {
-            let total_ips: f64 = demands
-                .iter()
-                .zip(assignment)
-                .map(|(d, &r)| d.ips_per_ring[r])
-                .sum();
-            if best.as_ref().is_none_or(|b| total_ips > b.total_ips) {
-                best = Some(OracleResult {
-                    assignment: assignment.clone(),
-                    total_ips,
-                    peak_celsius: peak,
-                    explored,
-                });
-            }
-        }
-    }
-    Ok(best)
+    feasible
 }
 
 /// Algorithm-1 peaks for a list of assignments, fanned out over scoped
@@ -142,8 +147,9 @@ pub fn exhaustive_best_assignment(
 /// `assignments` regardless of thread scheduling.
 ///
 /// Concurrency contract: the workers only take `&RotationPeakSolver`
-/// (whose interior mutability is confined to its poison-tolerant decay
-/// cache) and disjoint `&[Vec<usize>]` chunks, so no data race is
+/// (whose interior mutability is confined to its runtime's
+/// poison-tolerant ledger, one mutex over caches and tallies) and
+/// disjoint `&[Vec<usize>]` chunks, so no data race is
 /// possible; `std::thread::scope` guarantees every worker is joined
 /// before the borrowed inputs go out of scope. Results are pushed in
 /// spawn order, which is what makes the merge — and therefore the
@@ -362,5 +368,29 @@ mod tests {
         let peak = evaluate_assignment(&s, &rings, &demands, &best.assignment, 0.5e-3, 0.3)
             .expect("evaluates");
         assert!((peak - best.peak_celsius).abs() < 1e-12);
+    }
+
+    #[test]
+    fn concurrent_search_tallies_match_a_serial_scan() {
+        // The workers share one solver; every tally must come out exactly
+        // as if a fresh solver had evaluated the same assignments one
+        // after another.
+        let shared = solver();
+        let rings = rings_4x4();
+        let demands: Vec<ThreadDemand> = (0..5)
+            .map(|i| demand(1.0 + f64::from(i), [3.0, 2.5, 2.0]))
+            .collect();
+        exhaustive_best_assignment(&shared, &rings, &demands, 0.5e-3, 0.3, 70.0, 1.0)
+            .expect("search runs");
+        let serial = solver();
+        let feasible = feasible_assignments(&rings, demands.len());
+        for a in &feasible {
+            evaluate_assignment(&serial, &rings, &demands, a, 0.5e-3, 0.3).expect("evaluates");
+        }
+        let stats = shared.runtime().stats();
+        assert_eq!(stats, serial.runtime().stats());
+        assert_eq!(shared.runtime().numerics(), serial.runtime().numerics());
+        assert_eq!(stats.batch_calls, feasible.len() as u64);
+        assert_eq!(stats.decay_cache_misses, 1, "one τ, computed once");
     }
 }

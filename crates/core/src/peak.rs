@@ -50,152 +50,29 @@
 //! severalfold faster (SIMD GEMM inner loops, unit-stride batch
 //! matrices, plus a per-τ cache of the `e^{λτ}` decay data).
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hp_floorplan::CoreId;
 use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, NumericalError, Vector};
-use hp_thermal::{DenseStepper, ModalBasis, NumericsStats, RcThermalModel};
+use hp_thermal::{DenseStepper, ModalBasis, ModalDecay, ModalRuntime, RcThermalModel};
 
 use crate::{EpochPowerSequence, HotPotatoError, Result};
 
-/// Distinct τ values cached per solver; the scheduler's τ-acceleration
-/// explores a handful, so the cap only guards against pathological churn.
-const DECAY_CACHE_CAP: usize = 64;
-
-/// Peak outputs may undershoot ambient by round-off but never by a
-/// degree; anything below trips the runtime invariant guard.
-const GUARD_SLACK_CELSIUS: f64 = 1.0;
-
-/// Physical ceiling above ambient — an eigen-path peak beyond a
-/// kilokelvin rise is numerical garbage, not physics.
-const GUARD_CEILING_RISE_CELSIUS: f64 = 1000.0;
-
-/// Interior-mutable counter cells behind the solver's [`NumericsStats`].
-#[derive(Debug, Default)]
-struct NumericsCells {
-    fallback_activations: AtomicU64,
-    fallback_steps: AtomicU64,
-    guard_trips: AtomicU64,
-}
-
-impl NumericsCells {
-    fn snapshot(&self) -> NumericsStats {
-        NumericsStats {
-            // xtask: allow(relaxed) — monotonic tallies; snapshots are
-            // taken between batches, so ordering carries no information.
-            fallback_activations: self.fallback_activations.load(Ordering::Relaxed),
-            fallback_steps: self.fallback_steps.load(Ordering::Relaxed),
-            guard_trips: self.guard_trips.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        for cell in [
-            &self.fallback_activations,
-            &self.fallback_steps,
-            &self.guard_trips,
-        ] {
-            // xtask: allow(relaxed) — counters are zeroed between measured
-            // runs, while no solver calls are in flight.
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn restore(&self, stats: NumericsStats) {
-        let cells = [
-            (&self.fallback_activations, stats.fallback_activations),
-            (&self.fallback_steps, stats.fallback_steps),
-            (&self.guard_trips, stats.guard_trips),
-        ];
-        for (cell, value) in cells {
-            // xtask: allow(relaxed) — counters are overwritten between
-            // measured runs (checkpoint resume), while no solver calls
-            // are in flight.
-            cell.store(value, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Per-τ affine epoch map of the dense fallback: `T ↦ M·T + S·f` over
-/// one epoch, extracted once from a [`DenseStepper`].
+/// The dense fallback's affine map `T ↦ M·T + S·f` over one epoch,
+/// extracted once per epoch length from a [`DenseStepper`] and cached by
+/// the solver's [`ModalRuntime`].
 #[derive(Debug)]
-struct DenseEpochMap {
+pub struct DenseEpochMap {
     m: Matrix,
     s: Matrix,
 }
 
-/// Snapshot of an Algorithm-1 solver's activity tallies, taken with
-/// [`RotationPeakSolver::stats`]. All values count events since
-/// construction (or the last [`RotationPeakSolver::reset_stats`]) and
-/// depend only on the sequence of solver calls — never on wall-clock
-/// time — so they are seed-deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Alg1Stats {
-    /// Batched GEMM evaluations
-    /// ([`peak_celsius_many`](RotationPeakSolver::peak_celsius_many),
-    /// including the batch-of-one
-    /// [`peak_celsius`](RotationPeakSolver::peak_celsius) path).
-    pub batch_calls: u64,
-    /// Total candidate rotations pushed through the batched kernel.
-    pub batched_candidates: u64,
-    /// `e^{λτ}` lookups served from the per-τ decay cache.
-    pub decay_cache_hits: u64,
-    /// `e^{λτ}` lookups that computed fresh epoch-decay data.
-    pub decay_cache_misses: u64,
-}
-
-/// Interior-mutable counter cells behind [`Alg1Stats`].
-#[derive(Debug, Default)]
-struct StatsCells {
-    batch_calls: AtomicU64,
-    batched_candidates: AtomicU64,
-    decay_cache_hits: AtomicU64,
-    decay_cache_misses: AtomicU64,
-}
-
-impl StatsCells {
-    fn snapshot(&self) -> Alg1Stats {
-        Alg1Stats {
-            // xtask: allow(relaxed) — monotonic tallies; snapshots are
-            // taken between batches, so ordering carries no information.
-            batch_calls: self.batch_calls.load(Ordering::Relaxed),
-            batched_candidates: self.batched_candidates.load(Ordering::Relaxed),
-            decay_cache_hits: self.decay_cache_hits.load(Ordering::Relaxed),
-            decay_cache_misses: self.decay_cache_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        let cells = [
-            &self.batch_calls,
-            &self.batched_candidates,
-            &self.decay_cache_hits,
-            &self.decay_cache_misses,
-        ];
-        for cell in cells {
-            // xtask: allow(relaxed) — counters are zeroed between measured
-            // runs, while no solver calls are in flight.
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn restore(&self, stats: Alg1Stats) {
-        let cells = [
-            (&self.batch_calls, stats.batch_calls),
-            (&self.batched_candidates, stats.batched_candidates),
-            (&self.decay_cache_hits, stats.decay_cache_hits),
-            (&self.decay_cache_misses, stats.decay_cache_misses),
-        ];
-        for (cell, value) in cells {
-            // xtask: allow(relaxed) — counters are overwritten between
-            // measured runs (checkpoint resume), while no solver calls
-            // are in flight.
-            cell.store(value, Ordering::Relaxed);
-        }
+impl DenseEpochMap {
+    fn new(model: &RcThermalModel, tau: f64) -> Result<Self> {
+        let (m, s) = DenseStepper::new(model, tau)?.epoch_map()?;
+        Ok(DenseEpochMap { m, s })
     }
 }
 
@@ -217,34 +94,12 @@ fn cycle_weight(lam_tau: f64, delta: usize, age: usize) -> f64 {
     (age as f64 * lam_tau).exp() * -f64::exp_m1(lam_tau) / den
 }
 
-/// Per-τ decay data shared by every Algorithm-1 evaluation: `λᵢτ`, the
-/// decay factors `m = e^{λτ}`, and their stable complements
-/// `1 − m = -expm1(λτ)`.
-#[derive(Debug)]
-struct EpochDecay {
-    lam_tau: Vector,
-    m: Vector,
-    one_minus_m: Vector,
-}
-
-impl EpochDecay {
-    fn new(eigenvalues: &Vector, tau: f64) -> Self {
-        let n = eigenvalues.len();
-        let lam_tau = Vector::from_fn(n, |i| eigenvalues[i] * tau);
-        EpochDecay {
-            m: Vector::from_fn(n, |i| lam_tau[i].exp()),
-            one_minus_m: Vector::from_fn(n, |i| -f64::exp_m1(lam_tau[i])),
-            lam_tau,
-        }
-    }
-}
-
 /// Steady-cycle start state in eigen coordinates (paper Eq. 10):
 /// `z0[i] = Σ_e m_i^{δ−1−e} · (1−m_i)/(1−m_i^δ) · y_e[i]`.
-fn cycle_start(delta: usize, nodes: usize, decay: &EpochDecay, ys: &[&[f64]]) -> Vector {
+fn cycle_start(delta: usize, nodes: usize, decay: &ModalDecay, ys: &[&[f64]]) -> Vector {
     let mut z = Vector::zeros(nodes);
     for i in 0..nodes {
-        let w = cycle_weight(decay.lam_tau[i], delta, 0);
+        let w = cycle_weight(decay.lam_dt[i], delta, 0);
         let mut acc = 0.0;
         let mut pow = 1.0; // m^{delta-1-e} built backwards: e = delta-1 .. 0
         for e in (0..delta).rev() {
@@ -288,54 +143,16 @@ pub struct PeakReport {
 /// shares its work across candidates via two GEMMs.
 ///
 /// See the [crate-level example](crate) for typical usage.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RotationPeakSolver {
     model: RcThermalModel,
-    /// The eigenbasis and its modal operators: `projᵀ` maps per-core
-    /// power straight to the eigen-space steady state
-    /// (`y = P·projᵀ + y_amb`, one thin GEMM row per epoch instead of a
-    /// linear solve), `V_Jᵀ` reads junction temperatures back out, and
-    /// the construction-time trust verdict arms the dense fallback.
-    /// Shareable with the transient solver of the same chip.
-    basis: Arc<ModalBasis>,
-    /// `τ.to_bits() → EpochDecay`, cached because the scheduler probes
-    /// many candidate rotations at few distinct τ.
-    decay_cache: Mutex<BTreeMap<u64, Arc<EpochDecay>>>,
-    /// Activity tallies for run reports ([`RotationPeakSolver::stats`]).
-    stats: StatsCells,
-    /// Runtime verdict: an invariant guard tripped on an eigen-path peak.
-    /// Sticky for the solver's lifetime.
-    tripped: AtomicBool,
-    /// `τ.to_bits() → dense epoch map`, lazily built per epoch length for
-    /// the fallback path (an `O(N³)` extraction, amortized across every
-    /// candidate at that τ).
-    dense_cache: Mutex<BTreeMap<u64, Arc<DenseEpochMap>>>,
-    /// Numerical-integrity tallies ([`RotationPeakSolver::numerics`]).
-    numerics: NumericsCells,
-}
-
-impl Clone for RotationPeakSolver {
-    fn clone(&self) -> Self {
-        let cache = self
-            .decay_cache
-            .lock()
-            .map(|c| c.clone())
-            .unwrap_or_default();
-        RotationPeakSolver {
-            model: self.model.clone(),
-            basis: Arc::clone(&self.basis),
-            decay_cache: Mutex::new(cache),
-            // A clone starts its own tally: stats describe what *this*
-            // handle performed, not its ancestry.
-            stats: StatsCells::default(),
-            // The degradation verdict is inherited: it describes the
-            // model, and a clone evaluates the same model.
-            // xtask: allow(relaxed) — single flag, no ordering payload.
-            tripped: AtomicBool::new(self.tripped.load(Ordering::Relaxed)),
-            dense_cache: Mutex::new(BTreeMap::new()),
-            numerics: NumericsCells::default(),
-        }
-    }
+    /// The shared basis — `projᵀ` maps per-core power straight to the
+    /// eigen-space steady state (`y = P·projᵀ + y_amb`, one thin GEMM row
+    /// per epoch instead of a linear solve), `V_Jᵀ` reads junction
+    /// temperatures back out, and its trust verdict arms the dense
+    /// fallback — plus this solver's per-τ decay and dense epoch-map
+    /// caches, envelope guard and tallies.
+    runtime: ModalRuntime<DenseEpochMap>,
 }
 
 impl RotationPeakSolver {
@@ -372,12 +189,7 @@ impl RotationPeakSolver {
         }
         Ok(RotationPeakSolver {
             model,
-            basis,
-            decay_cache: Mutex::new(BTreeMap::new()),
-            stats: StatsCells::default(),
-            tripped: AtomicBool::new(false),
-            dense_cache: Mutex::new(BTreeMap::new()),
-            numerics: NumericsCells::default(),
+            runtime: ModalRuntime::new(basis),
         })
     }
 
@@ -386,22 +198,13 @@ impl RotationPeakSolver {
     /// the eigendecomposition failed its construction-time trust checks
     /// or because a runtime invariant guard tripped (sticky).
     pub fn degraded(&self) -> bool {
-        // xtask: allow(relaxed) — single sticky flag, no ordering payload.
-        self.basis.armed() || self.tripped.load(Ordering::Relaxed)
+        self.runtime.degraded()
     }
 
-    /// Snapshot of the numerical-integrity tallies (fallback activations
-    /// and cycle-epoch steps, guard trips) since construction or the last
-    /// [`reset_stats`](RotationPeakSolver::reset_stats).
-    pub fn numerics(&self) -> NumericsStats {
-        self.numerics.snapshot()
-    }
-
-    /// Overwrites the numerical-integrity tallies with a previously
-    /// captured [`NumericsStats`] — the checkpoint-resume path, mirroring
-    /// [`restore_stats`](RotationPeakSolver::restore_stats).
-    pub fn restore_numerics(&self, stats: NumericsStats) {
-        self.numerics.restore(stats);
+    /// The solver's caches (decay data and dense epoch maps per τ),
+    /// envelope guard and tallies.
+    pub fn runtime(&self) -> &ModalRuntime<DenseEpochMap> {
+        &self.runtime
     }
 
     /// The thermal model the solver was built for.
@@ -409,78 +212,16 @@ impl RotationPeakSolver {
         &self.model
     }
 
-    /// Snapshot of the solver's activity tallies (batched GEMM counts,
-    /// decay-cache hits/misses) since construction or the last
-    /// [`reset_stats`](RotationPeakSolver::reset_stats).
-    pub fn stats(&self) -> Alg1Stats {
-        self.stats.snapshot()
-    }
-
-    /// Zeroes the activity and numerical-integrity tallies (start of a
-    /// new measured run). The sticky degradation flag is *not* cleared:
-    /// a guard trip indicts the model's eigendecomposition, not the run.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-        self.numerics.reset();
-    }
-
-    /// Overwrites the activity tallies with a previously captured
-    /// [`Alg1Stats`] — the checkpoint-resume path, where the resumed
-    /// run must report the same cumulative counters as an uninterrupted
-    /// one. Call after any cache warming so the restored values are not
-    /// perturbed by warm-up lookups.
-    pub fn restore_stats(&self, stats: Alg1Stats) {
-        self.stats.restore(stats);
-    }
-
-    /// The epoch lengths currently held in the decay cache, for
-    /// checkpointing cache warmth.
-    pub fn cached_taus(&self) -> Vec<f64> {
-        let cache = self
-            .decay_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        cache.keys().map(|&bits| f64::from_bits(bits)).collect()
-    }
-
-    /// Precomputes (and caches) the decay data for one epoch length,
-    /// counting the usual hit/miss. A resuming run warms the cache for
-    /// every τ a checkpoint recorded ([`Self::cached_taus`]) *before*
-    /// restoring stats so the resumed counter stream matches an
-    /// uninterrupted run's.
-    pub fn warm_decay_cache(&self, tau: f64) {
-        let _ = self.decay_for(tau);
-    }
-
-    /// Cached `e^{λτ}` decay data for one epoch length.
-    fn decay_for(&self, tau: f64) -> Arc<EpochDecay> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the cache holds immutable Arcs, so its contents stay valid.
-        let mut cache = self
-            .decay_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(d) = cache.get(&tau.to_bits()) {
-            // xtask: allow(relaxed) — cache tally, read only via snapshot().
-            self.stats.decay_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(d);
+    /// Rejects a sequence whose core count differs from the model's or
+    /// whose epoch power is non-finite: a NaN power map would propagate
+    /// silently through both the eigen and the dense path, so it is named
+    /// up front instead.
+    fn validate_seq(&self, seq: &EpochPowerSequence) -> Result<()> {
+        if seq.core_count() != self.model.core_count() {
+            return Err(HotPotatoError::InvalidSequence(
+                "power vectors do not match the model's core count",
+            ));
         }
-        // xtask: allow(relaxed) — cache tally, read only via snapshot().
-        self.stats
-            .decay_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-        if cache.len() >= DECAY_CACHE_CAP {
-            cache.clear();
-        }
-        let d = Arc::new(EpochDecay::new(self.basis.eigen().eigenvalues(), tau));
-        cache.insert(tau.to_bits(), Arc::clone(&d));
-        d
-    }
-
-    /// Rejects non-finite epoch power at the API boundary: a NaN power
-    /// map would propagate silently through both the eigen and the dense
-    /// path, so it is named up front instead.
-    fn check_seq_finite(seq: &EpochPowerSequence) -> Result<()> {
         for e in 0..seq.delta() {
             if seq.epoch(e).iter().any(|v| !v.is_finite()) {
                 return Err(HotPotatoError::Linalg(
@@ -494,65 +235,54 @@ impl RotationPeakSolver {
         Ok(())
     }
 
-    /// Whether an eigen-path peak violates the physical envelope.
-    fn peak_violates_envelope(&self, peak: f64) -> bool {
-        let amb = self.model.config().ambient;
-        !peak.is_finite()
-            || peak < amb - GUARD_SLACK_CELSIUS
-            || peak > amb + GUARD_CEILING_RISE_CELSIUS
+    /// The decay data for epoch length `tau`, or `None` on a degraded
+    /// solver (one lock for both questions).
+    fn healthy_decay(&self, tau: f64) -> Option<Arc<ModalDecay>> {
+        let mut ledger = self.runtime.lock();
+        (!ledger.degraded()).then(|| ledger.decay(tau))
     }
 
-    /// Cached dense affine epoch map `T ↦ M·T + S·f` for one τ.
-    fn dense_map_for(&self, tau: f64) -> Result<Arc<DenseEpochMap>> {
-        // Poisoned-lock policy matches decay_for: contents stay valid.
-        let mut cache = self
-            .dense_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(map) = cache.get(&tau.to_bits()) {
-            return Ok(Arc::clone(map));
-        }
-        if cache.len() >= DECAY_CACHE_CAP {
-            cache.clear();
-        }
-        let stepper = DenseStepper::new(&self.model, tau)?;
-        let (m, s) = stepper.epoch_map()?;
-        let map = Arc::new(DenseEpochMap { m, s });
-        cache.insert(tau.to_bits(), Arc::clone(&map));
-        Ok(map)
+    /// The eigen-space steady states `ys[e] = V⁻¹·T_ss(P_e)` of every
+    /// epoch, through one `δ × cores` GEMM against `projᵀ`.
+    fn steady_states(&self, seq: &EpochPowerSequence) -> Result<Vec<Vector>> {
+        let p_t = Matrix::from_fn(seq.delta(), self.model.core_count(), |e, j| seq.epoch(e)[j]);
+        let y_t = self.runtime.basis().steady_modal(&p_t)?; // δ × nodes
+        Ok((0..seq.delta())
+            .map(|e| Vector::from(y_t.row(e).to_vec()))
+            .collect())
     }
 
-    /// Dense-fallback form of [`peak`](RotationPeakSolver::peak): the
-    /// steady cycle is obtained from the backward-Euler epoch map instead
-    /// of the eigenbasis.
+    /// Dense-fallback steady cycle: the junction temperatures at every
+    /// sub-epoch boundary (`δ·samples` of them, in cycle order), with
+    /// each epoch split into `samples` sub-epochs of `τ/samples` and the
+    /// cycle obtained from the backward-Euler map instead of the
+    /// eigenbasis.
     ///
-    /// Composing the per-epoch affine maps over one period gives
+    /// Composing the per-sub-epoch affine maps over one period gives
     /// `T_cycle = M_cyc·T + c_cyc`; the cycle's fixed point solves
     /// `(I − M_cyc)·T* = c_cyc` (unique because every mode of the
     /// A-stable map contracts), via an iteratively refined LU solve.
     /// Replaying one period from `T*` yields every boundary state.
-    fn peak_report_dense(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        let delta = seq.delta();
+    fn dense_cycle(&self, seq: &EpochPowerSequence, samples: usize) -> Result<Vec<Vector>> {
         let nodes = self.model.node_count();
-        // xtask: allow(relaxed) — monotonic tallies, read via snapshot().
-        if self.numerics.fallback_steps.load(Ordering::Relaxed) == 0 {
-            // First dense evaluation of this measured run: one activation
-            // episode (counting episodes keeps the tally deterministic
-            // across batch-size choices).
-            // xtask: allow(relaxed) — monotonic tally.
-            self.numerics
-                .fallback_activations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let map = self.dense_map_for(seq.tau())?;
-        let forcings: Vec<Vector> = (0..delta)
+        let sub = seq.tau() / usize_to_f64(samples);
+        let map = self
+            .runtime
+            .lock()
+            .dense(sub, || DenseEpochMap::new(&self.model, sub))?;
+        let forcings: Vec<Vector> = (0..seq.delta())
             .map(|e| self.model.forcing(seq.epoch(e)))
             .collect::<std::result::Result<_, _>>()?;
+        let sub_epochs = || {
+            forcings
+                .iter()
+                .flat_map(|f| std::iter::repeat_n(f, samples))
+        };
 
         // One period as a single affine map: T ↦ M_cyc·T + c_cyc.
         let mut m_cyc = Matrix::identity(nodes);
         let mut c_cyc = Vector::zeros(nodes);
-        for f in &forcings {
+        for f in sub_epochs() {
             m_cyc = map.m.mul_matrix(&m_cyc)?;
             c_cyc = &map.m.mul_vector(&c_cyc) + &map.s.mul_vector(f);
         }
@@ -561,15 +291,11 @@ impl RotationPeakSolver {
             id - m_cyc[(i, j)]
         });
         let lu = i_minus.lu()?;
-        let t_star = lu.solve_refined(&i_minus, &c_cyc)?;
+        let mut t = lu.solve_refined(&i_minus, &c_cyc)?;
 
         // Replay one period from the fixed point, recording boundaries.
-        let mut boundary_temps = Vec::with_capacity(delta);
-        let mut peak = f64::NEG_INFINITY;
-        let mut critical_core = CoreId(0);
-        let mut critical_epoch = 0;
-        let mut t = t_star;
-        for (e, f) in forcings.iter().enumerate() {
+        let mut boundaries = Vec::with_capacity(seq.delta() * samples);
+        for f in sub_epochs() {
             t = &map.m.mul_vector(&t) + &map.s.mul_vector(f);
             let cores = self.model.core_temperatures(&t);
             if cores.iter().any(|v| !v.is_finite()) {
@@ -580,35 +306,33 @@ impl RotationPeakSolver {
                     .into(),
                 ));
             }
-            if let Some(idx) = cores.argmax() {
-                if cores[idx] > peak {
-                    peak = cores[idx];
-                    critical_core = CoreId(idx);
-                    critical_epoch = e;
-                }
-            }
-            boundary_temps.push(cores);
+            boundaries.push(cores);
         }
-        // xtask: allow(cast) — usize→u64 is lossless on every supported
-        // target.
-        // xtask: allow(relaxed) — monotonic tally, read via snapshot().
-        self.numerics
-            .fallback_steps
-            .fetch_add(delta as u64, Ordering::Relaxed);
-        Ok(PeakReport {
-            peak_celsius: peak,
-            critical_core,
-            critical_epoch,
-            boundary_temps,
-        })
+        self.runtime.lock().count_fallback_steps(boundaries.len());
+        Ok(boundaries)
     }
 
-    /// Trips the sticky degradation flag after a guard violation.
-    fn trip_guard(&self) {
-        // xtask: allow(relaxed) — monotonic tally, read via snapshot().
-        self.numerics.guard_trips.fetch_add(1, Ordering::Relaxed);
-        // xtask: allow(relaxed) — single sticky flag.
-        self.tripped.store(true, Ordering::Relaxed);
+    /// Dense-fallback form of [`peak`](RotationPeakSolver::peak): the
+    /// report over the epoch boundaries of [`Self::dense_cycle`].
+    fn peak_report_dense(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
+        Ok(report_from_boundaries(self.dense_cycle(seq, 1)?))
+    }
+
+    /// Dense-fallback peak over `δ·samples` sub-epoch boundaries.
+    fn peak_celsius_dense(&self, seq: &EpochPowerSequence, samples: usize) -> Result<f64> {
+        let boundaries = self.dense_cycle(seq, samples)?;
+        Ok(boundaries
+            .iter()
+            .flat_map(|b| b.iter().copied())
+            .fold(f64::NEG_INFINITY, f64::max))
+    }
+
+    /// The runtime's envelope guard over eigen-path peaks (°C): `true`
+    /// means a trip, after which the caller recomputes densely.
+    fn guard(&self, peaks_celsius: impl IntoIterator<Item = f64>) -> bool {
+        self.runtime
+            .lock()
+            .guard(self.model.config().ambient, peaks_celsius)
     }
 
     /// Run-time phase: steady-cycle boundary temperatures and their peak
@@ -620,11 +344,12 @@ impl RotationPeakSolver {
     ///   number of cores than the model.
     /// * Propagated thermal/solver errors.
     pub fn peak(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        if self.degraded() {
-            self.validate_seq(seq)?;
+        self.validate_seq(seq)?;
+        let Some(decay) = self.healthy_decay(seq.tau()) else {
             return self.peak_report_dense(seq);
-        }
-        let (delta, nodes, decay, ys) = self.prepare(seq)?;
+        };
+        let ys = self.steady_states(seq)?;
+        let (delta, nodes) = (seq.delta(), self.model.node_count());
 
         let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
 
@@ -640,38 +365,20 @@ impl RotationPeakSolver {
             }
             z_t.row_mut(e).copy_from_slice(z.as_slice());
         }
-        let t = z_t.mul_matrix(self.basis.v_junction_t())?; // δ × cores
-
-        let mut boundary_temps = Vec::with_capacity(delta);
-        let mut peak = f64::NEG_INFINITY;
-        let mut critical_core = CoreId(0);
-        let mut critical_epoch = 0;
-        for e in 0..delta {
-            let cores = Vector::from(t.row(e).to_vec());
-            if let Some(idx) = cores.argmax() {
-                if cores[idx] > peak {
-                    peak = cores[idx];
-                    critical_core = CoreId(idx);
-                    critical_epoch = e;
-                }
-            }
-            boundary_temps.push(cores);
-        }
+        let t = z_t.mul_matrix(self.runtime.basis().v_junction_t())?; // δ × cores
+        let report = report_from_boundaries(
+            (0..delta)
+                .map(|e| Vector::from(t.row(e).to_vec()))
+                .collect(),
+        );
 
         // Runtime invariant guard: an eigen-path peak outside the
         // physical envelope is numerical garbage. Trip the sticky flag
         // and redo the cycle densely — the dense result is authoritative.
-        if self.peak_violates_envelope(peak) {
-            self.trip_guard();
+        if self.guard([report.peak_celsius]) {
             return self.peak_report_dense(seq);
         }
-
-        Ok(PeakReport {
-            peak_celsius: peak,
-            critical_core,
-            critical_epoch,
-            boundary_temps,
-        })
+        Ok(report)
     }
 
     /// Serial form of [`peak`](RotationPeakSolver::peak): one full `V·z`
@@ -684,33 +391,20 @@ impl RotationPeakSolver {
     /// Same as [`peak`](RotationPeakSolver::peak).
     #[doc(hidden)]
     pub fn peak_report_serial(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        let (delta, nodes, decay, ys) = self.prepare(seq)?;
-        let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
-        let mut boundary_temps = Vec::with_capacity(delta);
-        let mut peak = f64::NEG_INFINITY;
-        let mut critical_core = CoreId(0);
-        let mut critical_epoch = 0;
-        for (e, y) in ys.iter().enumerate() {
+        self.validate_seq(seq)?;
+        let decay = self.runtime.lock().decay(seq.tau());
+        let ys = self.steady_states(seq)?;
+        let nodes = self.model.node_count();
+        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
+        let mut boundary_temps = Vec::with_capacity(seq.delta());
+        for y in &ys {
             for i in 0..nodes {
                 z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * y[i];
             }
-            let t_nodes = self.basis.eigen().v().mul_vector(&z);
-            let cores = self.model.core_temperatures(&t_nodes);
-            if let Some(idx) = cores.argmax() {
-                if cores[idx] > peak {
-                    peak = cores[idx];
-                    critical_core = CoreId(idx);
-                    critical_epoch = e;
-                }
-            }
-            boundary_temps.push(cores);
+            let t_nodes = self.eigen().v().mul_vector(&z);
+            boundary_temps.push(self.model.core_temperatures(&t_nodes));
         }
-        Ok(PeakReport {
-            peak_celsius: peak,
-            critical_core,
-            critical_epoch,
-            boundary_temps,
-        })
+        Ok(report_from_boundaries(boundary_temps))
     }
 
     /// Reference implementation of paper Eq. (10): every boundary state is
@@ -726,7 +420,7 @@ impl RotationPeakSolver {
         self.validate_seq(seq)?;
         let delta = seq.delta();
         let nodes = self.model.node_count();
-        let decay = self.decay_for(seq.tau());
+        let decay = self.runtime.lock().decay(seq.tau());
         // Steady states resolved through the linear solver — deliberately
         // *not* via the precomputed projection, so this path also
         // cross-validates it.
@@ -743,42 +437,14 @@ impl RotationPeakSolver {
                 // Epoch index whose steady state is `age` epochs old at
                 // boundary k.
                 let e = (k + delta - age) % delta;
-                let filter = Vector::from_fn(nodes, |i| cycle_weight(decay.lam_tau[i], delta, age));
-                let contrib = self.basis.eigen().spectral_apply(&filter, &steady[e]);
+                let filter = Vector::from_fn(nodes, |i| cycle_weight(decay.lam_dt[i], delta, age));
+                let contrib = self.eigen().spectral_apply(&filter, &steady[e]);
                 t_nodes += &contrib;
             }
             let cores = self.model.core_temperatures(&t_nodes);
             peak = peak.max(cores.max());
         }
         Ok(peak)
-    }
-
-    /// Shared validation + precomputation: returns
-    /// `(delta, node_count, decay data for τ, eigen-space steady states
-    /// per epoch)` where `ys[e] = V⁻¹·T_ss(P_e)`.
-    /// Shared input validation: core count and power finiteness.
-    fn validate_seq(&self, seq: &EpochPowerSequence) -> Result<()> {
-        if seq.core_count() != self.model.core_count() {
-            return Err(HotPotatoError::InvalidSequence(
-                "power vectors do not match the model's core count",
-            ));
-        }
-        Self::check_seq_finite(seq)
-    }
-
-    fn prepare(
-        &self,
-        seq: &EpochPowerSequence,
-    ) -> Result<(usize, usize, Arc<EpochDecay>, Vec<Vector>)> {
-        self.validate_seq(seq)?;
-        let nodes = self.model.node_count();
-        let decay = self.decay_for(seq.tau());
-        let p_t = Matrix::from_fn(seq.delta(), self.model.core_count(), |e, j| seq.epoch(e)[j]);
-        let y_t = self.basis.steady_modal(&p_t)?; // δ × nodes
-        let ys: Vec<Vector> = (0..seq.delta())
-            .map(|e| Vector::from(y_t.row(e).to_vec()))
-            .collect();
-        Ok((seq.delta(), nodes, decay, ys))
     }
 
     /// Run-time phase, peak only: identical mathematics to
@@ -791,14 +457,14 @@ impl RotationPeakSolver {
     ///
     /// Same as [`peak`](RotationPeakSolver::peak).
     pub fn peak_celsius(&self, seq: &EpochPowerSequence) -> Result<f64> {
-        if self.degraded() {
-            self.validate_seq(seq)?;
-            return Ok(self.peak_report_dense(seq)?.peak_celsius);
-        }
-        let (delta, nodes, decay, ys) = self.prepare(seq)?;
-        let cores = self.model.core_count();
-        let v = self.basis.eigen().v();
-        let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
+        self.validate_seq(seq)?;
+        let Some(decay) = self.healthy_decay(seq.tau()) else {
+            return self.peak_celsius_dense(seq, 1);
+        };
+        let ys = self.steady_states(seq)?;
+        let (cores, nodes) = (self.model.core_count(), self.model.node_count());
+        let v = self.eigen().v();
+        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
         let mut peak = f64::NEG_INFINITY;
         for y in &ys {
             for i in 0..nodes {
@@ -810,9 +476,8 @@ impl RotationPeakSolver {
                 peak = peak.max(t);
             }
         }
-        if self.peak_violates_envelope(peak) {
-            self.trip_guard();
-            return Ok(self.peak_report_dense(seq)?.peak_celsius);
+        if self.guard([peak]) {
+            return self.peak_celsius_dense(seq, 1);
         }
         Ok(peak)
     }
@@ -852,25 +517,21 @@ impl RotationPeakSolver {
         if seqs.is_empty() {
             return Ok(Vec::new());
         }
-        // xtask: allow(relaxed) — activity tally, read only via snapshot().
-        self.stats.batch_calls.fetch_add(1, Ordering::Relaxed);
-        // xtask: allow(relaxed) — activity tally, read only via snapshot().
-        self.stats
-            .batched_candidates
-            .fetch_add(seqs.len() as u64, Ordering::Relaxed);
-        let cores = self.model.core_count();
-        let nodes = self.model.node_count();
+        self.runtime.lock().count_batch(seqs.len());
         for seq in seqs {
             self.validate_seq(seq)?;
         }
-        if self.degraded() {
+        let decays: Option<Vec<Arc<ModalDecay>>> = {
+            let mut ledger = self.runtime.lock();
+            (!ledger.degraded()).then(|| seqs.iter().map(|s| ledger.decay(s.tau())).collect())
+        };
+        let Some(decays) = decays else {
             // The dense epoch map is cached per τ, so a batch at one τ
             // still amortizes the expensive extraction.
-            return seqs
-                .iter()
-                .map(|seq| Ok(self.peak_report_dense(seq)?.peak_celsius))
-                .collect();
-        }
+            return seqs.iter().map(|s| self.peak_celsius_dense(s, 1)).collect();
+        };
+        let cores = self.model.core_count();
+        let nodes = self.model.node_count();
         let total: usize = seqs.iter().map(EpochPowerSequence::delta).sum();
 
         // Stage 1: row-stack every epoch of every candidate and map the
@@ -884,17 +545,16 @@ impl RotationPeakSolver {
                 row += 1;
             }
         }
-        let y_t = self.basis.steady_modal(&p_t)?; // Σδ × nodes
+        let y_t = self.runtime.basis().steady_modal(&p_t)?; // Σδ × nodes
 
         // Stage 2: close each candidate's steady cycle in eigen space and
         // pack the boundary states row-wise.
         let mut z_t = Matrix::zeros(total, nodes);
         let mut row0 = 0;
-        for seq in seqs {
+        for (seq, decay) in seqs.iter().zip(&decays) {
             let delta = seq.delta();
-            let decay = self.decay_for(seq.tau());
             let ys: Vec<&[f64]> = (0..delta).map(|e| y_t.row(row0 + e)).collect();
-            let mut z = cycle_start(delta, nodes, &decay, &ys);
+            let mut z = cycle_start(delta, nodes, decay, &ys);
             for (e, ye) in ys.iter().enumerate() {
                 for i in 0..nodes {
                     z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * ye[i];
@@ -906,7 +566,7 @@ impl RotationPeakSolver {
 
         // Stage 3: all junction temperatures at once, then a per-candidate
         // max over its boundary rows.
-        let t = z_t.mul_matrix(self.basis.v_junction_t())?; // Σδ × cores
+        let t = z_t.mul_matrix(self.runtime.basis().v_junction_t())?; // Σδ × cores
         let mut peaks = Vec::with_capacity(seqs.len());
         let mut row0 = 0;
         for seq in seqs {
@@ -919,12 +579,8 @@ impl RotationPeakSolver {
             peaks.push(peak);
             row0 += seq.delta();
         }
-        if peaks.iter().any(|&p| self.peak_violates_envelope(p)) {
-            self.trip_guard();
-            return seqs
-                .iter()
-                .map(|seq| Ok(self.peak_report_dense(seq)?.peak_celsius))
-                .collect();
+        if self.guard(peaks.iter().copied()) {
+            return seqs.iter().map(|s| self.peak_celsius_dense(s, 1)).collect();
         }
         Ok(peaks)
     }
@@ -941,7 +597,11 @@ impl RotationPeakSolver {
     /// and covers exotic sequences where a node's transient is
     /// non-monotone.
     ///
-    /// `samples == 1` reduces exactly to [`peak_celsius`].
+    /// `samples == 1` reduces exactly to [`peak_celsius`], on the eigen
+    /// path and on the dense fallback alike: a degraded solver runs the
+    /// dense cycle with every epoch split into `samples` sub-epochs of
+    /// `τ/samples`, and a healthy solver's result passes the same
+    /// envelope guard.
     ///
     /// All `δ·samples` intra-epoch phases are row-stacked into one batch
     /// matrix and mapped through a single `Z × V_junctionᵀ` GEMM instead
@@ -963,12 +623,17 @@ impl RotationPeakSolver {
                 value: 0.0,
             });
         }
-        let (delta, nodes, decay, ys) = self.prepare(seq)?;
-        let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
+        self.validate_seq(seq)?;
+        let Some(decay) = self.healthy_decay(seq.tau()) else {
+            return self.peak_celsius_dense(seq, samples);
+        };
+        let ys = self.steady_states(seq)?;
+        let nodes = self.model.node_count();
+        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
         // Sub-epoch decay factors m_s = e^{λ·τ·s/samples}; applying them
         // `samples` times reproduces one full epoch exactly.
-        let sub = self.decay_for(seq.tau() / samples as f64);
-        let mut z_t = Matrix::zeros(delta * samples, nodes);
+        let sub = self.runtime.lock().decay(seq.tau() / usize_to_f64(samples));
+        let mut z_t = Matrix::zeros(seq.delta() * samples, nodes);
         let mut row = 0;
         for y in &ys {
             for _ in 0..samples {
@@ -979,10 +644,13 @@ impl RotationPeakSolver {
                 row += 1;
             }
         }
-        let t = z_t.mul_matrix(self.basis.v_junction_t())?; // δ·samples × cores
+        let t = z_t.mul_matrix(self.runtime.basis().v_junction_t())?; // δ·samples × cores
         let mut peak = f64::NEG_INFINITY;
         for &v in t.as_slice() {
             peak = peak.max(v);
+        }
+        if self.guard([peak]) {
+            return self.peak_celsius_dense(seq, samples);
         }
         Ok(peak)
     }
@@ -1008,11 +676,13 @@ impl RotationPeakSolver {
                 value: 0.0,
             });
         }
-        let (delta, nodes, decay, ys) = self.prepare(seq)?;
-        let cores = self.model.core_count();
-        let v = self.basis.eigen().v();
-        let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
-        let sub = self.decay_for(seq.tau() / samples as f64);
+        self.validate_seq(seq)?;
+        let decay = self.runtime.lock().decay(seq.tau());
+        let ys = self.steady_states(seq)?;
+        let (cores, nodes) = (self.model.core_count(), self.model.node_count());
+        let v = self.eigen().v();
+        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
+        let sub = self.runtime.lock().decay(seq.tau() / usize_to_f64(samples));
         let mut peak = f64::NEG_INFINITY;
         for y in &ys {
             for _ in 0..samples {
@@ -1031,12 +701,36 @@ impl RotationPeakSolver {
 
     /// The spectral decomposition backing the solver (for diagnostics).
     pub fn eigen(&self) -> &SystemEigen {
-        self.basis.eigen()
+        self.runtime.basis().eigen()
     }
 
     /// Dense `e^{Cτ}` for diagnostics and tests.
     pub fn exponential(&self, tau: f64) -> Matrix {
-        self.basis.eigen().exp_matrix(tau)
+        self.eigen().exp_matrix(tau)
+    }
+}
+
+/// The report over a steady cycle's boundary junction temperatures: the
+/// first boundary and junction reaching the maximum are the critical
+/// ones.
+fn report_from_boundaries(boundary_temps: Vec<Vector>) -> PeakReport {
+    let mut peak = f64::NEG_INFINITY;
+    let mut critical_core = CoreId(0);
+    let mut critical_epoch = 0;
+    for (e, cores) in boundary_temps.iter().enumerate() {
+        if let Some(idx) = cores.argmax() {
+            if cores[idx] > peak {
+                peak = cores[idx];
+                critical_core = CoreId(idx);
+                critical_epoch = e;
+            }
+        }
+    }
+    PeakReport {
+        peak_celsius: peak,
+        critical_core,
+        critical_epoch,
+        boundary_temps,
     }
 }
 
@@ -1044,7 +738,7 @@ impl RotationPeakSolver {
 mod tests {
     use super::*;
     use hp_floorplan::GridFloorplan;
-    use hp_thermal::{ThermalConfig, TransientSolver};
+    use hp_thermal::{NumericsStats, SolverStats, ThermalConfig, TransientSolver};
 
     fn solver_4x4() -> RotationPeakSolver {
         let fp = GridFloorplan::new(4, 4).unwrap();
@@ -1353,22 +1047,22 @@ mod tests {
     #[test]
     fn stats_count_batches_and_cache_traffic() {
         let s = solver_4x4();
-        assert_eq!(s.stats(), Alg1Stats::default());
+        assert_eq!(s.runtime().stats(), SolverStats::default());
         let seq = fig1_sequence(1e-3);
         s.peak_celsius(&seq).unwrap();
         s.peak_celsius_many(&[seq.clone(), seq, fig1_sequence(2e-3)])
             .unwrap();
-        let st = s.stats();
+        let st = s.runtime().stats();
         assert_eq!(st.batch_calls, 1);
-        assert_eq!(st.batched_candidates, 3);
+        assert_eq!(st.batched_items, 3);
         // τ = 1e-3 was computed once and reused twice; τ = 2e-3 is fresh.
         assert_eq!(st.decay_cache_misses, 2);
         assert_eq!(st.decay_cache_hits, 2);
         // A clone starts from zero; reset clears the original.
         let fresh = s.clone();
-        assert_eq!(fresh.stats(), Alg1Stats::default());
-        s.reset_stats();
-        assert_eq!(s.stats(), Alg1Stats::default());
+        assert_eq!(fresh.runtime().stats(), SolverStats::default());
+        s.runtime().reset_tallies();
+        assert_eq!(s.runtime().stats(), SolverStats::default());
     }
 
     #[test]
@@ -1418,6 +1112,39 @@ mod tests {
     }
 
     #[test]
+    fn sampled_on_an_armed_solver_runs_the_dense_cycle() {
+        let s = solver_stiff_4x4();
+        let seq = fig1_sequence(0.5e-3);
+        let one = s.peak_celsius_sampled(&seq, 1).unwrap();
+        assert_eq!(s.runtime().numerics().fallback_steps, 4);
+        let boundary = s.peak_celsius(&seq).unwrap();
+        assert_eq!(one.to_bits(), boundary.to_bits(), "{one} vs {boundary}");
+        // Eight sub-epochs per epoch: 32 dense steps, and a denser scan
+        // can only raise the maximum.
+        let eight = s.peak_celsius_sampled(&seq, 8).unwrap();
+        assert!(eight >= one - 1e-6, "{eight} vs {one}");
+        let n = s.runtime().numerics();
+        assert_eq!(n.fallback_steps, 4 + 4 + 32);
+        assert_eq!((n.fallback_activations, n.guard_trips), (1, 0));
+        assert_eq!(s.runtime().stats().batch_calls, 0);
+    }
+
+    #[test]
+    fn sampled_guard_trips_and_recomputes_densely() {
+        let s = solver_4x4();
+        let mut p = Vector::constant(16, 0.3);
+        p[5] = 1e6;
+        let seq = EpochPowerSequence::new(1e-3, vec![p.clone(), p]).unwrap();
+        let peak = s.peak_celsius_sampled(&seq, 3).unwrap();
+        assert!(s.degraded());
+        let n = s.runtime().numerics();
+        assert_eq!((n.guard_trips, n.fallback_activations), (1, 1));
+        assert_eq!(n.fallback_steps, 6);
+        let dense = s.peak_celsius_dense(&seq, 3).unwrap();
+        assert_eq!(peak.to_bits(), dense.to_bits());
+    }
+
+    #[test]
     fn boundary_temps_above_ambient() {
         let s = solver_4x4();
         let report = s.peak(&fig1_sequence(0.5e-3)).unwrap();
@@ -1436,7 +1163,7 @@ mod tests {
     fn healthy_solver_is_not_degraded() {
         let s = solver_4x4();
         assert!(!s.degraded());
-        assert_eq!(s.numerics(), NumericsStats::default());
+        assert_eq!(s.runtime().numerics(), NumericsStats::default());
     }
 
     #[test]
@@ -1450,7 +1177,7 @@ mod tests {
         for b in &report.boundary_temps {
             assert!(b.iter().all(|v| v.is_finite()));
         }
-        let n = s.numerics();
+        let n = s.runtime().numerics();
         assert_eq!(n.fallback_activations, 1);
         assert_eq!(n.fallback_steps, 4);
         // Scalar and batch entry points agree on the dense path too.
@@ -1521,23 +1248,11 @@ mod tests {
         s.peak_celsius(&fig1_sequence(0.5e-3)).unwrap();
         let fresh = s.clone();
         assert!(fresh.degraded());
-        assert_eq!(fresh.numerics(), NumericsStats::default());
+        assert_eq!(fresh.runtime().numerics(), NumericsStats::default());
         // Reset clears tallies but not the degradation verdict.
-        s.reset_stats();
-        assert_eq!(s.numerics(), NumericsStats::default());
+        s.runtime().reset_tallies();
+        assert_eq!(s.runtime().numerics(), NumericsStats::default());
         assert!(s.degraded());
-    }
-
-    #[test]
-    fn restore_numerics_round_trips() {
-        let s = solver_4x4();
-        let stats = NumericsStats {
-            fallback_activations: 2,
-            fallback_steps: 17,
-            guard_trips: 1,
-        };
-        s.restore_numerics(stats);
-        assert_eq!(s.numerics(), stats);
     }
 
     fn model_4x4() -> RcThermalModel {
@@ -1595,7 +1310,7 @@ mod tests {
         let s = RotationPeakSolver::with_basis(model, basis).unwrap();
         // Degraded before any evaluation, with nothing counted yet.
         assert!(s.degraded());
-        assert_eq!(s.numerics(), NumericsStats::default());
+        assert_eq!(s.runtime().numerics(), NumericsStats::default());
     }
 
     #[test]

@@ -31,9 +31,9 @@ use hp_floorplan::CoreId;
 use hp_linalg::{Matrix, Vector};
 use hp_obs::{Registry, RunReport};
 use hp_sim::{Action, Scheduler, SchedulerHealth, SimView, ThreadId};
-use hp_thermal::RcThermalModel;
+use hp_thermal::{NumericsStats, RcThermalModel, SolverStats};
 
-use crate::{Alg1Stats, EpochPowerSequence, Result, RingRotation, RotationPeakSolver};
+use crate::{EpochPowerSequence, Result, RingRotation, RotationPeakSolver};
 
 /// Tuning knobs of the HotPotato scheduler.
 ///
@@ -501,12 +501,12 @@ impl Scheduler for HotPotato {
         let mut report = self.obs.snapshot();
         report.push_counter("alg1.evaluations", self.evaluations);
         report.push_counter("alg1.solver_failures", self.solver_failures);
-        let s = self.solver.stats();
+        let s = self.solver.runtime().stats();
         report.push_counter("alg1.batch_calls", s.batch_calls);
-        report.push_counter("alg1.batched_candidates", s.batched_candidates);
+        report.push_counter("alg1.batched_candidates", s.batched_items);
         report.push_counter("alg1.decay_cache_hits", s.decay_cache_hits);
         report.push_counter("alg1.decay_cache_misses", s.decay_cache_misses);
-        let n = self.solver.numerics();
+        let n = self.solver.runtime().numerics();
         report.push_counter("numerics.fallback.activations", n.fallback_activations);
         report.push_counter("numerics.fallback.steps", n.fallback_steps);
         report.push_counter("numerics.guard.trips", n.guard_trips);
@@ -588,20 +588,20 @@ impl Scheduler for HotPotato {
         s.push(']');
         let _ = write!(s, ",\"evaluations\":{}", self.evaluations);
         let _ = write!(s, ",\"solver_failures\":{}", self.solver_failures);
-        let st = self.solver.stats();
+        let st = self.solver.runtime().stats();
         let _ = write!(
             s,
             ",\"alg1_stats\":[{},{},{},{}]",
-            st.batch_calls, st.batched_candidates, st.decay_cache_hits, st.decay_cache_misses
+            st.batch_calls, st.batched_items, st.decay_cache_hits, st.decay_cache_misses
         );
-        let nu = self.solver.numerics();
+        let nu = self.solver.runtime().numerics();
         let _ = write!(
             s,
             ",\"numerics_stats\":[{},{},{}]",
             nu.fallback_activations, nu.fallback_steps, nu.guard_trips
         );
         s.push_str(",\"cached_taus\":[");
-        for (i, tau) in self.solver.cached_taus().iter().enumerate() {
+        for (i, tau) in self.solver.runtime().cached_keys().iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -695,35 +695,37 @@ impl Scheduler for HotPotato {
         else {
             return Err("hotpotato snapshot: `alg1_stats` must hold four counters".into());
         };
+        let stats = SolverStats {
+            batch_calls: unsnap_u64(bc, "alg1 batch_calls")?,
+            batched_items: unsnap_u64(bs, "alg1 batched_candidates")?,
+            decay_cache_hits: unsnap_u64(h, "alg1 decay_cache_hits")?,
+            decay_cache_misses: unsnap_u64(m, "alg1 decay_cache_misses")?,
+        };
         let Json::Arr(taus) = field("cached_taus")? else {
             return Err("hotpotato snapshot: `cached_taus` must be a list".into());
         };
-        // Re-warm exactly the decay chains the snapshotted solver had
-        // cached, then overwrite the stats (discarding the warm-up
-        // misses) so every subsequent lookup hits and the alg1.* counters
-        // in the final report match an uninterrupted run bit-for-bit.
-        self.solver.reset_stats();
-        for tau in taus {
-            self.solver.warm_decay_cache(unsnap_f64(tau, "cached tau")?);
-        }
-        self.solver.restore_stats(Alg1Stats {
-            batch_calls: unsnap_u64(bc, "alg1 batch_calls")?,
-            batched_candidates: unsnap_u64(bs, "alg1 batched_candidates")?,
-            decay_cache_hits: unsnap_u64(h, "alg1 decay_cache_hits")?,
-            decay_cache_misses: unsnap_u64(m, "alg1 decay_cache_misses")?,
-        });
+        let taus = taus
+            .iter()
+            .map(|tau| unsnap_f64(tau, "cached tau"))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         // Numerics tallies: optional for snapshots taken before the
         // numerical-integrity layer existed (absent means all-zero).
+        let mut numerics = NumericsStats::default();
         if let Some(Json::Arr(nu)) = doc.get("numerics_stats") {
             let (Some(a), Some(st), Some(g)) = (nu.first(), nu.get(1), nu.get(2)) else {
                 return Err("hotpotato snapshot: `numerics_stats` must hold three counters".into());
             };
-            self.solver.restore_numerics(hp_thermal::NumericsStats {
+            numerics = NumericsStats {
                 fallback_activations: unsnap_u64(a, "numerics fallback_activations")?,
                 fallback_steps: unsnap_u64(st, "numerics fallback_steps")?,
                 guard_trips: unsnap_u64(g, "numerics guard_trips")?,
-            });
+            };
         }
+        // Re-warm exactly the decay chains the snapshotted solver had
+        // cached, discarding the warm-up lookups with the captured
+        // tallies, so every subsequent lookup hits and the alg1.*
+        // counters in the final report match an uninterrupted run.
+        self.solver.runtime().resume(&taus, stats, numerics);
         Ok(())
     }
 
@@ -1392,8 +1394,8 @@ mod tests {
         assert_eq!(fresh.solver_failures(), hp.solver_failures());
         assert_eq!(fresh.tau(), hp.tau());
         assert_eq!(fresh.is_rotating(), hp.is_rotating());
-        let a = fresh.solver().stats();
-        let b = hp.solver().stats();
+        let a = fresh.solver().runtime().stats();
+        let b = hp.solver().runtime().stats();
         assert_eq!(a.decay_cache_hits, b.decay_cache_hits);
         assert_eq!(a.decay_cache_misses, b.decay_cache_misses);
     }

@@ -184,10 +184,10 @@ impl FallbackChain {
     /// numerics settle).
     fn try_primary(&mut self, view: &SimView<'_>) -> (Vec<Action>, bool) {
         let failures_before = self.primary.solver_failures();
-        let guard_trips_before = self.primary.solver().numerics().guard_trips;
+        let guard_trips_before = self.primary.solver().runtime().numerics().guard_trips;
         let actions = self.primary.schedule(view);
         let failed = self.primary.solver_failures() > failures_before
-            || self.primary.solver().numerics().guard_trips > guard_trips_before;
+            || self.primary.solver().runtime().numerics().guard_trips > guard_trips_before;
         (actions, failed)
     }
 }
@@ -423,7 +423,13 @@ mod tests {
         );
         assert!(!chain.is_degraded());
         assert!(
-            chain.rotation().solver().numerics().fallback_activations >= 1,
+            chain
+                .rotation()
+                .solver()
+                .runtime()
+                .numerics()
+                .fallback_activations
+                >= 1,
             "dense fallback must have actually been exercised"
         );
     }

@@ -291,8 +291,8 @@ pub(crate) struct CheckpointState {
     pub faults: Option<FaultState>,
     pub obs: ObsState,
     pub trace: TraceState,
-    /// `TransientStats` of the thermal solver, in declaration order:
-    /// `[batch_calls, batched_states, decay_cache_hits, decay_cache_misses]`.
+    /// `SolverStats` of the thermal solver, in declaration order:
+    /// `[batch_calls, batched_items, decay_cache_hits, decay_cache_misses]`.
     pub thermal_stats: [u64; 4],
     /// `NumericsStats` of the thermal solver, in declaration order:
     /// `[fallback_activations, fallback_steps, guard_trips]`.

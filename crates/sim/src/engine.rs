@@ -8,7 +8,9 @@ use hp_floorplan::CoreId;
 use hp_linalg::Vector;
 use hp_manycore::Machine;
 use hp_power::DvfsLevel;
-use hp_thermal::{RcThermalModel, ThermalConfig, ThermalState, TransientSolver, TransientStats};
+use hp_thermal::{
+    NumericsStats, RcThermalModel, SolverStats, ThermalConfig, ThermalState, TransientSolver,
+};
 use hp_workload::{Job, JobId};
 
 use crate::checkpoint::{
@@ -370,12 +372,12 @@ impl Simulation {
     /// namespace.
     fn build_report(&self, obs: &hp_obs::Registry, scheduler: &dyn Scheduler) -> hp_obs::RunReport {
         let mut report = obs.snapshot();
-        let s = self.solver.stats();
+        let s = self.solver.runtime().stats();
         report.push_counter("thermal.step_batches", s.batch_calls);
-        report.push_counter("thermal.batched_states", s.batched_states);
+        report.push_counter("thermal.batched_states", s.batched_items);
         report.push_counter("thermal.decay_cache_hits", s.decay_cache_hits);
         report.push_counter("thermal.decay_cache_misses", s.decay_cache_misses);
-        let nu = self.solver.numerics();
+        let nu = self.solver.runtime().numerics();
         report.push_counter("numerics.fallback.activations", nu.fallback_activations);
         report.push_counter("numerics.fallback.steps", nu.fallback_steps);
         report.push_counter("numerics.guard.trips", nu.guard_trips);
@@ -430,7 +432,7 @@ impl Simulation {
 
         self.trace = TemperatureTrace::new();
         // Each run reports its own solver activity.
-        self.solver.reset_stats();
+        self.solver.runtime().reset_tallies();
         if self.config.record_trace {
             // The t = 0 starting condition (ambient or prewarmed) leads
             // the trace; the per-interval loop appends at `now + dt`.
@@ -561,7 +563,8 @@ impl Simulation {
             confidence: fr.confidence.clone(),
             sensors_degraded: fr.sensors_degraded,
         });
-        let s = self.solver.stats();
+        let s = self.solver.runtime().stats();
+        let nu = self.solver.runtime().numerics();
         EngineCheckpoint {
             spec_hash: spec,
             state: CheckpointState {
@@ -594,14 +597,11 @@ impl Simulation {
                 trace,
                 thermal_stats: [
                     s.batch_calls,
-                    s.batched_states,
+                    s.batched_items,
                     s.decay_cache_hits,
                     s.decay_cache_misses,
                 ],
-                numerics_stats: {
-                    let nu = self.solver.numerics();
-                    [nu.fallback_activations, nu.fallback_steps, nu.guard_trips]
-                },
+                numerics_stats: [nu.fallback_activations, nu.fallback_steps, nu.guard_trips],
                 scheduler_name: scheduler.name().to_string(),
                 scheduler_blob: scheduler.snapshot(),
             },
@@ -821,25 +821,23 @@ impl Simulation {
             s.trace.temps.clone(),
             s.trace.events.clone(),
         );
-        // Warm the decay cache for the fixed dt first, then overwrite
-        // the tallies: the warm-up miss is discarded and every in-run
-        // lookup hits, so the final counters match an uninterrupted run.
-        self.solver.reset_stats();
-        self.solver.warm_decay_cache(self.config.dt);
-        self.solver.restore_stats(TransientStats {
-            batch_calls: s.thermal_stats[0],
-            batched_states: s.thermal_stats[1],
-            decay_cache_hits: s.thermal_stats[2],
-            decay_cache_misses: s.thermal_stats[3],
-        });
-        // Numerics tallies resume the same way (reset_stats above zeroed
-        // them alongside the activity stats; any dense-stepper warm-up is
-        // counted before the restore overwrites it).
-        self.solver.restore_numerics(hp_thermal::NumericsStats {
-            fallback_activations: s.numerics_stats[0],
-            fallback_steps: s.numerics_stats[1],
-            guard_trips: s.numerics_stats[2],
-        });
+        // Warm the decay cache for the fixed dt, discarding the warm-up
+        // miss with the captured tallies: every in-run lookup hits, so
+        // the final counters match an uninterrupted run.
+        self.solver.runtime().resume(
+            &[self.config.dt],
+            SolverStats {
+                batch_calls: s.thermal_stats[0],
+                batched_items: s.thermal_stats[1],
+                decay_cache_hits: s.thermal_stats[2],
+                decay_cache_misses: s.thermal_stats[3],
+            },
+            NumericsStats {
+                fallback_activations: s.numerics_stats[0],
+                fallback_steps: s.numerics_stats[1],
+                guard_trips: s.numerics_stats[2],
+            },
+        );
         self.ckpt_resumes = 1;
 
         let completed = usize::try_from(s.completed)
@@ -1176,7 +1174,7 @@ impl Simulation {
                 .iter()
                 .any(|e| e.kind == TraceEventKind::NumericalDegradation)
         {
-            let nu = self.solver.numerics();
+            let nu = self.solver.runtime().numerics();
             self.trace.push_event(
                 now + dt,
                 TraceEventKind::NumericalDegradation,

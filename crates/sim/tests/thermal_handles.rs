@@ -99,5 +99,5 @@ fn shared_handles_run_bit_identically_to_new() {
         assert_eq!(cached.trace(), fresh.trace(), "job {job}");
     }
     // Each engine stepped its own clone; the shared handle is untouched.
-    assert_eq!(shared_solver.stats().batch_calls, 0);
+    assert_eq!(shared_solver.runtime().stats().batch_calls, 0);
 }

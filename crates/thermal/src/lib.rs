@@ -23,7 +23,9 @@
 //!   (paper Eq. 4) through the eigendecomposition of `C = −A⁻¹B`, the same
 //!   route as the MatEx solver the paper builds on, evaluated in eigen
 //!   coordinates with the operators of a shared [`ModalBasis`]; the
-//!   interval engine carries its [`ThermalState`] in that form.
+//!   interval engine carries its [`ThermalState`] in that form. Its
+//!   caches, envelope guard and tallies live in a [`ModalRuntime`], the
+//!   same bookkeeping Algorithm 1's rotation-peak solver uses.
 //! * [`tsp`] — Thermal Safe Power budgets (paper ref. \[14\]): the largest
 //!   uniform per-core power for a given active-core mapping such that no
 //!   steady-state junction temperature exceeds the DTM threshold.
@@ -52,6 +54,7 @@ mod error;
 mod fallback;
 mod modal;
 mod model;
+mod runtime;
 mod transient;
 
 pub mod stacked;
@@ -62,7 +65,8 @@ pub use error::ThermalError;
 pub use fallback::{DenseStepper, DENSE_SUBSTEPS};
 pub use modal::ModalBasis;
 pub use model::{Layer, ModelHealth, RcThermalModel, CONDITION_FALLBACK_THRESHOLD};
-pub use transient::{NumericsStats, ThermalState, TransientSolver, TransientStats};
+pub use runtime::{Ledger, ModalDecay, ModalRuntime, NumericsStats, SolverStats};
+pub use transient::{ThermalState, TransientSolver};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ThermalError>;

@@ -1,160 +1,12 @@
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, NumericalError, Vector};
 
-use crate::{DenseStepper, ModalBasis, RcThermalModel, Result, ThermalError};
-
-/// Distinct `dt` values cached per solver; an interval simulator steps at
-/// one fixed `dt` (plus the occasional trace sub-step), so the cap only
-/// guards against pathological churn.
-const DECAY_CACHE_CAP: usize = 64;
-
-/// Solver outputs may undershoot ambient by round-off but never by a
-/// degree; anything below trips the runtime invariant guard.
-const GUARD_SLACK_CELSIUS: f64 = 1.0;
-
-/// Physical ceiling above ambient: no silicon the model describes
-/// survives a kilokelvin rise, so an eigen-path output beyond it is
-/// numerical garbage, not physics.
-const GUARD_CEILING_RISE_CELSIUS: f64 = 1000.0;
-
-/// Snapshot of a solver's internal activity tallies, taken with
-/// [`TransientSolver::stats`]. All values count events since
-/// construction (or the last [`TransientSolver::reset_stats`]) and are
-/// seed-deterministic: they depend only on the sequence of solver calls,
-/// never on wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TransientStats {
-    /// Batched kernel invocations ([`TransientSolver::step_many`],
-    /// including the batch-of-one [`TransientSolver::step`] path).
-    pub batch_calls: u64,
-    /// Total `(state, power)` pairs pushed through the batched kernel.
-    pub batched_states: u64,
-    /// Decay-factor lookups served from the per-`dt` cache.
-    pub decay_cache_hits: u64,
-    /// Decay-factor lookups that had to compute `N` fresh exponentials.
-    pub decay_cache_misses: u64,
-}
-
-/// Interior-mutable counter cells behind [`TransientStats`].
-#[derive(Debug, Default)]
-struct StatsCells {
-    batch_calls: AtomicU64,
-    batched_states: AtomicU64,
-    decay_cache_hits: AtomicU64,
-    decay_cache_misses: AtomicU64,
-}
-
-impl StatsCells {
-    fn snapshot(&self) -> TransientStats {
-        TransientStats {
-            // xtask: allow(relaxed) — monotonic tallies; snapshots are
-            // taken between batches, so ordering carries no information.
-            batch_calls: self.batch_calls.load(Ordering::Relaxed),
-            batched_states: self.batched_states.load(Ordering::Relaxed),
-            decay_cache_hits: self.decay_cache_hits.load(Ordering::Relaxed),
-            decay_cache_misses: self.decay_cache_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        let cells = [
-            &self.batch_calls,
-            &self.batched_states,
-            &self.decay_cache_hits,
-            &self.decay_cache_misses,
-        ];
-        for cell in cells {
-            // xtask: allow(relaxed) — counters are zeroed between measured
-            // runs, while no solver calls are in flight.
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn restore(&self, stats: TransientStats) {
-        let cells = [
-            (&self.batch_calls, stats.batch_calls),
-            (&self.batched_states, stats.batched_states),
-            (&self.decay_cache_hits, stats.decay_cache_hits),
-            (&self.decay_cache_misses, stats.decay_cache_misses),
-        ];
-        for (cell, value) in cells {
-            // xtask: allow(relaxed) — counters are overwritten between
-            // measured runs (checkpoint resume), while no solver calls
-            // are in flight.
-            cell.store(value, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Numerical-integrity tallies of a solver, taken with
-/// [`TransientSolver::numerics`]. Like [`TransientStats`] these are
-/// seed-deterministic: they depend only on the model and the call
-/// sequence, never on timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NumericsStats {
-    /// Episodes of dense-fallback engagement: incremented when the first
-    /// fallback step after construction (or a stats reset/restore) runs.
-    /// `≥ 1` in a run report means the run's temperatures came (at least
-    /// partly) from the backward-Euler path.
-    pub fallback_activations: u64,
-    /// `(state, power)` pairs advanced by the dense fallback stepper.
-    pub fallback_steps: u64,
-    /// Runtime invariant-guard trips: eigen-path outputs that were
-    /// non-finite or outside the physical envelope and triggered a dense
-    /// recomputation.
-    pub guard_trips: u64,
-}
-
-/// Interior-mutable counter cells behind [`NumericsStats`].
-#[derive(Debug, Default)]
-struct NumericsCells {
-    fallback_activations: AtomicU64,
-    fallback_steps: AtomicU64,
-    guard_trips: AtomicU64,
-}
-
-impl NumericsCells {
-    fn snapshot(&self) -> NumericsStats {
-        NumericsStats {
-            // xtask: allow(relaxed) — monotonic tallies; snapshots are
-            // taken between batches, so ordering carries no information.
-            fallback_activations: self.fallback_activations.load(Ordering::Relaxed),
-            fallback_steps: self.fallback_steps.load(Ordering::Relaxed),
-            guard_trips: self.guard_trips.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        for cell in [
-            &self.fallback_activations,
-            &self.fallback_steps,
-            &self.guard_trips,
-        ] {
-            // xtask: allow(relaxed) — counters are zeroed between measured
-            // runs, while no solver calls are in flight.
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn restore(&self, stats: NumericsStats) {
-        let cells = [
-            (&self.fallback_activations, stats.fallback_activations),
-            (&self.fallback_steps, stats.fallback_steps),
-            (&self.guard_trips, stats.guard_trips),
-        ];
-        for (cell, value) in cells {
-            // xtask: allow(relaxed) — counters are overwritten between
-            // measured runs (checkpoint resume), while no solver calls
-            // are in flight.
-            cell.store(value, Ordering::Relaxed);
-        }
-    }
-}
+use crate::{
+    DenseStepper, ModalBasis, ModalDecay, ModalRuntime, RcThermalModel, Result, ThermalError,
+};
 
 /// The thermal state the interval engine carries from one interval to
 /// the next: the node temperatures `T` (°C) and, while the eigen path is
@@ -242,47 +94,11 @@ impl ThermalState {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TransientSolver {
-    /// Eigenbasis and modal operators; shared, never mutated.
-    basis: Arc<ModalBasis>,
-    /// `dt.to_bits() → e^{λ·dt}`, cached because an interval simulator
-    /// steps at one fixed `dt`.
-    decay_cache: Mutex<BTreeMap<u64, Arc<Vector>>>,
-    /// Activity tallies for run reports ([`TransientSolver::stats`]).
-    stats: StatsCells,
-    /// Runtime verdict: an invariant guard tripped on an eigen-path
-    /// output. Sticky by design — once the fast path has produced
-    /// garbage on this model there is no evidence later steps would not.
-    tripped: AtomicBool,
-    /// `dt.to_bits() → DenseStepper`, lazily factorized per step length
-    /// for the fallback path.
-    dense_cache: Mutex<BTreeMap<u64, Arc<DenseStepper>>>,
-    /// Numerical-integrity tallies ([`TransientSolver::numerics`]).
-    numerics: NumericsCells,
-}
-
-impl Clone for TransientSolver {
-    fn clone(&self) -> Self {
-        let cache = self
-            .decay_cache
-            .lock()
-            .map(|c| c.clone())
-            .unwrap_or_default();
-        TransientSolver {
-            basis: Arc::clone(&self.basis),
-            decay_cache: Mutex::new(cache),
-            // A clone starts its own tally: stats describe what *this*
-            // handle performed, not its ancestry.
-            stats: StatsCells::default(),
-            // The degradation verdict is inherited: it describes the
-            // model, and a clone steps the same model.
-            // xtask: allow(relaxed) — single flag, no ordering payload.
-            tripped: AtomicBool::new(self.tripped.load(Ordering::Relaxed)),
-            dense_cache: Mutex::new(BTreeMap::new()),
-            numerics: NumericsCells::default(),
-        }
-    }
+    /// The shared basis plus this solver's decay and dense-stepper
+    /// caches (keyed by `dt`), envelope guard and tallies.
+    runtime: ModalRuntime<DenseStepper>,
 }
 
 /// One modal update `z ← m∘z + (1 − m)∘y`, written into `out`. Every
@@ -316,116 +132,37 @@ impl TransientSolver {
     /// meaningless temperatures (not unsoundness).
     pub fn with_basis(basis: Arc<ModalBasis>) -> Self {
         TransientSolver {
-            basis,
-            decay_cache: Mutex::new(BTreeMap::new()),
-            stats: StatsCells::default(),
-            tripped: AtomicBool::new(false),
-            dense_cache: Mutex::new(BTreeMap::new()),
-            numerics: NumericsCells::default(),
+            runtime: ModalRuntime::new(basis),
         }
     }
 
     /// The eigenbasis and modal operators the solver steps with.
     pub fn basis(&self) -> &ModalBasis {
-        &self.basis
+        self.runtime.basis()
+    }
+
+    /// The solver's caches, envelope guard and tallies.
+    pub fn runtime(&self) -> &ModalRuntime<DenseStepper> {
+        &self.runtime
     }
 
     /// Whether solver calls currently route through the dense
     /// backward-Euler fallback instead of the eigen fast path — either
     /// because the eigendecomposition failed its construction-time trust
     /// checks (`armed`) or because a runtime invariant guard tripped on an
-    /// eigen-path output (`tripped`, sticky for the solver's lifetime).
+    /// eigen-path output (sticky for the solver's lifetime).
     pub fn degraded(&self) -> bool {
-        // xtask: allow(relaxed) — single sticky flag, no ordering payload.
-        self.basis.armed() || self.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the numerical-integrity tallies (fallback activations
-    /// and steps, guard trips) since construction or the last
-    /// [`reset_stats`](TransientSolver::reset_stats).
-    pub fn numerics(&self) -> NumericsStats {
-        self.numerics.snapshot()
-    }
-
-    /// Overwrites the numerical-integrity tallies with a previously
-    /// captured [`NumericsStats`] — the checkpoint-resume path, mirroring
-    /// [`restore_stats`](TransientSolver::restore_stats).
-    pub fn restore_numerics(&self, stats: NumericsStats) {
-        self.numerics.restore(stats);
+        self.runtime.degraded()
     }
 
     /// The underlying eigendecomposition of `C = −A⁻¹B`.
     pub fn eigen(&self) -> &SystemEigen {
-        self.basis.eigen()
-    }
-
-    /// Snapshot of the solver's activity tallies (batch counts,
-    /// decay-cache hits/misses) since construction or the last
-    /// [`reset_stats`](TransientSolver::reset_stats).
-    pub fn stats(&self) -> TransientStats {
-        self.stats.snapshot()
-    }
-
-    /// Zeroes the activity and numerical-integrity tallies (start of a
-    /// new measured run). The sticky degradation flag is *not* cleared:
-    /// a guard trip indicts the model's eigendecomposition, not the run.
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-        self.numerics.reset();
-    }
-
-    /// Overwrites the activity tallies with a previously captured
-    /// [`TransientStats`] — the checkpoint-resume path, where the
-    /// resumed run must report the same cumulative counters as an
-    /// uninterrupted one. Call after any cache warming so the restored
-    /// values are not perturbed by warm-up lookups.
-    pub fn restore_stats(&self, stats: TransientStats) {
-        self.stats.restore(stats);
-    }
-
-    /// Precomputes (and caches) the decay factors for one step length,
-    /// counting the usual hit/miss. A resuming run warms the cache for
-    /// its fixed `dt` *before* restoring stats so the resumed counter
-    /// stream matches an uninterrupted run's.
-    pub fn warm_decay_cache(&self, dt: f64) {
-        let _ = self.decay_for(dt);
-    }
-
-    /// Cached decay factors `e^{λᵢ·dt}` for one step length.
-    fn decay_for(&self, dt: f64) -> Arc<Vector> {
-        // A poisoned lock only means another thread panicked mid-insert;
-        // the cache holds immutable Arcs, so its contents stay valid.
-        let mut cache = self
-            .decay_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(m) = cache.get(&dt.to_bits()) {
-            // xtask: allow(relaxed) — cache tally, read only via snapshot().
-            self.stats.decay_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(m);
-        }
-        // xtask: allow(relaxed) — cache tally, read only via snapshot().
-        self.stats
-            .decay_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-        if cache.len() >= DECAY_CACHE_CAP {
-            cache.clear();
-        }
-        let m = Arc::new(self.decay_vector(dt));
-        cache.insert(dt.to_bits(), Arc::clone(&m));
-        m
-    }
-
-    /// Fresh decay factors `e^{λᵢ·dt}` — the one expression behind both
-    /// the cache and the serial reference form.
-    fn decay_vector(&self, dt: f64) -> Vector {
-        let lambda = self.basis.eigen().eigenvalues();
-        Vector::from_fn(lambda.len(), |i| (lambda[i] * dt).exp())
+        self.runtime.basis().eigen()
     }
 
     /// Rejects a node vector whose length is not the model's node count.
     fn check_nodes(&self, nodes: &Vector) -> Result<()> {
-        let n = self.basis.node_count();
+        let n = self.runtime.basis().node_count();
         if nodes.len() != n {
             return Err(ThermalError::Linalg(LinalgError::DimensionMismatch {
                 op: "thermal node state",
@@ -438,7 +175,7 @@ impl TransientSolver {
 
     /// Rejects a `(node state, core power)` input of the wrong shape.
     fn check_shape(&self, node_temps: &Vector, core_power: &Vector) -> Result<()> {
-        let cores = self.basis.core_count();
+        let cores = self.runtime.basis().core_count();
         if core_power.len() != cores {
             return Err(ThermalError::PowerLengthMismatch {
                 expected: cores,
@@ -475,37 +212,23 @@ impl TransientSolver {
         Ok(())
     }
 
-    /// Whether an eigen-path output violates the physical envelope: every
-    /// node temperature must be finite and within
-    /// `[ambient − GUARD_SLACK, ambient + GUARD_CEILING_RISE]`.
-    fn violates_envelope(model: &RcThermalModel, temps: &Vector) -> bool {
-        let lo = model.config().ambient - GUARD_SLACK_CELSIUS;
-        let hi = model.config().ambient + GUARD_CEILING_RISE_CELSIUS;
-        temps.iter().any(|&v| !v.is_finite() || v < lo || v > hi)
-    }
-
-    /// Cached dense fallback stepper for one step length.
-    fn dense_for(&self, model: &RcThermalModel, dt: f64) -> Result<Arc<DenseStepper>> {
-        // Poisoned-lock policy matches decay_for: contents stay valid.
-        let mut cache = self
-            .dense_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(s) = cache.get(&dt.to_bits()) {
-            return Ok(Arc::clone(s));
-        }
-        if cache.len() >= DECAY_CACHE_CAP {
-            cache.clear();
-        }
-        let stepper = Arc::new(DenseStepper::new(model, dt)?);
-        cache.insert(dt.to_bits(), Arc::clone(&stepper));
-        Ok(stepper)
+    /// One backward-Euler step of `temps` under `power` through the
+    /// cached dense `stepper`.
+    fn dense_step(
+        stepper: &DenseStepper,
+        model: &RcThermalModel,
+        temps: &Vector,
+        power: &Vector,
+    ) -> Result<Vector> {
+        let next = stepper.step(temps, &model.forcing(power)?)?;
+        Self::check_finite(&next, "dense fallback output")?;
+        Ok(next)
     }
 
     /// Dense-fallback form of [`step_many`](TransientSolver::step_many):
     /// backward-Euler stepping through the cached [`DenseStepper`],
-    /// counting fallback steps and (on the first step after construction
-    /// or a stats reset) one activation episode.
+    /// counted by the runtime (fallback steps, and one activation
+    /// episode on the first fallback of a measured run).
     fn step_many_dense(
         &self,
         model: &RcThermalModel,
@@ -517,30 +240,43 @@ impl TransientSolver {
             // stepper cannot be factorized for it, and needn't be.
             return Ok(pairs.iter().map(|(t, _)| (*t).clone()).collect());
         }
-        // xtask: allow(relaxed) — monotonic tallies, read via snapshot().
-        if self.numerics.fallback_steps.load(Ordering::Relaxed) == 0 {
-            // First dense step of this measured run: one activation
-            // episode. Counting episodes (not steps) keeps the counter
-            // deterministic across batch-size choices.
-            // xtask: allow(relaxed) — monotonic tally.
-            self.numerics
-                .fallback_activations
-                .fetch_add(1, Ordering::Relaxed);
+        let stepper = self
+            .runtime
+            .lock()
+            .dense(dt, || DenseStepper::new(model, dt))?;
+        let out = pairs
+            .iter()
+            .map(|(temps, power)| Self::dense_step(&stepper, model, temps, power))
+            .collect::<Result<Vec<_>>>()?;
+        self.runtime.lock().count_fallback_steps(out.len());
+        Ok(out)
+    }
+
+    /// `steps` chained dense-fallback steps of `dt` seconds each from
+    /// `node_temps` under constant power: every intermediate state, in
+    /// order.
+    fn dense_chain(
+        &self,
+        model: &RcThermalModel,
+        node_temps: &Vector,
+        core_power: &Vector,
+        dt: f64,
+        steps: usize,
+    ) -> Result<Vec<Vector>> {
+        if dt == 0.0 || steps == 0 {
+            // Identity steps never engage the dense stepper.
+            return Ok(vec![node_temps.clone(); steps]);
         }
-        let stepper = self.dense_for(model, dt)?;
-        let mut out = Vec::with_capacity(pairs.len());
-        for (temps, power) in pairs {
-            let forcing = model.forcing(power)?;
-            let next = stepper.step(temps, &forcing)?;
-            Self::check_finite(&next, "dense fallback output")?;
-            out.push(next);
+        let stepper = self
+            .runtime
+            .lock()
+            .dense(dt, || DenseStepper::new(model, dt))?;
+        let mut out: Vec<Vector> = Vec::with_capacity(steps);
+        for _ in 0..steps {
+            let state = out.last().unwrap_or(node_temps);
+            out.push(Self::dense_step(&stepper, model, state, core_power)?);
         }
-        // xtask: allow(cast) — usize→u64 is lossless on every supported
-        // target.
-        // xtask: allow(relaxed) — monotonic tally, read via snapshot().
-        self.numerics
-            .fallback_steps
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+        self.runtime.lock().count_fallback_steps(steps);
         Ok(out)
     }
 
@@ -590,11 +326,10 @@ impl TransientSolver {
     ///
     /// On a [`degraded`](TransientSolver::degraded) solver the batch is
     /// advanced by the dense backward-Euler fallback instead (counted in
-    /// [`numerics`](TransientSolver::numerics)). On a healthy solver the
-    /// eigen outputs are checked against the physical envelope
-    /// (finite, within `[ambient − 1 °C, ambient + 1000 °C]`); a
-    /// violation trips the sticky degradation flag and the batch is
-    /// recomputed densely.
+    /// [`ModalRuntime::numerics`]). On a healthy solver the eigen outputs
+    /// pass the runtime's envelope guard (finite, within
+    /// `[ambient − 1 °C, ambient + 1000 °C]`); a violation trips the
+    /// sticky degradation flag and the batch is recomputed densely.
     ///
     /// # Errors
     ///
@@ -616,42 +351,33 @@ impl TransientSolver {
         if pairs.is_empty() {
             return Ok(Vec::new());
         }
-        // xtask: allow(relaxed) — activity tally, read only via snapshot().
-        self.stats.batch_calls.fetch_add(1, Ordering::Relaxed);
-        // xtask: allow(cast) — usize→u64 is lossless on every supported
-        // target.
-        // xtask: allow(relaxed) — activity tally, read only via snapshot().
-        self.stats
-            .batched_states
-            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
-        if self.degraded() {
+        let decay = {
+            let mut ledger = self.runtime.lock();
+            ledger.count_batch(pairs.len());
+            (!ledger.degraded()).then(|| ledger.decay(dt))
+        };
+        let Some(decay) = decay else {
             return self.step_many_dense(model, pairs, dt);
-        }
-        let n = self.basis.node_count();
-        let cores = self.basis.core_count();
-        let m = self.decay_for(dt);
+        };
+        let basis = self.runtime.basis();
+        let n = basis.node_count();
+        let cores = basis.core_count();
 
         let temps = Matrix::from_fn(pairs.len(), n, |r, i| pairs[r].0[i]);
         let powers = Matrix::from_fn(pairs.len(), cores, |r, j| pairs[r].1[j]);
-        let z = temps.mul_matrix(self.basis.v_inv_t())?; // B × N, eigen space
-        let y = self.basis.steady_modal(&powers)?; // B × N, eigen space
+        let z = temps.mul_matrix(basis.v_inv_t())?; // B × N, eigen space
+        let y = basis.steady_modal(&powers)?; // B × N, eigen space
         let mut z_next = Matrix::zeros(pairs.len(), n);
         for r in 0..pairs.len() {
-            relax(&m, z.row(r), y.row(r), z_next.row_mut(r));
+            relax(&decay.m, z.row(r), y.row(r), z_next.row_mut(r));
         }
-        let t = z_next.mul_matrix(self.basis.v_t())?; // B × N, node space
+        let t = z_next.mul_matrix(basis.v_t())?; // B × N, node space
         let out: Vec<Vector> = (0..pairs.len())
             .map(|r| Vector::from(t.row(r).to_vec()))
             .collect();
 
-        // Runtime invariant guard: an eigen output outside the physical
-        // envelope is numerical garbage. Trip the sticky flag and redo
-        // the whole batch densely — the dense result is authoritative.
-        if out.iter().any(|t| Self::violates_envelope(model, t)) {
-            // xtask: allow(relaxed) — monotonic tally, read via snapshot().
-            self.numerics.guard_trips.fetch_add(1, Ordering::Relaxed);
-            // xtask: allow(relaxed) — single sticky flag.
-            self.tripped.store(true, Ordering::Relaxed);
+        let nodes = out.iter().flat_map(|t| t.iter().copied());
+        if self.runtime.lock().guard(model.config().ambient, nodes) {
             return self.step_many_dense(model, pairs, dt);
         }
         Ok(out)
@@ -678,10 +404,11 @@ impl TransientSolver {
         Self::check_finite(node_temps, "input node temperatures")?;
         Self::check_finite(core_power, "input core power")?;
         self.check_shape(node_temps, core_power)?;
-        let eigen = self.basis.eigen();
-        let proj_t = self.basis.proj_t();
-        let y_amb = self.basis.y_amb();
-        let m = self.decay_vector(dt);
+        let basis = self.runtime.basis();
+        let eigen = basis.eigen();
+        let proj_t = basis.proj_t();
+        let y_amb = basis.y_amb();
+        let m = ModalDecay::new(eigen.eigenvalues(), dt).m;
         let z = eigen.v_inv().mul_vector(node_temps);
         let y = Vector::from_fn(eigen.dim(), |i| {
             let mut acc = 0.0;
@@ -716,7 +443,7 @@ impl TransientSolver {
             });
         }
         let row = Matrix::from_fn(1, node_temps.len(), |_, i| node_temps[i]);
-        let z = row.mul_matrix(self.basis.v_inv_t())?;
+        let z = row.mul_matrix(self.runtime.basis().v_inv_t())?;
         Ok(ThermalState {
             nodes: node_temps.clone(),
             modal: Some(Vector::from(z.row(0).to_vec())),
@@ -756,9 +483,9 @@ impl TransientSolver {
     /// solver: from then on the state is stepped in node space.
     ///
     /// Takes `&mut self` because the engine owns its solver outright: the
-    /// activity tallies update through exclusive access instead of atomic
-    /// read-modify-writes. Counts exactly like a [`step`] call (one batch
-    /// of one state, one decay-cache lookup).
+    /// runtime's caches and tallies are reached through exclusive access,
+    /// without taking its lock. Counts exactly like a [`step`] call (one
+    /// batch of one state, one decay-cache lookup).
     ///
     /// [`step`]: TransientSolver::step
     ///
@@ -776,27 +503,32 @@ impl TransientSolver {
         Self::check_finite(&state.nodes, "input node temperatures")?;
         Self::check_finite(core_power, "input core power")?;
         self.check_shape(&state.nodes, core_power)?;
-        *self.stats.batch_calls.get_mut() += 1;
-        *self.stats.batched_states.get_mut() += 1;
-        if let Some(z) = state.modal.as_ref().filter(|_| !self.degraded()) {
-            let m = self.decay_for(dt);
+        let ledger = self.runtime.get_mut();
+        ledger.count_batch(1);
+        let healthy = !ledger.degraded();
+        if let Some(z) = state.modal.as_ref().filter(|_| healthy) {
+            let decay = self.runtime.get_mut().decay(dt);
+            let basis = self.runtime.basis();
             let powers = Matrix::from_fn(1, core_power.len(), |_, j| core_power[j]);
-            let y = self.basis.steady_modal(&powers)?;
+            let y = basis.steady_modal(&powers)?;
             let mut z_next = Matrix::zeros(1, z.len());
-            relax(&m, z.as_slice(), y.row(0), z_next.row_mut(0));
-            let nodes = Vector::from(z_next.mul_matrix(self.basis.v_t())?.row(0).to_vec());
-            if !Self::violates_envelope(model, &nodes) {
+            relax(&decay.m, z.as_slice(), y.row(0), z_next.row_mut(0));
+            let nodes = Vector::from(z_next.mul_matrix(basis.v_t())?.row(0).to_vec());
+            let ambient = model.config().ambient;
+            if !self.runtime.get_mut().guard(ambient, nodes.iter().copied()) {
                 state.nodes = nodes;
                 state.modal = Some(Vector::from(z_next.row(0).to_vec()));
                 return Ok(());
             }
-            *self.numerics.guard_trips.get_mut() += 1;
-            *self.tripped.get_mut() = true;
         }
         state.modal = None;
-        let out = self.step_many_dense(model, &[(&state.nodes, core_power)], dt)?;
-        if let Some(next) = out.into_iter().next() {
-            state.nodes = next;
+        if dt > 0.0 {
+            let stepper = self
+                .runtime
+                .get_mut()
+                .dense(dt, || DenseStepper::new(model, dt))?;
+            state.nodes = Self::dense_step(&stepper, model, &state.nodes, core_power)?;
+            self.runtime.get_mut().count_fallback_steps(1);
         }
         Ok(())
     }
@@ -831,7 +563,7 @@ impl TransientSolver {
         }
         let t_steady = model.steady_state(core_power)?;
         let deviation = node_temps - &t_steady;
-        let eigen = self.basis.eigen();
+        let eigen = self.eigen();
         let w = eigen.v_inv().mul_vector(&deviation);
         let v = eigen.v();
         let lambda = eigen.eigenvalues();
@@ -868,7 +600,7 @@ impl TransientSolver {
                 *slot = (lambda[k] * t).exp() * w[k];
             }
         }
-        let traj = e.mul_matrix(self.basis.v_t())?; // (SAMPLES+1) × nodes
+        let traj = e.mul_matrix(self.runtime.basis().v_t())?; // (SAMPLES+1) × nodes
         let mut best_t = 0.0;
         let mut best_v = f64::NEG_INFINITY;
         for s in 0..=SAMPLES {
@@ -908,15 +640,9 @@ impl TransientSolver {
         // each land one ULP past `horizon`; clamp so the reported peak
         // time honours the `[0, horizon]` contract exactly.
         let at = at.clamp(0.0, horizon);
-        // Runtime invariant guard on the scalar result (the trajectories
-        // above are eigen reconstructions too).
-        let lo_ok = model.config().ambient - GUARD_SLACK_CELSIUS;
-        let hi_ok = model.config().ambient + GUARD_CEILING_RISE_CELSIUS;
-        if !peak.is_finite() || peak < lo_ok || peak > hi_ok {
-            // xtask: allow(relaxed) — monotonic tally, read via snapshot().
-            self.numerics.guard_trips.fetch_add(1, Ordering::Relaxed);
-            // xtask: allow(relaxed) — single sticky flag.
-            self.tripped.store(true, Ordering::Relaxed);
+        // The guard checks the scalar result: the trajectories above are
+        // eigen reconstructions too.
+        if self.runtime.lock().guard(model.config().ambient, [peak]) {
             return self.peak_within_dense(model, node_temps, core_power, horizon);
         }
         Ok((peak, at))
@@ -940,13 +666,9 @@ impl TransientSolver {
         }
         const SAMPLES: usize = 48;
         let sub = horizon / usize_to_f64(SAMPLES);
-        let mut state = node_temps.clone();
-        for s in 1..=SAMPLES {
-            let mut out = self.step_many_dense(model, &[(&state, core_power)], sub)?;
-            // xtask: allow(panic) — step_many_dense returns one state per
-            // input pair, so a batch of one always pops.
-            state = out.pop().expect("batch of one");
-            let val = model.core_temperatures(&state).max();
+        let states = self.dense_chain(model, node_temps, core_power, sub, SAMPLES)?;
+        for (s, state) in (1..=SAMPLES).zip(&states) {
+            let val = model.core_temperatures(state).max();
             if val > best_v {
                 best_v = val;
                 // `sub·S` can round one ULP past `horizon`; clamp to keep
@@ -963,7 +685,9 @@ impl TransientSolver {
     /// The eigen-space deviation is computed once, every sample instant's
     /// decayed state is row-stacked, and one GEMM reconstructs all node
     /// states — bit-identical to per-sample
-    /// [`step`](TransientSolver::step) calls at the same instants.
+    /// [`step`](TransientSolver::step) calls at the same instants. On the
+    /// dense fallback the instants are reached by chained backward-Euler
+    /// substeps of `dt / samples`.
     ///
     /// # Errors
     ///
@@ -979,12 +703,13 @@ impl TransientSolver {
         Self::check_dt(dt, "dt")?;
         Self::check_finite(node_temps, "input node temperatures")?;
         Self::check_finite(core_power, "input core power")?;
+        let sub = dt / usize_to_f64(samples);
         if self.degraded() {
-            return self.trajectory_dense(model, node_temps, core_power, dt, samples);
+            return self.dense_chain(model, node_temps, core_power, sub, samples);
         }
         let t_steady = model.steady_state(core_power)?;
         let deviation = node_temps - &t_steady;
-        let eigen = self.basis.eigen();
+        let eigen = self.eigen();
         let y = eigen.v_inv().mul_vector(&deviation);
         let n = eigen.dim();
         let lambda = eigen.eigenvalues();
@@ -997,40 +722,13 @@ impl TransientSolver {
                 *slot = (lambda[i] * t).exp() * y[i];
             }
         }
-        let decayed = e.mul_matrix(self.basis.v_t())?; // samples × N
+        let decayed = e.mul_matrix(self.runtime.basis().v_t())?; // samples × N
         let out: Vec<Vector> = (0..samples)
             .map(|k| Vector::from_fn(n, |i| t_steady[i] + decayed[(k, i)]))
             .collect();
-        if out.iter().any(|t| Self::violates_envelope(model, t)) {
-            // xtask: allow(relaxed) — monotonic tally, read via snapshot().
-            self.numerics.guard_trips.fetch_add(1, Ordering::Relaxed);
-            // xtask: allow(relaxed) — single sticky flag.
-            self.tripped.store(true, Ordering::Relaxed);
-            return self.trajectory_dense(model, node_temps, core_power, dt, samples);
-        }
-        Ok(out)
-    }
-
-    /// Dense-fallback form of [`trajectory`](TransientSolver::trajectory):
-    /// the sample instants are reached by chained backward-Euler substeps
-    /// of `dt / samples`.
-    fn trajectory_dense(
-        &self,
-        model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        dt: f64,
-        samples: usize,
-    ) -> Result<Vec<Vector>> {
-        let sub = dt / usize_to_f64(samples);
-        let mut state = node_temps.clone();
-        let mut out = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut step = self.step_many_dense(model, &[(&state, core_power)], sub)?;
-            // xtask: allow(panic) — step_many_dense returns one state per
-            // input pair, so a batch of one always pops.
-            state = step.pop().expect("batch of one");
-            out.push(state.clone());
+        let nodes = out.iter().flat_map(|t| t.iter().copied());
+        if self.runtime.lock().guard(model.config().ambient, nodes) {
+            return self.dense_chain(model, node_temps, core_power, sub, samples);
         }
         Ok(out)
     }
@@ -1059,7 +757,7 @@ impl TransientSolver {
         let mut out = Vec::with_capacity(samples);
         for k in 1..=samples {
             let t = dt * usize_to_f64(k) / usize_to_f64(samples);
-            let decayed = self.basis.eigen().exp_apply(t, &deviation);
+            let decayed = self.eigen().exp_apply(t, &deviation);
             out.push(&t_steady + &decayed);
         }
         Ok(out)
@@ -1069,7 +767,7 @@ impl TransientSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ThermalConfig;
+    use crate::{NumericsStats, SolverStats, ThermalConfig};
     use hp_floorplan::GridFloorplan;
 
     fn setup() -> (RcThermalModel, TransientSolver) {
@@ -1195,12 +893,12 @@ mod tests {
         for _ in 0..3 {
             solver.advance(&model, &mut state, &p, 1e-4).unwrap();
         }
-        let s = solver.stats();
+        let s = solver.runtime().stats();
         assert_eq!(s.batch_calls, 3);
-        assert_eq!(s.batched_states, 3);
+        assert_eq!(s.batched_items, 3);
         assert_eq!(s.decay_cache_misses, 1);
         assert_eq!(s.decay_cache_hits, 2);
-        assert_eq!(solver.numerics(), NumericsStats::default());
+        assert_eq!(solver.runtime().numerics(), NumericsStats::default());
     }
 
     #[test]
@@ -1217,12 +915,12 @@ mod tests {
         assert!(state.modal().is_none());
         let dense = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
         assert_eq!(state.nodes(), &dense[0]);
-        let n = solver.numerics();
+        let n = solver.runtime().numerics();
         assert_eq!(n.guard_trips, 1);
         assert_eq!(n.fallback_activations, 1);
         // Sticky: the next interval is dense without another trip.
         solver.advance(&model, &mut state, &p, 1e-4).unwrap();
-        let n = solver.numerics();
+        let n = solver.runtime().numerics();
         assert_eq!(n.guard_trips, 1);
         assert!(n.fallback_steps >= 2);
     }
@@ -1235,7 +933,7 @@ mod tests {
         let p = Vector::constant(16, 2.0);
         solver.advance(&model, &mut state, &p, 5e-4).unwrap();
         assert!(state.nodes().iter().all(|v| v.is_finite()));
-        let n = solver.numerics();
+        let n = solver.runtime().numerics();
         assert_eq!(
             (n.fallback_activations, n.fallback_steps, n.guard_trips),
             (1, 1, 0)
@@ -1301,9 +999,9 @@ mod tests {
         clone
             .step(&model, &model.ambient_state(), &p, 1e-4)
             .unwrap();
-        let s = clone.stats();
+        let s = clone.runtime().stats();
         assert_eq!((s.decay_cache_hits, s.decay_cache_misses), (1, 0));
-        assert_eq!(solver.stats().batch_calls, 1);
+        assert_eq!(solver.runtime().stats().batch_calls, 1);
     }
 
     #[test]
@@ -1395,7 +1093,7 @@ mod tests {
         assert!(!solver.degraded(), "no guard tripped");
         let dense = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
         assert_eq!(state.nodes(), &dense[0]);
-        let n = solver.numerics();
+        let n = solver.runtime().numerics();
         assert_eq!(n.guard_trips, 0);
         assert_eq!(n.fallback_activations, 1);
         // The dense step tracks the exact one to well under a kelvin.
@@ -1413,12 +1111,12 @@ mod tests {
         let scorching = Vector::constant(model.node_count(), 1e5);
         solver.step(&model, &scorching, &p, 1e-4).unwrap();
         assert!(solver.degraded());
-        assert_eq!(solver.numerics().guard_trips, 1);
+        assert_eq!(solver.runtime().numerics().guard_trips, 1);
         // The carried z is not trusted on a tripped solver: the interval
         // runs densely without a second trip and z is gone for good.
         solver.advance(&model, &mut state, &p, 1e-4).unwrap();
         assert!(state.modal().is_none());
-        assert_eq!(solver.numerics().guard_trips, 1);
+        assert_eq!(solver.runtime().numerics().guard_trips, 1);
         assert!(state.nodes().iter().all(|v| v.is_finite()));
     }
 
@@ -1430,9 +1128,9 @@ mod tests {
         solver.step(&model, &t0, &p, 2.5e-4).unwrap();
         let mut state = solver.initial_state(&t0).unwrap();
         solver.advance(&model, &mut state, &p, 2.5e-4).unwrap();
-        let s = solver.stats();
+        let s = solver.runtime().stats();
         assert_eq!((s.decay_cache_hits, s.decay_cache_misses), (1, 1));
-        assert_eq!((s.batch_calls, s.batched_states), (2, 2));
+        assert_eq!((s.batch_calls, s.batched_items), (2, 2));
     }
 
     #[test]
@@ -1638,22 +1336,22 @@ mod tests {
         let (model, solver) = setup();
         let t0 = model.ambient_state();
         let p = Vector::constant(16, 0.5);
-        assert_eq!(solver.stats(), TransientStats::default());
+        assert_eq!(solver.runtime().stats(), SolverStats::default());
         solver.step(&model, &t0, &p, 1e-3).unwrap();
         solver.step(&model, &t0, &p, 1e-3).unwrap();
         let pairs = [(&t0, &p), (&t0, &p), (&t0, &p)];
         solver.step_many(&model, &pairs, 2e-3).unwrap();
-        let s = solver.stats();
+        let s = solver.runtime().stats();
         assert_eq!(s.batch_calls, 3);
-        assert_eq!(s.batched_states, 5);
+        assert_eq!(s.batched_items, 5);
         // Two distinct dt values → two misses; the repeated step hits.
         assert_eq!(s.decay_cache_misses, 2);
         assert_eq!(s.decay_cache_hits, 1);
         // A clone starts from zero; reset clears the original.
         let fresh = solver.clone();
-        assert_eq!(fresh.stats(), TransientStats::default());
-        solver.reset_stats();
-        assert_eq!(solver.stats(), TransientStats::default());
+        assert_eq!(fresh.runtime().stats(), SolverStats::default());
+        solver.runtime().reset_tallies();
+        assert_eq!(solver.runtime().stats(), SolverStats::default());
     }
 
     fn setup_stiff() -> (RcThermalModel, TransientSolver) {
@@ -1667,7 +1365,7 @@ mod tests {
     fn stiff_model_arms_dense_fallback_at_construction() {
         let (model, solver) = setup_stiff();
         assert!(solver.degraded());
-        assert_eq!(solver.numerics(), NumericsStats::default());
+        assert_eq!(solver.runtime().numerics(), NumericsStats::default());
         let mut p = Vector::constant(16, 0.3);
         p[5] = 7.0;
         let mut t = model.ambient_state();
@@ -1676,7 +1374,7 @@ mod tests {
             assert!(t.iter().all(|v| v.is_finite()));
             assert!(t.min() > model.config().ambient - 1.0);
         }
-        let n = solver.numerics();
+        let n = solver.runtime().numerics();
         // One activation episode regardless of how many steps ran.
         assert_eq!(n.fallback_activations, 1);
         assert_eq!(n.fallback_steps, 5);
@@ -1691,7 +1389,7 @@ mod tests {
         let t1 = solver.step(&model, &t0, &p, 0.0).unwrap();
         assert!((&t1 - &t0).norm_inf() < 1e-12);
         // dt = 0 never engages the dense stepper.
-        assert_eq!(solver.numerics().fallback_steps, 0);
+        assert_eq!(solver.runtime().numerics().fallback_steps, 0);
     }
 
     #[test]
@@ -1708,14 +1406,14 @@ mod tests {
         let (peak, at) = solver.peak_within(&model, &t0, &p, 2e-3).unwrap();
         assert!(peak.is_finite() && peak >= model.config().ambient - 1.0);
         assert!((0.0..=2e-3).contains(&at));
-        assert_eq!(solver.numerics().fallback_activations, 1);
+        assert_eq!(solver.runtime().numerics().fallback_activations, 1);
     }
 
     #[test]
     fn healthy_solver_is_not_degraded() {
         let (_, solver) = setup();
         assert!(!solver.degraded());
-        assert_eq!(solver.numerics(), NumericsStats::default());
+        assert_eq!(solver.runtime().numerics(), NumericsStats::default());
     }
 
     #[test]
@@ -1746,15 +1444,15 @@ mod tests {
         solver
             .step(&model, &model.ambient_state(), &p, 1e-3)
             .unwrap();
-        assert_eq!(solver.numerics().fallback_activations, 1);
-        solver.reset_stats();
-        assert_eq!(solver.numerics(), NumericsStats::default());
+        assert_eq!(solver.runtime().numerics().fallback_activations, 1);
+        solver.runtime().reset_tallies();
+        assert_eq!(solver.runtime().numerics(), NumericsStats::default());
         assert!(solver.degraded());
         // The next dense step opens a fresh activation episode.
         solver
             .step(&model, &model.ambient_state(), &p, 1e-3)
             .unwrap();
-        assert_eq!(solver.numerics().fallback_activations, 1);
+        assert_eq!(solver.runtime().numerics().fallback_activations, 1);
     }
 
     #[test]
@@ -1766,21 +1464,9 @@ mod tests {
             .unwrap();
         let fresh = solver.clone();
         assert!(fresh.degraded());
-        assert_eq!(fresh.numerics(), NumericsStats::default());
+        assert_eq!(fresh.runtime().numerics(), NumericsStats::default());
         // The original keeps its tallies — cloning is not a reset.
-        assert_eq!(solver.numerics().fallback_activations, 1);
-    }
-
-    #[test]
-    fn restore_numerics_round_trips() {
-        let (_, solver) = setup();
-        let stats = NumericsStats {
-            fallback_activations: 1,
-            fallback_steps: 42,
-            guard_trips: 3,
-        };
-        solver.restore_numerics(stats);
-        assert_eq!(solver.numerics(), stats);
+        assert_eq!(solver.runtime().numerics().fallback_activations, 1);
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn advance_rejects_bad_inputs_without_touching_the_state() {
     }
     // A rejected interval neither moves the state nor counts as a step.
     assert_eq!(state, before);
-    assert_eq!(solver.stats().batch_calls, 0);
+    assert_eq!(solver.runtime().stats().batch_calls, 0);
     assert!(!solver.degraded());
 }
 

@@ -106,7 +106,7 @@ proptest! {
                 Err(_) => return Ok(()), // typed refusal is a valid outcome
             }
         }
-        let nu = solver.numerics();
+        let nu = solver.runtime().numerics();
         prop_assert!(
             !solver.degraded() || nu.fallback_steps > 0 || nu.guard_trips == 0,
             "degraded solver must be stepping densely or clean of trips"
