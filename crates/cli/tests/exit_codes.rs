@@ -10,6 +10,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use hp_obs::RunReport;
+
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hotpotato-cli"))
 }
@@ -145,71 +147,96 @@ fn sweep_with_quarantined_job_exits_four() {
     std::fs::remove_file(&spec).ok();
 }
 
+/// A run resumed from its last checkpoint ends with the uninterrupted
+/// run's report (timings aside) and summary — for the stateless `pinned`
+/// and for `pcmig`, which keeps predictor state across hooks.
 #[test]
 fn simulate_checkpoints_and_resumes_bit_identically() {
-    let dir = tmp("ckpt_dir");
-    let _ = std::fs::remove_dir_all(&dir);
-    let base = [
-        "simulate",
-        "--grid",
-        "4x4",
-        "--benchmark",
-        "canneal",
-        "--cores",
-        "4",
-        "--scheduler",
-        "pinned",
-    ];
-    // First leg: run to completion with periodic checkpoints on disk.
-    let out = cli()
-        .args(base)
-        .args([
-            "--checkpoint-every",
-            "0.01",
-            "--checkpoint-dir",
-            dir.to_str().expect("utf-8"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let ckpt = dir.join("simulate.ckpt.json");
-    assert!(ckpt.is_file(), "periodic checkpoint left on disk");
-
-    // Second leg: resume the same run from the last checkpoint — it must
-    // complete successfully and say so.
-    let out = cli()
-        .args(base)
-        .args(["--resume-from", ckpt.to_str().expect("utf-8")])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("resumed from checkpoint"),
-        "stdout: {stdout}"
-    );
-
-    // A checkpoint from this run must not resume a different workload.
-    let out = cli()
-        .args([
+    for scheduler in ["pinned", "pcmig"] {
+        let dir = tmp(&format!("ckpt_dir_{scheduler}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = |name: &str| dir.join(name).to_str().expect("utf-8").to_string();
+        let base = [
             "simulate",
             "--grid",
             "4x4",
             "--benchmark",
-            "swaptions",
+            "blackscholes",
             "--cores",
-            "4",
+            "16",
             "--scheduler",
-            "pinned",
-            "--resume-from",
-            ckpt.to_str().expect("utf-8"),
-        ])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("spec"), "stderr: {stderr}");
-    let _ = std::fs::remove_dir_all(&dir);
+            scheduler,
+        ];
+        let run = |extra: &[&str], report: &str| {
+            let out = cli()
+                .args(base)
+                .args(extra)
+                .args(["--report", report])
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(0), "{out:?}");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        // First leg: run to completion with periodic checkpoints on disk.
+        let whole = run(
+            &["--checkpoint-every", "0.02", "--checkpoint-dir", &path("")],
+            &path("whole.json"),
+        );
+        let ckpt = path("simulate.ckpt.json");
+        assert!(dir.join("simulate.ckpt.json").is_file(), "{whole}");
+
+        // Second leg: resume the same run from the last checkpoint.
+        let resumed = run(&["--resume-from", &ckpt], &path("resumed.json"));
+        assert!(resumed.contains("resumed from checkpoint"), "{resumed}");
+        let report = |name: &str| {
+            let doc = std::fs::read_to_string(dir.join(name)).expect("report written");
+            RunReport::from_json_str(&doc)
+                .expect("report parses")
+                .without_timings()
+        };
+        assert_eq!(
+            report("resumed.json"),
+            report("whole.json"),
+            "{scheduler}: resumed report differs"
+        );
+        // The summary is every line that names neither checkpoints nor
+        // the report file.
+        let summary = |stdout: &str| {
+            stdout
+                .lines()
+                .filter(|l| !l.contains("checkpoint") && !l.contains("report written"))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            summary(&resumed),
+            summary(&whole),
+            "{scheduler}: resumed summary differs"
+        );
+
+        // A checkpoint from this run must not resume a different workload.
+        let out = cli()
+            .args([
+                "simulate",
+                "--grid",
+                "4x4",
+                "--benchmark",
+                "swaptions",
+                "--cores",
+                "4",
+                "--scheduler",
+                scheduler,
+                "--resume-from",
+                &ckpt,
+            ])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("spec"), "stderr: {stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

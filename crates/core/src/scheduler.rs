@@ -30,7 +30,8 @@ use std::time::Instant;
 use hp_floorplan::CoreId;
 use hp_linalg::{Matrix, Vector};
 use hp_obs::{Registry, RunReport};
-use hp_sim::{Action, Scheduler, SchedulerHealth, SimView, ThreadId};
+use hp_sim::codec::{decode, encode};
+use hp_sim::{Action, JobId, Scheduler, SchedulerHealth, SimView, ThreadId};
 use hp_thermal::{NumericsStats, RcThermalModel, SolverStats};
 
 use crate::{EpochPowerSequence, Result, RingRotation, RotationPeakSolver};
@@ -136,7 +137,7 @@ pub struct HotPotato {
     /// themselves exist ([`Scheduler::restore`] has no machine access);
     /// applied and consumed by the first `schedule` call after the lazy
     /// ring construction. `None` outside that window.
-    restored_slots: Option<Vec<Vec<(usize, ThreadId)>>>,
+    restored_slots: Option<Vec<Vec<Seat>>>,
     /// Probe wall-clock histograms and policy counters, surfaced through
     /// [`Scheduler::observability`].
     obs: Registry,
@@ -437,48 +438,32 @@ impl HotPotato {
     }
 }
 
-/// Encodes an `f64` for a scheduler snapshot blob: finite values as JSON
-/// numbers in shortest round-trip form, non-finite values as the strings
-/// `"inf"` / `"-inf"` / `"nan"` (JSON has no literals for them).
-fn snap_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"nan\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
+/// One seat of a ring in a snapshot: `[slot, job, thread index]`.
+type Seat = (usize, JobId, usize);
 
-/// Decodes a float written by [`snap_f64`].
-fn unsnap_f64(v: &hp_obs::json::Json, what: &str) -> std::result::Result<f64, String> {
-    use hp_obs::json::Json;
-    let parsed = match v {
-        Json::Num(_) => v.as_f64(),
-        Json::Str(s) => match s.as_str() {
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            "nan" => Some(f64::NAN),
-            _ => None,
-        },
-        _ => None,
-    };
-    parsed.ok_or_else(|| format!("hotpotato snapshot: bad {what}"))
-}
-
-/// Decodes a non-negative integer field of a scheduler snapshot blob.
-fn unsnap_u64(v: &hp_obs::json::Json, what: &str) -> std::result::Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("hotpotato snapshot: bad {what}"))
-}
-
-/// Decodes a boolean field of a scheduler snapshot blob.
-fn unsnap_bool(v: &hp_obs::json::Json, what: &str) -> std::result::Result<bool, String> {
-    match v {
-        hp_obs::json::Json::Bool(b) => Ok(*b),
-        _ => Err(format!("hotpotato snapshot: bad {what}")),
+hp_sim::codec! {
+    /// HotPotato's snapshot blob: every field that influences future
+    /// decisions or final counters. Ring occupancy is `null` until the lazy
+    /// ring construction has happened; the solver's counters travel with the
+    /// τ values whose decay chains it has cached, so a resumed run re-warms
+    /// exactly those and the hit/miss counters stay bit-identical. The probe
+    /// histograms in `obs` are wall-clock noise and deliberately excluded —
+    /// reports are compared with timings stripped.
+    struct Snapshot {
+        rings: Option<Vec<Vec<Seat>>>,
+        tau_index: usize,
+        rotating: bool,
+        last_rotation: f64,
+        last_peak: f64,
+        last_evaluation: f64,
+        assignment_dirty: bool,
+        /// `[job, thread index, watts]` per cached power estimate.
+        powers: Vec<(JobId, usize, f64)>,
+        evaluations: u64,
+        solver_failures: u64,
+        alg1_stats: SolverStats,
+        numerics_stats: NumericsStats,
+        cached_taus: Vec<f64>,
     }
 }
 
@@ -518,214 +503,78 @@ impl Scheduler for HotPotato {
         Some(report)
     }
 
-    // The snapshot captures every field that influences future decisions
-    // or final counters: ring occupancy (as `[slot, job, thread]` triples
-    // per ring, `null` when the lazy construction has not happened yet),
-    // the τ ladder position, rotation phase, Algorithm-1 bookkeeping, the
-    // per-thread power cache, and the solver's counters plus the τ values
-    // whose decay chains it has cached (so a resumed run re-warms exactly
-    // those and the hit/miss counters stay bit-identical). The probe
-    // histograms in `obs` are wall-clock noise and deliberately excluded —
-    // reports are compared with timings stripped.
     fn snapshot(&self) -> Option<String> {
-        use std::fmt::Write as _;
-        let mut s = String::from("{\"rings\":");
-        if let Some(pending) = &self.restored_slots {
+        let rings = match &self.restored_slots {
             // Restored occupancy not yet applied (no `schedule` call since
-            // `restore`): re-emit it verbatim so a checkpoint taken in
-            // that window still carries the seats.
-            s.push('[');
-            for (ri, seats) in pending.iter().enumerate() {
-                if ri > 0 {
-                    s.push(',');
-                }
-                s.push('[');
-                for (si, (slot, t)) in seats.iter().enumerate() {
-                    if si > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "[{},{},{}]", slot, t.job.0, t.index);
-                }
-                s.push(']');
-            }
-            s.push(']');
-        } else if self.rings.is_empty() {
-            s.push_str("null");
-        } else {
-            s.push('[');
-            for (ri, ring) in self.rings.iter().enumerate() {
-                if ri > 0 {
-                    s.push(',');
-                }
-                s.push('[');
-                let mut first = true;
-                for slot in 0..ring.capacity() {
-                    if let Some(t) = ring.occupant(slot) {
-                        if !first {
-                            s.push(',');
-                        }
-                        first = false;
-                        let _ = write!(s, "[{},{},{}]", slot, t.job.0, t.index);
-                    }
-                }
-                s.push(']');
-            }
-            s.push(']');
-        }
-        let _ = write!(s, ",\"tau_index\":{}", self.tau_index);
-        let _ = write!(s, ",\"rotating\":{}", self.rotating);
-        let _ = write!(s, ",\"last_rotation\":{}", snap_f64(self.last_rotation));
-        let _ = write!(s, ",\"last_peak\":{}", snap_f64(self.last_peak));
-        let _ = write!(s, ",\"last_evaluation\":{}", snap_f64(self.last_evaluation));
-        let _ = write!(s, ",\"assignment_dirty\":{}", self.assignment_dirty);
-        s.push_str(",\"powers\":[");
-        for (i, (t, p)) in self.powers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{},{},{}]", t.job.0, t.index, snap_f64(*p));
-        }
-        s.push(']');
-        let _ = write!(s, ",\"evaluations\":{}", self.evaluations);
-        let _ = write!(s, ",\"solver_failures\":{}", self.solver_failures);
-        let st = self.solver.runtime().stats();
-        let _ = write!(
-            s,
-            ",\"alg1_stats\":[{},{},{},{}]",
-            st.batch_calls, st.batched_items, st.decay_cache_hits, st.decay_cache_misses
-        );
-        let nu = self.solver.runtime().numerics();
-        let _ = write!(
-            s,
-            ",\"numerics_stats\":[{},{},{}]",
-            nu.fallback_activations, nu.fallback_steps, nu.guard_trips
-        );
-        s.push_str(",\"cached_taus\":[");
-        for (i, tau) in self.solver.runtime().cached_keys().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}", snap_f64(*tau));
-        }
-        s.push_str("]}");
-        Some(s)
+            // `restore`): re-emit it so a checkpoint taken in that window
+            // still carries the seats.
+            Some(pending) => Some(pending.clone()),
+            None if self.rings.is_empty() => None,
+            None => Some(
+                self.rings
+                    .iter()
+                    .map(|ring| {
+                        (0..ring.capacity())
+                            .filter_map(|slot| ring.occupant(slot).map(|t| (slot, t.job, t.index)))
+                            .collect()
+                    })
+                    .collect(),
+            ),
+        };
+        let runtime = self.solver.runtime();
+        Some(encode(&Snapshot {
+            rings,
+            tau_index: self.tau_index,
+            rotating: self.rotating,
+            last_rotation: self.last_rotation,
+            last_peak: self.last_peak,
+            last_evaluation: self.last_evaluation,
+            assignment_dirty: self.assignment_dirty,
+            powers: self
+                .powers
+                .iter()
+                .map(|(t, &watts)| (t.job, t.index, watts))
+                .collect(),
+            evaluations: self.evaluations,
+            solver_failures: self.solver_failures,
+            alg1_stats: runtime.stats(),
+            numerics_stats: runtime.numerics(),
+            cached_taus: runtime.cached_keys(),
+        }))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc = hp_obs::json::parse(state).map_err(|e| format!("hotpotato snapshot: {e}"))?;
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| format!("hotpotato snapshot: missing `{name}`"))
-        };
-
-        // Ring occupancy: stash for the first `schedule` call — rings are
-        // built lazily from the machine, which `restore` cannot see.
-        self.restored_slots = match field("rings")? {
-            Json::Null => None,
-            Json::Arr(rings) => {
-                let mut all = Vec::with_capacity(rings.len());
-                for ring in rings {
-                    let Json::Arr(entries) = ring else {
-                        return Err("hotpotato snapshot: ring must be a list".into());
-                    };
-                    let mut seats = Vec::with_capacity(entries.len());
-                    for e in entries {
-                        let Json::Arr(t) = e else {
-                            return Err("hotpotato snapshot: seat must be a triple".into());
-                        };
-                        let (Some(slot), Some(job), Some(index)) = (t.first(), t.get(1), t.get(2))
-                        else {
-                            return Err("hotpotato snapshot: seat must be a triple".into());
-                        };
-                        let slot = unsnap_u64(slot, "seat slot")? as usize;
-                        let tid = ThreadId {
-                            job: hp_sim::JobId(unsnap_u64(job, "seat job")? as usize),
-                            index: unsnap_u64(index, "seat thread index")? as usize,
-                        };
-                        seats.push((slot, tid));
-                    }
-                    all.push(seats);
-                }
-                Some(all)
-            }
-            _ => return Err("hotpotato snapshot: `rings` must be null or a list".into()),
-        };
-
-        let tau_index = unsnap_u64(field("tau_index")?, "tau_index")? as usize;
-        if tau_index >= self.config.tau_levels.len() {
+        let snap: Snapshot = decode(state).map_err(|e| format!("hotpotato snapshot: {e}"))?;
+        if snap.tau_index >= self.config.tau_levels.len() {
             return Err(format!(
-                "hotpotato snapshot: tau_index {tau_index} out of range for {} levels",
+                "hotpotato snapshot: tau_index {} out of range for {} levels",
+                snap.tau_index,
                 self.config.tau_levels.len()
             ));
         }
-        self.tau_index = tau_index;
-        self.rotating = unsnap_bool(field("rotating")?, "rotating")?;
-        self.last_rotation = unsnap_f64(field("last_rotation")?, "last_rotation")?;
-        self.last_peak = unsnap_f64(field("last_peak")?, "last_peak")?;
-        self.last_evaluation = unsnap_f64(field("last_evaluation")?, "last_evaluation")?;
-        self.assignment_dirty = unsnap_bool(field("assignment_dirty")?, "assignment_dirty")?;
-
-        let Json::Arr(powers) = field("powers")? else {
-            return Err("hotpotato snapshot: `powers` must be a list".into());
-        };
-        self.powers.clear();
-        for e in powers {
-            let Json::Arr(t) = e else {
-                return Err("hotpotato snapshot: power entry must be a triple".into());
-            };
-            let (Some(job), Some(index), Some(power)) = (t.first(), t.get(1), t.get(2)) else {
-                return Err("hotpotato snapshot: power entry must be a triple".into());
-            };
-            let tid = ThreadId {
-                job: hp_sim::JobId(unsnap_u64(job, "power job")? as usize),
-                index: unsnap_u64(index, "power thread index")? as usize,
-            };
-            self.powers.insert(tid, unsnap_f64(power, "power value")?);
-        }
-
-        self.evaluations = unsnap_u64(field("evaluations")?, "evaluations")?;
-        self.solver_failures = unsnap_u64(field("solver_failures")?, "solver_failures")?;
-
-        let Json::Arr(stats) = field("alg1_stats")? else {
-            return Err("hotpotato snapshot: `alg1_stats` must be a list".into());
-        };
-        let (Some(bc), Some(bs), Some(h), Some(m)) =
-            (stats.first(), stats.get(1), stats.get(2), stats.get(3))
-        else {
-            return Err("hotpotato snapshot: `alg1_stats` must hold four counters".into());
-        };
-        let stats = SolverStats {
-            batch_calls: unsnap_u64(bc, "alg1 batch_calls")?,
-            batched_items: unsnap_u64(bs, "alg1 batched_candidates")?,
-            decay_cache_hits: unsnap_u64(h, "alg1 decay_cache_hits")?,
-            decay_cache_misses: unsnap_u64(m, "alg1 decay_cache_misses")?,
-        };
-        let Json::Arr(taus) = field("cached_taus")? else {
-            return Err("hotpotato snapshot: `cached_taus` must be a list".into());
-        };
-        let taus = taus
-            .iter()
-            .map(|tau| unsnap_f64(tau, "cached tau"))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        // Numerics tallies: optional for snapshots taken before the
-        // numerical-integrity layer existed (absent means all-zero).
-        let mut numerics = NumericsStats::default();
-        if let Some(Json::Arr(nu)) = doc.get("numerics_stats") {
-            let (Some(a), Some(st), Some(g)) = (nu.first(), nu.get(1), nu.get(2)) else {
-                return Err("hotpotato snapshot: `numerics_stats` must hold three counters".into());
-            };
-            numerics = NumericsStats {
-                fallback_activations: unsnap_u64(a, "numerics fallback_activations")?,
-                fallback_steps: unsnap_u64(st, "numerics fallback_steps")?,
-                guard_trips: unsnap_u64(g, "numerics guard_trips")?,
-            };
-        }
+        // Ring occupancy waits for the first `schedule` call: rings are
+        // built lazily from the machine, which `restore` cannot see.
+        self.restored_slots = snap.rings;
+        self.tau_index = snap.tau_index;
+        self.rotating = snap.rotating;
+        self.last_rotation = snap.last_rotation;
+        self.last_peak = snap.last_peak;
+        self.last_evaluation = snap.last_evaluation;
+        self.assignment_dirty = snap.assignment_dirty;
+        self.powers = snap
+            .powers
+            .into_iter()
+            .map(|(job, index, watts)| (ThreadId { job, index }, watts))
+            .collect();
+        self.evaluations = snap.evaluations;
+        self.solver_failures = snap.solver_failures;
         // Re-warm exactly the decay chains the snapshotted solver had
         // cached, discarding the warm-up lookups with the captured
         // tallies, so every subsequent lookup hits and the alg1.*
         // counters in the final report match an uninterrupted run.
-        self.solver.runtime().resume(&taus, stats, numerics);
+        self.solver
+            .runtime()
+            .resume(&snap.cached_taus, snap.alg1_stats, snap.numerics_stats);
         Ok(())
     }
 
@@ -743,10 +592,10 @@ impl Scheduler for HotPotato {
         // The engine's spec-hash binding guarantees the machine (and so
         // the ring structure) matches the one that produced the snapshot.
         if let Some(pending) = self.restored_slots.take() {
-            for (ring, slots) in self.rings.iter_mut().zip(pending) {
-                for (slot, tid) in slots {
+            for (ring, seats) in self.rings.iter_mut().zip(pending) {
+                for (slot, job, index) in seats {
                     if slot < ring.capacity() && ring.occupant(slot).is_none() {
-                        ring.occupy(slot, tid);
+                        ring.occupy(slot, ThreadId { job, index });
                     }
                 }
             }
@@ -1410,5 +1259,20 @@ mod tests {
         let bad = blob.replace("\"tau_index\":1", "\"tau_index\":99");
         assert_ne!(bad, blob);
         assert!(hp.restore(&bad).is_err());
+    }
+
+    #[test]
+    fn snapshot_without_numerics_stats_is_refused() {
+        // The member is as required as the engine's own `numerics_stats`
+        // (a blob without it could only come from an `hp-ckpt-v1`
+        // document, which the loader refuses by schema).
+        let mut hp = HotPotato::new(model_4x4(), HotPotatoConfig::default()).unwrap();
+        let blob = hp.snapshot().expect("snapshots");
+        let member = ",\"numerics_stats\":[0,0,0]";
+        assert!(blob.contains(member), "{blob}");
+        let err = hp
+            .restore(&blob.replace(member, ""))
+            .expect_err("a blob without numerics_stats is refused");
+        assert!(err.contains("numerics_stats"), "{err}");
     }
 }

@@ -9,6 +9,7 @@
 //! engine remains the final backstop below this chain.
 
 use hotpotato::{HotPotato, HotPotatoConfig};
+use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, Scheduler, SchedulerHealth, SimView};
 use hp_thermal::RcThermalModel;
 
@@ -192,6 +193,17 @@ impl FallbackChain {
     }
 }
 
+hp_sim::codec! {
+    /// [`FallbackChain`]'s snapshot blob.
+    struct Snapshot {
+        degraded: bool,
+        hooks_on_fallback: u64,
+        degradations: u64,
+        recoveries: u64,
+        primary: String,
+    }
+}
+
 impl Scheduler for FallbackChain {
     fn name(&self) -> &str {
         "hotpotato-fallback-chain"
@@ -256,48 +268,28 @@ impl Scheduler for FallbackChain {
         Some(report)
     }
 
-    // The chain's own state is four scalars; the wrapped rotation
-    // scheduler's snapshot rides along as an escaped string. (The
-    // FallbackConfig knobs are construction parameters, re-supplied by
-    // whoever builds the chain for the resumed run and pinned by the
-    // engine's spec hash.)
+    // The chain's own counters plus the wrapped rotation scheduler's
+    // blob, nested as an escaped string. (The FallbackConfig knobs are
+    // construction parameters, re-supplied by whoever builds the chain
+    // for the resumed run and pinned by the engine's spec hash.)
     fn snapshot(&self) -> Option<String> {
-        let primary = self.primary.snapshot()?;
-        Some(format!(
-            "{{\"degraded\":{},\"hooks_on_fallback\":{},\"degradations\":{},\"recoveries\":{},\"primary\":\"{}\"}}",
-            self.degraded,
-            self.hooks_on_fallback,
-            self.degradations,
-            self.recoveries,
-            hp_obs::json::escape(&primary)
-        ))
+        Some(encode(&Snapshot {
+            degraded: self.degraded,
+            hooks_on_fallback: self.hooks_on_fallback,
+            degradations: self.degradations,
+            recoveries: self.recoveries,
+            primary: self.primary.snapshot()?,
+        }))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc =
-            hp_obs::json::parse(state).map_err(|e| format!("fallback-chain snapshot: {e}"))?;
-        let field = |name: &str| {
-            doc.get(name)
-                .ok_or_else(|| format!("fallback-chain snapshot: missing `{name}`"))
-        };
-        self.degraded = match field("degraded")? {
-            Json::Bool(b) => *b,
-            _ => return Err("fallback-chain snapshot: bad `degraded`".into()),
-        };
-        self.hooks_on_fallback = field("hooks_on_fallback")?
-            .as_u64()
-            .ok_or("fallback-chain snapshot: bad `hooks_on_fallback`")?;
-        self.degradations = field("degradations")?
-            .as_u64()
-            .ok_or("fallback-chain snapshot: bad `degradations`")?;
-        self.recoveries = field("recoveries")?
-            .as_u64()
-            .ok_or("fallback-chain snapshot: bad `recoveries`")?;
-        let primary = field("primary")?
-            .as_str()
-            .ok_or("fallback-chain snapshot: missing `primary`")?;
-        self.primary.restore(primary)
+        let snap: Snapshot = decode(state).map_err(|e| format!("fallback-chain snapshot: {e}"))?;
+        self.primary.restore(&snap.primary)?;
+        self.degraded = snap.degraded;
+        self.hooks_on_fallback = snap.hooks_on_fallback;
+        self.degradations = snap.degradations;
+        self.recoveries = snap.recoveries;
+        Ok(())
     }
 }
 

@@ -14,6 +14,7 @@
 
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_power::DvfsLevel;
+use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, Scheduler, SimView};
 use hp_thermal::RcThermalModel;
 
@@ -87,6 +88,14 @@ impl HotPotatoDvfs {
     }
 }
 
+hp_sim::codec! {
+    /// [`HotPotatoDvfs`]'s snapshot blob.
+    struct Snapshot {
+        throttle: Option<DvfsLevel>,
+        inner: String,
+    }
+}
+
 impl Scheduler for HotPotatoDvfs {
     fn name(&self) -> &str {
         "hotpotato-dvfs"
@@ -143,38 +152,19 @@ impl Scheduler for HotPotatoDvfs {
     }
 
     // The valve's only state is the chip-wide throttle level; the wrapped
-    // rotation scheduler's snapshot rides along as an escaped string.
+    // rotation scheduler's blob rides along as an escaped string.
     fn snapshot(&self) -> Option<String> {
-        let inner = self.inner.snapshot()?;
-        let throttle = match self.throttle {
-            None => "null".to_string(),
-            Some(level) => level.index().to_string(),
-        };
-        Some(format!(
-            "{{\"throttle\":{throttle},\"inner\":\"{}\"}}",
-            hp_obs::json::escape(&inner)
-        ))
+        Some(encode(&Snapshot {
+            throttle: self.throttle,
+            inner: self.inner.snapshot()?,
+        }))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc =
-            hp_obs::json::parse(state).map_err(|e| format!("hotpotato-dvfs snapshot: {e}"))?;
-        self.throttle = match doc
-            .get("throttle")
-            .ok_or("hotpotato-dvfs snapshot: missing `throttle`")?
-        {
-            Json::Null => None,
-            v => Some(DvfsLevel(
-                v.as_u64()
-                    .ok_or("hotpotato-dvfs snapshot: bad `throttle`")? as usize,
-            )),
-        };
-        let inner = doc
-            .get("inner")
-            .and_then(Json::as_str)
-            .ok_or("hotpotato-dvfs snapshot: missing `inner`")?;
-        self.inner.restore(inner)
+        let snap: Snapshot = decode(state).map_err(|e| format!("hotpotato-dvfs snapshot: {e}"))?;
+        self.inner.restore(&snap.inner)?;
+        self.throttle = snap.throttle;
+        Ok(())
     }
 }
 

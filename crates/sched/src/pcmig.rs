@@ -1,5 +1,6 @@
 use hp_floorplan::CoreId;
-use hp_sim::{Action, Scheduler, SimView};
+use hp_sim::codec::{decode, encode};
+use hp_sim::{Action, Scheduler, SimView, ThreadId};
 use hp_thermal::RcThermalModel;
 
 use crate::budget::{assign_levels_for_budget, assign_levels_per_core, BudgetCache};
@@ -55,7 +56,6 @@ pub struct PcGov {
     model: RcThermalModel,
     t_dtm: f64,
     idle_power: f64,
-    preferred: Option<Vec<CoreId>>,
     cache: BudgetCache,
 }
 
@@ -66,7 +66,6 @@ impl PcGov {
             model,
             t_dtm,
             idle_power,
-            preferred: None,
             cache: BudgetCache::default(),
         }
     }
@@ -78,7 +77,7 @@ impl Scheduler for PcGov {
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {
-        let mut actions = TspUniform::place_pending(view, &mut self.preferred);
+        let mut actions = TspUniform::place_pending(view, &mut None);
         actions.extend(assign_levels_per_core(
             view,
             &self.model,
@@ -119,12 +118,24 @@ impl Scheduler for PcGov {
 pub struct PcMig {
     model: RcThermalModel,
     config: PcMigConfig,
-    preferred: Option<Vec<CoreId>>,
     /// Last observed core temperatures and their timestamp.
     last_temps: Option<(f64, Vec<f64>)>,
     /// Per-thread time of last migration.
-    last_migration: std::collections::BTreeMap<hp_sim::ThreadId, f64>,
+    last_migration: std::collections::BTreeMap<ThreadId, f64>,
     migrations_issued: u64,
+}
+
+hp_sim::codec! {
+    /// [`PcMig`]'s snapshot blob: everything it keeps across hooks. The
+    /// predictor's previous sample and the cooldown clocks decide which
+    /// threads migrate next, so a resumed run needs both.
+    struct Snapshot {
+        /// `[time, per-core °C]` of the previous hook, `null` before it.
+        last_temps: Option<(f64, Vec<f64>)>,
+        /// `[[job, thread index], time]` of each thread's last migration.
+        last_migration: Vec<(ThreadId, f64)>,
+        migrations_issued: u64,
+    }
 }
 
 impl PcMig {
@@ -133,17 +144,10 @@ impl PcMig {
         PcMig {
             model,
             config,
-            preferred: None,
             last_temps: None,
             last_migration: std::collections::BTreeMap::new(),
             migrations_issued: 0,
         }
-    }
-
-    /// Pins the first job exactly on `cores`.
-    pub fn with_preferred_cores(mut self, cores: Vec<CoreId>) -> Self {
-        self.preferred = Some(cores);
-        self
     }
 
     /// Total on-demand migrations issued so far.
@@ -158,7 +162,7 @@ impl Scheduler for PcMig {
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {
-        let mut actions = TspUniform::place_pending(view, &mut self.preferred);
+        let mut actions = TspUniform::place_pending(view, &mut None);
 
         // Linear temperature prediction per core.
         let n = view.machine.core_count();
@@ -180,7 +184,7 @@ impl Scheduler for PcMig {
 
         // On-demand migrations: hottest predicted core first.
         let trigger = self.config.t_dtm - self.config.migration_margin;
-        let mut hot_threads: Vec<(f64, hp_sim::ThreadId, CoreId)> = view
+        let mut hot_threads: Vec<(f64, ThreadId, CoreId)> = view
             .threads
             .iter()
             .filter(|t| predicted[t.core.index()] > trigger)
@@ -227,6 +231,26 @@ impl Scheduler for PcMig {
             self.config.idle_power,
         ));
         actions
+    }
+
+    fn snapshot(&self) -> Option<String> {
+        Some(encode(&Snapshot {
+            last_temps: self.last_temps.clone(),
+            last_migration: self
+                .last_migration
+                .iter()
+                .map(|(&thread, &at)| (thread, at))
+                .collect(),
+            migrations_issued: self.migrations_issued,
+        }))
+    }
+
+    fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
+        let snap: Snapshot = decode(state).map_err(|e| format!("pcmig snapshot: {e}"))?;
+        self.last_temps = snap.last_temps;
+        self.last_migration = snap.last_migration.into_iter().collect();
+        self.migrations_issued = snap.migrations_issued;
+        Ok(())
     }
 }
 

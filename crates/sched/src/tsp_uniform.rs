@@ -1,4 +1,5 @@
 use hp_floorplan::CoreId;
+use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, Scheduler, SimView};
 use hp_thermal::RcThermalModel;
 
@@ -89,6 +90,13 @@ impl TspUniform {
     }
 }
 
+hp_sim::codec! {
+    /// [`TspUniform`]'s snapshot blob.
+    struct Snapshot {
+        preferred: Option<Vec<CoreId>>,
+    }
+}
+
 impl Scheduler for TspUniform {
     fn name(&self) -> &str {
         "tsp-uniform"
@@ -108,36 +116,14 @@ impl Scheduler for TspUniform {
     // The budget recomputation is stateless; the only mutable state is
     // the one-shot preferred placement, which `schedule` consumes.
     fn snapshot(&self) -> Option<String> {
-        let body = match &self.preferred {
-            None => "null".to_string(),
-            Some(cores) => {
-                let list: Vec<String> = cores.iter().map(|c| c.index().to_string()).collect();
-                format!("[{}]", list.join(","))
-            }
-        };
-        Some(format!("{{\"preferred\":{body}}}"))
+        Some(encode(&Snapshot {
+            preferred: self.preferred.clone(),
+        }))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        use hp_obs::json::Json;
-        let doc = hp_obs::json::parse(state).map_err(|e| format!("tsp-uniform snapshot: {e}"))?;
-        let preferred = doc
-            .get("preferred")
-            .ok_or("tsp-uniform snapshot: missing `preferred`")?;
-        self.preferred = match preferred {
-            Json::Null => None,
-            Json::Arr(items) => Some(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .map(|i| CoreId(i as usize))
-                            .ok_or_else(|| "tsp-uniform snapshot: non-integer core".to_string())
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            ),
-            _ => return Err("tsp-uniform snapshot: `preferred` must be null or a list".into()),
-        };
+        let snap: Snapshot = decode(state).map_err(|e| format!("tsp-uniform snapshot: {e}"))?;
+        self.preferred = snap.preferred;
         Ok(())
     }
 }

@@ -8,16 +8,14 @@ use hp_floorplan::CoreId;
 use hp_linalg::Vector;
 use hp_manycore::Machine;
 use hp_power::DvfsLevel;
-use hp_thermal::{
-    NumericsStats, RcThermalModel, SolverStats, ThermalConfig, ThermalState, TransientSolver,
-};
+use hp_thermal::{RcThermalModel, ThermalConfig, ThermalState, TransientSolver};
 use hp_workload::{Job, JobId};
 
 use crate::checkpoint::{
     self, ActiveJobState, CheckpointError, CheckpointState, EngineCheckpoint, FaultState,
-    MetricsState, ObsState, ThreadState, TraceState,
+    MetricsState, ObsState, SchedulerState, ThreadState, TraceState,
 };
-use crate::job::{JobRuntime, PowerHistory, ThreadId, ThreadPhaseState, ThreadRuntime};
+use crate::job::{JobRuntime, ThreadId, ThreadPhaseState, ThreadRuntime};
 use crate::metrics::{JobRecord, Metrics};
 use crate::scheduler::{Action, PendingJobView, Scheduler, SchedulerHealth, SimView, ThreadView};
 use crate::trace::{TemperatureTrace, TraceEventKind};
@@ -519,7 +517,7 @@ impl Simulation {
                         },
                         stall_until: t.stall_until,
                         warmup_until: t.warmup_until,
-                        history: t.history.raw_parts(),
+                        history: t.history.clone(),
                         last_cpi: t.last_cpi,
                         migrations: t.migrations,
                         instructions_retired: t.instructions_retired,
@@ -563,8 +561,6 @@ impl Simulation {
             confidence: fr.confidence.clone(),
             sensors_degraded: fr.sensors_degraded,
         });
-        let s = self.solver.runtime().stats();
-        let nu = self.solver.runtime().numerics();
         EngineCheckpoint {
             spec_hash: spec,
             state: CheckpointState {
@@ -595,15 +591,12 @@ impl Simulation {
                 faults,
                 obs,
                 trace,
-                thermal_stats: [
-                    s.batch_calls,
-                    s.batched_items,
-                    s.decay_cache_hits,
-                    s.decay_cache_misses,
-                ],
-                numerics_stats: [nu.fallback_activations, nu.fallback_steps, nu.guard_trips],
-                scheduler_name: scheduler.name().to_string(),
-                scheduler_blob: scheduler.snapshot(),
+                thermal_stats: self.solver.runtime().stats(),
+                numerics_stats: self.solver.runtime().numerics(),
+                scheduler: SchedulerState {
+                    name: scheduler.name().to_string(),
+                    blob: scheduler.snapshot(),
+                },
             },
         }
     }
@@ -634,10 +627,10 @@ impl Simulation {
         }
         let s = &ckpt.state;
         let n = self.machine.core_count();
-        if s.scheduler_name != scheduler.name() {
+        if s.scheduler.name != scheduler.name() {
             return Err(invalid(format!(
                 "checkpoint was taken under scheduler `{}`, resuming under `{}`",
-                s.scheduler_name,
+                s.scheduler.name,
                 scheduler.name()
             )));
         }
@@ -709,7 +702,6 @@ impl Simulation {
                             t.core
                         )));
                     }
-                    let (samples, window, total_time, total_energy) = t.history.clone();
                     Ok(ThreadRuntime {
                         id: ThreadId { job: id, index: i },
                         core: CoreId(t.core),
@@ -719,12 +711,7 @@ impl Simulation {
                         },
                         stall_until: t.stall_until,
                         warmup_until: t.warmup_until,
-                        history: PowerHistory::from_raw_parts(
-                            samples,
-                            window,
-                            total_time,
-                            total_energy,
-                        ),
+                        history: t.history.clone(),
                         last_cpi: t.last_cpi,
                         migrations: t.migrations,
                         instructions_retired: t.instructions_retired,
@@ -797,7 +784,7 @@ impl Simulation {
             })
         };
 
-        if let Some(blob) = &s.scheduler_blob {
+        if let Some(blob) = &s.scheduler.blob {
             scheduler
                 .restore(blob)
                 .map_err(|m| invalid(format!("scheduler rejected its snapshot: {m}")))?;
@@ -824,20 +811,9 @@ impl Simulation {
         // Warm the decay cache for the fixed dt, discarding the warm-up
         // miss with the captured tallies: every in-run lookup hits, so
         // the final counters match an uninterrupted run.
-        self.solver.runtime().resume(
-            &[self.config.dt],
-            SolverStats {
-                batch_calls: s.thermal_stats[0],
-                batched_items: s.thermal_stats[1],
-                decay_cache_hits: s.thermal_stats[2],
-                decay_cache_misses: s.thermal_stats[3],
-            },
-            NumericsStats {
-                fallback_activations: s.numerics_stats[0],
-                fallback_steps: s.numerics_stats[1],
-                guard_trips: s.numerics_stats[2],
-            },
-        );
+        self.solver
+            .runtime()
+            .resume(&[self.config.dt], s.thermal_stats, s.numerics_stats);
         self.ckpt_resumes = 1;
 
         let completed = usize::try_from(s.completed)

@@ -21,7 +21,7 @@ impl std::fmt::Display for ThreadId {
 }
 
 /// Windowed average power history (the "last 10 ms" of paper Algorithm 1).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct PowerHistory {
     samples: VecDeque<(f64, f64)>, // (duration, watts)
     window: f64,
@@ -71,36 +71,16 @@ impl PowerHistory {
         }
         self.total_energy / self.total_time
     }
-
-    /// The raw window state for checkpointing: `(samples, window,
-    /// total_time, total_energy)` with samples as `(duration, watts)`
-    /// pairs in deque order.
-    pub(crate) fn raw_parts(&self) -> (Vec<(f64, f64)>, f64, f64, f64) {
-        (
-            self.samples.iter().copied().collect(),
-            self.window,
-            self.total_time,
-            self.total_energy,
-        )
-    }
-
-    /// Rebuilds a history from captured [`PowerHistory::raw_parts`]. The
-    /// running totals are restored verbatim (not recomputed) so a
-    /// resumed run reproduces the original averages bit-for-bit.
-    pub(crate) fn from_raw_parts(
-        samples: Vec<(f64, f64)>,
-        window: f64,
-        total_time: f64,
-        total_energy: f64,
-    ) -> Self {
-        PowerHistory {
-            samples: samples.into(),
-            window,
-            total_time,
-            total_energy,
-        }
-    }
 }
+
+// Checkpoints carry the window verbatim, running totals included (not
+// recomputed), so a resumed run reproduces the averages bit-for-bit.
+crate::codec!(PowerHistory {
+    window,
+    total_time,
+    total_energy,
+    samples,
+});
 
 /// Per-thread execution state within the current phase.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -41,6 +41,7 @@
 //! ```
 
 mod checkpoint;
+pub mod codec;
 mod config;
 mod engine;
 mod error;

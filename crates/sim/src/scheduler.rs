@@ -176,10 +176,14 @@ pub trait Scheduler {
     /// opaque to the engine (stored verbatim inside the checkpoint and
     /// handed back to [`restore`](Scheduler::restore) on resume); the
     /// contract is that `snapshot` → fresh instance → `restore` leaves
-    /// the policy bit-identical in its future decisions. A policy whose
+    /// the policy bit-identical in its future decisions. A policy that
+    /// keeps state across hooks must snapshot it — the built-in ones
+    /// write a [`codec!`](crate::codec!) struct with
+    /// [`codec::encode`](crate::codec::encode). Only a policy whose
     /// behaviour is a pure function of the [`SimView`] may keep the
-    /// default `None` — the engine then calls `restore` never and the
-    /// run stays resumable.
+    /// default `None`; the engine then never calls `restore`.
+    /// `tests/checkpoint_chaos.rs::every_scheduler_resumes_bit_identically`
+    /// holds every built-in policy to this contract.
     fn snapshot(&self) -> Option<String> {
         None
     }

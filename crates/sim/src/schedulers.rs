@@ -10,6 +10,7 @@
 
 use hp_floorplan::CoreId;
 
+use crate::codec::{decode, encode};
 use crate::scheduler::{Action, Scheduler, SimView};
 
 /// Places jobs on the free cores with the lowest AMD (best performance)
@@ -50,6 +51,13 @@ impl PinnedScheduler {
     /// The configured fixed placement, if any.
     pub fn preferred_cores(&self) -> Option<&[CoreId]> {
         self.preferred.as_deref()
+    }
+}
+
+crate::codec! {
+    /// [`PinnedScheduler`]'s snapshot blob.
+    struct Snapshot {
+        preferred: Option<Vec<CoreId>>,
     }
 }
 
@@ -96,35 +104,14 @@ impl Scheduler for PinnedScheduler {
     // `schedule` consumes: the snapshot records whether (and where) it
     // is still armed.
     fn snapshot(&self) -> Option<String> {
-        let body = match &self.preferred {
-            None => "null".to_string(),
-            Some(cores) => {
-                let list: Vec<String> = cores.iter().map(|c| c.index().to_string()).collect();
-                format!("[{}]", list.join(","))
-            }
-        };
-        Some(format!("{{\"preferred\":{body}}}"))
+        Some(encode(&Snapshot {
+            preferred: self.preferred.clone(),
+        }))
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        let doc = hp_obs::json::parse(state).map_err(|e| format!("pinned snapshot: {e}"))?;
-        let preferred = doc
-            .get("preferred")
-            .ok_or("pinned snapshot: missing `preferred`")?;
-        self.preferred = match preferred {
-            hp_obs::json::Json::Null => None,
-            hp_obs::json::Json::Arr(items) => Some(
-                items
-                    .iter()
-                    .map(|v| {
-                        v.as_u64()
-                            .map(|i| CoreId(i as usize))
-                            .ok_or_else(|| "pinned snapshot: non-integer core".to_string())
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?,
-            ),
-            _ => return Err("pinned snapshot: `preferred` must be null or a list".into()),
-        };
+        let snap: Snapshot = decode(state).map_err(|e| format!("pinned snapshot: {e}"))?;
+        self.preferred = snap.preferred;
         Ok(())
     }
 }

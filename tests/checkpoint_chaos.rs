@@ -19,7 +19,8 @@ use hp_floorplan::GridFloorplan;
 use hp_manycore::{ArchConfig, Machine};
 use hp_sched::{FallbackChain, FallbackConfig};
 use hp_sim::{
-    EngineCheckpoint, Metrics, RunOptions, SimConfig, SimError, Simulation, TemperatureTrace,
+    EngineCheckpoint, Metrics, RunOptions, Scheduler, SimConfig, SimError, Simulation,
+    TemperatureTrace,
 };
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::{closed_batch, Benchmark, Job};
@@ -188,6 +189,128 @@ fn interrupted_and_resumed_run_is_bit_identical_to_golden() {
 
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// The resume contract, held against every scheduler the CLI and the
+/// campaign runner can build (DESIGN.md §13): a policy that keeps state
+/// across hooks must carry it through its snapshot. Each runs the CLI's
+/// `simulate --grid 4x4 --benchmark blackscholes --cores 16` batch once
+/// uninterrupted and once cut 10 intervals after its last 20 ms
+/// checkpoint before the end, then resumed with a fresh engine and a
+/// fresh scheduler. (PCMig's on-demand migrations come late in this
+/// batch: without its predictor sample and cooldown clocks it resumes
+/// from step 600 onto a different trajectory.)
+#[test]
+fn every_scheduler_resumes_bit_identically() {
+    use hp_campaign::{
+        build_scheduler, CampaignJob, ChipArtifacts, ThermalProfile, Workload, SCHEDULER_NAMES,
+    };
+
+    let art = ChipArtifacts::build(4, 4, ThermalProfile::default()).expect("4x4 artifacts");
+    let work = || closed_batch(Benchmark::Blackscholes, 16, 42);
+    let sim = || {
+        Simulation::new(
+            machine_4x4(),
+            ThermalConfig::default(),
+            SimConfig::default(),
+        )
+        .expect("valid sim config")
+    };
+    let every = 200; // intervals between checkpoints: 20 ms at dt = 100 µs
+    for &name in SCHEDULER_NAMES {
+        let workload = Workload::Closed {
+            benchmark: Benchmark::Blackscholes,
+            cores: 16,
+            seed: 42,
+        };
+        let job = CampaignJob::new(name, name, (4, 4), workload, SimConfig::default());
+        let scheduler = || build_scheduler(&job, &art).expect("a known scheduler");
+        let golden = sim()
+            .run(work(), scheduler().as_mut())
+            .expect("uninterrupted run completes");
+        let total = golden
+            .observability
+            .counter("engine.intervals")
+            .expect("interval counter");
+        let last_boundary = (total - 11) / every * every;
+        assert!(last_boundary >= every, "{name}: {total} intervals");
+
+        let path = scratch_file(&format!("contract-{name}"));
+        sim()
+            .run_with_options(
+                work(),
+                scheduler().as_mut(),
+                &RunOptions {
+                    checkpoint_every_seconds: Some(20e-3),
+                    checkpoint_path: Some(path.clone()),
+                    max_intervals: Some(last_boundary + 10),
+                    ..RunOptions::default()
+                },
+            )
+            .expect_err("the interval budget interrupts the run");
+        let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint written");
+        assert_eq!(ckpt.step(), last_boundary, "{name}");
+        let resumed = sim()
+            .run_with_options(
+                work(),
+                scheduler().as_mut(),
+                &RunOptions {
+                    resume_from: Some(ckpt),
+                    ..RunOptions::default()
+                },
+            )
+            .expect("resumed run completes");
+        assert_eq!(
+            resumed.observability.without_timings(),
+            golden.observability.without_timings(),
+            "{name}: resumed report differs from the uninterrupted run's"
+        );
+        assert_eq!(
+            normalized(&resumed),
+            normalized(&golden),
+            "{name}: resumed metrics differ from the uninterrupted run's"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// An `hp-ckpt-v2` document written by an earlier build, committed as is
+/// so that a codec change which moves a single byte of the format fails
+/// here. It is the last checkpoint (step 1400) of
+///
+/// ```text
+/// hotpotato-cli simulate --grid 4x4 --scheduler fallback --benchmark canneal \
+///     --cores 4 --faults plan.json --checkpoint-every 0.01 --checkpoint-dir D
+/// ```
+///
+/// with `plan.json` = `{"seed": 42, "sensor_dropout_rate": 0.3}`: it
+/// carries fault state, 267 trace events, 48 modal coordinates and a
+/// FallbackChain blob that wraps an escaped HotPotato blob. The fixture
+/// is never regenerated — it stands for the documents older binaries
+/// wrote.
+const OLDER_CHECKPOINT: &str = include_str!("golden/ckpt_v2_fallback_4x4.json");
+
+#[test]
+fn checkpoint_from_an_older_binary_verifies_and_reencodes_byte_for_byte() {
+    let ckpt = EngineCheckpoint::from_json_str(OLDER_CHECKPOINT).expect("digest verifies");
+    assert_eq!(ckpt.step(), 1400);
+    assert_eq!(ckpt.to_json_string(), OLDER_CHECKPOINT);
+
+    let doc = hp_obs::json::parse(OLDER_CHECKPOINT).expect("well-formed JSON");
+    let blob = doc
+        .get("state")
+        .and_then(|s| s.get("scheduler"))
+        .and_then(|s| s.get("blob"))
+        .and_then(hp_obs::json::Json::as_str)
+        .expect("a scheduler blob");
+    let mut fresh = FallbackChain::new(
+        model_4x4(),
+        hotpotato::HotPotatoConfig::default(),
+        FallbackConfig::default(),
+    )
+    .expect("valid chain");
+    fresh.restore(blob).expect("the chain accepts the blob");
+    assert_eq!(fresh.snapshot().as_deref(), Some(blob));
 }
 
 #[test]
