@@ -1,6 +1,6 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method, plus the
-//! diagonal-congruence transform that factorizes the thermal system matrix
-//! `C = -A⁻¹B`.
+//! Symmetric eigendecomposition via Householder tridiagonalization and
+//! the implicit-shift QL iteration, plus the diagonal-congruence
+//! transform that factorizes the thermal system matrix `C = -A⁻¹B`.
 //!
 //! `A` (thermal capacitances) is diagonal with strictly positive entries and
 //! `B` (thermal conductances) is symmetric positive definite, so `C` is
@@ -11,16 +11,27 @@
 //! C = -A⁻¹B = A^{-1/2} · (-S) · A^{1/2}
 //! ```
 //!
-//! Jacobi-decomposing `S = Q Λ Qᵀ` yields `C = V (-Λ) V⁻¹` with
-//! `V = A^{-1/2} Q` and `V⁻¹ = Qᵀ A^{1/2}` — no general (nonsymmetric)
-//! eigensolver is ever needed, and all eigenvalues of `C` are provably
-//! negative, which is what makes the geometric-series closed forms of the
-//! paper's Eq. (9) legitimate.
+//! Decomposing `S = Q Λ Qᵀ` with an orthogonal `Q` yields
+//! `C = V (-Λ) V⁻¹` with `V = A^{-1/2} Q` and `V⁻¹ = Qᵀ A^{1/2}` — no
+//! general (nonsymmetric) eigensolver is ever needed, and all eigenvalues
+//! of `C` are provably negative, which is what makes the geometric-series
+//! closed forms of the paper's Eq. (9) legitimate.
+//!
+//! The symmetric solver is the textbook pair `tred2` + `tql2` (Golub &
+//! Van Loan §8.3; Bowdler, Martin, Reinsch & Wilkinson): Householder
+//! reflections reduce `S` to tridiagonal form while accumulating their
+//! product, then implicitly shifted QL sweeps chase the off-diagonal to
+//! zero, applying every Givens rotation to the accumulated vectors. Both
+//! stages run on the *transposed* working matrix — row `j` holds the
+//! textbook's column `j` — so every `O(n)` inner loop, the rotations of
+//! the eigenvector accumulation included, walks one contiguous row.
 
 use crate::{LinalgError, Matrix, NumericalError, Result, Vector};
 
-/// Maximum number of full Jacobi sweeps before declaring non-convergence.
-const MAX_SWEEPS: u32 = 64;
+/// Implicit-QL iterations allowed per eigenvalue before declaring
+/// non-convergence (the EISPACK `tql2` budget; two or three suffice in
+/// practice).
+const MAX_QL_ITERATIONS: u32 = 30;
 
 /// Eigendecomposition `M = Q Λ Qᵀ` of a symmetric matrix, with `Q` orthogonal.
 ///
@@ -48,25 +59,34 @@ pub struct SymmetricEigen {
 }
 
 impl SymmetricEigen {
-    /// Decomposes a symmetric matrix with the cyclic Jacobi method.
+    /// Decomposes a symmetric matrix: Householder tridiagonalization,
+    /// then implicit-shift QL (see the [module docs](self)). Only the
+    /// lower triangle is read once the symmetry check has passed.
     ///
     /// # Errors
     ///
     /// * [`LinalgError::NotSquare`] for rectangular input.
+    /// * [`NumericalError::NonFinite`] (wrapped in
+    ///   [`LinalgError::Numerical`]) if any entry is NaN or infinite.
     /// * [`LinalgError::NotSymmetric`] if the asymmetry exceeds
     ///   `1e-8 · ‖M‖∞`.
     /// * [`NumericalError::NonConvergence`] (wrapped in
-    ///   [`LinalgError::Numerical`]) if off-diagonal mass persists after
-    ///   the sweep budget (practically unreachable for symmetric input).
-    ///   The error carries the sweep count, the residual off-diagonal
-    ///   norm, and the diagonal at abort as the partial eigenvalue
-    ///   estimates.
+    ///   [`LinalgError::Numerical`]) if an eigenvalue is still coupled to
+    ///   its neighbour after 30 QL iterations (practically unreachable for
+    ///   finite symmetric input). The error carries the iteration count,
+    ///   the residual subdiagonal entry, and the diagonal at abort as the
+    ///   partial eigenvalue estimates.
     pub fn new(m: &Matrix) -> Result<Self> {
         if !m.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: m.rows(),
                 cols: m.cols(),
             });
+        }
+        if m.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::Numerical(NumericalError::NonFinite {
+                what: "symmetric eigen input",
+            }));
         }
         let n = m.rows();
         let scale = m.norm_inf().max(f64::MIN_POSITIVE);
@@ -82,79 +102,30 @@ impl SymmetricEigen {
                 }
             }
         }
-
-        let mut a = m.clone();
-        let mut q = Matrix::identity(n);
-        let tol = 1e-14 * scale;
-
-        for _sweep in 0..MAX_SWEEPS {
-            let mut off = 0.0f64;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    off = off.max(a[(i, j)].abs());
-                }
-            }
-            if off <= tol {
-                return Ok(Self::sorted(a.diagonal(), q));
-            }
-            for p in 0..n {
-                for r in (p + 1)..n {
-                    let apr = a[(p, r)];
-                    if apr.abs() <= tol {
-                        continue;
-                    }
-                    // Classic Jacobi rotation annihilating a[p][r].
-                    let app = a[(p, p)];
-                    let arr = a[(r, r)];
-                    let theta = (arr - app) / (2.0 * apr);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-
-                    for k in 0..n {
-                        let akp = a[(k, p)];
-                        let akr = a[(k, r)];
-                        a[(k, p)] = c * akp - s * akr;
-                        a[(k, r)] = s * akp + c * akr;
-                    }
-                    for k in 0..n {
-                        let apk = a[(p, k)];
-                        let ark = a[(r, k)];
-                        a[(p, k)] = c * apk - s * ark;
-                        a[(r, k)] = s * apk + c * ark;
-                    }
-                    for k in 0..n {
-                        let qkp = q[(k, p)];
-                        let qkr = q[(k, r)];
-                        q[(k, p)] = c * qkp - s * qkr;
-                        q[(k, r)] = s * qkp + c * qkr;
-                    }
-                }
-            }
+        if n == 0 {
+            return Ok(SymmetricEigen {
+                eigenvalues: Vector::zeros(0),
+                eigenvectors: Matrix::zeros(0, 0),
+            });
         }
-        let mut off = 0.0f64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off = off.max(a[(i, j)].abs());
-            }
-        }
-        Err(LinalgError::Numerical(NumericalError::NonConvergence {
-            sweeps: MAX_SWEEPS,
-            off_norm: off,
-            partial: a.diagonal(),
-        }))
+        // Row j of `w` is column j of the textbook's working matrix; on
+        // return row j is the eigenvector of `d[j]`.
+        let mut w = m.transpose().as_slice().to_vec();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        tridiagonalize(&mut w, &mut d, &mut e, n);
+        ql_implicit(&mut w, &mut d, &mut e, n)?;
+        Ok(Self::sorted(&d, &w))
     }
 
-    fn sorted(values: Vector, vectors: Matrix) -> Self {
+    /// Sorts the eigenpairs ascending; `vectors_t` holds one eigenvector
+    /// per row, in the order of `values`.
+    fn sorted(values: &[f64], vectors_t: &[f64]) -> Self {
         let n = values.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
         let eigenvalues = Vector::from_fn(n, |i| values[order[i]]);
-        let eigenvectors = Matrix::from_fn(n, n, |i, j| vectors[(i, order[j])]);
+        let eigenvectors = Matrix::from_fn(n, n, |i, j| vectors_t[order[j] * n + i]);
         SymmetricEigen {
             eigenvalues,
             eigenvectors,
@@ -183,6 +154,189 @@ impl SymmetricEigen {
                 .sum()
         })
     }
+}
+
+/// Householder reduction of the symmetric `n × n` matrix held
+/// (transposed) in `w` to tridiagonal form — EISPACK `tred2`.
+///
+/// On return `d` is the diagonal, `e[1..]` the subdiagonal (`e[0] = 0`),
+/// and row `j` of `w` is column `j` of the orthogonal `Q` with
+/// `M = Q·T·Qᵀ`. `w[j·n + k]` stands for the textbook's `V[k][j]`, so the
+/// symmetric mat-vec, the rank-2 update and the accumulation all stream
+/// rows.
+fn tridiagonalize(w: &mut [f64], d: &mut [f64], e: &mut [f64], n: usize) {
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            // Row already reduced: skip the reflection.
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
+            }
+        } else {
+            // Householder vector, scaled against under/overflow.
+            for x in &mut d[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let mut f = d[i - 1];
+            let mut g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // e = M·u over the leading i×i block, from its lower triangle.
+            w[i * n..i * n + i].copy_from_slice(&d[..i]);
+            for j in 0..i {
+                f = d[j];
+                let row = &w[j * n..j * n + i];
+                g = e[j] + row[j] * f;
+                for k in (j + 1)..i {
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
+                }
+                e[j] = g;
+            }
+            f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            // Rank-2 update of the leading block.
+            for j in 0..i {
+                f = d[j];
+                g = e[j];
+                let row = &mut w[j * n..j * n + i];
+                for ((x, &ek), &dk) in row[j..].iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
+                    *x -= f * ek + g * dk;
+                }
+                d[j] = row[i - 1];
+                w[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the reflections into Q.
+    for i in 0..n - 1 {
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (lead, rest) = w.split_at_mut((i + 1) * n);
+        let u = &mut rest[..=i];
+        if h != 0.0 {
+            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
+                *dk = uk / h;
+            }
+            for row in lead.chunks_exact_mut(n) {
+                let row = &mut row[..=i];
+                let g: f64 = u.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
+                for (x, &dk) in row.iter_mut().zip(&d[..=i]) {
+                    *x -= g * dk;
+                }
+            }
+        }
+        u.fill(0.0);
+    }
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
+    }
+    w[n * n - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// Diagonalizes the symmetric tridiagonal matrix `(d, e)` from
+/// [`tridiagonalize`] by implicitly shifted QL iterations — EISPACK
+/// `tql2` — rotating the rows of `w` along.
+///
+/// On return `d` holds the eigenvalues (unsorted) and row `j` of `w` the
+/// eigenvector of `d[j]`.
+///
+/// # Errors
+///
+/// [`NumericalError::NonConvergence`] once one eigenvalue has used
+/// [`MAX_QL_ITERATIONS`] iterations without decoupling.
+fn ql_implicit(w: &mut [f64], d: &mut [f64], e: &mut [f64], n: usize) -> Result<()> {
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let mut f = 0.0;
+    let mut tst1 = 0.0f64;
+    for l in 0..n {
+        // Find the first negligible subdiagonal entry at or after l.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let mut m = l;
+        while m + 1 < n && e[m].abs() > f64::EPSILON * tst1 {
+            m += 1;
+        }
+        // m == l: d[l] has decoupled; otherwise iterate on the block l..=m.
+        let mut iterations = 0;
+        while m > l && e[l].abs() > f64::EPSILON * tst1 {
+            if iterations == MAX_QL_ITERATIONS {
+                return Err(LinalgError::Numerical(NumericalError::NonConvergence {
+                    sweeps: iterations,
+                    off_norm: e[l].abs(),
+                    partial: Vector::from_fn(n, |k| if k < l { d[k] } else { d[k] + f }),
+                }));
+            }
+            iterations += 1;
+            // Implicit (Wilkinson) shift from the leading 2×2 block.
+            let mut g = d[l];
+            let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+            let mut r = p.hypot(1.0);
+            if p < 0.0 {
+                r = -r;
+            }
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let mut h = g - d[l];
+            for x in &mut d[l + 2..n] {
+                *x -= h;
+            }
+            f += h;
+            // One QL sweep: Givens rotations from the bottom of the block.
+            p = d[m];
+            let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0, 0.0);
+            for i in (l..m).rev() {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                g = c * e[i];
+                h = c * p;
+                r = p.hypot(e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                // Rotate eigenvector rows i and i+1.
+                let (lo, hi) = w.split_at_mut((i + 1) * n);
+                for (a, b) in lo[i * n..].iter_mut().zip(&mut hi[..n]) {
+                    let t = *b;
+                    *b = s * *a + c * t;
+                    *a = c * *a - s * t;
+                }
+            }
+            p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+        }
+        d[l] += f;
+        e[l] = 0.0;
+    }
+    Ok(())
 }
 
 /// Eigendecomposition of the thermal system matrix `C = -A⁻¹B`.
@@ -216,9 +370,12 @@ impl SystemEigen {
     ///
     /// # Errors
     ///
-    /// * [`LinalgError::InvalidInput`] if any capacitance is non-positive or
-    ///   dimensions disagree.
-    /// * Errors from the underlying Jacobi decomposition.
+    /// * [`LinalgError::DimensionMismatch`] if `B` is not `N × N`.
+    /// * [`LinalgError::InvalidInput`] if any capacitance is non-positive
+    ///   or non-finite.
+    /// * [`NumericalError::NonFinite`] (wrapped in
+    ///   [`LinalgError::Numerical`]) if `B` holds a NaN or infinity.
+    /// * Errors from the underlying [`SymmetricEigen::new`].
     pub fn new(a_diag: &Vector, b: &Matrix) -> Result<Self> {
         let n = a_diag.len();
         if b.rows() != n || b.cols() != n {
@@ -232,6 +389,11 @@ impl SystemEigen {
             return Err(LinalgError::InvalidInput(
                 "thermal capacitances must be positive and finite",
             ));
+        }
+        if b.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::Numerical(NumericalError::NonFinite {
+                what: "conductance matrix B",
+            }));
         }
         let inv_sqrt = Vector::from_fn(n, |i| 1.0 / a_diag[i].sqrt());
         let sqrt_a = Vector::from_fn(n, |i| a_diag[i].sqrt());
@@ -295,17 +457,22 @@ impl SystemEigen {
     /// the decomposition still inverts cleanly. For a healthy model this
     /// is at round-off level (≲ 1e-12); values far above that mean the
     /// congruence transform lost accuracy.
+    ///
+    /// One [`Matrix::mul_matrix`]: its ascending-`k` accumulation from
+    /// `0.0` is the textbook triple loop's, so the residual is the same
+    /// to the last bit.
     pub fn basis_residual(&self) -> f64 {
         let n = self.dim();
+        // V and V⁻¹ are both N × N by construction; a mismatch would mean
+        // a corrupt basis, which no residual can vouch for.
+        let Ok(product) = self.v.mul_matrix(&self.v_inv) else {
+            return f64::INFINITY;
+        };
         let mut worst = 0.0f64;
         for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += self.v[(i, k)] * self.v_inv[(k, j)];
-                }
+            for (j, &x) in product.row(i).iter().enumerate() {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                worst = worst.max((acc - expect).abs());
+                worst = worst.max((x - expect).abs());
             }
         }
         worst
@@ -368,6 +535,9 @@ impl SystemEigen {
 mod tests {
     use super::*;
 
+    // The `jacobi_*` tests keep the names they had under the cyclic-Jacobi
+    // solver; they cover `symmetric_eigen`, whatever its algorithm.
+
     #[test]
     fn jacobi_2x2_known() {
         let m = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
@@ -408,6 +578,77 @@ mod tests {
         let m = Matrix::from_diagonal(&Vector::from(vec![3.0, 1.0, 2.0]));
         let eig = m.symmetric_eigen().unwrap();
         assert_eq!(eig.eigenvalues().as_slice(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn non_finite_input_is_a_typed_error() {
+        let m = Matrix::from_rows(&[
+            &[1.0, f64::NAN, 0.0],
+            &[f64::NAN, 2.0, 0.0],
+            &[0.0, 0.0, 3.0],
+        ])
+        .unwrap();
+        assert_eq!(
+            m.symmetric_eigen().unwrap_err(),
+            LinalgError::Numerical(NumericalError::NonFinite {
+                what: "symmetric eigen input"
+            })
+        );
+        let inf = Matrix::from_diagonal(&Vector::from(vec![1.0, f64::INFINITY]));
+        assert!(matches!(
+            inf.symmetric_eigen(),
+            Err(LinalgError::Numerical(NumericalError::NonFinite { .. }))
+        ));
+        let a_diag = Vector::from(vec![1.0, 2.0]);
+        let b = Matrix::from_rows(&[&[2.0, f64::NAN], &[f64::NAN, 2.0]]).unwrap();
+        assert_eq!(
+            SystemEigen::new(&a_diag, &b).unwrap_err(),
+            LinalgError::Numerical(NumericalError::NonFinite {
+                what: "conductance matrix B"
+            })
+        );
+    }
+
+    #[test]
+    fn empty_and_scalar_matrices_decompose() {
+        let empty = Matrix::zeros(0, 0).symmetric_eigen().unwrap();
+        assert!(empty.eigenvalues().is_empty());
+        assert_eq!(empty.eigenvectors().rows(), 0);
+        let one = Matrix::from_rows(&[&[-2.5]])
+            .unwrap()
+            .symmetric_eigen()
+            .unwrap();
+        assert_eq!(one.eigenvalues().as_slice(), &[-2.5]);
+        assert_eq!(one.eigenvectors().as_slice(), &[1.0]);
+    }
+
+    #[test]
+    fn basis_residual_is_the_triple_loop_to_the_bit() {
+        // A 40-node chain with spread capacitances: a residual well above
+        // zero, summed over enough terms for the order to matter.
+        let n = 40;
+        let a_diag = Vector::from_fn(n, |i| 0.05 + (i % 7) as f64 * 0.3);
+        let b = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => 2.5 + (i % 3) as f64,
+            1 => -0.9,
+            5 => -0.2,
+            _ => 0.0,
+        });
+        let sys = SystemEigen::new(&a_diag, &b).unwrap();
+        let (v, v_inv) = (sys.v(), sys.v_inv());
+        let mut looped = 0.0f64;
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for k in 0..n {
+                    acc += v[(i, k)] * v_inv[(k, j)];
+                }
+                let expect = if i == j { 1.0 } else { 0.0 };
+                looped = looped.max((acc - expect).abs());
+            }
+        }
+        assert!(looped > 0.0, "a zero residual would pin nothing");
+        assert_eq!(sys.basis_residual().to_bits(), looped.to_bits());
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub enum NumericalError {
     NonConvergence {
         /// Sweeps (or iterations) performed before giving up.
         sweeps: u32,
-        /// Residual measure at abort (e.g. largest off-diagonal entry for
-        /// a Jacobi sweep).
+        /// Residual measure at abort (e.g. the subdiagonal entry a QL
+        /// iteration failed to annihilate).
         off_norm: f64,
         /// Partial result at abort (e.g. the diagonal holding the
         /// eigenvalue estimates so far). May be empty when no meaningful
@@ -193,7 +193,7 @@ mod tests {
                 asymmetry: 0.5,
             },
             LinalgError::NoConvergence {
-                algorithm: "jacobi",
+                algorithm: "ql",
                 iterations: 100,
             },
             LinalgError::InvalidInput("empty"),

@@ -2,23 +2,24 @@
 //!
 //! Compact RC thermal models (HotSpot-style) lead to small dense systems:
 //! a 64-core, three-layer model has `N ≈ 200` thermal nodes. At that size
-//! dense LU factorization and a cyclic Jacobi eigensolver are both simpler
-//! and faster than sparse machinery, and — crucially for the peak-temperature
-//! proofs in the paper — the Jacobi route gives us a *guaranteed orthogonal*
-//! eigenbasis of the symmetrized system matrix.
+//! dense LU factorization and a dense symmetric eigensolver are both
+//! simpler and faster than sparse machinery, and — crucially for the
+//! peak-temperature proofs in the paper — the symmetric route gives us an
+//! *orthogonal* eigenbasis of the symmetrized system matrix.
 //!
 //! The crate deliberately implements only what the tool-chain needs:
 //!
 //! * [`Matrix`] / [`Vector`] — owned, row-major dense containers with the
-//!   usual arithmetic.
+//!   usual arithmetic; `Matrix` storage starts on a 64-byte boundary.
 //! * [`LuDecomposition`] — partial-pivoting LU with solve / inverse /
 //!   determinant.
 //! * [`CholeskyDecomposition`] — pivot-free `L·Lᵀ` factorization for SPD
 //!   matrices; doubles as the positive-definiteness check for assembled
 //!   RC networks.
-//! * [`SymmetricEigen`] — cyclic Jacobi eigensolver for symmetric matrices,
-//!   plus the diagonal-congruence transform used to factorize `C = -A⁻¹B`
-//!   when `A` is diagonal positive and `B` is symmetric positive definite.
+//! * [`SymmetricEigen`] — Householder tridiagonalization + implicit-shift
+//!   QL for symmetric matrices, plus the diagonal-congruence transform used
+//!   to factorize `C = -A⁻¹B` when `A` is diagonal positive and `B` is
+//!   symmetric positive definite.
 //! * [`expm()`](fn@crate::expm) — matrix exponentials, both through an
 //!   eigendecomposition (the MatEx route) and through scaling-and-squaring
 //!   (validation / fallback).

@@ -5,9 +5,13 @@ use crate::{LinalgError, LuDecomposition, Result, SymmetricEigen, Vector};
 
 /// An owned, dense, row-major matrix of `f64` values.
 ///
-/// All matrices in the thermal tool-chain are small (`N ≲ 600`), so a simple
+/// All matrices in the thermal tool-chain are small (`N ≲ 800`), so a simple
 /// contiguous row-major layout with straightforward triple-loop kernels is
-/// both adequate and cache-friendly.
+/// both adequate and cache-friendly. The storage starts on a 64-byte
+/// (cache-line) boundary, so a row whose byte length is a multiple of 64
+/// — every row of a 192-node system — never straddles a line at its
+/// start, and [`mul_matrix`](Matrix::mul_matrix)'s tile loads cost the
+/// same whatever address the allocator returned.
 ///
 /// # Example
 ///
@@ -22,21 +26,60 @@ use crate::{LinalgError, LuDecomposition, Result, SymmetricEigen, Vector};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    /// Backing buffer, [`ALIGN_PAD`] elements longer than the matrix; the
+    /// logical data starts `offset` elements in, on a 64-byte boundary.
+    buf: Vec<f64>,
+    offset: usize,
 }
 
+/// Spare `f64` slots per buffer: a `Vec<f64>` is 8-byte aligned, so at
+/// most seven elements lie between its start and the next 64-byte
+/// boundary.
+const ALIGN_PAD: usize = 7;
+
 impl Matrix {
-    /// Creates a `rows x cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    /// Builds a `rows x cols` matrix from its row-major entries, which
+    /// `values` must yield exactly `rows * cols` of. The buffer is
+    /// reserved before the first entry is written, so the 64-byte offset
+    /// computed from its address stays valid: nothing below outgrows the
+    /// reservation.
+    fn collect(rows: usize, cols: usize, values: impl IntoIterator<Item = f64>) -> Self {
+        let len = rows * cols;
+        let mut buf = Vec::<f64>::with_capacity(len + ALIGN_PAD);
+        let offset = match buf.as_ptr().align_offset(64) {
+            o if o <= ALIGN_PAD => o,
+            // Alignment not computable (never at run time): stay in bounds.
+            _ => 0,
+        };
+        buf.resize(offset, 0.0);
+        buf.extend(values.into_iter().take(len));
+        debug_assert_eq!(buf.len(), offset + len, "collect: short iterator");
+        buf.resize(len + ALIGN_PAD, 0.0);
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            buf,
+            offset,
         }
+    }
+
+    /// The logical row-major entries.
+    fn data(&self) -> &[f64] {
+        &self.buf[self.offset..self.offset + self.rows * self.cols]
+    }
+
+    /// The logical row-major entries, mutably.
+    fn data_mut(&mut self) -> &mut [f64] {
+        let len = self.rows * self.cols;
+        &mut self.buf[self.offset..self.offset + len]
+    }
+
+    /// Creates a `rows x cols` matrix of zeros.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Matrix::collect(rows, cols, std::iter::repeat_n(0.0, rows * cols))
     }
 
     /// Creates the `n x n` identity matrix.
@@ -60,13 +103,8 @@ impl Matrix {
 
     /// Creates a matrix by evaluating `f` at every `(row, col)` position.
     pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
-        }
-        Matrix { rows, cols, data }
+        let entries = (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j)));
+        Matrix::collect(rows, cols, entries.map(|(i, j)| f(i, j)))
     }
 
     /// Creates a matrix from row slices.
@@ -84,15 +122,11 @@ impl Matrix {
         if rows.iter().any(|r| r.len() != ncols) {
             return Err(LinalgError::InvalidInput("from_rows: ragged rows"));
         }
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        Ok(Matrix {
-            rows: nrows,
-            cols: ncols,
-            data,
-        })
+        Ok(Matrix::collect(
+            nrows,
+            ncols,
+            rows.iter().flat_map(|r| r.iter().copied()),
+        ))
     }
 
     /// Number of rows.
@@ -110,9 +144,10 @@ impl Matrix {
         self.rows == self.cols
     }
 
-    /// Immutable view of the underlying row-major storage.
+    /// Immutable view of the underlying row-major storage; it starts on a
+    /// 64-byte boundary.
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        self.data()
     }
 
     /// Immutable view of row `i`.
@@ -122,7 +157,8 @@ impl Matrix {
     /// Panics if `i >= self.rows()`.
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds");
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        let start = self.offset + i * self.cols;
+        &self.buf[start..start + self.cols]
     }
 
     /// Mutable view of row `i`.
@@ -132,7 +168,8 @@ impl Matrix {
     /// Panics if `i >= self.rows()`.
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds");
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
+        let start = self.offset + i * self.cols;
+        &mut self.buf[start..start + self.cols]
     }
 
     /// Copies column `j` into a new [`Vector`].
@@ -158,11 +195,7 @@ impl Matrix {
 
     /// Returns a copy scaled by `alpha`.
     pub fn scaled(&self, alpha: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x * alpha).collect(),
-        }
+        Matrix::collect(self.rows, self.cols, self.data().iter().map(|x| x * alpha))
     }
 
     /// Matrix–vector product `self * v`.
@@ -207,6 +240,7 @@ impl Matrix {
             });
         }
         let (m, n, inner) = (self.rows, other.cols, self.cols);
+        let (a, b) = (self.data(), other.data());
         let mut out = Matrix::zeros(m, n);
         // Under Miri the `#[target_feature]` kernels cannot run (Miri has
         // no AVX); everything routes through the scalar reference body.
@@ -214,16 +248,16 @@ impl Matrix {
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: the avx512f requirement was just checked.
-                unsafe { gemm_tiled_avx512(&mut out.data, &self.data, &other.data, m, n, inner) };
+                unsafe { gemm_tiled_avx512(out.data_mut(), a, b, m, n, inner) };
                 return Ok(out);
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: the avx2 requirement was just checked.
-                unsafe { gemm_tiled_avx2(&mut out.data, &self.data, &other.data, m, n, inner) };
+                unsafe { gemm_tiled_avx2(out.data_mut(), a, b, m, n, inner) };
                 return Ok(out);
             }
         }
-        gemm_tiled(&mut out.data, &self.data, &other.data, m, n, inner);
+        gemm_tiled(out.data_mut(), a, b, m, n, inner);
         Ok(out)
     }
 
@@ -249,7 +283,7 @@ impl Matrix {
 
     /// Largest absolute entry.
     pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
+        self.data().iter().fold(0.0, |m, &x| m.max(x.abs()))
     }
 
     /// Induced 1-norm: the largest absolute column sum. This is the norm
@@ -298,13 +332,15 @@ impl Matrix {
         LuDecomposition::new(self)
     }
 
-    /// Computes the eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    /// Computes the eigendecomposition of a symmetric matrix:
+    /// Householder tridiagonalization, then implicit-shift QL
+    /// ([`SymmetricEigen::new`]).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::NotSymmetric`] if the matrix is noticeably
-    /// asymmetric, or [`LinalgError::Numerical`] if Jacobi exhausts its
-    /// sweep budget.
+    /// asymmetric, or [`LinalgError::Numerical`] for a non-finite entry or
+    /// once QL exhausts its iteration budget.
     pub fn symmetric_eigen(&self) -> Result<SymmetricEigen> {
         SymmetricEigen::new(self)
     }
@@ -315,14 +351,38 @@ impl Index<(usize, usize)> for Matrix {
 
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &self.data[i * self.cols + j]
+        &self.buf[self.offset + i * self.cols + j]
     }
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         debug_assert!(i < self.rows && j < self.cols);
-        &mut self.data[i * self.cols + j]
+        &mut self.buf[self.offset + i * self.cols + j]
+    }
+}
+
+// Clone, equality and Debug act on the logical entries only: the
+// alignment padding and its offset depend on the allocator.
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix::collect(self.rows, self.cols, self.data().iter().copied())
+    }
+}
+
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.cols == other.cols && self.data() == other.data()
+    }
+}
+
+impl fmt::Debug for Matrix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Matrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.data())
+            .finish()
     }
 }
 
@@ -335,16 +395,8 @@ impl Add<&Matrix> for &Matrix {
             (rhs.rows, rhs.cols),
             "add: shape mismatch"
         );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
+        let sums = self.data().iter().zip(rhs.data()).map(|(a, b)| a + b);
+        Matrix::collect(self.rows, self.cols, sums)
     }
 }
 
@@ -357,16 +409,8 @@ impl Sub<&Matrix> for &Matrix {
             (rhs.rows, rhs.cols),
             "sub: shape mismatch"
         );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
+        let diffs = self.data().iter().zip(rhs.data()).map(|(a, b)| a - b);
+        Matrix::collect(self.rows, self.cols, diffs)
     }
 }
 
@@ -382,9 +426,8 @@ const GEMM_J_TILE: usize = 32;
 #[inline(always)]
 fn gemm_tiled_body(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: usize) {
     let mut jb = 0;
-    // 32-column panels of `b` (inner × 32 f64 ≈ 6 KiB for this crate's
-    // thermal systems) stay L1-resident across the whole sweep of `a`'s
-    // rows. The fixed-size tile views unroll the lane loop into straight
+    // 32-column panels of `b` (inner × 32 f64: 48 KiB at inner = 192)
+    // stay cache-resident across the whole sweep of `a`'s rows. The fixed-size tile views unroll the lane loop into straight
     // vector code with no per-lane bounds checks.
     while jb + GEMM_J_TILE <= n {
         for i in 0..m {
@@ -581,6 +624,48 @@ mod tests {
         let m = Matrix::from_diagonal(&d);
         assert_eq!(m.diagonal(), d);
         assert_eq!(m[(0, 1)], 0.0);
+    }
+
+    #[test]
+    fn every_constructor_and_result_starts_on_a_cache_line() {
+        let aligned = |m: &Matrix| m.as_slice().as_ptr().align_offset(64) == 0;
+        // Several sizes, so the allocator hands out differently placed
+        // blocks; 0 and 1 cover the degenerate buffers.
+        for n in [0usize, 1, 3, 8, 17, 33] {
+            let a = Matrix::from_fn(n, n + 1, |i, j| (i * 3 + j) as f64);
+            let b = Matrix::from_fn(n + 1, n, |i, j| (i + 2 * j) as f64);
+            let results = [
+                ("zeros", Matrix::zeros(n, n)),
+                ("identity", Matrix::identity(n)),
+                ("from_diagonal", Matrix::from_diagonal(&Vector::zeros(n))),
+                ("from_fn", a.clone()),
+                ("transpose", a.transpose()),
+                ("clone", b.clone()),
+                ("scaled", a.scaled(2.0)),
+                ("add", &a + &a),
+                ("sub", &a - &a),
+                ("mul_matrix", a.mul_matrix(&b).unwrap()),
+            ];
+            for (what, m) in &results {
+                assert!(aligned(m), "{what} at n = {n}");
+            }
+        }
+        let r = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+        assert!(aligned(&r), "from_rows");
+    }
+
+    #[test]
+    fn clone_eq_and_debug_see_only_the_logical_entries() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_ne!(a, a.transpose());
+        assert_ne!(Matrix::zeros(2, 3), Matrix::zeros(3, 2));
+        assert_eq!(
+            format!("{a:?}"),
+            "Matrix { rows: 2, cols: 2, data: [1.0, 2.0, 3.0, 4.0] }"
+        );
     }
 
     #[test]

@@ -1,8 +1,16 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
+mod support;
+
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{expm, Matrix, Vector};
 use proptest::prelude::*;
+use support::{jacobi_eigen, orthogonality_error, reconstruction_error};
+
+/// The eigensolver's contract: backward error `‖S − QΛQᵀ‖∞ ≤ 1e-12·‖S‖∞`,
+/// orthogonality `‖QᵀQ − I‖∞ ≤ 1e-12`, and eigenvalues within
+/// `1e-12·‖S‖∞` of the Jacobi reference.
+const CONTRACT: f64 = 1e-12;
 
 /// Strategy: a well-conditioned symmetric positive definite matrix of size n,
 /// built as a diagonally dominant Laplacian-like conductance matrix — the
@@ -60,24 +68,62 @@ proptest! {
     }
 
     #[test]
-    fn jacobi_reconstructs(b in spd_matrix(6)) {
+    fn symmetric_eigen_reconstructs(b in spd_matrix(6)) {
         let eig = b.symmetric_eigen().unwrap();
-        let err = (&eig.reconstruct() - &b).norm_inf();
-        prop_assert!(err < 1e-9 * (1.0 + b.norm_inf()));
+        let err = reconstruction_error(&b, eig.eigenvalues(), eig.eigenvectors());
+        prop_assert!(err <= CONTRACT, "‖S − QΛQᵀ‖∞/‖S‖∞ = {err:e}");
     }
 
     #[test]
-    fn jacobi_eigenvalues_positive_for_spd(b in spd_matrix(6)) {
+    fn symmetric_eigen_eigenvalues_positive_for_spd(b in spd_matrix(6)) {
         let eig = b.symmetric_eigen().unwrap();
         prop_assert!(eig.eigenvalues().iter().all(|&l| l > 0.0));
     }
 
     #[test]
-    fn jacobi_vectors_orthonormal(b in spd_matrix(6)) {
+    fn symmetric_eigen_vectors_orthonormal(b in spd_matrix(6)) {
         let eig = b.symmetric_eigen().unwrap();
-        let q = eig.eigenvectors();
-        let qtq = q.transpose().mul_matrix(q).unwrap();
-        prop_assert!((&qtq - &Matrix::identity(6)).norm_inf() < 1e-9);
+        let err = orthogonality_error(eig.eigenvectors());
+        prop_assert!(err <= CONTRACT, "‖QᵀQ − I‖∞ = {err:e}");
+    }
+
+    #[test]
+    fn symmetric_eigen_matches_the_jacobi_reference(b in spd_matrix(10)) {
+        let eig = b.symmetric_eigen().unwrap();
+        let (values, _) = jacobi_eigen(&b).expect("reference converges");
+        let worst = (eig.eigenvalues() - &values).norm_inf();
+        prop_assert!(worst <= CONTRACT * b.norm_inf(), "max |Δλ| = {worst:e}");
+    }
+
+    #[test]
+    fn repeated_eigenvalues_keep_the_contract(
+        b in spd_matrix(5),
+        level in 0.1..10.0f64,
+        copies in 2usize..4,
+    ) {
+        // Three inputs whose spectra repeat: a scaled identity, a diagonal
+        // with each level twice, and `copies` identical blocks of `b` on
+        // the diagonal — every eigenvalue of `b` then `copies`-fold.
+        let n = 5 * copies;
+        let scaled_identity = Matrix::identity(n).scaled(level);
+        let paired = Matrix::from_diagonal(&Vector::from_fn(n, |i| level + (i / 2) as f64));
+        let blocks = Matrix::from_fn(n, n, |i, j| {
+            if i / 5 == j / 5 { b[(i % 5, j % 5)] } else { 0.0 }
+        });
+        for m in [&scaled_identity, &paired, &blocks] {
+            let eig = m.symmetric_eigen().unwrap();
+            let rec = reconstruction_error(m, eig.eigenvalues(), eig.eigenvectors());
+            let orth = orthogonality_error(eig.eigenvectors());
+            prop_assert!(rec <= CONTRACT && orth <= CONTRACT, "rec {rec:e}, orth {orth:e}");
+            let values = eig.eigenvalues();
+            prop_assert!(values.as_slice().windows(2).all(|w| w[0] <= w[1]), "ascending");
+        }
+        let values = blocks.symmetric_eigen().unwrap().eigenvalues().clone();
+        let single = b.symmetric_eigen().unwrap().eigenvalues().clone();
+        for (k, &x) in values.iter().enumerate() {
+            let want = single[k / copies];
+            prop_assert!((x - want).abs() <= CONTRACT * b.norm_inf(), "λ[{k}] = {x}, want {want}");
+        }
     }
 
     #[test]

@@ -33,9 +33,12 @@
 //!   loader decodes the state, re-encodes it canonically and compares.
 //!   A corrupted-but-parseable document is a typed
 //!   [`CheckpointError::DigestMismatch`], never a silent wrong resume.
-//! * `spec_hash` binds the checkpoint to one (machine, config, workload,
-//!   scheduler) tuple; resuming against anything else is a typed
-//!   [`CheckpointError::SpecMismatch`].
+//!   The codec decodes a float only in the spelling it writes, so an
+//!   edit that parses to the same `f64` (a flipped 17th digit) cannot
+//!   slip past the re-encoding.
+//! * `spec_hash` binds the checkpoint to one (machine, modal basis,
+//!   config, workload, scheduler) tuple; resuming against anything else
+//!   is a typed [`CheckpointError::SpecMismatch`].
 //! * Truncated or malformed documents are [`CheckpointError::Parse`]
 //!   naming the member that failed; an unknown schema string is
 //!   [`CheckpointError::Version`]. That includes `hp-ckpt-v1`: its
@@ -152,13 +155,17 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of everything a checkpoint is only valid against: the
-/// machine geometry, the full engine configuration (including the fault
-/// plan), the workload (in the arrival order the engine will use) and
-/// the scheduler's name. Two runs with equal spec hashes walk identical
-/// deterministic trajectories, which is what makes mid-run state
-/// transplantable between them.
+/// machine geometry, the thermal model's modal basis
+/// ([`ModalBasis::fingerprint`](hp_thermal::ModalBasis::fingerprint) —
+/// `modal_temps` are coordinates in it, so another thermal configuration
+/// or another eigensolver build must not resume them), the full engine
+/// configuration (including the fault plan), the workload (in the
+/// arrival order the engine will use) and the scheduler's name. Two runs
+/// with equal spec hashes walk identical deterministic trajectories,
+/// which is what makes mid-run state transplantable between them.
 pub(crate) fn spec_hash(
     machine: &Machine,
+    basis_fingerprint: u64,
     config: &SimConfig,
     jobs: &[Job],
     scheduler_name: &str,
@@ -166,6 +173,7 @@ pub(crate) fn spec_hash(
     let arch = machine.config();
     let mut s = String::new();
     let _ = write!(s, "grid={}x{};", arch.grid_width, arch.grid_height);
+    let _ = write!(s, "basis={basis_fingerprint:016x};");
     let _ = write!(
         s,
         "dt={};sched_period={};t_dtm={};dtm={};scope={:?};horizon={};trace={};window={};prewarm={:?};hyst={};stale={};",
@@ -821,18 +829,19 @@ mod tests {
             .collect();
         let mut reversed = jobs.clone();
         reversed.reverse();
-        let a = spec_hash(&machine, &config, &jobs, "pinned");
+        let a = spec_hash(&machine, 1, &config, &jobs, "pinned");
         assert_eq!(
             a,
-            spec_hash(&machine, &config, &reversed, "pinned"),
+            spec_hash(&machine, 1, &config, &reversed, "pinned"),
             "caller's vector order is immaterial"
         );
-        assert_ne!(a, spec_hash(&machine, &config, &jobs, "hotpotato"));
+        assert_ne!(a, spec_hash(&machine, 1, &config, &jobs, "hotpotato"));
+        assert_ne!(a, spec_hash(&machine, 2, &config, &jobs, "pinned"));
         let other = SimConfig {
             t_dtm: 71.0,
             ..config
         };
-        assert_ne!(a, spec_hash(&machine, &other, &jobs, "pinned"));
+        assert_ne!(a, spec_hash(&machine, 1, &other, &jobs, "pinned"));
     }
 
     /// `json` with the state member `key` (a flat array of numbers) cut

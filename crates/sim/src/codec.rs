@@ -276,7 +276,10 @@ impl Codec for f64 {
     }
     fn take(v: &Json, what: &str) -> Result<Self, String> {
         match v {
-            Json::Num(_) => v.as_f64(),
+            // Only the exact text `put` writes. Two spellings of one f64
+            // (a flipped 17th digit) would otherwise decode alike, and a
+            // digest over the re-encoding could not tell them apart.
+            Json::Num(raw) => v.as_f64().filter(|x| x.to_string() == *raw),
             Json::Str(s) => NON_FINITE
                 .iter()
                 .find(|(label, _)| label == s)
@@ -412,6 +415,20 @@ mod tests {
         assert_eq!(decode::<f64>("\"-inf\""), Ok(f64::NEG_INFINITY));
         assert!(decode::<f64>("\"nan\"").is_ok_and(f64::is_nan));
         assert!(decode::<f64>("\"warm\"").is_err());
+    }
+
+    #[test]
+    fn only_the_canonical_spelling_of_a_float_decodes() {
+        let x = 45.212396796914206f64;
+        assert_eq!(decode::<f64>("45.212396796914206"), Ok(x));
+        // The last digit flipped: the same f64, but not the text `put`
+        // writes for it, so a corrupted document cannot pass as intact.
+        assert_eq!("45.212396796914209".parse::<f64>(), Ok(x));
+        let err = decode::<f64>("45.212396796914209").expect_err("non-canonical");
+        assert!(err.contains("a float"), "{err}");
+        for other in ["1.0", "1e3", "-0.0", "0.30000000000000005"] {
+            assert!(decode::<f64>(other).is_err(), "{other}");
+        }
     }
 
     #[test]

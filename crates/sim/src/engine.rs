@@ -298,7 +298,13 @@ impl Simulation {
         };
         // The spec fingerprint binds checkpoints to this exact run;
         // computed before init consumes the workload vector.
-        let spec = checkpoint::spec_hash(&self.machine, &self.config, &jobs, scheduler.name());
+        let spec = checkpoint::spec_hash(
+            &self.machine,
+            self.solver.basis().fingerprint(),
+            &self.config,
+            &jobs,
+            scheduler.name(),
+        );
         let mut st = match &opts.resume_from {
             None => self.init_run(jobs, scheduler.name())?,
             Some(ckpt) => self.resume_run(jobs, scheduler, ckpt, spec)?,

@@ -61,6 +61,9 @@ pub struct ModalBasis {
     /// residual exceeded its trust threshold, so solvers built on this
     /// basis route through their dense fallback from the start.
     armed: bool,
+    /// FNV-1a over the bits of `λ`, `V` and `y_amb`; see
+    /// [`fingerprint`](ModalBasis::fingerprint).
+    fingerprint: u64,
 }
 
 impl ModalBasis {
@@ -91,7 +94,9 @@ impl ModalBasis {
         let v_junction_t = Matrix::from_fn(nodes, cores, |k, c| v[(c, k)]);
         let armed = eigen.eigenvalue_spread() >= CONDITION_FALLBACK_THRESHOLD
             || eigen.basis_residual() > BASIS_RESIDUAL_THRESHOLD;
+        let fingerprint = fnv1a_bits(lambda.iter().chain(v.as_slice()).chain(y_amb.iter()));
         Ok(ModalBasis {
+            fingerprint,
             v_t: OnceLock::new(),
             v_inv_t: OnceLock::new(),
             proj_t,
@@ -151,6 +156,20 @@ impl ModalBasis {
         self.armed
     }
 
+    /// A 64-bit fingerprint of this basis: FNV-1a over the bit patterns
+    /// of the eigenvalues, of `V` and of `y_amb`, computed once at
+    /// construction.
+    ///
+    /// Eigen coordinates mean something only in the basis that produced
+    /// them. The same decomposition of the same model gives the same
+    /// fingerprint, and a difference in any bit changes it (up to a 64-bit
+    /// hash collision), so a state saved under one basis is refused by
+    /// another: another thermal configuration, another model, or another
+    /// eigensolver build.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// The eigen-space steady states `y = P·projᵀ + y_amb` of a
     /// row-stacked batch of per-core power maps (`B × cores` in,
     /// `B × N` out).
@@ -167,6 +186,18 @@ impl ModalBasis {
         }
         Ok(y)
     }
+}
+
+/// 64-bit FNV-1a over the little-endian bit patterns of `values`.
+fn fnv1a_bits<'a>(values: impl Iterator<Item = &'a f64>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in values {
+        for b in x.to_bits().to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 #[cfg(test)]
@@ -227,6 +258,25 @@ mod tests {
         let model = RcThermalModel::new(&fp, &ThermalConfig::ill_conditioned()).unwrap();
         let eigen = SystemEigen::new(model.a_diag(), model.b()).unwrap();
         assert!(ModalBasis::new(&model, eigen).unwrap().armed());
+    }
+
+    #[test]
+    fn fingerprint_names_the_decomposition_and_the_ambient() {
+        let fp = GridFloorplan::new(4, 4).unwrap();
+        let of =
+            |cfg: &ThermalConfig| basis_of(&RcThermalModel::new(&fp, cfg).unwrap()).fingerprint();
+        let base = ThermalConfig::default();
+        assert_eq!(of(&base), of(&base), "deterministic");
+        let sink = ThermalConfig {
+            g_sink_ambient: 0.2,
+            ..base
+        };
+        assert_ne!(of(&base), of(&sink), "another conductance, another basis");
+        let warm = ThermalConfig {
+            ambient: 50.0,
+            ..base
+        };
+        assert_ne!(of(&base), of(&warm), "same V and λ, another y_amb");
     }
 
     fn basis_of(model: &RcThermalModel) -> ModalBasis {

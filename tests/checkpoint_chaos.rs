@@ -441,6 +441,61 @@ fn resume_rejects_checkpoint_from_a_different_run() {
 }
 
 #[test]
+fn resume_rejects_checkpoint_from_a_different_thermal_model() {
+    use hp_sim::schedulers::PinnedScheduler;
+
+    // Checkpoint a pinned batch on the default thermal stack ...
+    let config = || SimConfig {
+        horizon: 120.0,
+        ..SimConfig::default()
+    };
+    let work = || closed_batch(Benchmark::Blackscholes, 2, 3);
+    let path = scratch_file("other-thermal");
+    let mut sim = Simulation::new(machine_4x4(), ThermalConfig::default(), config())
+        .expect("valid sim config");
+    sim.run_with_options(
+        work(),
+        &mut PinnedScheduler::new(),
+        &RunOptions {
+            checkpoint_every_seconds: Some(5e-3),
+            checkpoint_path: Some(path.clone()),
+            max_intervals: Some(100),
+            ..RunOptions::default()
+        },
+    )
+    .expect_err("interval budget must abort the run");
+    let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint loads");
+
+    // ... and resume it on a stack with a weaker heat sink: same machine,
+    // config, workload and scheduler, but the saved eigen coordinates
+    // belong to another basis.
+    let weaker_sink = ThermalConfig {
+        g_sink_ambient: 0.12,
+        ..ThermalConfig::default()
+    };
+    let mut other_sim =
+        Simulation::new(machine_4x4(), weaker_sink, config()).expect("valid sim config");
+    let err = other_sim
+        .run_with_options(
+            work(),
+            &mut PinnedScheduler::new(),
+            &RunOptions {
+                resume_from: Some(ckpt),
+                ..RunOptions::default()
+            },
+        )
+        .expect_err("a foreign basis must refuse the resume");
+    assert!(
+        matches!(
+            err,
+            SimError::Checkpoint(hp_sim::CheckpointError::SpecMismatch { .. })
+        ),
+        "wrong error: {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn ill_conditioned_run_resumes_bit_identically_on_the_dense_fallback() {
     use hp_sim::schedulers::PinnedScheduler;
 
