@@ -2,12 +2,13 @@
 //!
 //! Every job in a sweep needs the same expensive per-chip-configuration
 //! artifacts: the machine description with its AMD ring decomposition,
-//! the RC thermal model (one LU factorization of `B`), and the
+//! the RC thermal model (one LU factorization of `B`), and the model's
 //! eigendecomposition of `C = −A⁻¹B` with its modal operators
-//! ([`ModalBasis`]) behind both the transient solver and Algorithm 1's
-//! rotation-peak solver. [`ModelCache`] memoizes one [`ChipArtifacts`]
-//! per grid size; jobs then *clone* the handles — the solvers share the
-//! one basis by reference count — instead of re-factorizing.
+//! ([`ModalBasis`](hp_thermal::ModalBasis)), which the model owns and
+//! shares with every clone. [`ModelCache`] memoizes one
+//! [`ChipArtifacts`] per grid size; jobs then *clone* the handles — the
+//! engine's transient solver and every scheduler's rotation-peak solver
+//! step in the one basis — instead of re-factorizing.
 //!
 //! The cache is keyed by grid dimensions plus the named
 //! [`ThermalProfile`]: within one profile the RC parameters are fixed,
@@ -19,10 +20,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use hotpotato::RotationPeakSolver;
-use hp_linalg::eigen::SystemEigen;
 use hp_manycore::{ArchConfig, Machine};
-use hp_thermal::{ModalBasis, RcThermalModel, ThermalConfig, TransientSolver};
+use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 
 use crate::error::{CampaignError, Result};
 
@@ -74,25 +73,25 @@ impl ThermalProfile {
 /// The memoized per-chip-configuration artifacts, built once per grid
 /// size and shared across every job of a campaign via `Arc`.
 ///
-/// All fields are cheap to clone relative to construction: the solvers'
-/// `Clone` impls share the one [`ModalBasis`] and start fresh activity
-/// tallies.
+/// All fields are cheap to clone relative to construction: a model clone
+/// shares the model's modal basis, and a solver clone shares it too and
+/// starts fresh activity tallies.
 #[derive(Debug)]
 pub struct ChipArtifacts {
     /// The machine (floorplan + AMD ring decomposition).
     pub machine: Machine,
-    /// The RC thermal model (LU of `B` already factorized).
+    /// The RC thermal model (LU of `B` already factorized, modal basis
+    /// already built).
     pub model: RcThermalModel,
-    /// The engine's transient solver, on the one modal basis.
+    /// The engine's transient solver, on the model's basis.
     pub transient: TransientSolver,
-    /// Algorithm 1's rotation-peak solver, sharing the same modal basis.
-    pub peak: RotationPeakSolver,
 }
 
 impl ChipArtifacts {
     /// Builds the artifacts for a `width × height` grid with the given
-    /// thermal profile: one machine, one LU factorization, one
-    /// eigendecomposition and one modal basis shared by both solvers.
+    /// thermal profile: one machine, one LU factorization and one
+    /// eigendecomposition, whose basis every scheduler built on a clone
+    /// of [`model`](ChipArtifacts::model) shares.
     ///
     /// # Errors
     ///
@@ -113,18 +112,12 @@ impl ChipArtifacts {
         .map_err(|e| build_err("machine", &e))?;
         let model = RcThermalModel::new(machine.floorplan(), &thermal.config())
             .map_err(|e| build_err("thermal model", &e))?;
-        let eigen = SystemEigen::new(model.a_diag(), model.b())
-            .map_err(|e| build_err("eigendecomposition", &e))?;
-        let basis =
-            Arc::new(ModalBasis::new(&model, eigen).map_err(|e| build_err("modal basis", &e))?);
-        let transient = TransientSolver::with_basis(Arc::clone(&basis));
-        let peak = RotationPeakSolver::with_basis(model.clone(), basis)
-            .map_err(|e| build_err("rotation-peak solver", &e))?;
+        let transient =
+            TransientSolver::new(&model).map_err(|e| build_err("eigendecomposition", &e))?;
         Ok(ChipArtifacts {
             machine,
             model,
             transient,
-            peak,
         })
     }
 }
@@ -244,7 +237,7 @@ mod tests {
         assert_eq!(cache.misses(), 2);
         assert!(!healthy.transient.degraded(), "default profile is healthy");
         assert!(
-            stiff.transient.degraded() && stiff.peak.degraded(),
+            stiff.transient.degraded() && stiff.model.basis().unwrap().armed(),
             "ill-conditioned profile arms the dense fallback at build time"
         );
     }
@@ -293,25 +286,42 @@ mod tests {
     #[test]
     fn artifacts_share_one_modal_basis() {
         let art = ChipArtifacts::build(4, 4, ThermalProfile::Default).unwrap();
-        assert!(std::ptr::eq(art.transient.eigen(), art.peak.eigen()));
+        let basis = art.model.basis().unwrap();
+        assert!(std::ptr::eq(art.transient.basis(), &**basis));
         // Job handles are clones; they keep pointing at the same basis.
         let job_transient = art.transient.clone();
-        let job_peak = art.peak.clone();
-        assert!(std::ptr::eq(job_transient.basis(), art.transient.basis()));
-        assert!(std::ptr::eq(job_peak.eigen(), art.peak.eigen()));
+        let job_model = art.model.clone();
+        assert!(std::ptr::eq(job_transient.basis(), &**basis));
+        assert!(std::ptr::eq(&**job_model.basis().unwrap(), &**basis));
+    }
+
+    #[test]
+    fn hotpotato_on_a_model_clone_steps_on_the_transient_basis() {
+        use hotpotato::{HotPotato, HotPotatoConfig};
+        let art = ChipArtifacts::build(4, 4, ThermalProfile::Default).unwrap();
+        let sched = HotPotato::new(art.model.clone(), HotPotatoConfig::default()).unwrap();
+        assert!(std::ptr::eq(
+            sched.solver().runtime().basis(),
+            art.transient.basis()
+        ));
     }
 
     #[test]
     fn cached_peak_solver_matches_fresh_construction() {
-        use hotpotato::EpochPowerSequence;
+        use hotpotato::{EpochPowerSequence, RotationPeakSolver};
         use hp_linalg::Vector;
         let art = ChipArtifacts::build(4, 4, ThermalProfile::Default).unwrap();
-        let fresh = RotationPeakSolver::new(art.model.clone()).unwrap();
+        let cached = RotationPeakSolver::new(art.model).unwrap();
+        let fresh_model = ChipArtifacts::build(4, 4, ThermalProfile::Default)
+            .unwrap()
+            .model;
+        let fresh = RotationPeakSolver::new(fresh_model).unwrap();
+        assert!(!std::ptr::eq(cached.eigen(), fresh.eigen()));
         let epochs = (0..4)
             .map(|e| Vector::from_fn(16, |c| if c % 4 == e { 7.0 } else { 0.3 }))
             .collect();
         let seq = EpochPowerSequence::new(1e-3, epochs).unwrap();
-        let cached = art.peak.peak_celsius(&seq).unwrap();
+        let cached = cached.peak_celsius(&seq).unwrap();
         let direct = fresh.peak_celsius(&seq).unwrap();
         assert_eq!(cached.to_bits(), direct.to_bits());
     }

@@ -229,11 +229,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Builds the job's scheduler from the shared chip artifacts.
 ///
-/// HotPotato-family schedulers clone the cached [`RotationPeakSolver`]
-/// handle (no eigendecomposition); model-based baselines clone the
-/// cached [`RcThermalModel`] (no LU factorization).
+/// Every model-based scheduler gets a clone of the cached
+/// [`RcThermalModel`]: no LU factorization, and the HotPotato family
+/// builds its rotation-peak solver on the model's already-built basis,
+/// so no eigendecomposition either.
 ///
-/// [`RotationPeakSolver`]: hotpotato::RotationPeakSolver
 /// [`RcThermalModel`]: hp_thermal::RcThermalModel
 ///
 /// # Errors
@@ -255,13 +255,13 @@ pub fn build_scheduler(job: &CampaignJob, art: &ChipArtifacts) -> Result<Box<dyn
     };
     Ok(match job.scheduler.as_str() {
         "hotpotato" => {
-            Box::new(HotPotato::with_solver(art.peak.clone(), config).map_err(|e| sched_err(&e))?)
+            Box::new(HotPotato::new(art.model.clone(), config).map_err(|e| sched_err(&e))?)
         }
-        "hybrid" => Box::new(
-            HotPotatoDvfs::with_solver(art.peak.clone(), config).map_err(|e| sched_err(&e))?,
-        ),
+        "hybrid" => {
+            Box::new(HotPotatoDvfs::new(art.model.clone(), config).map_err(|e| sched_err(&e))?)
+        }
         "fallback" => Box::new(
-            FallbackChain::with_solver(art.peak.clone(), config, FallbackConfig::default())
+            FallbackChain::new(art.model.clone(), config, FallbackConfig::default())
                 .map_err(|e| sched_err(&e))?,
         ),
         "pcmig" => Box::new(PcMig::new(art.model.clone(), PcMigConfig::default())),

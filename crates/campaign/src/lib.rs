@@ -11,10 +11,10 @@
 //! * **The shared model cache.** Every job on the same chip grid needs
 //!   the same expensive artifacts — the AMD ring decomposition, the LU
 //!   factorization of `B`, and the eigendecomposition of `C = −A⁻¹B`
-//!   behind both the transient solver and Algorithm 1. [`ModelCache`]
-//!   builds them once per grid and hands every job a cheap cloned
-//!   handle, with cache traffic observable as `campaign.cache.*`
-//!   counters in the report.
+//!   behind both the transient solver and Algorithm 1, which the thermal
+//!   model owns and shares with its clones. [`ModelCache`] builds them
+//!   once per grid and hands every job a cheap cloned handle, with cache
+//!   traffic observable as `campaign.cache.*` counters in the report.
 //! * **Determinism.** The assembled [`CampaignReport`] is a function of
 //!   the job vector alone: outcomes land in expansion order, cache
 //!   counters are interleaving-independent, and only wall-clock

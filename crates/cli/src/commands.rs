@@ -4,20 +4,19 @@ use std::error::Error;
 use std::fs::File;
 use std::io::BufWriter;
 
-use hotpotato::{EpochPowerSequence, HotPotato, HotPotatoConfig, RotationPeakSolver};
+use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_faults::FaultPlan;
 use hp_floorplan::{CoreId, GridFloorplan};
 use hp_linalg::Vector;
 use hp_manycore::{ArchConfig, Machine};
-use hp_sched::{
-    FallbackChain, FallbackConfig, HotPotatoDvfs, PcGov, PcMig, PcMigConfig, TspUniform,
-};
-use hp_sim::schedulers::PinnedScheduler;
-use hp_sim::{EngineCheckpoint, Metrics, RunOptions, Scheduler, SimConfig, Simulation};
+use hp_sim::{EngineCheckpoint, Metrics, RunOptions, SimConfig, Simulation};
 use hp_thermal::{tsp, RcThermalModel, ThermalConfig};
 use hp_workload::{closed_batch, open_poisson, Benchmark, Job, JobId};
 
-use hp_campaign::{run_campaign, CampaignConfig, SweepSpec};
+use hp_campaign::{
+    build_scheduler, run_campaign, CampaignConfig, CampaignJob, ChipArtifacts, SweepSpec,
+    ThermalProfile, Workload, SCHEDULER_NAMES,
+};
 
 use crate::args::ParsedArgs;
 
@@ -287,25 +286,21 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
         faults,
         ..SimConfig::default()
     };
-    let mut sim = Simulation::new(machine(w, h)?, ThermalConfig::default(), sim_config)?;
-
-    let mut scheduler: Box<dyn Scheduler> = match scheduler_name.as_str() {
-        "hotpotato" => Box::new(HotPotato::new(model(w, h)?, HotPotatoConfig::default())?),
-        "hybrid" => Box::new(HotPotatoDvfs::new(
-            model(w, h)?,
-            HotPotatoConfig::default(),
-        )?),
-        "fallback" => Box::new(FallbackChain::new(
-            model(w, h)?,
-            HotPotatoConfig::default(),
-            FallbackConfig::default(),
-        )?),
-        "pcmig" => Box::new(PcMig::new(model(w, h)?, PcMigConfig::default())),
-        "pcgov" => Box::new(PcGov::new(model(w, h)?, 70.0, 0.3)),
-        "tsp" => Box::new(TspUniform::new(model(w, h)?, 70.0, 0.3)),
-        "pinned" => Box::new(PinnedScheduler::new()),
-        other => return Err(format!("unknown scheduler `{other}`").into()),
-    };
+    // The campaign path, one job long: one model and one basis serve the
+    // engine and the scheduler. The chaos fixtures stay campaign-only.
+    if !SCHEDULER_NAMES.contains(&scheduler_name.as_str()) {
+        return Err(format!("unknown scheduler `{scheduler_name}`").into());
+    }
+    let chip = ChipArtifacts::build(w, h, ThermalProfile::Default)?;
+    let job = CampaignJob::new(
+        "simulate",
+        scheduler_name.as_str(),
+        (w, h),
+        Workload::Explicit(Vec::new()),
+        SimConfig::default(),
+    );
+    let mut scheduler = build_scheduler(&job, &chip)?;
+    let mut sim = Simulation::with_thermal(chip.machine, chip.model, chip.transient, sim_config)?;
 
     let metrics = match sim.run_with_options(jobs, scheduler.as_mut(), &options) {
         Ok(m) => m,
@@ -701,8 +696,11 @@ mod tests {
 
     #[test]
     fn simulate_rejects_unknowns() {
-        let args = ParsedArgs::parse(["simulate", "--scheduler", "magic"]).unwrap();
-        assert!(simulate(&args).is_err());
+        for name in ["magic", "chaos-panic"] {
+            let args = ParsedArgs::parse(["simulate", "--scheduler", name]).unwrap();
+            let err = simulate(&args).unwrap_err().to_string();
+            assert!(err.contains("unknown scheduler"), "{name}: {err}");
+        }
         let args = ParsedArgs::parse(["simulate", "--benchmark", "quake"]).unwrap();
         assert!(simulate(&args).is_err());
     }

@@ -41,11 +41,15 @@ fn success_exits_zero() {
 
 #[test]
 fn setup_failure_exits_one() {
-    let out = cli()
-        .args(["simulate", "--scheduler", "magic"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    for name in ["magic", "chaos-panic"] {
+        let out = cli()
+            .args(["simulate", "--scheduler", name])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown scheduler"), "{name}: {stderr}");
+    }
     let out = cli().args(["nonsense"]).output().expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }

@@ -56,7 +56,7 @@ use hp_floorplan::CoreId;
 use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, NumericalError, Vector};
-use hp_thermal::{DenseStepper, ModalBasis, ModalDecay, ModalRuntime, RcThermalModel};
+use hp_thermal::{DenseStepper, ModalDecay, ModalRuntime, RcThermalModel};
 
 use crate::{EpochPowerSequence, HotPotatoError, Result};
 
@@ -134,9 +134,10 @@ pub struct PeakReport {
 /// Computes steady-cycle peak temperatures for rotations on a fixed
 /// thermal model.
 ///
-/// Construction performs the *design-time phase* of Algorithm 1 (the
-/// eigendecomposition of `C = −A⁻¹B` and the factorization of `B`);
-/// each [`peak`](RotationPeakSolver::peak) call is then the *run-time
+/// Construction takes the model's [`basis`](RcThermalModel::basis): the
+/// *design-time phase* of Algorithm 1 (the eigendecomposition of
+/// `C = −A⁻¹B`), paid once per model and its clones. Each
+/// [`peak`](RotationPeakSolver::peak) call is then the *run-time
 /// phase* — tens of microseconds for a 64-core chip, matching the paper's
 /// 23.76 µs overhead measurement. Batches of candidates go through
 /// [`peak_celsius_many`](RotationPeakSolver::peak_celsius_many), which
@@ -146,7 +147,7 @@ pub struct PeakReport {
 #[derive(Debug, Clone)]
 pub struct RotationPeakSolver {
     model: RcThermalModel,
-    /// The shared basis — `projᵀ` maps per-core power straight to the
+    /// The model's basis — `projᵀ` maps per-core power straight to the
     /// eigen-space steady state (`y = P·projᵀ + y_amb`, one thin GEMM row
     /// per epoch instead of a linear solve), `V_Jᵀ` reads junction
     /// temperatures back out, and its trust verdict arms the dense
@@ -156,37 +157,17 @@ pub struct RotationPeakSolver {
 }
 
 impl RotationPeakSolver {
-    /// Builds the solver (design-time phase: one eigendecomposition).
+    /// Builds the solver on the model's
+    /// [`basis`](RcThermalModel::basis). That is the design-time phase,
+    /// one eigendecomposition, unless a solver of this model or of a
+    /// clone of it has already paid for it: a clone of a cached model
+    /// builds for free.
     ///
     /// # Errors
     ///
     /// Propagates eigendecomposition failures.
     pub fn new(model: RcThermalModel) -> Result<Self> {
-        let eigen = SystemEigen::new(model.a_diag(), model.b())?;
-        let basis = Arc::new(ModalBasis::new(&model, eigen)?);
-        Self::with_basis(model, basis)
-    }
-
-    /// Builds the solver around a prebuilt [`ModalBasis`] of `model` (the
-    /// design-time phase already paid for).
-    ///
-    /// This is the cache-handle constructor used by sweep runners that
-    /// factorize each chip configuration once and share the one basis
-    /// between this solver and the engine's transient solver. The basis
-    /// must belong to `model`; a same-sized basis of a different chip
-    /// yields meaningless peak estimates (not unsoundness).
-    ///
-    /// # Errors
-    ///
-    /// [`HotPotatoError::InvalidParameter`] if the basis's node or core
-    /// count differs from the model's.
-    pub fn with_basis(model: RcThermalModel, basis: Arc<ModalBasis>) -> Result<Self> {
-        if basis.node_count() != model.node_count() || basis.core_count() != model.core_count() {
-            return Err(HotPotatoError::InvalidParameter {
-                name: "modal basis node count",
-                value: usize_to_f64(basis.node_count()),
-            });
-        }
+        let basis = Arc::clone(model.basis()?);
         Ok(RotationPeakSolver {
             model,
             runtime: ModalRuntime::new(basis),
@@ -1260,27 +1241,13 @@ mod tests {
         RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap()
     }
 
-    fn basis_of(model: &RcThermalModel) -> Arc<ModalBasis> {
-        let eigen = SystemEigen::new(model.a_diag(), model.b()).unwrap();
-        Arc::new(ModalBasis::new(model, eigen).unwrap())
-    }
-
     #[test]
-    fn with_basis_rejects_a_basis_of_another_chip() {
-        let fp = GridFloorplan::new(2, 2).unwrap();
-        let small = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
-        let err = RotationPeakSolver::with_basis(model_4x4(), basis_of(&small)).unwrap_err();
-        assert!(
-            matches!(err, HotPotatoError::InvalidParameter { name: "modal basis node count", value } if value == 12.0),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn with_basis_matches_new_bit_for_bit() {
+    fn a_clone_of_a_decomposed_model_matches_a_fresh_model_bit_for_bit() {
         let model = model_4x4();
-        let shared = RotationPeakSolver::with_basis(model.clone(), basis_of(&model)).unwrap();
-        let fresh = RotationPeakSolver::new(model).unwrap();
+        let first = RotationPeakSolver::new(model.clone()).unwrap();
+        let shared = RotationPeakSolver::new(model).unwrap();
+        assert!(std::ptr::eq(first.eigen(), shared.eigen()));
+        let fresh = RotationPeakSolver::new(model_4x4()).unwrap();
         for tau in [0.25e-3, 1e-3, 4e-3] {
             let seq = fig1_sequence(tau);
             let a = shared.peak(&seq).unwrap();
@@ -1305,9 +1272,8 @@ mod tests {
     fn armed_basis_degrades_from_construction() {
         let fp = GridFloorplan::new(4, 4).unwrap();
         let model = RcThermalModel::new(&fp, &ThermalConfig::ill_conditioned()).unwrap();
-        let basis = basis_of(&model);
-        assert!(basis.armed());
-        let s = RotationPeakSolver::with_basis(model, basis).unwrap();
+        assert!(model.basis().unwrap().armed());
+        let s = RotationPeakSolver::new(model).unwrap();
         // Degraded before any evaluation, with nothing counted yet.
         assert!(s.degraded());
         assert_eq!(s.runtime().numerics(), NumericsStats::default());
@@ -1316,11 +1282,11 @@ mod tests {
     #[test]
     fn shared_basis_serves_the_transient_solver_too() {
         let model = model_4x4();
-        let basis = basis_of(&model);
-        let transient = TransientSolver::with_basis(Arc::clone(&basis));
-        let peak = RotationPeakSolver::with_basis(model.clone(), Arc::clone(&basis)).unwrap();
+        let transient = TransientSolver::new(&model).unwrap();
+        let peak = RotationPeakSolver::new(model.clone()).unwrap();
         assert!(std::ptr::eq(transient.eigen(), peak.eigen()));
-        assert_eq!(Arc::strong_count(&basis), 3);
+        // The model's cell and the two solvers hold the one basis.
+        assert_eq!(Arc::strong_count(model.basis().unwrap()), 3);
         // Both solvers read the same steady state off the one basis: a
         // one-epoch (constant) power sequence peaks at the hottest
         // junction of the transient solver's long-run limit.

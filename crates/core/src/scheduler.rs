@@ -146,28 +146,17 @@ pub struct HotPotato {
 impl HotPotato {
     /// Builds the scheduler for a chip with the given thermal model.
     ///
-    /// The model must match the machine the simulation runs on; the
-    /// design-time phase of Algorithm 1 (eigendecomposition) happens here.
+    /// The model must match the machine the simulation runs on. The
+    /// design-time phase of Algorithm 1 (the eigendecomposition) happens
+    /// here unless the model, or a clone of it, has already built its
+    /// [`basis`](RcThermalModel::basis): N jobs on clones of one cached
+    /// model decompose once, not N times.
     ///
     /// # Errors
     ///
     /// Propagates configuration and eigendecomposition failures.
     pub fn new(model: RcThermalModel, config: HotPotatoConfig) -> Result<Self> {
         let solver = RotationPeakSolver::new(model)?;
-        Self::with_solver(solver, config)
-    }
-
-    /// Builds the scheduler around a prebuilt [`RotationPeakSolver`]
-    /// (e.g. a cheap clone of a shared, cached handle), skipping the
-    /// design-time eigendecomposition entirely.
-    ///
-    /// Sweep runners use this so N jobs on the same chip configuration
-    /// pay for one factorization instead of N.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn with_solver(solver: RotationPeakSolver, config: HotPotatoConfig) -> Result<Self> {
         config.validate()?;
         Ok(HotPotato {
             tau_index: config.initial_tau_index,

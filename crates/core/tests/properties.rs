@@ -1,12 +1,9 @@
 //! Property-based tests for the rotation analytics (Algorithm 1).
 
-use std::sync::Arc;
-
 use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_floorplan::GridFloorplan;
-use hp_linalg::eigen::SystemEigen;
 use hp_linalg::Vector;
-use hp_thermal::{ModalBasis, RcThermalModel, ThermalConfig, TransientSolver};
+use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 use proptest::prelude::*;
 
 fn solver(w: usize, h: usize) -> RotationPeakSolver {
@@ -194,18 +191,18 @@ proptest! {
 
     #[test]
     fn shared_basis_peaks_match_a_private_basis(seqs in proptest::collection::vec(sequences(), 1..4)) {
-        // A sweep cache builds one basis and hands it to both solvers of
-        // a chip; Algorithm 1 on it must equal a solver that derived its
-        // own, bit for bit, on the scalar and the batched entry points.
+        // A sweep cache's model builds one basis for the engine's
+        // transient solver, and Algorithm 1 on a clone of that model must
+        // equal a solver on a model of its own, bit for bit, on the
+        // scalar and the batched entry points.
         let model = RcThermalModel::new(
             &GridFloorplan::new(3, 3).expect("grid"),
             &ThermalConfig::default(),
         )
         .expect("valid config");
-        let eigen = SystemEigen::new(model.a_diag(), model.b()).expect("decomposes");
-        let basis = Arc::new(ModalBasis::new(&model, eigen).expect("basis"));
-        let _transient = TransientSolver::with_basis(Arc::clone(&basis));
-        let shared = RotationPeakSolver::with_basis(model, basis).expect("matching basis");
+        let transient = TransientSolver::new(&model).expect("decomposes");
+        let shared = RotationPeakSolver::new(model).expect("the model's basis");
+        prop_assert!(std::ptr::eq(transient.eigen(), shared.eigen()));
         let private = solver(3, 3);
         let batch = shared.peak_celsius_many(&seqs).unwrap();
         for (seq, b) in seqs.iter().zip(&batch) {

@@ -19,7 +19,7 @@ use hp_experiments::context::{Context, ContextError};
 use hp_experiments::{motivational_machine, thermal_model_for_grid, try_run};
 use hp_manycore::{ArchConfig, Machine, MigrationModel};
 use hp_sched::{PcMig, PcMigConfig};
-use hp_sim::{DtmScope, SimConfig};
+use hp_sim::{DtmScope, Metrics, SimConfig};
 use hp_workload::{closed_batch, Benchmark, Job, JobId};
 
 fn blackscholes2() -> Vec<Job> {
@@ -31,14 +31,16 @@ fn blackscholes2() -> Vec<Job> {
     }]
 }
 
-fn hp_with(cfg: HotPotatoConfig) -> Result<HotPotato, ContextError> {
-    HotPotato::new(thermal_model_for_grid(4, 4), cfg).context("building HotPotato")
-}
-
 fn main() -> Result<(), ContextError> {
     let sim = SimConfig {
         horizon: 60.0,
         ..SimConfig::default()
+    };
+    // Every sweep runs on the 4×4 chip: one model, one eigendecomposition.
+    let model = thermal_model_for_grid(4, 4);
+    let run_hp = |machine, sim, jobs, cfg| -> Result<Metrics, ContextError> {
+        let mut hp = HotPotato::new(model.clone(), cfg).context("building HotPotato")?;
+        try_run(machine, &model, sim, jobs, &mut hp)
     };
 
     println!("Ablation 1 — fixed rotation interval tau (2-thread blackscholes, 16 cores)");
@@ -52,13 +54,8 @@ fn main() -> Result<(), ContextError> {
             initial_tau_index: 0,
             ..HotPotatoConfig::default()
         };
-        let m = try_run(
-            motivational_machine(),
-            sim,
-            blackscholes2(),
-            &mut hp_with(cfg)?,
-        )
-        .with_context(|| format!("ablation 1: fixed tau {} ms", tau * 1e3))?;
+        let m = run_hp(motivational_machine(), sim, blackscholes2(), cfg)
+            .with_context(|| format!("ablation 1: fixed tau {} ms", tau * 1e3))?;
         println!(
             "{:>10.2}ms {:>12.1} {:>8.1} {:>6} {:>11}",
             tau * 1e3,
@@ -77,11 +74,11 @@ fn main() -> Result<(), ContextError> {
         );
     }
     {
-        let m = try_run(
+        let m = run_hp(
             motivational_machine(),
             sim,
             blackscholes2(),
-            &mut hp_with(HotPotatoConfig::default())?,
+            HotPotatoConfig::default(),
         )
         .context("ablation 1: adaptive tau")?;
         println!(
@@ -113,7 +110,7 @@ fn main() -> Result<(), ContextError> {
             ..HotPotatoConfig::default()
         };
         let jobs = closed_batch(Benchmark::X264, 16, 5);
-        let m = try_run(motivational_machine(), sim, jobs, &mut hp_with(cfg)?)
+        let m = run_hp(motivational_machine(), sim, jobs, cfg)
             .with_context(|| format!("ablation 2: delta {delta} C"))?;
         println!(
             "{:>12.2} {:>12.1} {:>8.1} {:>6} {:>11}",
@@ -145,13 +142,8 @@ fn main() -> Result<(), ContextError> {
             ..HotPotatoConfig::default()
         };
         let sim_t = SimConfig { t_dtm, ..sim };
-        let m = try_run(
-            motivational_machine(),
-            sim_t,
-            blackscholes2(),
-            &mut hp_with(cfg)?,
-        )
-        .with_context(|| format!("ablation 3: t_dtm {t_dtm} C"))?;
+        let m = run_hp(motivational_machine(), sim_t, blackscholes2(), cfg)
+            .with_context(|| format!("ablation 3: t_dtm {t_dtm} C"))?;
         println!(
             "{:>12.0} {:>12.1} {:>8.1} {:>6}",
             t_dtm,
@@ -190,7 +182,7 @@ fn main() -> Result<(), ContextError> {
             initial_tau_index: 0,
             ..HotPotatoConfig::default()
         };
-        let m = try_run(machine, sim, blackscholes2(), &mut hp_with(cfg)?)
+        let m = run_hp(machine, sim, blackscholes2(), cfg)
             .with_context(|| format!("ablation 4: flush {flush_us} us"))?;
         println!(
             "{:>12.0} {:>12.1} {:>8.1} {:>11}",
@@ -219,11 +211,11 @@ fn main() -> Result<(), ContextError> {
             ..sim
         };
         let jobs = closed_batch(Benchmark::Swaptions, 16, 1);
-        let m = try_run(
+        let m = run_hp(
             motivational_machine(),
             sim_s,
             jobs,
-            &mut hp_with(HotPotatoConfig::default())?,
+            HotPotatoConfig::default(),
         )
         .with_context(|| format!("ablation 5: {label} DTM"))?;
         println!(
@@ -252,15 +244,15 @@ fn main() -> Result<(), ContextError> {
             ..sim
         };
         let jobs = closed_batch(Benchmark::X264, 16, 5);
-        let hp_m = try_run(
+        let hp_m = run_hp(
             motivational_machine(),
             sim_w,
             jobs.clone(),
-            &mut hp_with(HotPotatoConfig::default())?,
+            HotPotatoConfig::default(),
         )
         .with_context(|| format!("ablation 6: {label}, hotpotato"))?;
-        let mut pm = PcMig::new(thermal_model_for_grid(4, 4), PcMigConfig::default());
-        let pm_m = try_run(motivational_machine(), sim_w, jobs, &mut pm)
+        let mut pm = PcMig::new(model.clone(), PcMigConfig::default());
+        let pm_m = try_run(motivational_machine(), &model, sim_w, jobs, &mut pm)
             .with_context(|| format!("ablation 6: {label}, pcmig"))?;
         println!(
             "{:<18} hotpotato {:>6.1} ms vs pcmig {:>6.1} ms ({:+.2} %), peaks {:.1}/{:.1} C",
@@ -288,13 +280,8 @@ fn main() -> Result<(), ContextError> {
             rotation_enabled: rotation,
             ..HotPotatoConfig::default()
         };
-        let m = try_run(
-            motivational_machine(),
-            sim,
-            blackscholes2(),
-            &mut hp_with(cfg)?,
-        )
-        .with_context(|| format!("ablation 7: {label}"))?;
+        let m = run_hp(motivational_machine(), sim, blackscholes2(), cfg)
+            .with_context(|| format!("ablation 7: {label}"))?;
         println!(
             "{:<14} resp {:>7.1} ms, peak {:>5.1} C, DTM {:>4}, migrations {:>4}",
             label,
@@ -317,8 +304,8 @@ fn main() -> Result<(), ContextError> {
     println!("Ablation 8 — Algorithm-1 evaluation strategy (16 candidate rotations, 16-core chip)");
     {
         use hotpotato::{EpochPowerSequence, RotationPeakSolver};
-        let solver = RotationPeakSolver::new(thermal_model_for_grid(4, 4))
-            .context("ablation 8: solver decomposition")?;
+        let solver =
+            RotationPeakSolver::new(model.clone()).context("ablation 8: solver decomposition")?;
         // 16 candidate rotations: two 7 W threads on the centre ring, all
         // relative spacings and four τ levels.
         let ring = [5usize, 6, 10, 9];

@@ -27,6 +27,8 @@ fn main() -> Result<(), ContextError> {
     );
     let mut best = f64::NEG_INFINITY;
     let mut speedups = Vec::new();
+    // One model, so every run steps on its one eigendecomposition.
+    let model = thermal_model_for_grid(8, 8);
     for rate in rates {
         // Average over several seeds to tame placement luck.
         let mut hp_total = 0.0;
@@ -36,13 +38,13 @@ fn main() -> Result<(), ContextError> {
 
             let scenario = |what: &str| format!("fig4b: rate {rate}/s, seed {seed}: {what}");
 
-            let mut hp = HotPotato::new(thermal_model_for_grid(8, 8), HotPotatoConfig::default())
+            let mut hp = HotPotato::new(model.clone(), HotPotatoConfig::default())
                 .with_context(|| scenario("HotPotato config"))?;
-            let hp_m = try_run(paper_machine(), sim_cfg, jobs.clone(), &mut hp)
+            let hp_m = try_run(paper_machine(), &model, sim_cfg, jobs.clone(), &mut hp)
                 .with_context(|| scenario("hotpotato run"))?;
 
-            let mut pm = PcMig::new(thermal_model_for_grid(8, 8), PcMigConfig::default());
-            let pm_m = try_run(paper_machine(), sim_cfg, jobs, &mut pm)
+            let mut pm = PcMig::new(model.clone(), PcMigConfig::default());
+            let pm_m = try_run(paper_machine(), &model, sim_cfg, jobs, &mut pm)
                 .with_context(|| scenario("pcmig run"))?;
 
             hp_total += hp_m

@@ -26,7 +26,7 @@ use context::{Context, ContextError};
 use hp_floorplan::GridFloorplan;
 use hp_manycore::{ArchConfig, Machine};
 use hp_sim::{Metrics, Scheduler, SimConfig, Simulation};
-use hp_thermal::{RcThermalModel, ThermalConfig};
+use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 use hp_workload::Job;
 
 /// The paper's evaluation chip: a 64-core (8×8) S-NUCA processor
@@ -51,15 +51,18 @@ pub fn thermal_model(machine: &Machine) -> RcThermalModel {
         .expect("default thermal config is valid")
 }
 
-/// Builds a fresh thermal model for a given grid (helper for schedulers
-/// that own their model).
+/// Builds a fresh thermal model for a given grid. Build one per grid and
+/// hand clones to [`try_run`] and to the schedulers: they all share the
+/// model's one eigendecomposition.
 pub fn thermal_model_for_grid(width: usize, height: usize) -> RcThermalModel {
     let fp = GridFloorplan::new(width, height).expect("non-empty grid");
     RcThermalModel::new(&fp, &ThermalConfig::default()).expect("valid thermal config")
 }
 
-/// Runs `jobs` on `machine` under `scheduler` with the given config and
-/// returns the metrics, naming the scheduler in any failure.
+/// Runs `jobs` on `machine`, whose thermal model is `model`, under
+/// `scheduler` with the given config and returns the metrics, naming the
+/// scheduler in any failure. The engine steps on `model`'s basis, so a
+/// sweep that passes one model decomposes once.
 ///
 /// # Errors
 ///
@@ -68,13 +71,16 @@ pub fn thermal_model_for_grid(width: usize, height: usize) -> RcThermalModel {
 /// own frame naming the scenario (benchmark, arrival rate, …).
 pub fn try_run(
     machine: Machine,
+    model: &RcThermalModel,
     sim_config: SimConfig,
     jobs: Vec<Job>,
     scheduler: &mut dyn Scheduler,
 ) -> Result<Metrics, ContextError> {
     let name = scheduler.name().to_owned();
-    let mut sim = Simulation::new(machine, ThermalConfig::default(), sim_config)
-        .with_context(|| format!("building simulation for scheduler `{name}`"))?;
+    let context = || format!("building simulation for scheduler `{name}`");
+    let solver = TransientSolver::new(model).with_context(context)?;
+    let mut sim = Simulation::with_thermal(machine, model.clone(), solver, sim_config)
+        .with_context(context)?;
     let result = sim.run(jobs, scheduler);
     if let Err(e) = &result {
         // Mid-run aborts still carry everything accumulated up to the
@@ -93,26 +99,6 @@ pub fn try_run(
         }
     }
     result.with_context(|| format!("running scheduler `{name}`"))
-}
-
-/// Runs `jobs` on `machine` under `scheduler` with the given config and
-/// returns the metrics.
-///
-/// # Panics
-///
-/// Panics (with the engine's error) if the run fails — experiment binaries
-/// are expected to abort loudly on harness bugs. Sweeps that want to name
-/// the failing scenario use [`try_run`] instead.
-pub fn run(
-    machine: Machine,
-    sim_config: SimConfig,
-    jobs: Vec<Job>,
-    scheduler: &mut dyn Scheduler,
-) -> Metrics {
-    match try_run(machine, sim_config, jobs, scheduler) {
-        Ok(m) => m,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Formats a fraction as a signed percentage with two decimals.

@@ -101,40 +101,16 @@ impl FallbackChain {
         config: HotPotatoConfig,
         fallback: FallbackConfig,
     ) -> hotpotato::Result<Self> {
-        let t_dtm = config.t_dtm;
-        let idle_power = config.idle_power;
-        let primary = HotPotato::new(model, config)?;
-        Ok(Self::around(primary, fallback, t_dtm, idle_power))
-    }
-
-    /// Creates the chain around a prebuilt rotation-peak solver (shared
-    /// cache handle — see [`HotPotato::with_solver`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates HotPotato configuration failures.
-    pub fn with_solver(
-        solver: hotpotato::RotationPeakSolver,
-        config: HotPotatoConfig,
-        fallback: FallbackConfig,
-    ) -> hotpotato::Result<Self> {
-        let t_dtm = config.t_dtm;
-        let idle_power = config.idle_power;
-        let primary = HotPotato::with_solver(solver, config)?;
-        Ok(Self::around(primary, fallback, t_dtm, idle_power))
-    }
-
-    fn around(primary: HotPotato, fallback: FallbackConfig, t_dtm: f64, idle_power: f64) -> Self {
-        FallbackChain {
-            primary,
+        Ok(FallbackChain {
+            t_dtm: config.t_dtm,
+            idle_power: config.idle_power,
+            primary: HotPotato::new(model, config)?,
             fallback,
-            t_dtm,
-            idle_power,
             degraded: false,
             hooks_on_fallback: 0,
             degradations: 0,
             recoveries: 0,
-        }
+        })
     }
 
     /// Whether the chain is currently running on the fallback policy.

@@ -51,28 +51,9 @@ impl HotPotatoDvfs {
     ///
     /// Propagates HotPotato construction failures.
     pub fn new(model: RcThermalModel, config: HotPotatoConfig) -> hotpotato::Result<Self> {
-        let t_dtm = config.t_dtm;
         Ok(HotPotatoDvfs {
+            t_dtm: config.t_dtm,
             inner: HotPotato::new(model, config)?,
-            t_dtm,
-            throttle: None,
-        })
-    }
-
-    /// Creates the hybrid scheduler around a prebuilt rotation-peak
-    /// solver (shared cache handle — see [`HotPotato::with_solver`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates HotPotato configuration failures.
-    pub fn with_solver(
-        solver: hotpotato::RotationPeakSolver,
-        config: HotPotatoConfig,
-    ) -> hotpotato::Result<Self> {
-        let t_dtm = config.t_dtm;
-        Ok(HotPotatoDvfs {
-            inner: HotPotato::with_solver(solver, config)?,
-            t_dtm,
             throttle: None,
         })
     }

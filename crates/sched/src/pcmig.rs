@@ -6,6 +6,12 @@ use hp_thermal::RcThermalModel;
 use crate::budget::{assign_levels_for_budget, assign_levels_per_core, BudgetCache};
 use crate::tsp_uniform::TspUniform;
 
+/// Predicted temperatures that round to the same multiple of this many
+/// °C tie, and the lower core index wins. Thermally symmetric cores (the
+/// four corners of a grid) predict equal temperatures up to round-off,
+/// which any change in the thermal arithmetic reorders.
+const TIE_CELSIUS: f64 = 1e-9;
+
 /// Configuration of the [`PcMig`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcMigConfig {
@@ -204,8 +210,9 @@ impl Scheduler for PcMig {
                 free.retain(|c| !cores.contains(c));
             }
         }
-        // Coolest (predicted) free cores first.
-        free.sort_by(|a, b| predicted[a.index()].total_cmp(&predicted[b.index()]));
+        // Coolest (predicted) free cores first, ties by core index.
+        let rounded = |c: &CoreId| (predicted[c.index()] / TIE_CELSIUS).round();
+        free.sort_by(|a, b| rounded(a).total_cmp(&rounded(b)).then(a.cmp(b)));
         for (_, tid, from) in hot_threads {
             let Some(pos) = free
                 .iter()
@@ -303,6 +310,67 @@ mod tests {
         let m = sim.run(jobs, &mut sched).unwrap();
         assert_eq!(m.completed_jobs(), m.jobs.len());
         assert!(m.peak_temperature <= 70.5, "peak {:.2}", m.peak_temperature);
+    }
+
+    #[test]
+    fn pcmig_breaks_round_off_ties_by_core_index() {
+        use hp_linalg::Vector;
+        use hp_manycore::WorkPoint;
+        use hp_power::DvfsLevel;
+        use hp_sim::ThreadView;
+        let (sim, model) = setup();
+        let machine = sim.machine();
+        // A hot thread on core 5; corners 0 and 15 are the coolest free
+        // cores and differ by round-off alone, core 15 being the cooler.
+        let mut temps = Vector::constant(16, 60.0);
+        temps[5] = 75.0;
+        temps[0] = 50.0;
+        temps[15] = 50.0 - 1e-13;
+        assert!(temps[15] < temps[0]);
+        let thread = ThreadId {
+            job: JobId(0),
+            index: 0,
+        };
+        let mut occupancy = vec![None; 16];
+        occupancy[5] = Some(thread);
+        let threads = [ThreadView {
+            id: thread,
+            benchmark: Benchmark::Blackscholes,
+            core: CoreId(5),
+            work: WorkPoint {
+                cpi_base: 1.0,
+                l1_mpki: 1.0,
+                llc_mpki: 0.1,
+                activity_exec: 0.9,
+                activity_stall: 0.2,
+            },
+            last_cpi: 1.0,
+            avg_power: 7.0,
+        }];
+        let view = SimView {
+            time: 0.0,
+            machine,
+            core_temps: &temps,
+            levels: &[DvfsLevel(0); 16],
+            occupancy: &occupancy,
+            threads: &threads,
+            pending: &[],
+            t_dtm: 70.0,
+            dtm_active: false,
+            sensor_confidence: &[1.0; 16],
+        };
+        let actions = PcMig::new(model, PcMigConfig::default()).schedule(&view);
+        let migrations: Vec<&Action> = actions
+            .iter()
+            .filter(|a| matches!(a, Action::Migrate { .. }))
+            .collect();
+        assert_eq!(
+            migrations,
+            [&Action::Migrate {
+                thread,
+                to: CoreId(0)
+            }]
+        );
     }
 
     #[test]

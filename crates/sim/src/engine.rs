@@ -171,18 +171,21 @@ impl Simulation {
     /// [`Simulation::new`] performs.
     ///
     /// This is the cache-handle constructor for sweep runners: each job
-    /// clones shared, already-factorized handles (the model clone is a
-    /// plain matrix copy, the solver clone shares its modal basis)
-    /// instead of re-deriving them. The model and solver must describe
-    /// `machine`'s floorplan — a mismatch is rejected when the core or
-    /// node counts disagree, but a same-sized model for a different chip
-    /// produces wrong temperatures, not unsoundness.
+    /// clones shared, already-factorized handles (the model clone copies
+    /// the matrices and shares the model's modal basis, and the solver
+    /// clone shares that basis too) instead of re-deriving them. The
+    /// model must describe `machine`'s floorplan, and the solver must
+    /// step in the model's own basis: the basis fingerprints must agree.
+    /// That check reads the model's basis, which a cached model has
+    /// already built; a model whose basis is not built yet decomposes
+    /// here, once.
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures and rejects a model
-    /// whose core count does not match `machine`, or a solver whose node
-    /// count does not match the model.
+    /// Propagates configuration validation failures and eigendecomposition
+    /// failures, and rejects a model whose core count does not match
+    /// `machine`, or a solver whose node count or basis fingerprint does
+    /// not match the model's.
     pub fn with_thermal(
         machine: Machine,
         model: RcThermalModel,
@@ -200,6 +203,12 @@ impl Simulation {
             return Err(SimError::InvalidParameter {
                 name: "transient solver node count",
                 value: solver.basis().node_count() as f64,
+            });
+        }
+        if solver.basis().fingerprint() != model.basis()?.fingerprint() {
+            return Err(SimError::InvalidParameter {
+                name: "transient solver basis",
+                value: f64::NAN,
             });
         }
         Ok(Simulation {

@@ -1,7 +1,7 @@
 //! `Simulation::with_thermal`, the cache-handle constructor: it takes a
 //! prebuilt RC model and transient solver instead of deriving them, so
-//! it must reject handles of another chip and, given the right ones,
-//! run exactly like `Simulation::new`.
+//! it must reject handles of another chip or a solver on another model's
+//! basis and, given the right ones, run exactly like `Simulation::new`.
 
 use hp_floorplan::GridFloorplan;
 use hp_manycore::{ArchConfig, Machine};
@@ -44,6 +44,26 @@ fn with_thermal_rejects_a_solver_of_another_chip() {
         Err(SimError::InvalidParameter { name, value }) => {
             assert_eq!(name, "transient solver node count");
             assert_eq!(value, 12.0);
+        }
+        other => panic!("expected InvalidParameter, got {other:?}"),
+    }
+}
+
+#[test]
+fn with_thermal_rejects_a_solver_on_another_models_basis() {
+    // Same grid, so the node counts agree; another sink conductance, so
+    // the bases do not.
+    let fp = GridFloorplan::new(4, 4).expect("grid");
+    let leaky = ThermalConfig {
+        g_sink_ambient: 2.0 * ThermalConfig::default().g_sink_ambient,
+        ..ThermalConfig::default()
+    };
+    let other = RcThermalModel::new(&fp, &leaky).expect("valid thermal config");
+    let solver = TransientSolver::new(&other).expect("decomposes");
+    match Simulation::with_thermal(machine(4), model(4), solver, config()) {
+        Err(SimError::InvalidParameter { name, value }) => {
+            assert_eq!(name, "transient solver basis");
+            assert!(value.is_nan());
         }
         other => panic!("expected InvalidParameter, got {other:?}"),
     }

@@ -22,8 +22,11 @@
 //! * [`TransientSolver`] — `T(t) = T_steady + e^{C·t}(T_init − T_steady)`
 //!   (paper Eq. 4) through the eigendecomposition of `C = −A⁻¹B`, the same
 //!   route as the MatEx solver the paper builds on, evaluated in eigen
-//!   coordinates with the operators of a shared [`ModalBasis`]; the
-//!   interval engine carries its [`ThermalState`] in that form. Its
+//!   coordinates with the operators of the model's [`ModalBasis`]. The
+//!   model builds that basis once, on first use by
+//!   [`RcThermalModel::basis`], and every clone of the model shares it,
+//!   so all solvers of one chip step in one basis. The interval engine
+//!   carries its [`ThermalState`] in eigen coordinates. Its
 //!   caches, envelope guard and tallies live in a [`ModalRuntime`], the
 //!   same bookkeeping Algorithm 1's rotation-peak solver uses.
 //! * [`tsp`] — Thermal Safe Power budgets (paper ref. \[14\]): the largest

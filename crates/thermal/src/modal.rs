@@ -15,7 +15,8 @@
 //! linear solve `B⁻¹P` folded into one thin matrix at design time.
 //! [`ModalBasis`] holds these operators in the transposed layouts the
 //! row-stacked GEMMs consume, plus the construction-time trust verdict
-//! on the eigendecomposition.
+//! on the eigendecomposition. Each model owns one, built on first use by
+//! [`RcThermalModel::basis`].
 
 use std::sync::OnceLock;
 
@@ -38,9 +39,9 @@ const BASIS_RESIDUAL_THRESHOLD: f64 = 1e-6;
 /// `O(N·cores)` Algorithm-1 operators and the `O(N³)` trust check on top
 /// of the eigendecomposition itself; the two `N × N` transposes only the
 /// transient solver reads are built on first use, so a basis serving
-/// Algorithm 1 alone never holds them. Share one instance (behind an
-/// `Arc`) between the transient and rotation-peak solvers of the same
-/// chip.
+/// Algorithm 1 alone never holds them. [`RcThermalModel::basis`] builds
+/// it once per model and hands the same instance to every solver of
+/// that model and of its clones.
 #[derive(Debug)]
 pub struct ModalBasis {
     eigen: SystemEigen,
@@ -75,7 +76,7 @@ impl ModalBasis {
     /// [`ThermalError::Linalg`] wrapping
     /// [`LinalgError::DimensionMismatch`] if `eigen` does not have the
     /// model's node count — it then belongs to a different model.
-    pub fn new(model: &RcThermalModel, eigen: SystemEigen) -> Result<Self> {
+    pub(crate) fn new(model: &RcThermalModel, eigen: SystemEigen) -> Result<Self> {
         let nodes = model.node_count();
         let cores = model.core_count();
         if eigen.dim() != nodes {

@@ -1,8 +1,11 @@
+use std::sync::{Arc, OnceLock};
+
 use hp_floorplan::{CoreId, GridFloorplan};
 use hp_linalg::convert::usize_to_f64;
+use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{CholeskyDecomposition, LuDecomposition, Matrix, NumericalError, Vector};
 
-use crate::{Result, ThermalConfig, ThermalError};
+use crate::{ModalBasis, Result, ThermalConfig, ThermalError};
 
 /// Conditioning estimate above which solvers stop trusting the eigen
 /// fast path and arm the dense backward-Euler fallback
@@ -56,6 +59,9 @@ pub enum Layer {
 /// symmetric positive definite by construction — the property the paper's
 /// Eq. (8)–(9) closed forms rely on.
 ///
+/// The model owns its [`ModalBasis`] (see [`basis`](RcThermalModel::basis)):
+/// cloning a model is how a chip's solvers share one eigendecomposition.
+///
 /// # Example
 ///
 /// ```
@@ -88,6 +94,10 @@ pub struct RcThermalModel {
     b_lu: LuDecomposition,
     /// Cached ambient response `B⁻¹·G·T_amb` (temperature with zero power).
     ambient_response: Vector,
+    /// The modal basis, built by the first [`basis`](RcThermalModel::basis)
+    /// call. The cell itself sits behind the `Arc`, so clones taken before
+    /// that call share it too.
+    basis: Arc<OnceLock<Arc<ModalBasis>>>,
 }
 
 impl RcThermalModel {
@@ -196,6 +206,7 @@ impl RcThermalModel {
             g,
             b_lu,
             ambient_response,
+            basis: Arc::default(),
         })
     }
 
@@ -237,6 +248,27 @@ impl RcThermalModel {
     /// The ambient response `B⁻¹·G·T_amb`: node temperatures with zero power.
     pub fn ambient_response(&self) -> &Vector {
         &self.ambient_response
+    }
+
+    /// The model's modal basis: the eigendecomposition of `C = −A⁻¹B`
+    /// and the operators both modal solvers step with.
+    ///
+    /// The first call decomposes (the design-time phase); every later
+    /// call, on this model or on any clone of it, returns the same basis,
+    /// so all solvers of a chip step in one basis. Threads racing on an
+    /// unbuilt basis may each decompose; all get the first one stored.
+    ///
+    /// # Errors
+    ///
+    /// Propagates eigendecomposition failures as [`ThermalError::Linalg`];
+    /// the next call then retries.
+    pub fn basis(&self) -> Result<&Arc<ModalBasis>> {
+        if let Some(basis) = self.basis.get() {
+            return Ok(basis);
+        }
+        let eigen = SystemEigen::new(&self.a_diag, &self.b)?;
+        let basis = Arc::new(ModalBasis::new(self, eigen)?);
+        Ok(self.basis.get_or_init(|| basis))
     }
 
     /// Thermal node index of `core` in `layer`.
@@ -576,6 +608,20 @@ mod tests {
             broken.validate(),
             Err(ThermalError::Linalg(hp_linalg::LinalgError::Numerical(_)))
         ));
+    }
+
+    #[test]
+    fn clones_share_one_basis_even_when_taken_before_it_is_built() {
+        let m = model_4x4();
+        let early = m.clone();
+        let basis = m.basis().unwrap();
+        assert!(std::ptr::eq(&**basis, &**early.basis().unwrap()));
+        assert!(std::ptr::eq(&**basis, &**m.clone().basis().unwrap()));
+        // Another model decomposes on its own, into the same bits.
+        let other = model_4x4();
+        let theirs = other.basis().unwrap();
+        assert!(!std::ptr::eq(&**basis, &**theirs));
+        assert_eq!(basis.fingerprint(), theirs.fingerprint());
     }
 
     #[test]

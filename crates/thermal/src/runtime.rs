@@ -322,13 +322,11 @@ mod tests {
     use super::*;
     use crate::{RcThermalModel, ThermalConfig};
     use hp_floorplan::GridFloorplan;
-    use hp_linalg::eigen::SystemEigen;
 
     fn runtime() -> ModalRuntime<u32> {
         let fp = GridFloorplan::new(2, 2).unwrap();
         let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
-        let eigen = SystemEigen::new(model.a_diag(), model.b()).unwrap();
-        ModalRuntime::new(Arc::new(ModalBasis::new(&model, eigen).unwrap()))
+        ModalRuntime::new(Arc::clone(model.basis().unwrap()))
     }
 
     /// A dense-cache build closure that records how often it ran.

@@ -40,8 +40,9 @@ impl ThermalState {
 
 /// MatEx-style transient temperature solver.
 ///
-/// Holds the [`ModalBasis`] of `C = −A⁻¹B` (shareable with the
-/// rotation-peak solver of the same chip) and evaluates the exact
+/// Holds its model's [`ModalBasis`] of `C = −A⁻¹B` (the one
+/// [`RcThermalModel::basis`] shares with every other solver of the
+/// chip) and evaluates the exact
 /// solution of the linear ODE for piecewise-constant power (paper Eq. 4)
 /// in eigen coordinates:
 ///
@@ -111,29 +112,19 @@ fn relax(m: &Vector, z: &[f64], y: &[f64], out: &mut [f64]) {
 }
 
 impl TransientSolver {
-    /// Builds the solver (one eigendecomposition of the model's `C`).
+    /// Builds the solver on the model's [`basis`](RcThermalModel::basis):
+    /// one eigendecomposition of the model's `C` if no solver of this
+    /// model or of a clone of it has built the basis yet, none otherwise.
+    /// Step the solver with that model (or a clone); a model of another
+    /// chip gives meaningless temperatures.
     ///
     /// # Errors
     ///
     /// Propagates eigendecomposition failures as [`ThermalError::Linalg`].
     pub fn new(model: &RcThermalModel) -> Result<Self> {
-        let eigen = SystemEigen::new(model.a_diag(), model.b())?;
-        Ok(Self::with_basis(Arc::new(ModalBasis::new(model, eigen)?)))
-    }
-
-    /// Builds the solver around a prebuilt [`ModalBasis`], skipping the
-    /// eigendecomposition entirely.
-    ///
-    /// This is the cache-handle constructor: a sweep runner that
-    /// factorizes each chip configuration once hands the same basis to
-    /// the transient solver and to Algorithm 1's rotation-peak solver.
-    /// The basis must belong to the model the solver is later stepped
-    /// with — a same-sized basis of a different chip produces
-    /// meaningless temperatures (not unsoundness).
-    pub fn with_basis(basis: Arc<ModalBasis>) -> Self {
-        TransientSolver {
-            runtime: ModalRuntime::new(basis),
-        }
+        Ok(TransientSolver {
+            runtime: ModalRuntime::new(Arc::clone(model.basis()?)),
+        })
     }
 
     /// The eigenbasis and modal operators the solver steps with.
@@ -964,21 +955,28 @@ mod tests {
     }
 
     #[test]
-    fn with_basis_shares_one_basis_between_solvers() {
-        let (model, fresh) = setup();
-        let eigen = SystemEigen::new(model.a_diag(), model.b()).unwrap();
-        let basis = Arc::new(ModalBasis::new(&model, eigen).unwrap());
-        let a = TransientSolver::with_basis(Arc::clone(&basis));
-        let b = TransientSolver::with_basis(Arc::clone(&basis));
-        assert!(std::ptr::eq(a.basis(), &*basis));
+    fn new_shares_the_model_basis_between_solvers() {
+        let (model, a) = setup();
+        let copy = model.clone();
+        let b = TransientSolver::new(&copy).unwrap();
+        let basis = model.basis().unwrap();
+        assert!(std::ptr::eq(a.basis(), &**basis));
         assert!(std::ptr::eq(a.basis(), b.basis()));
-        assert_eq!(Arc::strong_count(&basis), 3);
-        // Same model, same decomposition: every constructor steps alike.
-        let t0 = warm_state(&model, &fresh);
+        // The model's cell, `a` and `b` each hold one reference.
+        assert_eq!(Arc::strong_count(basis), 3);
+        // A model built anew decomposes anew, into the same bits.
+        let fresh_model = RcThermalModel::new(
+            &GridFloorplan::new(4, 4).unwrap(),
+            &ThermalConfig::default(),
+        )
+        .unwrap();
+        let fresh = TransientSolver::new(&fresh_model).unwrap();
+        assert!(!std::ptr::eq(a.basis(), fresh.basis()));
+        let t0 = warm_state(&model, &a);
         let p = Vector::constant(16, 1.5);
         let x = a.step(&model, &t0, &p, 1e-4).unwrap();
         let y = b.step(&model, &t0, &p, 1e-4).unwrap();
-        let z = fresh.step(&model, &t0, &p, 1e-4).unwrap();
+        let z = fresh.step(&fresh_model, &t0, &p, 1e-4).unwrap();
         for i in 0..model.node_count() {
             assert_eq!(x[i].to_bits(), y[i].to_bits(), "node {i}");
             assert_eq!(x[i].to_bits(), z[i].to_bits(), "node {i}");

@@ -11,7 +11,7 @@
 //!   scales with `‖S‖`, while Jacobi keeps the smallest eigenvalues
 //!   relatively accurate, so a per-eigenvalue relative bound would fail
 //!   on an error both solvers are entitled to;
-//! * the same [`ModalBasis::armed`] verdict, so no chip changes between
+//! * the same `ModalBasis::armed` verdict, so no chip changes between
 //!   the eigen path and the dense fallback.
 //!
 //! The 16×16 chip (`N = 768`) checks the contract without the reference,
@@ -22,10 +22,9 @@
 mod support;
 
 use hp_floorplan::GridFloorplan;
-use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, SymmetricEigen};
 use hp_thermal::stacked::stacked_model;
-use hp_thermal::{ModalBasis, RcThermalModel, ThermalConfig};
+use hp_thermal::{RcThermalModel, ThermalConfig};
 use support::{jacobi_eigen, orthogonality_error, reconstruction_error};
 
 const CONTRACT: f64 = 1e-12;
@@ -35,7 +34,7 @@ fn grid(width: usize, height: usize, config: &ThermalConfig) -> RcThermalModel {
     RcThermalModel::new(&fp, config).expect("model builds")
 }
 
-/// `S = A^{-1/2}·B·A^{-1/2}`, symmetrized as [`SystemEigen::new`] does.
+/// `S = A^{-1/2}·B·A^{-1/2}`, symmetrized as `SystemEigen::new` does.
 fn symmetrized(model: &RcThermalModel) -> Matrix {
     let a = model.a_diag();
     let b = model.b();
@@ -75,8 +74,7 @@ fn check_against_reference(name: &str, model: &RcThermalModel, armed: bool) {
         "{name}: Jacobi {reference_rec:e}"
     );
 
-    let eigen = SystemEigen::new(model.a_diag(), model.b()).expect("system decomposes");
-    let basis = ModalBasis::new(model, eigen).expect("basis builds");
+    let basis = model.basis().expect("basis builds");
     assert_eq!(basis.armed(), armed, "{name}: arming verdict");
 }
 
