@@ -5,18 +5,27 @@
 //! * `alg1_delta_scaling` — cost vs. rotation period δ (paper claims
 //!   `O(2δ²N²)` for the literal form; the recurrence is `O(δN²)`).
 //! * `alg1_node_scaling` — cost vs. chip size N.
-//! * `alg1_batch` — 16 candidate rotations evaluated by a serial
-//!   `peak_celsius` loop vs one `peak_celsius_many` call (the scheduler's
-//!   probe pattern); also cross-checks that the two agree to ≤1e-9 °C and,
-//!   when measuring, that the batch is at least 2× faster.
+//! * `alg1_batch` — 16 candidate rotations evaluated by a loop of the
+//!   serial per-boundary reference vs one `peak_celsius_many` call (the
+//!   scheduler's probe pattern); also cross-checks that the two agree to
+//!   ≤1e-9 °C and, when measuring, that the batch is at least 2× faster.
 //! * `alg1_sampled` — the intra-epoch sampled peak at 16 samples via the
-//!   row-stacked GEMM vs the retired per-sample serial loop; cross-checks
+//!   row-stacked GEMM vs the serial per-sample reference; cross-checks
 //!   bit equality and, when measuring, a ≥2× speedup.
 //! * `design_time` — the one-off eigendecomposition.
+//!
+//! The serial references are the differential tests' own, from
+//! `crates/core/tests/support`.
+
+// The benches time one of the two references the module holds.
+#[allow(dead_code)]
+#[path = "../../core/tests/support/mod.rs"]
+mod support;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpotato::RotationPeakSolver;
 use hp_bench::{full_load_sequence, model};
+use support::peak_celsius_sampled_serial;
 
 fn bench_runtime(c: &mut Criterion) {
     let solver = RotationPeakSolver::new(model(8, 8)).expect("decomposes");
@@ -63,10 +72,11 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
         .collect();
 
     // Correctness gate before any timing: the batch must agree with the
-    // serial loop on every candidate.
+    // serial loop on every candidate. One sample per epoch is the
+    // boundary form, one junction dot product per boundary and core.
     let serial: Vec<f64> = seqs
         .iter()
-        .map(|s| solver.peak_celsius(s).expect("computes"))
+        .map(|s| peak_celsius_sampled_serial(&solver, s, 1))
         .collect();
     let batch = solver.peak_celsius_many(&seqs).expect("computes");
     for (a, b) in serial.iter().zip(&batch) {
@@ -77,7 +87,7 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
     g.bench_function("serial_loop", |b| {
         b.iter(|| {
             seqs.iter()
-                .map(|s| solver.peak_celsius(s).expect("computes"))
+                .map(|s| peak_celsius_sampled_serial(&solver, s, 1))
                 .sum::<f64>()
         });
     });
@@ -96,7 +106,7 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
         for _ in 0..reps {
             criterion::black_box(
                 seqs.iter()
-                    .map(|s| solver.peak_celsius(s).expect("computes"))
+                    .map(|s| peak_celsius_sampled_serial(&solver, s, 1))
                     .sum::<f64>(),
             );
         }
@@ -118,7 +128,7 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
 fn bench_sampled_vs_serial(c: &mut Criterion) {
     // The intra-epoch sampled peak at 16 samples on the 8x8 chip: all
     // δ·samples junction reconstructions stacked through one GEMM vs the
-    // retired per-sample dot-product loop kept as `_serial`.
+    // serial reference's per-sample dot products.
     let solver = RotationPeakSolver::new(model(8, 8)).expect("decomposes");
     let seq = full_load_sequence(64, 8, 0.5e-3);
     let samples = 16usize;
@@ -127,9 +137,7 @@ fn bench_sampled_vs_serial(c: &mut Criterion) {
     let batched = solver
         .peak_celsius_sampled(&seq, samples)
         .expect("computes");
-    let serial = solver
-        .peak_celsius_sampled_serial(&seq, samples)
-        .expect("computes");
+    let serial = peak_celsius_sampled_serial(&solver, &seq, samples);
     assert_eq!(
         batched.to_bits(),
         serial.to_bits(),
@@ -138,11 +146,7 @@ fn bench_sampled_vs_serial(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("alg1_sampled16_64core_delta8");
     g.bench_function("serial_dots", |b| {
-        b.iter(|| {
-            solver
-                .peak_celsius_sampled_serial(&seq, samples)
-                .expect("computes")
-        });
+        b.iter(|| peak_celsius_sampled_serial(&solver, &seq, samples));
     });
     g.bench_function("batched_gemm", |b| {
         b.iter(|| {
@@ -157,11 +161,7 @@ fn bench_sampled_vs_serial(c: &mut Criterion) {
         let reps = 200u32;
         let t0 = std::time::Instant::now();
         for _ in 0..reps {
-            criterion::black_box(
-                solver
-                    .peak_celsius_sampled_serial(&seq, samples)
-                    .expect("computes"),
-            );
+            criterion::black_box(peak_celsius_sampled_serial(&solver, &seq, samples));
         }
         let t_serial = t0.elapsed();
         let t0 = std::time::Instant::now();

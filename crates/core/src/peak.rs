@@ -36,19 +36,22 @@
 //! 1e-7 °C apart; sharing one helper makes such divergence structurally
 //! impossible.
 //!
-//! # Batch evaluation
+//! # One kernel
 //!
-//! [`RotationPeakSolver::peak_celsius_many`] evaluates many candidate
-//! rotations in one call by stacking their epochs into matrices (one
-//! contiguous row per epoch): one GEMM maps all powers to eigen space,
-//! the per-candidate cycle recurrences fill a boundary-state matrix, and
-//! a second GEMM produces every junction temperature at once. Because
-//! the register-tiled [`Matrix::mul_matrix`] accumulates each output
-//! element in ascending inner-index order — the same order as the scalar
-//! dot products — the batch results match
-//! [`RotationPeakSolver::peak_celsius`] bit for bit while running
-//! severalfold faster (SIMD GEMM inner loops, unit-stride batch
-//! matrices, plus a per-τ cache of the `e^{λτ}` decay data).
+//! [`peak`](RotationPeakSolver::peak),
+//! [`peak_celsius`](RotationPeakSolver::peak_celsius),
+//! [`peak_celsius_many`](RotationPeakSolver::peak_celsius_many) and
+//! [`peak_celsius_sampled`](RotationPeakSolver::peak_celsius_sampled) run
+//! one kernel and differ only in how they reduce its rows; a single
+//! rotation is a batch of one. The kernel stacks the candidates' epochs
+//! into matrices (one contiguous row per epoch): one GEMM maps all powers
+//! to eigen space, the per-candidate cycle recurrences fill a
+//! boundary-state matrix, and a second GEMM produces every junction
+//! temperature at once. Because the register-tiled [`Matrix::mul_matrix`]
+//! accumulates each output element in ascending inner-index order — the
+//! same order as scalar dot products — the results match the serial
+//! per-boundary form bit for bit, so a candidate's peak does not depend
+//! on the batch it was evaluated in. Decay data `e^{λτ}` is cached per τ.
 
 use std::sync::Arc;
 
@@ -111,13 +114,6 @@ fn cycle_start(delta: usize, nodes: usize, decay: &ModalDecay, ys: &[&[f64]]) ->
     z
 }
 
-/// Borrowed row views of a set of eigen-space epoch states, the form
-/// [`cycle_start`] consumes (the batch path hands it rows of a packed
-/// matrix, the scalar paths hand it their per-epoch vectors).
-fn as_rows(ys: &[Vector]) -> Vec<&[f64]> {
-    ys.iter().map(Vector::as_slice).collect()
-}
-
 /// The result of a peak-temperature analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeakReport {
@@ -129,6 +125,32 @@ pub struct PeakReport {
     pub critical_epoch: usize,
     /// Junction temperatures at every epoch boundary of the steady cycle.
     pub boundary_temps: Vec<Vector>,
+}
+
+/// The kernel's output for a batch of candidate rotations.
+struct Cycles {
+    /// Junction temperatures (°C), one row per sample instant of each
+    /// candidate's steady cycle, candidate after candidate.
+    temps: Matrix,
+    /// Each candidate's hottest junction over its rows, °C.
+    peaks: Vec<f64>,
+}
+
+impl Cycles {
+    /// Reduces `temps`, `δ·samples` rows per candidate of `seqs`.
+    fn new(temps: Matrix, seqs: &[EpochPowerSequence], samples: usize) -> Self {
+        let mut next = 0;
+        let peaks = seqs
+            .iter()
+            .map(|seq| {
+                let rows = next..next + seq.delta() * samples;
+                next = rows.end;
+                rows.flat_map(|r| temps.row(r))
+                    .fold(f64::NEG_INFINITY, |peak, &v| peak.max(v))
+            })
+            .collect();
+        Cycles { temps, peaks }
+    }
 }
 
 /// Computes steady-cycle peak temperatures for rotations on a fixed
@@ -216,21 +238,110 @@ impl RotationPeakSolver {
         Ok(())
     }
 
-    /// The decay data for epoch length `tau`, or `None` on a degraded
-    /// solver (one lock for both questions).
-    fn healthy_decay(&self, tau: f64) -> Option<Arc<ModalDecay>> {
-        let mut ledger = self.runtime.lock();
-        (!ledger.degraded()).then(|| ledger.decay(tau))
+    /// Algorithm 1's run-time phase over a batch of candidate rotations,
+    /// with every epoch sampled at `samples` evenly spaced instants (the
+    /// last one its end): the kernel of every peak entry point. `tally`
+    /// counts the call as a batch, after the candidates validate.
+    ///
+    /// A healthy solver runs [`Self::modal_cycles`] and passes the
+    /// per-candidate peaks through the runtime's envelope guard; a
+    /// degraded solver, or a trip, computes every candidate with
+    /// [`Self::dense_cycle`] instead, and the dense result is
+    /// authoritative.
+    fn steady_cycles(
+        &self,
+        seqs: &[EpochPowerSequence],
+        samples: usize,
+        tally: bool,
+    ) -> Result<Cycles> {
+        for seq in seqs {
+            self.validate_seq(seq)?;
+        }
+        let decays: Option<Vec<_>> = {
+            let mut ledger = self.runtime.lock();
+            if tally {
+                ledger.count_batch(seqs.len());
+            }
+            (!ledger.degraded()).then(|| {
+                seqs.iter()
+                    .map(|seq| {
+                        let epoch = ledger.decay(seq.tau());
+                        let sub = if samples == 1 {
+                            Arc::clone(&epoch)
+                        } else {
+                            ledger.decay(seq.tau() / usize_to_f64(samples))
+                        };
+                        (epoch, sub)
+                    })
+                    .collect()
+            })
+        };
+        if let Some(decays) = decays {
+            let cycles = Cycles::new(self.modal_cycles(seqs, samples, &decays)?, seqs, samples);
+            let ambient = self.model.config().ambient;
+            let tripped = self
+                .runtime
+                .lock()
+                .guard(ambient, cycles.peaks.iter().copied());
+            if !tripped {
+                return Ok(cycles);
+            }
+        }
+        let mut rows = Vec::new();
+        for seq in seqs {
+            rows.extend(self.dense_cycle(seq, samples)?);
+        }
+        let temps = Matrix::from_fn(rows.len(), self.model.core_count(), |r, c| rows[r][c]);
+        Ok(Cycles::new(temps, seqs, samples))
     }
 
-    /// The eigen-space steady states `ys[e] = V⁻¹·T_ss(P_e)` of every
-    /// epoch, through one `δ × cores` GEMM against `projᵀ`.
-    fn steady_states(&self, seq: &EpochPowerSequence) -> Result<Vec<Vector>> {
-        let p_t = Matrix::from_fn(seq.delta(), self.model.core_count(), |e, j| seq.epoch(e)[j]);
-        let y_t = self.runtime.basis().steady_modal(&p_t)?; // δ × nodes
-        Ok((0..seq.delta())
-            .map(|e| Vector::from(y_t.row(e).to_vec()))
-            .collect())
+    /// The eigen path of [`Self::steady_cycles`], given each candidate's
+    /// epoch and sub-epoch (`τ/samples`) decay data:
+    ///
+    /// 1. one `Pᵀ × projᵀ` GEMM maps every epoch of every candidate to
+    ///    its eigen-space steady state (`Pᵀ` is `Σδ × cores`),
+    /// 2. each candidate's cycle opens at its Eq.-(10) start state and
+    ///    walks the recurrence `z ← m∘z + (1 − m)∘y` sub-epoch by
+    ///    sub-epoch, writing every state into a row of a shared
+    ///    `Σδ·samples × nodes` matrix,
+    /// 3. one `Z × V_Jᵀ` GEMM yields every junction temperature at once.
+    ///
+    /// Transposing both GEMM operands leaves every dot product's terms
+    /// and their ascending-`k` order unchanged, which is why the result is
+    /// bit-identical to per-instant `V_J·z` dot products.
+    fn modal_cycles(
+        &self,
+        seqs: &[EpochPowerSequence],
+        samples: usize,
+        decays: &[(Arc<ModalDecay>, Arc<ModalDecay>)],
+    ) -> Result<Matrix> {
+        let basis = self.runtime.basis();
+        let nodes = self.model.node_count();
+        let total: usize = seqs.iter().map(EpochPowerSequence::delta).sum();
+        let mut p_t = Matrix::zeros(total, self.model.core_count());
+        let epochs = seqs.iter().flat_map(|s| (0..s.delta()).map(|e| s.epoch(e)));
+        for (row, power) in epochs.enumerate() {
+            p_t.row_mut(row).copy_from_slice(power.as_slice());
+        }
+        let y_t = basis.steady_modal(&p_t)?; // Σδ × nodes
+
+        let mut z_t = Matrix::zeros(total * samples, nodes);
+        let (mut first, mut row) = (0, 0);
+        for (seq, (epoch, sub)) in seqs.iter().zip(decays) {
+            let ys: Vec<&[f64]> = (first..first + seq.delta()).map(|r| y_t.row(r)).collect();
+            first += seq.delta();
+            let mut z = cycle_start(seq.delta(), nodes, epoch, &ys);
+            for y in &ys {
+                for _ in 0..samples {
+                    for i in 0..nodes {
+                        z[i] = sub.m[i] * z[i] + sub.one_minus_m[i] * y[i];
+                    }
+                    z_t.row_mut(row).copy_from_slice(z.as_slice());
+                    row += 1;
+                }
+            }
+        }
+        Ok(z_t.mul_matrix(basis.v_junction_t())?) // Σδ·samples × cores
     }
 
     /// Dense-fallback steady cycle: the junction temperatures at every
@@ -293,29 +404,6 @@ impl RotationPeakSolver {
         Ok(boundaries)
     }
 
-    /// Dense-fallback form of [`peak`](RotationPeakSolver::peak): the
-    /// report over the epoch boundaries of [`Self::dense_cycle`].
-    fn peak_report_dense(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        Ok(report_from_boundaries(self.dense_cycle(seq, 1)?))
-    }
-
-    /// Dense-fallback peak over `δ·samples` sub-epoch boundaries.
-    fn peak_celsius_dense(&self, seq: &EpochPowerSequence, samples: usize) -> Result<f64> {
-        let boundaries = self.dense_cycle(seq, samples)?;
-        Ok(boundaries
-            .iter()
-            .flat_map(|b| b.iter().copied())
-            .fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    /// The runtime's envelope guard over eigen-path peaks (°C): `true`
-    /// means a trip, after which the caller recomputes densely.
-    fn guard(&self, peaks_celsius: impl IntoIterator<Item = f64>) -> bool {
-        self.runtime
-            .lock()
-            .guard(self.model.config().ambient, peaks_celsius)
-    }
-
     /// Run-time phase: steady-cycle boundary temperatures and their peak
     /// for the rotation described by `seq`.
     ///
@@ -325,67 +413,14 @@ impl RotationPeakSolver {
     ///   number of cores than the model.
     /// * Propagated thermal/solver errors.
     pub fn peak(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        self.validate_seq(seq)?;
-        let Some(decay) = self.healthy_decay(seq.tau()) else {
-            return self.peak_report_dense(seq);
-        };
-        let ys = self.steady_states(seq)?;
-        let (delta, nodes) = (seq.delta(), self.model.node_count());
-
-        let mut z = cycle_start(delta, nodes, &decay, &as_rows(&ys));
-
-        // Walk the cycle: z_{k+1} = m ⊙ z_k + (1-m) ⊙ y_k, row-stacking
-        // the boundary states so one GEMM against the junction rows of `V`
-        // reconstructs every boundary's junction temperatures at once
-        // (bit-identical to the per-boundary `V·z` mat-vecs — see
-        // `peak_report_serial`).
-        let mut z_t = Matrix::zeros(delta, nodes);
-        for (e, y) in ys.iter().enumerate() {
-            for i in 0..nodes {
-                z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * y[i];
-            }
-            z_t.row_mut(e).copy_from_slice(z.as_slice());
-        }
-        let t = z_t.mul_matrix(self.runtime.basis().v_junction_t())?; // δ × cores
-        let report = report_from_boundaries(
-            (0..delta)
-                .map(|e| Vector::from(t.row(e).to_vec()))
+        let temps = self
+            .steady_cycles(std::slice::from_ref(seq), 1, false)?
+            .temps;
+        Ok(report_from_boundaries(
+            (0..temps.rows())
+                .map(|e| Vector::from(temps.row(e).to_vec()))
                 .collect(),
-        );
-
-        // Runtime invariant guard: an eigen-path peak outside the
-        // physical envelope is numerical garbage. Trip the sticky flag
-        // and redo the cycle densely — the dense result is authoritative.
-        if self.guard([report.peak_celsius]) {
-            return self.peak_report_dense(seq);
-        }
-        Ok(report)
-    }
-
-    /// Serial form of [`peak`](RotationPeakSolver::peak): one full `V·z`
-    /// mat-vec per boundary instead of the row-stacked GEMM. Kept as the
-    /// differential-testing reference the batched report path must match
-    /// bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`peak`](RotationPeakSolver::peak).
-    #[doc(hidden)]
-    pub fn peak_report_serial(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        self.validate_seq(seq)?;
-        let decay = self.runtime.lock().decay(seq.tau());
-        let ys = self.steady_states(seq)?;
-        let nodes = self.model.node_count();
-        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
-        let mut boundary_temps = Vec::with_capacity(seq.delta());
-        for y in &ys {
-            for i in 0..nodes {
-                z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * y[i];
-            }
-            let t_nodes = self.eigen().v().mul_vector(&z);
-            boundary_temps.push(self.model.core_temperatures(&t_nodes));
-        }
-        Ok(report_from_boundaries(boundary_temps))
+        ))
     }
 
     /// Reference implementation of paper Eq. (10): every boundary state is
@@ -428,142 +463,39 @@ impl RotationPeakSolver {
         Ok(peak)
     }
 
-    /// Run-time phase, peak only: identical mathematics to
-    /// [`peak`](RotationPeakSolver::peak) but evaluates *junction rows
-    /// only* at each boundary and skips the report — this is the inner
-    /// loop of the HotPotato scheduler (tens of microseconds for the
-    /// 64-core chip, the paper's 23.76 µs measurement).
+    /// Run-time phase, peak only: the hottest junction of
+    /// [`peak`](RotationPeakSolver::peak)'s report without building it —
+    /// the HotPotato scheduler's single-candidate probe (tens of
+    /// microseconds for the 64-core chip, the paper's 23.76 µs
+    /// measurement).
     ///
     /// # Errors
     ///
     /// Same as [`peak`](RotationPeakSolver::peak).
     pub fn peak_celsius(&self, seq: &EpochPowerSequence) -> Result<f64> {
-        self.validate_seq(seq)?;
-        let Some(decay) = self.healthy_decay(seq.tau()) else {
-            return self.peak_celsius_dense(seq, 1);
-        };
-        let ys = self.steady_states(seq)?;
-        let (cores, nodes) = (self.model.core_count(), self.model.node_count());
-        let v = self.eigen().v();
-        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
-        let mut peak = f64::NEG_INFINITY;
-        for y in &ys {
-            for i in 0..nodes {
-                z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * y[i];
-            }
-            for c in 0..cores {
-                let row = v.row(c);
-                let t: f64 = row.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-                peak = peak.max(t);
-            }
-        }
-        if self.guard([peak]) {
-            return self.peak_celsius_dense(seq, 1);
-        }
-        Ok(peak)
+        Ok(self
+            .steady_cycles(std::slice::from_ref(seq), 1, false)?
+            .peaks[0])
     }
 
     /// Batched run-time phase: the peak of every candidate rotation in
     /// `seqs`, agreeing with per-candidate
     /// [`peak_celsius`](RotationPeakSolver::peak_celsius) calls bit for
-    /// bit.
-    ///
-    /// The candidates' epochs are stacked (one contiguous row per epoch,
-    /// i.e. the transposed batch layout) so the expensive linear algebra
-    /// amortizes across the whole batch and every intermediate access
-    /// stays unit-stride:
-    ///
-    /// 1. one `Pᵀ × projᵀ` GEMM maps every epoch's power map to eigen
-    ///    space (`Pᵀ` is `Σδ × cores`),
-    /// 2. each candidate's steady cycle closes with the cheap `O(δN)`
-    ///    recurrence, writing its boundary states into rows of a shared
-    ///    `Σδ × nodes` matrix,
-    /// 3. one `Z × V_junctionᵀ` GEMM yields every junction temperature at
-    ///    every boundary of every candidate, reduced per candidate.
-    ///
-    /// Transposing both GEMM operands leaves every dot product's terms
-    /// and their ascending-`k` order unchanged, which is why the batch is
-    /// bit-identical to the scalar path. Decay vectors `e^{λτ}` are
-    /// cached per distinct τ, so a probe sweep at one τ computes them
-    /// once. This is the batch entry point used by the scheduler's
-    /// promotion/demotion probes and the design-space oracle; on the 8×8
-    /// chip it is severalfold faster than the serial loop (see
-    /// `benches/overhead_alg1.rs`).
+    /// bit. Stacking the candidates amortizes the two GEMMs and the
+    /// per-τ decay lookups across the whole batch; this is the entry
+    /// point of the scheduler's promotion/demotion probes and of the
+    /// design-space oracle, and the only one counted in
+    /// [`SolverStats::batch_calls`](hp_thermal::SolverStats::batch_calls).
     ///
     /// # Errors
     ///
     /// Same as [`peak`](RotationPeakSolver::peak), applied to every
-    /// element of `seqs`.
+    /// element of `seqs`; a rejected batch is not counted.
     pub fn peak_celsius_many(&self, seqs: &[EpochPowerSequence]) -> Result<Vec<f64>> {
         if seqs.is_empty() {
             return Ok(Vec::new());
         }
-        self.runtime.lock().count_batch(seqs.len());
-        for seq in seqs {
-            self.validate_seq(seq)?;
-        }
-        let decays: Option<Vec<Arc<ModalDecay>>> = {
-            let mut ledger = self.runtime.lock();
-            (!ledger.degraded()).then(|| seqs.iter().map(|s| ledger.decay(s.tau())).collect())
-        };
-        let Some(decays) = decays else {
-            // The dense epoch map is cached per τ, so a batch at one τ
-            // still amortizes the expensive extraction.
-            return seqs.iter().map(|s| self.peak_celsius_dense(s, 1)).collect();
-        };
-        let cores = self.model.core_count();
-        let nodes = self.model.node_count();
-        let total: usize = seqs.iter().map(EpochPowerSequence::delta).sum();
-
-        // Stage 1: row-stack every epoch of every candidate and map the
-        // whole batch to eigen space with one GEMM, folding the ambient
-        // term in while the result is hot.
-        let mut p_t = Matrix::zeros(total, cores);
-        let mut row = 0;
-        for seq in seqs {
-            for e in 0..seq.delta() {
-                p_t.row_mut(row).copy_from_slice(seq.epoch(e).as_slice());
-                row += 1;
-            }
-        }
-        let y_t = self.runtime.basis().steady_modal(&p_t)?; // Σδ × nodes
-
-        // Stage 2: close each candidate's steady cycle in eigen space and
-        // pack the boundary states row-wise.
-        let mut z_t = Matrix::zeros(total, nodes);
-        let mut row0 = 0;
-        for (seq, decay) in seqs.iter().zip(&decays) {
-            let delta = seq.delta();
-            let ys: Vec<&[f64]> = (0..delta).map(|e| y_t.row(row0 + e)).collect();
-            let mut z = cycle_start(delta, nodes, decay, &ys);
-            for (e, ye) in ys.iter().enumerate() {
-                for i in 0..nodes {
-                    z[i] = decay.m[i] * z[i] + decay.one_minus_m[i] * ye[i];
-                }
-                z_t.row_mut(row0 + e).copy_from_slice(z.as_slice());
-            }
-            row0 += delta;
-        }
-
-        // Stage 3: all junction temperatures at once, then a per-candidate
-        // max over its boundary rows.
-        let t = z_t.mul_matrix(self.runtime.basis().v_junction_t())?; // Σδ × cores
-        let mut peaks = Vec::with_capacity(seqs.len());
-        let mut row0 = 0;
-        for seq in seqs {
-            let mut peak = f64::NEG_INFINITY;
-            for e in 0..seq.delta() {
-                for &v in t.row(row0 + e) {
-                    peak = peak.max(v);
-                }
-            }
-            peaks.push(peak);
-            row0 += seq.delta();
-        }
-        if self.guard(peaks.iter().copied()) {
-            return seqs.iter().map(|s| self.peak_celsius_dense(s, 1)).collect();
-        }
-        Ok(peaks)
+        Ok(self.steady_cycles(seqs, 1, true)?.peaks)
     }
 
     /// Like [`peak_celsius`](RotationPeakSolver::peak_celsius) but
@@ -579,19 +511,11 @@ impl RotationPeakSolver {
     /// non-monotone.
     ///
     /// `samples == 1` reduces exactly to [`peak_celsius`], on the eigen
-    /// path and on the dense fallback alike: a degraded solver runs the
-    /// dense cycle with every epoch split into `samples` sub-epochs of
-    /// `τ/samples`, and a healthy solver's result passes the same
-    /// envelope guard.
-    ///
-    /// All `δ·samples` intra-epoch phases are row-stacked into one batch
-    /// matrix and mapped through a single `Z × V_junctionᵀ` GEMM instead
-    /// of per-sample junction dots — bit-identical to the serial form
-    /// (kept as [`peak_celsius_sampled_serial`]) and severalfold faster
-    /// (see `benches/overhead_alg1.rs`).
+    /// path and on the dense fallback alike: the recurrence steps in
+    /// sub-epochs of `τ/samples`, and a degraded solver runs the dense
+    /// cycle with every epoch split the same way.
     ///
     /// [`peak_celsius`]: RotationPeakSolver::peak_celsius
-    /// [`peak_celsius_sampled_serial`]: RotationPeakSolver::peak_celsius_sampled_serial
     ///
     /// # Errors
     ///
@@ -604,90 +528,14 @@ impl RotationPeakSolver {
                 value: 0.0,
             });
         }
-        self.validate_seq(seq)?;
-        let Some(decay) = self.healthy_decay(seq.tau()) else {
-            return self.peak_celsius_dense(seq, samples);
-        };
-        let ys = self.steady_states(seq)?;
-        let nodes = self.model.node_count();
-        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
-        // Sub-epoch decay factors m_s = e^{λ·τ·s/samples}; applying them
-        // `samples` times reproduces one full epoch exactly.
-        let sub = self.runtime.lock().decay(seq.tau() / usize_to_f64(samples));
-        let mut z_t = Matrix::zeros(seq.delta() * samples, nodes);
-        let mut row = 0;
-        for y in &ys {
-            for _ in 0..samples {
-                for i in 0..nodes {
-                    z[i] = sub.m[i] * z[i] + sub.one_minus_m[i] * y[i];
-                }
-                z_t.row_mut(row).copy_from_slice(z.as_slice());
-                row += 1;
-            }
-        }
-        let t = z_t.mul_matrix(self.runtime.basis().v_junction_t())?; // δ·samples × cores
-        let mut peak = f64::NEG_INFINITY;
-        for &v in t.as_slice() {
-            peak = peak.max(v);
-        }
-        if self.guard([peak]) {
-            return self.peak_celsius_dense(seq, samples);
-        }
-        Ok(peak)
-    }
-
-    /// Serial form of
-    /// [`peak_celsius_sampled`](RotationPeakSolver::peak_celsius_sampled):
-    /// per-sample junction dot products instead of the row-stacked batch
-    /// GEMM. Kept as the differential-testing reference (and the benchmark
-    /// baseline) the batched sampled path must match bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`peak_celsius_sampled`](RotationPeakSolver::peak_celsius_sampled).
-    #[doc(hidden)]
-    pub fn peak_celsius_sampled_serial(
-        &self,
-        seq: &EpochPowerSequence,
-        samples: usize,
-    ) -> Result<f64> {
-        if samples == 0 {
-            return Err(HotPotatoError::InvalidParameter {
-                name: "samples",
-                value: 0.0,
-            });
-        }
-        self.validate_seq(seq)?;
-        let decay = self.runtime.lock().decay(seq.tau());
-        let ys = self.steady_states(seq)?;
-        let (cores, nodes) = (self.model.core_count(), self.model.node_count());
-        let v = self.eigen().v();
-        let mut z = cycle_start(seq.delta(), nodes, &decay, &as_rows(&ys));
-        let sub = self.runtime.lock().decay(seq.tau() / usize_to_f64(samples));
-        let mut peak = f64::NEG_INFINITY;
-        for y in &ys {
-            for _ in 0..samples {
-                for i in 0..nodes {
-                    z[i] = sub.m[i] * z[i] + sub.one_minus_m[i] * y[i];
-                }
-                for c in 0..cores {
-                    let row = v.row(c);
-                    let t: f64 = row.iter().zip(z.iter()).map(|(a, b)| a * b).sum();
-                    peak = peak.max(t);
-                }
-            }
-        }
-        Ok(peak)
+        Ok(self
+            .steady_cycles(std::slice::from_ref(seq), samples, false)?
+            .peaks[0])
     }
 
     /// The spectral decomposition backing the solver (for diagnostics).
     pub fn eigen(&self) -> &SystemEigen {
         self.runtime.basis().eigen()
-    }
-
-    /// Dense `e^{Cτ}` for diagnostics and tests.
-    pub fn exponential(&self, tau: f64) -> Matrix {
-        self.eigen().exp_matrix(tau)
     }
 }
 
@@ -942,6 +790,8 @@ mod tests {
             s.peak_celsius_many(&[good, bad]),
             Err(HotPotatoError::InvalidSequence(_))
         ));
+        // A rejected batch is not tallied.
+        assert_eq!(s.runtime().stats(), SolverStats::default());
     }
 
     #[test]
@@ -1121,7 +971,12 @@ mod tests {
         let n = s.runtime().numerics();
         assert_eq!((n.guard_trips, n.fallback_activations), (1, 1));
         assert_eq!(n.fallback_steps, 6);
-        let dense = s.peak_celsius_dense(&seq, 3).unwrap();
+        let dense = s
+            .dense_cycle(&seq, 3)
+            .unwrap()
+            .iter()
+            .flat_map(|b| b.iter().copied())
+            .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(peak.to_bits(), dense.to_bits());
     }
 
@@ -1190,7 +1045,7 @@ mod tests {
         for tau in [0.5e-3, 2e-3] {
             let seq = fig1_sequence(tau);
             let eigen = s.peak(&seq).unwrap();
-            let dense = s.peak_report_dense(&seq).unwrap();
+            let dense = report_from_boundaries(s.dense_cycle(&seq, 1).unwrap());
             assert!(
                 (eigen.peak_celsius - dense.peak_celsius).abs() < 1e-3,
                 "tau {tau}: eigen {} vs dense {}",

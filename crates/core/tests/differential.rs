@@ -1,5 +1,5 @@
-//! Differential tests: every batched Algorithm-1 fast path is pitted
-//! against its naive serial reference implementation.
+//! Differential tests: Algorithm 1's batched kernel is pitted against
+//! the naive serial references in `support`.
 //!
 //! Contract (DESIGN.md §6): paths that perform the *same* arithmetic in
 //! the same order through the batched GEMM layout must agree **bit for
@@ -7,10 +7,13 @@
 //! textbook formulation (the literal Eq.-10 spectral filters, brute-force
 //! transient stepping) must agree within documented tolerances.
 
+mod support;
+
 use hotpotato::{EpochPowerSequence, HotPotatoError, RotationPeakSolver};
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
+use support::{peak_celsius_sampled_serial, peak_report_serial};
 
 fn solver(w: usize, h: usize, cfg: &ThermalConfig) -> RotationPeakSolver {
     let model = RcThermalModel::new(&GridFloorplan::new(w, h).expect("grid"), cfg).expect("model");
@@ -30,20 +33,41 @@ fn mixed_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
 /// time constant).
 const TAUS: [f64; 4] = [0.1e-3, 0.47e-3, 1.3e-3, 4e-3];
 
+/// The paper's 64-core chip. Its `V_Jᵀ` has 64 columns, so the junction
+/// readout runs the GEMM's tiled SIMD body; on 4×4 (16 columns, fewer
+/// than one column tile) only the GEMM's remainder loop runs.
+fn solver_8x8() -> RotationPeakSolver {
+    solver(8, 8, &ThermalConfig::default())
+}
+
+/// Rotation periods for the 8×8 chip, up to a full 16-core ring.
+const DELTAS_8X8: [usize; 4] = [1, 3, 8, 16];
+
 #[test]
 fn sampled_batch_matches_serial_bit_for_bit() {
-    let s = solver(4, 4, &ThermalConfig::default());
-    for delta in [1usize, 3, 5] {
-        for &tau in &TAUS {
-            let seq = mixed_sequence(16, delta, tau);
-            for samples in [1usize, 2, 7, 16] {
-                let batched = s.peak_celsius_sampled(&seq, samples).unwrap();
-                let serial = s.peak_celsius_sampled_serial(&seq, samples).unwrap();
-                assert_eq!(
-                    batched.to_bits(),
-                    serial.to_bits(),
-                    "delta {delta} tau {tau} samples {samples}: {batched} vs {serial}"
-                );
+    let cases: [(RotationPeakSolver, &[usize], &[usize]); 2] = [
+        (
+            solver(4, 4, &ThermalConfig::default()),
+            &[1, 3, 5],
+            &[1, 2, 7, 16],
+        ),
+        (solver_8x8(), &DELTAS_8X8, &[1, 2, 7]),
+    ];
+    for (s, deltas, sample_counts) in &cases {
+        let cores = s.model().core_count();
+        for &delta in *deltas {
+            for &tau in &TAUS {
+                let seq = mixed_sequence(cores, delta, tau);
+                for &samples in *sample_counts {
+                    let batched = s.peak_celsius_sampled(&seq, samples).unwrap();
+                    let serial = peak_celsius_sampled_serial(s, &seq, samples);
+                    assert_eq!(
+                        batched.to_bits(),
+                        serial.to_bits(),
+                        "{cores} cores delta {delta} tau {tau} samples {samples}: \
+                         {batched} vs {serial}"
+                    );
+                }
             }
         }
     }
@@ -51,33 +75,40 @@ fn sampled_batch_matches_serial_bit_for_bit() {
 
 #[test]
 fn report_batch_matches_serial_bit_for_bit() {
-    let s = solver(4, 4, &ThermalConfig::default());
-    for delta in [1usize, 2, 4, 6] {
-        for &tau in &TAUS {
-            let seq = mixed_sequence(16, delta, tau);
-            let batched = s.peak(&seq).unwrap();
-            let serial = s.peak_report_serial(&seq).unwrap();
-            assert_eq!(
-                batched.peak_celsius.to_bits(),
-                serial.peak_celsius.to_bits()
-            );
-            assert_eq!(batched.critical_core, serial.critical_core);
-            assert_eq!(batched.critical_epoch, serial.critical_epoch);
-            assert_eq!(batched.boundary_temps.len(), serial.boundary_temps.len());
-            for (e, (a, b)) in batched
-                .boundary_temps
-                .iter()
-                .zip(&serial.boundary_temps)
-                .enumerate()
-            {
-                for c in 0..16 {
-                    assert_eq!(
-                        a[c].to_bits(),
-                        b[c].to_bits(),
-                        "boundary {e} core {c}: {} vs {}",
-                        a[c],
-                        b[c]
-                    );
+    let cases: [(RotationPeakSolver, &[usize]); 2] = [
+        (solver(4, 4, &ThermalConfig::default()), &[1, 2, 4, 6]),
+        (solver_8x8(), &DELTAS_8X8),
+    ];
+    for (s, deltas) in &cases {
+        let cores = s.model().core_count();
+        for &delta in *deltas {
+            for &tau in &TAUS {
+                let seq = mixed_sequence(cores, delta, tau);
+                let batched = s.peak(&seq).unwrap();
+                let serial = peak_report_serial(s, &seq);
+                assert_eq!(
+                    batched.peak_celsius.to_bits(),
+                    serial.peak_celsius.to_bits()
+                );
+                assert_eq!(batched.critical_core, serial.critical_core);
+                assert_eq!(batched.critical_epoch, serial.critical_epoch);
+                assert_eq!(batched.boundary_temps.len(), serial.boundary_temps.len());
+                for (e, (a, b)) in batched
+                    .boundary_temps
+                    .iter()
+                    .zip(&serial.boundary_temps)
+                    .enumerate()
+                {
+                    for c in 0..cores {
+                        assert_eq!(
+                            a[c].to_bits(),
+                            b[c].to_bits(),
+                            "{cores} cores delta {delta} tau {tau} boundary {e} core {c}: \
+                             {} vs {}",
+                            a[c],
+                            b[c]
+                        );
+                    }
                 }
             }
         }
@@ -217,7 +248,7 @@ fn slow_sink_sampled_batch_still_bit_identical() {
             let seq = mixed_sequence(9, delta, tau);
             for samples in [1usize, 4, 16] {
                 let batched = s.peak_celsius_sampled(&seq, samples).unwrap();
-                let serial = s.peak_celsius_sampled_serial(&seq, samples).unwrap();
+                let serial = peak_celsius_sampled_serial(&s, &seq, samples);
                 assert_eq!(batched.to_bits(), serial.to_bits());
             }
         }

@@ -196,7 +196,7 @@ mod tests {
         let mut t_eigen = model.ambient_state();
         let mut t_dense = model.ambient_state();
         for step in 0..20 {
-            t_eigen = solver.step_reference(&model, &t_eigen, &p, dt).unwrap();
+            t_eigen = solver.step(&model, &t_eigen, &p, dt).unwrap();
             t_dense = dense.step(&t_dense, &forcing).unwrap();
             let err = (&t_eigen - &t_dense).norm_inf();
             assert!(err < 1e-6, "step {step}: divergence {err:e}");

@@ -58,13 +58,13 @@ impl ModalDecay {
 /// solver calls, never on wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverStats {
-    /// Batched kernel invocations: the transient solver's `step_many`,
-    /// `step` and `advance` (the last two as batches of one) and
-    /// Algorithm 1's `peak_celsius_many`. Algorithm 1's scalar `peak`
-    /// and `peak_celsius` do not count as batches.
+    /// Batched kernel invocations: every transient `step` and `advance`
+    /// (each a batch of one state) and every accepted Algorithm-1
+    /// `peak_celsius_many`. Algorithm 1's `peak`, `peak_celsius` and
+    /// `peak_celsius_sampled` run the same kernel but are not counted.
     pub batch_calls: u64,
-    /// Items pushed through those batches: `(state, power)` pairs of the
-    /// transient solver, candidate rotations of Algorithm 1.
+    /// Items pushed through those batches: states of the transient
+    /// solver, candidate rotations of Algorithm 1.
     pub batched_items: u64,
     /// Decay lookups served from the cache.
     pub decay_cache_hits: u64,
@@ -81,8 +81,8 @@ pub struct NumericsStats {
     /// `≥ 1` in a run report means the run's temperatures came (at least
     /// partly) from the backward-Euler path.
     pub fallback_activations: u64,
-    /// Steps advanced by the dense fallback: `(state, power)` pairs of
-    /// the transient solver, cycle epochs of Algorithm 1.
+    /// Steps advanced by the dense fallback: states of the transient
+    /// solver, cycle epochs (or sub-epochs) of Algorithm 1.
     pub fallback_steps: u64,
     /// Guard trips: eigen-path outputs that were non-finite or outside
     /// the physical envelope and triggered a dense recomputation.
@@ -210,10 +210,11 @@ fn insert_capped<T>(cache: &mut BTreeMap<u64, Arc<T>>, dt: f64, value: T) -> Arc
 /// the solver's dense-fallback operator, cached per step length like the
 /// decay data.
 ///
-/// The ledger sits behind one mutex: `&self` entry points lock it for a
-/// few counter updates and cache lookups (never across a GEMM), and
-/// `&mut` entry points reach it through [`Mutex::get_mut`] without
-/// locking.
+/// The ledger sits behind one mutex. Algorithm 1's `&self` entry points
+/// lock it for a few counter updates and cache lookups, never across a
+/// GEMM; the transient solver's `step` holds it for its one update; and
+/// `&mut` entry points (the engine's `advance`) reach it through
+/// [`ModalRuntime::get_mut`] without locking.
 ///
 /// A clone shares the basis, copies the decay cache, inherits the trip
 /// flag (it describes the model, and a clone evaluates the same model)
@@ -260,11 +261,14 @@ impl<D> ModalRuntime<D> {
         self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The ledger through exclusive access, without locking.
-    pub fn get_mut(&mut self) -> &mut Ledger<D> {
-        self.ledger
+    /// The basis and the ledger through exclusive access, without
+    /// locking.
+    pub fn get_mut(&mut self) -> (&ModalBasis, &mut Ledger<D>) {
+        let ledger = self
+            .ledger
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        (&self.basis, ledger)
     }
 
     /// Whether calls route through the dense fallback (see

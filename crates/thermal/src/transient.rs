@@ -1,12 +1,9 @@
 use std::sync::Arc;
 
-use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, NumericalError, Vector};
 
-use crate::{
-    DenseStepper, ModalBasis, ModalDecay, ModalRuntime, RcThermalModel, Result, ThermalError,
-};
+use crate::{DenseStepper, Ledger, ModalBasis, ModalRuntime, RcThermalModel, Result, ThermalError};
 
 /// The thermal state the interval engine carries from one interval to
 /// the next: the node temperatures `T` (°C) and, while the eigen path is
@@ -57,23 +54,19 @@ impl ThermalState {
 ///
 /// # Step layout
 ///
-/// Every stepping entry point runs the same modal update: the power map
-/// becomes its eigen-space steady state through one `cores × N` GEMM row
-/// (no linear solve), the eigen coordinates relax towards it with the
-/// cached decay factors `e^{λΔt}`, and one `N × N` GEMM row reads the
-/// node temperatures back out. [`step`](TransientSolver::step) and
-/// [`step_many`](TransientSolver::step_many) first project their node
-/// input once (`z = V⁻¹·T`, one more `N × N` GEMM row per state);
-/// [`advance`](TransientSolver::advance) carries `z` in a
-/// [`ThermalState`] from one call to the next and skips it. Because the
-/// register-tiled GEMM accumulates each output element in ascending
-/// inner-index order — the same order as the scalar dot products — the
-/// batched results are bit-identical to the serial mat-vec form (kept as
-/// [`step_reference`] for differential testing). Decay vectors are
-/// cached per distinct `dt`, so an interval simulator computes the `N`
-/// exponentials once instead of every interval.
-///
-/// [`step_reference`]: TransientSolver::step_reference
+/// [`step`](TransientSolver::step) and
+/// [`advance`](TransientSolver::advance) run one modal update: the power
+/// map becomes its eigen-space steady state through one `cores × N` GEMM
+/// row (no linear solve), the eigen coordinates relax towards it with the
+/// cached decay factors `e^{λΔt}`, one `N × N` GEMM row reads the node
+/// temperatures back out, and the runtime's envelope guard checks them.
+/// `step` first projects its node input (`z = V⁻¹·T`, one more `N × N`
+/// GEMM row); `advance` carries `z` in a [`ThermalState`] from one call
+/// to the next and skips it. Because the register-tiled GEMM accumulates
+/// each output element in ascending inner-index order, `step` is
+/// bit-identical to the serial mat-vec form of the same update. Decay
+/// vectors are cached per distinct `dt`, so an interval simulator
+/// computes the `N` exponentials once instead of every interval.
 ///
 /// # Example
 ///
@@ -102,9 +95,7 @@ pub struct TransientSolver {
     runtime: ModalRuntime<DenseStepper>,
 }
 
-/// One modal update `z ← m∘z + (1 − m)∘y`, written into `out`. Every
-/// stepping path goes through this one expression, which is what keeps
-/// the batched, the state-carrying and the serial forms bit-identical.
+/// One relaxation `z ← m∘z + (1 − m)∘y`, written into `out`.
 fn relax(m: &Vector, z: &[f64], y: &[f64], out: &mut [f64]) {
     for (i, slot) in out.iter_mut().enumerate() {
         *slot = m[i] * z[i] + (1.0 - m[i]) * y[i];
@@ -164,25 +155,6 @@ impl TransientSolver {
         Ok(())
     }
 
-    /// Rejects a `(node state, core power)` input of the wrong shape.
-    fn check_shape(&self, node_temps: &Vector, core_power: &Vector) -> Result<()> {
-        let cores = self.runtime.basis().core_count();
-        if core_power.len() != cores {
-            return Err(ThermalError::PowerLengthMismatch {
-                expected: cores,
-                got: core_power.len(),
-            });
-        }
-        self.check_nodes(node_temps)
-    }
-
-    fn check_dt(dt: f64, name: &'static str) -> Result<()> {
-        if !(dt.is_finite() && dt >= 0.0) {
-            return Err(ThermalError::InvalidParameter { name, value: dt });
-        }
-        Ok(())
-    }
-
     /// Rejects non-finite state or power input at the API boundary: a NaN
     /// fed into the exponential kernel propagates silently through every
     /// GEMM, so it is cheaper and clearer to name the offender up front.
@@ -195,96 +167,96 @@ impl TransientSolver {
         Ok(())
     }
 
-    fn check_pairs_finite(pairs: &[(&Vector, &Vector)]) -> Result<()> {
-        for (temps, power) in pairs {
-            Self::check_finite(temps, "input node temperatures")?;
-            Self::check_finite(power, "input core power")?;
+    /// Rejects a negative or non-finite `dt`, then non-finite or
+    /// wrong-length node temperatures or power.
+    fn check_input(&self, node_temps: &Vector, core_power: &Vector, dt: f64) -> Result<()> {
+        if !(dt.is_finite() && dt >= 0.0) {
+            return Err(ThermalError::InvalidParameter {
+                name: "dt",
+                value: dt,
+            });
+        }
+        Self::check_finite(node_temps, "input node temperatures")?;
+        Self::check_finite(core_power, "input core power")?;
+        let cores = self.runtime.basis().core_count();
+        if core_power.len() != cores {
+            return Err(ThermalError::PowerLengthMismatch {
+                expected: cores,
+                got: core_power.len(),
+            });
+        }
+        self.check_nodes(node_temps)
+    }
+
+    /// The modal update of [`step`](TransientSolver::step) and
+    /// [`advance`](TransientSolver::advance): `state` advances by `dt`
+    /// seconds under `core_power`, counted as a batch of one.
+    ///
+    /// While `state` carries eigen coordinates and the solver is healthy,
+    /// `z` relaxes towards the power map's eigen-space steady state and
+    /// the node vector is read back out and guarded. Otherwise, or on a
+    /// guard trip (counted, sticky), the interval is recomputed by the
+    /// dense backward-Euler fallback from the previous node vector, `z`
+    /// is dropped, and a zero `dt` leaves the nodes unchanged.
+    fn update(
+        basis: &ModalBasis,
+        ledger: &mut Ledger<DenseStepper>,
+        model: &RcThermalModel,
+        state: &mut ThermalState,
+        core_power: &Vector,
+        dt: f64,
+    ) -> Result<()> {
+        ledger.count_batch(1);
+        if let Some(z) = state.modal.as_ref().filter(|_| !ledger.degraded()) {
+            let decay = ledger.decay(dt);
+            let powers = Matrix::from_fn(1, core_power.len(), |_, j| core_power[j]);
+            let y = basis.steady_modal(&powers)?;
+            let mut z_next = Matrix::zeros(1, z.len());
+            relax(&decay.m, z.as_slice(), y.row(0), z_next.row_mut(0));
+            let nodes = Vector::from(z_next.mul_matrix(basis.v_t())?.row(0).to_vec());
+            if !ledger.guard(model.config().ambient, nodes.iter().copied()) {
+                state.nodes = nodes;
+                state.modal = Some(Vector::from(z_next.row(0).to_vec()));
+                return Ok(());
+            }
+        }
+        state.modal = None;
+        if dt > 0.0 {
+            // The exact solution is the identity at dt = 0; the dense
+            // stepper cannot be factorized for it, and needn't be.
+            let stepper = ledger.dense(dt, || DenseStepper::new(model, dt))?;
+            let next = stepper.step(&state.nodes, &model.forcing(core_power)?)?;
+            Self::check_finite(&next, "dense fallback output")?;
+            state.nodes = next;
+            ledger.count_fallback_steps(1);
         }
         Ok(())
     }
 
-    /// One backward-Euler step of `temps` under `power` through the
-    /// cached dense `stepper`.
-    fn dense_step(
-        stepper: &DenseStepper,
-        model: &RcThermalModel,
-        temps: &Vector,
-        power: &Vector,
-    ) -> Result<Vector> {
-        let next = stepper.step(temps, &model.forcing(power)?)?;
-        Self::check_finite(&next, "dense fallback output")?;
-        Ok(next)
-    }
-
-    /// Dense-fallback form of [`step_many`](TransientSolver::step_many):
-    /// backward-Euler stepping through the cached [`DenseStepper`],
-    /// counted by the runtime (fallback steps, and one activation
-    /// episode on the first fallback of a measured run).
-    fn step_many_dense(
-        &self,
-        model: &RcThermalModel,
-        pairs: &[(&Vector, &Vector)],
-        dt: f64,
-    ) -> Result<Vec<Vector>> {
-        if dt == 0.0 {
-            // The exact solution is the identity at dt = 0; the dense
-            // stepper cannot be factorized for it, and needn't be.
-            return Ok(pairs.iter().map(|(t, _)| (*t).clone()).collect());
-        }
-        let stepper = self
-            .runtime
-            .lock()
-            .dense(dt, || DenseStepper::new(model, dt))?;
-        let out = pairs
-            .iter()
-            .map(|(temps, power)| Self::dense_step(&stepper, model, temps, power))
-            .collect::<Result<Vec<_>>>()?;
-        self.runtime.lock().count_fallback_steps(out.len());
-        Ok(out)
-    }
-
-    /// `steps` chained dense-fallback steps of `dt` seconds each from
-    /// `node_temps` under constant power: every intermediate state, in
-    /// order.
-    fn dense_chain(
-        &self,
-        model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        dt: f64,
-        steps: usize,
-    ) -> Result<Vec<Vector>> {
-        if dt == 0.0 || steps == 0 {
-            // Identity steps never engage the dense stepper.
-            return Ok(vec![node_temps.clone(); steps]);
-        }
-        let stepper = self
-            .runtime
-            .lock()
-            .dense(dt, || DenseStepper::new(model, dt))?;
-        let mut out: Vec<Vector> = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let state = out.last().unwrap_or(node_temps);
-            out.push(Self::dense_step(&stepper, model, state, core_power)?);
-        }
-        self.runtime.lock().count_fallback_steps(steps);
-        Ok(out)
-    }
-
     /// Advances the node state by `dt` seconds under a constant per-core
-    /// power map.
+    /// power map: [`initial_state`](TransientSolver::initial_state)'s
+    /// projection, then the modal update of
+    /// [`advance`](TransientSolver::advance). An interval simulator that
+    /// steps the same state repeatedly should carry it in a
+    /// [`ThermalState`] and call `advance` instead, which skips the
+    /// per-step projection and takes no lock. `step` holds the runtime's
+    /// lock for its whole update.
     ///
-    /// This is the batched kernel applied to a batch of one — see
-    /// [`step_many`](TransientSolver::step_many) for the layout. An
-    /// interval simulator that steps the same state repeatedly should
-    /// carry it in a [`ThermalState`] and call
-    /// [`advance`](TransientSolver::advance) instead, which skips the
-    /// per-step node-to-modal projection.
+    /// # Degradation
+    ///
+    /// On a [`degraded`](TransientSolver::degraded) solver the state is
+    /// advanced by the dense backward-Euler fallback instead (counted in
+    /// [`ModalRuntime::numerics`]). On a healthy solver the eigen output
+    /// passes the runtime's envelope guard (finite, within
+    /// `[ambient − 1 °C, ambient + 1000 °C]`); a violation trips the
+    /// sticky degradation flag and the step is recomputed densely.
     ///
     /// # Errors
     ///
-    /// * [`ThermalError::PowerLengthMismatch`] for wrong-length power.
     /// * [`ThermalError::InvalidParameter`] for a negative or non-finite `dt`.
+    /// * [`ThermalError::Linalg`] wrapping [`NumericalError::NonFinite`]
+    ///   for non-finite input temperatures or power.
+    /// * [`ThermalError::PowerLengthMismatch`] for wrong-length power.
     pub fn step(
         &self,
         model: &RcThermalModel,
@@ -292,125 +264,18 @@ impl TransientSolver {
         core_power: &Vector,
         dt: f64,
     ) -> Result<Vector> {
-        let mut out = self.step_many(model, &[(node_temps, core_power)], dt)?;
-        // xtask: allow(panic) — step_many returns exactly one state per
-        // input pair, so a batch of one always pops.
-        Ok(out.pop().expect("batch of one"))
-    }
-
-    /// Advances many independent `(state, power)` pairs by the same `dt`
-    /// in one batched evaluation, agreeing with per-pair
-    /// [`step`](TransientSolver::step) calls bit for bit.
-    ///
-    /// The node states are row-stacked into a `B × N` matrix and
-    /// projected to eigen coordinates with one GEMM against `V⁻¹ᵀ`; the
-    /// power maps are row-stacked into a `B × cores` matrix and mapped to
-    /// their eigen-space steady states with one GEMM against `projᵀ`;
-    /// each row relaxes towards its steady state with the cached decay
-    /// `e^{λ·dt}`; and one GEMM against `Vᵀ` reads the node states back
-    /// out. Transposing the GEMM operands leaves every dot product's
-    /// terms and their ascending-`k` order unchanged, which is why the
-    /// batch is bit-identical to the serial
-    /// [`step_reference`](TransientSolver::step_reference) form.
-    ///
-    /// # Degradation
-    ///
-    /// On a [`degraded`](TransientSolver::degraded) solver the batch is
-    /// advanced by the dense backward-Euler fallback instead (counted in
-    /// [`ModalRuntime::numerics`]). On a healthy solver the eigen outputs
-    /// pass the runtime's envelope guard (finite, within
-    /// `[ambient − 1 °C, ambient + 1000 °C]`); a violation trips the
-    /// sticky degradation flag and the batch is recomputed densely.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](TransientSolver::step), applied to every pair;
-    /// additionally [`ThermalError::Linalg`] wrapping
-    /// [`NumericalError::NonFinite`] for non-finite input temperatures or
-    /// power.
-    pub fn step_many(
-        &self,
-        model: &RcThermalModel,
-        pairs: &[(&Vector, &Vector)],
-        dt: f64,
-    ) -> Result<Vec<Vector>> {
-        Self::check_dt(dt, "dt")?;
-        Self::check_pairs_finite(pairs)?;
-        for (temps, power) in pairs {
-            self.check_shape(temps, power)?;
-        }
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let decay = {
-            let mut ledger = self.runtime.lock();
-            ledger.count_batch(pairs.len());
-            (!ledger.degraded()).then(|| ledger.decay(dt))
-        };
-        let Some(decay) = decay else {
-            return self.step_many_dense(model, pairs, dt);
-        };
-        let basis = self.runtime.basis();
-        let n = basis.node_count();
-        let cores = basis.core_count();
-
-        let temps = Matrix::from_fn(pairs.len(), n, |r, i| pairs[r].0[i]);
-        let powers = Matrix::from_fn(pairs.len(), cores, |r, j| pairs[r].1[j]);
-        let z = temps.mul_matrix(basis.v_inv_t())?; // B × N, eigen space
-        let y = basis.steady_modal(&powers)?; // B × N, eigen space
-        let mut z_next = Matrix::zeros(pairs.len(), n);
-        for r in 0..pairs.len() {
-            relax(&decay.m, z.row(r), y.row(r), z_next.row_mut(r));
-        }
-        let t = z_next.mul_matrix(basis.v_t())?; // B × N, node space
-        let out: Vec<Vector> = (0..pairs.len())
-            .map(|r| Vector::from(t.row(r).to_vec()))
-            .collect();
-
-        let nodes = out.iter().flat_map(|t| t.iter().copied());
-        if self.runtime.lock().guard(model.config().ambient, nodes) {
-            return self.step_many_dense(model, pairs, dt);
-        }
-        Ok(out)
-    }
-
-    /// Serial mat-vec form of [`step`](TransientSolver::step): the same
-    /// modal update `T' = V·(m∘(V⁻¹·T) + (1 − m)∘(proj·P + y_amb))` with
-    /// per-call exponentials, per-element dot products and no batching.
-    /// Kept as the differential-testing reference the batched kernel must
-    /// match bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](TransientSolver::step).
-    #[doc(hidden)]
-    pub fn step_reference(
-        &self,
-        _model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        dt: f64,
-    ) -> Result<Vector> {
-        Self::check_dt(dt, "dt")?;
-        Self::check_finite(node_temps, "input node temperatures")?;
-        Self::check_finite(core_power, "input core power")?;
-        self.check_shape(node_temps, core_power)?;
-        let basis = self.runtime.basis();
-        let eigen = basis.eigen();
-        let proj_t = basis.proj_t();
-        let y_amb = basis.y_amb();
-        let m = ModalDecay::new(eigen.eigenvalues(), dt).m;
-        let z = eigen.v_inv().mul_vector(node_temps);
-        let y = Vector::from_fn(eigen.dim(), |i| {
-            let mut acc = 0.0;
-            for (j, &p) in core_power.iter().enumerate() {
-                acc += p * proj_t[(j, i)];
-            }
-            acc + y_amb[i]
-        });
-        let mut z_next = Vector::zeros(eigen.dim());
-        relax(&m, z.as_slice(), y.as_slice(), z_next.as_mut_slice());
-        Ok(eigen.v().mul_vector(&z_next))
+        self.check_input(node_temps, core_power, dt)?;
+        let mut state = self.project(node_temps)?;
+        let mut ledger = self.runtime.lock();
+        Self::update(
+            self.runtime.basis(),
+            &mut ledger,
+            model,
+            &mut state,
+            core_power,
+            dt,
+        )?;
+        Ok(state.nodes)
     }
 
     /// The state [`advance`](TransientSolver::advance) starts from: the
@@ -427,17 +292,22 @@ impl TransientSolver {
     pub fn initial_state(&self, node_temps: &Vector) -> Result<ThermalState> {
         Self::check_finite(node_temps, "input node temperatures")?;
         self.check_nodes(node_temps)?;
-        if self.degraded() {
-            return Ok(ThermalState {
-                nodes: node_temps.clone(),
-                modal: None,
-            });
-        }
-        let row = Matrix::from_fn(1, node_temps.len(), |_, i| node_temps[i]);
-        let z = row.mul_matrix(self.runtime.basis().v_inv_t())?;
+        self.project(node_temps)
+    }
+
+    /// `node_temps` with its eigen coordinates `z = V⁻¹·T` (one GEMM row),
+    /// or without them on a degraded solver.
+    fn project(&self, node_temps: &Vector) -> Result<ThermalState> {
+        let modal = if self.degraded() {
+            None
+        } else {
+            let row = Matrix::from_fn(1, node_temps.len(), |_, i| node_temps[i]);
+            let z = row.mul_matrix(self.runtime.basis().v_inv_t())?;
+            Some(Vector::from(z.row(0).to_vec()))
+        };
         Ok(ThermalState {
             nodes: node_temps.clone(),
-            modal: Some(Vector::from(z.row(0).to_vec())),
+            modal,
         })
     }
 
@@ -461,17 +331,14 @@ impl TransientSolver {
     }
 
     /// Advances a carried [`ThermalState`] by `dt` seconds under a
-    /// constant per-core power map — the interval engine's step.
+    /// constant per-core power map — the interval engine's step, and
+    /// the same modal update as [`step`](TransientSolver::step) without
+    /// its projection.
     ///
-    /// While the state carries eigen coordinates the update is the modal
-    /// form of [`step`](TransientSolver::step) without its projection:
-    /// one `cores × N` GEMM row maps the power to its eigen-space steady
-    /// state, `z` relaxes towards it, and one `N × N` GEMM row
-    /// materializes the full node vector, which the unchanged envelope
-    /// guard then checks. A guard trip (counted, sticky) recomputes the
-    /// interval with the dense fallback from the previous node vector and
-    /// drops `z`, as does a [`degraded`](TransientSolver::degraded)
-    /// solver: from then on the state is stepped in node space.
+    /// A guard trip (counted, sticky) recomputes the interval with the
+    /// dense fallback from the previous node vector and drops `z`, as
+    /// does a [`degraded`](TransientSolver::degraded) solver: from then
+    /// on the state is stepped in node space.
     ///
     /// Takes `&mut self` because the engine owns its solver outright: the
     /// runtime's caches and tallies are reached through exclusive access,
@@ -490,268 +357,9 @@ impl TransientSolver {
         core_power: &Vector,
         dt: f64,
     ) -> Result<()> {
-        Self::check_dt(dt, "dt")?;
-        Self::check_finite(&state.nodes, "input node temperatures")?;
-        Self::check_finite(core_power, "input core power")?;
-        self.check_shape(&state.nodes, core_power)?;
-        let ledger = self.runtime.get_mut();
-        ledger.count_batch(1);
-        let healthy = !ledger.degraded();
-        if let Some(z) = state.modal.as_ref().filter(|_| healthy) {
-            let decay = self.runtime.get_mut().decay(dt);
-            let basis = self.runtime.basis();
-            let powers = Matrix::from_fn(1, core_power.len(), |_, j| core_power[j]);
-            let y = basis.steady_modal(&powers)?;
-            let mut z_next = Matrix::zeros(1, z.len());
-            relax(&decay.m, z.as_slice(), y.row(0), z_next.row_mut(0));
-            let nodes = Vector::from(z_next.mul_matrix(basis.v_t())?.row(0).to_vec());
-            let ambient = model.config().ambient;
-            if !self.runtime.get_mut().guard(ambient, nodes.iter().copied()) {
-                state.nodes = nodes;
-                state.modal = Some(Vector::from(z_next.row(0).to_vec()));
-                return Ok(());
-            }
-        }
-        state.modal = None;
-        if dt > 0.0 {
-            let stepper = self
-                .runtime
-                .get_mut()
-                .dense(dt, || DenseStepper::new(model, dt))?;
-            state.nodes = Self::dense_step(&stepper, model, &state.nodes, core_power)?;
-            self.runtime.get_mut().count_fallback_steps(1);
-        }
-        Ok(())
-    }
-
-    /// Peak junction temperature (and the time it occurs) within
-    /// `[0, horizon]` under constant power — the *peak detection* half of
-    /// the MatEx solver the paper builds on.
-    ///
-    /// Each junction's trajectory is a sum of decaying exponentials
-    /// `T_i(t) = T_ss,i + Σ_k V_ik·e^{λ_k t}·w_k`, which is smooth with few
-    /// extrema; the maximum is located by a coarse scan (all sample
-    /// instants row-stacked through one GEMM) followed by golden-section
-    /// refinement of the best bracket, then compared with both endpoints.
-    ///
-    /// # Errors
-    ///
-    /// * [`ThermalError::InvalidParameter`] for a negative or non-finite
-    ///   `horizon`.
-    /// * Propagated solver errors.
-    pub fn peak_within(
-        &self,
-        model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        horizon: f64,
-    ) -> Result<(f64, f64)> {
-        Self::check_dt(horizon, "horizon")?;
-        Self::check_finite(node_temps, "input node temperatures")?;
-        Self::check_finite(core_power, "input core power")?;
-        if self.degraded() {
-            return self.peak_within_dense(model, node_temps, core_power, horizon);
-        }
-        let t_steady = model.steady_state(core_power)?;
-        let deviation = node_temps - &t_steady;
-        let eigen = self.eigen();
-        let w = eigen.v_inv().mul_vector(&deviation);
-        let v = eigen.v();
-        let lambda = eigen.eigenvalues();
-        let cores = model.core_count();
-        let nodes = model.node_count();
-
-        // Hottest junction at time t. The modal terms are grouped as
-        // v·(e^{λt}·w) — the same grouping and ascending-k accumulation as
-        // the batched coarse scan below, so the two agree bit for bit.
-        let peak_at = |t: f64| -> f64 {
-            let mut best = f64::NEG_INFINITY;
-            for c in 0..cores {
-                let mut acc = 0.0;
-                for k in 0..nodes {
-                    acc += v[(c, k)] * ((lambda[k] * t).exp() * w[k]);
-                }
-                best = best.max(t_steady[c] + acc);
-            }
-            best
-        };
-
-        if horizon == 0.0 {
-            return Ok((peak_at(0.0), 0.0));
-        }
-
-        // Coarse scan: row-stack the decayed eigen states of every sample
-        // instant and reconstruct all junction trajectories with one GEMM.
-        const SAMPLES: usize = 48;
-        let mut e = Matrix::zeros(SAMPLES + 1, nodes);
-        for s in 0..=SAMPLES {
-            let t = horizon * usize_to_f64(s) / usize_to_f64(SAMPLES);
-            let row = e.row_mut(s);
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = (lambda[k] * t).exp() * w[k];
-            }
-        }
-        let traj = e.mul_matrix(self.runtime.basis().v_t())?; // (SAMPLES+1) × nodes
-        let mut best_t = 0.0;
-        let mut best_v = f64::NEG_INFINITY;
-        for s in 0..=SAMPLES {
-            let row = traj.row(s);
-            let mut val = f64::NEG_INFINITY;
-            for c in 0..cores {
-                val = val.max(t_steady[c] + row[c]);
-            }
-            if val > best_v {
-                best_v = val;
-                best_t = horizon * usize_to_f64(s) / usize_to_f64(SAMPLES);
-            }
-        }
-
-        // Golden-section refinement of the winning bracket.
-        let step = horizon / usize_to_f64(SAMPLES);
-        let (mut lo, mut hi) = ((best_t - step).max(0.0), (best_t + step).min(horizon));
-        const PHI: f64 = 0.618_033_988_749_894_8;
-        for _ in 0..40 {
-            let a = hi - PHI * (hi - lo);
-            let b = lo + PHI * (hi - lo);
-            if peak_at(a) < peak_at(b) {
-                lo = a;
-            } else {
-                hi = b;
-            }
-        }
-        let t_ref = 0.5 * (lo + hi);
-        let v_ref = peak_at(t_ref);
-        let (peak, at) = if v_ref > best_v {
-            (v_ref, t_ref)
-        } else {
-            (best_v, best_t)
-        };
-        // Both candidate times come from rounded arithmetic — the scan
-        // instants `horizon·s/S` and the bracket midpoint `(lo+hi)/2` can
-        // each land one ULP past `horizon`; clamp so the reported peak
-        // time honours the `[0, horizon]` contract exactly.
-        let at = at.clamp(0.0, horizon);
-        // The guard checks the scalar result: the trajectories above are
-        // eigen reconstructions too.
-        if self.runtime.lock().guard(model.config().ambient, [peak]) {
-            return self.peak_within_dense(model, node_temps, core_power, horizon);
-        }
-        Ok((peak, at))
-    }
-
-    /// Dense-fallback form of [`peak_within`](TransientSolver::peak_within):
-    /// a backward-Euler sampling scan over the horizon. No golden-section
-    /// refinement — the dense path trades the last digit of peak-time
-    /// precision for unconditional stability.
-    fn peak_within_dense(
-        &self,
-        model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        horizon: f64,
-    ) -> Result<(f64, f64)> {
-        let mut best_v = model.core_temperatures(node_temps).max();
-        let mut best_t = 0.0;
-        if horizon == 0.0 {
-            return Ok((best_v, best_t));
-        }
-        const SAMPLES: usize = 48;
-        let sub = horizon / usize_to_f64(SAMPLES);
-        let states = self.dense_chain(model, node_temps, core_power, sub, SAMPLES)?;
-        for (s, state) in (1..=SAMPLES).zip(&states) {
-            let val = model.core_temperatures(state).max();
-            if val > best_v {
-                best_v = val;
-                // `sub·S` can round one ULP past `horizon`; clamp to keep
-                // the reported time inside the queried window.
-                best_t = (sub * usize_to_f64(s)).min(horizon);
-            }
-        }
-        Ok((best_v, best_t))
-    }
-
-    /// Evaluates the full trajectory at `samples` evenly spaced instants in
-    /// `(0, dt]` under constant power (useful for dense thermal traces).
-    ///
-    /// The eigen-space deviation is computed once, every sample instant's
-    /// decayed state is row-stacked, and one GEMM reconstructs all node
-    /// states — bit-identical to per-sample
-    /// [`step`](TransientSolver::step) calls at the same instants. On the
-    /// dense fallback the instants are reached by chained backward-Euler
-    /// substeps of `dt / samples`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](TransientSolver::step).
-    pub fn trajectory(
-        &self,
-        model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        dt: f64,
-        samples: usize,
-    ) -> Result<Vec<Vector>> {
-        Self::check_dt(dt, "dt")?;
-        Self::check_finite(node_temps, "input node temperatures")?;
-        Self::check_finite(core_power, "input core power")?;
-        let sub = dt / usize_to_f64(samples);
-        if self.degraded() {
-            return self.dense_chain(model, node_temps, core_power, sub, samples);
-        }
-        let t_steady = model.steady_state(core_power)?;
-        let deviation = node_temps - &t_steady;
-        let eigen = self.eigen();
-        let y = eigen.v_inv().mul_vector(&deviation);
-        let n = eigen.dim();
-        let lambda = eigen.eigenvalues();
-
-        let mut e = Matrix::zeros(samples, n);
-        for k in 1..=samples {
-            let t = dt * usize_to_f64(k) / usize_to_f64(samples);
-            let row = e.row_mut(k - 1);
-            for (i, slot) in row.iter_mut().enumerate() {
-                *slot = (lambda[i] * t).exp() * y[i];
-            }
-        }
-        let decayed = e.mul_matrix(self.runtime.basis().v_t())?; // samples × N
-        let out: Vec<Vector> = (0..samples)
-            .map(|k| Vector::from_fn(n, |i| t_steady[i] + decayed[(k, i)]))
-            .collect();
-        let nodes = out.iter().flat_map(|t| t.iter().copied());
-        if self.runtime.lock().guard(model.config().ambient, nodes) {
-            return self.dense_chain(model, node_temps, core_power, sub, samples);
-        }
-        Ok(out)
-    }
-
-    /// Serial form of [`trajectory`](TransientSolver::trajectory): one
-    /// full `exp_apply` mat-vec pair per sample instant. Differential-
-    /// testing reference for the batched trajectory.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`step`](TransientSolver::step).
-    #[doc(hidden)]
-    pub fn trajectory_reference(
-        &self,
-        model: &RcThermalModel,
-        node_temps: &Vector,
-        core_power: &Vector,
-        dt: f64,
-        samples: usize,
-    ) -> Result<Vec<Vector>> {
-        Self::check_dt(dt, "dt")?;
-        Self::check_finite(node_temps, "input node temperatures")?;
-        Self::check_finite(core_power, "input core power")?;
-        let t_steady = model.steady_state(core_power)?;
-        let deviation = node_temps - &t_steady;
-        let mut out = Vec::with_capacity(samples);
-        for k in 1..=samples {
-            let t = dt * usize_to_f64(k) / usize_to_f64(samples);
-            let decayed = self.eigen().exp_apply(t, &deviation);
-            out.push(&t_steady + &decayed);
-        }
-        Ok(out)
+        self.check_input(&state.nodes, core_power, dt)?;
+        let (basis, ledger) = self.runtime.get_mut();
+        Self::update(basis, ledger, model, state, core_power, dt)
     }
 }
 
@@ -760,6 +368,12 @@ mod tests {
     use super::*;
     use crate::{NumericsStats, SolverStats, ThermalConfig};
     use hp_floorplan::GridFloorplan;
+
+    /// One backward-Euler step of the dense fallback, built afresh.
+    fn dense_step(model: &RcThermalModel, t: &Vector, p: &Vector, dt: f64) -> Vector {
+        let stepper = DenseStepper::new(model, dt).unwrap();
+        stepper.step(t, &model.forcing(p).unwrap()).unwrap()
+    }
 
     fn setup() -> (RcThermalModel, TransientSolver) {
         let fp = GridFloorplan::new(4, 4).unwrap();
@@ -799,29 +413,6 @@ mod tests {
         let half = solver.step(&model, &t0, &p, 0.001).unwrap();
         let two = solver.step(&model, &half, &p, 0.001).unwrap();
         assert!((&full - &two).norm_inf() < 1e-9);
-    }
-
-    #[test]
-    fn step_matches_serial_reference_bit_for_bit() {
-        let (model, solver) = setup();
-        let mut p = Vector::constant(16, 0.3);
-        p[5] = 7.0;
-        let mut t = model.ambient_state();
-        let mut t_ref = model.ambient_state();
-        for k in 0..10 {
-            let dt = 1e-4 * f64::from(1 + k % 3);
-            t = solver.step(&model, &t, &p, dt).unwrap();
-            t_ref = solver.step_reference(&model, &t_ref, &p, dt).unwrap();
-            for i in 0..model.node_count() {
-                assert_eq!(
-                    t[i].to_bits(),
-                    t_ref[i].to_bits(),
-                    "step {k} node {i}: {} vs {}",
-                    t[i],
-                    t_ref[i]
-                );
-            }
-        }
     }
 
     /// The retired per-interval formulation, kept as test code only:
@@ -904,8 +495,7 @@ mod tests {
         // The interval was recomputed densely from the previous nodes.
         assert!(solver.degraded());
         assert!(state.modal().is_none());
-        let dense = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
-        assert_eq!(state.nodes(), &dense[0]);
+        assert_eq!(state.nodes(), &dense_step(&model, &t0, &p, 1e-4));
         let n = solver.runtime().numerics();
         assert_eq!(n.guard_trips, 1);
         assert_eq!(n.fallback_activations, 1);
@@ -1089,8 +679,7 @@ mod tests {
         solver.advance(&model, &mut state, &p, 1e-4).unwrap();
         assert!(state.modal().is_none());
         assert!(!solver.degraded(), "no guard tripped");
-        let dense = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
-        assert_eq!(state.nodes(), &dense[0]);
+        assert_eq!(state.nodes(), &dense_step(&model, &t0, &p, 1e-4));
         let n = solver.runtime().numerics();
         assert_eq!(n.guard_trips, 0);
         assert_eq!(n.fallback_activations, 1);
@@ -1129,38 +718,6 @@ mod tests {
         let s = solver.runtime().stats();
         assert_eq!((s.decay_cache_hits, s.decay_cache_misses), (1, 1));
         assert_eq!((s.batch_calls, s.batched_items), (2, 2));
-    }
-
-    #[test]
-    fn step_many_matches_per_pair_steps() {
-        let (model, solver) = setup();
-        let states: Vec<Vector> = (0..4)
-            .map(|k| {
-                let mut p = Vector::constant(16, 0.3);
-                p[k * 3] = 5.0;
-                solver
-                    .step(&model, &model.ambient_state(), &p, 0.01 * (k + 1) as f64)
-                    .unwrap()
-            })
-            .collect();
-        let powers: Vec<Vector> = (0..4)
-            .map(|k| Vector::from_fn(16, |c| ((c + k) % 5) as f64 * 1.1 + 0.3))
-            .collect();
-        let pairs: Vec<(&Vector, &Vector)> = states.iter().zip(powers.iter()).collect();
-        let batch = solver.step_many(&model, &pairs, 7e-4).unwrap();
-        assert_eq!(batch.len(), 4);
-        for (k, (state, power)) in pairs.iter().enumerate() {
-            let single = solver.step(&model, state, power, 7e-4).unwrap();
-            for i in 0..model.node_count() {
-                assert_eq!(batch[k][i].to_bits(), single[i].to_bits(), "pair {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn step_many_empty_batch_is_empty() {
-        let (model, solver) = setup();
-        assert!(solver.step_many(&model, &[], 1e-3).unwrap().is_empty());
     }
 
     #[test]
@@ -1227,124 +784,20 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_endpoint_matches_step() {
-        let (model, solver) = setup();
-        let mut p = Vector::constant(16, 0.3);
-        p[10] = 6.0;
-        let t0 = model.ambient_state();
-        let traj = solver.trajectory(&model, &t0, &p, 0.004, 4).unwrap();
-        let end = solver.step(&model, &t0, &p, 0.004).unwrap();
-        assert_eq!(traj.len(), 4);
-        assert!((traj.last().unwrap() - &end).norm_inf() < 1e-9);
-    }
-
-    #[test]
-    fn trajectory_matches_serial_reference_bit_for_bit() {
-        let (model, solver) = setup();
-        let mut p = Vector::constant(16, 0.3);
-        p[10] = 6.0;
-        let mut hot = Vector::constant(16, 0.3);
-        hot[2] = 7.0;
-        let t0 = solver
-            .step(&model, &model.ambient_state(), &hot, 5.0)
-            .unwrap();
-        let batched = solver.trajectory(&model, &t0, &p, 0.004, 7).unwrap();
-        let serial = solver
-            .trajectory_reference(&model, &t0, &p, 0.004, 7)
-            .unwrap();
-        assert_eq!(batched.len(), serial.len());
-        for (k, (a, b)) in batched.iter().zip(&serial).enumerate() {
-            for i in 0..model.node_count() {
-                assert_eq!(a[i].to_bits(), b[i].to_bits(), "sample {k} node {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn peak_within_matches_dense_sampling() {
-        let (model, solver) = setup();
-        let mut p = Vector::constant(16, 0.3);
-        p[5] = 7.0;
-        // Start HOT on a different core so the trajectory has an interior
-        // structure (core 10 cools while core 5 heats).
-        let mut hot = Vector::constant(16, 0.3);
-        hot[10] = 7.0;
-        let t0 = solver
-            .step(&model, &model.ambient_state(), &hot, 10.0)
-            .unwrap();
-        let horizon = 20e-3;
-        let (peak, at) = solver.peak_within(&model, &t0, &p, horizon).unwrap();
-        // Dense reference.
-        let mut reference = f64::NEG_INFINITY;
-        for s in 0..=2000 {
-            let t = horizon * f64::from(s) / 2000.0;
-            let state = solver.step(&model, &t0, &p, t).unwrap();
-            reference = reference.max(model.core_temperatures(&state).max());
-        }
-        assert!(
-            (peak - reference).abs() < 0.02,
-            "peak {peak:.3} vs dense reference {reference:.3}"
-        );
-        assert!((0.0..=horizon).contains(&at));
-    }
-
-    #[test]
-    fn peak_within_heating_run_is_at_horizon() {
-        // Pure heating from ambient: the maximum sits at the end.
-        let (model, solver) = setup();
-        let mut p = Vector::constant(16, 0.3);
-        p[5] = 7.0;
-        let horizon = 5e-3;
-        let (peak, at) = solver
-            .peak_within(&model, &model.ambient_state(), &p, horizon)
-            .unwrap();
-        let end = solver
-            .step(&model, &model.ambient_state(), &p, horizon)
-            .unwrap();
-        assert!((peak - model.core_temperatures(&end).max()).abs() < 1e-6);
-        assert!((at - horizon).abs() < horizon * 0.05);
-    }
-
-    #[test]
-    fn peak_within_cooling_run_is_at_start() {
-        // Cooling after power-off: the maximum sits at t = 0.
-        let (model, solver) = setup();
-        let mut hot_p = Vector::constant(16, 0.3);
-        hot_p[5] = 7.0;
-        let hot = solver
-            .step(&model, &model.ambient_state(), &hot_p, 10.0)
-            .unwrap();
-        let (peak, at) = solver
-            .peak_within(&model, &hot, &Vector::zeros(16), 10e-3)
-            .unwrap();
-        assert!((peak - model.core_temperatures(&hot).max()).abs() < 1e-6);
-        assert!(at < 1e-3);
-    }
-
-    #[test]
-    fn peak_within_rejects_bad_horizon() {
-        let (model, solver) = setup();
-        assert!(solver
-            .peak_within(&model, &model.ambient_state(), &Vector::zeros(16), -1.0)
-            .is_err());
-    }
-
-    #[test]
     fn stats_count_batches_and_cache_traffic() {
         let (model, solver) = setup();
         let t0 = model.ambient_state();
         let p = Vector::constant(16, 0.5);
         assert_eq!(solver.runtime().stats(), SolverStats::default());
-        solver.step(&model, &t0, &p, 1e-3).unwrap();
-        solver.step(&model, &t0, &p, 1e-3).unwrap();
-        let pairs = [(&t0, &p), (&t0, &p), (&t0, &p)];
-        solver.step_many(&model, &pairs, 2e-3).unwrap();
+        for dt in [1e-3, 1e-3, 2e-3, 2e-3, 2e-3] {
+            solver.step(&model, &t0, &p, dt).unwrap();
+        }
         let s = solver.runtime().stats();
-        assert_eq!(s.batch_calls, 3);
+        assert_eq!(s.batch_calls, 5);
         assert_eq!(s.batched_items, 5);
-        // Two distinct dt values → two misses; the repeated step hits.
+        // Two distinct dt values → two misses; the repeats hit.
         assert_eq!(s.decay_cache_misses, 2);
-        assert_eq!(s.decay_cache_hits, 1);
+        assert_eq!(s.decay_cache_hits, 3);
         // A clone starts from zero; reset clears the original.
         let fresh = solver.clone();
         assert_eq!(fresh.runtime().stats(), SolverStats::default());
@@ -1391,23 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_trajectory_and_peak_are_finite() {
-        let (model, solver) = setup_stiff();
-        let mut p = Vector::constant(16, 0.3);
-        p[5] = 7.0;
-        let t0 = model.ambient_state();
-        let traj = solver.trajectory(&model, &t0, &p, 2e-3, 4).unwrap();
-        assert_eq!(traj.len(), 4);
-        for state in &traj {
-            assert!(state.iter().all(|v| v.is_finite()));
-        }
-        let (peak, at) = solver.peak_within(&model, &t0, &p, 2e-3).unwrap();
-        assert!(peak.is_finite() && peak >= model.config().ambient - 1.0);
-        assert!((0.0..=2e-3).contains(&at));
-        assert_eq!(solver.runtime().numerics().fallback_activations, 1);
-    }
-
-    #[test]
     fn healthy_solver_is_not_degraded() {
         let (_, solver) = setup();
         assert!(!solver.degraded());
@@ -1416,7 +852,7 @@ mod tests {
 
     #[test]
     fn nonfinite_inputs_rejected() {
-        let (model, solver) = setup();
+        let (model, mut solver) = setup();
         let t0 = model.ambient_state();
         let mut bad_p = Vector::constant(16, 0.3);
         bad_p[3] = f64::NAN;
@@ -1428,9 +864,10 @@ mod tests {
         bad_t[7] = f64::INFINITY;
         let p = Vector::constant(16, 0.3);
         assert!(solver.step(&model, &bad_t, &p, 1e-3).is_err());
-        assert!(solver.step_reference(&model, &bad_t, &p, 1e-3).is_err());
-        assert!(solver.trajectory(&model, &t0, &bad_p, 1e-3, 4).is_err());
-        assert!(solver.peak_within(&model, &bad_t, &p, 1e-3).is_err());
+        assert!(solver.initial_state(&bad_t).is_err());
+        let mut state = solver.initial_state(&t0).unwrap();
+        assert!(solver.advance(&model, &mut state, &bad_p, 1e-3).is_err());
+        assert_eq!(state.nodes(), &t0);
         // Rejected inputs never degrade the solver.
         assert!(!solver.degraded());
     }
@@ -1469,22 +906,14 @@ mod tests {
 
     #[test]
     fn dense_fallback_tracks_eigen_on_healthy_model() {
-        // Force the dense path on a *healthy* model via a clone whose
-        // guard we trip artificially through restore + envelope violation
-        // is not possible from outside; instead compare step_many_dense
-        // through the public API of a stiff-armed solver sharing the
-        // healthy model's eigen basis. Simplest honest check: the
-        // fallback stepper itself is pinned against the eigen path in
-        // fallback.rs; here we pin the routed outputs' agreement.
+        // The step a guard trip would substitute stays within a
+        // microkelvin of the eigen step it replaces.
         let (model, solver) = setup();
         let mut p = Vector::constant(16, 0.3);
         p[5] = 7.0;
         let t0 = model.ambient_state();
         let eigen_out = solver.step(&model, &t0, &p, 1e-4).unwrap();
-        let dense_out = {
-            let mut out = solver.step_many_dense(&model, &[(&t0, &p)], 1e-4).unwrap();
-            out.pop().unwrap()
-        };
+        let dense_out = dense_step(&model, &t0, &p, 1e-4);
         assert!((&eigen_out - &dense_out).norm_inf() < 1e-6);
     }
 

@@ -3,9 +3,12 @@
 //! behavioural half of the `cargo xtask check` no-panic contract for
 //! hp-thermal.
 
+mod support;
+
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_thermal::{RcThermalModel, ThermalConfig, ThermalError, TransientSolver};
+use support::step_reference;
 
 fn model_4x4() -> RcThermalModel {
     let fp = GridFloorplan::new(4, 4).expect("non-empty grid");
@@ -42,31 +45,6 @@ fn step_rejects_power_dimension_mismatch() {
         matches!(err, ThermalError::PowerLengthMismatch { .. }),
         "{err}"
     );
-}
-
-#[test]
-fn step_many_rejects_one_bad_pair_among_good() {
-    let model = model_4x4();
-    let solver = TransientSolver::new(&model).expect("decomposes");
-    let t0 = model.ambient_state();
-    let good = Vector::constant(16, 1.0);
-    let bad = Vector::constant(3, 1.0);
-    let pairs = [(&t0, &good), (&t0, &bad)];
-    assert!(solver.step_many(&model, &pairs, 1e-4).is_err());
-    // The empty batch, by contrast, is a valid no-op.
-    assert_eq!(solver.step_many(&model, &[], 1e-4).expect("ok").len(), 0);
-}
-
-#[test]
-fn trajectory_rejects_bad_inputs_like_step() {
-    let model = model_4x4();
-    let solver = TransientSolver::new(&model).expect("decomposes");
-    let t0 = model.ambient_state();
-    let p = Vector::constant(16, 1.0);
-    assert!(solver.trajectory(&model, &t0, &p, f64::NAN, 4).is_err());
-    assert!(solver
-        .trajectory(&model, &t0, &Vector::constant(2, 1.0), 1e-4, 4)
-        .is_err());
 }
 
 #[test]
@@ -107,16 +85,26 @@ fn advance_rejects_bad_inputs_without_touching_the_state() {
     let mut nan_power = good.clone();
     nan_power[3] = f64::NAN;
     let cases = [
-        (good.clone(), -1e-4),
-        (good.clone(), f64::NAN),
-        (good, f64::INFINITY),
-        (Vector::constant(9, 1.0), 1e-4),
-        (nan_power, 1e-4),
+        (good.clone(), -1e-4, "dt"),
+        (good.clone(), f64::NAN, "dt"),
+        (good, f64::INFINITY, "dt"),
+        (Vector::constant(9, 1.0), 1e-4, "power length"),
+        (nan_power, 1e-4, "non-finite"),
     ];
-    for (power, dt) in &cases {
-        assert!(
-            solver.advance(&model, &mut state, power, *dt).is_err(),
-            "power of {} cores, dt {dt}",
+    for (power, dt, expected) in &cases {
+        let err = solver
+            .advance(&model, &mut state, power, *dt)
+            .expect_err("bad input must not step");
+        let kind = match &err {
+            ThermalError::InvalidParameter { name: "dt", .. } => "dt",
+            ThermalError::PowerLengthMismatch { .. } => "power length",
+            ThermalError::Linalg(_) => "non-finite",
+            _ => "other",
+        };
+        assert_eq!(
+            kind,
+            *expected,
+            "power of {} cores, dt {dt}: {err}",
             power.len()
         );
     }
@@ -145,14 +133,29 @@ fn step_reference_rejects_bad_inputs_like_step() {
     let t0 = model.ambient_state();
     let p = Vector::constant(16, 1.0);
     assert!(matches!(
-        solver.step_reference(&model, &t0, &p, -1.0),
+        step_reference(&solver, &t0, &p, -1.0),
         Err(ThermalError::InvalidParameter { name: "dt", .. })
     ));
     assert!(matches!(
-        solver.step_reference(&model, &t0, &Vector::constant(4, 1.0), 1e-4),
+        step_reference(&solver, &t0, &Vector::constant(4, 1.0), 1e-4),
         Err(ThermalError::PowerLengthMismatch { .. })
     ));
-    let mut hot = t0;
+    let mut hot = t0.clone();
     hot[0] = f64::NAN;
-    assert!(solver.step_reference(&model, &hot, &p, 1e-4).is_err());
+    assert!(step_reference(&solver, &hot, &p, 1e-4).is_err());
+    // Each bad input draws the same kind of error from the library.
+    let cases = [
+        (&t0, &p, -1.0),
+        (&t0, &Vector::constant(4, 1.0), 1e-4),
+        (&hot, &p, 1e-4),
+    ];
+    for (nodes, power, dt) in cases {
+        let reference = step_reference(&solver, nodes, power, dt).expect_err("reference");
+        let library = solver.step(&model, nodes, power, dt).expect_err("library");
+        assert_eq!(
+            std::mem::discriminant(&reference),
+            std::mem::discriminant(&library),
+            "{reference} vs {library}"
+        );
+    }
 }

@@ -1,12 +1,15 @@
-//! Property tests for the batched transient solver over *random* RC
+//! Property tests for the transient solver over *random* RC
 //! models — the composability guarantees the interval simulator relies
 //! on, promoted from the fixed-model unit tests in `src/transient.rs`
 //! into proptest form.
+
+mod support;
 
 use hp_floorplan::GridFloorplan;
 use hp_linalg::{Matrix, Vector};
 use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 use proptest::prelude::*;
+use support::step_reference;
 
 /// A random-but-physical RC model: random grid dimensions and random
 /// scale factors on the capacitances/conductances that shape the
@@ -42,6 +45,32 @@ fn power_pool() -> impl Strategy<Value = Vec<f64>> {
 
 fn power_for(model: &RcThermalModel, pool: &[f64]) -> Vector {
     Vector::from_fn(model.core_count(), |c| pool[c])
+}
+
+#[test]
+fn step_matches_serial_reference_bit_for_bit() {
+    // Chained steps at varying dt on the default 4×4 chip.
+    let fp = GridFloorplan::new(4, 4).unwrap();
+    let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+    let solver = TransientSolver::new(&model).unwrap();
+    let mut p = Vector::constant(16, 0.3);
+    p[5] = 7.0;
+    let mut t = model.ambient_state();
+    let mut t_ref = model.ambient_state();
+    for k in 0..10 {
+        let dt = 1e-4 * f64::from(1 + k % 3);
+        t = solver.step(&model, &t, &p, dt).unwrap();
+        t_ref = step_reference(&solver, &t_ref, &p, dt).unwrap();
+        for i in 0..model.node_count() {
+            assert_eq!(
+                t[i].to_bits(),
+                t_ref[i].to_bits(),
+                "step {k} node {i}: {} vs {}",
+                t[i],
+                t_ref[i]
+            );
+        }
+    }
 }
 
 proptest! {
@@ -119,15 +148,15 @@ proptest! {
         pool in power_pool(),
         dt in 1e-5..5e-3f64,
     ) {
-        // The differential contract on random models: the batched GEMM
-        // step must reproduce the serial mat-vec form bit for bit.
+        // The differential contract on random models: the GEMM-row step
+        // must reproduce the serial mat-vec form bit for bit.
         let solver = TransientSolver::new(&model).unwrap();
         let p = power_for(&model, &pool);
         let mut hot = Vector::zeros(model.core_count());
         if model.core_count() > 0 { hot[0] = 7.0; }
         let t0 = solver.step(&model, &model.ambient_state(), &hot, 1.0).unwrap();
         let fast = solver.step(&model, &t0, &p, dt).unwrap();
-        let reference = solver.step_reference(&model, &t0, &p, dt).unwrap();
+        let reference = step_reference(&solver, &t0, &p, dt).unwrap();
         for i in 0..model.node_count() {
             prop_assert_eq!(
                 fast[i].to_bits(),
@@ -136,31 +165,6 @@ proptest! {
                 i,
                 fast[i],
                 reference[i]
-            );
-        }
-    }
-
-    #[test]
-    fn trajectory_composes_with_stepping(
-        model in models(),
-        pool in power_pool(),
-        dt in 1e-4..4e-3f64,
-    ) {
-        // The batched trajectory must land exactly where repeated
-        // stepping through the same sample instants lands.
-        let solver = TransientSolver::new(&model).unwrap();
-        let p = power_for(&model, &pool);
-        let t0 = model.ambient_state();
-        let samples = 5usize;
-        let traj = solver.trajectory(&model, &t0, &p, dt, samples).unwrap();
-        let mut t = t0;
-        for (k, sample) in traj.iter().enumerate() {
-            t = solver.step(&model, &t, &p, dt / samples as f64).unwrap();
-            prop_assert!(
-                (sample - &t).norm_inf() < 1e-9,
-                "sample {} diverged by {}",
-                k,
-                (sample - &t).norm_inf()
             );
         }
     }
@@ -176,7 +180,7 @@ proptest! {
         dt in 1e-5..5e-3f64,
     ) {
         // `initial_state` projects through the same GEMM as `step`, so
-        // the engine's first interval reproduces the batched kernel.
+        // the engine's first interval reproduces `step`.
         let mut solver = TransientSolver::new(&model).unwrap();
         let p = power_for(&model, &pool);
         let t0 = solver.step(&model, &model.ambient_state(), &p, 0.05).unwrap();

@@ -10,7 +10,7 @@
 //!    return `Ok` with finite numbers or a typed error; the process
 //!    never panics and NaN/Inf never escapes a `Result::Ok`.
 //! 2. **The dense fallback is a drop-in.** On healthy models the public
-//!    [`DenseStepper`] must track the eigen reference step to ≤ 1e-6 °C,
+//!    [`DenseStepper`] must track the eigen step to ≤ 1e-6 °C,
 //!    and its precomputed epoch map must reproduce its own `step`.
 //! 3. **Degradation is observable and deterministic end-to-end.** A
 //!    sweep spec with `"thermal": "ill-conditioned"` runs to completion
@@ -19,6 +19,7 @@
 //!    bit-identical across reruns — while the default profile on the
 //!    same spec stays `Completed` with zero fallback activity.
 
+use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_campaign::{run_campaign, CampaignConfig, CampaignReport, JobStatus, SweepSpec};
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
@@ -119,15 +120,19 @@ proptest! {
         watts in 0.0..8.0f64,
         dt in 1e-4..2e-3f64,
     ) {
+        // Algorithm 1 either refuses the model (typed error) or returns a
+        // finite steady-cycle peak, on the eigen path or the dense cycle.
         let fp = GridFloorplan::new(2, 2).expect("grid");
         let Ok(model) = RcThermalModel::new(&fp, &cfg) else { return Ok(()) };
-        let Ok(solver) = TransientSolver::new(&model) else { return Ok(()) };
-        let p = Vector::constant(model.core_count(), watts);
-        if let Ok((t_peak, when)) =
-            solver.peak_within(&model, &model.ambient_state(), &p, dt)
-        {
+        let Ok(solver) = RotationPeakSolver::new(model) else { return Ok(()) };
+        let epochs = (0..4).map(|k| {
+            let mut p = Vector::constant(4, 0.0);
+            p[k] = watts;
+            p
+        });
+        let Ok(seq) = EpochPowerSequence::new(dt, epochs.collect()) else { return Ok(()) };
+        if let Ok(t_peak) = solver.peak_celsius(&seq) {
             prop_assert!(t_peak.is_finite(), "peak = {t_peak}");
-            prop_assert!(when.is_finite() && when >= 0.0 && when <= dt);
         }
     }
 }
@@ -185,7 +190,7 @@ proptest! {
         // fallback substitution relies on.
         let mut t = model.ambient_state();
         for k in 0..20 {
-            let eigen = solver.step_reference(&model, &t, &p, dt).unwrap();
+            let eigen = solver.step(&model, &t, &p, dt).unwrap();
             let dense = stepper.step(&t, &f).unwrap();
             let gap = (&eigen - &dense).norm_inf();
             prop_assert!(gap < 1e-6, "step {k}: dense drifted {gap:e} °C from eigen");
