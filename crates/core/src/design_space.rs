@@ -7,10 +7,14 @@
 //! which gives an oracle to measure the heuristic against — the
 //! "near-optimal" claim, quantified (see the `oracle_gap` experiment and
 //! the tests below).
+//!
+//! Every assignment is priced by the scheduler's own probe,
+//! [`RotationPeakSolver::peak_of_rings`], so oracle and heuristic share
+//! one cross-ring coupling policy and its superposition evaluator.
 
-use hp_linalg::Vector;
+use hp_floorplan::CoreId;
 
-use crate::{EpochPowerSequence, Result, RotationPeakSolver};
+use crate::{HotPotatoError, Result, RingRotation, RotationPeakSolver};
 
 /// One thread to place: its estimated power draw and its predicted
 /// instructions-per-second on each ring (index = ring).
@@ -40,9 +44,10 @@ pub struct OracleResult {
 /// (respecting ring capacities) for the highest total IPS whose rotation
 /// peak stays below `t_dtm − delta`.
 ///
-/// Rotation semantics match the HotPotato scheduler's evaluator: each
-/// ring rotates its own threads with period = ring capacity; other rings
-/// contribute their time-averaged power.
+/// Rotation semantics are the HotPotato scheduler's, through the same
+/// probe ([`evaluate_assignment`]): each ring rotates its own threads
+/// with period = ring capacity; other rings contribute their
+/// time-averaged power.
 ///
 /// Peak evaluations fan out over all available cores with scoped threads
 /// (the search dominates the `oracle_gap` experiment's runtime). Results
@@ -55,7 +60,8 @@ pub struct OracleResult {
 ///
 /// # Errors
 ///
-/// Propagates peak-solver failures.
+/// Propagates [`evaluate_assignment`] failures, such as a ring listing
+/// a core outside the chip.
 ///
 /// # Panics
 ///
@@ -202,10 +208,21 @@ fn evaluate_peaks_parallel(
     Ok(peaks)
 }
 
-/// Algorithm-1 peak for an explicit thread→ring assignment, with the same
-/// per-ring evaluation the HotPotato scheduler uses. All occupied rings'
-/// rotations are evaluated in one [`RotationPeakSolver::peak_celsius_many`]
-/// batch.
+/// Algorithm-1 peak for an explicit thread→ring assignment: thread `i`
+/// draws `demands[i].watts` on ring `assignment[i]`, the threads of a
+/// ring spread over its slots (thread `j` of `m` on slot `j·δ/m`, in
+/// input order), each occupied ring rotating with epoch `tau` while the
+/// others contribute their averaged power — one
+/// [`RotationPeakSolver::peak_of_rings`] probe, the one the HotPotato
+/// scheduler makes.
+///
+/// # Errors
+///
+/// * [`HotPotatoError::InvalidAssignment`] if `assignment` and `demands`
+///   differ in length, a thread names a ring that `ring_cores` does not
+///   have, a ring holds more threads than it has cores, or the probe
+///   rejects a ring (a core outside the chip or in two rings).
+/// * Otherwise whatever the probe returns.
 pub fn evaluate_assignment(
     solver: &RotationPeakSolver,
     ring_cores: &[Vec<usize>],
@@ -214,10 +231,17 @@ pub fn evaluate_assignment(
     tau: f64,
     idle_power: f64,
 ) -> Result<f64> {
-    let n = solver.model().core_count();
-
-    // Ring-averaged background.
-    let mut background = Vector::constant(n, idle_power);
+    if assignment.len() != demands.len() {
+        return Err(HotPotatoError::InvalidAssignment(
+            "assignment and demands differ in length",
+        ));
+    }
+    if assignment.iter().any(|&r| r >= ring_cores.len()) {
+        return Err(HotPotatoError::InvalidAssignment(
+            "a thread is assigned to a ring that does not exist",
+        ));
+    }
+    let mut rings = Vec::with_capacity(ring_cores.len());
     for (r, cores) in ring_cores.iter().enumerate() {
         let members: Vec<f64> = demands
             .iter()
@@ -225,53 +249,23 @@ pub fn evaluate_assignment(
             .filter(|(_, &a)| a == r)
             .map(|(d, _)| d.watts)
             .collect();
-        if members.is_empty() {
-            continue;
+        let delta = cores.len();
+        if members.len() > delta {
+            return Err(HotPotatoError::InvalidAssignment(
+                "a ring holds more threads than it has cores",
+            ));
         }
-        let avg = (members.iter().sum::<f64>() + (cores.len() - members.len()) as f64 * idle_power)
-            / cores.len() as f64;
-        for &c in cores {
-            background[c] = avg;
+        if delta == 0 {
+            continue; // a ring without cores holds no thread and no heat
         }
-    }
-
-    let mut seqs = Vec::new();
-    for (r, cores) in ring_cores.iter().enumerate() {
-        let members: Vec<f64> = demands
-            .iter()
-            .zip(assignment)
-            .filter(|(_, &a)| a == r)
-            .map(|(d, _)| d.watts)
-            .collect();
-        if members.is_empty() {
-            continue;
+        let mut ring = RingRotation::new(cores.iter().copied().map(CoreId).collect());
+        for (j, &watts) in members.iter().enumerate() {
+            // Maximal separation: distinct slots because m ≤ δ.
+            ring.occupy(j * delta / members.len(), watts);
         }
-        let delta_epochs = cores.len();
-        // Spread members over the ring's slots (maximal separation).
-        let slots: Vec<usize> = (0..members.len())
-            .map(|i| i * delta_epochs / members.len())
-            .collect();
-        let epochs: Vec<Vector> = (0..delta_epochs)
-            .map(|e| {
-                let mut p = background.clone();
-                for &c in cores {
-                    p[c] = idle_power;
-                }
-                for (i, &w) in members.iter().enumerate() {
-                    p[cores[(slots[i] + e) % delta_epochs]] = w;
-                }
-                p
-            })
-            .collect();
-        seqs.push(EpochPowerSequence::new(tau, epochs)?);
+        rings.push(ring);
     }
-    if seqs.is_empty() {
-        // Idle chip.
-        let seq = EpochPowerSequence::new(tau, vec![Vector::constant(n, idle_power)])?;
-        return solver.peak_celsius(&seq);
-    }
-    let peaks = solver.peak_celsius_many(&seqs)?;
-    Ok(peaks.into_iter().fold(f64::NEG_INFINITY, f64::max))
+    solver.peak_of_rings(&rings, |watts| watts, idle_power, tau, true)
 }
 
 #[cfg(test)]
@@ -371,6 +365,48 @@ mod tests {
     }
 
     #[test]
+    fn an_overfull_ring_is_refused() {
+        // Five threads on the 4-slot centre ring once priced as four.
+        let demands: Vec<ThreadDemand> = (0..5).map(|_| demand(7.0, [3.0, 2.5, 2.0])).collect();
+        let err = evaluate_assignment(&solver(), &rings_4x4(), &demands, &[0; 5], 0.5e-3, 0.3)
+            .expect_err("five threads, four slots");
+        assert!(matches!(err, HotPotatoError::InvalidAssignment(_)), "{err}");
+    }
+
+    #[test]
+    fn a_thread_on_a_missing_ring_is_refused() {
+        // Once priced as the idle chip.
+        let demands = vec![demand(7.0, [3.0, 2.5, 2.0])];
+        let err = evaluate_assignment(&solver(), &rings_4x4(), &demands, &[99], 0.5e-3, 0.3)
+            .expect_err("no ring 99");
+        assert!(matches!(err, HotPotatoError::InvalidAssignment(_)), "{err}");
+    }
+
+    #[test]
+    fn an_assignment_shorter_than_the_demands_is_refused() {
+        // Once priced as its first thread alone.
+        let demands: Vec<ThreadDemand> = (0..5).map(|_| demand(7.0, [3.0, 2.5, 2.0])).collect();
+        let err = evaluate_assignment(&solver(), &rings_4x4(), &demands, &[0], 0.5e-3, 0.3)
+            .expect_err("one ring for five threads");
+        assert!(matches!(err, HotPotatoError::InvalidAssignment(_)), "{err}");
+    }
+
+    #[test]
+    fn a_ring_with_a_core_off_the_chip_is_refused() {
+        // Once an index-out-of-bounds panic.
+        let mut rings = rings_4x4();
+        rings[1][0] = 99;
+        let demands = vec![demand(7.0, [3.0, 2.5, 2.0])];
+        let err = evaluate_assignment(&solver(), &rings, &demands, &[1], 0.5e-3, 0.3)
+            .expect_err("core 99 on a 16-core chip");
+        assert!(matches!(err, HotPotatoError::InvalidAssignment(_)), "{err}");
+        // The search reports it instead of panicking in a worker.
+        let search =
+            exhaustive_best_assignment(&solver(), &rings, &demands, 0.5e-3, 0.3, 70.0, 1.0);
+        assert!(search.is_err());
+    }
+
+    #[test]
     fn concurrent_search_tallies_match_a_serial_scan() {
         // The workers share one solver; every tally must come out exactly
         // as if a fresh solver had evaluated the same assignments one
@@ -391,6 +427,7 @@ mod tests {
         assert_eq!(stats, serial.runtime().stats());
         assert_eq!(shared.runtime().numerics(), serial.runtime().numerics());
         assert_eq!(stats.batch_calls, feasible.len() as u64);
-        assert_eq!(stats.decay_cache_misses, 1, "one τ, computed once");
+        // Probes read cached rotation kernels and look up no decay data.
+        assert_eq!((stats.decay_cache_hits, stats.decay_cache_misses), (0, 0));
     }
 }

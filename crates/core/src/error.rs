@@ -10,6 +10,11 @@ use hp_thermal::ThermalError;
 pub enum HotPotatoError {
     /// An epoch power sequence was malformed.
     InvalidSequence(&'static str),
+    /// The rings of an Algorithm-2 probe, or an assignment of threads to
+    /// them, were malformed: a core outside the chip or in two rings, a
+    /// thread on a ring that does not exist, more threads than a ring
+    /// has slots.
+    InvalidAssignment(&'static str),
     /// A parameter was non-physical.
     InvalidParameter {
         /// Name of the offending parameter.
@@ -28,6 +33,9 @@ impl fmt::Display for HotPotatoError {
         match self {
             HotPotatoError::InvalidSequence(what) => {
                 write!(f, "invalid epoch power sequence: {what}")
+            }
+            HotPotatoError::InvalidAssignment(what) => {
+                write!(f, "invalid ring assignment: {what}")
             }
             HotPotatoError::InvalidParameter { name, value } => {
                 write!(

@@ -52,8 +52,37 @@
 //! same order as scalar dot products — the results match the serial
 //! per-boundary form bit for bit, so a candidate's peak does not depend
 //! on the batch it was evaluated in. Decay data `e^{λτ}` is cached per τ.
+//!
+//! # Algorithm 2's probe, by superposition
+//!
+//! [`peak_of_rings`](RotationPeakSolver::peak_of_rings) answers the
+//! scheduler's and the design-space oracle's one question: the peak of
+//! a ring assignment, each occupied ring rotating while the others
+//! contribute their ring-averaged power. The RC model and Eqs. 8–10 are
+//! linear in power, so ring `r`'s cycle is the steady state of that
+//! background plus one cached unit-watt rotation response per occupied
+//! slot:
+//!
+//! ```text
+//! T_r[k][c] = T_ss(bg)[c] + (idle − avg_r)·Σ_j H_r[j][c]
+//!                         + Σ_s (p_s − idle)·H_r[(k + s) mod δ_r][c]
+//! ```
+//!
+//! which is `T_ss(bg) + Σ_s (p_s − avg_r)·H_r[(k+s) mod δ_r]` with the
+//! free slots (`p_s = idle`) folded into the ring's all-slot response.
+//! `H_r` (`δ_r × cores`, per ring and τ) holds the junction response at
+//! each epoch boundary of the cycle in which one watt follows slot 0
+//! around the ring; slot `s`'s occupant runs the same cycle `s` epochs
+//! ahead, hence the cyclic row index. `T_ss` comes from a cached
+//! `cores × cores` steady-influence matrix. Both operators are built on
+//! first use by this module's own kernel and cached per solver; they
+//! are pure functions of the basis, the ring and τ, so building them
+//! counts nothing and no checkpoint records them. A degraded solver, or
+//! a guard trip, builds the explicit epoch sequences and runs them
+//! through the dense cycle instead.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hp_floorplan::CoreId;
 use hp_linalg::convert::usize_to_f64;
@@ -61,7 +90,13 @@ use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, NumericalError, Vector};
 use hp_thermal::{DenseStepper, ModalDecay, ModalRuntime, RcThermalModel};
 
-use crate::{EpochPowerSequence, HotPotatoError, Result};
+use crate::{EpochPowerSequence, HotPotatoError, Result, RingRotation};
+
+/// Distinct (ring, τ) rotation kernels one solver caches. A scheduler
+/// probes a chip's handful of rings at a handful of τ, so the cap only
+/// guards against pathological churn: a full cache is cleared before
+/// the next insert, as the runtime's decay cache is.
+const KERNEL_CACHE_CAP: usize = 256;
 
 /// The dense fallback's affine map `T ↦ M·T + S·f` over one epoch,
 /// extracted once per epoch length from a [`DenseStepper`] and cached by
@@ -153,6 +188,251 @@ impl Cycles {
     }
 }
 
+/// `row += w·x`, element by element.
+fn axpy(row: &mut [f64], w: f64, x: &[f64]) {
+    for (r, &v) in row.iter_mut().zip(x) {
+        *r += w * v;
+    }
+}
+
+/// The hottest of `values`, `−∞` for none.
+fn hottest(values: &[f64]) -> f64 {
+    values
+        .iter()
+        .fold(f64::NEG_INFINITY, |peak, &v| peak.max(v))
+}
+
+/// The probe's steady-state operator: every junction's steady
+/// temperature as an affine function of the per-core power map.
+#[derive(Debug)]
+struct SteadyInfluence {
+    /// `Gᵀ` (`cores × cores`): row `j` holds every junction's
+    /// steady-state rise per watt on core `j`, °C/W.
+    per_watt: Matrix,
+    /// The junctions' steady state at zero power, °C.
+    ambient: Vec<f64>,
+}
+
+impl SteadyInfluence {
+    /// Junction steady state under the per-core power map `watts` (W),
+    /// °C.
+    fn junctions(&self, watts: &[f64]) -> Vec<f64> {
+        let mut t = self.ambient.clone();
+        for (j, &w) in watts.iter().enumerate() {
+            axpy(&mut t, w, self.per_watt.row(j));
+        }
+        t
+    }
+}
+
+/// One ring's unit-watt rotation kernel at one τ.
+#[derive(Debug)]
+struct RotationKernel {
+    /// `H` (`δ × cores`): row `k` holds every junction's response, °C/W,
+    /// at the end of epoch `k` of the steady cycle in which one watt
+    /// follows slot 0 around the ring (on slot `e`'s core in epoch `e`).
+    h: Matrix,
+    /// `Σ_k H[k]`: the response to one watt on every slot at once, that
+    /// is to a constant watt on each of the ring's cores, °C/W.
+    all_slots: Vec<f64>,
+}
+
+/// The probe's cached operators.
+#[derive(Debug, Clone, Default)]
+struct ProbeOperators {
+    steady: Option<Arc<SteadyInfluence>>,
+    /// Ring cores (rotation order) → `τ.to_bits()` → kernel.
+    kernels: BTreeMap<Vec<CoreId>, BTreeMap<u64, Arc<RotationKernel>>>,
+}
+
+impl ProbeOperators {
+    fn kernel(&self, cores: &[CoreId], tau: f64) -> Option<Arc<RotationKernel>> {
+        self.kernels.get(cores)?.get(&tau.to_bits()).cloned()
+    }
+
+    fn insert_kernel(&mut self, cores: &[CoreId], tau: f64, kernel: Arc<RotationKernel>) {
+        if self.kernels.values().map(BTreeMap::len).sum::<usize>() >= KERNEL_CACHE_CAP {
+            self.kernels.clear();
+        }
+        self.kernels
+            .entry(cores.to_vec())
+            .or_default()
+            .insert(tau.to_bits(), kernel);
+    }
+}
+
+/// The probe's operator cache behind one mutex, so the oracle's scoped
+/// threads can share a solver. It is locked for lookups and inserts
+/// only, never while an operator is built, and never together with the
+/// runtime's ledger. A clone copies the cached operators.
+#[derive(Debug, Default)]
+struct ProbeCache(Mutex<ProbeOperators>);
+
+impl ProbeCache {
+    /// Locks the cache. A poisoned lock only means another thread
+    /// panicked mid-update; every entry is an immutable `Arc`.
+    fn lock(&self) -> MutexGuard<'_, ProbeOperators> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for ProbeCache {
+    fn clone(&self) -> Self {
+        ProbeCache(Mutex::new(self.lock().clone()))
+    }
+}
+
+/// A validated Algorithm-2 probe: every ring's cores and slot powers,
+/// and each occupied ring's time-averaged power.
+struct RingLoads<'a> {
+    rings: Vec<RingLoad<'a>>,
+    /// Every slot's power, W, ring after ring in slot order; a free
+    /// slot draws `idle`.
+    slots: Vec<f64>,
+    /// Idle-core power, W.
+    idle: f64,
+    /// Core count of the chip.
+    cores: usize,
+}
+
+/// One ring of [`RingLoads`].
+struct RingLoad<'a> {
+    /// The ring's cores in rotation order.
+    cores: &'a [CoreId],
+    /// Where the ring's slots start in [`RingLoads::slots`].
+    first: usize,
+    /// The ring's time-averaged power on each of its cores, W; `None`
+    /// for an unoccupied ring.
+    average: Option<f64>,
+}
+
+impl<'a> RingLoads<'a> {
+    /// Reads every slot's power, `watts` of its occupant or `idle`, and
+    /// checks what [`RotationPeakSolver::validate_seq`] checks of the
+    /// explicit sequences, plus that every core is on the chip and in
+    /// one ring at most.
+    fn new<T: Copy + PartialEq>(
+        cores: usize,
+        rings: &'a [RingRotation<T>],
+        watts: impl Fn(T) -> f64,
+        idle: f64,
+    ) -> Result<Self> {
+        let mut seen = vec![false; cores];
+        let mut slots = Vec::with_capacity(rings.iter().map(RingRotation::capacity).sum());
+        let mut loads = Vec::with_capacity(rings.len());
+        for ring in rings {
+            for c in ring.cores() {
+                match seen.get_mut(c.index()) {
+                    None => {
+                        return Err(HotPotatoError::InvalidAssignment(
+                            "a ring lists a core outside the chip",
+                        ))
+                    }
+                    Some(true) => {
+                        return Err(HotPotatoError::InvalidAssignment(
+                            "a core belongs to more than one ring",
+                        ))
+                    }
+                    Some(s) => *s = true,
+                }
+            }
+            let first = slots.len();
+            let capacity = ring.capacity();
+            slots.extend((0..capacity).map(|s| ring.occupant(s).map_or(idle, &watts)));
+            // The occupants' sum in slot order, then the free slots at
+            // idle: the average the explicit sequences always used.
+            let occupied = ring.occupants();
+            let average = (occupied > 0).then(|| {
+                let sum: f64 = (0..capacity)
+                    .filter(|&s| ring.occupant(s).is_some())
+                    .map(|s| slots[first + s])
+                    .sum();
+                (sum + (capacity - occupied) as f64 * idle) / capacity as f64
+            });
+            loads.push(RingLoad {
+                cores: ring.cores(),
+                first,
+                average,
+            });
+        }
+        let finite = idle.is_finite()
+            && slots.iter().all(|p| p.is_finite())
+            && loads.iter().filter_map(|r| r.average).all(f64::is_finite);
+        if !finite {
+            return Err(HotPotatoError::Linalg(
+                NumericalError::NonFinite {
+                    what: "epoch power map",
+                }
+                .into(),
+            ));
+        }
+        Ok(RingLoads {
+            rings: loads,
+            slots,
+            idle,
+            cores,
+        })
+    }
+
+    /// The occupied rings, each with its slot powers and its average.
+    fn occupied(&self) -> impl Iterator<Item = (&'a [CoreId], &[f64], f64)> + '_ {
+        self.rings.iter().filter_map(|r| {
+            let slots = &self.slots[r.first..r.first + r.cores.len()];
+            r.average.map(|avg| (r.cores, slots, avg))
+        })
+    }
+
+    /// The power map with every thread on its slot's core, W.
+    fn pinned(&self) -> Vec<f64> {
+        let mut p = vec![self.idle; self.cores];
+        for r in &self.rings {
+            for (c, &w) in r.cores.iter().zip(&self.slots[r.first..]) {
+                p[c.index()] = w;
+            }
+        }
+        p
+    }
+
+    /// The cross-ring background, W: each occupied ring's average on
+    /// its own cores, idle elsewhere.
+    fn background(&self) -> Vec<f64> {
+        let mut p = vec![self.idle; self.cores];
+        for (cores, _, avg) in self.occupied() {
+            for c in cores {
+                p[c.index()] = avg;
+            }
+        }
+        p
+    }
+
+    /// The probe as explicit epoch sequences: `rotating`, one rotation
+    /// per occupied ring over the background (occupants shifted by `e`
+    /// slots in epoch `e`); otherwise the single epoch of the pinned map
+    /// over `max(τ, 1 µs)`.
+    fn sequences(&self, tau: f64, rotating: bool) -> Result<Vec<EpochPowerSequence>> {
+        if !rotating {
+            let p = Vector::from(self.pinned());
+            return Ok(vec![EpochPowerSequence::new(tau.max(1e-6), vec![p])?]);
+        }
+        let background = Vector::from(self.background());
+        self.occupied()
+            .map(|(cores, slots, _)| {
+                let delta = cores.len();
+                let epochs = (0..delta)
+                    .map(|e| {
+                        let mut p = background.clone();
+                        for (s, &w) in slots.iter().enumerate() {
+                            p[cores[(s + e) % delta].index()] = w;
+                        }
+                        p
+                    })
+                    .collect();
+                EpochPowerSequence::new(tau, epochs)
+            })
+            .collect()
+    }
+}
+
 /// Computes steady-cycle peak temperatures for rotations on a fixed
 /// thermal model.
 ///
@@ -176,6 +456,9 @@ pub struct RotationPeakSolver {
     /// fallback — plus this solver's per-τ decay and dense epoch-map
     /// caches, envelope guard and tallies.
     runtime: ModalRuntime<DenseEpochMap>,
+    /// The Algorithm-2 probe's steady-influence matrix and rotation
+    /// kernels, built on first use.
+    probe: ProbeCache,
 }
 
 impl RotationPeakSolver {
@@ -193,6 +476,7 @@ impl RotationPeakSolver {
         Ok(RotationPeakSolver {
             model,
             runtime: ModalRuntime::new(basis),
+            probe: ProbeCache::default(),
         })
     }
 
@@ -315,22 +599,34 @@ impl RotationPeakSolver {
         samples: usize,
         decays: &[(Arc<ModalDecay>, Arc<ModalDecay>)],
     ) -> Result<Matrix> {
-        let basis = self.runtime.basis();
-        let nodes = self.model.node_count();
-        let total: usize = seqs.iter().map(EpochPowerSequence::delta).sum();
-        let mut p_t = Matrix::zeros(total, self.model.core_count());
+        let deltas: Vec<usize> = seqs.iter().map(EpochPowerSequence::delta).collect();
+        let mut p_t = Matrix::zeros(deltas.iter().sum(), self.model.core_count());
         let epochs = seqs.iter().flat_map(|s| (0..s.delta()).map(|e| s.epoch(e)));
         for (row, power) in epochs.enumerate() {
             p_t.row_mut(row).copy_from_slice(power.as_slice());
         }
-        let y_t = basis.steady_modal(&p_t)?; // Σδ × nodes
+        let y_t = self.runtime.basis().steady_modal(&p_t)?; // Σδ × nodes
+        self.relax_cycles(&y_t, &deltas, samples, decays)
+    }
 
-        let mut z_t = Matrix::zeros(total * samples, nodes);
+    /// Steps 2 and 3 of [`Self::modal_cycles`] on eigen-space steady
+    /// states already stacked in `y_t`, `deltas[i]` rows for cycle `i`:
+    /// the junction temperatures of every cycle's sample instants, one
+    /// row each.
+    fn relax_cycles(
+        &self,
+        y_t: &Matrix,
+        deltas: &[usize],
+        samples: usize,
+        decays: &[(Arc<ModalDecay>, Arc<ModalDecay>)],
+    ) -> Result<Matrix> {
+        let nodes = self.model.node_count();
+        let mut z_t = Matrix::zeros(y_t.rows() * samples, nodes);
         let (mut first, mut row) = (0, 0);
-        for (seq, (epoch, sub)) in seqs.iter().zip(decays) {
-            let ys: Vec<&[f64]> = (first..first + seq.delta()).map(|r| y_t.row(r)).collect();
-            first += seq.delta();
-            let mut z = cycle_start(seq.delta(), nodes, epoch, &ys);
+        for (&delta, (epoch, sub)) in deltas.iter().zip(decays) {
+            let ys: Vec<&[f64]> = (first..first + delta).map(|r| y_t.row(r)).collect();
+            first += delta;
+            let mut z = cycle_start(delta, nodes, epoch, &ys);
             for y in &ys {
                 for _ in 0..samples {
                     for i in 0..nodes {
@@ -341,7 +637,7 @@ impl RotationPeakSolver {
                 }
             }
         }
-        Ok(z_t.mul_matrix(basis.v_junction_t())?) // Σδ·samples × cores
+        Ok(z_t.mul_matrix(self.runtime.basis().v_junction_t())?) // Σδ·samples × cores
     }
 
     /// Dense-fallback steady cycle: the junction temperatures at every
@@ -531,6 +827,160 @@ impl RotationPeakSolver {
         Ok(self
             .steady_cycles(std::slice::from_ref(seq), samples, false)?
             .peaks[0])
+    }
+
+    /// Algorithm 2's probe: the hottest junction temperature, °C, of a
+    /// ring assignment — the HotPotato scheduler's and the design-space
+    /// oracle's one question to Algorithm 1.
+    ///
+    /// Each ring lists its cores in rotation order; an occupant of type
+    /// `T` draws `watts(occupant)` W and a free slot `idle_watts`. With
+    /// `rotating`, every occupied ring rotates synchronously with epoch
+    /// length `tau` (s) — slot `s`'s occupant on slot `(s + e) mod δ`'s
+    /// core in epoch `e` — while every other ring contributes its
+    /// time-averaged power on its own cores, and the result is the
+    /// hottest of these per-ring steady cycles. Pinned (`!rotating`), or
+    /// with no ring occupied, it is the steady state of every thread on
+    /// its slot's core.
+    ///
+    /// A healthy solver evaluates the cycles by superposition — the
+    /// background's steady state plus one cached unit-watt rotation
+    /// response per occupied slot (DESIGN.md §6a) — agreeing with the
+    /// explicit epoch sequences through
+    /// [`peak_celsius_many`](Self::peak_celsius_many) within 1e-9 °C,
+    /// and passes the per-ring peaks through the envelope guard. A
+    /// degraded solver, or a trip, runs those explicit sequences through
+    /// the dense cycle, with the explicit call's `numerics` tallies. A
+    /// rotating probe with an occupied ring counts one batch of its
+    /// occupied rings; no probe looks up decay data.
+    ///
+    /// # Errors
+    ///
+    /// * [`HotPotatoError::InvalidParameter`] if `tau` is not positive
+    ///   and finite.
+    /// * [`HotPotatoError::InvalidAssignment`] if a ring lists a core
+    ///   outside the chip, or a core belongs to two rings.
+    /// * [`HotPotatoError::Linalg`] if the idle power, an occupant's
+    ///   power or a ring's average is not finite.
+    /// * Propagated solver errors.
+    ///
+    /// A rejected probe is not counted.
+    pub fn peak_of_rings<T: Copy + PartialEq>(
+        &self,
+        rings: &[RingRotation<T>],
+        watts: impl Fn(T) -> f64,
+        idle_watts: f64,
+        tau: f64,
+        rotating: bool,
+    ) -> Result<f64> {
+        if !(tau.is_finite() && tau > 0.0) {
+            return Err(HotPotatoError::InvalidParameter {
+                name: "tau",
+                value: tau,
+            });
+        }
+        let load = RingLoads::new(self.model.core_count(), rings, watts, idle_watts)?;
+        let cycles = if rotating { load.occupied().count() } else { 0 };
+        let healthy = {
+            let mut ledger = self.runtime.lock();
+            if cycles > 0 {
+                ledger.count_batch(cycles);
+            }
+            !ledger.degraded()
+        };
+        // Pinned, or with no ring occupied, the probe is one steady state.
+        let rotating = cycles > 0;
+        if healthy {
+            let peaks = self.superposed_peaks(&load, tau, rotating)?;
+            let ambient = self.model.config().ambient;
+            if !self.runtime.lock().guard(ambient, peaks.iter().copied()) {
+                return Ok(hottest(&peaks));
+            }
+        }
+        let seqs = load.sequences(tau, rotating)?;
+        Ok(hottest(&self.steady_cycles(&seqs, 1, false)?.peaks))
+    }
+
+    /// The eigen path of [`Self::peak_of_rings`]: `rotating`, each
+    /// occupied ring's peak; otherwise the single peak of the pinned map.
+    fn superposed_peaks(&self, load: &RingLoads<'_>, tau: f64, rotating: bool) -> Result<Vec<f64>> {
+        let steady = self.steady_influence()?;
+        if !rotating {
+            return Ok(vec![hottest(&steady.junctions(&load.pinned()))]);
+        }
+        let background = steady.junctions(&load.background());
+        let (mut base, mut row) = (background.clone(), background.clone());
+        let mut top = vec![f64::NEG_INFINITY; background.len()];
+        let mut peaks = Vec::new();
+        for (cores, slots, avg) in load.occupied() {
+            let kernel = self.rotation_kernel(cores, tau)?;
+            base.copy_from_slice(&background);
+            axpy(&mut base, load.idle - avg, &kernel.all_slots);
+            top.fill(f64::NEG_INFINITY);
+            let delta = cores.len();
+            for k in 0..delta {
+                row.copy_from_slice(&base);
+                for (s, &p) in slots.iter().enumerate() {
+                    let w = p - load.idle;
+                    if w != 0.0 {
+                        axpy(&mut row, w, kernel.h.row((k + s) % delta));
+                    }
+                }
+                // Per junction over the boundaries, then once over the
+                // junctions: no serial chain through every element.
+                for (t, &v) in top.iter_mut().zip(&row) {
+                    *t = t.max(v);
+                }
+            }
+            peaks.push(hottest(&top));
+        }
+        Ok(peaks)
+    }
+
+    /// The probe's steady-influence operator, built on first use from
+    /// the basis: `Gᵀ = projᵀ·V_Jᵀ` and the zero-power junction state
+    /// `y_amb·V_Jᵀ`.
+    fn steady_influence(&self) -> Result<Arc<SteadyInfluence>> {
+        if let Some(steady) = &self.probe.lock().steady {
+            return Ok(Arc::clone(steady));
+        }
+        let basis = self.runtime.basis();
+        let y_amb = Matrix::from_fn(1, basis.node_count(), |_, i| basis.y_amb()[i]);
+        let steady = Arc::new(SteadyInfluence {
+            per_watt: basis.proj_t().mul_matrix(basis.v_junction_t())?,
+            ambient: y_amb.mul_matrix(basis.v_junction_t())?.row(0).to_vec(),
+        });
+        self.probe.lock().steady = Some(Arc::clone(&steady));
+        Ok(steady)
+    }
+
+    /// Ring `cores`'s unit-watt rotation kernel at epoch length `tau`
+    /// (s), built on first use by [`Self::relax_cycles`] from the
+    /// cores' rows of `projᵀ` (one watt on slot `e`'s core in epoch `e`,
+    /// no ambient term). Its decay data bypasses the runtime's cache and
+    /// tallies: whether a build runs depends on this cache, which no
+    /// checkpoint records.
+    fn rotation_kernel(&self, cores: &[CoreId], tau: f64) -> Result<Arc<RotationKernel>> {
+        if let Some(kernel) = self.probe.lock().kernel(cores, tau) {
+            return Ok(kernel);
+        }
+        let basis = self.runtime.basis();
+        let mut y_t = Matrix::zeros(cores.len(), self.model.node_count());
+        for (e, c) in cores.iter().enumerate() {
+            y_t.row_mut(e)
+                .copy_from_slice(basis.proj_t().row(c.index()));
+        }
+        let decay = Arc::new(ModalDecay::new(basis.eigen().eigenvalues(), tau));
+        let h = self.relax_cycles(&y_t, &[cores.len()], 1, &[(Arc::clone(&decay), decay)])?;
+        let mut all_slots = vec![0.0; self.model.core_count()];
+        for k in 0..h.rows() {
+            axpy(&mut all_slots, 1.0, h.row(k));
+        }
+        let kernel = Arc::new(RotationKernel { h, all_slots });
+        self.probe
+            .lock()
+            .insert_kernel(cores, tau, Arc::clone(&kernel));
+        Ok(kernel)
     }
 
     /// The spectral decomposition backing the solver (for diagnostics).
@@ -978,6 +1428,131 @@ mod tests {
             .flat_map(|b| b.iter().copied())
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(peak.to_bits(), dense.to_bits());
+    }
+
+    fn rings_4x4() -> Vec<RingRotation<f64>> {
+        GridFloorplan::new(4, 4)
+            .unwrap()
+            .amd_rings()
+            .iter()
+            .map(|r| RingRotation::new(r.cores().to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn probe_of_the_fig1_rotation_is_its_sequence_peak() {
+        // Two 7 W threads opposite each other on the centre ring, the
+        // rest of the chip idle: exactly `fig1_sequence`.
+        let (s, reference) = (solver_4x4(), solver_4x4());
+        let mut rings = rings_4x4();
+        assert_eq!(rings[0].cores(), [5, 6, 10, 9].map(CoreId));
+        rings[0].occupy(0, 7.0);
+        rings[0].occupy(2, 7.0);
+        for tau in [0.25e-3, 0.5e-3, 4e-3] {
+            let probe = s.peak_of_rings(&rings, |w| w, 0.3, tau, true).unwrap();
+            let explicit = reference.peak_celsius(&fig1_sequence(tau)).unwrap();
+            assert!(
+                (probe - explicit).abs() < 1e-9,
+                "tau {tau}: {probe} vs {explicit}"
+            );
+        }
+        let st = s.runtime().stats();
+        assert_eq!((st.batch_calls, st.batched_items), (3, 3));
+        assert_eq!((st.decay_cache_hits, st.decay_cache_misses), (0, 0));
+    }
+
+    #[test]
+    fn probe_rejects_malformed_input_without_counting() {
+        let s = solver_4x4();
+        let mut rings = rings_4x4();
+        rings[0].occupy(0, 7.0);
+        for tau in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                s.peak_of_rings(&rings, |w| w, 0.3, tau, true),
+                Err(HotPotatoError::InvalidParameter { name: "tau", .. })
+            ));
+        }
+        let off_chip = vec![RingRotation::new(vec![CoreId(3), CoreId(16)])];
+        let twice = vec![rings[0].clone(), rings[0].clone()];
+        for bad in [&off_chip, &twice] {
+            for rotating in [true, false] {
+                assert!(matches!(
+                    s.peak_of_rings(bad, |w| w, 0.3, 1e-3, rotating),
+                    Err(HotPotatoError::InvalidAssignment(_))
+                ));
+            }
+        }
+        let nan = |_: f64| f64::NAN;
+        assert!(s.peak_of_rings(&rings, nan, 0.3, 1e-3, true).is_err());
+        assert!(s
+            .peak_of_rings(&rings, |w| w, f64::NAN, 1e-3, false)
+            .is_err());
+        let mut huge = rings_4x4();
+        huge[0].occupy(0, f64::MAX);
+        huge[0].occupy(1, f64::MAX);
+        assert!(
+            s.peak_of_rings(&huge, |w| w, 0.3, 1e-3, true).is_err(),
+            "an average beyond f64 is refused"
+        );
+        assert_eq!(s.runtime().stats(), SolverStats::default());
+        assert!(!s.degraded());
+    }
+
+    #[test]
+    fn idle_and_pinned_probes_are_steady_states() {
+        let s = solver_4x4();
+        let mut rings = rings_4x4();
+        let idle = s.peak_of_rings(&rings, |w| w, 0.3, 1e-3, true).unwrap();
+        let p = Vector::constant(16, 0.3);
+        let steady = s
+            .model()
+            .core_temperatures(&s.model().steady_state(&p).unwrap());
+        assert!(
+            (idle - steady.max()).abs() < 1e-9,
+            "{idle} vs {}",
+            steady.max()
+        );
+        rings[1].occupy(2, 6.0);
+        let pinned = s.peak_of_rings(&rings, |w| w, 0.3, 1e-3, false).unwrap();
+        let mut p = Vector::constant(16, 0.3);
+        p[rings[1].core_of_slot(2).index()] = 6.0;
+        let steady = s
+            .model()
+            .core_temperatures(&s.model().steady_state(&p).unwrap());
+        assert!((pinned - steady.max()).abs() < 1e-9);
+        // Neither counts a batch.
+        assert_eq!(s.runtime().stats().batch_calls, 0);
+    }
+
+    #[test]
+    fn a_clone_keeps_the_cached_operators() {
+        let s = solver_4x4();
+        let mut rings = rings_4x4();
+        rings[2].occupy(1, 4.0);
+        let before = s.peak_of_rings(&rings, |w| w, 0.3, 2e-3, true).unwrap();
+        let clone = s.clone();
+        let after = clone.peak_of_rings(&rings, |w| w, 0.3, 2e-3, true).unwrap();
+        assert_eq!(before.to_bits(), after.to_bits());
+        let kernel = |solver: &RotationPeakSolver| {
+            solver.probe.lock().kernel(rings[2].cores(), 2e-3).unwrap()
+        };
+        assert!(
+            Arc::ptr_eq(&kernel(&s), &kernel(&clone)),
+            "one shared kernel"
+        );
+    }
+
+    #[test]
+    fn a_full_kernel_cache_is_cleared_before_the_next_insert() {
+        let s = solver_4x4();
+        let mut rings = rings_4x4();
+        rings[0].occupy(0, 7.0);
+        for k in 0..=KERNEL_CACHE_CAP {
+            let tau = 1e-4 * (k + 1) as f64;
+            s.peak_of_rings(&rings, |w| w, 0.3, tau, true).unwrap();
+        }
+        let cached: usize = s.probe.lock().kernels.values().map(BTreeMap::len).sum();
+        assert_eq!(cached, 1);
     }
 
     #[test]

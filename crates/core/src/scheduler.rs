@@ -23,18 +23,22 @@
 //!   rings contribute their *time-averaged* power on their own cores
 //!   (they rotate too, so their long-run contribution on each of their
 //!   cores is the mean). `T_peak` is the max over per-ring evaluations.
+//!   The policy lives in one place,
+//!   [`RotationPeakSolver::peak_of_rings`], which the design-space
+//!   oracle asks too; it evaluates the per-ring cycles by superposition
+//!   of cached unit-watt rotation kernels.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use hp_floorplan::CoreId;
-use hp_linalg::{Matrix, Vector};
+use hp_linalg::Matrix;
 use hp_obs::{Registry, RunReport};
 use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, JobId, Scheduler, SchedulerHealth, SimView, ThreadId};
 use hp_thermal::{NumericsStats, RcThermalModel, SolverStats};
 
-use crate::{EpochPowerSequence, Result, RingRotation, RotationPeakSolver};
+use crate::{Result, RingRotation, RotationPeakSolver};
 
 /// Tuning knobs of the HotPotato scheduler.
 ///
@@ -130,8 +134,8 @@ pub struct HotPotato {
     powers: BTreeMap<ThreadId, f64>,
     /// Number of Algorithm-1 evaluations performed (for the overhead study).
     evaluations: u64,
-    /// Number of Algorithm-1 evaluations that failed (malformed sequence
-    /// or solver error) and were read as `T_peak = ∞`.
+    /// Number of probes that failed (rejected input or solver error)
+    /// and were read as `T_peak = ∞`.
     solver_failures: u64,
     /// Ring occupancy restored from a checkpoint before the rings
     /// themselves exist ([`Scheduler::restore`] has no machine access);
@@ -275,132 +279,49 @@ impl HotPotato {
         current.max(t.avg_power)
     }
 
-    /// `T_peak` of the current assignment (Algorithm 1 over every occupied
-    /// ring, cross-ring coupling averaged). Each probe's wall-clock time
-    /// lands in the `alg1.probe` histogram — this is the quantity behind
-    /// the paper's per-decision scheduling-overhead measurement.
+    /// `T_peak` of the current ring assignment under `trial_powers`, or
+    /// under the cached estimates when `None`: one Algorithm-2 probe
+    /// ([`RotationPeakSolver::peak_of_rings`]), counted as one
+    /// Algorithm-1 evaluation per occupied ring it rotates (one when
+    /// pinned or idle). A failed probe reads as `T_peak = ∞`. Each
+    /// probe's wall-clock time lands in the `alg1.probe` histogram —
+    /// this is the quantity behind the paper's per-decision
+    /// scheduling-overhead measurement.
     fn estimate_peak(
         &mut self,
-        rings: &[RingRotation<ThreadId>],
-        powers: &BTreeMap<ThreadId, f64>,
+        trial_powers: Option<&BTreeMap<ThreadId, f64>>,
         tau: f64,
         rotating: bool,
     ) -> f64 {
         // xtask: allow(nondet) — wall-clock observability timing; the
         // histogram it feeds is excluded from golden outputs.
         let probe_start = Instant::now();
-        let peak = self.estimate_peak_inner(rings, powers, tau, rotating);
-        self.obs
-            .observe_seconds("alg1.probe", probe_start.elapsed().as_secs_f64());
-        peak
-    }
-
-    fn estimate_peak_inner(
-        &mut self,
-        rings: &[RingRotation<ThreadId>],
-        powers: &BTreeMap<ThreadId, f64>,
-        tau: f64,
-        rotating: bool,
-    ) -> f64 {
-        let n = self.solver.model().core_count();
+        let powers = trial_powers.unwrap_or(&self.powers);
         let idle = self.config.idle_power;
-
-        // Ring-averaged background power per core.
-        let mut background = Vector::constant(n, idle);
-        for ring in rings {
-            let occ = ring.occupants();
-            if occ == 0 {
-                continue;
-            }
-            let sum: f64 = (0..ring.capacity())
-                .filter_map(|s| ring.occupant(s))
-                .map(|t| powers.get(&t).copied().unwrap_or(idle))
-                .sum();
-            let avg = (sum + (ring.capacity() - occ) as f64 * idle) / ring.capacity() as f64;
-            for &c in ring.cores() {
-                background[c.index()] = avg;
-            }
-        }
-
-        if !rotating {
-            // Pinned evaluation: single epoch with threads at their slots.
-            let mut p = Vector::constant(n, idle);
-            for ring in rings {
-                for s in 0..ring.capacity() {
-                    if let Some(t) = ring.occupant(s) {
-                        p[ring.core_of_slot(s).index()] = powers.get(&t).copied().unwrap_or(idle);
-                    }
-                }
-            }
-            let Ok(seq) = EpochPowerSequence::new(tau.max(1e-6), vec![p]) else {
-                self.solver_failures += 1;
-                return f64::INFINITY; // malformed sequence reads as unsafe
-            };
-            self.evaluations += 1;
-            return match self.solver.peak_celsius(&seq) {
-                Ok(peak) => peak,
-                Err(_) => {
-                    self.solver_failures += 1;
-                    f64::INFINITY
-                }
-            };
-        }
-
-        // One rotation sequence per occupied ring, evaluated as one batch
-        // (a single pair of GEMMs instead of per-ring dot-product loops).
-        let mut seqs = Vec::new();
-        for ring in rings {
-            if ring.occupants() == 0 {
-                continue;
-            }
-            let delta = ring.capacity().max(1);
-            let epochs: Vec<Vector> = (0..delta)
-                .map(|e| {
-                    let mut p = background.clone();
-                    // This ring is resolved exactly: occupants shifted by e.
-                    for s in 0..delta {
-                        let target = (s + e) % delta;
-                        let core = ring.core_of_slot(target).index();
-                        p[core] = match ring.occupant(s) {
-                            Some(t) => powers.get(&t).copied().unwrap_or(idle),
-                            None => idle,
-                        };
-                    }
-                    p
-                })
-                .collect();
-            match EpochPowerSequence::new(tau, epochs) {
-                Ok(seq) => seqs.push(seq),
-                Err(_) => {
-                    self.solver_failures += 1;
-                    return f64::INFINITY; // malformed sequence reads as unsafe
-                }
-            }
-        }
-        if seqs.is_empty() {
-            // Empty chip: idle steady state.
-            let p = Vector::constant(n, idle);
-            let Ok(seq) = EpochPowerSequence::new(tau.max(1e-6), vec![p]) else {
-                self.solver_failures += 1;
-                return f64::INFINITY; // malformed sequence reads as unsafe
-            };
-            self.evaluations += 1;
-            return match self.solver.peak_celsius(&seq) {
-                Ok(peak) => peak,
-                Err(_) => {
-                    self.solver_failures += 1;
-                    f64::INFINITY
-                }
-            };
-        }
-        self.evaluations += seqs.len() as u64;
-        match self.solver.peak_celsius_many(&seqs) {
-            Ok(peaks) => peaks.into_iter().fold(f64::NEG_INFINITY, f64::max),
+        let cycles = if rotating {
+            self.rings
+                .iter()
+                .filter(|r| r.occupants() > 0)
+                .count()
+                .max(1)
+        } else {
+            1
+        };
+        self.evaluations += cycles as u64;
+        let watts = |t| powers.get(&t).copied().unwrap_or(idle);
+        let peak = match self
+            .solver
+            .peak_of_rings(&self.rings, watts, idle, tau, rotating)
+        {
+            Ok(peak) => peak,
             Err(_) => {
                 self.solver_failures += 1;
                 f64::INFINITY
             }
-        }
+        };
+        self.obs
+            .observe_seconds("alg1.probe", probe_start.elapsed().as_secs_f64());
+        peak
     }
 
     /// Picks the free slot of `ring` farthest from its occupants
@@ -668,10 +589,8 @@ impl Scheduler for HotPotato {
                     };
                     self.rings[r].occupy(slot, tid);
                     trial_powers.insert(tid, est);
-                    let rings_snapshot = self.rings.clone();
                     let peak = self.estimate_peak(
-                        &rings_snapshot,
-                        &trial_powers,
+                        Some(&trial_powers),
                         self.config.tau_levels[tau_index],
                         self.rotating && self.config.rotation_enabled,
                     );
@@ -694,10 +613,8 @@ impl Scheduler for HotPotato {
                             self.rotating = true;
                             self.rings[r].occupy(slot, tid);
                             trial_powers.insert(tid, est);
-                            let rings_snapshot = self.rings.clone();
                             let peak = self.estimate_peak(
-                                &rings_snapshot,
-                                &trial_powers,
+                                Some(&trial_powers),
                                 self.config.tau_levels[tau_index],
                                 true,
                             );
@@ -744,10 +661,7 @@ impl Scheduler for HotPotato {
         // --- Re-evaluate T_peak when needed. ---
         let due = view.time - self.last_evaluation >= self.config.reevaluate_period;
         if self.assignment_dirty || due || view.dtm_active {
-            let rings_snapshot = self.rings.clone();
-            let powers = self.powers.clone();
-            self.last_peak =
-                self.estimate_peak(&rings_snapshot, &powers, self.tau(), self.rotating);
+            self.last_peak = self.estimate_peak(None, self.tau(), self.rotating);
             self.last_evaluation = view.time;
             self.assignment_dirty = false;
         }
@@ -765,9 +679,7 @@ impl Scheduler for HotPotato {
             // Cheapest knob first: if rotation is parked, restart it.
             if self.config.rotation_enabled && !self.rotating {
                 self.rotating = true;
-                let rings_snapshot = self.rings.clone();
-                let powers = self.powers.clone();
-                self.last_peak = self.estimate_peak(&rings_snapshot, &powers, self.tau(), true);
+                self.last_peak = self.estimate_peak(None, self.tau(), true);
                 self.last_evaluation = view.time;
                 moves += 1;
                 continue;
@@ -808,10 +720,7 @@ impl Scheduler for HotPotato {
                     break; // fastest rotation already; DTM is the backstop
                 }
             }
-            let rings_snapshot = self.rings.clone();
-            let powers = self.powers.clone();
-            self.last_peak =
-                self.estimate_peak(&rings_snapshot, &powers, self.tau(), self.rotating);
+            self.last_peak = self.estimate_peak(None, self.tau(), self.rotating);
             self.last_evaluation = view.time;
         }
 
@@ -853,10 +762,7 @@ impl Scheduler for HotPotato {
                     // restore the exact engine-visible position.
                     self.rings[r].remove(tid);
                     self.rings[r2].occupy(slot, tid);
-                    let rings_snapshot = self.rings.clone();
-                    let powers = self.powers.clone();
-                    let peak =
-                        self.estimate_peak(&rings_snapshot, &powers, self.tau(), self.rotating);
+                    let peak = self.estimate_peak(None, self.tau(), self.rotating);
                     if peak + self.config.delta_headroom < self.config.t_dtm {
                         let to = self.rings[r2].core_of_slot(slot);
                         actions.push(Action::Migrate { thread: tid, to });
@@ -876,14 +782,8 @@ impl Scheduler for HotPotato {
             if !improved {
                 // Slow the rotation (less overhead) while still safe.
                 if self.rotating && self.tau_index + 1 < self.config.tau_levels.len() {
-                    let rings_snapshot = self.rings.clone();
-                    let powers = self.powers.clone();
-                    let peak = self.estimate_peak(
-                        &rings_snapshot,
-                        &powers,
-                        self.config.tau_levels[self.tau_index + 1],
-                        true,
-                    );
+                    let peak =
+                        self.estimate_peak(None, self.config.tau_levels[self.tau_index + 1], true);
                     if peak + 2.0 * self.config.delta_headroom < self.config.t_dtm {
                         self.tau_index += 1;
                         self.last_peak = peak;
@@ -893,9 +793,7 @@ impl Scheduler for HotPotato {
                 }
                 if self.rotating {
                     // Sustainable without rotation at all?
-                    let rings_snapshot = self.rings.clone();
-                    let powers = self.powers.clone();
-                    let pinned = self.estimate_peak(&rings_snapshot, &powers, self.tau(), false);
+                    let pinned = self.estimate_peak(None, self.tau(), false);
                     if pinned + 2.0 * self.config.delta_headroom < self.config.t_dtm {
                         self.rotating = false;
                         self.last_peak = pinned;

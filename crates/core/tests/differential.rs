@@ -1,19 +1,24 @@
 //! Differential tests: Algorithm 1's batched kernel is pitted against
-//! the naive serial references in `support`.
+//! the naive serial references in `support`, and Algorithm 2's probe by
+//! superposition against the explicit epoch sequences it replaced.
 //!
 //! Contract (DESIGN.md §6): paths that perform the *same* arithmetic in
 //! the same order through the batched GEMM layout must agree **bit for
 //! bit** (`to_bits` equality); paths that use a mathematically different
 //! textbook formulation (the literal Eq.-10 spectral filters, brute-force
-//! transient stepping) must agree within documented tolerances.
+//! transient stepping, the probe's superposition) must agree within
+//! documented tolerances; a degraded probe runs the explicit sequences
+//! themselves, so it agrees bit for bit.
 
 mod support;
 
-use hotpotato::{EpochPowerSequence, HotPotatoError, RotationPeakSolver};
+use hotpotato::{
+    EpochPowerSequence, HotPotatoConfig, HotPotatoError, RingRotation, RotationPeakSolver,
+};
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
-use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
-use support::{peak_celsius_sampled_serial, peak_report_serial};
+use hp_thermal::{NumericsStats, RcThermalModel, ThermalConfig, TransientSolver};
+use support::{explicit_probe_peak, peak_celsius_sampled_serial, peak_report_serial};
 
 fn solver(w: usize, h: usize, cfg: &ThermalConfig) -> RotationPeakSolver {
     let model = RcThermalModel::new(&GridFloorplan::new(w, h).expect("grid"), cfg).expect("model");
@@ -253,4 +258,225 @@ fn slow_sink_sampled_batch_still_bit_identical() {
             }
         }
     }
+}
+
+/// The chip's AMD rings, empty.
+fn empty_rings(w: usize, h: usize) -> Vec<RingRotation<f64>> {
+    GridFloorplan::new(w, h)
+        .expect("grid")
+        .amd_rings()
+        .iter()
+        .map(|r| RingRotation::new(r.cores().to_vec()))
+        .collect()
+}
+
+/// SplitMix64: a deterministic stream of test inputs.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Probe occupancies of the empty `rings`: the idle chip, a single
+/// thread, a full innermost ring, a full largest ring alone, and
+/// `random` draws with 60 % of the slots filled at 1–8 W, each with one
+/// ring left empty.
+fn occupancies(
+    rings: &[RingRotation<f64>],
+    stream: &mut Stream,
+    random: usize,
+) -> Vec<Vec<RingRotation<f64>>> {
+    let mut cases = vec![rings.to_vec()];
+    let mut single = rings.to_vec();
+    single[0].occupy(0, 7.0);
+    cases.push(single);
+    let mut inner = rings.to_vec();
+    for s in 0..inner[0].capacity() {
+        inner[0].occupy(s, 2.0 + s as f64);
+    }
+    cases.push(inner);
+    let largest = (0..rings.len())
+        .max_by_key(|&r| rings[r].capacity())
+        .expect("rings");
+    let mut full = rings.to_vec();
+    for s in 0..full[largest].capacity() {
+        full[largest].occupy(s, 1.0 + (s % 5) as f64 * 1.5);
+    }
+    cases.push(full);
+    for _ in 0..random {
+        let mut case = rings.to_vec();
+        let empty = (stream.next() % rings.len() as u64) as usize;
+        for (r, ring) in case.iter_mut().enumerate() {
+            for s in 0..ring.capacity() {
+                if r != empty && stream.unit() < 0.6 {
+                    ring.occupy(s, 1.0 + 7.0 * stream.unit());
+                }
+            }
+        }
+        cases.push(case);
+    }
+    cases
+}
+
+/// Tolerance of the probe's superposition against the explicit
+/// sequences: same model, same Eq.-(10) weights, different summation
+/// order.
+const PROBE_TOLERANCE_CELSIUS: f64 = 1e-9;
+
+#[test]
+fn probe_matches_explicit_sequences_on_healthy_chips() {
+    let mut stream = Stream(42);
+    let idle = HotPotatoConfig::default().idle_power;
+    for (w, h, random) in [(4, 4, 6), (8, 8, 4), (3, 3, 4), (3, 2, 4)] {
+        let s = solver(w, h, &ThermalConfig::default());
+        let rings = empty_rings(w, h);
+        let cases = occupancies(&rings, &mut stream, random);
+        for &tau in &HotPotatoConfig::default().tau_levels {
+            for case in &cases {
+                for rotating in [true, false] {
+                    let probe = s
+                        .peak_of_rings(case, |watts| watts, idle, tau, rotating)
+                        .expect("probe");
+                    let explicit = explicit_probe_peak(&s, case, idle, tau, rotating);
+                    assert!(
+                        (probe - explicit).abs() <= PROBE_TOLERANCE_CELSIUS,
+                        "{w}x{h} tau {tau} rotating {rotating}: {probe} vs {explicit}"
+                    );
+                }
+            }
+        }
+        assert!(!s.degraded());
+        assert_eq!(s.runtime().numerics(), NumericsStats::default());
+    }
+}
+
+#[test]
+fn probe_follows_the_rotation_direction() {
+    // Two unequal threads on adjacent slots of the 8×8 chip's 12-slot
+    // ring: reversing the ring reverses the rotation, which moves the
+    // peak; the probe tracks the explicit sequences both ways.
+    let s = solver_8x8();
+    let rings = empty_rings(8, 8);
+    let r = (0..rings.len())
+        .max_by_key(|&r| rings[r].capacity())
+        .expect("rings");
+    let mut forward = rings.clone();
+    forward[r].occupy(0, 9.0);
+    forward[r].occupy(1, 1.0);
+    let mut backward = forward.clone();
+    let mut cores = forward[r].cores().to_vec();
+    cores.reverse();
+    backward[r] = RingRotation::new(cores);
+    backward[r].occupy(rings[r].capacity() - 1, 9.0);
+    backward[r].occupy(rings[r].capacity() - 2, 1.0);
+    let mut peaks = Vec::new();
+    for case in [&forward, &backward] {
+        let probe = s
+            .peak_of_rings(case, |watts| watts, 0.3, 4e-3, true)
+            .expect("probe");
+        let explicit = explicit_probe_peak(&s, case, 0.3, 4e-3, true);
+        assert!((probe - explicit).abs() <= PROBE_TOLERANCE_CELSIUS);
+        peaks.push(probe);
+    }
+    assert!(
+        (peaks[0] - peaks[1]).abs() > 1e-6,
+        "the two directions peak apart: {peaks:?}"
+    );
+}
+
+#[test]
+fn armed_probe_is_the_explicit_dense_path_bit_for_bit() {
+    let probe_solver = solver(4, 4, &ThermalConfig::ill_conditioned());
+    let explicit_solver = solver(4, 4, &ThermalConfig::ill_conditioned());
+    assert!(probe_solver.degraded());
+    let rings = empty_rings(4, 4);
+    let cases = occupancies(&rings, &mut Stream(7), 2);
+    for tau in [0.5e-3, 2e-3] {
+        for case in &cases {
+            for rotating in [true, false] {
+                let probe = probe_solver
+                    .peak_of_rings(case, |watts| watts, 0.3, tau, rotating)
+                    .expect("probe");
+                let explicit = explicit_probe_peak(&explicit_solver, case, 0.3, tau, rotating);
+                assert_eq!(
+                    probe.to_bits(),
+                    explicit.to_bits(),
+                    "tau {tau} rotating {rotating}: {probe} vs {explicit}"
+                );
+            }
+        }
+    }
+    let numerics = probe_solver.runtime().numerics();
+    assert!(numerics.fallback_steps > 0);
+    assert_eq!(numerics, explicit_solver.runtime().numerics());
+    assert_eq!(
+        probe_solver.runtime().stats(),
+        explicit_solver.runtime().stats()
+    );
+}
+
+#[test]
+fn a_megawatt_slot_trips_the_guard_and_reads_the_dense_path() {
+    let probe_solver = solver(4, 4, &ThermalConfig::default());
+    let explicit_solver = solver(4, 4, &ThermalConfig::default());
+    let mut rings = empty_rings(4, 4);
+    rings[0].occupy(1, 1e6);
+    rings[1].occupy(3, 5.0);
+    let probe = probe_solver
+        .peak_of_rings(&rings, |watts| watts, 0.3, 0.5e-3, true)
+        .expect("probe");
+    assert!(probe_solver.degraded());
+    let explicit = explicit_probe_peak(&explicit_solver, &rings, 0.3, 0.5e-3, true);
+    assert_eq!(probe.to_bits(), explicit.to_bits(), "{probe} vs {explicit}");
+    let numerics = probe_solver.runtime().numerics();
+    assert_eq!(
+        (numerics.guard_trips, numerics.fallback_activations),
+        (1, 1)
+    );
+    assert_eq!(numerics, explicit_solver.runtime().numerics());
+    let stats = probe_solver.runtime().stats();
+    assert_eq!((stats.batch_calls, stats.batched_items), (1, 2));
+}
+
+#[test]
+fn cached_kernels_leave_the_tallies_as_a_fresh_solver_counts_them() {
+    let rings = empty_rings(8, 8);
+    let cases = occupancies(&rings, &mut Stream(3), 3);
+    let probes = |s: &RotationPeakSolver| -> Vec<u64> {
+        let mut bits = Vec::new();
+        for tau in [0.25e-3, 1e-3] {
+            for case in &cases {
+                for rotating in [true, false] {
+                    let peak = s
+                        .peak_of_rings(case, |watts| watts, 0.3, tau, rotating)
+                        .expect("probe");
+                    bits.push(peak.to_bits());
+                }
+            }
+        }
+        bits
+    };
+    let fresh = solver_8x8();
+    let fresh_bits = probes(&fresh);
+    let warm = solver_8x8();
+    probes(&warm);
+    warm.runtime().reset_tallies();
+    assert_eq!(probes(&warm), fresh_bits, "cached kernels, same bits");
+    assert_eq!(warm.runtime().stats(), fresh.runtime().stats());
+    assert_eq!(warm.runtime().numerics(), fresh.runtime().numerics());
+    let stats = fresh.runtime().stats();
+    assert_eq!((stats.decay_cache_hits, stats.decay_cache_misses), (0, 0));
+    // Every rotating probe but the idle chip's counts one batch.
+    assert_eq!(stats.batch_calls, 2 * (cases.len() as u64 - 1));
 }

@@ -1,13 +1,15 @@
 //! Serial references the differential tests and the Algorithm-1 benches
-//! hold [`RotationPeakSolver`]'s kernel to.
+//! hold [`RotationPeakSolver`]'s kernel to, and the explicit epoch
+//! sequences its Algorithm-2 probe is held to.
 //!
-//! They close each steady cycle with the same Eq.-(10) start state and
-//! one-epoch recurrence as the library, but read the junctions out with
-//! one `V·z` mat-vec or one dot product per boundary instead of the
-//! row-stacked `Z × V_Jᵀ` GEMM. Both accumulate every temperature in
-//! ascending index order, so the two must agree bit for bit.
+//! The serial references close each steady cycle with the same Eq.-(10)
+//! start state and one-epoch recurrence as the library, but read the
+//! junctions out with one `V·z` mat-vec or one dot product per boundary
+//! instead of the row-stacked `Z × V_Jᵀ` GEMM. Both accumulate every
+//! temperature in ascending index order, so the two must agree bit for
+//! bit.
 
-use hotpotato::{EpochPowerSequence, PeakReport, RotationPeakSolver};
+use hotpotato::{EpochPowerSequence, PeakReport, RingRotation, RotationPeakSolver};
 use hp_floorplan::CoreId;
 use hp_linalg::convert::usize_to_f64;
 use hp_linalg::{Matrix, Vector};
@@ -110,4 +112,85 @@ pub fn peak_celsius_sampled_serial(
         }
     }
     peak
+}
+
+/// The explicit epoch sequences of an Algorithm-2 probe, built as the
+/// scheduler built them before [`RotationPeakSolver::peak_of_rings`]
+/// existed: rotating, one sequence per occupied ring over the
+/// ring-averaged background, occupants shifted by `e` slots in epoch
+/// `e`; pinned, or with no ring occupied, one epoch of every thread on
+/// its slot.
+pub fn explicit_probe_sequences(
+    cores: usize,
+    rings: &[RingRotation<f64>],
+    idle: f64,
+    tau: f64,
+    rotating: bool,
+) -> Vec<EpochPowerSequence> {
+    let pinned = || {
+        let mut p = Vector::constant(cores, idle);
+        for ring in rings {
+            for s in 0..ring.capacity() {
+                if let Some(w) = ring.occupant(s) {
+                    p[ring.core_of_slot(s).index()] = w;
+                }
+            }
+        }
+        vec![EpochPowerSequence::new(tau.max(1e-6), vec![p]).expect("valid")]
+    };
+    if !rotating {
+        return pinned();
+    }
+    let mut background = Vector::constant(cores, idle);
+    for ring in rings {
+        let occ = ring.occupants();
+        if occ == 0 {
+            continue;
+        }
+        let sum: f64 = (0..ring.capacity()).filter_map(|s| ring.occupant(s)).sum();
+        let avg =
+            (sum + usize_to_f64(ring.capacity() - occ) * idle) / usize_to_f64(ring.capacity());
+        for &c in ring.cores() {
+            background[c.index()] = avg;
+        }
+    }
+    let mut seqs = Vec::new();
+    for ring in rings.iter().filter(|r| r.occupants() > 0) {
+        let delta = ring.capacity();
+        let epochs = (0..delta)
+            .map(|e| {
+                let mut p = background.clone();
+                for s in 0..delta {
+                    let core = ring.core_of_slot((s + e) % delta).index();
+                    p[core] = ring.occupant(s).unwrap_or(idle);
+                }
+                p
+            })
+            .collect();
+        seqs.push(EpochPowerSequence::new(tau, epochs).expect("valid"));
+    }
+    if seqs.is_empty() {
+        return pinned();
+    }
+    seqs
+}
+
+/// The probe's peak from [`explicit_probe_sequences`]: the rotating
+/// sequences as one [`RotationPeakSolver::peak_celsius_many`] batch, a
+/// single epoch through [`RotationPeakSolver::peak_celsius`].
+pub fn explicit_probe_peak(
+    solver: &RotationPeakSolver,
+    rings: &[RingRotation<f64>],
+    idle: f64,
+    tau: f64,
+    rotating: bool,
+) -> f64 {
+    let cores = solver.model().core_count();
+    let seqs = explicit_probe_sequences(cores, rings, idle, tau, rotating);
+    let peaks = if rotating && rings.iter().any(|r| r.occupants() > 0) {
+        solver.peak_celsius_many(&seqs).expect("explicit batch")
+    } else {
+        vec![solver.peak_celsius(&seqs[0]).expect("explicit epoch")]
+    };
+    peaks.into_iter().fold(f64::NEG_INFINITY, f64::max)
 }

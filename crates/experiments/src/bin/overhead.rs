@@ -4,15 +4,26 @@
 //! The paper measures 23.76 µs per synchronous-rotation schedule
 //! computation across 10 000 runs (4.75 % of a 0.5 ms epoch). We time
 //! (a) one full-chip Algorithm-1 peak evaluation (the efficient
-//! recurrence), (b) the literal Eq.-(10) reference form, and (c) the
+//! recurrence), (b) the literal Eq.-(10) reference form, (c) one
+//! Algorithm-2 placement probe with every slot of every ring occupied,
+//! as explicit epoch sequences through `peak_celsius_many` and as the
+//! scheduler's superposition probe `peak_of_rings`, and (d) the
 //! design-time phase (eigendecomposition) — all through the shared
 //! [`hp_obs`] profiler, so the output reports the same p50/p95/max
 //! percentiles the engine records for live scheduler hooks.
 
-use hotpotato::{EpochPowerSequence, RotationPeakSolver};
+// The binary builds the explicit probe sequences with the differential
+// tests' own reference and uses nothing else of the module.
+#[allow(dead_code)]
+#[path = "../../../core/tests/support/mod.rs"]
+mod support;
+
+use hotpotato::{EpochPowerSequence, RingRotation, RotationPeakSolver};
 use hp_experiments::thermal_model_for_grid;
+use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_obs::{Registry, ScopedTimer};
+use support::explicit_probe_sequences;
 
 fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
     // A rotation of `delta` epochs over a fully loaded chip: a mix of hot
@@ -26,14 +37,34 @@ fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequenc
     EpochPowerSequence::new(tau, epochs).expect("valid sequence")
 }
 
-fn print_summary(label: &str, delta: usize, h: &hp_obs::HistogramSummary) {
+/// The 8×8 chip's AMD rings with every slot occupied by the same mix of
+/// hot and cool threads as [`full_load_sequence`].
+fn full_load_rings() -> Vec<RingRotation<f64>> {
+    let mut next = 0usize;
+    let fp = GridFloorplan::new(8, 8).expect("8x8 grid");
+    fp.amd_rings()
+        .iter()
+        .map(|r| {
+            let mut ring = RingRotation::new(r.cores().to_vec());
+            for s in 0..ring.capacity() {
+                ring.occupy(s, if next.is_multiple_of(3) { 7.0 } else { 2.5 });
+                next += 1;
+            }
+            ring
+        })
+        .collect()
+}
+
+/// Prints one timed row: `scope` leads the human line, `key` is the
+/// row's second `csv,` field.
+fn print_summary(scope: &str, key: &str, label: &str, h: &hp_obs::HistogramSummary) {
     println!(
-        "delta={delta:>2}: {label:<24} mean {:>8.2} us | p50 {:>8.2} us | \
+        "{scope}: {label:<24} mean {:>8.2} us | p50 {:>8.2} us | \
          p95 {:>8.2} us | max {:>8.2} us ({} reps)",
         h.mean_us, h.p50_us, h.p95_us, h.max_us, h.count
     );
     println!(
-        "csv,overhead,{delta},{label},{:.4},{:.4},{:.4},{:.4}",
+        "csv,overhead,{key},{label},{:.4},{:.4},{:.4},{:.4}",
         h.mean_us, h.p50_us, h.p95_us, h.max_us
     );
 }
@@ -64,6 +95,26 @@ fn main() {
         }
     }
 
+    // Algorithm 2's placement probe on the full chip at τ = 0.5 ms.
+    let rings = full_load_rings();
+    let explicit = explicit_probe_sequences(64, &rings, 0.3, 0.5e-3, true);
+    let probe = || {
+        solver
+            .peak_of_rings(&rings, |watts| watts, 0.3, 0.5e-3, true)
+            .expect("probe computes")
+    };
+    let batch = || solver.peak_celsius_many(&explicit).expect("batch computes");
+    let batch_peak = batch().into_iter().fold(f64::NEG_INFINITY, f64::max);
+    assert!((probe() - batch_peak).abs() <= 1e-9, "probe agrees");
+    for _ in 0..2_000 {
+        let _t = ScopedTimer::start(&reg, "alg2.explicit");
+        std::hint::black_box(batch());
+    }
+    for _ in 0..10_000 {
+        let _t = ScopedTimer::start(&reg, "alg2.superposition");
+        std::hint::black_box(probe());
+    }
+
     let report = reg.snapshot();
     println!("Run-time overhead on the 64-core chip (paper: 23.76 us per schedule)");
     println!(
@@ -78,14 +129,33 @@ fn main() {
     }
     for delta in [4usize, 8, 16] {
         if let Some(h) = report.histogram(&format!("alg1.delta{delta}")) {
-            print_summary("algorithm 1 (recurrence)", delta, h);
+            print_summary(
+                &format!("delta={delta:>2}"),
+                &delta.to_string(),
+                "algorithm 1 (recurrence)",
+                h,
+            );
             println!(
                 "          -> {:.2}% of a 0.5 ms epoch at p50",
                 h.p50_us / 500.0 * 100.0
             );
         }
         if let Some(h) = report.histogram(&format!("eq10.delta{delta}")) {
-            print_summary("literal Eq.(10)", delta, h);
+            print_summary(
+                &format!("delta={delta:>2}"),
+                &delta.to_string(),
+                "literal Eq.(10)",
+                h,
+            );
+        }
+    }
+    println!("Algorithm 2 placement probe, every slot of the 8x8 chip occupied, tau = 0.5 ms:");
+    for (label, name) in [
+        ("explicit sequences", "alg2.explicit"),
+        ("superposition", "alg2.superposition"),
+    ] {
+        if let Some(h) = report.histogram(name) {
+            print_summary("8x8 probe", "probe", label, h);
         }
     }
 }

@@ -40,8 +40,9 @@ pub struct ModalDecay {
 
 impl ModalDecay {
     /// Decay data of the modes with eigenvalues `eigenvalues` (1/s) over
-    /// `dt` seconds.
-    pub(crate) fn new(eigenvalues: &Vector, dt: f64) -> Self {
+    /// `dt` seconds, uncached and uncounted: for operators a solver
+    /// derives from it and caches itself.
+    pub fn new(eigenvalues: &Vector, dt: f64) -> Self {
         let n = eigenvalues.len();
         let lam_dt = Vector::from_fn(n, |i| eigenvalues[i] * dt);
         ModalDecay {
@@ -59,16 +60,24 @@ impl ModalDecay {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverStats {
     /// Batched kernel invocations: every transient `step` and `advance`
-    /// (each a batch of one state) and every accepted Algorithm-1
-    /// `peak_celsius_many`. Algorithm 1's `peak`, `peak_celsius` and
-    /// `peak_celsius_sampled` run the same kernel but are not counted.
+    /// (each a batch of one state), every accepted Algorithm-1
+    /// `peak_celsius_many`, and every accepted rotating Algorithm-2
+    /// probe (`peak_of_rings`) with an occupied ring. Algorithm 1's
+    /// `peak`, `peak_celsius` and `peak_celsius_sampled`, and pinned or
+    /// empty-chip probes, are not counted.
     pub batch_calls: u64,
     /// Items pushed through those batches: states of the transient
-    /// solver, candidate rotations of Algorithm 1.
+    /// solver, candidate rotations of Algorithm 1, occupied rings of an
+    /// Algorithm-2 probe.
     pub batched_items: u64,
-    /// Decay lookups served from the cache.
+    /// Decay lookups served from the cache. Only the transient step and
+    /// Algorithm 1's explicit-sequence entry points look up: an
+    /// Algorithm-2 probe reads its solver's cached rotation kernels,
+    /// built from uncached [`ModalDecay::new`] data, so a scheduler that
+    /// only probes counts no lookups.
     pub decay_cache_hits: u64,
-    /// Decay lookups that computed fresh decay data.
+    /// Decay lookups that computed fresh decay data (same scope as
+    /// [`decay_cache_hits`](SolverStats::decay_cache_hits)).
     pub decay_cache_misses: u64,
 }
 
