@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hp_linalg::cholesky::CholeskyDecomposition;
 use hp_linalg::eigen::SystemEigen;
-use hp_linalg::{expm, Matrix, Vector};
+use hp_linalg::{Matrix, Vector};
 
 /// A conductance-style SPD matrix of size n.
 fn spd(n: usize) -> Matrix {
@@ -61,27 +61,5 @@ fn bench_eigen(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_expm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("expm");
-    g.sample_size(10);
-    for &n in &[48usize, 96] {
-        let b_mat = spd(n);
-        let a = caps(n);
-        let c_mat = Matrix::from_fn(n, n, |i, j| -b_mat[(i, j)] / a[i]);
-        g.bench_with_input(BenchmarkId::new("pade", n), &n, |b, _| {
-            b.iter(|| expm(&c_mat.scaled(1e-3)).expect("converges"));
-        });
-        let sys = SystemEigen::new(&a, &b_mat).expect("decomposes");
-        g.bench_with_input(BenchmarkId::new("eigen_route", n), &n, |b, _| {
-            b.iter(|| sys.exp_matrix(1e-3));
-        });
-        let x = Vector::from_fn(n, |i| (i as f64).cos());
-        g.bench_with_input(BenchmarkId::new("eigen_apply", n), &n, |b, _| {
-            b.iter(|| sys.exp_apply(1e-3, &x));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_lu, bench_eigen, bench_expm);
+criterion_group!(benches, bench_lu, bench_eigen);
 criterion_main!(benches);

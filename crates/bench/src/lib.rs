@@ -8,7 +8,7 @@
 //! | `fig2_traces` | Fig. 2 — the three thermal-management runs |
 //! | `fig4a_homogeneous` | Fig. 4(a) — homogeneous batch, HotPotato vs PCMig (reduced 16-core variant for bench time) |
 //! | `fig4b_open_system` | Fig. 4(b) — open-system run at medium load |
-//! | `linalg_kernels` | substrate micro-benches (LU, symmetric eigen, expm) |
+//! | `linalg_kernels` | substrate micro-benches (LU, Cholesky, symmetric eigen) |
 //! | `thermal_solvers` | steady-state + transient step cost |
 
 use hotpotato::EpochPowerSequence;

@@ -77,9 +77,12 @@
 //! `cores × cores` steady-influence matrix. Both operators are built on
 //! first use by this module's own kernel and cached per solver; they
 //! are pure functions of the basis, the ring and τ, so building them
-//! counts nothing and no checkpoint records them. A degraded solver, or
-//! a guard trip, builds the explicit epoch sequences and runs them
-//! through the dense cycle instead.
+//! counts nothing and no checkpoint records them. The sums run in one
+//! body compiled for AVX-512F, AVX2 and the portable instruction set and
+//! dispatched at run time like [`Matrix::mul_matrix`]; the three builds
+//! return the same bits. A degraded solver, or a guard trip, builds the
+//! explicit epoch sequences and runs them through the dense cycle
+//! instead.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -189,6 +192,7 @@ impl Cycles {
 }
 
 /// `row += w·x`, element by element.
+#[inline(always)]
 fn axpy(row: &mut [f64], w: f64, x: &[f64]) {
     for (r, &v) in row.iter_mut().zip(x) {
         *r += w * v;
@@ -196,6 +200,7 @@ fn axpy(row: &mut [f64], w: f64, x: &[f64]) {
 }
 
 /// The hottest of `values`, `−∞` for none.
+#[inline(always)]
 fn hottest(values: &[f64]) -> f64 {
     values
         .iter()
@@ -214,14 +219,15 @@ struct SteadyInfluence {
 }
 
 impl SteadyInfluence {
-    /// Junction steady state under the per-core power map `watts` (W),
-    /// °C.
-    fn junctions(&self, watts: &[f64]) -> Vec<f64> {
-        let mut t = self.ambient.clone();
-        for (j, &w) in watts.iter().enumerate() {
-            axpy(&mut t, w, self.per_watt.row(j));
+    /// Writes the junction steady state under the per-core power map
+    /// `watts` (W) to `t`, °C.
+    #[inline(always)]
+    fn junctions(&self, watts: &[f64], t: &mut [f64]) {
+        t.copy_from_slice(&self.ambient);
+        let rows = self.per_watt.as_slice().chunks_exact(t.len());
+        for (&w, per_watt) in watts.iter().zip(rows) {
+            axpy(t, w, per_watt);
         }
-        t
     }
 }
 
@@ -431,6 +437,119 @@ impl<'a> RingLoads<'a> {
             })
             .collect()
     }
+}
+
+/// A healthy probe with its operators resolved, so that its arithmetic
+/// takes no lock and allocates nothing.
+struct Superposition<'a> {
+    steady: Arc<SteadyInfluence>,
+    load: &'a RingLoads<'a>,
+    /// Each occupied ring's kernel, in [`RingLoads::occupied`] order;
+    /// none for the pinned map.
+    kernels: Vec<Arc<RotationKernel>>,
+    /// The power map whose steady state the cycles ride on, W: the
+    /// cross-ring background with kernels, else the pinned map.
+    power: Vec<f64>,
+}
+
+impl Superposition<'_> {
+    /// Each occupied ring's peak, °C, or without kernels the pinned map's
+    /// one peak: [`Self::body`] compiled for the widest instruction set
+    /// this CPU has, checked in [`Matrix::mul_matrix`]'s order (AVX-512F,
+    /// AVX2, then the portable build, which Miri always takes).
+    fn peaks(&self) -> Vec<f64> {
+        let mut scratch = vec![0.0; 4 * self.power.len()];
+        let mut peaks = vec![f64::NEG_INFINITY; self.kernels.len().max(1)];
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the avx512f requirement was just checked.
+                unsafe { superposed_avx512(self, &mut scratch, &mut peaks) };
+                return peaks;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the avx2 requirement was just checked.
+                unsafe { superposed_avx2(self, &mut scratch, &mut peaks) };
+                return peaks;
+            }
+        }
+        self.body(&mut scratch, &mut peaks);
+        peaks
+    }
+
+    /// The probe's sums and maxima (DESIGN.md §6a) into `peaks`, one per
+    /// kernel or one for the pinned map, with `scratch` holding four
+    /// core-length rows. Every element is a lane-wise IEEE multiply, then
+    /// add, in the same order whatever the build, so every compilation
+    /// returns the same bits.
+    #[inline(always)]
+    fn body(&self, scratch: &mut [f64], peaks: &mut [f64]) {
+        let cores = self.power.len();
+        let (steady, rest) = scratch.split_at_mut(cores);
+        let (base, rest) = rest.split_at_mut(cores);
+        let (row, top) = rest.split_at_mut(cores);
+        self.steady.junctions(&self.power, steady);
+        if self.kernels.is_empty() {
+            peaks[0] = hottest(steady);
+            return;
+        }
+        let idle = self.load.idle;
+        let rings = self.load.occupied().zip(&self.kernels).zip(peaks);
+        for (((_, slots, avg), kernel), peak) in rings {
+            base.copy_from_slice(steady);
+            axpy(base, idle - avg, &kernel.all_slots);
+            top.fill(f64::NEG_INFINITY);
+            let delta = slots.len();
+            let h = kernel.h.as_slice();
+            for k in 0..delta {
+                row.copy_from_slice(base);
+                for (s, &p) in slots.iter().enumerate() {
+                    let w = p - idle;
+                    if w != 0.0 {
+                        let r = (k + s) % delta;
+                        axpy(row, w, &h[r * cores..(r + 1) * cores]);
+                    }
+                }
+                // Per junction over the boundaries, then once over the
+                // junctions: no serial chain through every element.
+                for (t, &v) in top.iter_mut().zip(&*row) {
+                    *t = t.max(v);
+                }
+            }
+            *peak = hottest(top);
+        }
+    }
+}
+
+/// [`Superposition::body`] compiled with AVX2 codegen. Lane-wise IEEE
+/// mul/add only (rustc does not contract to FMA), so the results are
+/// bit-identical to the portable build's.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX2, e.g. via
+/// `is_x86_feature_detected!("avx2")` — executing the AVX2-encoded body
+/// on a CPU without it is undefined behaviour (illegal instruction at
+/// best). The body itself is safe Rust: every slice access is
+/// bounds-checked and no pointers are formed.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+unsafe fn superposed_avx2(probe: &Superposition<'_>, scratch: &mut [f64], peaks: &mut [f64]) {
+    probe.body(scratch, peaks);
+}
+
+/// [`Superposition::body`] compiled with AVX-512F codegen; bit-identical
+/// results, as for [`superposed_avx2`].
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX-512F, e.g. via
+/// `is_x86_feature_detected!("avx512f")`; see [`superposed_avx2`] — the
+/// same contract applies, with AVX-512F in place of AVX2.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f")]
+unsafe fn superposed_avx512(probe: &Superposition<'_>, scratch: &mut [f64], peaks: &mut [f64]) {
+    probe.body(scratch, peaks);
 }
 
 /// Computes steady-cycle peak temperatures for rotations on a fixed
@@ -891,7 +1010,7 @@ impl RotationPeakSolver {
         // Pinned, or with no ring occupied, the probe is one steady state.
         let rotating = cycles > 0;
         if healthy {
-            let peaks = self.superposed_peaks(&load, tau, rotating)?;
+            let peaks = self.superposition(&load, tau, rotating)?.peaks();
             let ambient = self.model.config().ambient;
             if !self.runtime.lock().guard(ambient, peaks.iter().copied()) {
                 return Ok(hottest(&peaks));
@@ -901,49 +1020,55 @@ impl RotationPeakSolver {
         Ok(hottest(&self.steady_cycles(&seqs, 1, false)?.peaks))
     }
 
-    /// The eigen path of [`Self::peak_of_rings`]: `rotating`, each
-    /// occupied ring's peak; otherwise the single peak of the pinned map.
-    fn superposed_peaks(&self, load: &RingLoads<'_>, tau: f64, rotating: bool) -> Result<Vec<f64>> {
-        let steady = self.steady_influence()?;
-        if !rotating {
-            return Ok(vec![hottest(&steady.junctions(&load.pinned()))]);
-        }
-        let background = steady.junctions(&load.background());
-        let (mut base, mut row) = (background.clone(), background.clone());
-        let mut top = vec![f64::NEG_INFINITY; background.len()];
-        let mut peaks = Vec::new();
-        for (cores, slots, avg) in load.occupied() {
-            let kernel = self.rotation_kernel(cores, tau)?;
-            base.copy_from_slice(&background);
-            axpy(&mut base, load.idle - avg, &kernel.all_slots);
-            top.fill(f64::NEG_INFINITY);
-            let delta = cores.len();
-            for k in 0..delta {
-                row.copy_from_slice(&base);
-                for (s, &p) in slots.iter().enumerate() {
-                    let w = p - load.idle;
-                    if w != 0.0 {
-                        axpy(&mut row, w, kernel.h.row((k + s) % delta));
-                    }
-                }
-                // Per junction over the boundaries, then once over the
-                // junctions: no serial chain through every element.
-                for (t, &v) in top.iter_mut().zip(&row) {
-                    *t = t.max(v);
-                }
-            }
-            peaks.push(hottest(&top));
-        }
-        Ok(peaks)
+    /// The eigen path of [`Self::peak_of_rings`] for `load`, with its
+    /// operators resolved: the steady-influence matrix and, `rotating`,
+    /// each occupied ring's kernel at `tau` (s), all read under one lock.
+    /// A missing one is built outside it.
+    fn superposition<'a>(
+        &self,
+        load: &'a RingLoads<'a>,
+        tau: f64,
+        rotating: bool,
+    ) -> Result<Superposition<'a>> {
+        let rings: Vec<&[CoreId]> = if rotating {
+            load.occupied().map(|(cores, _, _)| cores).collect()
+        } else {
+            Vec::new()
+        };
+        let (steady, cached) = {
+            let ops = self.probe.lock();
+            let cached: Vec<_> = rings.iter().map(|cores| ops.kernel(cores, tau)).collect();
+            (ops.steady.clone(), cached)
+        };
+        let steady = match steady {
+            Some(steady) => steady,
+            None => self.build_steady_influence()?,
+        };
+        let kernels = rings
+            .iter()
+            .zip(cached)
+            .map(|(cores, kernel)| match kernel {
+                Some(kernel) => Ok(kernel),
+                None => self.build_rotation_kernel(cores, tau),
+            })
+            .collect::<Result<_>>()?;
+        let power = if rotating {
+            load.background()
+        } else {
+            load.pinned()
+        };
+        Ok(Superposition {
+            steady,
+            load,
+            kernels,
+            power,
+        })
     }
 
-    /// The probe's steady-influence operator, built on first use from
-    /// the basis: `Gᵀ = projᵀ·V_Jᵀ` and the zero-power junction state
+    /// Builds and caches the probe's steady-influence operator from the
+    /// basis: `Gᵀ = projᵀ·V_Jᵀ` and the zero-power junction state
     /// `y_amb·V_Jᵀ`.
-    fn steady_influence(&self) -> Result<Arc<SteadyInfluence>> {
-        if let Some(steady) = &self.probe.lock().steady {
-            return Ok(Arc::clone(steady));
-        }
+    fn build_steady_influence(&self) -> Result<Arc<SteadyInfluence>> {
         let basis = self.runtime.basis();
         let y_amb = Matrix::from_fn(1, basis.node_count(), |_, i| basis.y_amb()[i]);
         let steady = Arc::new(SteadyInfluence {
@@ -954,16 +1079,13 @@ impl RotationPeakSolver {
         Ok(steady)
     }
 
-    /// Ring `cores`'s unit-watt rotation kernel at epoch length `tau`
-    /// (s), built on first use by [`Self::relax_cycles`] from the
-    /// cores' rows of `projᵀ` (one watt on slot `e`'s core in epoch `e`,
-    /// no ambient term). Its decay data bypasses the runtime's cache and
+    /// Builds and caches ring `cores`'s unit-watt rotation kernel at
+    /// epoch length `tau` (s), by [`Self::relax_cycles`] from the cores'
+    /// rows of `projᵀ` (one watt on slot `e`'s core in epoch `e`, no
+    /// ambient term). Its decay data bypasses the runtime's cache and
     /// tallies: whether a build runs depends on this cache, which no
     /// checkpoint records.
-    fn rotation_kernel(&self, cores: &[CoreId], tau: f64) -> Result<Arc<RotationKernel>> {
-        if let Some(kernel) = self.probe.lock().kernel(cores, tau) {
-            return Ok(kernel);
-        }
+    fn build_rotation_kernel(&self, cores: &[CoreId], tau: f64) -> Result<Arc<RotationKernel>> {
         let basis = self.runtime.basis();
         let mut y_t = Matrix::zeros(cores.len(), self.model.node_count());
         for (e, c) in cores.iter().enumerate() {
@@ -1522,6 +1644,74 @@ mod tests {
         assert!((pinned - steady.max()).abs() < 1e-9);
         // Neither counts a batch.
         assert_eq!(s.runtime().stats().batch_calls, 0);
+    }
+
+    #[test]
+    fn dispatched_probe_body_matches_the_portable_body_bit_for_bit() {
+        // `Superposition::peaks` checks these features in this order.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        let backend = if std::arch::is_x86_feature_detected!("avx512f") {
+            "avx512f"
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            "avx2"
+        } else {
+            "portable"
+        };
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let backend = "portable";
+        println!("probe dispatch backend: {backend}");
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // 64, 16, 9 and 6 junction columns: full vectors and remainders;
+        // 3×3's centre ring has one slot.
+        for (w, h) in [(8, 8), (4, 4), (3, 3), (3, 2)] {
+            let fp = GridFloorplan::new(w, h).unwrap();
+            let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+            let s = RotationPeakSolver::new(model).unwrap();
+            let idle_chip: Vec<RingRotation<f64>> = fp
+                .amd_rings()
+                .iter()
+                .map(|r| RingRotation::new(r.cores().to_vec()))
+                .collect();
+            let mut cases = vec![idle_chip.clone()];
+            for _ in 0..6 {
+                let mut rings = idle_chip.clone();
+                for ring in &mut rings {
+                    for slot in 0..ring.capacity() {
+                        match next() % 4 {
+                            0 => {}
+                            // Idle power: a zero weight the sums skip.
+                            1 => ring.occupy(slot, 0.3),
+                            _ => ring.occupy(slot, 0.5 + (next() % 1000) as f64 * 7.5e-3),
+                        }
+                    }
+                }
+                cases.push(rings);
+            }
+            for rings in &cases {
+                let load = RingLoads::new(w * h, rings, |watts| watts, 0.3).unwrap();
+                for tau in crate::HotPotatoConfig::default().tau_levels {
+                    for rotating in [true, false] {
+                        let probe = s.superposition(&load, tau, rotating).unwrap();
+                        let dispatched = probe.peaks();
+                        let mut portable = vec![f64::NEG_INFINITY; dispatched.len()];
+                        probe.body(&mut vec![0.0; 4 * w * h], &mut portable);
+                        let bits =
+                            |peaks: &[f64]| peaks.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&dispatched),
+                            bits(&portable),
+                            "{w}x{h} tau {tau} rotating {rotating}: {dispatched:?} vs {portable:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -187,6 +187,15 @@ impl<T: Copy + PartialEq> RingRotation<T> {
         self.slots[slot]
     }
 
+    /// The occupant of slot `slot`, if any, to update in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn occupant_mut(&mut self, slot: usize) -> Option<&mut T> {
+        self.slots[slot].as_mut()
+    }
+
     /// Occupies `slot` with `thread`.
     ///
     /// # Panics

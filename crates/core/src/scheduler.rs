@@ -123,14 +123,15 @@ pub struct HotPotato {
     solver: RotationPeakSolver,
     /// Ring bookkeeping, built lazily from the machine on the first
     /// `schedule` call (empty until then).
-    rings: Vec<RingRotation<ThreadId>>,
+    rings: Vec<RingRotation<Seat>>,
     tau_index: usize,
     rotating: bool,
     last_rotation: f64,
     last_peak: f64,
     last_evaluation: f64,
     assignment_dirty: bool,
-    /// Cached per-thread power estimates from the last call.
+    /// Cached per-thread power estimates from the last call; each seat
+    /// carries its thread's.
     powers: BTreeMap<ThreadId, f64>,
     /// Number of Algorithm-1 evaluations performed (for the overhead study).
     evaluations: u64,
@@ -141,7 +142,7 @@ pub struct HotPotato {
     /// themselves exist ([`Scheduler::restore`] has no machine access);
     /// applied and consumed by the first `schedule` call after the lazy
     /// ring construction. `None` outside that window.
-    restored_slots: Option<Vec<Vec<Seat>>>,
+    restored_slots: Option<Vec<Vec<SavedSeat>>>,
     /// Probe wall-clock histograms and policy counters, surfaced through
     /// [`Scheduler::observability`].
     obs: Registry,
@@ -217,6 +218,7 @@ impl HotPotato {
     /// the slot of the core it currently occupies, so the next
     /// [`Scheduler::schedule`] call starts from reality.
     pub fn resync_from_view(&mut self, view: &SimView<'_>) {
+        let idle = self.config.idle_power;
         if self.rings.is_empty() {
             self.rings = view
                 .machine
@@ -227,8 +229,8 @@ impl HotPotato {
         }
         for ring in &mut self.rings {
             for s in 0..ring.capacity() {
-                if let Some(t) = ring.occupant(s) {
-                    ring.remove(t);
+                if let Some(seat) = ring.occupant(s) {
+                    ring.remove(seat);
                 }
             }
         }
@@ -240,7 +242,12 @@ impl HotPotato {
                     continue;
                 };
                 if ring.occupant(slot).is_none() {
-                    ring.occupy(slot, t.id);
+                    // No estimate yet: the probe reads idle power.
+                    let seat = Seat {
+                        thread: t.id,
+                        watts: idle,
+                    };
+                    ring.occupy(slot, seat);
                 }
                 break;
             }
@@ -279,24 +286,18 @@ impl HotPotato {
         current.max(t.avg_power)
     }
 
-    /// `T_peak` of the current ring assignment under `trial_powers`, or
-    /// under the cached estimates when `None`: one Algorithm-2 probe
+    /// `T_peak` of the current ring assignment, each seat drawing its
+    /// `watts`: one Algorithm-2 probe
     /// ([`RotationPeakSolver::peak_of_rings`]), counted as one
     /// Algorithm-1 evaluation per occupied ring it rotates (one when
     /// pinned or idle). A failed probe reads as `T_peak = ∞`. Each
     /// probe's wall-clock time lands in the `alg1.probe` histogram —
     /// this is the quantity behind the paper's per-decision
     /// scheduling-overhead measurement.
-    fn estimate_peak(
-        &mut self,
-        trial_powers: Option<&BTreeMap<ThreadId, f64>>,
-        tau: f64,
-        rotating: bool,
-    ) -> f64 {
+    fn estimate_peak(&mut self, tau: f64, rotating: bool) -> f64 {
         // xtask: allow(nondet) — wall-clock observability timing; the
         // histogram it feeds is excluded from golden outputs.
         let probe_start = Instant::now();
-        let powers = trial_powers.unwrap_or(&self.powers);
         let idle = self.config.idle_power;
         let cycles = if rotating {
             self.rings
@@ -308,7 +309,7 @@ impl HotPotato {
             1
         };
         self.evaluations += cycles as u64;
-        let watts = |t| powers.get(&t).copied().unwrap_or(idle);
+        let watts = |seat: Seat| seat.watts;
         let peak = match self
             .solver
             .peak_of_rings(&self.rings, watts, idle, tau, rotating)
@@ -326,7 +327,7 @@ impl HotPotato {
 
     /// Picks the free slot of `ring` farthest from its occupants
     /// (maximal minimum cyclic distance).
-    fn best_free_slot(ring: &RingRotation<ThreadId>) -> Option<usize> {
+    fn best_free_slot<T: Copy + PartialEq>(ring: &RingRotation<T>) -> Option<usize> {
         let k = ring.capacity();
         let free = ring.free_slots();
         if free.is_empty() {
@@ -348,8 +349,23 @@ impl HotPotato {
     }
 }
 
+/// A ring seat: its thread and the power, W, the Algorithm-2 probe reads
+/// for it. Seats are equal when they seat the same thread, so a ring
+/// finds, moves and frees a thread whatever its power.
+#[derive(Debug, Clone, Copy)]
+struct Seat {
+    thread: ThreadId,
+    watts: f64,
+}
+
+impl PartialEq for Seat {
+    fn eq(&self, other: &Self) -> bool {
+        self.thread == other.thread
+    }
+}
+
 /// One seat of a ring in a snapshot: `[slot, job, thread index]`.
-type Seat = (usize, JobId, usize);
+type SavedSeat = (usize, JobId, usize);
 
 hp_sim::codec! {
     /// HotPotato's snapshot blob: every field that influences future
@@ -360,7 +376,7 @@ hp_sim::codec! {
     /// histograms in `obs` are wall-clock noise and deliberately excluded —
     /// reports are compared with timings stripped.
     struct Snapshot {
-        rings: Option<Vec<Vec<Seat>>>,
+        rings: Option<Vec<Vec<SavedSeat>>>,
         tau_index: usize,
         rotating: bool,
         last_rotation: f64,
@@ -425,7 +441,10 @@ impl Scheduler for HotPotato {
                     .iter()
                     .map(|ring| {
                         (0..ring.capacity())
-                            .filter_map(|slot| ring.occupant(slot).map(|t| (slot, t.job, t.index)))
+                            .filter_map(|slot| {
+                                let seat = ring.occupant(slot)?;
+                                Some((slot, seat.thread.job, seat.thread.index))
+                            })
                             .collect()
                     })
                     .collect(),
@@ -505,7 +524,12 @@ impl Scheduler for HotPotato {
             for (ring, seats) in self.rings.iter_mut().zip(pending) {
                 for (slot, job, index) in seats {
                     if slot < ring.capacity() && ring.occupant(slot).is_none() {
-                        ring.occupy(slot, ThreadId { job, index });
+                        // Priced with every other seat below.
+                        let seat = Seat {
+                            thread: ThreadId { job, index },
+                            watts: self.config.idle_power,
+                        };
+                        ring.occupy(slot, seat);
                     }
                 }
             }
@@ -516,15 +540,6 @@ impl Scheduler for HotPotato {
         // --- Sync with the engine: drop departed threads. ---
         let live: BTreeMap<ThreadId, &hp_sim::ThreadView> =
             view.threads.iter().map(|t| (t.id, t)).collect();
-        for ring in &mut self.rings {
-            for s in 0..ring.capacity() {
-                if let Some(t) = ring.occupant(s) {
-                    if !live.contains_key(&t) {
-                        ring.remove(t);
-                    }
-                }
-            }
-        }
         let departed: Vec<ThreadId> = self
             .powers
             .keys()
@@ -542,6 +557,22 @@ impl Scheduler for HotPotato {
             let old = self.powers.insert(t.id, p);
             if old.is_none_or(|o| (o - p).abs() > 0.25) {
                 self.assignment_dirty = true;
+            }
+        }
+        // Exactly the live threads have an estimate now: each seat takes
+        // its thread's, and a departed thread's seat is freed.
+        for ring in &mut self.rings {
+            for s in 0..ring.capacity() {
+                let Some(seat) = ring.occupant_mut(s) else {
+                    continue;
+                };
+                match self.powers.get(&seat.thread) {
+                    Some(&watts) => seat.watts = watts,
+                    None => {
+                        let departed = *seat;
+                        ring.remove(departed);
+                    }
+                }
             }
         }
 
@@ -571,12 +602,14 @@ impl Scheduler for HotPotato {
                 continue;
             }
             let mut placed: Vec<(usize, usize, CoreId)> = Vec::new(); // (ring, slot, core)
-            let mut trial_powers = self.powers.clone();
             let mut tau_index = self.tau_index;
             for i in 0..job.threads {
-                let tid = ThreadId {
-                    job: job.job,
-                    index: i,
+                let seat = Seat {
+                    thread: ThreadId {
+                        job: job.job,
+                        index: i,
+                    },
+                    watts: est,
                 };
                 // Walk rings inner → outer; remember the coolest option as
                 // a best-effort fallback (a new thread is never starved —
@@ -587,10 +620,8 @@ impl Scheduler for HotPotato {
                     let Some(slot) = Self::best_free_slot(&self.rings[r]) else {
                         continue;
                     };
-                    self.rings[r].occupy(slot, tid);
-                    trial_powers.insert(tid, est);
+                    self.rings[r].occupy(slot, seat);
                     let peak = self.estimate_peak(
-                        Some(&trial_powers),
                         self.config.tau_levels[tau_index],
                         self.rotating && self.config.rotation_enabled,
                     );
@@ -598,8 +629,7 @@ impl Scheduler for HotPotato {
                         chosen = Some((r, slot));
                         break;
                     }
-                    self.rings[r].remove(tid);
-                    trial_powers.remove(&tid);
+                    self.rings[r].remove(seat);
                     if fallback.is_none_or(|(_, _, p)| peak < p) {
                         fallback = Some((r, slot, peak));
                     }
@@ -611,18 +641,12 @@ impl Scheduler for HotPotato {
                         while tau_index > 0 && chosen.is_none() {
                             tau_index -= 1;
                             self.rotating = true;
-                            self.rings[r].occupy(slot, tid);
-                            trial_powers.insert(tid, est);
-                            let peak = self.estimate_peak(
-                                Some(&trial_powers),
-                                self.config.tau_levels[tau_index],
-                                true,
-                            );
+                            self.rings[r].occupy(slot, seat);
+                            let peak = self.estimate_peak(self.config.tau_levels[tau_index], true);
                             if peak + self.config.delta_headroom < self.config.t_dtm {
                                 chosen = Some((r, slot));
                             } else {
-                                self.rings[r].remove(tid);
-                                trial_powers.remove(&tid);
+                                self.rings[r].remove(seat);
                             }
                         }
                     }
@@ -632,8 +656,7 @@ impl Scheduler for HotPotato {
                     // xtask: allow(panic) — free_total ≥ job.threads was
                     // checked above, so some ring offered a slot.
                     let (r, slot, _) = fallback.expect("free_total checked above");
-                    self.rings[r].occupy(slot, tid);
-                    trial_powers.insert(tid, est);
+                    self.rings[r].occupy(slot, seat);
                     (r, slot)
                 });
                 let core = self.rings[r].core_of_slot(slot);
@@ -661,7 +684,7 @@ impl Scheduler for HotPotato {
         // --- Re-evaluate T_peak when needed. ---
         let due = view.time - self.last_evaluation >= self.config.reevaluate_period;
         if self.assignment_dirty || due || view.dtm_active {
-            self.last_peak = self.estimate_peak(None, self.tau(), self.rotating);
+            self.last_peak = self.estimate_peak(self.tau(), self.rotating);
             self.last_evaluation = view.time;
             self.assignment_dirty = false;
         }
@@ -679,35 +702,38 @@ impl Scheduler for HotPotato {
             // Cheapest knob first: if rotation is parked, restart it.
             if self.config.rotation_enabled && !self.rotating {
                 self.rotating = true;
-                self.last_peak = self.estimate_peak(None, self.tau(), true);
+                self.last_peak = self.estimate_peak(self.tau(), true);
                 self.last_evaluation = view.time;
                 moves += 1;
                 continue;
             }
             // Hottest = lowest CPI. Find the lowest-CPI thread that can move
             // to a higher-AMD ring with free capacity.
-            let mut candidates: Vec<(f64, ThreadId, usize)> = Vec::new(); // (cpi, thread, ring)
+            let mut candidates: Vec<(f64, Seat, usize)> = Vec::new(); // (cpi, seat, ring)
             for (r, ring) in self.rings.iter().enumerate() {
                 for s in 0..ring.capacity() {
-                    if let Some(t) = ring.occupant(s) {
-                        if let Some(tv) = live.get(&t) {
-                            candidates.push((tv.last_cpi, t, r));
+                    if let Some(seat) = ring.occupant(s) {
+                        if let Some(tv) = live.get(&seat.thread) {
+                            candidates.push((tv.last_cpi, seat, r));
                         }
                     }
                 }
             }
             candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mut moved = false;
-            for (_, tid, r) in candidates {
+            for (_, seat, r) in candidates {
                 let target = (r + 1..ring_count)
                     .find_map(|r2| Self::best_free_slot(&self.rings[r2]).map(|s| (r2, s)));
                 let Some((r2, slot)) = target else { continue };
                 let to = {
-                    self.rings[r].remove(tid);
-                    self.rings[r2].occupy(slot, tid);
+                    self.rings[r].remove(seat);
+                    self.rings[r2].occupy(slot, seat);
                     self.rings[r2].core_of_slot(slot)
                 };
-                actions.push(Action::Migrate { thread: tid, to });
+                actions.push(Action::Migrate {
+                    thread: seat.thread,
+                    to,
+                });
                 moved = true;
                 moves += 1;
                 break;
@@ -720,7 +746,7 @@ impl Scheduler for HotPotato {
                     break; // fastest rotation already; DTM is the backstop
                 }
             }
-            self.last_peak = self.estimate_peak(None, self.tau(), self.rotating);
+            self.last_peak = self.estimate_peak(self.tau(), self.rotating);
             self.last_evaluation = view.time;
         }
 
@@ -733,25 +759,25 @@ impl Scheduler for HotPotato {
             && moves < self.config.max_moves_per_call
         {
             // Highest CPI first (most memory-bound benefits most).
-            let mut candidates: Vec<(f64, ThreadId, usize)> = Vec::new();
+            let mut candidates: Vec<(f64, Seat, usize)> = Vec::new();
             for (r, ring) in self.rings.iter().enumerate() {
                 if r == 0 {
                     continue; // already innermost
                 }
                 for s in 0..ring.capacity() {
-                    if let Some(t) = ring.occupant(s) {
-                        if let Some(tv) = live.get(&t) {
-                            candidates.push((tv.last_cpi, t, r));
+                    if let Some(seat) = ring.occupant(s) {
+                        if let Some(tv) = live.get(&seat.thread) {
+                            candidates.push((tv.last_cpi, seat, r));
                         }
                     }
                 }
             }
             candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
             let mut improved = false;
-            'promote: for (_, tid, r) in candidates {
+            'promote: for (_, seat, r) in candidates {
                 // The candidate was read out of ring r above; a vanished
                 // slot means the bookkeeping changed under us — skip it.
-                let Some(origin_slot) = self.rings[r].slot_of(tid) else {
+                let Some(origin_slot) = self.rings[r].slot_of(seat) else {
                     continue;
                 };
                 for r2 in 0..r {
@@ -760,12 +786,15 @@ impl Scheduler for HotPotato {
                     };
                     // Tentative move; the origin slot lets the revert
                     // restore the exact engine-visible position.
-                    self.rings[r].remove(tid);
-                    self.rings[r2].occupy(slot, tid);
-                    let peak = self.estimate_peak(None, self.tau(), self.rotating);
+                    self.rings[r].remove(seat);
+                    self.rings[r2].occupy(slot, seat);
+                    let peak = self.estimate_peak(self.tau(), self.rotating);
                     if peak + self.config.delta_headroom < self.config.t_dtm {
                         let to = self.rings[r2].core_of_slot(slot);
-                        actions.push(Action::Migrate { thread: tid, to });
+                        actions.push(Action::Migrate {
+                            thread: seat.thread,
+                            to,
+                        });
                         self.last_peak = peak;
                         self.last_evaluation = view.time;
                         moves += 1;
@@ -775,15 +804,14 @@ impl Scheduler for HotPotato {
                     // Revert to the exact origin slot (a different slot
                     // would silently desynchronize the ring bookkeeping
                     // from the engine's core assignment).
-                    self.rings[r2].remove(tid);
-                    self.rings[r].occupy(origin_slot, tid);
+                    self.rings[r2].remove(seat);
+                    self.rings[r].occupy(origin_slot, seat);
                 }
             }
             if !improved {
                 // Slow the rotation (less overhead) while still safe.
                 if self.rotating && self.tau_index + 1 < self.config.tau_levels.len() {
-                    let peak =
-                        self.estimate_peak(None, self.config.tau_levels[self.tau_index + 1], true);
+                    let peak = self.estimate_peak(self.config.tau_levels[self.tau_index + 1], true);
                     if peak + 2.0 * self.config.delta_headroom < self.config.t_dtm {
                         self.tau_index += 1;
                         self.last_peak = peak;
@@ -793,7 +821,7 @@ impl Scheduler for HotPotato {
                 }
                 if self.rotating {
                     // Sustainable without rotation at all?
-                    let pinned = self.estimate_peak(None, self.tau(), false);
+                    let pinned = self.estimate_peak(self.tau(), false);
                     if pinned + 2.0 * self.config.delta_headroom < self.config.t_dtm {
                         self.rotating = false;
                         self.last_peak = pinned;
@@ -815,8 +843,11 @@ impl Scheduler for HotPotato {
                 {
                     continue;
                 }
-                for (tid, _, to) in ring.advance() {
-                    actions.push(Action::Migrate { thread: tid, to });
+                for (seat, _, to) in ring.advance() {
+                    actions.push(Action::Migrate {
+                        thread: seat.thread,
+                        to,
+                    });
                 }
             }
             self.last_rotation = view.time;
@@ -824,7 +855,11 @@ impl Scheduler for HotPotato {
 
         // A thread may have been both ring-moved and rotated in this call;
         // only its final destination goes to the engine (the ring
-        // bookkeeping above already reflects it).
+        // bookkeeping above already reflects it). Without a ring move,
+        // only the rotation migrated, each thread once at most.
+        if moves == 0 {
+            return actions;
+        }
         dedupe_migrations(actions)
     }
 }
@@ -926,6 +961,87 @@ mod tests {
         assert!(targets.contains(&(t1, CoreId(5))));
         assert!(targets.contains(&(t2, CoreId(2))));
         assert!(!targets.contains(&(t1, CoreId(1))));
+    }
+
+    #[test]
+    fn a_hook_that_evicts_and_rotates_migrates_each_thread_once() {
+        let machine = machine_4x4();
+        let levels = vec![machine.config().dvfs.max_level(); 16];
+        let confidence = vec![1.0; 16];
+        let view = |time, temps, occupancy, threads, pending| SimView {
+            time,
+            machine: &machine,
+            core_temps: temps,
+            levels: &levels,
+            occupancy,
+            threads,
+            pending,
+            t_dtm: 70.0,
+            dtm_active: false,
+            sensor_confidence: &confidence,
+        };
+        let seated = |hp: &HotPotato| -> BTreeMap<ThreadId, (usize, CoreId)> {
+            let mut seated = BTreeMap::new();
+            for (r, ring) in hp.rings.iter().enumerate() {
+                for s in 0..ring.capacity() {
+                    if let Some(seat) = ring.occupant(s) {
+                        seated.insert(seat.thread, (r, ring.core_of_slot(s)));
+                    }
+                }
+            }
+            seated
+        };
+        let mut hp = HotPotato::new(model_4x4(), HotPotatoConfig::default()).unwrap();
+        let pending = [hp_sim::PendingJobView {
+            job: JobId(0),
+            benchmark: Benchmark::Blackscholes,
+            threads: 4,
+            arrival: 0.0,
+        }];
+        let cool = hp_linalg::Vector::constant(16, 45.0);
+        let actions = hp.schedule(&view(0.0, &cool, &[None; 16], &[], &pending));
+        let Some(Action::PlaceJob { cores, .. }) = actions.first() else {
+            panic!("the job is placed: {actions:?}");
+        };
+        let threads: Vec<hp_sim::ThreadView> = cores
+            .iter()
+            .enumerate()
+            .map(|(index, &core)| hp_sim::ThreadView {
+                id: ThreadId {
+                    job: JobId(0),
+                    index,
+                },
+                benchmark: Benchmark::Blackscholes,
+                core,
+                work: Benchmark::Blackscholes.work_point(),
+                last_cpi: 1.0,
+                avg_power: 5.0,
+            })
+            .collect();
+        let mut occupancy = [None; 16];
+        for t in &threads {
+            occupancy[t.core.index()] = Some(t.id);
+        }
+        let before = seated(&hp);
+        // Hot sensors make the pressure loop evict, and τ has elapsed
+        // since the last rotation, so the same hook rotates every ring.
+        let hot = hp_linalg::Vector::constant(16, 80.0);
+        let actions = hp.schedule(&view(1e-3, &hot, &occupancy, &threads, &[]));
+        let after = seated(&hp);
+        assert!(
+            before.iter().any(|(t, (r, _))| after[t].0 != *r),
+            "a thread was evicted: {before:?} -> {after:?}"
+        );
+        let mut migrated = BTreeMap::new();
+        for a in &actions {
+            if let Action::Migrate { thread, to } = a {
+                assert!(migrated.insert(*thread, *to).is_none(), "{actions:?}");
+            }
+        }
+        // Every thread rotated, and its one `Migrate` is its final seat.
+        let finals: BTreeMap<ThreadId, CoreId> =
+            after.iter().map(|(&t, &(_, core))| (t, core)).collect();
+        assert_eq!(migrated, finals);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! recurrence), (b) the literal Eq.-(10) reference form, (c) one
 //! Algorithm-2 placement probe with every slot of every ring occupied,
 //! as explicit epoch sequences through `peak_celsius_many` and as the
-//! scheduler's superposition probe `peak_of_rings`, and (d) the
+//! scheduler's superposition probe `peak_of_rings`, and the same probe
+//! with one thread per ring, where its fixed per-probe costs (reading
+//! the slot powers, fetching the kernels) weigh most, and (d) the
 //! design-time phase (eigendecomposition) — all through the shared
 //! [`hp_obs`] profiler, so the output reports the same p50/p95/max
 //! percentiles the engine records for live scheduler hooks.
@@ -37,16 +39,17 @@ fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequenc
     EpochPowerSequence::new(tau, epochs).expect("valid sequence")
 }
 
-/// The 8×8 chip's AMD rings with every slot occupied by the same mix of
-/// hot and cool threads as [`full_load_sequence`].
-fn full_load_rings() -> Vec<RingRotation<f64>> {
+/// The 8×8 chip's AMD rings with the first `per_ring` slots of each (all
+/// of them, if fewer) occupied by the same mix of hot and cool threads as
+/// [`full_load_sequence`].
+fn loaded_rings(per_ring: usize) -> Vec<RingRotation<f64>> {
     let mut next = 0usize;
     let fp = GridFloorplan::new(8, 8).expect("8x8 grid");
     fp.amd_rings()
         .iter()
         .map(|r| {
             let mut ring = RingRotation::new(r.cores().to_vec());
-            for s in 0..ring.capacity() {
+            for s in 0..ring.capacity().min(per_ring) {
                 ring.occupy(s, if next.is_multiple_of(3) { 7.0 } else { 2.5 });
                 next += 1;
             }
@@ -96,13 +99,14 @@ fn main() {
     }
 
     // Algorithm 2's placement probe on the full chip at τ = 0.5 ms.
-    let rings = full_load_rings();
+    let rings = loaded_rings(usize::MAX);
     let explicit = explicit_probe_sequences(64, &rings, 0.3, 0.5e-3, true);
-    let probe = || {
+    let probe_of = |rings: &[RingRotation<f64>]| {
         solver
-            .peak_of_rings(&rings, |watts| watts, 0.3, 0.5e-3, true)
+            .peak_of_rings(rings, |watts| watts, 0.3, 0.5e-3, true)
             .expect("probe computes")
     };
+    let probe = || probe_of(&rings);
     let batch = || solver.peak_celsius_many(&explicit).expect("batch computes");
     let batch_peak = batch().into_iter().fold(f64::NEG_INFINITY, f64::max);
     assert!((probe() - batch_peak).abs() <= 1e-9, "probe agrees");
@@ -113,6 +117,12 @@ fn main() {
     for _ in 0..10_000 {
         let _t = ScopedTimer::start(&reg, "alg2.superposition");
         std::hint::black_box(probe());
+    }
+    // Same rings and τ: the kernels are cached already.
+    let light = loaded_rings(1);
+    for _ in 0..10_000 {
+        let _t = ScopedTimer::start(&reg, "alg2.superposition.light");
+        std::hint::black_box(probe_of(&light));
     }
 
     let report = reg.snapshot();
@@ -157,5 +167,9 @@ fn main() {
         if let Some(h) = report.histogram(name) {
             print_summary("8x8 probe", "probe", label, h);
         }
+    }
+    println!("The same probe with one thread on each of the chip's rings:");
+    if let Some(h) = report.histogram("alg2.superposition.light") {
+        print_summary("8x8 probe", "probe-light", "superposition", h);
     }
 }

@@ -478,29 +478,6 @@ impl SystemEigen {
         worst
     }
 
-    /// Evaluates `e^{C·t} · x` without forming the full exponential.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn exp_apply(&self, t: f64, x: &Vector) -> Vector {
-        let y = self.v_inv.mul_vector(x);
-        let scaled = Vector::from_fn(self.dim(), |i| (self.eigenvalues[i] * t).exp() * y[i]);
-        self.v.mul_vector(&scaled)
-    }
-
-    /// Forms the dense matrix `e^{C·t}`.
-    pub fn exp_matrix(&self, t: f64) -> Matrix {
-        let n = self.dim();
-        let d = Vector::from_fn(n, |i| (self.eigenvalues[i] * t).exp());
-        // V · diag(d) · V⁻¹ computed without an intermediate product.
-        Matrix::from_fn(n, n, |i, j| {
-            (0..n)
-                .map(|k| self.v[(i, k)] * d[k] * self.v_inv[(k, j)])
-                .sum()
-        })
-    }
-
     /// Forms `V · diag(d) · V⁻¹` for an arbitrary spectral filter `d`.
     ///
     /// This is the workhorse of the rotation peak-temperature closed form
@@ -534,6 +511,7 @@ impl SystemEigen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expm::{exp_apply, exp_matrix};
 
     // The `jacobi_*` tests keep the names they had under the cyclic-Jacobi
     // solver; they cover `symmetric_eigen`, whatever its algorithm.
@@ -686,7 +664,7 @@ mod tests {
         let b = Matrix::from_rows(&[&[2.0, -1.0], &[-1.0, 2.0]]).unwrap();
         let sys = SystemEigen::new(&a_diag, &b).unwrap();
         let x = Vector::from(vec![1.0, -2.0]);
-        let y = sys.exp_apply(0.0, &x);
+        let y = exp_apply(&sys, 0.0, &x);
         assert!((&y - &x).norm_inf() < 1e-12);
     }
 
@@ -696,7 +674,7 @@ mod tests {
         let b = Matrix::from_rows(&[&[2.0, -1.0], &[-1.0, 2.0]]).unwrap();
         let sys = SystemEigen::new(&a_diag, &b).unwrap();
         let x = Vector::from(vec![5.0, 7.0]);
-        let y = sys.exp_apply(100.0, &x);
+        let y = exp_apply(&sys, 100.0, &x);
         assert!(y.norm_inf() < 1e-10);
     }
 
@@ -734,8 +712,8 @@ mod tests {
             Matrix::from_rows(&[&[2.0, -0.5, 0.0], &[-0.5, 3.0, -1.0], &[0.0, -1.0, 2.5]]).unwrap();
         let sys = SystemEigen::new(&a_diag, &b).unwrap();
         let x = Vector::from(vec![1.0, 2.0, 3.0]);
-        let via_matrix = sys.exp_matrix(0.3).mul_vector(&x);
-        let via_apply = sys.exp_apply(0.3, &x);
+        let via_matrix = exp_matrix(&sys, 0.3).mul_vector(&x);
+        let via_apply = exp_apply(&sys, 0.3, &x);
         assert!((&via_matrix - &via_apply).norm_inf() < 1e-12);
     }
 }

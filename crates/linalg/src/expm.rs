@@ -1,95 +1,15 @@
-//! General dense matrix exponential via scaling-and-squaring.
-//!
-//! The thermal pipeline normally computes `e^{Cτ}` through the
-//! [`SystemEigen`](crate::eigen::SystemEigen) decomposition (the MatEx route)
-//! because `C` is diagonalizable with a well-conditioned eigenbasis. This
-//! module provides an *independent* Padé scaling-and-squaring implementation
-//! used (a) to cross-validate the eigen route in tests and benches, and
-//! (b) as a fallback for matrices that are not of the RC form.
+//! Unit tests of the matrix exponentials in `tests/support/expm.rs`:
+//! test oracles, not library code, shared with the integration tests.
 
-use crate::{LinalgError, Matrix, Result};
+#[path = "../tests/support/expm.rs"]
+mod oracle;
 
-/// Computes `e^{M}` with a degree-6 Padé approximant plus scaling and squaring.
-///
-/// Accuracy is ~1e-12 relative for well-scaled inputs, which is ample for
-/// cross-validation of the eigendecomposition route.
-///
-/// # Errors
-///
-/// * [`LinalgError::NotSquare`] for rectangular input.
-/// * [`LinalgError::Singular`] if the Padé denominator is singular
-///   (pathological inputs only).
-///
-/// # Example
-///
-/// ```
-/// use hp_linalg::{expm, Matrix};
-///
-/// # fn main() -> Result<(), hp_linalg::LinalgError> {
-/// let zero = Matrix::zeros(3, 3);
-/// let e = expm(&zero)?;
-/// assert!((&e - &Matrix::identity(3)).norm_inf() < 1e-14);
-/// # Ok(())
-/// # }
-/// ```
-pub fn expm(m: &Matrix) -> Result<Matrix> {
-    if !m.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: m.rows(),
-            cols: m.cols(),
-        });
-    }
-    let n = m.rows();
-    if n == 0 {
-        return Ok(Matrix::zeros(0, 0));
-    }
-
-    // Scale so the scaled norm is <= 0.5, where the degree-6 Padé
-    // approximant is very accurate.
-    let norm = m.norm_inf();
-    let mut squarings = 0u32;
-    let mut scale = 1.0;
-    if norm > 0.5 {
-        squarings = crate::convert::f64_to_u32_saturating((norm / 0.5).log2().ceil());
-        scale = 0.5f64.powi(i32::try_from(squarings).unwrap_or(i32::MAX));
-    }
-    let a = m.scaled(scale);
-
-    // Degree-7 diagonal Padé (Higham's exact integer coefficients):
-    // exp(A) ~ q(A)^{-1} p(A), p(A) = W + U, q(A) = W - U with W even, U odd.
-    const B: [f64; 8] = [
-        17_297_280.0,
-        8_648_640.0,
-        1_995_840.0,
-        277_200.0,
-        25_200.0,
-        1_512.0,
-        56.0,
-        1.0,
-    ];
-    let a2 = a.mul_matrix(&a)?;
-    let a4 = a2.mul_matrix(&a2)?;
-    let a6 = a4.mul_matrix(&a2)?;
-    let id = Matrix::identity(n);
-
-    let even = &(&(&id * B[0]) + &(&a2 * B[2])) + &(&(&a4 * B[4]) + &(&a6 * B[6]));
-    let odd_poly = &(&(&id * B[1]) + &(&a2 * B[3])) + &(&(&a4 * B[5]) + &(&a6 * B[7]));
-    let odd = a.mul_matrix(&odd_poly)?;
-
-    let p = &even + &odd;
-    let q = &even - &odd;
-    let mut result = q.lu()?.solve_matrix(&p)?;
-
-    for _ in 0..squarings {
-        result = result.mul_matrix(&result)?;
-    }
-    Ok(result)
-}
+pub(crate) use oracle::{exp_apply, exp_matrix, expm};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Vector;
+    use super::{exp_matrix, expm};
+    use crate::{LinalgError, Matrix, Vector};
 
     #[test]
     fn expm_zero_is_identity() {
@@ -148,7 +68,7 @@ mod tests {
         let c = Matrix::from_fn(3, 3, |i, j| -b[(i, j)] / a_diag[i]);
         let tau = 0.01;
         let via_pade = expm(&c.scaled(tau)).unwrap();
-        let via_eigen = sys.exp_matrix(tau);
+        let via_eigen = exp_matrix(&sys, tau);
         assert!((&via_pade - &via_eigen).norm_inf() < 1e-10);
     }
 

@@ -20,9 +20,6 @@
 //!   QL for symmetric matrices, plus the diagonal-congruence transform used
 //!   to factorize `C = -A⁻¹B` when `A` is diagonal positive and `B` is
 //!   symmetric positive definite.
-//! * [`expm()`](fn@crate::expm) — matrix exponentials, both through an
-//!   eigendecomposition (the MatEx route) and through scaling-and-squaring
-//!   (validation / fallback).
 //!
 //! # Example
 //!
@@ -47,13 +44,19 @@ mod vector;
 pub mod cholesky;
 pub mod convert;
 pub mod eigen;
-pub mod expm;
 pub mod lu;
+
+// The matrix exponentials the tests check the eigen route against live
+// in `tests/support/expm.rs`, which names this crate `hp_linalg` as the
+// integration tests do; their unit tests run with the crate's.
+#[cfg(test)]
+extern crate self as hp_linalg;
+#[cfg(test)]
+mod expm;
 
 pub use cholesky::CholeskyDecomposition;
 pub use eigen::SymmetricEigen;
 pub use error::{LinalgError, NumericalError};
-pub use expm::expm;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use vector::Vector;

@@ -1,0 +1,93 @@
+//! Matrix exponentials the tests hold the eigen route to. No library code
+//! calls them: the engine and both solvers step in eigen coordinates.
+//!
+//! [`expm`] is an independent Padé scaling-and-squaring exponential;
+//! [`exp_apply`] and [`exp_matrix`] form `e^{C·t}` through a
+//! [`SystemEigen`] basis.
+
+use hp_linalg::convert::f64_to_u32_saturating;
+use hp_linalg::eigen::SystemEigen;
+use hp_linalg::{LinalgError, Matrix, Result, Vector};
+
+/// Computes `e^{M}` with a degree-6 Padé approximant plus scaling and squaring.
+///
+/// Accuracy is ~1e-12 relative for well-scaled inputs, which is ample for
+/// cross-validation of the eigendecomposition route.
+///
+/// # Errors
+///
+/// * [`LinalgError::NotSquare`] for rectangular input.
+/// * [`LinalgError::Singular`] if the Padé denominator is singular
+///   (pathological inputs only).
+pub fn expm(m: &Matrix) -> Result<Matrix> {
+    if !m.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: m.rows(),
+            cols: m.cols(),
+        });
+    }
+    let n = m.rows();
+    if n == 0 {
+        return Ok(Matrix::zeros(0, 0));
+    }
+
+    // Scale so the scaled norm is <= 0.5, where the degree-6 Padé
+    // approximant is very accurate.
+    let norm = m.norm_inf();
+    let mut squarings = 0u32;
+    let mut scale = 1.0;
+    if norm > 0.5 {
+        squarings = f64_to_u32_saturating((norm / 0.5).log2().ceil());
+        scale = 0.5f64.powi(i32::try_from(squarings).unwrap_or(i32::MAX));
+    }
+    let a = m.scaled(scale);
+
+    // Degree-7 diagonal Padé (Higham's exact integer coefficients):
+    // exp(A) ~ q(A)^{-1} p(A), p(A) = W + U, q(A) = W - U with W even, U odd.
+    const B: [f64; 8] = [
+        17_297_280.0,
+        8_648_640.0,
+        1_995_840.0,
+        277_200.0,
+        25_200.0,
+        1_512.0,
+        56.0,
+        1.0,
+    ];
+    let a2 = a.mul_matrix(&a)?;
+    let a4 = a2.mul_matrix(&a2)?;
+    let a6 = a4.mul_matrix(&a2)?;
+    let id = Matrix::identity(n);
+
+    let even = &(&(&id * B[0]) + &(&a2 * B[2])) + &(&(&a4 * B[4]) + &(&a6 * B[6]));
+    let odd_poly = &(&(&id * B[1]) + &(&a2 * B[3])) + &(&(&a4 * B[5]) + &(&a6 * B[7]));
+    let odd = a.mul_matrix(&odd_poly)?;
+
+    let p = &even + &odd;
+    let q = &even - &odd;
+    let mut result = q.lu()?.solve_matrix(&p)?;
+
+    for _ in 0..squarings {
+        result = result.mul_matrix(&result)?;
+    }
+    Ok(result)
+}
+
+/// `e^{λᵢ·t}` for every mode of `sys`.
+fn decay(sys: &SystemEigen, t: f64) -> Vector {
+    Vector::from_fn(sys.dim(), |i| (sys.eigenvalues()[i] * t).exp())
+}
+
+/// Evaluates `e^{C·t} · x` without forming the full exponential.
+///
+/// # Panics
+///
+/// Panics if `x.len() != sys.dim()`.
+pub fn exp_apply(sys: &SystemEigen, t: f64, x: &Vector) -> Vector {
+    sys.spectral_apply(&decay(sys, t), x)
+}
+
+/// Forms the dense matrix `e^{C·t}`.
+pub fn exp_matrix(sys: &SystemEigen, t: f64) -> Matrix {
+    sys.spectral_filter(&decay(sys, t))
+}

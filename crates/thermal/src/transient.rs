@@ -425,7 +425,9 @@ mod tests {
         dt: f64,
     ) -> Vector {
         let t_ss = model.steady_state(p).unwrap();
-        &t_ss + &solver.eigen().exp_apply(dt, &(t - &t_ss))
+        let eigen = solver.eigen();
+        let decay = Vector::from_fn(eigen.dim(), |i| (eigen.eigenvalues()[i] * dt).exp());
+        &t_ss + &eigen.spectral_apply(&decay, &(t - &t_ss))
     }
 
     #[test]

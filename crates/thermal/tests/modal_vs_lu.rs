@@ -23,7 +23,8 @@ const DT: f64 = 1e-4;
 fn lu_step(model: &RcThermalModel, eigen: &SystemEigen, t: &Vector, p: &Vector, dt: f64) -> Vector {
     let t_ss = model.steady_state(p).expect("steady state");
     let deviation = t - &t_ss;
-    &t_ss + &eigen.exp_apply(dt, &deviation)
+    let decay = Vector::from_fn(eigen.dim(), |i| (eigen.eigenvalues()[i] * dt).exp());
+    &t_ss + &eigen.spectral_apply(&decay, &deviation)
 }
 
 /// Interval `k`'s power map: eight 7 W threads that hop one core every
