@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hp_manycore::{ArchConfig, Machine};
+use hp_sim::codec::Labelled;
 use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 
 use crate::error::{CampaignError, Result};
@@ -54,11 +55,7 @@ impl ThermalProfile {
     /// Inverse of [`name`](ThermalProfile::name). `None` for unknown
     /// labels.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "default" => Some(ThermalProfile::Default),
-            "ill-conditioned" => Some(ThermalProfile::IllConditioned),
-            _ => None,
-        }
+        Self::ALL.iter().copied().find(|p| p.name() == name)
     }
 
     /// The RC parameters the profile names.
@@ -67,6 +64,15 @@ impl ThermalProfile {
             ThermalProfile::Default => ThermalConfig::default(),
             ThermalProfile::IllConditioned => ThermalConfig::ill_conditioned(),
         }
+    }
+}
+
+/// Spec documents name a profile by its label.
+impl Labelled for ThermalProfile {
+    const KIND: &'static str = "thermal profile";
+    const ALL: &'static [Self] = &[ThermalProfile::Default, ThermalProfile::IllConditioned];
+    fn label(self) -> &'static str {
+        self.name()
     }
 }
 

@@ -169,7 +169,7 @@ impl CampaignJob {
             self.sim.record_trace,
             self.fixed_tau_seconds,
             self.preferred_cores,
-            self.sim.faults.to_json_string(),
+            hp_sim::codec::pretty(&self.sim.faults),
             self.thermal.name(),
         );
         fnv1a(desc.as_bytes())

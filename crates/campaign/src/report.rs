@@ -12,11 +12,12 @@
 //! seeds (DESIGN.md §11): comparing
 //! `report.without_timings().to_json_string()` across runs with
 //! different `--jobs` values must be a bit-identical comparison.
+//!
+//! The document and the resume manifest's lines are declared below on
+//! `hp_sim::codec` (DESIGN.md §13), which writes and reads both.
 
-use std::fmt::Write as _;
-
-use hp_obs::json::{self, Json};
 use hp_obs::RunReport;
+use hp_sim::codec::{self, Grid, Hex, Labelled};
 
 use crate::error::{CampaignError, Result};
 
@@ -61,18 +62,6 @@ impl JobStatus {
         }
     }
 
-    fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "completed" => Some(JobStatus::Completed),
-            "degraded-numerics" => Some(JobStatus::DegradedNumerics),
-            "aborted" => Some(JobStatus::Aborted),
-            "failed" => Some(JobStatus::Failed),
-            "panicked" => Some(JobStatus::Panicked),
-            "timed-out" => Some(JobStatus::TimedOut),
-            _ => None,
-        }
-    }
-
     /// Whether the supervision layer's retry policy applies: setup
     /// failures, panics, and watchdog timeouts are worth another
     /// attempt; completed and (deterministically) aborted jobs are not.
@@ -81,6 +70,21 @@ impl JobStatus {
             self,
             JobStatus::Failed | JobStatus::Panicked | JobStatus::TimedOut
         )
+    }
+}
+
+impl Labelled for JobStatus {
+    const KIND: &'static str = "status";
+    const ALL: &'static [Self] = &[
+        JobStatus::Completed,
+        JobStatus::DegradedNumerics,
+        JobStatus::Aborted,
+        JobStatus::Failed,
+        JobStatus::Panicked,
+        JobStatus::TimedOut,
+    ];
+    fn label(self) -> &'static str {
+        JobStatus::label(self)
     }
 }
 
@@ -214,25 +218,7 @@ impl CampaignReport {
 
     /// Serialises to the `hp-campaign-v1` JSON document.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let _ = write!(out, "  \"schema\": \"{SCHEMA}\",\n  \"jobs\": [");
-        for (i, job) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(&job_to_json(job, true));
-        }
-        out.push_str(if self.jobs.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        out.push_str("  \"campaign\": ");
-        out.push_str(self.campaign.to_json_string().trim_end());
-        out.push_str("\n}\n");
-        out
+        codec::pretty(self)
     }
 
     /// Deserialises an `hp-campaign-v1` JSON document.
@@ -240,251 +226,50 @@ impl CampaignReport {
     /// # Errors
     ///
     /// Returns [`CampaignError::Parse`] on malformed JSON, a wrong
-    /// schema tag, or entries of the wrong shape.
+    /// schema tag, or a member of the wrong shape, naming the member.
     pub fn from_json_str(src: &str) -> Result<CampaignReport> {
-        let doc = json::parse(src).map_err(|e| CampaignError::Parse(e.to_string()))?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CampaignError::Parse("missing `schema` tag".into()))?;
-        if schema != SCHEMA {
-            return Err(CampaignError::Parse(format!(
-                "unknown schema `{schema}` (expected `{SCHEMA}`)"
-            )));
-        }
-        let mut jobs = Vec::new();
-        if let Some(Json::Arr(items)) = doc.get("jobs") {
-            for item in items {
-                jobs.push(job_from_json(item)?);
-            }
-        }
-        let campaign = match doc.get("campaign") {
-            Some(sub) => RunReport::from_json_str(&render_json(sub))
-                .map_err(|e| CampaignError::Parse(format!("campaign report: {e}")))?,
-            None => RunReport::new(),
-        };
-        Ok(CampaignReport { jobs, campaign })
+        codec::decode_document(src).map_err(CampaignError::Parse)
     }
 }
 
-/// Serialises one job outcome as a JSON object. With
-/// `include_report = false` the (potentially large) run report is
-/// omitted — the manifest format, where the report lives in the job's
-/// own `job-NNN.report.json` file.
-pub(crate) fn job_to_json(job: &JobOutcome, include_report: bool) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"label\": \"{}\", \"scheduler\": \"{}\", \"grid\": \"{}x{}\", \
-         \"workload\": \"{}\", \"digest\": \"{:016x}\", \"status\": \"{}\", \
-         \"cause\": \"{}\", \"makespan_s\": {}, \"peak_c\": {}, \"simulated_s\": {}, \
-         \"energy_j\": {}, \"avg_freq_ghz\": {}, \"dtm_intervals\": {}, \
-         \"migrations\": {}, \"jobs_completed\": {}, \"jobs_total\": {}, \
-         \"resumed\": {}, \"attempts\": {}, \"quarantined\": {}",
-        json::escape(&job.label),
-        json::escape(&job.scheduler),
-        job.grid.0,
-        job.grid.1,
-        json::escape(&job.workload),
-        job.digest,
-        job.status.label(),
-        json::escape(&job.cause),
-        fmt_f64(job.makespan_seconds),
-        fmt_f64(job.peak_celsius),
-        fmt_f64(job.simulated_seconds),
-        fmt_f64(job.energy_joules),
-        fmt_f64(job.avg_frequency_ghz),
-        job.dtm_intervals,
-        job.migrations,
-        job.jobs_completed,
-        job.jobs_total,
-        job.resumed,
-        job.attempts,
-        job.quarantined,
-    );
-    out.push_str(", \"peak_series\": [");
-    for (i, v) in job.peak_series.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&fmt_f64(*v));
-    }
-    out.push(']');
-    if include_report {
-        out.push_str(", \"report\": ");
-        out.push_str(compact(&job.report.to_json_string()).trim_end());
-    }
-    out.push('}');
-    out
+hp_sim::codec! { #[schema = SCHEMA] CampaignReport { jobs, campaign } }
+
+// Metric keys carry their unit; the supervision members and the report
+// default, so manifest lines written before supervision existed (and a
+// job entry without its report) still read.
+hp_sim::codec!(JobOutcome {
+    label,
+    scheduler,
+    grid: Grid,
+    workload,
+    digest: Hex,
+    status,
+    cause,
+    makespan_seconds as "makespan_s",
+    peak_celsius as "peak_c",
+    simulated_seconds as "simulated_s",
+    energy_joules as "energy_j",
+    avg_frequency_ghz as "avg_freq_ghz",
+    dtm_intervals,
+    migrations,
+    jobs_completed,
+    jobs_total,
+    resumed = false,
+    attempts = 1,
+    quarantined = false,
+    peak_series,
+    report = RunReport::new(),
+});
+
+/// One line of the resume manifest: a finished job's outcome without its
+/// run report, which is in `file` (relative to the manifest).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ManifestLine {
+    pub outcome: JobOutcome,
+    pub file: String,
 }
 
-/// Parses one job outcome object (campaign document or manifest line).
-/// A missing `report` member yields an empty run report — the manifest
-/// caller re-attaches it from the job's report file.
-pub(crate) fn job_from_json(item: &Json) -> Result<JobOutcome> {
-    let s = |key: &str| -> Result<String> {
-        item.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| CampaignError::Parse(format!("job entry missing string `{key}`")))
-    };
-    let f = |key: &str| -> Result<f64> {
-        match item.get(key) {
-            Some(Json::Null) => Ok(f64::NAN),
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| CampaignError::Parse(format!("job entry `{key}` is not a number"))),
-            None => Err(CampaignError::Parse(format!("job entry missing `{key}`"))),
-        }
-    };
-    let u = |key: &str| -> Result<u64> {
-        item.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| CampaignError::Parse(format!("job entry `{key}` is not a u64")))
-    };
-    let grid_raw = s("grid")?;
-    let grid = parse_grid(&grid_raw)?;
-    let digest_raw = s("digest")?;
-    let digest = u64::from_str_radix(&digest_raw, 16)
-        .map_err(|_| CampaignError::Parse(format!("bad digest `{digest_raw}`")))?;
-    let status_raw = s("status")?;
-    let status = JobStatus::from_label(&status_raw)
-        .ok_or_else(|| CampaignError::Parse(format!("unknown status `{status_raw}`")))?;
-    let resumed = matches!(item.get("resumed"), Some(Json::Bool(true)));
-    // Supervision fields are optional for pre-supervision manifests.
-    let attempts = item
-        .get("attempts")
-        .and_then(Json::as_u64)
-        .unwrap_or(1)
-        .max(1) as u32;
-    let quarantined = matches!(item.get("quarantined"), Some(Json::Bool(true)));
-    let mut peak_series = Vec::new();
-    if let Some(Json::Arr(items)) = item.get("peak_series") {
-        for v in items {
-            peak_series.push(
-                v.as_f64().ok_or_else(|| {
-                    CampaignError::Parse("peak_series entry is not a number".into())
-                })?,
-            );
-        }
-    }
-    let report = match item.get("report") {
-        Some(sub) => RunReport::from_json_str(&render_json(sub))
-            .map_err(|e| CampaignError::Parse(format!("embedded report: {e}")))?,
-        None => RunReport::new(),
-    };
-    Ok(JobOutcome {
-        label: s("label")?,
-        scheduler: s("scheduler")?,
-        grid,
-        workload: s("workload")?,
-        digest,
-        status,
-        cause: s("cause")?,
-        makespan_seconds: f("makespan_s")?,
-        peak_celsius: f("peak_c")?,
-        simulated_seconds: f("simulated_s")?,
-        energy_joules: f("energy_j")?,
-        avg_frequency_ghz: f("avg_freq_ghz")?,
-        dtm_intervals: u("dtm_intervals")?,
-        migrations: u("migrations")?,
-        jobs_completed: u("jobs_completed")? as usize,
-        jobs_total: u("jobs_total")? as usize,
-        resumed,
-        attempts,
-        quarantined,
-        peak_series,
-        report,
-    })
-}
-
-/// Parses `"WxH"` into grid dimensions.
-pub(crate) fn parse_grid(raw: &str) -> Result<(usize, usize)> {
-    let Some((a, b)) = raw.split_once(['x', 'X']) else {
-        return Err(CampaignError::Parse(format!(
-            "bad grid `{raw}` (expected WxH)"
-        )));
-    };
-    let w: usize = a
-        .trim()
-        .parse()
-        .map_err(|_| CampaignError::Parse(format!("bad grid width `{a}`")))?;
-    let h: usize = b
-        .trim()
-        .parse()
-        .map_err(|_| CampaignError::Parse(format!("bad grid height `{b}`")))?;
-    if w == 0 || h == 0 {
-        return Err(CampaignError::Parse(format!(
-            "grid `{raw}` has a zero dimension"
-        )));
-    }
-    Ok((w, h))
-}
-
-/// Re-serialises a parsed [`Json`] value. Numbers keep their raw source
-/// text, so round-trips are exact; used to hand nested sub-documents
-/// (embedded run reports, inline fault plans) to their own parsers.
-pub(crate) fn render_json(v: &Json) -> String {
-    let mut out = String::new();
-    render_into(v, &mut out);
-    out
-}
-
-fn render_into(v: &Json, out: &mut String) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(raw) => out.push_str(raw),
-        Json::Str(s) => {
-            out.push('"');
-            out.push_str(&json::escape(s));
-            out.push('"');
-        }
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(members) => {
-            out.push('{');
-            for (i, (k, val)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&json::escape(k));
-                out.push_str("\": ");
-                render_into(val, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Collapses a pretty-printed JSON document onto one line by reparsing
-/// and re-rendering it (exact: numbers keep their raw text).
-pub(crate) fn compact(src: &str) -> String {
-    match json::parse(src) {
-        Ok(v) => render_json(&v),
-        // Unreachable for hp-obs output; keep the original on the
-        // defensive path rather than dropping data.
-        Err(_) => src.to_string(),
-    }
-}
-
-/// Formats a float for JSON output: non-finite values become `null`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+hp_sim::codec!(ManifestLine { ..outcome without [report], file });
 
 #[cfg(test)]
 mod tests {
@@ -561,12 +346,24 @@ mod tests {
         );
     }
 
+    fn manifest_line(outcome: &JobOutcome) -> String {
+        codec::line(&ManifestLine {
+            outcome: outcome.clone(),
+            file: "job-000.report.json".into(),
+        })
+    }
+
+    fn read_line(line: &str) -> std::result::Result<JobOutcome, String> {
+        codec::decode_document::<ManifestLine>(line).map(|m| m.outcome)
+    }
+
     #[test]
     fn manifest_shape_omits_the_report() {
         let o = outcome();
-        let line = job_to_json(&o, false);
+        let line = manifest_line(&o);
         assert!(!line.contains("\"report\""));
-        let parsed = job_from_json(&json::parse(&line).unwrap()).unwrap();
+        assert!(line.ends_with(r#""peak_series": [45, 61.5], "file": "job-000.report.json"}"#));
+        let parsed = read_line(&line).unwrap();
         assert!(parsed.report.is_empty());
         assert_eq!(parsed.label, o.label);
         assert_eq!(parsed.digest, o.digest);
@@ -577,11 +374,35 @@ mod tests {
     fn rejects_malformed_documents() {
         assert!(CampaignReport::from_json_str("{}").is_err());
         assert!(CampaignReport::from_json_str("{\"schema\": \"other\"}").is_err());
-        assert!(parse_grid("4by4").is_err());
-        assert!(parse_grid("0x4").is_err());
-        let bad_status = "{\"label\": \"x\", \"scheduler\": \"s\", \"grid\": \"4x4\", \
-             \"workload\": \"w\", \"digest\": \"ff\", \"status\": \"exploded\"}";
-        assert!(job_from_json(&json::parse(bad_status).unwrap()).is_err());
+        let line = manifest_line(&outcome());
+        for (good, bad) in [
+            ("\"grid\": \"4x4\"", "\"grid\": \"4by4\""),
+            ("\"grid\": \"4x4\"", "\"grid\": \"0x4\""),
+            ("\"status\": \"completed\"", "\"status\": \"exploded\""),
+            ("\"digest\": \"00000000deadbeef\"", "\"digest\": \"beefy\""),
+        ] {
+            let err = read_line(&line.replace(good, bad)).expect_err(bad);
+            assert!(err.contains(&bad[1..5]), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_jobs_that_are_not_an_array() {
+        let text = CampaignReport {
+            jobs: Vec::new(),
+            campaign: RunReport::new(),
+        }
+        .to_json_string()
+        .replace("\"jobs\": []", "\"jobs\": {}");
+        let err = CampaignReport::from_json_str(&text).expect_err("jobs as an object");
+        assert!(err.to_string().contains("`jobs` is not an array"), "{err}");
+    }
+
+    #[test]
+    fn manifest_line_refuses_an_attempt_count_beyond_u32() {
+        let line = manifest_line(&outcome()).replace("\"attempts\": 1", "\"attempts\": 4294967297");
+        let err = read_line(&line).expect_err("attempts overflow u32");
+        assert!(err.contains("`attempts`"), "{err}");
     }
 
     #[test]
@@ -607,8 +428,7 @@ mod tests {
         p.cause = "panicked: boom".into();
         p.attempts = 3;
         p.quarantined = true;
-        let line = job_to_json(&p, false);
-        let parsed = job_from_json(&json::parse(&line).unwrap()).unwrap();
+        let parsed = read_line(&manifest_line(&p)).unwrap();
         assert_eq!(parsed.status, JobStatus::Panicked);
         assert_eq!(parsed.attempts, 3);
         assert!(parsed.quarantined);
@@ -624,8 +444,9 @@ mod tests {
         // Pre-supervision manifest lines (no attempts/quarantined keys)
         // still parse, with conservative defaults.
         let legacy =
-            job_to_json(&outcome(), false).replace(", \"attempts\": 1, \"quarantined\": false", "");
-        let parsed = job_from_json(&json::parse(&legacy).unwrap()).unwrap();
+            manifest_line(&outcome()).replace(", \"attempts\": 1, \"quarantined\": false", "");
+        assert!(!legacy.contains("attempts"));
+        let parsed = read_line(&legacy).unwrap();
         assert_eq!(parsed.attempts, 1);
         assert!(!parsed.quarantined);
     }

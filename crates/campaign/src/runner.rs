@@ -16,7 +16,6 @@
 //! matches the current expansion, so a crashed sweep continues instead
 //! of restarting.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,14 +24,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hp_obs::json;
 use hp_obs::{Registry, RunReport};
+use hp_sim::codec;
 use hp_sim::{EngineCheckpoint, RunOptions, SimError, Simulation};
 
 use crate::cache::ModelCache;
 use crate::error::{CampaignError, Result};
 use crate::job::{build_scheduler, CampaignJob};
-use crate::report::{job_from_json, job_to_json, CampaignReport, JobOutcome, JobStatus};
+use crate::report::{CampaignReport, JobOutcome, JobStatus, ManifestLine};
 
 /// File name of the per-campaign resume manifest.
 pub const MANIFEST_FILE: &str = "manifest.jsonl";
@@ -487,13 +486,7 @@ fn resume_outcomes(dir: &Path, jobs: &[CampaignJob]) -> Vec<Option<JobOutcome>> 
         if line.is_empty() {
             continue;
         }
-        let Ok(entry) = json::parse(line) else {
-            continue;
-        };
-        let Ok(mut outcome) = job_from_json(&entry) else {
-            continue;
-        };
-        let Some(file) = entry.get("file").and_then(json::Json::as_str) else {
+        let Ok(ManifestLine { mut outcome, file }) = codec::decode_document(line) else {
             continue;
         };
         let Some(index) = jobs
@@ -505,7 +498,7 @@ fn resume_outcomes(dir: &Path, jobs: &[CampaignJob]) -> Vec<Option<JobOutcome>> 
         let Ok(report_src) = fs::read_to_string(dir.join(file)) else {
             continue;
         };
-        let Ok(report) = RunReport::from_json_str(&report_src) else {
+        let Ok(report) = codec::decode_document::<RunReport>(&report_src) else {
             continue;
         };
         outcome.report = report;
@@ -557,10 +550,11 @@ impl OutputSink {
     fn record(&self, index: usize, outcome: &JobOutcome) {
         let file = report_file_name(index);
         let report_path = self.dir.join(&file);
-        let write_result = fs::write(&report_path, outcome.report.to_json_string());
-        let mut line = job_to_json(outcome, false);
-        line.pop(); // strip the closing brace to splice the file name in
-        let _ = write!(line, ", \"file\": \"{file}\"}}");
+        let write_result = fs::write(&report_path, codec::pretty(&outcome.report));
+        let line = codec::line(&ManifestLine {
+            outcome: outcome.clone(),
+            file,
+        });
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Err(e) = write_result {
             if state.first_error.is_none() {

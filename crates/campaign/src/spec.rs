@@ -3,9 +3,10 @@
 //! A [`SweepSpec`] names the axes of a cartesian scenario grid —
 //! scheduler × benchmark × load level × chip size × fault plan × seed —
 //! and [`SweepSpec::expand`] unrolls it into the runner's job vector in
-//! a deterministic nested-loop order. The JSON grammar is hand-rolled
-//! on [`hp_obs::json`], matching the `hp-faults` plan format (inline
-//! fault-plan objects embed verbatim).
+//! a deterministic nested-loop order. The document is declared on
+//! `hp_sim::codec` (DESIGN.md §13): every axis but `schedulers` may be
+//! left out, unknown keys are refused, and `fault_plans` holds fault-plan
+//! objects as a plan file would.
 //!
 //! ```json
 //! {
@@ -18,17 +19,14 @@
 //! }
 //! ```
 
-use std::fmt::Write as _;
-
 use hp_faults::FaultPlan;
-use hp_obs::json::{self, Json};
+use hp_sim::codec::{self, Grid, Seq};
 use hp_sim::SimConfig;
 use hp_workload::Benchmark;
 
 use crate::cache::ThermalProfile;
 use crate::error::{CampaignError, Result};
 use crate::job::{CampaignJob, Workload, SCHEDULER_NAMES};
-use crate::report::{compact, parse_grid, render_json};
 
 /// The benchmark axis value selecting an open heterogeneous system
 /// instead of a closed single-benchmark batch.
@@ -90,121 +88,9 @@ impl SweepSpec {
     /// Returns [`CampaignError::Spec`] on malformed JSON, unknown keys,
     /// or invalid axis values.
     pub fn from_json_str(src: &str) -> Result<Self> {
-        let doc = json::parse(src).map_err(|e| CampaignError::Spec(e.to_string()))?;
-        let Json::Obj(members) = &doc else {
-            return Err(CampaignError::Spec("spec must be a JSON object".into()));
-        };
-        const KNOWN: &[&str] = &[
-            "schedulers",
-            "benchmarks",
-            "loads",
-            "grids",
-            "seeds",
-            "fault_plans",
-            "thermal",
-            "horizon_seconds",
-            "open_jobs",
-            "rate_per_s",
-        ];
-        for (key, _) in members {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(CampaignError::Spec(format!(
-                    "unknown key `{key}` (expected one of {KNOWN:?})"
-                )));
-            }
-        }
-        let mut spec = SweepSpec::new(Vec::<String>::new());
-        spec.schedulers = string_axis(&doc, "schedulers")?
-            .ok_or_else(|| CampaignError::Spec("missing required `schedulers` axis".into()))?;
-        if let Some(b) = string_axis(&doc, "benchmarks")? {
-            spec.benchmarks = b;
-        }
-        if let Some(l) = f64_axis(&doc, "loads")? {
-            spec.loads = l;
-        }
-        if let Some(g) = string_axis(&doc, "grids")? {
-            spec.grids = g
-                .iter()
-                .map(|raw| parse_grid(raw).map_err(|e| CampaignError::Spec(e.to_string())))
-                .collect::<Result<Vec<_>>>()?;
-        }
-        if let Some(s) = u64_axis(&doc, "seeds")? {
-            spec.seeds = s;
-        }
-        if let Some(Json::Arr(items)) = doc.get("fault_plans") {
-            let mut plans = Vec::new();
-            for item in items {
-                plans.push(
-                    FaultPlan::from_json_str(&render_json(item))
-                        .map_err(|e| CampaignError::Spec(format!("fault plan: {e}")))?,
-                );
-            }
-            spec.fault_plans = plans;
-        }
-        if let Some(v) = doc.get("thermal") {
-            let raw = v
-                .as_str()
-                .ok_or_else(|| CampaignError::Spec("`thermal` must be a string".into()))?;
-            spec.thermal = ThermalProfile::from_name(raw).ok_or_else(|| {
-                CampaignError::Spec(format!(
-                    "unknown thermal profile `{raw}` (expected \"default\" or \"ill-conditioned\")"
-                ))
-            })?;
-        }
-        if let Some(v) = doc.get("horizon_seconds") {
-            spec.horizon_seconds = v
-                .as_f64()
-                .ok_or_else(|| CampaignError::Spec("`horizon_seconds` must be a number".into()))?;
-        }
-        if let Some(v) = doc.get("open_jobs") {
-            spec.open_jobs = v
-                .as_u64()
-                .ok_or_else(|| CampaignError::Spec("`open_jobs` must be a u64".into()))?
-                as usize;
-        }
-        if let Some(v) = doc.get("rate_per_s") {
-            spec.rate_per_s = v
-                .as_f64()
-                .ok_or_else(|| CampaignError::Spec("`rate_per_s` must be a number".into()))?;
-        }
+        let spec: SweepSpec = codec::decode_document(src).map_err(CampaignError::Spec)?;
         spec.validate()?;
         Ok(spec)
-    }
-
-    /// Serialises the spec back to its JSON grammar.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\n");
-        let strings = |items: &[String]| -> String {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", json::escape(s)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(out, "  \"schedulers\": [{}],", strings(&self.schedulers));
-        let _ = writeln!(out, "  \"benchmarks\": [{}],", strings(&self.benchmarks));
-        let loads: Vec<String> = self.loads.iter().map(|v| format!("{v}")).collect();
-        let _ = writeln!(out, "  \"loads\": [{}],", loads.join(", "));
-        let grids: Vec<String> = self
-            .grids
-            .iter()
-            .map(|(w, h)| format!("\"{w}x{h}\""))
-            .collect();
-        let _ = writeln!(out, "  \"grids\": [{}],", grids.join(", "));
-        let seeds: Vec<String> = self.seeds.iter().map(|s| format!("{s}")).collect();
-        let _ = writeln!(out, "  \"seeds\": [{}],", seeds.join(", "));
-        let plans: Vec<String> = self
-            .fault_plans
-            .iter()
-            .map(|p| compact(&p.to_json_string()))
-            .collect();
-        let _ = writeln!(out, "  \"fault_plans\": [{}],", plans.join(", "));
-        let _ = writeln!(out, "  \"thermal\": \"{}\",", self.thermal.name());
-        let _ = writeln!(out, "  \"horizon_seconds\": {},", self.horizon_seconds);
-        let _ = writeln!(out, "  \"open_jobs\": {},", self.open_jobs);
-        let _ = writeln!(out, "  \"rate_per_s\": {}", self.rate_per_s);
-        out.push_str("}\n");
-        out
     }
 
     /// Checks the axes for semantic validity.
@@ -213,8 +99,17 @@ impl SweepSpec {
     ///
     /// Returns [`CampaignError::Spec`] naming the offending axis.
     pub fn validate(&self) -> Result<()> {
-        if self.schedulers.is_empty() {
-            return Err(CampaignError::Spec("`schedulers` axis is empty".into()));
+        for (axis, empty) in [
+            ("schedulers", self.schedulers.is_empty()),
+            ("benchmarks", self.benchmarks.is_empty()),
+            ("loads", self.loads.is_empty()),
+            ("grids", self.grids.is_empty()),
+            ("seeds", self.seeds.is_empty()),
+            ("fault_plans", self.fault_plans.is_empty()),
+        ] {
+            if empty {
+                return Err(CampaignError::Spec(format!("`{axis}` axis is empty")));
+            }
         }
         for s in &self.schedulers {
             // `chaos-*` fixtures are accepted (supervision drills) but
@@ -230,27 +125,12 @@ impl SweepSpec {
                 return Err(CampaignError::Spec(format!("unknown benchmark `{b}`")));
             }
         }
-        if self.benchmarks.is_empty() {
-            return Err(CampaignError::Spec("`benchmarks` axis is empty".into()));
-        }
-        if self.loads.is_empty() {
-            return Err(CampaignError::Spec("`loads` axis is empty".into()));
-        }
         for &l in &self.loads {
             if !l.is_finite() || l <= 0.0 {
                 return Err(CampaignError::Spec(format!(
                     "load `{l}` must be finite and positive"
                 )));
             }
-        }
-        if self.grids.is_empty() {
-            return Err(CampaignError::Spec("`grids` axis is empty".into()));
-        }
-        if self.seeds.is_empty() {
-            return Err(CampaignError::Spec("`seeds` axis is empty".into()));
-        }
-        if self.fault_plans.is_empty() {
-            return Err(CampaignError::Spec("`fault_plans` axis is empty".into()));
         }
         if !self.horizon_seconds.is_finite() || self.horizon_seconds <= 0.0 {
             return Err(CampaignError::Spec(format!(
@@ -336,59 +216,23 @@ fn parse_benchmark(name: &str) -> Option<Benchmark> {
     Benchmark::all().into_iter().find(|b| b.name() == name)
 }
 
-fn string_axis(doc: &Json, key: &str) -> Result<Option<Vec<String>>> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.push(
-                    item.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| non_string(key))?,
-                );
-            }
-            Ok(Some(out))
-        }
-        Some(_) => Err(non_string(key)),
-    }
+/// The axes a spec document leaves out.
+fn axis_defaults() -> SweepSpec {
+    SweepSpec::new(Vec::<String>::new())
 }
 
-fn f64_axis(doc: &Json, key: &str) -> Result<Option<Vec<f64>>> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.push(item.as_f64().ok_or_else(|| non_number(key))?);
-            }
-            Ok(Some(out))
-        }
-        Some(_) => Err(non_number(key)),
-    }
-}
-
-fn u64_axis(doc: &Json, key: &str) -> Result<Option<Vec<u64>>> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::new();
-            for item in items {
-                out.push(item.as_u64().ok_or_else(|| non_number(key))?);
-            }
-            Ok(Some(out))
-        }
-        Some(_) => Err(non_number(key)),
-    }
-}
-
-fn non_string(key: &str) -> CampaignError {
-    CampaignError::Spec(format!("`{key}` must be an array of strings"))
-}
-
-fn non_number(key: &str) -> CampaignError {
-    CampaignError::Spec(format!("`{key}` must be an array of numbers"))
-}
+hp_sim::codec!(SweepSpec {
+    schedulers,
+    benchmarks = axis_defaults().benchmarks,
+    loads = axis_defaults().loads,
+    grids: Seq<Grid> = axis_defaults().grids,
+    seeds = axis_defaults().seeds,
+    fault_plans = axis_defaults().fault_plans,
+    thermal = axis_defaults().thermal,
+    horizon_seconds = axis_defaults().horizon_seconds,
+    open_jobs = axis_defaults().open_jobs,
+    rate_per_s = axis_defaults().rate_per_s,
+});
 
 #[cfg(test)]
 mod tests {
@@ -454,9 +298,10 @@ mod tests {
         spec.loads = vec![0.25, 1.0];
         spec.grids = vec![(4, 4), (6, 6)];
         spec.thermal = ThermalProfile::IllConditioned;
-        let text = spec.to_json_string();
+        let text = codec::pretty(&spec);
         let parsed = SweepSpec::from_json_str(&text).unwrap();
         assert_eq!(parsed, spec);
+        assert!(text.contains("\"grids\": [\"4x4\", \"6x6\"],\n"), "{text}");
     }
 
     #[test]
@@ -510,9 +355,30 @@ mod tests {
         let plan = FaultPlan::default();
         let src = format!(
             "{{\"schedulers\": [\"hotpotato\"], \"fault_plans\": [{}]}}",
-            plan.to_json_string()
+            codec::pretty(&plan)
         );
         let spec = SweepSpec::from_json_str(&src).unwrap();
-        assert_eq!(spec.fault_plans.len(), 1);
+        assert_eq!(spec.fault_plans, vec![plan]);
+    }
+
+    #[test]
+    fn rejects_fault_plans_that_are_not_an_array() {
+        let err = SweepSpec::from_json_str(
+            "{\"schedulers\": [\"hotpotato\"], \"fault_plans\": {\"seed\": 1}}",
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("`fault_plans` is not an array"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_an_invalid_inline_fault_plan() {
+        let err = SweepSpec::from_json_str(
+            "{\"schedulers\": [\"hotpotato\"], \"fault_plans\": [{\"sensor_dropout_rate\": 2.0}]}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("sensor_dropout_rate"), "{err}");
     }
 }

@@ -9,13 +9,15 @@ use hp_faults::FaultPlan;
 use hp_floorplan::{CoreId, GridFloorplan};
 use hp_linalg::Vector;
 use hp_manycore::{ArchConfig, Machine};
+use hp_obs::RunReport;
+use hp_sim::codec;
 use hp_sim::{EngineCheckpoint, Metrics, RunOptions, SimConfig, Simulation};
 use hp_thermal::{tsp, RcThermalModel, ThermalConfig};
 use hp_workload::{closed_batch, open_poisson, Benchmark, Job, JobId};
 
 use hp_campaign::{
-    build_scheduler, run_campaign, CampaignConfig, CampaignJob, ChipArtifacts, SweepSpec,
-    ThermalProfile, Workload, SCHEDULER_NAMES,
+    build_scheduler, run_campaign, CampaignConfig, CampaignJob, CampaignReport, ChipArtifacts,
+    SweepSpec, ThermalProfile, Workload, SCHEDULER_NAMES,
 };
 
 use crate::args::ParsedArgs;
@@ -236,10 +238,7 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
     // Fault injection: `--faults plan.json` loads a serialized FaultPlan,
     // `--fault-seed N` overrides its RNG seed (deterministic replays).
     let mut faults = match args.get("faults") {
-        Some(path) => {
-            let raw = std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
-            FaultPlan::from_json_str(&raw).map_err(|e| format!("--faults {path}: {e}"))?
-        }
+        Some(path) => read_fault_plan(path)?,
         None => FaultPlan::default(),
     };
     faults.seed = args.get_or("fault-seed", faults.seed)?;
@@ -477,11 +476,18 @@ pub fn sweep(args: &ParsedArgs) -> CliResult {
     Ok(())
 }
 
+/// Reads and validates the fault-plan file `path`.
+fn read_fault_plan(path: &str) -> Result<FaultPlan, Box<dyn Error>> {
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
+    Ok(codec::decode_document(&raw).map_err(|e| format!("--faults {path}: {e}"))?)
+}
+
 /// `validate`: check a sweep spec, fault plan, and/or thermal model for
 /// well-formedness *without simulating anything* — the preflight for
-/// long campaigns. Exit 0 when everything checks out, 1 otherwise; an
-/// ill-conditioned (but valid) model passes with a warning since runs
-/// on it complete via the verified dense fallback.
+/// long campaigns — and any document a run wrote (`--document`). Exit 0
+/// when everything checks out, 1 otherwise; an ill-conditioned (but
+/// valid) model passes with a warning since runs on it complete via the
+/// verified dense fallback.
 pub fn validate(args: &ParsedArgs) -> CliResult {
     let mut validated_any = false;
     if let Some(path) = args.get("spec") {
@@ -498,9 +504,12 @@ pub fn validate(args: &ParsedArgs) -> CliResult {
         validated_any = true;
     }
     if let Some(path) = args.get("faults") {
-        let raw = std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
-        let plan = FaultPlan::from_json_str(&raw).map_err(|e| format!("--faults {path}: {e}"))?;
+        let plan = read_fault_plan(path)?;
         println!("fault plan {path}: parses cleanly (seed {})", plan.seed);
+        validated_any = true;
+    }
+    if let Some(path) = args.get("document") {
+        validate_document(path).map_err(|e| format!("--document {path}: {e}"))?;
         validated_any = true;
     }
     if !validated_any || args.get("grid").is_some() || args.get("thermal").is_some() {
@@ -510,6 +519,26 @@ pub fn validate(args: &ParsedArgs) -> CliResult {
             .ok_or_else(|| format!("--thermal {name}: expected `default` or `ill-conditioned`"))?;
         validate_model(w, h, profile)?;
     }
+    Ok(())
+}
+
+/// Decodes the document `path` by its `schema` tag: a run report, a
+/// campaign document, or a checkpoint (digest verified).
+fn validate_document(path: &str) -> CliResult {
+    let raw = std::fs::read_to_string(path)?;
+    let schema = codec::schema(&hp_obs::json::parse(&raw)?)?;
+    let summary = if schema == hp_obs::SCHEMA {
+        let r: RunReport = codec::decode_document(&raw)?;
+        format!("{} counters, {} events", r.counters.len(), r.events.len())
+    } else if schema == hp_campaign::SCHEMA {
+        format!("{} jobs", CampaignReport::from_json_str(&raw)?.jobs.len())
+    } else if schema == hp_sim::CHECKPOINT_SCHEMA {
+        let step = EngineCheckpoint::from_json_str(&raw)?.step();
+        format!("digest verified, step {step}")
+    } else {
+        return Err(format!("unknown schema `{schema}`").into());
+    };
+    println!("{schema} {path}: {summary}");
     Ok(())
 }
 
@@ -578,7 +607,7 @@ fn write_report(
         if let Some(note) = aborted {
             report.push_meta("aborted", note);
         }
-        std::fs::write(path, report.to_json_string())?;
+        std::fs::write(path, codec::pretty(&report))?;
         println!("  observability report written to {path}");
     }
     Ok(())
@@ -800,7 +829,7 @@ mod tests {
         assert!(csv.lines().count() > 1, "partial trace has samples");
 
         let raw = std::fs::read_to_string(&report_path).unwrap();
-        let report = hp_obs::RunReport::from_json_str(&raw).unwrap();
+        let report: RunReport = codec::decode_document(&raw).unwrap();
         let aborted = report.meta_value("aborted").expect("abort note present");
         assert!(aborted.starts_with("aborted at t="), "got: {aborted}");
         assert!(report.counter("engine.intervals").unwrap_or(0) > 0);
@@ -817,15 +846,14 @@ mod tests {
             let args = simulate_args(&["--report", path.to_str().unwrap()]);
             simulate(&args).unwrap();
         }
-        let a = hp_obs::RunReport::from_json_str(&std::fs::read_to_string(&path_a).unwrap())
-            .expect("report parses back through hp-obs");
-        let b = hp_obs::RunReport::from_json_str(&std::fs::read_to_string(&path_b).unwrap())
-            .expect("report parses back through hp-obs");
+        let read = |path: &std::path::Path| -> RunReport {
+            let raw = std::fs::read_to_string(path).unwrap();
+            codec::decode_document(&raw).expect("report parses back")
+        };
+        let (a, b) = (read(&path_a), read(&path_b));
         // Full report round-trip: export → parse → export is identity.
-        assert_eq!(a.to_json_string(), {
-            let reparsed = hp_obs::RunReport::from_json_str(&a.to_json_string()).unwrap();
-            reparsed.to_json_string()
-        });
+        let text = std::fs::read_to_string(&path_a).unwrap();
+        assert_eq!(codec::pretty(&a), text);
         // Same-seed runs: every counter, gauge, meta entry and event is
         // bit-identical; only the wall-clock histograms may differ.
         assert_eq!(a.without_timings(), b.without_timings());
@@ -869,14 +897,22 @@ mod tests {
         ])
         .unwrap();
         sweep(&args).unwrap();
-        // Each job's standalone report parses back through hp-obs, and
-        // the campaign document parses through hp-campaign.
-        for name in ["job-000.report.json", "job-001.report.json"] {
-            let raw = std::fs::read_to_string(dir.join(name)).unwrap();
-            hp_obs::RunReport::from_json_str(&raw).expect("job report parses");
+        // Each job's standalone report and the campaign document decode,
+        // and the validator takes every one of them.
+        for name in [
+            "job-000.report.json",
+            "job-001.report.json",
+            "campaign.json",
+        ] {
+            let path = dir.join(name);
+            let args =
+                ParsedArgs::parse(["validate", "--document", path.to_str().unwrap()]).unwrap();
+            validate(&args).expect("document validates");
         }
+        let raw = std::fs::read_to_string(dir.join("job-000.report.json")).unwrap();
+        codec::decode_document::<RunReport>(&raw).expect("job report parses");
         let raw = std::fs::read_to_string(dir.join("campaign.json")).unwrap();
-        let report = hp_campaign::CampaignReport::from_json_str(&raw).unwrap();
+        let report = CampaignReport::from_json_str(&raw).unwrap();
         assert_eq!(report.completed(), 2);
         std::fs::remove_file(&spec_path).ok();
         let _ = std::fs::remove_dir_all(&dir);
@@ -946,6 +982,45 @@ mod tests {
         assert!(validate(&args).is_err());
         std::fs::remove_file(&spec_path).ok();
         std::fs::remove_file(&plan_path).ok();
+    }
+
+    #[test]
+    fn validate_checks_documents_by_their_schema() {
+        let dir = std::env::temp_dir().join(format!("hp_cli_validate_doc_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let check = |file: &str| {
+            let args = ParsedArgs::parse(["validate", "--document", file]).unwrap();
+            validate(&args)
+        };
+        let args = simulate_args(&[
+            "--report",
+            &path("report.json"),
+            "--checkpoint-every",
+            "0.02",
+            "--checkpoint-dir",
+            &path(""),
+        ]);
+        simulate(&args).unwrap();
+        check(&path("report.json")).expect("report validates");
+        let ckpt = path("simulate.ckpt.json");
+        check(&ckpt).expect("checkpoint validates");
+        // A checkpoint whose digest no longer matches its state fails.
+        let raw = std::fs::read_to_string(&ckpt).unwrap();
+        let tampered = raw.replacen("\"step\":", "\"step\":1", 1);
+        std::fs::write(path("tampered.json"), tampered).unwrap();
+        let err = check(&path("tampered.json")).unwrap_err().to_string();
+        assert!(err.contains("digest"), "{err}");
+        // Unknown schemas, malformed members and missing files fail.
+        std::fs::write(path("other.json"), "{\"schema\": \"hp-other-v1\"}").unwrap();
+        let err = check(&path("other.json")).unwrap_err().to_string();
+        assert!(err.contains("unknown schema `hp-other-v1`"), "{err}");
+        let raw = std::fs::read_to_string(path("report.json")).unwrap();
+        let bad = raw.replacen("\"counters\": {", "\"counters\": [1, 2], \"_\": {", 1);
+        std::fs::write(path("bad.json"), bad).unwrap();
+        assert!(check(&path("bad.json")).is_err());
+        assert!(check(&path("absent.json")).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

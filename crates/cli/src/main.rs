@@ -17,6 +17,7 @@
 //!                        [--interval-budget N] [--checkpoint-every S]
 //! hotpotato-cli validate [--spec SPEC.json] [--faults PLAN.json]
 //!                        [--grid WxH] [--thermal default|ill-conditioned]
+//!                        [--document FILE]
 //! ```
 //!
 //! Exit codes: 0 success, 1 failure, 2 aborted-with-partials (the
@@ -50,6 +51,7 @@ USAGE:
                          [--interval-budget N] [--checkpoint-every S]
   hotpotato-cli validate [--spec SPEC.json] [--faults PLAN.json]
                          [--grid WxH] [--thermal default|ill-conditioned]
+                         [--document FILE]   (a report, campaign or checkpoint)
 
 SCHEDULERS: hotpotato (default), hybrid, fallback, pcmig, pcgov, tsp, pinned
 BENCHMARKS: blackscholes bodytrack canneal dedup fluidanimate
@@ -73,6 +75,7 @@ EXAMPLES:
                       --retries 2 --job-timeout 300 --checkpoint-every 5
   hotpotato-cli validate --spec sweep.json --faults plan.json
   hotpotato-cli validate --grid 8x8 --thermal ill-conditioned
+  hotpotato-cli validate --document results/campaign.json
 ";
 
 fn main() -> ExitCode {

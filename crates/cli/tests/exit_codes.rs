@@ -87,7 +87,7 @@ fn aborted_run_exits_two_and_writes_partials() {
     let csv = std::fs::read_to_string(&trace).expect("partial trace written");
     assert!(csv.lines().count() > 1, "trace has samples");
     let raw = std::fs::read_to_string(&report).expect("partial report written");
-    let parsed = hp_obs::RunReport::from_json_str(&raw).expect("report parses");
+    let parsed: RunReport = hp_sim::codec::decode_document(&raw).expect("report parses");
     assert!(parsed.meta_value("aborted").is_some());
 
     std::fs::remove_file(&trace).ok();
@@ -195,7 +195,7 @@ fn simulate_checkpoints_and_resumes_bit_identically() {
         assert!(resumed.contains("resumed from checkpoint"), "{resumed}");
         let report = |name: &str| {
             let doc = std::fs::read_to_string(dir.join(name)).expect("report written");
-            RunReport::from_json_str(&doc)
+            hp_sim::codec::decode_document::<RunReport>(&doc)
                 .expect("report parses")
                 .without_timings()
         };

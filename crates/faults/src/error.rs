@@ -13,11 +13,6 @@ pub enum FaultError {
         /// Its value.
         value: f64,
     },
-    /// A fault-plan JSON document could not be parsed.
-    Parse {
-        /// Human-readable description of the first problem found.
-        message: String,
-    },
 }
 
 impl fmt::Display for FaultError {
@@ -26,7 +21,6 @@ impl fmt::Display for FaultError {
             FaultError::InvalidParameter { name, value } => {
                 write!(f, "fault-plan parameter {name} has invalid value {value}")
             }
-            FaultError::Parse { message } => write!(f, "fault-plan parse error: {message}"),
         }
     }
 }
@@ -39,17 +33,10 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        let samples = vec![
-            FaultError::InvalidParameter {
-                name: "sensor_dropout_rate",
-                value: 2.0,
-            },
-            FaultError::Parse {
-                message: "unexpected token".into(),
-            },
-        ];
-        for e in samples {
-            assert!(!e.to_string().is_empty());
-        }
+        let e = FaultError::InvalidParameter {
+            name: "sensor_dropout_rate",
+            value: 2.0,
+        };
+        assert!(e.to_string().contains("sensor_dropout_rate"));
     }
 }

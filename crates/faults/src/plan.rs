@@ -12,7 +12,8 @@ use crate::{FaultError, Result};
 ///
 /// The same plan + seed + workload always produces the same fault
 /// sequence — the determinism contract behind the pinned golden fault
-/// scenario (DESIGN.md §8).
+/// scenario (DESIGN.md §8). A plan file is a flat JSON object that
+/// `hp_sim::codec` writes and reads (DESIGN.md §13).
 ///
 /// # Example
 ///
@@ -136,139 +137,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Parses a plan from a flat JSON object, e.g.
-    /// `{"seed": 42, "sensor_dropout_rate": 0.05}`.
-    ///
-    /// Absent fields keep their [`Default`] value; unknown fields are an
-    /// error (they are almost certainly typos that would otherwise turn a
-    /// chaos experiment into a silent no-op). The workspace deliberately
-    /// carries no JSON backend, so this is a minimal hand parser for the
-    /// one flat shape a plan can take.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultError::Parse`] on malformed JSON or unknown keys,
-    /// and [`FaultError::InvalidParameter`] when the parsed plan fails
-    /// [`validate`](FaultPlan::validate).
-    pub fn from_json_str(json: &str) -> Result<Self> {
-        let mut plan = FaultPlan::default();
-        let body = json.trim();
-        let body = body
-            .strip_prefix('{')
-            .and_then(|b| b.strip_suffix('}'))
-            .ok_or_else(|| FaultError::Parse {
-                message: "expected a top-level JSON object".into(),
-            })?;
-        for part in split_top_level(body) {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (raw_key, raw_value) = part.split_once(':').ok_or_else(|| FaultError::Parse {
-                message: format!("expected `\"key\": value`, got `{part}`"),
-            })?;
-            let key = raw_key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| FaultError::Parse {
-                    message: format!("key `{}` must be double-quoted", raw_key.trim()),
-                })?;
-            let value = raw_value.trim();
-            plan.set_field(key, value)?;
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Renders the plan as the flat JSON object
-    /// [`from_json_str`](FaultPlan::from_json_str) accepts.
-    pub fn to_json_string(&self) -> String {
-        format!(
-            "{{\n  \"seed\": {},\n  \"sensor_noise_sigma_celsius\": {},\n  \
-             \"sensor_stuck_rate\": {},\n  \"sensor_stuck_intervals\": {},\n  \
-             \"sensor_dropout_rate\": {},\n  \"migration_failure_rate\": {},\n  \
-             \"migration_blackout_intervals\": {},\n  \"power_spike_rate\": {},\n  \
-             \"power_spike_watts\": {},\n  \"power_spike_intervals\": {},\n  \
-             \"force_active\": {}\n}}\n",
-            self.seed,
-            self.sensor_noise_sigma_celsius,
-            self.sensor_stuck_rate,
-            self.sensor_stuck_intervals,
-            self.sensor_dropout_rate,
-            self.migration_failure_rate,
-            self.migration_blackout_intervals,
-            self.power_spike_rate,
-            self.power_spike_watts,
-            self.power_spike_intervals,
-            self.force_active,
-        )
-    }
-
-    fn set_field(&mut self, key: &str, value: &str) -> Result<()> {
-        fn num(key: &str, value: &str) -> Result<f64> {
-            value.parse().map_err(|_| FaultError::Parse {
-                message: format!("field `{key}`: `{value}` is not a number"),
-            })
-        }
-        fn int(key: &str, value: &str) -> Result<u64> {
-            value.parse().map_err(|_| FaultError::Parse {
-                message: format!("field `{key}`: `{value}` is not a non-negative integer"),
-            })
-        }
-        match key {
-            "seed" => self.seed = int(key, value)?,
-            "sensor_noise_sigma_celsius" => self.sensor_noise_sigma_celsius = num(key, value)?,
-            "sensor_stuck_rate" => self.sensor_stuck_rate = num(key, value)?,
-            "sensor_stuck_intervals" => self.sensor_stuck_intervals = int(key, value)?,
-            "sensor_dropout_rate" => self.sensor_dropout_rate = num(key, value)?,
-            "migration_failure_rate" => self.migration_failure_rate = num(key, value)?,
-            "migration_blackout_intervals" => {
-                self.migration_blackout_intervals = int(key, value)?;
-            }
-            "power_spike_rate" => self.power_spike_rate = num(key, value)?,
-            "power_spike_watts" => self.power_spike_watts = num(key, value)?,
-            "power_spike_intervals" => self.power_spike_intervals = int(key, value)?,
-            "force_active" => {
-                self.force_active = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(FaultError::Parse {
-                            message: format!("field `force_active`: `{other}` is not a bool"),
-                        })
-                    }
-                }
-            }
-            other => {
-                return Err(FaultError::Parse {
-                    message: format!("unknown fault-plan field `{other}`"),
-                })
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Splits on commas, ignoring commas inside strings (keys are the only
-/// strings a flat numeric plan contains, but stay robust anyway).
-fn split_top_level(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    for (i, c) in body.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            ',' if !in_string => {
-                parts.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&body[start..]);
-    parts
 }
 
 #[cfg(test)]
@@ -348,53 +216,5 @@ mod tests {
             ..FaultPlan::default()
         };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let plan = FaultPlan {
-            seed: 42,
-            sensor_noise_sigma_celsius: 0.25,
-            sensor_stuck_rate: 0.01,
-            sensor_stuck_intervals: 30,
-            sensor_dropout_rate: 0.05,
-            migration_failure_rate: 0.1,
-            migration_blackout_intervals: 20,
-            power_spike_rate: 0.02,
-            power_spike_watts: 4.0,
-            power_spike_intervals: 15,
-            force_active: false,
-        };
-        let json = plan.to_json_string();
-        let back = FaultPlan::from_json_str(&json).expect("roundtrip parses");
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn json_partial_object_keeps_defaults() {
-        let plan = FaultPlan::from_json_str(r#"{"seed": 7, "sensor_dropout_rate": 0.5}"#)
-            .expect("partial plan parses");
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.sensor_dropout_rate, 0.5);
-        assert_eq!(
-            plan.sensor_stuck_intervals,
-            FaultPlan::default().sensor_stuck_intervals
-        );
-    }
-
-    #[test]
-    fn json_rejects_unknown_and_malformed() {
-        assert!(FaultPlan::from_json_str("not json").is_err());
-        assert!(FaultPlan::from_json_str(r#"{"sensor_dropout": 0.5}"#).is_err());
-        assert!(FaultPlan::from_json_str(r#"{"seed": "high"}"#).is_err());
-        assert!(FaultPlan::from_json_str(r#"{"force_active": 1}"#).is_err());
-        assert!(FaultPlan::from_json_str(r#"{"sensor_dropout_rate": 2.0}"#).is_err());
-        assert!(FaultPlan::from_json_str(r#"{seed: 3}"#).is_err());
-    }
-
-    #[test]
-    fn json_empty_object_is_default() {
-        let plan = FaultPlan::from_json_str("{}").expect("empty object parses");
-        assert_eq!(plan, FaultPlan::default());
     }
 }

@@ -23,22 +23,6 @@ pub fn usize_to_f64(n: usize) -> f64 {
     n as f64
 }
 
-/// Converts a non-negative `f64` to `u32`, truncating toward zero and
-/// saturating at the type bounds; NaN maps to 0.
-///
-/// Used for derived small counts (e.g. the squaring count in
-/// scaling-and-squaring `expm`, which is `⌈log₂‖M‖⌉`-sized).
-#[inline]
-#[must_use]
-pub fn f64_to_u32_saturating(x: f64) -> u32 {
-    if x.is_nan() {
-        return 0;
-    }
-    // xtask: allow(cast) — `as` from f64 to u32 is defined saturating
-    // (toward zero) since Rust 1.45; this helper names that behaviour.
-    x as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,15 +34,5 @@ mod tests {
             assert_eq!(f, n as f64);
             assert_eq!(f.fract(), 0.0);
         }
-    }
-
-    #[test]
-    fn f64_to_u32_saturating_behaviour() {
-        assert_eq!(f64_to_u32_saturating(0.0), 0);
-        assert_eq!(f64_to_u32_saturating(7.9), 7);
-        assert_eq!(f64_to_u32_saturating(-3.0), 0);
-        assert_eq!(f64_to_u32_saturating(f64::NAN), 0);
-        assert_eq!(f64_to_u32_saturating(f64::INFINITY), u32::MAX);
-        assert_eq!(f64_to_u32_saturating(1e20), u32::MAX);
     }
 }

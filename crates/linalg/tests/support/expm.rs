@@ -5,7 +5,6 @@
 //! [`exp_apply`] and [`exp_matrix`] form `e^{C·t}` through a
 //! [`SystemEigen`] basis.
 
-use hp_linalg::convert::f64_to_u32_saturating;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, Result, Vector};
 
@@ -90,4 +89,26 @@ pub fn exp_apply(sys: &SystemEigen, t: f64, x: &Vector) -> Vector {
 /// Forms the dense matrix `e^{C·t}`.
 pub fn exp_matrix(sys: &SystemEigen, t: f64) -> Matrix {
     sys.spectral_filter(&decay(sys, t))
+}
+
+/// Converts a non-negative `f64` to `u32`, truncating toward zero and
+/// saturating at the type bounds; NaN maps to 0. [`expm`] uses it for
+/// its squaring count, which is `⌈log₂‖M‖⌉`-sized.
+fn f64_to_u32_saturating(x: f64) -> u32 {
+    if x.is_nan() {
+        return 0;
+    }
+    // `as` from f64 to u32 is defined saturating (toward zero) since
+    // Rust 1.45; this helper names that behaviour.
+    x as u32
+}
+
+#[test]
+fn f64_to_u32_saturating_behaviour() {
+    assert_eq!(f64_to_u32_saturating(0.0), 0);
+    assert_eq!(f64_to_u32_saturating(7.9), 7);
+    assert_eq!(f64_to_u32_saturating(-3.0), 0);
+    assert_eq!(f64_to_u32_saturating(f64::NAN), 0);
+    assert_eq!(f64_to_u32_saturating(f64::INFINITY), u32::MAX);
+    assert_eq!(f64_to_u32_saturating(1e20), u32::MAX);
 }

@@ -3,7 +3,7 @@ use std::fmt;
 /// Errors of the observability layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObsError {
-    /// A report document failed to parse.
+    /// A document is not well-formed JSON.
     Parse {
         /// What went wrong, with enough context to locate the offender.
         message: String,
@@ -13,7 +13,7 @@ pub enum ObsError {
 impl fmt::Display for ObsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ObsError::Parse { message } => write!(f, "report parse error: {message}"),
+            ObsError::Parse { message } => write!(f, "malformed JSON: {message}"),
         }
     }
 }

@@ -1,12 +1,13 @@
-//! Minimal recursive-descent JSON reader for the report document.
+//! The workspace's one JSON parser: a small recursive-descent reader
+//! under `hp_sim::codec`, which decodes every document (reports,
+//! campaign documents, manifest lines, sweep specs, fault plans,
+//! checkpoints) from the [`Json`] tree it builds.
 //!
 //! The workspace deliberately carries no JSON backend (DESIGN.md §7 keeps
-//! third-party crates to the numerics/test stack), and the report format
-//! is a single fixed document shape, so — like `hp_faults::FaultPlan` —
-//! the (de)serialisation is hand-rolled. Unlike the flat fault plan, a
-//! report nests objects and arrays, hence this small but complete value
-//! parser. Numbers are kept as their raw source text so integer counters
-//! round-trip exactly (no detour through `f64`).
+//! third-party crates to the numerics/test stack). Numbers are kept as
+//! their raw source text so integer counters round-trip exactly (no
+//! detour through `f64`), and an object keeps every member in source
+//! order, repeats included, so the codec can refuse a repeated member.
 
 use crate::{ObsError, Result};
 
@@ -24,7 +25,7 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order.
+    /// An object, in source order (a repeated key appears twice).
     Obj(Vec<(String, Json)>),
 }
 
@@ -69,6 +70,7 @@ impl Json {
 /// Returns [`ObsError::Parse`] on malformed input or trailing garbage.
 pub fn parse(src: &str) -> Result<Json> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
     };
@@ -101,6 +103,7 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -208,6 +211,13 @@ impl Parser<'_> {
         self.expect_byte(b'"')?;
         let mut out = String::new();
         loop {
+            // A run of plain characters, copied whole: it stops at an
+            // ASCII byte, so it ends on a character boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(self.src.get(start..self.pos).unwrap_or_default());
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -235,20 +245,7 @@ impl Parser<'_> {
                     }
                     _ => return Err(self.err("unknown escape sequence")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(b) => {
-                    // Re-assemble multi-byte UTF-8 sequences: the input is
-                    // a &str, so continuation bytes are guaranteed valid.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = (start + len).min(self.bytes.len());
-                    if let Ok(s) = std::str::from_utf8(&self.bytes[start..end]) {
-                        out.push_str(s);
-                        self.pos = end;
-                    } else {
-                        return Err(self.err("invalid UTF-8 in string"));
-                    }
-                }
+                Some(_) => return Err(self.err("raw control byte in string")),
             }
         }
     }
@@ -270,15 +267,6 @@ impl Parser<'_> {
             return Err(self.err(&format!("`{raw}` is not a number")));
         }
         Ok(Json::Num(raw.to_string()))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 

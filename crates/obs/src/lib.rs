@@ -10,9 +10,10 @@
 //!   scope into a registry histogram; this is how per-hook scheduler
 //!   overhead (the paper's 23.76 µs table) is measured.
 //! - [`RunReport`] — the immutable snapshot embedded in
-//!   `hp_sim::Metrics` and exported by `hp simulate --report`, with a
-//!   hand-rolled `hp-report-v1` JSON (de)serialiser in the same style
-//!   as `hp_faults::FaultPlan`.
+//!   `hp_sim::Metrics` and exported by `hp simulate --report` as an
+//!   `hp-report-v1` document, which `hp_sim::codec` writes and reads.
+//! - [`json`] — the workspace's one JSON parser, under every document's
+//!   decoder.
 //!
 //! ## Determinism contract (DESIGN.md §10)
 //!

@@ -1,34 +1,14 @@
-//! The structured run report: an immutable, serialisable snapshot of
-//! everything a run recorded, plus the hand-rolled JSON (de)serialiser.
-//!
-//! The document schema (`hp-report-v1`):
-//!
-//! ```json
-//! {
-//!   "schema": "hp-report-v1",
-//!   "meta": {"gemm_backend": "avx2", ...},
-//!   "counters": {"engine.intervals": 600, ...},
-//!   "gauges": {"metrics.peak_celsius": 68.4, ...},
-//!   "histograms": {
-//!     "hook.schedule": {"count": 600, "mean_us": 21.3,
-//!                       "p50_us": 19.8, "p95_us": 40.2, "max_us": 113.0}
-//!   },
-//!   "events": [{"time_seconds": 1.0, "kind": "dtm", "detail": "..."}]
-//! }
-//! ```
+//! The structured run report: an immutable snapshot of everything a
+//! run recorded.
 //!
 //! Counters and gauges are seed-deterministic; histogram blocks hold
 //! wall-clock timings and are expected to differ between runs
 //! (DESIGN.md §10). Entries are stored as sorted vectors rather than
 //! maps so the derived vendored-serde impls apply and ordering stays
-//! deterministic.
-
-use std::fmt::Write as _;
+//! deterministic. The `hp-report-v1` document is written and read by
+//! `hp_sim::codec`, which declares these types' members (DESIGN.md §13).
 
 use serde::{Deserialize, Serialize};
-
-use crate::json::{self, Json};
-use crate::{ObsError, Result};
 
 /// Magic schema tag written to and required from every report document.
 pub const SCHEMA: &str = "hp-report-v1";
@@ -161,80 +141,34 @@ impl RunReport {
 
     /// Inserts or replaces a counter, keeping name order.
     pub fn push_counter(&mut self, name: &str, value: u64) {
-        match self
-            .counters
-            .binary_search_by(|c| c.name.as_str().cmp(name))
-        {
-            Ok(i) => {
-                if let Some(c) = self.counters.get_mut(i) {
-                    c.value = value;
-                }
-            }
-            Err(i) => self.counters.insert(
-                i,
-                CounterEntry {
-                    name: name.to_string(),
-                    value,
-                },
-            ),
-        }
+        let name = name.to_string();
+        upsert(
+            &mut self.counters,
+            |c| &c.name,
+            CounterEntry { name, value },
+        );
     }
 
     /// Inserts or replaces a gauge, keeping name order.
     pub fn push_gauge(&mut self, name: &str, value: f64) {
-        match self.gauges.binary_search_by(|g| g.name.as_str().cmp(name)) {
-            Ok(i) => {
-                if let Some(g) = self.gauges.get_mut(i) {
-                    g.value = value;
-                }
-            }
-            Err(i) => self.gauges.insert(
-                i,
-                GaugeEntry {
-                    name: name.to_string(),
-                    value,
-                },
-            ),
-        }
+        let name = name.to_string();
+        upsert(&mut self.gauges, |g| &g.name, GaugeEntry { name, value });
     }
 
     /// Inserts or replaces a histogram summary, keeping name order.
     pub fn push_histogram(&mut self, name: &str, summary: HistogramSummary) {
-        match self
-            .histograms
-            .binary_search_by(|h| h.name.as_str().cmp(name))
-        {
-            Ok(i) => {
-                if let Some(h) = self.histograms.get_mut(i) {
-                    h.summary = summary;
-                }
-            }
-            Err(i) => self.histograms.insert(
-                i,
-                HistogramEntry {
-                    name: name.to_string(),
-                    summary,
-                },
-            ),
-        }
+        let name = name.to_string();
+        upsert(
+            &mut self.histograms,
+            |h| &h.name,
+            HistogramEntry { name, summary },
+        );
     }
 
     /// Inserts or replaces a metadata entry, keeping name order.
     pub fn push_meta(&mut self, name: &str, value: &str) {
-        match self.meta.binary_search_by(|m| m.name.as_str().cmp(name)) {
-            Ok(i) => {
-                if let Some(m) = self.meta.get_mut(i) {
-                    m.value = value.to_string();
-                }
-            }
-            Err(i) => self.meta.insert(
-                i,
-                MetaEntry {
-                    name: name.to_string(),
-                    value: value.to_string(),
-                },
-            ),
-        }
+        let (name, value) = (name.to_string(), value.to_string());
+        upsert(&mut self.meta, |m| &m.name, MetaEntry { name, value });
     }
 
     /// Appends a run event.
@@ -273,205 +207,18 @@ impl RunReport {
         copy.histograms.clear();
         copy
     }
-
-    /// Serialises to the `hp-report-v1` JSON document.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        let _ = write!(out, "  \"schema\": \"{SCHEMA}\",\n  \"meta\": {{");
-        for (i, m) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": \"{}\"",
-                json::escape(&m.name),
-                json::escape(&m.value)
-            );
-        }
-        out.push_str(if self.meta.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"counters\": {");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", json::escape(&c.name), c.value);
-        }
-        out.push_str(if self.counters.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"gauges\": {");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {}",
-                json::escape(&g.name),
-                fmt_f64(g.value)
-            );
-        }
-        out.push_str(if self.gauges.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &h.summary;
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"mean_us\": {}, \"p50_us\": {}, \"p95_us\": {}, \"max_us\": {}}}",
-                json::escape(&h.name),
-                s.count,
-                fmt_f64(s.mean_us),
-                fmt_f64(s.p50_us),
-                fmt_f64(s.p95_us),
-                fmt_f64(s.max_us)
-            );
-        }
-        out.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-        out.push_str("  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"time_seconds\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                fmt_f64(e.time_seconds),
-                json::escape(&e.kind),
-                json::escape(&e.detail)
-            );
-        }
-        out.push_str(if self.events.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Deserialises an `hp-report-v1` JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObsError::Parse`] on malformed JSON, a missing or
-    /// unknown `schema` tag, or entries of the wrong shape.
-    pub fn from_json_str(src: &str) -> Result<RunReport> {
-        let doc = json::parse(src)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ObsError::Parse {
-                message: "missing `schema` tag".to_string(),
-            })?;
-        if schema != SCHEMA {
-            return Err(ObsError::Parse {
-                message: format!("unknown schema `{schema}` (expected `{SCHEMA}`)"),
-            });
-        }
-        let mut report = RunReport::new();
-        if let Some(Json::Obj(members)) = doc.get("meta") {
-            for (name, value) in members {
-                let value = value.as_str().ok_or_else(|| bad(name, "a string"))?;
-                report.push_meta(name, value);
-            }
-        }
-        if let Some(Json::Obj(members)) = doc.get("counters") {
-            for (name, value) in members {
-                let value = value.as_u64().ok_or_else(|| bad(name, "a u64"))?;
-                report.push_counter(name, value);
-            }
-        }
-        if let Some(Json::Obj(members)) = doc.get("gauges") {
-            for (name, value) in members {
-                let value = match value {
-                    Json::Null => f64::NAN,
-                    other => other.as_f64().ok_or_else(|| bad(name, "a number"))?,
-                };
-                report.push_gauge(name, value);
-            }
-        }
-        if let Some(Json::Obj(members)) = doc.get("histograms") {
-            for (name, value) in members {
-                let summary = HistogramSummary {
-                    count: field_u64(value, name, "count")?,
-                    mean_us: field_f64(value, name, "mean_us")?,
-                    p50_us: field_f64(value, name, "p50_us")?,
-                    p95_us: field_f64(value, name, "p95_us")?,
-                    max_us: field_f64(value, name, "max_us")?,
-                };
-                report.push_histogram(name, summary);
-            }
-        }
-        if let Some(Json::Arr(items)) = doc.get("events") {
-            for item in items {
-                report.events.push(ReportEvent {
-                    time_seconds: field_f64(item, "event", "time_seconds")?,
-                    kind: item
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    detail: item
-                        .get("detail")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                });
-            }
-        }
-        Ok(report)
-    }
 }
 
-/// Formats a float for JSON output: non-finite values become `null`
-/// (JSON has no NaN/Inf literals).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn bad(name: &str, expected: &str) -> ObsError {
-    ObsError::Parse {
-        message: format!("entry `{name}` is not {expected}"),
-    }
-}
-
-fn field_u64(obj: &Json, name: &str, field: &str) -> Result<u64> {
-    obj.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(&format!("{name}.{field}"), "a u64"))
-}
-
-fn field_f64(obj: &Json, name: &str, field: &str) -> Result<f64> {
-    match obj.get(field) {
-        Some(Json::Null) => Ok(f64::NAN),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad(&format!("{name}.{field}"), "a number")),
-        None => Err(bad(&format!("{name}.{field}"), "present")),
+/// Replaces the entry of `entries` named like `entry`, or inserts it in
+/// name order.
+fn upsert<E>(entries: &mut Vec<E>, name: fn(&E) -> &String, entry: E) {
+    match entries.binary_search_by(|e| name(e).cmp(name(&entry))) {
+        Ok(i) => {
+            if let Some(slot) = entries.get_mut(i) {
+                *slot = entry;
+            }
+        }
+        Err(i) => entries.insert(i, entry),
     }
 }
 
@@ -497,21 +244,6 @@ mod tests {
         r.push_meta("gemm_backend", "avx2");
         r.push_event(1.0, "dtm", "core 3 above threshold");
         r
-    }
-
-    #[test]
-    fn json_roundtrip_is_lossless() {
-        let original = sample();
-        let text = original.to_json_string();
-        let parsed = RunReport::from_json_str(&text).expect("well-formed document");
-        assert_eq!(parsed, original);
-    }
-
-    #[test]
-    fn empty_report_roundtrips() {
-        let text = RunReport::new().to_json_string();
-        let parsed = RunReport::from_json_str(&text).expect("well-formed document");
-        assert!(parsed.is_empty());
     }
 
     #[test]
@@ -556,42 +288,5 @@ mod tests {
         assert_eq!(stripped.counters, r.counters);
         assert_eq!(stripped.gauges, r.gauges);
         assert_eq!(stripped.events, r.events);
-    }
-
-    #[test]
-    fn nan_gauges_survive_as_null() {
-        let mut r = RunReport::new();
-        r.push_gauge("metrics.mean_response_seconds", f64::NAN);
-        let text = r.to_json_string();
-        assert!(text.contains("null"));
-        let parsed = RunReport::from_json_str(&text).expect("well-formed document");
-        assert!(parsed
-            .gauge("metrics.mean_response_seconds")
-            .is_some_and(f64::is_nan));
-    }
-
-    #[test]
-    fn rejects_wrong_schema() {
-        let text = RunReport::new()
-            .to_json_string()
-            .replace(SCHEMA, "hp-report-v9");
-        assert!(RunReport::from_json_str(&text).is_err());
-        assert!(RunReport::from_json_str("{}").is_err());
-        assert!(RunReport::from_json_str("not json").is_err());
-    }
-
-    #[test]
-    fn rejects_malformed_entries() {
-        let text = r#"{"schema": "hp-report-v1", "counters": {"c": -1}}"#;
-        assert!(RunReport::from_json_str(text).is_err());
-        let text = r#"{"schema": "hp-report-v1", "histograms": {"h": {"count": 1}}}"#;
-        assert!(RunReport::from_json_str(text).is_err());
-    }
-
-    #[test]
-    fn serialized_counters_are_bit_identical_across_builds() {
-        let a = sample().to_json_string();
-        let b = sample().to_json_string();
-        assert_eq!(a, b);
     }
 }

@@ -50,14 +50,14 @@ use std::path::Path;
 
 use hp_faults::{ConditionerSnapshot, FaultStats, InjectorSnapshot};
 use hp_manycore::Machine;
-use hp_obs::json::{parse, Json};
+use hp_obs::json::parse;
 use hp_thermal::{NumericsStats, SolverStats};
 use hp_workload::Job;
 
-use crate::codec::{self, Codec};
+use crate::codec::{self, Codec, Hex, Style};
 use crate::job::{PowerHistory, ThreadId};
 use crate::metrics::{JobRecord, Robustness};
-use crate::trace::{TraceEvent, TraceEventKind};
+use crate::trace::TraceEvent;
 use crate::SimConfig;
 
 /// The schema string every `hp-ckpt-v2` document carries.
@@ -190,7 +190,7 @@ pub(crate) fn spec_hash(
         config.sensor_staleness_budget_intervals,
     );
     s.push_str("faults=");
-    s.push_str(&config.faults.to_json_string());
+    s.push_str(&codec::pretty(&config.faults));
     s.push(';');
     // Hash jobs in the stable arrival order init_run will sort them
     // into, so the hash is invariant to the caller's vector order.
@@ -398,16 +398,15 @@ crate::codec!(ConditionerSnapshot {
     seen,
 });
 
-/// A trace event's kind travels as its label.
-impl Codec for TraceEventKind {
-    fn put(&self, out: &mut String) {
-        String::from(self.label()).put(out);
-    }
-    fn take(v: &Json, what: &str) -> Result<Self, String> {
-        let label = String::take(v, what)?;
-        Self::from_label(&label).ok_or_else(|| format!("unknown trace event kind `{label}`"))
-    }
+/// The document around the state block, as it is read (the writer
+/// encodes the state once, for the digest and the document).
+struct Envelope {
+    spec_hash: u64,
+    digest: u64,
+    state: CheckpointState,
 }
+
+crate::codec! { #[schema = CHECKPOINT_SCHEMA] Envelope { spec_hash: Hex, digest: Hex, state } }
 
 /// A verified, versioned engine checkpoint — the unit of crash recovery
 /// for long simulations (DESIGN.md §13).
@@ -463,18 +462,17 @@ impl EngineCheckpoint {
     pub fn from_json_str(src: &str) -> CkptResult<Self> {
         let parse_error = |message: String| CheckpointError::Parse { message };
         let doc = parse(src).map_err(|e| parse_error(e.to_string()))?;
-        let schema: String = codec::member(&doc, "schema").map_err(parse_error)?;
+        // The schema first: a document of another version is refused as
+        // such, whatever its state block holds.
+        let schema = codec::schema(&doc).map_err(parse_error)?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Version { found: schema });
         }
-        let hex = |key: &str| {
-            let raw: String = codec::member(&doc, key).map_err(parse_error)?;
-            u64::from_str_radix(&raw, 16)
-                .map_err(|_| parse_error(format!("`{key}` is not a 64-bit hex value: `{raw}`")))
-        };
-        let spec_hash = hex("spec_hash")?;
-        let digest = hex("digest")?;
-        let state: CheckpointState = codec::member(&doc, "state").map_err(parse_error)?;
+        let Envelope {
+            spec_hash,
+            digest,
+            state,
+        } = Envelope::take(&doc, "checkpoint", Style::Canonical).map_err(parse_error)?;
         let found = fnv1a(codec::encode(&state).as_bytes());
         if found != digest {
             return Err(CheckpointError::DigestMismatch {
@@ -521,6 +519,7 @@ impl EngineCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEventKind;
     use hp_workload::JobId;
 
     fn sample_state() -> CheckpointState {
@@ -880,6 +879,30 @@ mod tests {
         match EngineCheckpoint::from_json_str(&json) {
             Err(CheckpointError::Parse { message }) => {
                 assert!(message.contains("numerics_stats"), "{message}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_state_member_is_a_parse_error() {
+        let json = sample_document().replacen("\"step\":42", "\"step\":42,\"step\":42", 1);
+        match EngineCheckpoint::from_json_str(&json) {
+            Err(CheckpointError::Parse { message }) => {
+                assert!(message.contains("`step` is repeated"), "{message}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn undeclared_state_member_is_a_parse_error() {
+        // The digest covers the re-encoding, which would drop the extra
+        // member; refusing it keeps an edited document from verifying.
+        let json = sample_document().replacen("\"step\":42", "\"step\":42,\"spare\":0", 1);
+        match EngineCheckpoint::from_json_str(&json) {
+            Err(CheckpointError::Parse { message }) => {
+                assert!(message.contains("unknown key `spare`"), "{message}");
             }
             other => panic!("expected Parse error, got {other:?}"),
         }

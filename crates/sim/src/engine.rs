@@ -15,6 +15,7 @@ use crate::checkpoint::{
     self, ActiveJobState, CheckpointError, CheckpointState, EngineCheckpoint, FaultState,
     MetricsState, ObsState, SchedulerState, ThreadState, TraceState,
 };
+use crate::codec::Labelled;
 use crate::job::{JobRuntime, ThreadId, ThreadPhaseState, ThreadRuntime};
 use crate::metrics::{JobRecord, Metrics};
 use crate::scheduler::{Action, PendingJobView, Scheduler, SchedulerHealth, SimView, ThreadView};

@@ -47,6 +47,8 @@ mod engine;
 mod error;
 mod job;
 mod metrics;
+mod plan;
+mod report;
 mod scheduler;
 mod trace;
 

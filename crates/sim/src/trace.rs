@@ -25,10 +25,21 @@ pub enum TraceEventKind {
     NumericalDegradation,
 }
 
-impl TraceEventKind {
-    /// Stable snake-case label used as the `kind` of exported report
-    /// events ([`hp_obs::ReportEvent`]).
-    pub fn label(self) -> &'static str {
+/// Each kind's stable snake-case label is the `kind` of its exported
+/// report event ([`hp_obs::ReportEvent`]) and its spelling in checkpoints.
+impl crate::codec::Labelled for TraceEventKind {
+    const KIND: &'static str = "trace event kind";
+    const ALL: &'static [Self] = &[
+        TraceEventKind::WatchdogEngaged,
+        TraceEventKind::WatchdogReleased,
+        TraceEventKind::FallbackEngaged,
+        TraceEventKind::FallbackRecovered,
+        TraceEventKind::SensorsDegraded,
+        TraceEventKind::SensorsRecovered,
+        TraceEventKind::ActionsDropped,
+        TraceEventKind::NumericalDegradation,
+    ];
+    fn label(self) -> &'static str {
         match self {
             TraceEventKind::WatchdogEngaged => "watchdog_engaged",
             TraceEventKind::WatchdogReleased => "watchdog_released",
@@ -39,22 +50,6 @@ impl TraceEventKind {
             TraceEventKind::ActionsDropped => "actions_dropped",
             TraceEventKind::NumericalDegradation => "numerical_degradation",
         }
-    }
-
-    /// Inverse of [`label`](TraceEventKind::label) — used when decoding
-    /// checkpointed traces. `None` for an unknown label.
-    pub fn from_label(label: &str) -> Option<Self> {
-        Some(match label {
-            "watchdog_engaged" => TraceEventKind::WatchdogEngaged,
-            "watchdog_released" => TraceEventKind::WatchdogReleased,
-            "fallback_engaged" => TraceEventKind::FallbackEngaged,
-            "fallback_recovered" => TraceEventKind::FallbackRecovered,
-            "sensors_degraded" => TraceEventKind::SensorsDegraded,
-            "sensors_recovered" => TraceEventKind::SensorsRecovered,
-            "actions_dropped" => TraceEventKind::ActionsDropped,
-            "numerical_degradation" => TraceEventKind::NumericalDegradation,
-            _ => return None,
-        })
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property-based invariants of the interval simulation engine.
 
+use hp_faults::FaultPlan;
 use hp_manycore::{ArchConfig, Machine};
+use hp_sim::codec::{decode_document, pretty};
 use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{SimConfig, Simulation};
 use hp_thermal::ThermalConfig;
@@ -135,5 +137,42 @@ proptest! {
         let rel = (fine.makespan - coarse.makespan).abs() / coarse.makespan;
         prop_assert!(rel < 0.05, "makespan drifted {rel:.3}");
         prop_assert!((fine.peak_temperature - coarse.peak_temperature).abs() < 1.5);
+    }
+}
+
+fn plans() -> impl Strategy<Value = FaultPlan> {
+    (
+        (0u64..u64::MAX, 0.0..2.0f64, 0.0..1.0f64, 1u64..100),
+        (0.0..1.0f64, 0.0..1.0f64, 0u64..50),
+        (0.0..1.0f64, 0.0..10.0f64, 1u64..50),
+    )
+        .prop_map(
+            |(
+                (seed, sigma, stuck_rate, stuck_intervals),
+                (dropout_rate, mig_rate, blackout),
+                (spike_rate, spike_watts, spike_intervals),
+            )| FaultPlan {
+                seed,
+                sensor_noise_sigma_celsius: sigma,
+                sensor_stuck_rate: stuck_rate,
+                sensor_stuck_intervals: stuck_intervals,
+                sensor_dropout_rate: dropout_rate,
+                migration_failure_rate: mig_rate,
+                migration_blackout_intervals: blackout,
+                power_spike_rate: spike_rate,
+                power_spike_watts: spike_watts,
+                power_spike_intervals: spike_intervals,
+                force_active: seed % 2 == 0,
+            },
+        )
+}
+
+proptest! {
+    /// The fault-plan document round-trips every field of an arbitrary
+    /// plan.
+    #[test]
+    fn json_roundtrip_preserves_plan(plan in plans()) {
+        let back = decode_document::<FaultPlan>(&pretty(&plan));
+        prop_assert_eq!(back, Ok(plan));
     }
 }

@@ -156,8 +156,8 @@ fn every_job_report_round_trips_through_hp_obs() {
             "{}: engine counters present",
             o.label
         );
-        let text = o.report.to_json_string();
-        let parsed = RunReport::from_json_str(&text)
+        let text = hp_sim::codec::pretty(&o.report);
+        let parsed = hp_sim::codec::decode_document::<RunReport>(&text)
             .unwrap_or_else(|e| panic!("{}: report does not re-parse: {e}", o.label));
         assert_eq!(parsed, o.report, "{}: round-trip is identity", o.label);
     }

@@ -21,8 +21,11 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use hp_campaign::{run_campaign, CampaignConfig, CampaignReport, SweepSpec};
+use hp_campaign::{
+    run_campaign, CampaignConfig, CampaignReport, JobOutcome, SweepSpec, CAMPAIGN_FILE,
+};
 use hp_obs::json::{self, Json};
+use hp_obs::RunReport;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -160,6 +163,71 @@ fn golden_spec_round_trips_through_the_grammar() {
     // stays parseable and that serialisation round-trips.
     let raw = fs::read_to_string(spec_path()).expect("spec readable");
     let spec = SweepSpec::from_json_str(&raw).expect("spec parses");
-    let reparsed = SweepSpec::from_json_str(&spec.to_json_string()).expect("round-trip parses");
+    let reparsed =
+        SweepSpec::from_json_str(&hp_sim::codec::pretty(&spec)).expect("round-trip parses");
     assert_eq!(reparsed, spec);
+}
+
+/// The output directory an earlier release wrote for
+///
+/// ```text
+/// hotpotato-cli sweep --spec tests/golden/sweep_small.json --jobs 2 --out D
+/// ```
+///
+/// committed as is and never regenerated: its manifest lines, job reports
+/// and campaign document stand for every document older binaries wrote,
+/// and its job digests for the bytes those binaries hashed.
+fn older_sweep_dir() -> PathBuf {
+    golden_dir().join("sweep_small_v1")
+}
+
+#[test]
+fn sweep_directory_from_an_older_binary_resumes_without_running() {
+    let dir = std::env::temp_dir().join(format!("hp-sweep-small-v1-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("scratch dir");
+    let mut reports = 0;
+    for entry in fs::read_dir(older_sweep_dir()).expect("fixture dir") {
+        let path = entry.expect("fixture entry").path();
+        let name = path.file_name().expect("file name").to_owned();
+        let raw = fs::read_to_string(&path).expect("fixture file");
+        if name.to_string_lossy().ends_with(".report.json") {
+            hp_sim::codec::decode_document::<RunReport>(&raw)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            reports += 1;
+        }
+        fs::write(dir.join(name), raw).expect("copy fixture file");
+    }
+    assert_eq!(reports, 4);
+    let committed = CampaignReport::from_json_str(
+        &fs::read_to_string(dir.join(CAMPAIGN_FILE)).expect("campaign document"),
+    )
+    .expect("campaign document decodes");
+
+    let raw = fs::read_to_string(spec_path()).expect("spec readable");
+    let jobs = SweepSpec::from_json_str(&raw)
+        .and_then(|spec| spec.expand())
+        .expect("golden spec expands");
+    let config = CampaignConfig {
+        workers: 2,
+        out_dir: Some(dir.clone()),
+        resume: true,
+        ..CampaignConfig::default()
+    };
+    let resumed = run_campaign(&jobs, &config).expect("campaign resumes");
+    // Every manifest line matched its job's digest, so nothing ran and no
+    // chip model was built.
+    assert!(resumed.jobs.iter().all(|j| j.resumed), "every job resumed");
+    assert_eq!(resumed.campaign.counter("campaign.jobs.resumed"), Some(4));
+    assert_eq!(resumed.campaign.counter("campaign.cache.misses"), Some(0));
+    let settled = |o: &JobOutcome| JobOutcome {
+        resumed: false,
+        report: o.report.without_timings(),
+        ..o.clone()
+    };
+    assert_eq!(resumed.jobs.len(), committed.jobs.len());
+    for (now, then) in resumed.jobs.iter().zip(&committed.jobs) {
+        assert_eq!(settled(now), settled(then), "{}", then.label);
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
