@@ -58,7 +58,7 @@ mod scheduler;
 pub mod design_space;
 
 pub use error::HotPotatoError;
-pub use peak::{DenseEpochMap, PeakReport, RotationPeakSolver};
+pub use peak::{DenseEpochMap, PeakReport, ProbeSession, RotationPeakSolver};
 pub use rotation::{EpochPowerSequence, RingRotation};
 pub use scheduler::{HotPotato, HotPotatoConfig};
 

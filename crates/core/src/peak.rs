@@ -55,51 +55,61 @@
 //!
 //! # Algorithm 2's probe, by superposition
 //!
-//! [`peak_of_rings`](RotationPeakSolver::peak_of_rings) answers the
-//! scheduler's and the design-space oracle's one question: the peak of
-//! a ring assignment, each occupied ring rotating while the others
-//! contribute their ring-averaged power. The RC model and Eqs. 8–10 are
-//! linear in power, so ring `r`'s cycle is the steady state of that
-//! background plus one cached unit-watt rotation response per occupied
-//! slot:
+//! A [`ProbeSession`] answers the scheduler's and the design-space
+//! oracle's one question, and [`peak_of_rings`] is a session of one
+//! probe: the peak of a ring assignment, each occupied ring rotating
+//! while the others contribute their ring-averaged power. The RC model
+//! and Eqs. 8–10 are linear in power, so ring `q`'s junction `c` at the
+//! end of epoch `k` of its steady cycle is
 //!
 //! ```text
-//! T_r[k][c] = T_ss(bg)[c] + (idle − avg_r)·Σ_j H_r[j][c]
-//!                         + Σ_s (p_s − idle)·H_r[(k + s) mod δ_r][c]
+//! T_q[k][c] = (B[c] + (idle − a_q)·g_q[c]) + x_q[k][c]
+//! x_q[k]    = Σ_s (p_s − idle)·H_q[(k + s) mod δ_q]     (summed from zero)
+//! B         = T_amb + Σ_p a_p·g_p                       (every ring p)
 //! ```
 //!
-//! which is `T_ss(bg) + Σ_s (p_s − avg_r)·H_r[(k+s) mod δ_r]` with the
-//! free slots (`p_s = idle`) folded into the ring's all-slot response.
-//! `H_r` (`δ_r × cores`, per ring and τ) holds the junction response at
-//! each epoch boundary of the cycle in which one watt follows slot 0
-//! around the ring; slot `s`'s occupant runs the same cycle `s` epochs
-//! ahead, hence the cyclic row index. `T_ss` comes from a cached
-//! `cores × cores` steady-influence matrix. Both operators are built on
-//! first use by this module's own kernel and cached per solver; they
-//! are pure functions of the basis, the ring and τ, so building them
-//! counts nothing and no checkpoint records them. The sums run in one
-//! body compiled for AVX-512F, AVX2 and the portable instruction set and
-//! dispatched at run time like [`Matrix::mul_matrix`]; the three builds
-//! return the same bits. A degraded solver, or a guard trip, builds the
-//! explicit epoch sequences and runs them through the dense cycle
-//! instead.
+//! `a_p` is ring `p`'s time-averaged power (idle for an unoccupied ring;
+//! a core in no ring draws idle), `g_p` the junctions' steady response to
+//! one watt on each of ring `p`'s cores, that is ring `p`'s column sum of
+//! a cached `cores × cores` steady-influence matrix, and `H_q`
+//! (`δ_q × cores`, per ring and τ) the junction response at each epoch
+//! boundary of the cycle in which one watt follows slot 0 around the
+//! ring; slot `s`'s occupant runs the same cycle `s` epochs ahead, hence
+//! the cyclic row index. IEEE addition is monotone, so
+//! `max_k fl(b + x_k) = fl(b + max_k x_k)` and the ring's peak is
+//! `max_c ((B[c] + (idle − a_q)·g_q[c]) + L_q[c])` with the ring-local
+//! maxima `L_q[c] = max_k x_q[k][c]`. `L_q` depends only on ring `q`'s
+//! slot powers and τ, so a session caches it and a cache hit returns the
+//! bits a recomputation would: a trial that changes one ring costs that
+//! ring's own sums plus an `O(rings·cores)` background. The operators are
+//! built on first use by this module's own kernel and cached with the
+//! basis, so every solver on it (N schedulers on clones of one cached
+//! model) builds each once; the maxima are cached per session. All are
+//! pure functions of the basis, the seats and τ, so building them counts
+//! nothing and no checkpoint records them.
+//! The sums run in one body compiled for AVX-512F, AVX2 and the portable
+//! instruction set and dispatched at run time like
+//! [`Matrix::mul_matrix`]; the three builds return the same bits. A
+//! degraded solver, or a guard trip, builds the explicit epoch sequences
+//! and runs them through the dense cycle instead.
+//!
+//! [`peak_of_rings`]: RotationPeakSolver::peak_of_rings
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hp_floorplan::CoreId;
 use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, NumericalError, Vector};
-use hp_thermal::{DenseStepper, ModalDecay, ModalRuntime, RcThermalModel};
+use hp_thermal::{DenseStepper, ModalBasis, ModalDecay, ModalRuntime, RcThermalModel};
 
 use crate::{EpochPowerSequence, HotPotatoError, Result, RingRotation};
 
-/// Distinct (ring, τ) rotation kernels one solver caches. A scheduler
-/// probes a chip's handful of rings at a handful of τ, so the cap only
-/// guards against pathological churn: a full cache is cleared before
-/// the next insert, as the runtime's decay cache is.
-const KERNEL_CACHE_CAP: usize = 256;
+/// Distinct ring sets, and distinct (ring set, τ) kernel blocks, one
+/// basis caches. A scheduler probes one chip's rings at a handful of τ,
+/// so the cap only guards against pathological churn: a full list is
+/// cleared before the next insert, as the runtime's decay cache is.
+const PROBE_CACHE_CAP: usize = 64;
 
 /// The dense fallback's affine map `T ↦ M·T + S·f` over one epoch,
 /// extracted once per epoch length from a [`DenseStepper`] and cached by
@@ -120,36 +130,60 @@ impl DenseEpochMap {
 /// One steady-cycle weight of paper Eq. (10):
 /// `e^{age·λτ} · (1 − e^{λτ}) / (1 − e^{δλτ})`.
 ///
-/// Both the fast recurrence (via [`cycle_start`]) and the literal
+/// Both the fast recurrence (via [`start_weights`]) and the literal
 /// reference form ([`RotationPeakSolver::peak_reference`]) obtain their
 /// weights here, so the two paths cannot drift apart numerically. `λτ`
 /// must be the product `eigenvalue · τ` itself — never recovered from
 /// `m.ln()` — and the complements come from `expm1`, never `1 − m`.
 fn cycle_weight(lam_tau: f64, delta: usize, age: usize) -> f64 {
+    cycle_weight_of(lam_tau, -f64::exp_m1(lam_tau), delta, age)
+}
+
+/// [`cycle_weight`] given its complement `one_minus_m = −expm1(λτ)`,
+/// which [`ModalDecay::one_minus_m`] holds for every mode already. Age 0
+/// skips `e^{0} = 1`, which multiplies exactly.
+fn cycle_weight_of(lam_tau: f64, one_minus_m: f64, delta: usize, age: usize) -> f64 {
     debug_assert!(lam_tau <= 0.0, "stable modes only");
     let den = -f64::exp_m1(delta as f64 * lam_tau);
     if den < f64::MIN_POSITIVE {
         // δλτ underflowed expm1 entirely: every epoch weighs 1/δ.
         return 1.0 / delta as f64;
     }
-    (age as f64 * lam_tau).exp() * -f64::exp_m1(lam_tau) / den
+    let aged = if age == 0 {
+        1.0
+    } else {
+        (age as f64 * lam_tau).exp()
+    };
+    aged * one_minus_m / den
+}
+
+/// The Eq.-(10) weight `(1−m_i)/(1−m_i^δ)` of every mode's cycle start
+/// state, [`cycle_weight`] at age 0.
+fn start_weights(delta: usize, decay: &ModalDecay) -> Vec<f64> {
+    decay
+        .lam_dt
+        .iter()
+        .zip(decay.one_minus_m.iter())
+        .map(|(&lam_tau, &one_minus_m)| cycle_weight_of(lam_tau, one_minus_m, delta, 0))
+        .collect()
 }
 
 /// Steady-cycle start state in eigen coordinates (paper Eq. 10):
-/// `z0[i] = Σ_e m_i^{δ−1−e} · (1−m_i)/(1−m_i^δ) · y_e[i]`.
-fn cycle_start(delta: usize, nodes: usize, decay: &ModalDecay, ys: &[&[f64]]) -> Vector {
-    let mut z = Vector::zeros(nodes);
-    for i in 0..nodes {
-        let w = cycle_weight(decay.lam_dt[i], delta, 0);
-        let mut acc = 0.0;
-        let mut pow = 1.0; // m^{delta-1-e} built backwards: e = delta-1 .. 0
-        for e in (0..delta).rev() {
-            acc += pow * ys[e][i];
-            pow *= decay.m[i];
+/// `z0[i] = Σ_e m_i^{δ−1−e} · (1−m_i)/(1−m_i^δ) · y_e[i]`, given the
+/// cycle's [`start_weights`] and its `δ` steady states `ys`. Every mode
+/// sums its epochs backwards, `e = δ−1 … 0`, building `m^{δ−1−e}` as it
+/// goes; the modes advance side by side, one epoch at a time.
+fn cycle_start(weights: &[f64], decay: &ModalDecay, ys: &[&[f64]]) -> Vector {
+    let mut acc = vec![0.0; weights.len()];
+    let mut pow = vec![1.0; weights.len()];
+    for y in ys.iter().rev() {
+        let terms = pow.iter_mut().zip(decay.m.iter()).zip(y.iter());
+        for (a, ((p, &m), &y)) in acc.iter_mut().zip(terms) {
+            *a += *p * y;
+            *p *= m;
         }
-        z[i] = w * acc;
     }
-    z
+    Vector::from_fn(weights.len(), |i| weights[i] * acc[i])
 }
 
 /// The result of a peak-temperature analysis.
@@ -199,12 +233,22 @@ fn axpy(row: &mut [f64], w: f64, x: &[f64]) {
     }
 }
 
-/// The hottest of `values`, `−∞` for none.
+/// The hottest of `values`, `−∞` for none. Eight independent lanes, then
+/// once over the lanes: `max` rounds nothing, so the grouping changes no
+/// value, and no serial chain runs through every element.
 #[inline(always)]
 fn hottest(values: &[f64]) -> f64 {
-    values
-        .iter()
-        .fold(f64::NEG_INFINITY, |peak, &v| peak.max(v))
+    let mut lanes = [f64::NEG_INFINITY; 8];
+    let mut chunks = values.chunks_exact(lanes.len());
+    for chunk in &mut chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = lane.max(v);
+        }
+    }
+    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = lane.max(v);
+    }
+    lanes.iter().fold(f64::NEG_INFINITY, |peak, &v| peak.max(v))
 }
 
 /// The probe's steady-state operator: every junction's steady
@@ -229,48 +273,77 @@ impl SteadyInfluence {
             axpy(t, w, per_watt);
         }
     }
+
+    /// The junctions' steady rise, °C/W, with one watt on each of
+    /// `cores`: their rows of `Gᵀ` summed from zero, in the given order.
+    fn response(&self, cores: impl Iterator<Item = usize>) -> Vec<f64> {
+        let mut g = vec![0.0; self.ambient.len()];
+        for c in cores {
+            axpy(&mut g, 1.0, self.per_watt.row(c));
+        }
+        g
+    }
 }
 
-/// One ring's unit-watt rotation kernel at one τ.
+/// The operators of one set of rings, in the order a probe lists them.
 #[derive(Debug)]
-struct RotationKernel {
-    /// `H` (`δ × cores`): row `k` holds every junction's response, °C/W,
-    /// at the end of epoch `k` of the steady cycle in which one watt
-    /// follows slot 0 around the ring (on slot `e`'s core in epoch `e`).
-    h: Matrix,
-    /// `Σ_k H[k]`: the response to one watt on every slot at once, that
-    /// is to a constant watt on each of the ring's cores, °C/W.
-    all_slots: Vec<f64>,
+struct RingSet {
+    /// Every ring's cores in rotation order, ring after ring.
+    cores: Vec<CoreId>,
+    /// Each ring's slot count δ.
+    lens: Vec<usize>,
+    /// Every ring's steady response `g`, °C/W, one value per junction,
+    /// ring after ring: the junctions' rise with one watt on each of the
+    /// ring's cores, its rows of `Gᵀ` summed from zero in rotation order.
+    /// It does not depend on τ.
+    responses: Vec<f64>,
+    /// The same response of the cores in no ring; empty when the rings
+    /// cover the chip.
+    rest: Vec<f64>,
+}
+
+impl RingSet {
+    /// Whether `rings` are this set's rings, in order.
+    fn holds<T: Copy + PartialEq>(&self, rings: &[RingRotation<T>]) -> bool {
+        let mut first = 0;
+        self.lens.len() == rings.len()
+            && rings.iter().zip(&self.lens).all(|(ring, &len)| {
+                first += len;
+                ring.cores() == &self.cores[first - len..first]
+            })
+    }
 }
 
 /// The probe's cached operators.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ProbeOperators {
     steady: Option<Arc<SteadyInfluence>>,
-    /// Ring cores (rotation order) → `τ.to_bits()` → kernel.
-    kernels: BTreeMap<Vec<CoreId>, BTreeMap<u64, Arc<RotationKernel>>>,
+    sets: Vec<Arc<RingSet>>,
+    /// `(set, τ.to_bits(), H)`: every ring's unit-watt rotation kernel
+    /// at τ, `Σδ × cores`, ring after ring. Ring `q`'s `δ` rows are its
+    /// `H`: row `k` holds every junction's response, °C/W, at the end of
+    /// epoch `k` of the steady cycle in which one watt follows slot 0
+    /// around the ring (on slot `e`'s core in epoch `e`). Holding the set
+    /// keeps its address from naming another set.
+    kernels: Vec<(Arc<RingSet>, u64, Arc<Matrix>)>,
 }
 
 impl ProbeOperators {
-    fn kernel(&self, cores: &[CoreId], tau: f64) -> Option<Arc<RotationKernel>> {
-        self.kernels.get(cores)?.get(&tau.to_bits()).cloned()
-    }
-
-    fn insert_kernel(&mut self, cores: &[CoreId], tau: f64, kernel: Arc<RotationKernel>) {
-        if self.kernels.values().map(BTreeMap::len).sum::<usize>() >= KERNEL_CACHE_CAP {
-            self.kernels.clear();
-        }
+    fn kernels(&self, set: &Arc<RingSet>, tau: f64) -> Option<Arc<Matrix>> {
         self.kernels
-            .entry(cores.to_vec())
-            .or_default()
-            .insert(tau.to_bits(), kernel);
+            .iter()
+            .find(|(s, t, _)| Arc::ptr_eq(s, set) && *t == tau.to_bits())
+            .map(|(_, _, h)| Arc::clone(h))
     }
 }
 
-/// The probe's operator cache behind one mutex, so the oracle's scoped
-/// threads can share a solver. It is locked for lookups and inserts
-/// only, never while an operator is built, and never together with the
-/// runtime's ledger. A clone copies the cached operators.
+/// The probe's operator cache behind one mutex. It is the basis's
+/// [`cache`](ModalBasis::cache), so every solver on the basis (clones,
+/// solvers of the model's clones, the oracle's scoped threads) shares
+/// it. It is locked for lookups and inserts only, never while an
+/// operator is built, and never together with the runtime's ledger.
+/// Two solvers that build the same operator at once keep the first
+/// one inserted.
 #[derive(Debug, Default)]
 struct ProbeCache(Mutex<ProbeOperators>);
 
@@ -282,89 +355,254 @@ impl ProbeCache {
     }
 }
 
-impl Clone for ProbeCache {
-    fn clone(&self) -> Self {
-        ProbeCache(Mutex::new(self.lock().clone()))
-    }
+/// One ring of a [`ProbeSession`].
+#[derive(Debug)]
+struct SessionRing {
+    /// Where the ring's cores, slots and kernel rows start in the ring
+    /// set's and the session's lists.
+    first: usize,
+    /// The ring's slot count δ.
+    len: usize,
+    /// The current probe's time-averaged power on each of the ring's
+    /// cores, W: the occupants' sum in slot order, then the free slots
+    /// at idle, over δ; idle for an unoccupied ring.
+    average: f64,
+    /// Whether the current probe seats a thread on the ring.
+    occupied: bool,
+    /// The ring's most recently cached maxima, heading a chain through
+    /// [`CachedMaxima::prev`].
+    latest: Option<usize>,
+    /// The cached maxima the ring was last priced with.
+    current: Option<usize>,
 }
 
-/// A validated Algorithm-2 probe: every ring's cores and slot powers,
-/// and each occupied ring's time-averaged power.
-struct RingLoads<'a> {
-    rings: Vec<RingLoad<'a>>,
-    /// Every slot's power, W, ring after ring in slot order; a free
-    /// slot draws `idle`.
-    slots: Vec<f64>,
+/// The ring-local maxima of one ring at one set of slot powers and τ.
+#[derive(Debug)]
+struct CachedMaxima {
+    /// `τ.to_bits()`.
+    tau: u64,
+    /// [`key_hash`] of the slot powers and τ.
+    hash: u64,
+    /// Where the ring's slot powers (bits, δ of them) start in
+    /// [`ProbeSession::keys`].
+    key: usize,
+    /// Where `L` (one value per junction) starts in
+    /// [`ProbeSession::maxima`].
+    at: usize,
+    /// The same ring's previously cached maxima.
+    prev: Option<usize>,
+}
+
+/// One occupied ring of the probe being priced.
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    ring: usize,
+    /// Where its `L` starts in [`ProbeSession::maxima`].
+    at: usize,
+    /// On a cache miss, the index in [`ProbeSession::kernels`] of the
+    /// τ whose kernel of this ring fills `L`, and the key's
+    /// [`key_hash`]; `None` on a hit.
+    fill: Option<(usize, u64)>,
+}
+
+/// A run of Algorithm-2 probes over one set of rings: the HotPotato
+/// scheduler keeps one and empties it at the start of every scheduling
+/// hook, and [`peak_of_rings`](RotationPeakSolver::peak_of_rings) is a
+/// session of one probe.
+///
+/// [`RotationPeakSolver::session`] resolves the steady-influence matrix
+/// and every ring's steady response, which the solvers on one basis
+/// build once per set of rings, checking then that the rings are valid.
+/// Each
+/// [`peak`](Self::peak) then reads the rings' current seats, resolves
+/// every ring's kernel at a τ the first time the session needs one, and
+/// caches each occupied ring's ring-local maxima under that ring's slot
+/// powers and τ, so a probe re-sums only the rings whose seats changed
+/// since the session last priced them (module docs). The session keeps
+/// every set of maxima it computes until it is emptied or dropped: a
+/// hook's probes are few, and the rotation moves every seat between
+/// hooks.
+///
+/// # Example
+///
+/// ```
+/// use hp_floorplan::GridFloorplan;
+/// use hp_thermal::{RcThermalModel, ThermalConfig};
+/// use hotpotato::{RingRotation, RotationPeakSolver};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let fp = GridFloorplan::new(4, 4)?;
+/// let solver = RotationPeakSolver::new(RcThermalModel::new(&fp, &ThermalConfig::default())?)?;
+/// let mut rings: Vec<RingRotation<f64>> = fp
+///     .amd_rings()
+///     .iter()
+///     .map(|r| RingRotation::new(r.cores().to_vec()))
+///     .collect();
+/// rings[1].occupy(0, 4.0);
+/// let mut session = solver.session(&rings, 0.3)?;
+/// // A trial: one more thread on the centre ring, priced, then undone.
+/// rings[0].occupy(0, 7.0);
+/// let trial = session.peak(&solver, &rings, |w| w, 0.5e-3, true)?;
+/// rings[0].remove(7.0);
+/// let base = session.peak(&solver, &rings, |w| w, 0.5e-3, true)?;
+/// assert!(base < trial);
+/// let one = solver.peak_of_rings(&rings, |w| w, 0.3, 0.5e-3, true)?;
+/// assert_eq!(base.to_bits(), one.to_bits());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct ProbeSession {
+    /// The basis of the solver that opened the session; a probe through
+    /// a solver on another basis is refused.
+    basis: Arc<ModalBasis>,
+    steady: Arc<SteadyInfluence>,
     /// Idle-core power, W.
     idle: f64,
-    /// Core count of the chip.
-    cores: usize,
+    set: Arc<RingSet>,
+    rings: Vec<SessionRing>,
+    /// `(τ.to_bits(), every ring's kernel)` for every τ at which the
+    /// session resolved the rings' kernels.
+    kernels: Vec<(u64, Arc<Matrix>)>,
+    /// The current probe's slot powers, W, ring after ring in slot
+    /// order; a free slot draws idle.
+    slots: Vec<f64>,
+    /// Every cached entry's slot powers, as bits.
+    keys: Vec<u64>,
+    /// Every cached entry's `L`, one value per junction, °C.
+    maxima: Vec<f64>,
+    entries: Vec<CachedMaxima>,
+    /// The current probe's occupied rings, in ring order.
+    priced: Vec<Priced>,
+    /// Two core-length rows.
+    scratch: Vec<f64>,
+    /// The current probe's per-ring peaks, °C, or the pinned map's one.
+    peaks: Vec<f64>,
 }
 
-/// One ring of [`RingLoads`].
-struct RingLoad<'a> {
-    /// The ring's cores in rotation order.
-    cores: &'a [CoreId],
-    /// Where the ring's slots start in [`RingLoads::slots`].
-    first: usize,
-    /// The ring's time-averaged power on each of its cores, W; `None`
-    /// for an unoccupied ring.
-    average: Option<f64>,
-}
-
-impl<'a> RingLoads<'a> {
-    /// Reads every slot's power, `watts` of its occupant or `idle`, and
-    /// checks what [`RotationPeakSolver::validate_seq`] checks of the
-    /// explicit sequences, plus that every core is on the chip and in
-    /// one ring at most.
-    fn new<T: Copy + PartialEq>(
-        cores: usize,
-        rings: &'a [RingRotation<T>],
+impl ProbeSession {
+    /// The probe of [`peak_of_rings`](RotationPeakSolver::peak_of_rings)
+    /// through this session: the hottest junction temperature, °C, of
+    /// the seats `rings` hold now, an occupant of type `T` drawing
+    /// `watts(occupant)` W and a free slot the session's idle power, with
+    /// every occupied ring rotating at epoch length `tau` (s) if
+    /// `rotating`. `solver` must be the solver that opened the session,
+    /// or a clone of it, and `rings` the session's rings in their current
+    /// occupancy. Equal seats and τ give the same bits in any session.
+    ///
+    /// # Errors
+    ///
+    /// * [`HotPotatoError::InvalidParameter`] if `tau` is not positive
+    ///   and finite.
+    /// * [`HotPotatoError::InvalidAssignment`] if `rings` are not the
+    ///   session's rings, in order, or `solver` works on another basis.
+    /// * [`HotPotatoError::Linalg`] if an occupant's power or a ring's
+    ///   average is not finite.
+    /// * Propagated solver errors.
+    ///
+    /// A rejected probe is not counted.
+    pub fn peak<T: Copy + PartialEq>(
+        &mut self,
+        solver: &RotationPeakSolver,
+        rings: &[RingRotation<T>],
         watts: impl Fn(T) -> f64,
-        idle: f64,
-    ) -> Result<Self> {
-        let mut seen = vec![false; cores];
-        let mut slots = Vec::with_capacity(rings.iter().map(RingRotation::capacity).sum());
-        let mut loads = Vec::with_capacity(rings.len());
-        for ring in rings {
-            for c in ring.cores() {
-                match seen.get_mut(c.index()) {
-                    None => {
-                        return Err(HotPotatoError::InvalidAssignment(
-                            "a ring lists a core outside the chip",
-                        ))
-                    }
-                    Some(true) => {
-                        return Err(HotPotatoError::InvalidAssignment(
-                            "a core belongs to more than one ring",
-                        ))
-                    }
-                    Some(s) => *s = true,
-                }
+        tau: f64,
+        rotating: bool,
+    ) -> Result<f64> {
+        if !(tau.is_finite() && tau > 0.0) {
+            return Err(HotPotatoError::InvalidParameter {
+                name: "tau",
+                value: tau,
+            });
+        }
+        self.read(solver, rings, watts)?;
+        let occupied = self.rings.iter().filter(|r| r.occupied).count();
+        let cycles = if rotating { occupied } else { 0 };
+        let healthy = {
+            let mut ledger = solver.runtime.lock();
+            if cycles > 0 {
+                ledger.count_batch(cycles);
             }
-            let first = slots.len();
+            !ledger.degraded()
+        };
+        // Pinned, or with no ring occupied, the probe is one steady state.
+        let rotating = cycles > 0;
+        if healthy {
+            if rotating {
+                self.price(solver, tau)?;
+            }
+            self.run(rotating);
+            let ambient = solver.model.config().ambient;
+            if !solver
+                .runtime
+                .lock()
+                .guard(ambient, self.peaks.iter().copied())
+            {
+                return Ok(hottest(&self.peaks));
+            }
+        }
+        let seqs = self.sequences(tau, rotating)?;
+        Ok(hottest(&solver.steady_cycles(&seqs, 1, false)?.peaks))
+    }
+
+    /// Forgets every cached set of ring-local maxima, keeping the
+    /// resolved operators and the buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.maxima.clear();
+        self.entries.clear();
+        for ring in &mut self.rings {
+            ring.latest = None;
+            ring.current = None;
+        }
+    }
+
+    /// The cores of ring `q`.
+    fn ring_cores(&self, q: usize) -> &[CoreId] {
+        let ring = &self.rings[q];
+        &self.set.cores[ring.first..ring.first + ring.len]
+    }
+
+    /// Reads every slot's power, `watts` of its occupant or idle, and
+    /// every ring's average, after checking that `rings` and `solver`
+    /// are the session's.
+    fn read<T: Copy + PartialEq>(
+        &mut self,
+        solver: &RotationPeakSolver,
+        rings: &[RingRotation<T>],
+        watts: impl Fn(T) -> f64,
+    ) -> Result<()> {
+        let same =
+            std::ptr::eq(Arc::as_ptr(&self.basis), solver.runtime.basis()) && self.set.holds(rings);
+        if !same {
+            return Err(HotPotatoError::InvalidAssignment(
+                "the probe's rings or solver are not its session's",
+            ));
+        }
+        let idle = self.idle;
+        self.slots.clear();
+        let mut finite = true;
+        for (ring, state) in rings.iter().zip(&mut self.rings) {
+            let first = self.slots.len();
             let capacity = ring.capacity();
-            slots.extend((0..capacity).map(|s| ring.occupant(s).map_or(idle, &watts)));
+            self.slots
+                .extend((0..capacity).map(|s| ring.occupant(s).map_or(idle, &watts)));
             // The occupants' sum in slot order, then the free slots at
             // idle: the average the explicit sequences always used.
             let occupied = ring.occupants();
-            let average = (occupied > 0).then(|| {
+            state.occupied = occupied > 0;
+            state.average = if state.occupied {
                 let sum: f64 = (0..capacity)
                     .filter(|&s| ring.occupant(s).is_some())
-                    .map(|s| slots[first + s])
+                    .map(|s| self.slots[first + s])
                     .sum();
                 (sum + (capacity - occupied) as f64 * idle) / capacity as f64
-            });
-            loads.push(RingLoad {
-                cores: ring.cores(),
-                first,
-                average,
-            });
+            } else {
+                idle
+            };
+            finite &= state.average.is_finite();
         }
-        let finite = idle.is_finite()
-            && slots.iter().all(|p| p.is_finite())
-            && loads.iter().filter_map(|r| r.average).all(f64::is_finite);
-        if !finite {
+        if !(finite && self.slots.iter().all(|p| p.is_finite())) {
             return Err(HotPotatoError::Linalg(
                 NumericalError::NonFinite {
                     what: "epoch power map",
@@ -372,58 +610,215 @@ impl<'a> RingLoads<'a> {
                 .into(),
             ));
         }
-        Ok(RingLoads {
-            rings: loads,
-            slots,
+        Ok(())
+    }
+
+    /// The cached entry of ring `q`'s maxima at its current slot powers
+    /// and τ (bits): the entry the ring was last priced with, else the
+    /// newest match; on a miss, the key's [`key_hash`].
+    fn cached(&self, q: usize, tau: u64) -> std::result::Result<usize, u64> {
+        let ring = &self.rings[q];
+        let slots = &self.slots[ring.first..ring.first + ring.len];
+        let same = |entry: &CachedMaxima| {
+            let key = &self.keys[entry.key..entry.key + ring.len];
+            entry.tau == tau && key.iter().zip(slots).all(|(&k, p)| k == p.to_bits())
+        };
+        if let Some(i) = ring.current.filter(|&i| same(&self.entries[i])) {
+            return Ok(i);
+        }
+        let hash = key_hash(slots, tau);
+        let mut next = ring.latest;
+        while let Some(i) = next {
+            let entry = &self.entries[i];
+            if entry.hash == hash && same(entry) {
+                return Ok(i);
+            }
+            next = entry.prev;
+        }
+        Err(hash)
+    }
+
+    /// Lists the occupied rings of a rotating probe at `tau` (s) with
+    /// where their maxima are cached, resolves the kernel of each ring
+    /// whose maxima are not, and makes room for those maxima in the
+    /// cache, at −∞. The body fills that room before anything reads it.
+    fn price(&mut self, solver: &RotationPeakSolver, tau: f64) -> Result<()> {
+        let bits = tau.to_bits();
+        self.priced.clear();
+        for q in 0..self.rings.len() {
+            if !self.rings[q].occupied {
+                continue;
+            }
+            let priced = match self.cached(q, bits) {
+                Ok(entry) => {
+                    self.rings[q].current = Some(entry);
+                    Priced {
+                        ring: q,
+                        at: self.entries[entry].at,
+                        fill: None,
+                    }
+                }
+                Err(hash) => {
+                    let known = self.kernels.iter().position(|&(t, _)| t == bits);
+                    let block = match known {
+                        Some(block) => block,
+                        None => {
+                            let kernels = solver.rotation_kernels(&self.set, tau)?;
+                            self.kernels.push((bits, kernels));
+                            self.kernels.len() - 1
+                        }
+                    };
+                    Priced {
+                        ring: q,
+                        at: 0,
+                        fill: Some((block, hash)),
+                    }
+                }
+            };
+            self.priced.push(priced);
+        }
+        let junctions = self.steady.ambient.len();
+        for priced in &mut self.priced {
+            let Some((_, hash)) = priced.fill else {
+                continue;
+            };
+            let ring = &mut self.rings[priced.ring];
+            priced.at = self.maxima.len();
+            self.maxima.resize(priced.at + junctions, f64::NEG_INFINITY);
+            let key = self.keys.len();
+            let slots = &self.slots[ring.first..ring.first + ring.len];
+            self.keys.extend(slots.iter().map(|p| p.to_bits()));
+            self.entries.push(CachedMaxima {
+                tau: bits,
+                hash,
+                key,
+                at: priced.at,
+                prev: ring.latest,
+            });
+            ring.latest = Some(self.entries.len() - 1);
+            ring.current = ring.latest;
+        }
+        Ok(())
+    }
+
+    /// Fills [`Self::peaks`]: [`Self::body`] compiled for the widest
+    /// instruction set this CPU has, checked in [`Matrix::mul_matrix`]'s
+    /// order (AVX-512F, AVX2, then the portable build, which Miri always
+    /// takes).
+    fn run(&mut self, rotating: bool) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the avx512f requirement was just checked.
+                unsafe { probe_avx512(self, rotating) };
+                return;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the avx2 requirement was just checked.
+                unsafe { probe_avx2(self, rotating) };
+                return;
+            }
+        }
+        self.body(rotating);
+    }
+
+    /// The probe's sums and maxima (module docs) into [`Self::peaks`]:
+    /// `rotating`, the ring-local maxima of every ring [`Self::price`]
+    /// left to fill, the background and one peak per occupied ring;
+    /// otherwise the pinned map's one peak. Every element is a lane-wise
+    /// IEEE multiply, then add, in the same order whatever the build, so
+    /// every compilation returns the same bits.
+    #[inline(always)]
+    fn body(&mut self, rotating: bool) {
+        let ProbeSession {
+            steady,
             idle,
-            cores,
-        })
-    }
-
-    /// The occupied rings, each with its slot powers and its average.
-    fn occupied(&self) -> impl Iterator<Item = (&'a [CoreId], &[f64], f64)> + '_ {
-        self.rings.iter().filter_map(|r| {
-            let slots = &self.slots[r.first..r.first + r.cores.len()];
-            r.average.map(|avg| (r.cores, slots, avg))
-        })
-    }
-
-    /// The power map with every thread on its slot's core, W.
-    fn pinned(&self) -> Vec<f64> {
-        let mut p = vec![self.idle; self.cores];
-        for r in &self.rings {
-            for (c, &w) in r.cores.iter().zip(&self.slots[r.first..]) {
-                p[c.index()] = w;
-            }
-        }
-        p
-    }
-
-    /// The cross-ring background, W: each occupied ring's average on
-    /// its own cores, idle elsewhere.
-    fn background(&self) -> Vec<f64> {
-        let mut p = vec![self.idle; self.cores];
-        for (cores, _, avg) in self.occupied() {
-            for c in cores {
-                p[c.index()] = avg;
-            }
-        }
-        p
-    }
-
-    /// The probe as explicit epoch sequences: `rotating`, one rotation
-    /// per occupied ring over the background (occupants shifted by `e`
-    /// slots in epoch `e`); otherwise the single epoch of the pinned map
-    /// over `max(τ, 1 µs)`.
-    fn sequences(&self, tau: f64, rotating: bool) -> Result<Vec<EpochPowerSequence>> {
+            set,
+            rings,
+            kernels,
+            slots,
+            maxima,
+            priced,
+            scratch,
+            peaks,
+            ..
+        } = self;
+        let (idle, junctions) = (*idle, steady.ambient.len());
+        let (row, background) = scratch.split_at_mut(junctions);
+        peaks.clear();
         if !rotating {
-            let p = Vector::from(self.pinned());
-            return Ok(vec![EpochPowerSequence::new(tau.max(1e-6), vec![p])?]);
+            pinned_map(&set.cores, slots, idle, row);
+            steady.junctions(row, background);
+            peaks.push(hottest(background));
+            return;
         }
-        let background = Vector::from(self.background());
-        self.occupied()
-            .map(|(cores, slots, _)| {
-                let delta = cores.len();
+        for p in priced.iter() {
+            let (Some((block, _)), ring) = (p.fill, &rings[p.ring]) else {
+                continue;
+            };
+            let delta = ring.len;
+            let h = &kernels[block].1.as_slice()
+                [ring.first * junctions..(ring.first + delta) * junctions];
+            let ring_slots = &slots[ring.first..ring.first + delta];
+            let top = &mut maxima[p.at..p.at + junctions];
+            for k in 0..delta {
+                row.fill(0.0);
+                for (s, &power) in ring_slots.iter().enumerate() {
+                    let w = power - idle;
+                    if w != 0.0 {
+                        // (k + s) mod δ, as k and s are both below δ.
+                        let r = if k + s < delta { k + s } else { k + s - delta };
+                        axpy(row, w, &h[r * junctions..(r + 1) * junctions]);
+                    }
+                }
+                for (t, &v) in top.iter_mut().zip(&*row) {
+                    *t = t.max(v);
+                }
+            }
+        }
+        background.copy_from_slice(&steady.ambient);
+        let responses = set.responses.chunks_exact(junctions);
+        for (ring, response) in rings.iter().zip(responses) {
+            axpy(background, ring.average, response);
+        }
+        axpy(background, idle, &set.rest);
+        for p in priced.iter() {
+            let own = idle - rings[p.ring].average;
+            let response = &set.responses[p.ring * junctions..(p.ring + 1) * junctions];
+            let local = &maxima[p.at..p.at + junctions];
+            let terms = background.iter().zip(response).zip(local);
+            for (t, ((&b, &g), &l)) in row.iter_mut().zip(terms) {
+                *t = (b + own * g) + l;
+            }
+            peaks.push(hottest(row));
+        }
+    }
+
+    /// The current probe as explicit epoch sequences: `rotating`, one
+    /// rotation per occupied ring over the background (occupants
+    /// shifted by `e` slots in epoch `e`); otherwise the single epoch of
+    /// the pinned map over `max(τ, 1 µs)`.
+    fn sequences(&self, tau: f64, rotating: bool) -> Result<Vec<EpochPowerSequence>> {
+        let mut power = vec![self.idle; self.steady.ambient.len()];
+        if !rotating {
+            pinned_map(&self.set.cores, &self.slots, self.idle, &mut power);
+            return Ok(vec![EpochPowerSequence::new(
+                tau.max(1e-6),
+                vec![Vector::from(power)],
+            )?]);
+        }
+        for (q, ring) in self.rings.iter().enumerate() {
+            for c in self.ring_cores(q) {
+                power[c.index()] = ring.average;
+            }
+        }
+        let background = Vector::from(power);
+        (0..self.rings.len())
+            .filter(|&q| self.rings[q].occupied)
+            .map(|q| {
+                let (cores, ring) = (self.ring_cores(q), &self.rings[q]);
+                let slots = &self.slots[ring.first..ring.first + ring.len];
+                let delta = ring.len;
                 let epochs = (0..delta)
                     .map(|e| {
                         let mut p = background.clone();
@@ -439,89 +834,25 @@ impl<'a> RingLoads<'a> {
     }
 }
 
-/// A healthy probe with its operators resolved, so that its arithmetic
-/// takes no lock and allocates nothing.
-struct Superposition<'a> {
-    steady: Arc<SteadyInfluence>,
-    load: &'a RingLoads<'a>,
-    /// Each occupied ring's kernel, in [`RingLoads::occupied`] order;
-    /// none for the pinned map.
-    kernels: Vec<Arc<RotationKernel>>,
-    /// The power map whose steady state the cycles ride on, W: the
-    /// cross-ring background with kernels, else the pinned map.
-    power: Vec<f64>,
+/// A digest of a ring's slot powers and `τ.to_bits()`, so that a lookup
+/// compares the keys of few cached entries.
+fn key_hash(slots: &[f64], tau: u64) -> u64 {
+    slots.iter().fold(tau, |h, p| {
+        (h.rotate_left(5) ^ p.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
-impl Superposition<'_> {
-    /// Each occupied ring's peak, °C, or without kernels the pinned map's
-    /// one peak: [`Self::body`] compiled for the widest instruction set
-    /// this CPU has, checked in [`Matrix::mul_matrix`]'s order (AVX-512F,
-    /// AVX2, then the portable build, which Miri always takes).
-    fn peaks(&self) -> Vec<f64> {
-        let mut scratch = vec![0.0; 4 * self.power.len()];
-        let mut peaks = vec![f64::NEG_INFINITY; self.kernels.len().max(1)];
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the avx512f requirement was just checked.
-                unsafe { superposed_avx512(self, &mut scratch, &mut peaks) };
-                return peaks;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the avx2 requirement was just checked.
-                unsafe { superposed_avx2(self, &mut scratch, &mut peaks) };
-                return peaks;
-            }
-        }
-        self.body(&mut scratch, &mut peaks);
-        peaks
-    }
-
-    /// The probe's sums and maxima (DESIGN.md §6a) into `peaks`, one per
-    /// kernel or one for the pinned map, with `scratch` holding four
-    /// core-length rows. Every element is a lane-wise IEEE multiply, then
-    /// add, in the same order whatever the build, so every compilation
-    /// returns the same bits.
-    #[inline(always)]
-    fn body(&self, scratch: &mut [f64], peaks: &mut [f64]) {
-        let cores = self.power.len();
-        let (steady, rest) = scratch.split_at_mut(cores);
-        let (base, rest) = rest.split_at_mut(cores);
-        let (row, top) = rest.split_at_mut(cores);
-        self.steady.junctions(&self.power, steady);
-        if self.kernels.is_empty() {
-            peaks[0] = hottest(steady);
-            return;
-        }
-        let idle = self.load.idle;
-        let rings = self.load.occupied().zip(&self.kernels).zip(peaks);
-        for (((_, slots, avg), kernel), peak) in rings {
-            base.copy_from_slice(steady);
-            axpy(base, idle - avg, &kernel.all_slots);
-            top.fill(f64::NEG_INFINITY);
-            let delta = slots.len();
-            let h = kernel.h.as_slice();
-            for k in 0..delta {
-                row.copy_from_slice(base);
-                for (s, &p) in slots.iter().enumerate() {
-                    let w = p - idle;
-                    if w != 0.0 {
-                        let r = (k + s) % delta;
-                        axpy(row, w, &h[r * cores..(r + 1) * cores]);
-                    }
-                }
-                // Per junction over the boundaries, then once over the
-                // junctions: no serial chain through every element.
-                for (t, &v) in top.iter_mut().zip(&*row) {
-                    *t = t.max(v);
-                }
-            }
-            *peak = hottest(top);
-        }
+/// Writes the power map with every slot's power on its core and idle
+/// elsewhere to `power`, W.
+#[inline(always)]
+fn pinned_map(cores: &[CoreId], slots: &[f64], idle: f64, power: &mut [f64]) {
+    power.fill(idle);
+    for (c, &w) in cores.iter().zip(slots) {
+        power[c.index()] = w;
     }
 }
 
-/// [`Superposition::body`] compiled with AVX2 codegen. Lane-wise IEEE
+/// [`ProbeSession::body`] compiled with AVX2 codegen. Lane-wise IEEE
 /// mul/add only (rustc does not contract to FMA), so the results are
 /// bit-identical to the portable build's.
 ///
@@ -534,22 +865,22 @@ impl Superposition<'_> {
 /// bounds-checked and no pointers are formed.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
-unsafe fn superposed_avx2(probe: &Superposition<'_>, scratch: &mut [f64], peaks: &mut [f64]) {
-    probe.body(scratch, peaks);
+unsafe fn probe_avx2(session: &mut ProbeSession, rotating: bool) {
+    session.body(rotating);
 }
 
-/// [`Superposition::body`] compiled with AVX-512F codegen; bit-identical
-/// results, as for [`superposed_avx2`].
+/// [`ProbeSession::body`] compiled with AVX-512F codegen; bit-identical
+/// results, as for [`probe_avx2`].
 ///
 /// # Safety
 ///
 /// The caller must ensure the CPU supports AVX-512F, e.g. via
-/// `is_x86_feature_detected!("avx512f")`; see [`superposed_avx2`] — the
-/// same contract applies, with AVX-512F in place of AVX2.
+/// `is_x86_feature_detected!("avx512f")`; see [`probe_avx2`] — the same
+/// contract applies, with AVX-512F in place of AVX2.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx512f")]
-unsafe fn superposed_avx512(probe: &Superposition<'_>, scratch: &mut [f64], peaks: &mut [f64]) {
-    probe.body(scratch, peaks);
+unsafe fn probe_avx512(session: &mut ProbeSession, rotating: bool) {
+    session.body(rotating);
 }
 
 /// Computes steady-cycle peak temperatures for rotations on a fixed
@@ -576,8 +907,9 @@ pub struct RotationPeakSolver {
     /// caches, envelope guard and tallies.
     runtime: ModalRuntime<DenseEpochMap>,
     /// The Algorithm-2 probe's steady-influence matrix and rotation
-    /// kernels, built on first use.
-    probe: ProbeCache,
+    /// kernels, built on first use and shared with every solver on the
+    /// basis.
+    probe: Arc<ProbeCache>,
 }
 
 impl RotationPeakSolver {
@@ -593,9 +925,9 @@ impl RotationPeakSolver {
     pub fn new(model: RcThermalModel) -> Result<Self> {
         let basis = Arc::clone(model.basis()?);
         Ok(RotationPeakSolver {
+            probe: basis.cache(),
             model,
             runtime: ModalRuntime::new(basis),
-            probe: ProbeCache::default(),
         })
     }
 
@@ -725,31 +1057,44 @@ impl RotationPeakSolver {
             p_t.row_mut(row).copy_from_slice(power.as_slice());
         }
         let y_t = self.runtime.basis().steady_modal(&p_t)?; // Σδ × nodes
-        self.relax_cycles(&y_t, &deltas, samples, decays)
+        let ys: Vec<&[f64]> = (0..y_t.rows()).map(|r| y_t.row(r)).collect();
+        self.relax_cycles(&ys, &deltas, samples, decays)
     }
 
     /// Steps 2 and 3 of [`Self::modal_cycles`] on eigen-space steady
-    /// states already stacked in `y_t`, `deltas[i]` rows for cycle `i`:
-    /// the junction temperatures of every cycle's sample instants, one
-    /// row each.
+    /// states `all_ys`, `deltas[i]` of them for cycle `i`: the junction
+    /// temperatures of every cycle's sample instants, one row each.
     fn relax_cycles(
         &self,
-        y_t: &Matrix,
+        all_ys: &[&[f64]],
         deltas: &[usize],
         samples: usize,
         decays: &[(Arc<ModalDecay>, Arc<ModalDecay>)],
     ) -> Result<Matrix> {
         let nodes = self.model.node_count();
-        let mut z_t = Matrix::zeros(y_t.rows() * samples, nodes);
+        let mut z_t = Matrix::zeros(all_ys.len() * samples, nodes);
         let (mut first, mut row) = (0, 0);
+        // Cycles of one δ over one decay share their start weights.
+        let mut weights: Vec<(&Arc<ModalDecay>, usize, Vec<f64>)> = Vec::new();
         for (&delta, (epoch, sub)) in deltas.iter().zip(decays) {
-            let ys: Vec<&[f64]> = (first..first + delta).map(|r| y_t.row(r)).collect();
+            let ys = &all_ys[first..first + delta];
             first += delta;
-            let mut z = cycle_start(delta, nodes, epoch, &ys);
-            for y in &ys {
+            let known = weights
+                .iter()
+                .position(|(decay, d, _)| Arc::ptr_eq(decay, epoch) && *d == delta);
+            let w = match known {
+                Some(w) => w,
+                None => {
+                    weights.push((epoch, delta, start_weights(delta, epoch)));
+                    weights.len() - 1
+                }
+            };
+            let mut z = cycle_start(&weights[w].2, epoch, ys);
+            for y in ys {
                 for _ in 0..samples {
-                    for i in 0..nodes {
-                        z[i] = sub.m[i] * z[i] + sub.one_minus_m[i] * y[i];
+                    let terms = sub.m.iter().zip(sub.one_minus_m.iter()).zip(y.iter());
+                    for (z, ((&m, &one_minus_m), &y)) in z.as_mut_slice().iter_mut().zip(terms) {
+                        *z = m * *z + one_minus_m * y;
                     }
                     z_t.row_mut(row).copy_from_slice(z.as_slice());
                     row += 1;
@@ -949,8 +1294,9 @@ impl RotationPeakSolver {
     }
 
     /// Algorithm 2's probe: the hottest junction temperature, °C, of a
-    /// ring assignment — the HotPotato scheduler's and the design-space
-    /// oracle's one question to Algorithm 1.
+    /// ring assignment — the design-space oracle's one question to
+    /// Algorithm 1, and a [`ProbeSession`] of one probe, so that it and
+    /// the HotPotato scheduler's sessions price alike, bit for bit.
     ///
     /// Each ring lists its cores in rotation order; an occupant of type
     /// `T` draws `watts(occupant)` W and a free slot `idle_watts`. With
@@ -963,8 +1309,8 @@ impl RotationPeakSolver {
     /// its slot's core.
     ///
     /// A healthy solver evaluates the cycles by superposition — the
-    /// background's steady state plus one cached unit-watt rotation
-    /// response per occupied slot (DESIGN.md §6a) — agreeing with the
+    /// background's steady state plus cached unit-watt rotation
+    /// responses (module docs, DESIGN.md §6a) — agreeing with the
     /// explicit epoch sequences through
     /// [`peak_celsius_many`](Self::peak_celsius_many) within 1e-9 °C,
     /// and passes the per-ring peaks through the envelope guard. A
@@ -992,117 +1338,177 @@ impl RotationPeakSolver {
         tau: f64,
         rotating: bool,
     ) -> Result<f64> {
-        if !(tau.is_finite() && tau > 0.0) {
-            return Err(HotPotatoError::InvalidParameter {
-                name: "tau",
-                value: tau,
-            });
-        }
-        let load = RingLoads::new(self.model.core_count(), rings, watts, idle_watts)?;
-        let cycles = if rotating { load.occupied().count() } else { 0 };
-        let healthy = {
-            let mut ledger = self.runtime.lock();
-            if cycles > 0 {
-                ledger.count_batch(cycles);
-            }
-            !ledger.degraded()
-        };
-        // Pinned, or with no ring occupied, the probe is one steady state.
-        let rotating = cycles > 0;
-        if healthy {
-            let peaks = self.superposition(&load, tau, rotating)?.peaks();
-            let ambient = self.model.config().ambient;
-            if !self.runtime.lock().guard(ambient, peaks.iter().copied()) {
-                return Ok(hottest(&peaks));
-            }
-        }
-        let seqs = load.sequences(tau, rotating)?;
-        Ok(hottest(&self.steady_cycles(&seqs, 1, false)?.peaks))
+        self.session(rings, idle_watts)?
+            .peak(self, rings, watts, tau, rotating)
     }
 
-    /// The eigen path of [`Self::peak_of_rings`] for `load`, with its
-    /// operators resolved: the steady-influence matrix and, `rotating`,
-    /// each occupied ring's kernel at `tau` (s), all read under one lock.
-    /// A missing one is built outside it.
-    fn superposition<'a>(
+    /// Opens a [`ProbeSession`] over `rings` (each listing its cores in
+    /// rotation order), a free slot drawing `idle_watts` W: checks that
+    /// every core is on the chip and in one ring at most, and resolves
+    /// the steady-influence matrix and every ring's steady response.
+    /// The session then prices any occupancy of these rings.
+    ///
+    /// # Errors
+    ///
+    /// * [`HotPotatoError::InvalidAssignment`] if a ring lists a core
+    ///   outside the chip, or a core belongs to two rings.
+    /// * [`HotPotatoError::Linalg`] if `idle_watts` is not finite.
+    /// * Propagated solver errors.
+    pub fn session<T: Copy + PartialEq>(
         &self,
-        load: &'a RingLoads<'a>,
-        tau: f64,
-        rotating: bool,
-    ) -> Result<Superposition<'a>> {
-        let rings: Vec<&[CoreId]> = if rotating {
-            load.occupied().map(|(cores, _, _)| cores).collect()
-        } else {
-            Vec::new()
-        };
-        let (steady, cached) = {
-            let ops = self.probe.lock();
-            let cached: Vec<_> = rings.iter().map(|cores| ops.kernel(cores, tau)).collect();
-            (ops.steady.clone(), cached)
-        };
-        let steady = match steady {
-            Some(steady) => steady,
-            None => self.build_steady_influence()?,
-        };
-        let kernels = rings
+        rings: &[RingRotation<T>],
+        idle_watts: f64,
+    ) -> Result<ProbeSession> {
+        let set = self.ring_set(rings)?;
+        if !idle_watts.is_finite() {
+            return Err(HotPotatoError::Linalg(
+                NumericalError::NonFinite {
+                    what: "epoch power map",
+                }
+                .into(),
+            ));
+        }
+        let steady = self.steady_influence()?;
+        let mut first = 0;
+        let rings: Vec<SessionRing> = set
+            .lens
             .iter()
-            .zip(cached)
-            .map(|(cores, kernel)| match kernel {
-                Some(kernel) => Ok(kernel),
-                None => self.build_rotation_kernel(cores, tau),
+            .map(|&len| {
+                first += len;
+                SessionRing {
+                    first: first - len,
+                    len,
+                    average: idle_watts,
+                    occupied: false,
+                    latest: None,
+                    current: None,
+                }
             })
-            .collect::<Result<_>>()?;
-        let power = if rotating {
-            load.background()
-        } else {
-            load.pinned()
-        };
-        Ok(Superposition {
+            .collect();
+        let chip = self.model.core_count();
+        Ok(ProbeSession {
+            basis: Arc::clone(self.model.basis()?),
+            idle: idle_watts,
+            kernels: Vec::new(),
+            slots: Vec::with_capacity(set.cores.len()),
+            keys: Vec::with_capacity(set.cores.len()),
+            maxima: Vec::with_capacity(rings.len() * chip),
+            entries: Vec::with_capacity(rings.len()),
+            priced: Vec::with_capacity(rings.len()),
+            scratch: vec![0.0; 2 * chip],
+            peaks: Vec::with_capacity(rings.len().max(1)),
             steady,
-            load,
-            kernels,
-            power,
+            set,
+            rings,
         })
     }
 
-    /// Builds and caches the probe's steady-influence operator from the
-    /// basis: `Gᵀ = projᵀ·V_Jᵀ` and the zero-power junction state
+    /// The probe's steady-influence operator, built on first use from
+    /// the basis: `Gᵀ = projᵀ·V_Jᵀ` and the zero-power junction state
     /// `y_amb·V_Jᵀ`.
-    fn build_steady_influence(&self) -> Result<Arc<SteadyInfluence>> {
+    fn steady_influence(&self) -> Result<Arc<SteadyInfluence>> {
+        if let Some(steady) = self.probe.lock().steady.clone() {
+            return Ok(steady);
+        }
         let basis = self.runtime.basis();
         let y_amb = Matrix::from_fn(1, basis.node_count(), |_, i| basis.y_amb()[i]);
         let steady = Arc::new(SteadyInfluence {
             per_watt: basis.proj_t().mul_matrix(basis.v_junction_t())?,
             ambient: y_amb.mul_matrix(basis.v_junction_t())?.row(0).to_vec(),
         });
-        self.probe.lock().steady = Some(Arc::clone(&steady));
-        Ok(steady)
+        Ok(Arc::clone(self.probe.lock().steady.get_or_insert(steady)))
     }
 
-    /// Builds and caches ring `cores`'s unit-watt rotation kernel at
-    /// epoch length `tau` (s), by [`Self::relax_cycles`] from the cores'
+    /// The operators of `rings`, found among the cached ring sets under
+    /// one lock of the probe cache; a new set is checked (every core on
+    /// the chip and in one ring at most), summed from the
+    /// steady-influence matrix outside the lock, and cached.
+    fn ring_set<T: Copy + PartialEq>(&self, rings: &[RingRotation<T>]) -> Result<Arc<RingSet>> {
+        let known = {
+            let ops = self.probe.lock();
+            ops.sets.iter().find(|set| set.holds(rings)).cloned()
+        };
+        if let Some(set) = known {
+            return Ok(set);
+        }
+        let chip = self.model.core_count();
+        let mut covered = vec![false; chip];
+        for c in rings.iter().flat_map(RingRotation::cores) {
+            match covered.get_mut(c.index()) {
+                None => {
+                    return Err(HotPotatoError::InvalidAssignment(
+                        "a ring lists a core outside the chip",
+                    ))
+                }
+                Some(true) => {
+                    return Err(HotPotatoError::InvalidAssignment(
+                        "a core belongs to more than one ring",
+                    ))
+                }
+                Some(seen) => *seen = true,
+            }
+        }
+        let steady = self.steady_influence()?;
+        let rest = if covered.contains(&false) {
+            steady.response((0..chip).filter(|&c| !covered[c]))
+        } else {
+            Vec::new()
+        };
+        let set = Arc::new(RingSet {
+            cores: rings
+                .iter()
+                .flat_map(RingRotation::cores)
+                .copied()
+                .collect(),
+            lens: rings.iter().map(RingRotation::capacity).collect(),
+            responses: rings
+                .iter()
+                .flat_map(|ring| steady.response(ring.cores().iter().map(|c| c.index())))
+                .collect(),
+            rest,
+        });
+        let mut ops = self.probe.lock();
+        if let Some(known) = ops.sets.iter().find(|known| known.holds(rings)) {
+            return Ok(Arc::clone(known));
+        }
+        if ops.sets.len() >= PROBE_CACHE_CAP {
+            ops.sets.clear();
+        }
+        ops.sets.push(Arc::clone(&set));
+        Ok(set)
+    }
+
+    /// Every ring's unit-watt rotation kernel at epoch length `tau` (s),
+    /// one block for `set` (see [`ProbeOperators::kernels`]), read under
+    /// one lock of the probe cache. A missing block is built outside it
+    /// by one [`Self::relax_cycles`] over every ring, from the cores'
     /// rows of `projᵀ` (one watt on slot `e`'s core in epoch `e`, no
-    /// ambient term). Its decay data bypasses the runtime's cache and
-    /// tallies: whether a build runs depends on this cache, which no
-    /// checkpoint records.
-    fn build_rotation_kernel(&self, cores: &[CoreId], tau: f64) -> Result<Arc<RotationKernel>> {
+    /// ambient term) and one computation of the decay data, and cached.
+    /// That decay data bypasses the runtime's cache and tallies: whether
+    /// a build runs depends on this cache, which no checkpoint records.
+    fn rotation_kernels(&self, set: &Arc<RingSet>, tau: f64) -> Result<Arc<Matrix>> {
+        if let Some(h) = self.probe.lock().kernels(set, tau) {
+            return Ok(h);
+        }
         let basis = self.runtime.basis();
-        let mut y_t = Matrix::zeros(cores.len(), self.model.node_count());
-        for (e, c) in cores.iter().enumerate() {
-            y_t.row_mut(e)
-                .copy_from_slice(basis.proj_t().row(c.index()));
-        }
+        let ys: Vec<&[f64]> = set
+            .cores
+            .iter()
+            .map(|c| basis.proj_t().row(c.index()))
+            .collect();
         let decay = Arc::new(ModalDecay::new(basis.eigen().eigenvalues(), tau));
-        let h = self.relax_cycles(&y_t, &[cores.len()], 1, &[(Arc::clone(&decay), decay)])?;
-        let mut all_slots = vec![0.0; self.model.core_count()];
-        for k in 0..h.rows() {
-            axpy(&mut all_slots, 1.0, h.row(k));
+        let decays = vec![(Arc::clone(&decay), decay); set.lens.len()];
+        let h = Arc::new(self.relax_cycles(&ys, &set.lens, 1, &decays)?);
+        let mut ops = self.probe.lock();
+        if let Some(known) = ops.kernels(set, tau) {
+            return Ok(known);
         }
-        let kernel = Arc::new(RotationKernel { h, all_slots });
-        self.probe
-            .lock()
-            .insert_kernel(cores, tau, Arc::clone(&kernel));
-        Ok(kernel)
+        if ops.kernels.len() >= PROBE_CACHE_CAP {
+            ops.kernels.clear();
+        }
+        ops.kernels
+            .push((Arc::clone(set), tau.to_bits(), Arc::clone(&h)));
+        Ok(h)
     }
 
     /// The spectral decomposition backing the solver (for diagnostics).
@@ -1648,7 +2054,7 @@ mod tests {
 
     #[test]
     fn dispatched_probe_body_matches_the_portable_body_bit_for_bit() {
-        // `Superposition::peaks` checks these features in this order.
+        // `ProbeSession::run` checks these features in this order.
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         let backend = if std::arch::is_x86_feature_detected!("avx512f") {
             "avx512f"
@@ -1693,25 +2099,104 @@ mod tests {
                 }
                 cases.push(rings);
             }
-            for rings in &cases {
-                let load = RingLoads::new(w * h, rings, |watts| watts, 0.3).unwrap();
-                for tau in crate::HotPotatoConfig::default().tau_levels {
-                    for rotating in [true, false] {
-                        let probe = s.superposition(&load, tau, rotating).unwrap();
-                        let dispatched = probe.peaks();
-                        let mut portable = vec![f64::NEG_INFINITY; dispatched.len()];
-                        probe.body(&mut vec![0.0; 4 * w * h], &mut portable);
-                        let bits =
-                            |peaks: &[f64]| peaks.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(
-                            bits(&dispatched),
-                            bits(&portable),
-                            "{w}x{h} tau {tau} rotating {rotating}: {dispatched:?} vs {portable:?}"
-                        );
+            // One session per build, fed the same probes: the first pass
+            // sums every ring's maxima, the second reads them back.
+            let probe = |session: &mut ProbeSession, rings, tau, rotating, portable| {
+                session.read(&s, rings, |watts| watts).unwrap();
+                let rotating = rotating && session.rings.iter().any(|r| r.occupied);
+                if rotating {
+                    session.price(&s, tau).unwrap();
+                }
+                if portable {
+                    session.body(rotating);
+                } else {
+                    session.run(rotating);
+                }
+                session.peaks.clone()
+            };
+            let mut dispatched = s.session(&idle_chip, 0.3).unwrap();
+            let mut portable = s.session(&idle_chip, 0.3).unwrap();
+            for _ in 0..2 {
+                for rings in &cases {
+                    for tau in crate::HotPotatoConfig::default().tau_levels {
+                        for rotating in [true, false] {
+                            let a = probe(&mut dispatched, rings, tau, rotating, false);
+                            let b = probe(&mut portable, rings, tau, rotating, true);
+                            let bits = |peaks: &[f64]| {
+                                peaks.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(
+                                bits(&a),
+                                bits(&b),
+                                "{w}x{h} tau {tau} rotating {rotating}: {a:?} vs {b:?}"
+                            );
+                        }
                     }
                 }
             }
+            assert_eq!(dispatched.entries.len(), portable.entries.len());
         }
+    }
+
+    #[test]
+    fn a_reverted_trial_reads_the_cached_maxima_bit_for_bit() {
+        let s = solver_4x4();
+        let mut rings = rings_4x4();
+        rings[1].occupy(3, 5.0);
+        let mut session = s.session(&rings, 0.3).unwrap();
+        let mut peak = |rings: &[RingRotation<f64>], tau| {
+            let p = session.peak(&s, rings, |w| w, tau, true).unwrap();
+            (p, session.entries.len())
+        };
+        let (base, cached) = peak(&rings, 1e-3);
+        assert_eq!(cached, 1);
+        // A trial on the centre ring sums that ring only.
+        rings[0].occupy(0, 7.0);
+        let (trial, cached) = peak(&rings, 1e-3);
+        assert_eq!(cached, 2);
+        rings[0].remove(7.0);
+        let (again, cached) = peak(&rings, 1e-3);
+        assert_eq!(cached, 2, "the reverted ring is a cache hit");
+        assert_eq!(again.to_bits(), base.to_bits());
+        // Another τ is another key.
+        let (_, cached) = peak(&rings, 2e-3);
+        assert_eq!(cached, 3);
+        // A fresh session prices the same seats to the same bits.
+        let one =
+            |rings: &[RingRotation<f64>]| s.peak_of_rings(rings, |w| w, 0.3, 1e-3, true).unwrap();
+        assert_eq!(one(&rings).to_bits(), base.to_bits());
+        rings[0].occupy(0, 7.0);
+        assert_eq!(one(&rings).to_bits(), trial.to_bits());
+        // Four session probes and two sessions of one, as today's probes
+        // count: one batch of the occupied rings each.
+        let st = s.runtime().stats();
+        assert_eq!(
+            (st.batch_calls, st.batched_items),
+            (6, 1 + 2 + 1 + 1 + 1 + 2)
+        );
+    }
+
+    #[test]
+    fn a_session_refuses_other_rings_and_other_solvers() {
+        let s = solver_4x4();
+        let rings = rings_4x4();
+        let mut session = s.session(&rings, 0.3).unwrap();
+        let mut reversed = rings.clone();
+        reversed.reverse();
+        let fp = GridFloorplan::new(3, 3).unwrap();
+        let other =
+            RotationPeakSolver::new(RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap())
+                .unwrap();
+        for (solver, rings) in [(&s, &rings[..1]), (&s, &reversed[..]), (&other, &rings[..])] {
+            assert!(matches!(
+                session.peak(solver, rings, |w| w, 1e-3, true),
+                Err(HotPotatoError::InvalidAssignment(_))
+            ));
+        }
+        // A clone works on the same basis.
+        let clone = s.clone();
+        assert!(session.peak(&clone, &rings, |w| w, 1e-3, true).is_ok());
+        assert_eq!(s.runtime().stats(), SolverStats::default());
     }
 
     #[test]
@@ -1723,13 +2208,25 @@ mod tests {
         let clone = s.clone();
         let after = clone.peak_of_rings(&rings, |w| w, 0.3, 2e-3, true).unwrap();
         assert_eq!(before.to_bits(), after.to_bits());
-        let kernel = |solver: &RotationPeakSolver| {
-            solver.probe.lock().kernel(rings[2].cores(), 2e-3).unwrap()
+        let kernels = |solver: &RotationPeakSolver| {
+            let ops = solver.probe.lock();
+            let set = ops.sets.iter().find(|set| set.holds(&rings)).unwrap();
+            ops.kernels(set, 2e-3).unwrap()
         };
         assert!(
-            Arc::ptr_eq(&kernel(&s), &kernel(&clone)),
-            "one shared kernel"
+            Arc::ptr_eq(&kernels(&s), &kernels(&clone)),
+            "one shared block of kernels"
         );
+        assert_eq!(clone.probe.lock().sets.len(), 1);
+        // A solver of the model's clone is on the same basis, so it
+        // shares them too; a solver of another model builds its own.
+        let sibling = RotationPeakSolver::new(s.model().clone()).unwrap();
+        assert!(Arc::ptr_eq(&kernels(&s), &kernels(&sibling)));
+        let other = solver_4x4();
+        assert!(other.probe.lock().sets.is_empty());
+        let again = other.peak_of_rings(&rings, |w| w, 0.3, 2e-3, true).unwrap();
+        assert_eq!(before.to_bits(), again.to_bits());
+        assert!(!Arc::ptr_eq(&kernels(&s), &kernels(&other)));
     }
 
     #[test]
@@ -1737,12 +2234,24 @@ mod tests {
         let s = solver_4x4();
         let mut rings = rings_4x4();
         rings[0].occupy(0, 7.0);
-        for k in 0..=KERNEL_CACHE_CAP {
-            let tau = 1e-4 * (k + 1) as f64;
+        let blocks = || s.probe.lock().kernels.len();
+        for k in 1..=PROBE_CACHE_CAP {
+            let tau = 1e-4 * f64::from(u32::try_from(k).unwrap());
             s.peak_of_rings(&rings, |w| w, 0.3, tau, true).unwrap();
         }
-        let cached: usize = s.probe.lock().kernels.values().map(BTreeMap::len).sum();
-        assert_eq!(cached, 1);
+        assert_eq!(blocks(), PROBE_CACHE_CAP);
+        s.peak_of_rings(&rings, |w| w, 0.3, 1.0, true).unwrap();
+        assert_eq!(blocks(), 1);
+        // Ring sets likewise: every pair of cores as a one-ring set.
+        let sets = || s.probe.lock().sets.len();
+        let mut pairs = (0..16).flat_map(|i| (i + 1..16).map(move |j| [CoreId(i), CoreId(j)]));
+        while sets() < PROBE_CACHE_CAP {
+            let pair = RingRotation::<f64>::new(pairs.next().unwrap().to_vec());
+            s.session(&[pair], 0.3).unwrap();
+        }
+        let pair = RingRotation::<f64>::new(pairs.next().unwrap().to_vec());
+        s.session(&[pair], 0.3).unwrap();
+        assert_eq!(sets(), 1);
     }
 
     #[test]

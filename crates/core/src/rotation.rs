@@ -123,7 +123,7 @@ impl EpochPowerSequence {
 /// let mut ring = RingRotation::new(vec![CoreId(5), CoreId(6), CoreId(10), CoreId(9)]);
 /// ring.occupy(0, "master");
 /// ring.occupy(2, "slave");
-/// let moves = ring.advance();
+/// let moves: Vec<_> = ring.advance().collect();
 /// assert_eq!(moves, vec![("master", CoreId(5), CoreId(6)), ("slave", CoreId(10), CoreId(9))]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -159,14 +159,13 @@ impl<T: Copy + PartialEq> RingRotation<T> {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Slot indices currently free.
-    pub fn free_slots(&self) -> Vec<usize> {
+    /// Slot indices currently free, in ascending order.
+    pub fn free_slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_none())
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// The core of slot `slot`.
@@ -222,24 +221,19 @@ impl<T: Copy + PartialEq> RingRotation<T> {
         self.slots.iter().position(|s| *s == Some(thread))
     }
 
-    /// Advances the rotation by one slot; returns `(thread, from, to)`
-    /// moves for every occupant.
-    pub fn advance(&mut self) -> Vec<(T, CoreId, CoreId)> {
+    /// Advances the rotation by one slot, in place; returns the
+    /// `(thread, from, to)` move of every occupant, in the order of the
+    /// slots it leaves. The rotation happens whether or not the moves
+    /// are read.
+    pub fn advance(&mut self) -> impl Iterator<Item = (T, CoreId, CoreId)> + '_ {
         let k = self.capacity();
-        if k <= 1 || self.occupants() == 0 {
-            return Vec::new();
-        }
-        let mut moves = Vec::new();
-        let mut next: Vec<Option<T>> = vec![None; k];
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(t) = s {
-                let j = (i + 1) % k;
-                next[j] = Some(*t);
-                moves.push((*t, self.cores[i], self.cores[j]));
-            }
-        }
-        self.slots = next;
-        moves
+        let moves = if k > 1 { k } else { 0 };
+        self.slots.rotate_right(1);
+        (0..moves).filter_map(move |from| {
+            let to = (from + 1) % k;
+            let thread = self.slots[to]?;
+            Some((thread, self.cores[from], self.cores[to]))
+        })
     }
 }
 
@@ -287,7 +281,7 @@ mod tests {
         let mut ring = RingRotation::new(vec![CoreId(0), CoreId(1), CoreId(2)]);
         ring.occupy(0, 7u32);
         for _ in 0..3 {
-            ring.advance();
+            assert_eq!(ring.advance().count(), 1);
         }
         assert_eq!(ring.slot_of(7), Some(0));
     }
@@ -298,7 +292,7 @@ mod tests {
         for s in 0..4 {
             ring.occupy(s, s as u32);
         }
-        let moves = ring.advance();
+        let moves: Vec<_> = ring.advance().collect();
         assert_eq!(moves.len(), 4);
         let mut targets: Vec<CoreId> = moves.iter().map(|m| m.2).collect();
         targets.sort();
@@ -310,7 +304,7 @@ mod tests {
     fn remove_and_free_slots() {
         let mut ring = RingRotation::new(vec![CoreId(0), CoreId(1)]);
         ring.occupy(1, 9u32);
-        assert_eq!(ring.free_slots(), vec![0]);
+        assert_eq!(ring.free_slots().collect::<Vec<_>>(), vec![0]);
         assert!(ring.remove(9));
         assert!(!ring.remove(9));
         assert_eq!(ring.occupants(), 0);
@@ -320,7 +314,7 @@ mod tests {
     fn single_slot_ring_never_moves() {
         let mut ring = RingRotation::new(vec![CoreId(0)]);
         ring.occupy(0, 1u32);
-        assert!(ring.advance().is_empty());
+        assert_eq!(ring.advance().count(), 0);
     }
 
     #[test]

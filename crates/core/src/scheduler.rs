@@ -23,11 +23,25 @@
 //!   rings contribute their *time-averaged* power on their own cores
 //!   (they rotate too, so their long-run contribution on each of their
 //!   cores is the mean). `T_peak` is the max over per-ring evaluations.
-//!   The policy lives in one place,
-//!   [`RotationPeakSolver::peak_of_rings`], which the design-space
-//!   oracle asks too; it evaluates the per-ring cycles by superposition
-//!   of cached unit-watt rotation kernels.
+//!   The policy lives in one place, the probe of a
+//!   [`ProbeSession`], which the design-space oracle reaches through
+//!   [`RotationPeakSolver::peak_of_rings`]; it evaluates the per-ring
+//!   cycles by superposition of cached unit-watt rotation kernels.
+//!
+//! ## Cost of a hook
+//!
+//! The scheduler prices through one [`ProbeSession`], opened by its first
+//! probe and emptied at the start of every hook. A trial changes one or
+//! two rings, and the session caches every other ring's ring-local
+//! maxima, so a trial re-sums only the rings it changed plus an
+//! `O(rings·cores)` background; the bits do not depend on what the
+//! session has cached. The hook's own bookkeeping allocates
+//! little: each seat carries its thread's power estimate and CPI, the
+//! eviction and promotion candidates are sorted once per hook and kept
+//! sorted as threads move, and the rotation permutes the slots in place.
 
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -38,7 +52,7 @@ use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, JobId, Scheduler, SchedulerHealth, SimView, ThreadId};
 use hp_thermal::{NumericsStats, RcThermalModel, SolverStats};
 
-use crate::{Result, RingRotation, RotationPeakSolver};
+use crate::{ProbeSession, Result, RingRotation, RotationPeakSolver};
 
 /// Tuning knobs of the HotPotato scheduler.
 ///
@@ -132,12 +146,18 @@ pub struct HotPotato {
     assignment_dirty: bool,
     /// Cached per-thread power estimates from the last call; each seat
     /// carries its thread's.
-    powers: BTreeMap<ThreadId, f64>,
+    powers: BTreeMap<ThreadId, Estimate>,
     /// Number of Algorithm-1 evaluations performed (for the overhead study).
     evaluations: u64,
     /// Number of probes that failed (rejected input or solver error)
     /// and were read as `T_peak = ∞`.
     solver_failures: u64,
+    /// The probe session over `rings`, opened by the first probe and
+    /// emptied at the start of every hook, so each hook's trials share
+    /// their ring-local maxima while the buffers outlive the hook. Its
+    /// contents are a pure function of the seats, τ and the basis: it is
+    /// never snapshotted.
+    session: Option<ProbeSession>,
     /// Ring occupancy restored from a checkpoint before the rings
     /// themselves exist ([`Scheduler::restore`] has no machine access);
     /// applied and consumed by the first `schedule` call after the lazy
@@ -176,6 +196,7 @@ impl HotPotato {
             powers: BTreeMap::new(),
             evaluations: 0,
             solver_failures: 0,
+            session: None,
             restored_slots: None,
             obs: Registry::new(),
         })
@@ -246,6 +267,7 @@ impl HotPotato {
                     let seat = Seat {
                         thread: t.id,
                         watts: idle,
+                        cpi: None,
                     };
                     ring.occupy(slot, seat);
                 }
@@ -287,18 +309,17 @@ impl HotPotato {
     }
 
     /// `T_peak` of the current ring assignment, each seat drawing its
-    /// `watts`: one Algorithm-2 probe
-    /// ([`RotationPeakSolver::peak_of_rings`]), counted as one
-    /// Algorithm-1 evaluation per occupied ring it rotates (one when
-    /// pinned or idle). A failed probe reads as `T_peak = ∞`. Each
-    /// probe's wall-clock time lands in the `alg1.probe` histogram —
-    /// this is the quantity behind the paper's per-decision
-    /// scheduling-overhead measurement.
+    /// `watts`: one Algorithm-2 probe through the probe session, opened
+    /// by the first probe, counted as one Algorithm-1 evaluation per
+    /// occupied ring it rotates (one when pinned or idle). A failed
+    /// probe, or a session that cannot open, reads as `T_peak = ∞`. Each
+    /// probe's wall-clock time, the session's opening included, lands in
+    /// the `alg1.probe` histogram — this is the quantity behind the
+    /// paper's per-decision scheduling-overhead measurement.
     fn estimate_peak(&mut self, tau: f64, rotating: bool) -> f64 {
         // xtask: allow(nondet) — wall-clock observability timing; the
         // histogram it feeds is excluded from golden outputs.
         let probe_start = Instant::now();
-        let idle = self.config.idle_power;
         let cycles = if rotating {
             self.rings
                 .iter()
@@ -309,10 +330,16 @@ impl HotPotato {
             1
         };
         self.evaluations += cycles as u64;
+        let opened = match &mut self.session {
+            Some(session) => Ok(session),
+            None => self
+                .solver
+                .session(&self.rings, self.config.idle_power)
+                .map(|opened| self.session.insert(opened)),
+        };
         let watts = |seat: Seat| seat.watts;
-        let peak = match self
-            .solver
-            .peak_of_rings(&self.rings, watts, idle, tau, rotating)
+        let peak = match opened
+            .and_then(|session| session.peak(&self.solver, &self.rings, watts, tau, rotating))
         {
             Ok(peak) => peak,
             Err(_) => {
@@ -326,17 +353,14 @@ impl HotPotato {
     }
 
     /// Picks the free slot of `ring` farthest from its occupants
-    /// (maximal minimum cyclic distance).
+    /// (maximal minimum cyclic distance; the last such slot on a tie).
     fn best_free_slot<T: Copy + PartialEq>(ring: &RingRotation<T>) -> Option<usize> {
         let k = ring.capacity();
-        let free = ring.free_slots();
-        if free.is_empty() {
-            return None;
-        }
+        let mut free = ring.free_slots();
         if ring.occupants() == 0 {
-            return free.first().copied();
+            return free.next();
         }
-        free.into_iter().max_by_key(|&s| {
+        free.max_by_key(|&s| {
             (0..k)
                 .filter(|&o| ring.occupant(o).is_some())
                 .map(|o| {
@@ -349,13 +373,89 @@ impl HotPotato {
     }
 }
 
-/// A ring seat: its thread and the power, W, the Algorithm-2 probe reads
-/// for it. Seats are equal when they seat the same thread, so a ring
-/// finds, moves and frees a thread whatever its power.
+/// A ring seat: its thread, the power, W, the Algorithm-2 probe reads
+/// for it, and the thread's last CPI as the engine reported it this
+/// hook (`None` for a thread placed in this hook, which neither the
+/// eviction nor the promotion loop moves). Seats are equal when they seat
+/// the same thread, so a ring finds, moves and frees a thread whatever
+/// its power.
 #[derive(Debug, Clone, Copy)]
 struct Seat {
     thread: ThreadId,
     watts: f64,
+    cpi: Option<f64>,
+}
+
+/// A thread's cached power estimate, W, and its last CPI this hook:
+/// `None` until the engine reports the thread in the hook, and a thread
+/// the engine no longer reports has departed.
+#[derive(Debug, Clone, Copy)]
+struct Estimate {
+    watts: f64,
+    cpi: Option<f64>,
+}
+
+/// An eviction or promotion candidate: a seated thread's CPI and its
+/// ring and slot.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    cpi: f64,
+    ring: usize,
+    slot: usize,
+}
+
+/// The candidates the engine reports a CPI for in rings `first..`,
+/// sorted by `order`.
+fn candidates(
+    rings: &[RingRotation<Seat>],
+    first: usize,
+    order: fn(&Candidate, &Candidate) -> Ordering,
+) -> Vec<Candidate> {
+    let mut list = Vec::new();
+    for (ring, r) in rings.iter().enumerate().skip(first) {
+        for slot in 0..r.capacity() {
+            if let Some(cpi) = r.occupant(slot).and_then(|seat| seat.cpi) {
+                list.push(Candidate { cpi, ring, slot });
+            }
+        }
+    }
+    list.sort_by(order);
+    list
+}
+
+/// Eviction order: hottest (lowest CPI) first, ties by ring, then slot.
+fn lowest_cpi_first(a: &Candidate, b: &Candidate) -> Ordering {
+    a.cpi
+        .total_cmp(&b.cpi)
+        .then(a.ring.cmp(&b.ring))
+        .then(a.slot.cmp(&b.slot))
+}
+
+/// Promotion order: most memory-bound (highest CPI) first, ties by
+/// ring, then slot.
+fn highest_cpi_first(a: &Candidate, b: &Candidate) -> Ordering {
+    b.cpi
+        .total_cmp(&a.cpi)
+        .then(a.ring.cmp(&b.ring))
+        .then(a.slot.cmp(&b.slot))
+}
+
+/// Re-files candidate `i` of `list` (sorted by `order`) at its new ring
+/// and slot.
+fn refile(
+    list: &mut Vec<Candidate>,
+    i: usize,
+    ring: usize,
+    slot: usize,
+    order: fn(&Candidate, &Candidate) -> Ordering,
+) {
+    let moved = Candidate {
+        ring,
+        slot,
+        ..list.remove(i)
+    };
+    let at = list.partition_point(|c| order(c, &moved) == Ordering::Less);
+    list.insert(at, moved);
 }
 
 impl PartialEq for Seat {
@@ -462,7 +562,7 @@ impl Scheduler for HotPotato {
             powers: self
                 .powers
                 .iter()
-                .map(|(t, &watts)| (t.job, t.index, watts))
+                .map(|(t, e)| (t.job, t.index, e.watts))
                 .collect(),
             evaluations: self.evaluations,
             solver_failures: self.solver_failures,
@@ -493,7 +593,7 @@ impl Scheduler for HotPotato {
         self.powers = snap
             .powers
             .into_iter()
-            .map(|(job, index, watts)| (ThreadId { job, index }, watts))
+            .map(|(job, index, watts)| (ThreadId { job, index }, Estimate { watts, cpi: None }))
             .collect();
         self.evaluations = snap.evaluations;
         self.solver_failures = snap.solver_failures;
@@ -528,6 +628,7 @@ impl Scheduler for HotPotato {
                         let seat = Seat {
                             thread: ThreadId { job, index },
                             watts: self.config.idle_power,
+                            cpi: None,
                         };
                         ring.occupy(slot, seat);
                     }
@@ -536,28 +637,39 @@ impl Scheduler for HotPotato {
         }
 
         let mut actions = Vec::new();
-
-        // --- Sync with the engine: drop departed threads. ---
-        let live: BTreeMap<ThreadId, &hp_sim::ThreadView> =
-            view.threads.iter().map(|t| (t.id, t)).collect();
-        let departed: Vec<ThreadId> = self
-            .powers
-            .keys()
-            .filter(|t| !live.contains_key(t))
-            .copied()
-            .collect();
-        for t in departed {
-            self.powers.remove(&t);
-            self.assignment_dirty = true;
+        // Each hook prices from an empty cache of ring-local maxima.
+        if let Some(session) = &mut self.session {
+            session.clear();
         }
 
-        // --- Refresh power estimates. ---
+        // --- Sync with the engine: refresh every live thread's power
+        //     estimate and CPI, then drop the threads it no longer runs. ---
+        for estimate in self.powers.values_mut() {
+            estimate.cpi = None;
+        }
         for t in view.threads {
-            let p = Self::thread_power(view, t);
-            let old = self.powers.insert(t.id, p);
-            if old.is_none_or(|o| (o - p).abs() > 0.25) {
-                self.assignment_dirty = true;
+            let watts = Self::thread_power(view, t);
+            let fresh = Estimate {
+                watts,
+                cpi: Some(t.last_cpi),
+            };
+            match self.powers.entry(t.id) {
+                Entry::Occupied(mut known) => {
+                    if (known.get().watts - watts).abs() > 0.25 {
+                        self.assignment_dirty = true;
+                    }
+                    known.insert(fresh);
+                }
+                Entry::Vacant(new) => {
+                    new.insert(fresh);
+                    self.assignment_dirty = true;
+                }
             }
+        }
+        let known = self.powers.len();
+        self.powers.retain(|_, estimate| estimate.cpi.is_some());
+        if self.powers.len() != known {
+            self.assignment_dirty = true;
         }
         // Exactly the live threads have an estimate now: each seat takes
         // its thread's, and a departed thread's seat is freed.
@@ -567,7 +679,10 @@ impl Scheduler for HotPotato {
                     continue;
                 };
                 match self.powers.get(&seat.thread) {
-                    Some(&watts) => seat.watts = watts,
+                    Some(estimate) => {
+                        seat.watts = estimate.watts;
+                        seat.cpi = estimate.cpi;
+                    }
                     None => {
                         let departed = *seat;
                         ring.remove(departed);
@@ -597,11 +712,15 @@ impl Scheduler for HotPotato {
                 }
             };
             // Skip jobs that cannot fit in the free slots at all.
-            let free_total: usize = self.rings.iter().map(|r| r.free_slots().len()).sum();
+            let free_total: usize = self
+                .rings
+                .iter()
+                .map(|r| r.capacity() - r.occupants())
+                .sum();
             if free_total < job.threads {
                 continue;
             }
-            let mut placed: Vec<(usize, usize, CoreId)> = Vec::new(); // (ring, slot, core)
+            let mut cores = Vec::with_capacity(job.threads);
             let mut tau_index = self.tau_index;
             for i in 0..job.threads {
                 let seat = Seat {
@@ -610,6 +729,7 @@ impl Scheduler for HotPotato {
                         index: i,
                     },
                     watts: est,
+                    cpi: None,
                 };
                 // Walk rings inner → outer; remember the coolest option as
                 // a best-effort fallback (a new thread is never starved —
@@ -642,7 +762,8 @@ impl Scheduler for HotPotato {
                             tau_index -= 1;
                             self.rotating = true;
                             self.rings[r].occupy(slot, seat);
-                            let peak = self.estimate_peak(self.config.tau_levels[tau_index], true);
+                            let tau = self.config.tau_levels[tau_index];
+                            let peak = self.estimate_peak(tau, true);
                             if peak + self.config.delta_headroom < self.config.t_dtm {
                                 chosen = Some((r, slot));
                             } else {
@@ -659,19 +780,20 @@ impl Scheduler for HotPotato {
                     self.rings[r].occupy(slot, seat);
                     (r, slot)
                 });
-                let core = self.rings[r].core_of_slot(slot);
-                placed.push((r, slot, core));
+                cores.push(self.rings[r].core_of_slot(slot));
             }
-            debug_assert_eq!(placed.len(), job.threads);
+            debug_assert_eq!(cores.len(), job.threads);
             self.tau_index = tau_index;
-            let cores: Vec<CoreId> = placed.iter().map(|&(_, _, c)| c).collect();
             self.powers.extend((0..job.threads).map(|i| {
                 (
                     ThreadId {
                         job: job.job,
                         index: i,
                     },
-                    est,
+                    Estimate {
+                        watts: est,
+                        cpi: None,
+                    },
                 )
             }));
             actions.push(Action::PlaceJob {
@@ -696,6 +818,7 @@ impl Scheduler for HotPotato {
         //     — not only on violation.
         let measured_max = view.core_temps.max();
         let mut moves = 0usize;
+        let mut evictable: Option<Vec<Candidate>> = None;
         while self.last_peak.max(measured_max) > self.config.t_dtm - self.config.delta_headroom
             && moves < self.config.max_moves_per_call
         {
@@ -708,37 +831,37 @@ impl Scheduler for HotPotato {
                 continue;
             }
             // Hottest = lowest CPI. Find the lowest-CPI thread that can move
-            // to a higher-AMD ring with free capacity.
-            let mut candidates: Vec<(f64, Seat, usize)> = Vec::new(); // (cpi, seat, ring)
-            for (r, ring) in self.rings.iter().enumerate() {
-                for s in 0..ring.capacity() {
-                    if let Some(seat) = ring.occupant(s) {
-                        if let Some(tv) = live.get(&seat.thread) {
-                            candidates.push((tv.last_cpi, seat, r));
-                        }
-                    }
-                }
-            }
-            candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut moved = false;
-            for (_, seat, r) in candidates {
-                let target = (r + 1..ring_count)
-                    .find_map(|r2| Self::best_free_slot(&self.rings[r2]).map(|s| (r2, s)));
-                let Some((r2, slot)) = target else { continue };
-                let to = {
+            // to a higher-AMD ring with free capacity: one in a ring inside
+            // the outermost ring with a free slot.
+            let candidates =
+                evictable.get_or_insert_with(|| candidates(&self.rings, 0, lowest_cpi_first));
+            let outermost_free = (0..ring_count)
+                .rev()
+                .find(|&r| self.rings[r].occupants() < self.rings[r].capacity());
+            let chosen =
+                outermost_free.and_then(|free| candidates.iter().position(|c| c.ring < free));
+            let target = chosen.and_then(|i| {
+                let r = candidates[i].ring;
+                (r + 1..ring_count)
+                    .find_map(|r2| Self::best_free_slot(&self.rings[r2]).map(|s| (i, r2, s)))
+            });
+            if let Some((i, r2, slot)) = target {
+                let Candidate {
+                    ring: r,
+                    slot: from,
+                    ..
+                } = candidates[i];
+                if let Some(seat) = self.rings[r].occupant(from) {
                     self.rings[r].remove(seat);
                     self.rings[r2].occupy(slot, seat);
-                    self.rings[r2].core_of_slot(slot)
-                };
-                actions.push(Action::Migrate {
-                    thread: seat.thread,
-                    to,
-                });
-                moved = true;
+                    actions.push(Action::Migrate {
+                        thread: seat.thread,
+                        to: self.rings[r2].core_of_slot(slot),
+                    });
+                }
+                refile(candidates, i, r2, slot, lowest_cpi_first);
                 moves += 1;
-                break;
-            }
-            if !moved {
+            } else {
                 // No eviction possible: accelerate the rotation.
                 if self.tau_index > 0 {
                     self.tau_index -= 1;
@@ -754,30 +877,26 @@ impl Scheduler for HotPotato {
         //     rotation (lines 16–27). Triggered at twice the hysteresis so
         //     phase transitions (which overshoot the steady cycle) cannot
         //     ping-pong against the pressure loop above.
+        let mut promotable: Option<Vec<Candidate>> = None;
         while self.config.t_dtm - self.last_peak.max(measured_max)
             > 2.0 * self.config.delta_headroom
             && moves < self.config.max_moves_per_call
         {
-            // Highest CPI first (most memory-bound benefits most).
-            let mut candidates: Vec<(f64, Seat, usize)> = Vec::new();
-            for (r, ring) in self.rings.iter().enumerate() {
-                if r == 0 {
-                    continue; // already innermost
-                }
-                for s in 0..ring.capacity() {
-                    if let Some(seat) = ring.occupant(s) {
-                        if let Some(tv) = live.get(&seat.thread) {
-                            candidates.push((tv.last_cpi, seat, r));
-                        }
-                    }
-                }
-            }
-            candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let mut improved = false;
-            'promote: for (_, seat, r) in candidates {
-                // The candidate was read out of ring r above; a vanished
-                // slot means the bookkeeping changed under us — skip it.
-                let Some(origin_slot) = self.rings[r].slot_of(seat) else {
+            // Highest CPI first (most memory-bound benefits most); the
+            // innermost ring's threads are where they would go already.
+            let candidates =
+                promotable.get_or_insert_with(|| candidates(&self.rings, 1, highest_cpi_first));
+            let mut promoted = None;
+            'promote: for (
+                i,
+                &Candidate {
+                    ring: r,
+                    slot: origin,
+                    ..
+                },
+            ) in candidates.iter().enumerate()
+            {
+                let Some(seat) = self.rings[r].occupant(origin) else {
                     continue;
                 };
                 for r2 in 0..r {
@@ -798,37 +917,45 @@ impl Scheduler for HotPotato {
                         self.last_peak = peak;
                         self.last_evaluation = view.time;
                         moves += 1;
-                        improved = true;
+                        promoted = Some((i, r2, slot));
                         break 'promote;
                     }
                     // Revert to the exact origin slot (a different slot
                     // would silently desynchronize the ring bookkeeping
                     // from the engine's core assignment).
                     self.rings[r2].remove(seat);
-                    self.rings[r].occupy(origin_slot, seat);
+                    self.rings[r].occupy(origin, seat);
                 }
             }
-            if !improved {
-                // Slow the rotation (less overhead) while still safe.
-                if self.rotating && self.tau_index + 1 < self.config.tau_levels.len() {
-                    let peak = self.estimate_peak(self.config.tau_levels[self.tau_index + 1], true);
-                    if peak + 2.0 * self.config.delta_headroom < self.config.t_dtm {
-                        self.tau_index += 1;
-                        self.last_peak = peak;
-                        self.last_evaluation = view.time;
-                        continue;
-                    }
+            match promoted {
+                // The innermost ring is as far as a thread goes.
+                Some((i, 0, _)) => {
+                    candidates.remove(i);
                 }
-                if self.rotating {
-                    // Sustainable without rotation at all?
-                    let pinned = self.estimate_peak(self.tau(), false);
-                    if pinned + 2.0 * self.config.delta_headroom < self.config.t_dtm {
-                        self.rotating = false;
-                        self.last_peak = pinned;
-                        self.last_evaluation = view.time;
+                Some((i, r2, slot)) => refile(candidates, i, r2, slot, highest_cpi_first),
+                None => {
+                    // Slow the rotation (less overhead) while still safe.
+                    if self.rotating && self.tau_index + 1 < self.config.tau_levels.len() {
+                        let slower = self.config.tau_levels[self.tau_index + 1];
+                        let peak = self.estimate_peak(slower, true);
+                        if peak + 2.0 * self.config.delta_headroom < self.config.t_dtm {
+                            self.tau_index += 1;
+                            self.last_peak = peak;
+                            self.last_evaluation = view.time;
+                            continue;
+                        }
                     }
+                    if self.rotating {
+                        // Sustainable without rotation at all?
+                        let pinned = self.estimate_peak(self.tau(), false);
+                        if pinned + 2.0 * self.config.delta_headroom < self.config.t_dtm {
+                            self.rotating = false;
+                            self.last_peak = pinned;
+                            self.last_evaluation = view.time;
+                        }
+                    }
+                    break;
                 }
-                break;
             }
         }
 
@@ -867,21 +994,25 @@ impl Scheduler for HotPotato {
 /// Keeps only the last `Migrate` action per thread, preserving order
 /// otherwise.
 fn dedupe_migrations(actions: Vec<Action>) -> Vec<Action> {
-    let mut last_target: BTreeMap<ThreadId, usize> = BTreeMap::new();
-    for (i, a) in actions.iter().enumerate() {
-        if let Action::Migrate { thread, .. } = a {
-            last_target.insert(*thread, i);
-        }
-    }
-    actions
+    // Backwards, so the first `Migrate` seen of a thread is its last;
+    // `later` holds, sorted, the threads already seen.
+    let mut later: Vec<ThreadId> = Vec::new();
+    let mut kept: Vec<Action> = actions
         .into_iter()
-        .enumerate()
-        .filter(|(i, a)| match a {
-            Action::Migrate { thread, .. } => last_target.get(thread) == Some(i),
+        .rev()
+        .filter(|a| match a {
+            Action::Migrate { thread, .. } => match later.binary_search(thread) {
+                Ok(_) => false,
+                Err(at) => {
+                    later.insert(at, *thread);
+                    true
+                }
+            },
             _ => true,
         })
-        .map(|(_, a)| a)
-        .collect()
+        .collect();
+    kept.reverse();
+    kept
 }
 
 #[cfg(test)]
@@ -1042,6 +1173,103 @@ mod tests {
         let finals: BTreeMap<ThreadId, CoreId> =
             after.iter().map(|(&t, &(_, core))| (t, core)).collect();
         assert_eq!(migrated, finals);
+    }
+
+    #[test]
+    fn eviction_takes_the_lowest_cpi_first_and_breaks_ties_by_ring_then_slot() {
+        let machine = machine_4x4();
+        let levels = vec![machine.config().dvfs.max_level(); 16];
+        let confidence = vec![1.0; 16];
+        let mut hp = HotPotato::new(model_4x4(), HotPotatoConfig::default()).unwrap();
+        hp.rings = machine
+            .rings()
+            .iter()
+            .map(|r| RingRotation::new(r.cores().to_vec()))
+            .collect();
+        assert_eq!(
+            hp.rings
+                .iter()
+                .map(RingRotation::capacity)
+                .collect::<Vec<_>>(),
+            [4, 8, 4]
+        );
+        // (ring, slot, CPI): one cool-CPI thread amid equal ones.
+        let seats = [
+            (0, 0, 1.0),
+            (0, 1, 1.0),
+            (0, 2, 0.5),
+            (0, 3, 1.0),
+            (1, 0, 1.0),
+        ];
+        let mut threads = Vec::new();
+        let mut occupancy = [None; 16];
+        for (index, &(r, slot, cpi)) in seats.iter().enumerate() {
+            let id = ThreadId {
+                job: JobId(0),
+                index,
+            };
+            let core = hp.rings[r].core_of_slot(slot);
+            let seat = Seat {
+                thread: id,
+                watts: 5.0,
+                cpi: None,
+            };
+            hp.rings[r].occupy(slot, seat);
+            occupancy[core.index()] = Some(id);
+            threads.push(hp_sim::ThreadView {
+                id,
+                benchmark: Benchmark::Blackscholes,
+                core,
+                work: Benchmark::Blackscholes.work_point(),
+                last_cpi: cpi,
+                avg_power: 5.0,
+            });
+        }
+        // Hot sensors keep the pressure loop evicting for its four moves;
+        // τ has not elapsed, so the hook does not rotate.
+        let hot = hp_linalg::Vector::constant(16, 80.0);
+        let actions = hp.schedule(&SimView {
+            time: 1e-4,
+            machine: &machine,
+            core_temps: &hot,
+            levels: &levels,
+            occupancy: &occupancy,
+            threads: &threads,
+            pending: &[],
+            t_dtm: 70.0,
+            dtm_active: false,
+            sensor_confidence: &confidence,
+        });
+        let ring_of = |index| {
+            let thread = ThreadId {
+                job: JobId(0),
+                index,
+            };
+            (0..3)
+                .find(|&r| {
+                    hp.rings[r]
+                        .slot_of(Seat {
+                            thread,
+                            watts: 0.0,
+                            cpi: None,
+                        })
+                        .is_some()
+                })
+                .unwrap()
+        };
+        // The lowest CPI leaves first and, still the lowest, moves on to
+        // the outermost ring; then the equal-CPI threads go in ring, then
+        // slot, order until the four moves are spent: the centre ring's
+        // slots 0 and 1, ahead of its slot 3 and of ring 1's thread.
+        assert_eq!((0..5).map(ring_of).collect::<Vec<_>>(), [1, 1, 2, 0, 1]);
+        let migrated: Vec<usize> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Migrate { thread, .. } => Some(thread.index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(migrated, [2, 0, 1], "{actions:?}");
     }
 
     #[test]

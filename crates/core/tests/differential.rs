@@ -8,7 +8,9 @@
 //! textbook formulation (the literal Eq.-10 spectral filters, brute-force
 //! transient stepping, the probe's superposition) must agree within
 //! documented tolerances; a degraded probe runs the explicit sequences
-//! themselves, so it agrees bit for bit.
+//! themselves, so it agrees bit for bit. A probe session, whatever it
+//! has cached, prices a ring assignment to the bits of a session of one
+//! (`peak_of_rings`).
 
 mod support;
 
@@ -342,22 +344,114 @@ fn probe_matches_explicit_sequences_on_healthy_chips() {
         let s = solver(w, h, &ThermalConfig::default());
         let rings = empty_rings(w, h);
         let cases = occupancies(&rings, &mut stream, random);
-        for &tau in &HotPotatoConfig::default().tau_levels {
-            for case in &cases {
-                for rotating in [true, false] {
-                    let probe = s
-                        .peak_of_rings(case, |watts| watts, idle, tau, rotating)
-                        .expect("probe");
-                    let explicit = explicit_probe_peak(&s, case, idle, tau, rotating);
-                    assert!(
-                        (probe - explicit).abs() <= PROBE_TOLERANCE_CELSIUS,
-                        "{w}x{h} tau {tau} rotating {rotating}: {probe} vs {explicit}"
-                    );
+        // One session for every case, τ and mode, twice over: the second
+        // pass reads every ring's maxima from its cache.
+        let mut session = s.session(&rings, idle).expect("session");
+        for pass in 0..2 {
+            for &tau in &HotPotatoConfig::default().tau_levels {
+                for case in &cases {
+                    for rotating in [true, false] {
+                        let probe = s
+                            .peak_of_rings(case, |watts| watts, idle, tau, rotating)
+                            .expect("probe");
+                        let priced = session
+                            .peak(&s, case, |watts| watts, tau, rotating)
+                            .expect("session probe");
+                        assert_eq!(
+                            priced.to_bits(),
+                            probe.to_bits(),
+                            "{w}x{h} pass {pass} tau {tau} rotating {rotating}: {priced} vs {probe}"
+                        );
+                        let explicit = explicit_probe_peak(&s, case, idle, tau, rotating);
+                        assert!(
+                            (probe - explicit).abs() <= PROBE_TOLERANCE_CELSIUS,
+                            "{w}x{h} tau {tau} rotating {rotating}: {probe} vs {explicit}"
+                        );
+                    }
                 }
             }
         }
         assert!(!s.degraded());
         assert_eq!(s.runtime().numerics(), NumericsStats::default());
+    }
+}
+
+/// One step of a scheduler-like walk over `rings`: occupy a free slot,
+/// free an occupant, move an occupant to another ring, or change the
+/// power of one, each with probability ¼ (a no-op when impossible).
+fn trial_step(rings: &mut [RingRotation<f64>], stream: &mut Stream) {
+    let pick = |stream: &mut Stream, n: usize| (stream.next() % n as u64) as usize;
+    let r = pick(stream, rings.len());
+    let occupied: Vec<usize> = (0..rings[r].capacity())
+        .filter(|&s| rings[r].occupant(s).is_some())
+        .collect();
+    match stream.next() % 4 {
+        0 => {
+            let free = rings[r].free_slots().next();
+            if let Some(slot) = free {
+                rings[r].occupy(slot, 0.3 + 8.0 * stream.unit());
+            }
+        }
+        1 | 2 if !occupied.is_empty() => {
+            let slot = occupied[pick(stream, occupied.len())];
+            let watts = rings[r].occupant(slot).expect("occupied");
+            rings[r].remove(watts);
+            let to = pick(stream, rings.len());
+            let free = rings[to].free_slots().last();
+            match free {
+                Some(free) if stream.next().is_multiple_of(2) => rings[to].occupy(free, watts),
+                _ => rings[r].occupy(slot, 0.3 + 8.0 * stream.unit()),
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn a_session_prices_a_trial_walk_as_sessions_of_one_do() {
+    let mut stream = Stream(2024);
+    let idle = HotPotatoConfig::default().idle_power;
+    let taus = HotPotatoConfig::default().tau_levels;
+    for (w, h) in [(4, 4), (8, 8), (3, 3), (3, 2)] {
+        let s = solver(w, h, &ThermalConfig::default());
+        let mut rings = empty_rings(w, h);
+        let mut session = s.session(&rings, idle).expect("session");
+        let mut tau = taus[1];
+        let mut rotating = true;
+        for step in 0..300 {
+            let before = rings.clone();
+            trial_step(&mut rings, &mut stream);
+            match stream.next() % 8 {
+                0 => tau = taus[(stream.next() % taus.len() as u64) as usize],
+                1 => rotating = !rotating,
+                _ => {}
+            }
+            let priced = session
+                .peak(&s, &rings, |watts| watts, tau, rotating)
+                .expect("session probe");
+            let one = s
+                .peak_of_rings(&rings, |watts| watts, idle, tau, rotating)
+                .expect("probe");
+            assert_eq!(
+                priced.to_bits(),
+                one.to_bits(),
+                "{w}x{h} step {step} tau {tau} rotating {rotating}: {priced} vs {one}"
+            );
+            // Half the trials are undone, as a refused placement is: the
+            // session then reads the earlier seats back from its cache.
+            if stream.next().is_multiple_of(2) {
+                rings = before;
+                let reverted = session
+                    .peak(&s, &rings, |watts| watts, tau, rotating)
+                    .expect("session probe");
+                let fresh = s
+                    .session(&rings, idle)
+                    .and_then(|mut fresh| fresh.peak(&s, &rings, |watts| watts, tau, rotating))
+                    .expect("fresh session");
+                assert_eq!(reverted.to_bits(), fresh.to_bits(), "{w}x{h} step {step}");
+            }
+        }
+        assert!(!s.degraded());
     }
 }
 
@@ -400,7 +494,9 @@ fn armed_probe_is_the_explicit_dense_path_bit_for_bit() {
     let probe_solver = solver(4, 4, &ThermalConfig::ill_conditioned());
     let explicit_solver = solver(4, 4, &ThermalConfig::ill_conditioned());
     assert!(probe_solver.degraded());
+    let session_solver = solver(4, 4, &ThermalConfig::ill_conditioned());
     let rings = empty_rings(4, 4);
+    let mut session = session_solver.session(&rings, 0.3).expect("session");
     let cases = occupancies(&rings, &mut Stream(7), 2);
     for tau in [0.5e-3, 2e-3] {
         for case in &cases {
@@ -414,39 +510,61 @@ fn armed_probe_is_the_explicit_dense_path_bit_for_bit() {
                     explicit.to_bits(),
                     "tau {tau} rotating {rotating}: {probe} vs {explicit}"
                 );
+                let priced = session
+                    .peak(&session_solver, case, |watts| watts, tau, rotating)
+                    .expect("session probe");
+                assert_eq!(priced.to_bits(), explicit.to_bits());
             }
         }
     }
     let numerics = probe_solver.runtime().numerics();
     assert!(numerics.fallback_steps > 0);
-    assert_eq!(numerics, explicit_solver.runtime().numerics());
-    assert_eq!(
-        probe_solver.runtime().stats(),
-        explicit_solver.runtime().stats()
-    );
+    for s in [&explicit_solver, &session_solver] {
+        assert_eq!(numerics, s.runtime().numerics());
+        assert_eq!(probe_solver.runtime().stats(), s.runtime().stats());
+    }
 }
 
 #[test]
 fn a_megawatt_slot_trips_the_guard_and_reads_the_dense_path() {
     let probe_solver = solver(4, 4, &ThermalConfig::default());
     let explicit_solver = solver(4, 4, &ThermalConfig::default());
+    let session_solver = solver(4, 4, &ThermalConfig::default());
     let mut rings = empty_rings(4, 4);
-    rings[0].occupy(1, 1e6);
+    // A warm session: the centre ring's maxima are cached before the
+    // megawatt seat arrives.
+    let mut session = session_solver.session(&rings, 0.3).expect("session");
     rings[1].occupy(3, 5.0);
+    session
+        .peak(&session_solver, &rings, |watts| watts, 0.5e-3, true)
+        .expect("session probe");
+    session_solver.runtime().reset_tallies();
+    rings[0].occupy(1, 1e6);
     let probe = probe_solver
         .peak_of_rings(&rings, |watts| watts, 0.3, 0.5e-3, true)
         .expect("probe");
     assert!(probe_solver.degraded());
     let explicit = explicit_probe_peak(&explicit_solver, &rings, 0.3, 0.5e-3, true);
     assert_eq!(probe.to_bits(), explicit.to_bits(), "{probe} vs {explicit}");
+    let priced = session
+        .peak(&session_solver, &rings, |watts| watts, 0.5e-3, true)
+        .expect("session probe");
+    assert!(session_solver.degraded());
+    assert_eq!(
+        priced.to_bits(),
+        explicit.to_bits(),
+        "{priced} vs {explicit}"
+    );
     let numerics = probe_solver.runtime().numerics();
     assert_eq!(
         (numerics.guard_trips, numerics.fallback_activations),
         (1, 1)
     );
     assert_eq!(numerics, explicit_solver.runtime().numerics());
+    assert_eq!(numerics, session_solver.runtime().numerics());
     let stats = probe_solver.runtime().stats();
     assert_eq!((stats.batch_calls, stats.batched_items), (1, 2));
+    assert_eq!(stats, session_solver.runtime().stats());
 }
 
 #[test]
@@ -475,6 +593,24 @@ fn cached_kernels_leave_the_tallies_as_a_fresh_solver_counts_them() {
     assert_eq!(probes(&warm), fresh_bits, "cached kernels, same bits");
     assert_eq!(warm.runtime().stats(), fresh.runtime().stats());
     assert_eq!(warm.runtime().numerics(), fresh.runtime().numerics());
+    // The same probes through one session, its maxima cached as it goes,
+    // count the same again.
+    let sessioned = solver_8x8();
+    let mut session = sessioned.session(&rings, 0.3).expect("session");
+    let mut bits = Vec::new();
+    for tau in [0.25e-3, 1e-3] {
+        for case in &cases {
+            for rotating in [true, false] {
+                let peak = session
+                    .peak(&sessioned, case, |watts| watts, tau, rotating)
+                    .expect("session probe");
+                bits.push(peak.to_bits());
+            }
+        }
+    }
+    assert_eq!(bits, fresh_bits, "a session, same bits");
+    assert_eq!(sessioned.runtime().stats(), fresh.runtime().stats());
+    assert_eq!(sessioned.runtime().numerics(), fresh.runtime().numerics());
     let stats = fresh.runtime().stats();
     assert_eq!((stats.decay_cache_hits, stats.decay_cache_misses), (0, 0));
     // Every rotating probe but the idle chip's counts one batch.

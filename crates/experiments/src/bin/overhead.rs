@@ -7,10 +7,12 @@
 //! recurrence), (b) the literal Eq.-(10) reference form, (c) one
 //! Algorithm-2 placement probe with every slot of every ring occupied,
 //! as explicit epoch sequences through `peak_celsius_many` and as the
-//! scheduler's superposition probe `peak_of_rings`, and the same probe
-//! with one thread per ring, where its fixed per-probe costs (reading
-//! the slot powers, fetching the kernels) weigh most, and (d) the
-//! design-time phase (eigendecomposition) — all through the shared
+//! one-shot superposition probe `peak_of_rings`, the same one-shot probe
+//! with one thread per ring, where its fixed per-probe costs (opening
+//! the probe session, reading the slot powers) weigh most, and the
+//! scheduler's common case, a trial that changes one ring of the full
+//! chip in a warm probe session, and (d) the design-time phase
+//! (eigendecomposition) — all through the shared
 //! [`hp_obs`] profiler, so the output reports the same p50/p95/max
 //! percentiles the engine records for live scheduler hooks.
 
@@ -124,6 +126,25 @@ fn main() {
         let _t = ScopedTimer::start(&reg, "alg2.superposition.light");
         std::hint::black_box(probe_of(&light));
     }
+    // A warm session, as a scheduling hook holds one: every ring priced
+    // once, then a trial that swaps one thread's power on one ring (each
+    // ring in turn), so the trial re-sums that ring only.
+    for rep in 0..10_000 {
+        let mut trial = rings.clone();
+        let mut session = solver.session(&trial, 0.3).expect("session opens");
+        let mut peak = |rings: &[RingRotation<f64>]| {
+            session
+                .peak(&solver, rings, |watts| watts, 0.5e-3, true)
+                .expect("probe computes")
+        };
+        peak(&trial);
+        let ring = &mut trial[rep % rings.len()];
+        let hot = ring.occupant(0).expect("every slot is occupied");
+        ring.remove(hot);
+        ring.occupy(0, if hot > 5.0 { 2.5 } else { 7.0 });
+        let _t = ScopedTimer::start(&reg, "alg2.session.trial");
+        std::hint::black_box(peak(&trial));
+    }
 
     let report = reg.snapshot();
     println!("Run-time overhead on the 64-core chip (paper: 23.76 us per schedule)");
@@ -171,5 +192,9 @@ fn main() {
     println!("The same probe with one thread on each of the chip's rings:");
     if let Some(h) = report.histogram("alg2.superposition.light") {
         print_summary("8x8 probe", "probe-light", "superposition", h);
+    }
+    println!("A one-ring trial on the full chip in a warm probe session:");
+    if let Some(h) = report.histogram("alg2.session.trial") {
+        print_summary("8x8 probe", "probe-trial", "warm session", h);
     }
 }

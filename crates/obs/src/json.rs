@@ -18,8 +18,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, kept as raw text (parse on demand via
-    /// [`as_f64`](Json::as_f64) / [`as_u64`](Json::as_u64)).
+    /// A number, kept as raw text: read it through
+    /// [`as_f64`](Json::as_f64), or parse the text itself where an
+    /// integer must stay exact (`hp_sim::codec` does).
     Num(String),
     /// A string, unescaped.
     Str(String),
@@ -40,14 +41,6 @@ impl Json {
 
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, if it is a non-negative integer number.
-    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -280,7 +273,7 @@ mod tests {
         let arr = v.get("a").and_then(|a| a.get("b")).unwrap();
         match arr {
             Json::Arr(items) => {
-                assert_eq!(items[0].as_u64(), Some(1));
+                assert_eq!(items[0], Json::Num("1".into()));
                 assert_eq!(items[1].as_f64(), Some(2.5));
                 assert_eq!(items[2].as_f64(), Some(-0.03));
             }
@@ -289,13 +282,6 @@ mod tests {
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("t"), Some(&Json::Bool(true)));
         assert_eq!(v.get("n"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn large_counters_roundtrip_exactly() {
-        let v = parse(r#"{"c": 9007199254740993}"#).unwrap();
-        // 2^53 + 1: not representable in f64; the raw-text path keeps it.
-        assert_eq!(v.get("c").and_then(Json::as_u64), Some(9007199254740993));
     }
 
     #[test]

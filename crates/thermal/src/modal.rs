@@ -16,9 +16,11 @@
 //! [`ModalBasis`] holds these operators in the transposed layouts the
 //! row-stacked GEMMs consume, plus the construction-time trust verdict
 //! on the eigendecomposition. Each model owns one, built on first use by
-//! [`RcThermalModel::basis`].
+//! [`RcThermalModel::basis`]. Operators another layer derives from the
+//! basis live in its [`cache`](ModalBasis::cache), shared the same way.
 
-use std::sync::OnceLock;
+use std::any::Any;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, Vector};
@@ -65,6 +67,9 @@ pub struct ModalBasis {
     /// FNV-1a over the bits of `λ`, `V` and `y_amb`; see
     /// [`fingerprint`](ModalBasis::fingerprint).
     fingerprint: u64,
+    /// Caches other layers derive from this basis, at most one per type;
+    /// see [`cache`](ModalBasis::cache).
+    caches: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl ModalBasis {
@@ -100,6 +105,7 @@ impl ModalBasis {
             fingerprint,
             v_t: OnceLock::new(),
             v_inv_t: OnceLock::new(),
+            caches: Mutex::default(),
             proj_t,
             y_amb,
             v_junction_t,
@@ -171,6 +177,28 @@ impl ModalBasis {
         self.fingerprint
     }
 
+    /// The cache of type `T` that every holder of this basis shares,
+    /// created empty (`T::default()`) by the first request.
+    ///
+    /// A layer that derives operators of its own from the basis keeps
+    /// them here, so the solvers of a model and of its clones build each
+    /// operator once, as they share the eigendecomposition. What a cache
+    /// holds and how it is bounded is its type's business; it must hold
+    /// only pure functions of the basis, since any holder may read what
+    /// another one built.
+    pub fn cache<T: Any + Send + Sync + Default>(&self) -> Arc<T> {
+        let mut caches = self.caches.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cache) = caches
+            .iter()
+            .find_map(|cache| Arc::clone(cache).downcast::<T>().ok())
+        {
+            return cache;
+        }
+        let cache = Arc::new(T::default());
+        caches.push(Arc::clone(&cache) as Arc<dyn Any + Send + Sync>);
+        cache
+    }
+
     /// The eigen-space steady states `y = P·projᵀ + y_amb` of a
     /// row-stacked batch of per-core power maps (`B × cores` in,
     /// `B × N` out).
@@ -226,6 +254,25 @@ mod tests {
         for i in 0..model.node_count() {
             assert!((t[(0, i)] - t_ss[i]).abs() < 1e-9, "node {i}");
         }
+    }
+
+    #[test]
+    fn a_cache_is_one_per_type_and_shared_by_the_model_clones() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        #[derive(Default)]
+        struct Builds(AtomicU32);
+        let model = model_4x4();
+        let clone = model.clone();
+        let basis = Arc::clone(model.basis().unwrap());
+        basis.cache::<Builds>().0.fetch_add(1, Ordering::Relaxed);
+        let shared = clone.basis().unwrap().cache::<Builds>();
+        assert!(Arc::ptr_eq(&shared, &basis.cache::<Builds>()));
+        assert_eq!(shared.0.load(Ordering::Relaxed), 1);
+        // Another type, another cache; another model, another basis.
+        assert!(basis.cache::<Mutex<Vec<f64>>>().lock().unwrap().is_empty());
+        let other = model_4x4();
+        let fresh = other.basis().unwrap().cache::<Builds>();
+        assert_eq!(fresh.0.load(Ordering::Relaxed), 0);
     }
 
     #[test]

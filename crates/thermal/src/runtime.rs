@@ -62,7 +62,8 @@ pub struct SolverStats {
     /// Batched kernel invocations: every transient `step` and `advance`
     /// (each a batch of one state), every accepted Algorithm-1
     /// `peak_celsius_many`, and every accepted rotating Algorithm-2
-    /// probe (`peak_of_rings`) with an occupied ring. Algorithm 1's
+    /// probe (`ProbeSession::peak`, `peak_of_rings`) with an occupied
+    /// ring. Algorithm 1's
     /// `peak`, `peak_celsius` and `peak_celsius_sampled`, and pinned or
     /// empty-chip probes, are not counted.
     pub batch_calls: u64,

@@ -117,7 +117,10 @@ fn small_sweep_matches_golden_fixture() {
     for (o, want) in report.jobs.iter().zip(expected) {
         let s = |key: &str| want.get(key).and_then(Json::as_str).expect(key);
         let f = |key: &str| want.get(key).and_then(Json::as_f64).expect(key);
-        let u = |key: &str| want.get(key).and_then(Json::as_u64).expect(key);
+        let u = |key: &str| match want.get(key) {
+            Some(Json::Num(raw)) => raw.parse::<u64>().expect(key),
+            other => panic!("{key}: not a number: {other:?}"),
+        };
         assert_eq!(o.label, s("label"), "expansion order drifted");
         assert_eq!(o.status.label(), s("status"), "{}: status drifted", o.label);
         assert!(
