@@ -6,7 +6,7 @@ use std::io::BufWriter;
 
 use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_faults::FaultPlan;
-use hp_floorplan::{CoreId, GridFloorplan};
+use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_manycore::{ArchConfig, Machine};
 use hp_obs::RunReport;
@@ -172,23 +172,15 @@ pub fn tsp(args: &ParsedArgs) -> CliResult {
         return Err(format!("--active must be in 1..={n}").into());
     }
     let model = model(w, h)?;
-    let wc = tsp::worst_case_budget(&model, active_n, t_dtm, 0.3)?;
+    let active = tsp::worst_case_mapping(&model, active_n)?;
+    let wc = tsp::budget(&model, &active, t_dtm, 0.3)?;
     println!("{w}x{h} chip, {active_n} active cores (worst-case packing), threshold {t_dtm} C:");
     println!(
         "  uniform TSP budget: {:.2} W/core (critical {})",
         wc.per_core_watts, wc.critical_core
     );
     // Per-core budgets for the same mapping.
-    let mut order: Vec<CoreId> = (0..n).map(CoreId).collect();
-    // Reuse worst-case mapping: hottest-sensitivity cores (as in worst_case_budget).
-    let sens = {
-        let all = Vector::constant(n, 1.0);
-        let p = model.expand_power(&all)?;
-        model.b_lu().solve(&p)?
-    };
-    order.sort_by(|&a, &b| sens[b.index()].total_cmp(&sens[a.index()]));
-    let active = &order[..active_n];
-    let budgets = tsp::per_core_budgets(&model, active, t_dtm, 0.3)?;
+    let budgets = tsp::per_core_budgets(&model, &active, t_dtm, 0.3)?;
     let total: f64 = budgets.iter().sum();
     println!(
         "  per-core (water-filling): total {:.1} W vs uniform total {:.1} W ({:+.2} %)",

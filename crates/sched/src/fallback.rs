@@ -4,16 +4,16 @@
 //! trustworthy temperature sensors (its power estimates feed Algorithm 1)
 //! and a solver that actually evaluates. [`FallbackChain`] watches both
 //! and, when either fails, swaps the chip onto the conservative
-//! TSP-uniform budget policy — no migrations, worst-case-safe DVFS — until
-//! the inputs are trustworthy again. The hardware DTM watchdog in the
-//! engine remains the final backstop below this chain.
+//! [`TspUniform`] policy — no migrations, every busy core throttled to the
+//! uniform TSP budget of its mapping — until the inputs are trustworthy
+//! again. The hardware DTM watchdog in the engine remains the final
+//! backstop below this chain.
 
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, Scheduler, SchedulerHealth, SimView};
 use hp_thermal::RcThermalModel;
 
-use crate::budget::assign_levels_for_budget;
 use crate::tsp_uniform::TspUniform;
 
 /// Knobs of the degradation chain.
@@ -54,15 +54,15 @@ impl Default for FallbackConfig {
 /// solver runs on its dense fallback from the start) is *not* a trigger:
 /// the dense path is authoritative and the rotation policy stays valid.
 ///
-/// While degraded it runs the TSP-uniform throttle policy (placement on
-/// lowest-AMD free cores plus a worst-case-safe per-core DVFS budget)
-/// and reports [`SchedulerHealth::Degraded`] so the engine can count
-/// fallback intervals. After [`FallbackConfig::hold_hooks`] hooks with
-/// confidence restored it resynchronises the rotation bookkeeping from
-/// the engine's ground truth ([`HotPotato::resync_from_view`]), releases
-/// the throttle with a chip-wide max-level action, and hands control
-/// back — unless the retried evaluation fails again, in which case it
-/// stays on the fallback.
+/// While degraded it runs a [`TspUniform`] on a clone of the model
+/// (placement on lowest-AMD free cores plus the uniform TSP budget of the
+/// executing mapping) and reports [`SchedulerHealth::Degraded`] so the
+/// engine can count fallback intervals. After
+/// [`FallbackConfig::hold_hooks`] hooks with confidence restored it
+/// resynchronises the rotation bookkeeping from the engine's ground truth
+/// ([`HotPotato::resync_from_view`]), releases the throttle with a
+/// chip-wide max-level action, and hands control back — unless the
+/// retried evaluation fails again, in which case it stays on the fallback.
 ///
 /// # Example
 ///
@@ -81,9 +81,10 @@ impl Default for FallbackConfig {
 #[derive(Debug)]
 pub struct FallbackChain {
     primary: HotPotato,
+    /// The safe mode: stateless but for its budget cache, which only
+    /// memoises, so it is not snapshotted.
+    safe: TspUniform,
     fallback: FallbackConfig,
-    t_dtm: f64,
-    idle_power: f64,
     degraded: bool,
     hooks_on_fallback: u64,
     degradations: u64,
@@ -102,8 +103,7 @@ impl FallbackChain {
         fallback: FallbackConfig,
     ) -> hotpotato::Result<Self> {
         Ok(FallbackChain {
-            t_dtm: config.t_dtm,
-            idle_power: config.idle_power,
+            safe: TspUniform::new(model.clone(), config.t_dtm, config.idle_power),
             primary: HotPotato::new(model, config)?,
             fallback,
             degraded: false,
@@ -137,20 +137,6 @@ impl FallbackChain {
         self.degraded = true;
         self.hooks_on_fallback = 0;
         self.degradations += 1;
-    }
-
-    /// One hook of the TSP-uniform safety policy: AMD-ordered placement
-    /// of pending jobs plus the worst-case-safe uniform DVFS budget.
-    fn fallback_actions(&self, view: &SimView<'_>) -> Vec<Action> {
-        let mut none = None;
-        let mut actions = TspUniform::place_pending(view, &mut none);
-        actions.extend(assign_levels_for_budget(
-            view,
-            self.primary.solver().model(),
-            self.t_dtm,
-            self.idle_power,
-        ));
-        actions
     }
 
     /// Runs the primary, reporting whether Algorithm 1 failed during the
@@ -209,19 +195,19 @@ impl Scheduler for FallbackChain {
                 }
                 // Solver still failing: discard its actions, stay safe.
             }
-            return self.fallback_actions(view);
+            return self.safe.schedule(view);
         }
 
         if !confidence_ok {
             self.enter_fallback();
-            return self.fallback_actions(view);
+            return self.safe.schedule(view);
         }
 
         let (actions, failed) = self.try_primary(view);
         if failed {
             // Discard the poisoned plan; throttle conservatively instead.
             self.enter_fallback();
-            return self.fallback_actions(view);
+            return self.safe.schedule(view);
         }
         actions
     }

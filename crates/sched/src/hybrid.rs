@@ -9,7 +9,7 @@
 //! work: when the rotation analytics report an unsustainable schedule,
 //! the chip is throttled to the *highest* frequency whose power the
 //! rotation CAN sustain — a much gentler cut than both DTM and PCMig's
-//! worst-case TSP budget; when the rotation becomes sustainable again,
+//! steady-state TSP budget; when the rotation becomes sustainable again,
 //! frequency returns to peak.
 
 use hotpotato::{HotPotato, HotPotatoConfig};

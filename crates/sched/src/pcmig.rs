@@ -1,10 +1,10 @@
 use hp_floorplan::CoreId;
 use hp_sim::codec::{decode, encode};
+use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{Action, Scheduler, SimView, ThreadId};
 use hp_thermal::RcThermalModel;
 
-use crate::budget::{assign_levels_for_budget, assign_levels_per_core, BudgetCache};
-use crate::tsp_uniform::TspUniform;
+use crate::budget::{Budget, Throttle};
 
 /// Predicted temperatures that round to the same multiple of this many
 /// °C tie, and the lower core index wins. Thermally symmetric cores (the
@@ -41,8 +41,8 @@ impl Default for PcMigConfig {
 }
 
 /// The PCGov scheduler \[6\], \[20\]: cache-aware lowest-AMD-first placement
-/// with Pareto-optimal per-core DVFS budgets (water-filling TSP). No
-/// migrations.
+/// (as [`PinnedScheduler`] places) with Pareto-optimal per-core DVFS
+/// budgets (water-filling TSP). No migrations.
 ///
 /// # Example
 ///
@@ -59,20 +59,14 @@ impl Default for PcMigConfig {
 /// ```
 #[derive(Debug)]
 pub struct PcGov {
-    model: RcThermalModel,
-    t_dtm: f64,
-    idle_power: f64,
-    cache: BudgetCache,
+    throttle: Throttle,
 }
 
 impl PcGov {
     /// Creates the scheduler.
     pub fn new(model: RcThermalModel, t_dtm: f64, idle_power: f64) -> Self {
         PcGov {
-            model,
-            t_dtm,
-            idle_power,
-            cache: BudgetCache::default(),
+            throttle: Throttle::new(model, t_dtm, idle_power, Budget::WaterFilling),
         }
     }
 }
@@ -83,21 +77,17 @@ impl Scheduler for PcGov {
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {
-        let mut actions = TspUniform::place_pending(view, &mut None);
-        actions.extend(assign_levels_per_core(
-            view,
-            &self.model,
-            self.t_dtm,
-            self.idle_power,
-            &mut self.cache,
-        ));
+        let mut actions = PinnedScheduler::new().schedule(view);
+        actions.extend(self.throttle.levels(view));
         actions
     }
 }
 
 /// The PCMig scheduler \[10\], \[21\] — the paper's state-of-the-art baseline:
-/// PCGov's DVFS budgeting plus **asynchronous on-demand thread
-/// migrations**.
+/// lowest-AMD-first placement, each busy core throttled to the uniform
+/// TSP budget of the current mapping (as [`TspUniform`](crate::TspUniform)
+/// does, not PCGov's per-core budgets; DESIGN.md §2), plus
+/// **asynchronous on-demand thread migrations**.
 ///
 /// Every period each core's temperature trend is extrapolated
 /// `predict_horizon` seconds ahead; a thread whose core is predicted to
@@ -122,7 +112,7 @@ impl Scheduler for PcGov {
 /// ```
 #[derive(Debug)]
 pub struct PcMig {
-    model: RcThermalModel,
+    throttle: Throttle,
     config: PcMigConfig,
     /// Last observed core temperatures and their timestamp.
     last_temps: Option<(f64, Vec<f64>)>,
@@ -148,7 +138,7 @@ impl PcMig {
     /// Creates the scheduler.
     pub fn new(model: RcThermalModel, config: PcMigConfig) -> Self {
         PcMig {
-            model,
+            throttle: Throttle::new(model, config.t_dtm, config.idle_power, Budget::Uniform),
             config,
             last_temps: None,
             last_migration: std::collections::BTreeMap::new(),
@@ -168,7 +158,7 @@ impl Scheduler for PcMig {
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {
-        let mut actions = TspUniform::place_pending(view, &mut None);
+        let mut actions = PinnedScheduler::new().schedule(view);
 
         // Linear temperature prediction per core.
         let n = view.machine.core_count();
@@ -231,12 +221,7 @@ impl Scheduler for PcMig {
         // TSP budgeting for the (possibly updated) mapping. Note the
         // budget is computed against current cores; next period corrects
         // for the migrations.
-        actions.extend(assign_levels_for_budget(
-            view,
-            &self.model,
-            self.config.t_dtm,
-            self.config.idle_power,
-        ));
+        actions.extend(self.throttle.levels(view));
         actions
     }
 

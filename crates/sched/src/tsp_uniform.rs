@@ -1,17 +1,17 @@
 use hp_floorplan::CoreId;
-use hp_sim::codec::{decode, encode};
+use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{Action, Scheduler, SimView};
 use hp_thermal::RcThermalModel;
 
-use crate::budget::assign_levels_for_budget;
+use crate::budget::{Budget, Throttle};
 
 /// Pure TSP power budgeting (paper \[14\]) — the DVFS-only baseline of
 /// Fig. 2(b).
 ///
-/// Jobs are placed on the lowest-AMD free cores; every scheduling period
-/// the TSP budget for the executing mapping is recomputed and each busy
-/// core is throttled to the fastest level that fits. Threads never
-/// migrate.
+/// Jobs are placed as [`PinnedScheduler`] places them, on the lowest-AMD
+/// free cores; every scheduling period each busy core is throttled to the
+/// fastest level that fits the uniform TSP budget of the executing
+/// mapping. Threads never migrate.
 ///
 /// # Example
 ///
@@ -28,11 +28,8 @@ use crate::budget::assign_levels_for_budget;
 /// ```
 #[derive(Debug)]
 pub struct TspUniform {
-    model: RcThermalModel,
-    t_dtm: f64,
-    idle_power: f64,
-    /// Optional fixed placement for the first job (Fig. 2 pinning).
-    preferred: Option<Vec<CoreId>>,
+    placer: PinnedScheduler,
+    throttle: Throttle,
 }
 
 impl TspUniform {
@@ -40,60 +37,15 @@ impl TspUniform {
     /// DTM threshold `t_dtm` (°C) and per-core idle power (W).
     pub fn new(model: RcThermalModel, t_dtm: f64, idle_power: f64) -> Self {
         TspUniform {
-            model,
-            t_dtm,
-            idle_power,
-            preferred: None,
+            placer: PinnedScheduler::new(),
+            throttle: Throttle::new(model, t_dtm, idle_power, Budget::Uniform),
         }
     }
 
     /// Pins the first job exactly on `cores` (the Fig. 2 setup).
     pub fn with_preferred_cores(mut self, cores: Vec<CoreId>) -> Self {
-        self.preferred = Some(cores);
+        self.placer = PinnedScheduler::with_preferred_cores(cores);
         self
-    }
-
-    pub(crate) fn place_pending(
-        view: &SimView<'_>,
-        preferred: &mut Option<Vec<CoreId>>,
-    ) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let mut free = view.free_cores();
-        // Out-of-range cores (impossible for a free-core list) sort last
-        // via the +inf sentinel instead of aborting the run.
-        free.sort_by(|&a, &b| {
-            let fa = view.machine.floorplan().amd(a).unwrap_or(f64::INFINITY);
-            let fb = view.machine.floorplan().amd(b).unwrap_or(f64::INFINITY);
-            fa.total_cmp(&fb).then(a.cmp(&b))
-        });
-        for job in view.pending {
-            if let Some(cores) = preferred.take() {
-                if cores.len() == job.threads && cores.iter().all(|c| free.contains(c)) {
-                    free.retain(|c| !cores.contains(c));
-                    actions.push(Action::PlaceJob {
-                        job: job.job,
-                        cores,
-                    });
-                    continue;
-                }
-            }
-            if free.len() < job.threads {
-                break;
-            }
-            let cores: Vec<CoreId> = free.drain(..job.threads).collect();
-            actions.push(Action::PlaceJob {
-                job: job.job,
-                cores,
-            });
-        }
-        actions
-    }
-}
-
-hp_sim::codec! {
-    /// [`TspUniform`]'s snapshot blob.
-    struct Snapshot {
-        preferred: Option<Vec<CoreId>>,
     }
 }
 
@@ -103,28 +55,21 @@ impl Scheduler for TspUniform {
     }
 
     fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {
-        let mut actions = Self::place_pending(view, &mut self.preferred);
-        actions.extend(assign_levels_for_budget(
-            view,
-            &self.model,
-            self.t_dtm,
-            self.idle_power,
-        ));
+        let mut actions = self.placer.schedule(view);
+        actions.extend(self.throttle.levels(view));
         actions
     }
 
-    // The budget recomputation is stateless; the only mutable state is
-    // the one-shot preferred placement, which `schedule` consumes.
+    // The budget cache only memoises; the only state is the placer's
+    // one-shot preferred placement, so the blob is the placer's.
     fn snapshot(&self) -> Option<String> {
-        Some(encode(&Snapshot {
-            preferred: self.preferred.clone(),
-        }))
+        self.placer.snapshot()
     }
 
     fn restore(&mut self, state: &str) -> std::result::Result<(), String> {
-        let snap: Snapshot = decode(state).map_err(|e| format!("tsp-uniform snapshot: {e}"))?;
-        self.preferred = snap.preferred;
-        Ok(())
+        self.placer
+            .restore(state)
+            .map_err(|e| format!("tsp-uniform: {e}"))
     }
 }
 

@@ -20,8 +20,6 @@ pub struct TspBudget {
     pub per_core_watts: f64,
     /// The junction that binds the budget (first to reach the threshold).
     pub critical_core: CoreId,
-    /// Steady-state junction temperatures at exactly the budgeted power.
-    pub temperatures: Vector,
 }
 
 /// Computes the TSP budget for the mapping `active`, with all remaining
@@ -35,7 +33,7 @@ pub struct TspBudget {
 /// ```
 ///
 /// and the budget is `min_i (T_dtm − amb_i − idle_i) / S_i` over junctions
-/// with `S_i > 0`.
+/// with `S_i > 0`: two linear solves, one for the baseline and one for `S`.
 ///
 /// # Errors
 ///
@@ -119,17 +117,9 @@ pub fn budget(
         }
     }
 
-    // Temperatures at exactly the budget.
-    let mut power = idle_map;
-    for &c in active {
-        power[c.index()] = best;
-    }
-    let temps = model.core_temperatures(&model.steady_state(&power)?);
-
     Ok(TspBudget {
         per_core_watts: best,
         critical_core: critical,
-        temperatures: temps,
     })
 }
 
@@ -200,25 +190,22 @@ pub fn per_core_budgets(
     })
 }
 
-/// TSP for the *worst-case* mapping of `k` active cores: the densest
+/// The *worst-case* mapping of `k` active cores for TSP: the densest
 /// packing around the die centre, which produces the tightest budget.
 ///
-/// The original TSP paper computes the exact worst case by search; for a
+/// The original TSP paper finds the exact worst case by search; for a
 /// symmetric grid the centre-packed mapping is the worst case, so we use it
 /// directly (documented substitution — the schedulers only ever use
-/// mapping-specific budgets, this is for reporting).
+/// mapping-specific budgets, this is for reporting). The model does not
+/// retain the floorplan, so the centre is found thermally: the `k`
+/// junctions with the largest `(B⁻¹·1)_i`, ties in core order.
 ///
 /// # Errors
 ///
-/// Same as [`budget`]; additionally [`ThermalError::EmptyActiveSet`] if
-/// `k == 0` and [`ThermalError::InvalidParameter`] if `k` exceeds the core
-/// count.
-pub fn worst_case_budget(
-    model: &RcThermalModel,
-    k: usize,
-    t_dtm: f64,
-    idle_power: f64,
-) -> Result<TspBudget> {
+/// * [`ThermalError::EmptyActiveSet`] if `k == 0`.
+/// * [`ThermalError::InvalidParameter`] if `k` exceeds the core count.
+/// * A propagated solver error.
+pub fn worst_case_mapping(model: &RcThermalModel, k: usize) -> Result<Vec<CoreId>> {
     let n = model.core_count();
     if k == 0 {
         return Err(ThermalError::EmptyActiveSet);
@@ -229,18 +216,12 @@ pub fn worst_case_budget(
             value: usize_to_f64(k),
         });
     }
-    // Pick the k cores with the highest steady-state self-coupling to the
-    // centre: approximate by distance from the geometric centre index.
-    // The model does not retain the floorplan, so use thermal sensitivity:
-    // solve B^{-1} 1_all and take the k hottest junctions, which are the
-    // centre cores by symmetry.
     let all = Vector::constant(n, 1.0);
-    let expanded = model.expand_power(&all)?;
-    let sens = model.b_lu().solve(&expanded)?;
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| sens[b].total_cmp(&sens[a]));
-    let active: Vec<CoreId> = order[..k].iter().map(|&i| CoreId(i)).collect();
-    budget(model, &active, t_dtm, idle_power)
+    let sens = model.b_lu().solve(&model.expand_power(&all)?)?;
+    let mut order: Vec<CoreId> = (0..n).map(CoreId).collect();
+    order.sort_by(|a, b| sens[b.index()].total_cmp(&sens[a.index()]));
+    order.truncate(k);
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -257,11 +238,18 @@ mod tests {
     #[test]
     fn budget_is_safe_and_tight() {
         let model = model_4x4();
-        let b = budget(&model, &[CoreId(5), CoreId(10)], 70.0, 0.3).unwrap();
+        let active = [CoreId(5), CoreId(10)];
+        let b = budget(&model, &active, 70.0, 0.3).unwrap();
+        let mut power = hp_linalg::Vector::constant(16, 0.3);
+        for c in active {
+            power[c.index()] = b.per_core_watts;
+        }
+        let temperatures = model.core_temperatures(&model.steady_state(&power).unwrap());
         // Safe: no junction exceeds the threshold at the budget...
-        assert!(b.temperatures.max() <= 70.0 + 1e-6);
+        assert!(temperatures.max() <= 70.0 + 1e-6);
         // ...and tight: the critical junction sits exactly at it.
-        assert!((b.temperatures.max() - 70.0).abs() < 1e-6);
+        assert!((temperatures.max() - 70.0).abs() < 1e-6);
+        assert!((temperatures[b.critical_core.index()] - 70.0).abs() < 1e-6);
     }
 
     #[test]
@@ -324,7 +312,7 @@ mod tests {
     #[test]
     fn worst_case_no_larger_than_peripheral() {
         let model = model_4x4();
-        let wc = worst_case_budget(&model, 8, 70.0, 0.3).unwrap();
+        let wc = budget(&model, &worst_case_mapping(&model, 8).unwrap(), 70.0, 0.3).unwrap();
         let outer8: Vec<CoreId> = [0usize, 3, 4, 7, 8, 11, 12, 15].map(CoreId).to_vec();
         let outer = budget(&model, &outer8, 70.0, 0.3).unwrap();
         assert!(wc.per_core_watts <= outer.per_core_watts + 1e-9);
@@ -334,7 +322,11 @@ mod tests {
     fn worst_case_full_chip_matches_all_active() {
         let model = model_4x4();
         let all: Vec<CoreId> = (0..16).map(CoreId).collect();
-        let wc = worst_case_budget(&model, 16, 70.0, 0.3).unwrap();
+        let mapping = worst_case_mapping(&model, 16).unwrap();
+        let mut sorted = mapping.clone();
+        sorted.sort();
+        assert_eq!(sorted, all);
+        let wc = budget(&model, &mapping, 70.0, 0.3).unwrap();
         let direct = budget(&model, &all, 70.0, 0.3).unwrap();
         assert!((wc.per_core_watts - direct.per_core_watts).abs() < 1e-9);
     }
@@ -392,9 +384,13 @@ mod tests {
     fn worst_case_bounds() {
         let model = model_4x4();
         assert!(matches!(
-            worst_case_budget(&model, 0, 70.0, 0.3),
+            worst_case_mapping(&model, 0),
             Err(ThermalError::EmptyActiveSet)
         ));
-        assert!(worst_case_budget(&model, 17, 70.0, 0.3).is_err());
+        assert!(worst_case_mapping(&model, 17).is_err());
+        // The centre four of the 4×4 chip pack tightest.
+        let mut centre = worst_case_mapping(&model, 4).unwrap();
+        centre.sort();
+        assert_eq!(centre, [5usize, 6, 9, 10].map(CoreId));
     }
 }
