@@ -49,8 +49,8 @@ fn bench_fig2(c: &mut Criterion) {
                 SimConfig::default(),
             )
             .expect("valid config");
-            let mut s = TspUniform::new(model(4, 4), 70.0, 0.3)
-                .with_preferred_cores(vec![CoreId(5), CoreId(10)]);
+            let mut s =
+                TspUniform::new(model(4, 4)).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
             sim.run(jobs(), &mut s).expect("completes")
         });
     });

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_bench::{machine, model};
-use hp_sched::{PcMig, PcMigConfig};
+use hp_sched::PcMig;
 use hp_sim::{SimConfig, Simulation};
 use hp_thermal::ThermalConfig;
 use hp_workload::{closed_batch, Benchmark};
@@ -51,7 +51,7 @@ fn bench_fig4a(c: &mut Criterion) {
                         },
                     )
                     .expect("valid config");
-                    let mut s = PcMig::new(model(4, 4), PcMigConfig::default());
+                    let mut s = PcMig::new(model(4, 4));
                     sim.run(closed_batch(bm, 16, 42), &mut s)
                         .expect("completes")
                 });

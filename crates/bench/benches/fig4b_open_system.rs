@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_bench::{machine, model};
-use hp_sched::{PcMig, PcMigConfig};
+use hp_sched::PcMig;
 use hp_sim::{SimConfig, Simulation};
 use hp_thermal::ThermalConfig;
 use hp_workload::open_poisson;
@@ -42,7 +42,7 @@ fn bench_fig4b(c: &mut Criterion) {
                 },
             )
             .expect("valid config");
-            let mut s = PcMig::new(model(4, 4), PcMigConfig::default());
+            let mut s = PcMig::new(model(4, 4));
             sim.run(open_poisson(10, 20.0, 7), &mut s)
                 .expect("completes")
         });

@@ -9,9 +9,6 @@
 //!   serial per-boundary reference vs one `peak_celsius_many` call (the
 //!   scheduler's probe pattern); also cross-checks that the two agree to
 //!   ≤1e-9 °C and, when measuring, that the batch is at least 2× faster.
-//! * `alg1_sampled` — the intra-epoch sampled peak at 16 samples via the
-//!   row-stacked GEMM vs the serial per-sample reference; cross-checks
-//!   bit equality and, when measuring, a ≥2× speedup.
 //! * `design_time` — the one-off eigendecomposition.
 //!
 //! The serial references are the differential tests' own, from
@@ -125,63 +122,6 @@ fn bench_batch_vs_scalar(c: &mut Criterion) {
     }
 }
 
-fn bench_sampled_vs_serial(c: &mut Criterion) {
-    // The intra-epoch sampled peak at 16 samples on the 8x8 chip: all
-    // δ·samples junction reconstructions stacked through one GEMM vs the
-    // serial reference's per-sample dot products.
-    let solver = RotationPeakSolver::new(model(8, 8)).expect("decomposes");
-    let seq = full_load_sequence(64, 8, 0.5e-3);
-    let samples = 16usize;
-
-    // Correctness gate before any timing: the PR contract is bit equality.
-    let batched = solver
-        .peak_celsius_sampled(&seq, samples)
-        .expect("computes");
-    let serial = peak_celsius_sampled_serial(&solver, &seq, samples);
-    assert_eq!(
-        batched.to_bits(),
-        serial.to_bits(),
-        "sampled batch/serial disagree: {batched} vs {serial}"
-    );
-
-    let mut g = c.benchmark_group("alg1_sampled16_64core_delta8");
-    g.bench_function("serial_dots", |b| {
-        b.iter(|| peak_celsius_sampled_serial(&solver, &seq, samples));
-    });
-    g.bench_function("batched_gemm", |b| {
-        b.iter(|| {
-            solver
-                .peak_celsius_sampled(&seq, samples)
-                .expect("computes")
-        });
-    });
-    g.finish();
-
-    if std::env::args().any(|a| a == "--bench") {
-        let reps = 200u32;
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            criterion::black_box(peak_celsius_sampled_serial(&solver, &seq, samples));
-        }
-        let t_serial = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            criterion::black_box(
-                solver
-                    .peak_celsius_sampled(&seq, samples)
-                    .expect("computes"),
-            );
-        }
-        let t_batch = t0.elapsed();
-        let speedup = t_serial.as_secs_f64() / t_batch.as_secs_f64();
-        println!("alg1_sampled16 speedup: {speedup:.2}x (serial {t_serial:?} / batch {t_batch:?})");
-        assert!(
-            speedup >= 2.0,
-            "batched sampled peak must be at least 2x the serial loop, got {speedup:.2}x"
-        );
-    }
-}
-
 fn bench_design_time(c: &mut Criterion) {
     let mut g = c.benchmark_group("design_time");
     g.sample_size(10);
@@ -200,7 +140,6 @@ criterion_group!(
     bench_delta_scaling,
     bench_node_scaling,
     bench_batch_vs_scalar,
-    bench_sampled_vs_serial,
     bench_design_time
 );
 criterion_main!(benches);

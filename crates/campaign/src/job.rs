@@ -8,9 +8,7 @@
 
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_floorplan::CoreId;
-use hp_sched::{
-    FallbackChain, FallbackConfig, HotPotatoDvfs, PcGov, PcMig, PcMigConfig, TspUniform,
-};
+use hp_sched::{FallbackChain, FallbackConfig, HotPotatoDvfs, PcGov, PcMig, TspUniform};
 use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{Scheduler, SimConfig};
 use hp_workload::{closed_batch, open_poisson, Benchmark, Job};
@@ -232,7 +230,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Every model-based scheduler gets a clone of the cached
 /// [`RcThermalModel`]: no LU factorization, and the HotPotato family
 /// builds its rotation-peak solver on the model's already-built basis,
-/// so no eigendecomposition either.
+/// so no eigendecomposition either. No scheduler is given a DTM
+/// threshold: each reads the job's own `sim.t_dtm` from the engine's view
+/// on every hook.
 ///
 /// [`RcThermalModel`]: hp_thermal::RcThermalModel
 ///
@@ -264,10 +264,10 @@ pub fn build_scheduler(job: &CampaignJob, art: &ChipArtifacts) -> Result<Box<dyn
             FallbackChain::new(art.model.clone(), config, FallbackConfig::default())
                 .map_err(|e| sched_err(&e))?,
         ),
-        "pcmig" => Box::new(PcMig::new(art.model.clone(), PcMigConfig::default())),
-        "pcgov" => Box::new(PcGov::new(art.model.clone(), 70.0, 0.3)),
+        "pcmig" => Box::new(PcMig::new(art.model.clone())),
+        "pcgov" => Box::new(PcGov::new(art.model.clone())),
         "tsp" => {
-            let tsp = TspUniform::new(art.model.clone(), 70.0, 0.3);
+            let tsp = TspUniform::new(art.model.clone());
             if preferred.is_empty() {
                 Box::new(tsp)
             } else {
@@ -322,6 +322,46 @@ mod tests {
             assert!(!s.name().is_empty());
         }
         assert!(build_scheduler(&job("magic"), &art).is_err());
+    }
+
+    #[test]
+    fn a_jobs_threshold_reaches_its_dvfs_scheduler() {
+        // With the hardware DTM off only the scheduler holds the chip to
+        // the job's threshold: TSP and PCGov throttle a 60 °C job harder
+        // than a 70 °C one.
+        let cache = ModelCache::new(true);
+        let art = cache
+            .get_or_build(4, 4, crate::cache::ThermalProfile::Default)
+            .unwrap();
+        for name in ["tsp", "pcgov"] {
+            let run = |t_dtm| {
+                let mut job = job(name);
+                job.workload = Workload::Closed {
+                    benchmark: Benchmark::Swaptions,
+                    cores: 4,
+                    seed: 1,
+                };
+                job.sim.t_dtm = t_dtm;
+                job.sim.dtm_enabled = false;
+                let mut sched = build_scheduler(&job, &art).unwrap();
+                let mut sim = hp_sim::Simulation::with_thermal(
+                    art.machine.clone(),
+                    art.model.clone(),
+                    art.transient.clone(),
+                    job.sim,
+                )
+                .unwrap();
+                sim.run(job.workload.materialize(), sched.as_mut()).unwrap()
+            };
+            let (warm, cool) = (run(70.0), run(60.0));
+            assert!(
+                cool.peak_temperature <= 60.2 && warm.peak_temperature > 60.2,
+                "{name}: peak {:.2} C at 60, {:.2} C at 70",
+                cool.peak_temperature,
+                warm.peak_temperature
+            );
+            assert!(cool.makespan > warm.makespan, "{name}");
+        }
     }
 
     #[test]

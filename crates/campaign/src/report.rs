@@ -205,13 +205,6 @@ impl CampaignReport {
         self.jobs.iter().filter(|j| j.quarantined).count()
     }
 
-    /// Whether any outcome ended in a failure class (failed, panicked,
-    /// or timed out) — the sweep-level health verdict behind the CLI's
-    /// distinct exit codes.
-    pub fn has_failures(&self) -> bool {
-        self.jobs.iter().any(|j| j.status.is_retryable())
-    }
-
     fn count(&self, status: JobStatus) -> usize {
         self.jobs.iter().filter(|j| j.status == status).count()
     }
@@ -418,7 +411,6 @@ mod tests {
         assert_eq!(report.failed(), 0);
         assert_eq!(report.panicked(), 0);
         assert_eq!(report.timed_out(), 0);
-        assert!(!report.has_failures());
     }
 
     #[test]
@@ -439,7 +431,6 @@ mod tests {
         };
         assert_eq!(report.panicked(), 1);
         assert_eq!(report.quarantined(), 1);
-        assert!(report.has_failures());
 
         // Pre-supervision manifest lines (no attempts/quarantined keys)
         // still parse, with conservative defaults.

@@ -10,6 +10,7 @@ use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_manycore::{ArchConfig, Machine};
 use hp_obs::RunReport;
+use hp_power::IDLE_WATTS;
 use hp_sim::codec;
 use hp_sim::{EngineCheckpoint, Metrics, RunOptions, SimConfig, Simulation};
 use hp_thermal::{tsp, RcThermalModel, ThermalConfig};
@@ -109,7 +110,7 @@ pub fn peak(args: &ParsedArgs) -> CliResult {
     let ring_idx: usize = args.get_or("ring", 0)?;
     let tau_ms: f64 = args.get_or("tau-ms", 0.5)?;
     let watts = args.floats_or("watts", &[7.0, 7.0])?;
-    let idle: f64 = args.get_or("idle", 0.3)?;
+    let idle: f64 = args.get_or("idle", IDLE_WATTS)?;
 
     let machine = machine(w, h)?;
     let rings = machine.rings();
@@ -173,14 +174,14 @@ pub fn tsp(args: &ParsedArgs) -> CliResult {
     }
     let model = model(w, h)?;
     let active = tsp::worst_case_mapping(&model, active_n)?;
-    let wc = tsp::budget(&model, &active, t_dtm, 0.3)?;
+    let wc = tsp::budget(&model, &active, t_dtm, IDLE_WATTS)?;
     println!("{w}x{h} chip, {active_n} active cores (worst-case packing), threshold {t_dtm} C:");
     println!(
         "  uniform TSP budget: {:.2} W/core (critical {})",
         wc.per_core_watts, wc.critical_core
     );
     // Per-core budgets for the same mapping.
-    let budgets = tsp::per_core_budgets(&model, &active, t_dtm, 0.3)?;
+    let budgets = tsp::per_core_budgets(&model, &active, t_dtm, IDLE_WATTS)?;
     let total: f64 = budgets.iter().sum();
     println!(
         "  per-core (water-filling): total {:.1} W vs uniform total {:.1} W ({:+.2} %)",

@@ -39,11 +39,10 @@
 //! # One kernel
 //!
 //! [`peak`](RotationPeakSolver::peak),
-//! [`peak_celsius`](RotationPeakSolver::peak_celsius),
-//! [`peak_celsius_many`](RotationPeakSolver::peak_celsius_many) and
-//! [`peak_celsius_sampled`](RotationPeakSolver::peak_celsius_sampled) run
-//! one kernel and differ only in how they reduce its rows; a single
-//! rotation is a batch of one. The kernel stacks the candidates' epochs
+//! [`peak_celsius`](RotationPeakSolver::peak_celsius) and
+//! [`peak_celsius_many`](RotationPeakSolver::peak_celsius_many) run one
+//! kernel and differ only in how they reduce its rows; a single rotation
+//! is a batch of one. The kernel stacks the candidates' epochs
 //! into matrices (one contiguous row per epoch): one GEMM maps all powers
 //! to eigen space, the per-candidate cycle recurrences fill a
 //! boundary-state matrix, and a second GEMM produces every junction
@@ -98,7 +97,6 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hp_floorplan::CoreId;
-use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{Matrix, NumericalError, Vector};
 use hp_thermal::{DenseStepper, ModalBasis, ModalDecay, ModalRuntime, RcThermalModel};
@@ -201,7 +199,7 @@ pub struct PeakReport {
 
 /// The kernel's output for a batch of candidate rotations.
 struct Cycles {
-    /// Junction temperatures (°C), one row per sample instant of each
+    /// Junction temperatures (°C), one row per epoch boundary of each
     /// candidate's steady cycle, candidate after candidate.
     temps: Matrix,
     /// Each candidate's hottest junction over its rows, °C.
@@ -209,13 +207,13 @@ struct Cycles {
 }
 
 impl Cycles {
-    /// Reduces `temps`, `δ·samples` rows per candidate of `seqs`.
-    fn new(temps: Matrix, seqs: &[EpochPowerSequence], samples: usize) -> Self {
+    /// Reduces `temps`, `δ` rows per candidate of `seqs`.
+    fn new(temps: Matrix, seqs: &[EpochPowerSequence]) -> Self {
         let mut next = 0;
         let peaks = seqs
             .iter()
             .map(|seq| {
-                let rows = next..next + seq.delta() * samples;
+                let rows = next..next + seq.delta();
                 next = rows.end;
                 rows.flat_map(|r| temps.row(r))
                     .fold(f64::NEG_INFINITY, |peak, &v| peak.max(v))
@@ -542,7 +540,7 @@ impl ProbeSession {
             }
         }
         let seqs = self.sequences(tau, rotating)?;
-        Ok(hottest(&solver.steady_cycles(&seqs, 1, false)?.peaks))
+        Ok(hottest(&solver.steady_cycles(&seqs, false)?.peaks))
     }
 
     /// Forgets every cached set of ring-local maxima, keeping the
@@ -974,21 +972,16 @@ impl RotationPeakSolver {
     }
 
     /// Algorithm 1's run-time phase over a batch of candidate rotations,
-    /// with every epoch sampled at `samples` evenly spaced instants (the
-    /// last one its end): the kernel of every peak entry point. `tally`
-    /// counts the call as a batch, after the candidates validate.
+    /// at every epoch boundary of their steady cycles: the kernel of every
+    /// peak entry point. `tally` counts the call as a batch, after the
+    /// candidates validate.
     ///
     /// A healthy solver runs [`Self::modal_cycles`] and passes the
     /// per-candidate peaks through the runtime's envelope guard; a
     /// degraded solver, or a trip, computes every candidate with
     /// [`Self::dense_cycle`] instead, and the dense result is
     /// authoritative.
-    fn steady_cycles(
-        &self,
-        seqs: &[EpochPowerSequence],
-        samples: usize,
-        tally: bool,
-    ) -> Result<Cycles> {
+    fn steady_cycles(&self, seqs: &[EpochPowerSequence], tally: bool) -> Result<Cycles> {
         for seq in seqs {
             self.validate_seq(seq)?;
         }
@@ -997,22 +990,10 @@ impl RotationPeakSolver {
             if tally {
                 ledger.count_batch(seqs.len());
             }
-            (!ledger.degraded()).then(|| {
-                seqs.iter()
-                    .map(|seq| {
-                        let epoch = ledger.decay(seq.tau());
-                        let sub = if samples == 1 {
-                            Arc::clone(&epoch)
-                        } else {
-                            ledger.decay(seq.tau() / usize_to_f64(samples))
-                        };
-                        (epoch, sub)
-                    })
-                    .collect()
-            })
+            (!ledger.degraded()).then(|| seqs.iter().map(|seq| ledger.decay(seq.tau())).collect())
         };
         if let Some(decays) = decays {
-            let cycles = Cycles::new(self.modal_cycles(seqs, samples, &decays)?, seqs, samples);
+            let cycles = Cycles::new(self.modal_cycles(seqs, &decays)?, seqs);
             let ambient = self.model.config().ambient;
             let tripped = self
                 .runtime
@@ -1024,31 +1005,30 @@ impl RotationPeakSolver {
         }
         let mut rows = Vec::new();
         for seq in seqs {
-            rows.extend(self.dense_cycle(seq, samples)?);
+            rows.extend(self.dense_cycle(seq)?);
         }
         let temps = Matrix::from_fn(rows.len(), self.model.core_count(), |r, c| rows[r][c]);
-        Ok(Cycles::new(temps, seqs, samples))
+        Ok(Cycles::new(temps, seqs))
     }
 
     /// The eigen path of [`Self::steady_cycles`], given each candidate's
-    /// epoch and sub-epoch (`τ/samples`) decay data:
+    /// decay data:
     ///
     /// 1. one `Pᵀ × projᵀ` GEMM maps every epoch of every candidate to
     ///    its eigen-space steady state (`Pᵀ` is `Σδ × cores`),
     /// 2. each candidate's cycle opens at its Eq.-(10) start state and
-    ///    walks the recurrence `z ← m∘z + (1 − m)∘y` sub-epoch by
-    ///    sub-epoch, writing every state into a row of a shared
-    ///    `Σδ·samples × nodes` matrix,
+    ///    walks the recurrence `z ← m∘z + (1 − m)∘y` epoch by epoch,
+    ///    writing every boundary state into a row of a shared
+    ///    `Σδ × nodes` matrix,
     /// 3. one `Z × V_Jᵀ` GEMM yields every junction temperature at once.
     ///
     /// Transposing both GEMM operands leaves every dot product's terms
     /// and their ascending-`k` order unchanged, which is why the result is
-    /// bit-identical to per-instant `V_J·z` dot products.
+    /// bit-identical to per-boundary `V_J·z` dot products.
     fn modal_cycles(
         &self,
         seqs: &[EpochPowerSequence],
-        samples: usize,
-        decays: &[(Arc<ModalDecay>, Arc<ModalDecay>)],
+        decays: &[Arc<ModalDecay>],
     ) -> Result<Matrix> {
         let deltas: Vec<usize> = seqs.iter().map(EpochPowerSequence::delta).collect();
         let mut p_t = Matrix::zeros(deltas.iter().sum(), self.model.core_count());
@@ -1058,83 +1038,73 @@ impl RotationPeakSolver {
         }
         let y_t = self.runtime.basis().steady_modal(&p_t)?; // Σδ × nodes
         let ys: Vec<&[f64]> = (0..y_t.rows()).map(|r| y_t.row(r)).collect();
-        self.relax_cycles(&ys, &deltas, samples, decays)
+        self.relax_cycles(&ys, &deltas, decays)
     }
 
     /// Steps 2 and 3 of [`Self::modal_cycles`] on eigen-space steady
     /// states `all_ys`, `deltas[i]` of them for cycle `i`: the junction
-    /// temperatures of every cycle's sample instants, one row each.
+    /// temperatures of every cycle's epoch boundaries, one row each.
     fn relax_cycles(
         &self,
         all_ys: &[&[f64]],
         deltas: &[usize],
-        samples: usize,
-        decays: &[(Arc<ModalDecay>, Arc<ModalDecay>)],
+        decays: &[Arc<ModalDecay>],
     ) -> Result<Matrix> {
         let nodes = self.model.node_count();
-        let mut z_t = Matrix::zeros(all_ys.len() * samples, nodes);
+        let mut z_t = Matrix::zeros(all_ys.len(), nodes);
         let (mut first, mut row) = (0, 0);
         // Cycles of one δ over one decay share their start weights.
         let mut weights: Vec<(&Arc<ModalDecay>, usize, Vec<f64>)> = Vec::new();
-        for (&delta, (epoch, sub)) in deltas.iter().zip(decays) {
+        for (&delta, decay) in deltas.iter().zip(decays) {
             let ys = &all_ys[first..first + delta];
             first += delta;
             let known = weights
                 .iter()
-                .position(|(decay, d, _)| Arc::ptr_eq(decay, epoch) && *d == delta);
+                .position(|(cached, d, _)| Arc::ptr_eq(cached, decay) && *d == delta);
             let w = match known {
                 Some(w) => w,
                 None => {
-                    weights.push((epoch, delta, start_weights(delta, epoch)));
+                    weights.push((decay, delta, start_weights(delta, decay)));
                     weights.len() - 1
                 }
             };
-            let mut z = cycle_start(&weights[w].2, epoch, ys);
+            let mut z = cycle_start(&weights[w].2, decay, ys);
             for y in ys {
-                for _ in 0..samples {
-                    let terms = sub.m.iter().zip(sub.one_minus_m.iter()).zip(y.iter());
-                    for (z, ((&m, &one_minus_m), &y)) in z.as_mut_slice().iter_mut().zip(terms) {
-                        *z = m * *z + one_minus_m * y;
-                    }
-                    z_t.row_mut(row).copy_from_slice(z.as_slice());
-                    row += 1;
+                let terms = decay.m.iter().zip(decay.one_minus_m.iter()).zip(y.iter());
+                for (z, ((&m, &one_minus_m), &y)) in z.as_mut_slice().iter_mut().zip(terms) {
+                    *z = m * *z + one_minus_m * y;
                 }
+                z_t.row_mut(row).copy_from_slice(z.as_slice());
+                row += 1;
             }
         }
-        Ok(z_t.mul_matrix(self.runtime.basis().v_junction_t())?) // Σδ·samples × cores
+        Ok(z_t.mul_matrix(self.runtime.basis().v_junction_t())?) // Σδ × cores
     }
 
     /// Dense-fallback steady cycle: the junction temperatures at every
-    /// sub-epoch boundary (`δ·samples` of them, in cycle order), with
-    /// each epoch split into `samples` sub-epochs of `τ/samples` and the
-    /// cycle obtained from the backward-Euler map instead of the
-    /// eigenbasis.
+    /// epoch boundary (`δ` of them, in cycle order), with the cycle
+    /// obtained from the backward-Euler map instead of the eigenbasis.
     ///
-    /// Composing the per-sub-epoch affine maps over one period gives
+    /// Composing the per-epoch affine maps over one period gives
     /// `T_cycle = M_cyc·T + c_cyc`; the cycle's fixed point solves
     /// `(I − M_cyc)·T* = c_cyc` (unique because every mode of the
     /// A-stable map contracts), via an iteratively refined LU solve.
     /// Replaying one period from `T*` yields every boundary state.
-    fn dense_cycle(&self, seq: &EpochPowerSequence, samples: usize) -> Result<Vec<Vector>> {
+    fn dense_cycle(&self, seq: &EpochPowerSequence) -> Result<Vec<Vector>> {
         let nodes = self.model.node_count();
-        let sub = seq.tau() / usize_to_f64(samples);
+        let tau = seq.tau();
         let map = self
             .runtime
             .lock()
-            .dense(sub, || DenseEpochMap::new(&self.model, sub))?;
+            .dense(tau, || DenseEpochMap::new(&self.model, tau))?;
         let forcings: Vec<Vector> = (0..seq.delta())
             .map(|e| self.model.forcing(seq.epoch(e)))
             .collect::<std::result::Result<_, _>>()?;
-        let sub_epochs = || {
-            forcings
-                .iter()
-                .flat_map(|f| std::iter::repeat_n(f, samples))
-        };
 
         // One period as a single affine map: T ↦ M_cyc·T + c_cyc.
         let mut m_cyc = Matrix::identity(nodes);
         let mut c_cyc = Vector::zeros(nodes);
-        for f in sub_epochs() {
+        for f in &forcings {
             m_cyc = map.m.mul_matrix(&m_cyc)?;
             c_cyc = &map.m.mul_vector(&c_cyc) + &map.s.mul_vector(f);
         }
@@ -1146,8 +1116,8 @@ impl RotationPeakSolver {
         let mut t = lu.solve_refined(&i_minus, &c_cyc)?;
 
         // Replay one period from the fixed point, recording boundaries.
-        let mut boundaries = Vec::with_capacity(seq.delta() * samples);
-        for f in sub_epochs() {
+        let mut boundaries = Vec::with_capacity(seq.delta());
+        for f in &forcings {
             t = &map.m.mul_vector(&t) + &map.s.mul_vector(f);
             let cores = self.model.core_temperatures(&t);
             if cores.iter().any(|v| !v.is_finite()) {
@@ -1173,9 +1143,7 @@ impl RotationPeakSolver {
     ///   number of cores than the model.
     /// * Propagated thermal/solver errors.
     pub fn peak(&self, seq: &EpochPowerSequence) -> Result<PeakReport> {
-        let temps = self
-            .steady_cycles(std::slice::from_ref(seq), 1, false)?
-            .temps;
+        let temps = self.steady_cycles(std::slice::from_ref(seq), false)?.temps;
         Ok(report_from_boundaries(
             (0..temps.rows())
                 .map(|e| Vector::from(temps.row(e).to_vec()))
@@ -1233,9 +1201,7 @@ impl RotationPeakSolver {
     ///
     /// Same as [`peak`](RotationPeakSolver::peak).
     pub fn peak_celsius(&self, seq: &EpochPowerSequence) -> Result<f64> {
-        Ok(self
-            .steady_cycles(std::slice::from_ref(seq), 1, false)?
-            .peaks[0])
+        Ok(self.steady_cycles(std::slice::from_ref(seq), false)?.peaks[0])
     }
 
     /// Batched run-time phase: the peak of every candidate rotation in
@@ -1255,42 +1221,7 @@ impl RotationPeakSolver {
         if seqs.is_empty() {
             return Ok(Vec::new());
         }
-        Ok(self.steady_cycles(seqs, 1, true)?.peaks)
-    }
-
-    /// Like [`peak_celsius`](RotationPeakSolver::peak_celsius) but
-    /// samples `samples` instants *inside* every epoch instead of only
-    /// the epoch boundaries.
-    ///
-    /// The paper (and [`peak_celsius`]) evaluates the steady cycle at
-    /// epoch boundaries only. For a core that just went active the
-    /// within-epoch maximum IS the boundary (temperature climbs towards
-    /// that epoch's steady state), so boundary sampling captures the true
-    /// peak for rotation workloads; this method makes the claim testable
-    /// and covers exotic sequences where a node's transient is
-    /// non-monotone.
-    ///
-    /// `samples == 1` reduces exactly to [`peak_celsius`], on the eigen
-    /// path and on the dense fallback alike: the recurrence steps in
-    /// sub-epochs of `τ/samples`, and a degraded solver runs the dense
-    /// cycle with every epoch split the same way.
-    ///
-    /// [`peak_celsius`]: RotationPeakSolver::peak_celsius
-    ///
-    /// # Errors
-    ///
-    /// * [`HotPotatoError::InvalidParameter`] if `samples == 0`.
-    /// * Otherwise same as [`peak`](RotationPeakSolver::peak).
-    pub fn peak_celsius_sampled(&self, seq: &EpochPowerSequence, samples: usize) -> Result<f64> {
-        if samples == 0 {
-            return Err(HotPotatoError::InvalidParameter {
-                name: "samples",
-                value: 0.0,
-            });
-        }
-        Ok(self
-            .steady_cycles(std::slice::from_ref(seq), samples, false)?
-            .peaks[0])
+        Ok(self.steady_cycles(seqs, true)?.peaks)
     }
 
     /// Algorithm 2's probe: the hottest junction temperature, °C, of a
@@ -1497,8 +1428,7 @@ impl RotationPeakSolver {
             .map(|c| basis.proj_t().row(c.index()))
             .collect();
         let decay = Arc::new(ModalDecay::new(basis.eigen().eigenvalues(), tau));
-        let decays = vec![(Arc::clone(&decay), decay); set.lens.len()];
-        let h = Arc::new(self.relax_cycles(&ys, &set.lens, 1, &decays)?);
+        let h = Arc::new(self.relax_cycles(&ys, &set.lens, &vec![decay; set.lens.len()])?);
         let mut ops = self.probe.lock();
         if let Some(known) = ops.kernels(set, tau) {
             return Ok(known);
@@ -1885,72 +1815,60 @@ mod tests {
     }
 
     #[test]
-    fn sampled_peak_matches_boundaries_for_rotations() {
-        // DESIGN.md §5.2: boundary-max is a faithful proxy for the true
-        // within-epoch peak on rotation workloads.
+    fn sampled_with_one_sample_is_boundary_form() {
+        // The kernel samples each epoch once, at its end: the peak is the
+        // hottest junction of the report's boundaries, bit for bit.
         let s = solver_4x4();
-        for tau in [0.25e-3, 1e-3, 4e-3] {
+        for tau in [0.1e-3, 0.5e-3, 2e-3] {
             let seq = fig1_sequence(tau);
-            let boundary = s.peak_celsius(&seq).unwrap();
-            let dense = s.peak_celsius_sampled(&seq, 16).unwrap();
-            assert!(
-                dense >= boundary - 1e-9,
-                "denser sampling can only raise the max"
-            );
-            assert!(
-                dense - boundary < 0.05,
-                "tau {tau}: within-epoch peak {dense:.3} vs boundary {boundary:.3}"
-            );
+            let report = s.peak(&seq).unwrap();
+            assert_eq!(report.boundary_temps.len(), seq.delta());
+            let hottest = report
+                .boundary_temps
+                .iter()
+                .flat_map(|b| b.iter().copied())
+                .fold(f64::NEG_INFINITY, f64::max);
+            let peak = s.peak_celsius(&seq).unwrap();
+            assert_eq!(peak.to_bits(), hottest.to_bits(), "tau {tau}");
         }
     }
 
     #[test]
-    fn sampled_with_one_sample_is_boundary_form() {
-        let s = solver_4x4();
-        let seq = fig1_sequence(0.5e-3);
-        let a = s.peak_celsius(&seq).unwrap();
-        let b = s.peak_celsius_sampled(&seq, 1).unwrap();
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampled_rejects_zero_samples() {
-        let s = solver_4x4();
-        let seq = fig1_sequence(0.5e-3);
-        assert!(s.peak_celsius_sampled(&seq, 0).is_err());
-    }
-
-    #[test]
     fn sampled_on_an_armed_solver_runs_the_dense_cycle() {
+        // An armed solver runs δ dense steps per candidate, counts no
+        // batch, and returns the dense cycle's bits.
         let s = solver_stiff_4x4();
         let seq = fig1_sequence(0.5e-3);
-        let one = s.peak_celsius_sampled(&seq, 1).unwrap();
-        assert_eq!(s.runtime().numerics().fallback_steps, 4);
-        let boundary = s.peak_celsius(&seq).unwrap();
-        assert_eq!(one.to_bits(), boundary.to_bits(), "{one} vs {boundary}");
-        // Eight sub-epochs per epoch: 32 dense steps, and a denser scan
-        // can only raise the maximum.
-        let eight = s.peak_celsius_sampled(&seq, 8).unwrap();
-        assert!(eight >= one - 1e-6, "{eight} vs {one}");
+        let peak = s.peak_celsius(&seq).unwrap();
         let n = s.runtime().numerics();
-        assert_eq!(n.fallback_steps, 4 + 4 + 32);
+        assert_eq!(n.fallback_steps, 4);
         assert_eq!((n.fallback_activations, n.guard_trips), (1, 0));
         assert_eq!(s.runtime().stats().batch_calls, 0);
+        let dense = s
+            .dense_cycle(&seq)
+            .unwrap()
+            .iter()
+            .flat_map(|b| b.iter().copied())
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(peak.to_bits(), dense.to_bits(), "{peak} vs {dense}");
     }
 
     #[test]
     fn sampled_guard_trips_and_recomputes_densely() {
+        // A megawatt core leaves the envelope guard's range: the explicit
+        // path trips once, recomputes the two epochs densely and returns
+        // the dense cycle's bits.
         let s = solver_4x4();
         let mut p = Vector::constant(16, 0.3);
         p[5] = 1e6;
         let seq = EpochPowerSequence::new(1e-3, vec![p.clone(), p]).unwrap();
-        let peak = s.peak_celsius_sampled(&seq, 3).unwrap();
+        let peak = s.peak_celsius(&seq).unwrap();
         assert!(s.degraded());
         let n = s.runtime().numerics();
         assert_eq!((n.guard_trips, n.fallback_activations), (1, 1));
-        assert_eq!(n.fallback_steps, 6);
+        assert_eq!(n.fallback_steps, 2);
         let dense = s
-            .dense_cycle(&seq, 3)
+            .dense_cycle(&seq)
             .unwrap()
             .iter()
             .flat_map(|b| b.iter().copied())
@@ -2319,7 +2237,7 @@ mod tests {
         for tau in [0.5e-3, 2e-3] {
             let seq = fig1_sequence(tau);
             let eigen = s.peak(&seq).unwrap();
-            let dense = report_from_boundaries(s.dense_cycle(&seq, 1).unwrap());
+            let dense = report_from_boundaries(s.dense_cycle(&seq).unwrap());
             assert!(
                 (eigen.peak_celsius - dense.peak_celsius).abs() < 1e-3,
                 "tau {tau}: eigen {} vs dense {}",

@@ -48,6 +48,7 @@ use std::time::Instant;
 use hp_floorplan::CoreId;
 use hp_linalg::Matrix;
 use hp_obs::{Registry, RunReport};
+use hp_power::IDLE_WATTS;
 use hp_sim::codec::{decode, encode};
 use hp_sim::{Action, JobId, Scheduler, SchedulerHealth, SimView, ThreadId};
 use hp_thermal::{NumericsStats, RcThermalModel, SolverStats};
@@ -55,6 +56,9 @@ use hp_thermal::{NumericsStats, RcThermalModel, SolverStats};
 use crate::{ProbeSession, Result, RingRotation, RotationPeakSolver};
 
 /// Tuning knobs of the HotPotato scheduler.
+///
+/// The DTM threshold is not among them: every hook reads the engine's
+/// [`SimView::t_dtm`], the threshold the hardware DTM enforces.
 ///
 /// # Example
 ///
@@ -66,8 +70,6 @@ use crate::{ProbeSession, Result, RingRotation, RotationPeakSolver};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotPotatoConfig {
-    /// DTM threshold temperature, °C (paper: 70 °C).
-    pub t_dtm: f64,
     /// Thermal headroom hysteresis Δ, °C (paper: 1 °C).
     pub delta_headroom: f64,
     /// Available rotation intervals τ, seconds, fastest first.
@@ -79,32 +81,28 @@ pub struct HotPotatoConfig {
     pub tau_levels: Vec<f64>,
     /// Index into `tau_levels` used at start (paper: 0.5 ms).
     pub initial_tau_index: usize,
-    /// Idle-core power estimate used in power maps, W (paper: 0.3 W).
-    pub idle_power: f64,
     /// Master ablation switch: with rotation disabled HotPotato degrades
     /// to ring-aware placement only.
     pub rotation_enabled: bool,
-    /// Re-evaluate `T_peak` at least this often even without assignment
-    /// changes, s (power drift tracking).
-    pub reevaluate_period: f64,
-    /// Maximum ring moves (evictions + promotions) per scheduling call.
-    pub max_moves_per_call: usize,
 }
 
 impl Default for HotPotatoConfig {
     fn default() -> Self {
         HotPotatoConfig {
-            t_dtm: 70.0,
             delta_headroom: 1.0,
             tau_levels: vec![0.25e-3, 0.5e-3, 1e-3, 2e-3, 4e-3],
             initial_tau_index: 1,
-            idle_power: 0.3,
             rotation_enabled: true,
-            reevaluate_period: 5e-3,
-            max_moves_per_call: 4,
         }
     }
 }
+
+/// `T_peak` is re-evaluated at least this often even without assignment
+/// changes, s (power drift tracking).
+const REEVALUATE_SECONDS: f64 = 5e-3;
+
+/// Ring moves (evictions + promotions) per scheduling hook, at most.
+const MAX_MOVES_PER_HOOK: usize = 4;
 
 impl HotPotatoConfig {
     fn validate(&self) -> Result<()> {
@@ -170,6 +168,8 @@ pub struct HotPotato {
 
 impl HotPotato {
     /// Builds the scheduler for a chip with the given thermal model.
+    /// Every hook tests its headroom against the view's
+    /// [`SimView::t_dtm`].
     ///
     /// The model must match the machine the simulation runs on. The
     /// design-time phase of Algorithm 1 (the eigendecomposition) happens
@@ -212,11 +212,6 @@ impl HotPotato {
         self.rotating
     }
 
-    /// The most recent Algorithm-1 peak estimate, °C.
-    pub fn estimated_peak(&self) -> f64 {
-        self.last_peak
-    }
-
     /// Number of Algorithm-1 evaluations performed so far.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
@@ -239,7 +234,6 @@ impl HotPotato {
     /// the slot of the core it currently occupies, so the next
     /// [`Scheduler::schedule`] call starts from reality.
     pub fn resync_from_view(&mut self, view: &SimView<'_>) {
-        let idle = self.config.idle_power;
         if self.rings.is_empty() {
             self.rings = view
                 .machine
@@ -266,7 +260,7 @@ impl HotPotato {
                     // No estimate yet: the probe reads idle power.
                     let seat = Seat {
                         thread: t.id,
-                        watts: idle,
+                        watts: IDLE_WATTS,
                         cpi: None,
                     };
                     ring.occupy(slot, seat);
@@ -334,7 +328,7 @@ impl HotPotato {
             Some(session) => Ok(session),
             None => self
                 .solver
-                .session(&self.rings, self.config.idle_power)
+                .session(&self.rings, IDLE_WATTS)
                 .map(|opened| self.session.insert(opened)),
         };
         let watts = |seat: Seat| seat.watts;
@@ -627,7 +621,7 @@ impl Scheduler for HotPotato {
                         // Priced with every other seat below.
                         let seat = Seat {
                             thread: ThreadId { job, index },
-                            watts: self.config.idle_power,
+                            watts: IDLE_WATTS,
                             cpi: None,
                         };
                         ring.occupy(slot, seat);
@@ -708,7 +702,7 @@ impl Scheduler for HotPotato {
                         .core_power(&stack, ladder.max_level(), view.t_dtm),
                     // Ring cores are always in range; a disagreeing model
                     // degrades to the idle estimate instead of crashing.
-                    Err(_) => self.config.idle_power,
+                    Err(_) => IDLE_WATTS,
                 }
             };
             // Skip jobs that cannot fit in the free slots at all.
@@ -745,7 +739,7 @@ impl Scheduler for HotPotato {
                         self.config.tau_levels[tau_index],
                         self.rotating && self.config.rotation_enabled,
                     );
-                    if peak + self.config.delta_headroom < self.config.t_dtm {
+                    if peak + self.config.delta_headroom < view.t_dtm {
                         chosen = Some((r, slot));
                         break;
                     }
@@ -764,7 +758,7 @@ impl Scheduler for HotPotato {
                             self.rings[r].occupy(slot, seat);
                             let tau = self.config.tau_levels[tau_index];
                             let peak = self.estimate_peak(tau, true);
-                            if peak + self.config.delta_headroom < self.config.t_dtm {
+                            if peak + self.config.delta_headroom < view.t_dtm {
                                 chosen = Some((r, slot));
                             } else {
                                 self.rings[r].remove(seat);
@@ -804,7 +798,7 @@ impl Scheduler for HotPotato {
         }
 
         // --- Re-evaluate T_peak when needed. ---
-        let due = view.time - self.last_evaluation >= self.config.reevaluate_period;
+        let due = view.time - self.last_evaluation >= REEVALUATE_SECONDS;
         if self.assignment_dirty || due || view.dtm_active {
             self.last_peak = self.estimate_peak(self.tau(), self.rotating);
             self.last_evaluation = view.time;
@@ -819,8 +813,8 @@ impl Scheduler for HotPotato {
         let measured_max = view.core_temps.max();
         let mut moves = 0usize;
         let mut evictable: Option<Vec<Candidate>> = None;
-        while self.last_peak.max(measured_max) > self.config.t_dtm - self.config.delta_headroom
-            && moves < self.config.max_moves_per_call
+        while self.last_peak.max(measured_max) > view.t_dtm - self.config.delta_headroom
+            && moves < MAX_MOVES_PER_HOOK
         {
             // Cheapest knob first: if rotation is parked, restart it.
             if self.config.rotation_enabled && !self.rotating {
@@ -878,9 +872,8 @@ impl Scheduler for HotPotato {
         //     phase transitions (which overshoot the steady cycle) cannot
         //     ping-pong against the pressure loop above.
         let mut promotable: Option<Vec<Candidate>> = None;
-        while self.config.t_dtm - self.last_peak.max(measured_max)
-            > 2.0 * self.config.delta_headroom
-            && moves < self.config.max_moves_per_call
+        while view.t_dtm - self.last_peak.max(measured_max) > 2.0 * self.config.delta_headroom
+            && moves < MAX_MOVES_PER_HOOK
         {
             // Highest CPI first (most memory-bound benefits most); the
             // innermost ring's threads are where they would go already.
@@ -908,7 +901,7 @@ impl Scheduler for HotPotato {
                     self.rings[r].remove(seat);
                     self.rings[r2].occupy(slot, seat);
                     let peak = self.estimate_peak(self.tau(), self.rotating);
-                    if peak + self.config.delta_headroom < self.config.t_dtm {
+                    if peak + self.config.delta_headroom < view.t_dtm {
                         let to = self.rings[r2].core_of_slot(slot);
                         actions.push(Action::Migrate {
                             thread: seat.thread,
@@ -938,7 +931,7 @@ impl Scheduler for HotPotato {
                     if self.rotating && self.tau_index + 1 < self.config.tau_levels.len() {
                         let slower = self.config.tau_levels[self.tau_index + 1];
                         let peak = self.estimate_peak(slower, true);
-                        if peak + 2.0 * self.config.delta_headroom < self.config.t_dtm {
+                        if peak + 2.0 * self.config.delta_headroom < view.t_dtm {
                             self.tau_index += 1;
                             self.last_peak = peak;
                             self.last_evaluation = view.time;
@@ -948,7 +941,7 @@ impl Scheduler for HotPotato {
                     if self.rotating {
                         // Sustainable without rotation at all?
                         let pinned = self.estimate_peak(self.tau(), false);
-                        if pinned + 2.0 * self.config.delta_headroom < self.config.t_dtm {
+                        if pinned + 2.0 * self.config.delta_headroom < view.t_dtm {
                             self.rotating = false;
                             self.last_peak = pinned;
                             self.last_evaluation = view.time;
@@ -1270,6 +1263,70 @@ mod tests {
             })
             .collect();
         assert_eq!(migrated, [2, 0, 1], "{actions:?}");
+    }
+
+    #[test]
+    fn the_threshold_is_the_views() {
+        // One canneal thread on the centre ring, sensors at 60 °C: the
+        // same hook leaves it there under a 70 °C threshold and evicts it
+        // outward under 55 °C.
+        let machine = machine_4x4();
+        let levels = vec![machine.config().dvfs.max_level(); 16];
+        let confidence = vec![1.0; 16];
+        let temps = hp_linalg::Vector::constant(16, 60.0);
+        let thread = ThreadId {
+            job: JobId(0),
+            index: 0,
+        };
+        let hook = |t_dtm: f64| {
+            let mut hp = HotPotato::new(model_4x4(), HotPotatoConfig::default()).unwrap();
+            hp.rings = machine
+                .rings()
+                .iter()
+                .map(|r| RingRotation::new(r.cores().to_vec()))
+                .collect();
+            let core = hp.rings[0].core_of_slot(0);
+            let seat = Seat {
+                thread,
+                watts: 2.0,
+                cpi: None,
+            };
+            hp.rings[0].occupy(0, seat);
+            let mut occupancy = [None; 16];
+            occupancy[core.index()] = Some(thread);
+            let threads = [hp_sim::ThreadView {
+                id: thread,
+                benchmark: Benchmark::Canneal,
+                core,
+                work: Benchmark::Canneal.work_point(),
+                last_cpi: 2.0,
+                avg_power: 2.0,
+            }];
+            let actions = hp.schedule(&SimView {
+                time: 1e-4,
+                machine: &machine,
+                core_temps: &temps,
+                levels: &levels,
+                occupancy: &occupancy,
+                threads: &threads,
+                pending: &[],
+                t_dtm,
+                dtm_active: false,
+                sensor_confidence: &confidence,
+            });
+            let ring = (0..hp.rings.len()).find(|&r| hp.rings[r].slot_of(seat).is_some());
+            (ring, actions)
+        };
+        let (ring, actions) = hook(70.0);
+        assert_eq!(ring, Some(0));
+        assert!(actions.is_empty(), "{actions:?}");
+        let (ring, actions) = hook(55.0);
+        assert_eq!(ring, Some(2), "evicted to the outermost ring");
+        assert!(
+            matches!(actions[..], [Action::Migrate { thread: t, to }]
+                if t == thread && machine.rings().ring(2).cores().contains(&to)),
+            "{actions:?}"
+        );
     }
 
     #[test]

@@ -71,15 +71,3 @@ fn solver_batch_rejects_one_bad_sequence_among_good() {
     let seqs = vec![seq(16), seq(9), seq(16)];
     assert!(solver.peak_celsius_many(&seqs).is_err());
 }
-
-#[test]
-fn sampled_peak_rejects_zero_samples() {
-    let solver = solver_4x4();
-    let err = solver
-        .peak_celsius_sampled(&seq(16), 0)
-        .expect_err("zero samples");
-    assert!(
-        matches!(err, HotPotatoError::InvalidParameter { .. }),
-        "{err}"
-    );
-}

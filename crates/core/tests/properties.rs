@@ -1,10 +1,16 @@
 //! Property-based tests for the rotation analytics (Algorithm 1).
 
+// The sampled properties read the serial oracle and nothing else of the
+// module.
+#[allow(dead_code)]
+mod support;
+
 use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 use proptest::prelude::*;
+use support::peak_celsius_sampled_serial;
 
 fn solver(w: usize, h: usize) -> RotationPeakSolver {
     let model = RcThermalModel::new(
@@ -134,7 +140,7 @@ proptest! {
         // sampling approximates the continuous peak; a small tolerance
         // absorbs the residual discretization.
         let s = solver(3, 3);
-        let peak = s.peak_celsius_sampled(&seq, 16).unwrap();
+        let peak = peak_celsius_sampled_serial(&s, &seq, 16);
         let avg = seq.average_power();
         let t = s.model().steady_state(&avg).unwrap();
         let avg_peak = s.model().core_temperatures(&t).max();
@@ -150,7 +156,7 @@ proptest! {
         // engineering claim that holds: the rotation peak stays within a
         // small overshoot band of the hottest pinned epoch.
         let s = solver(3, 3);
-        let peak = s.peak_celsius_sampled(&seq, 8).unwrap();
+        let peak = peak_celsius_sampled_serial(&s, &seq, 8);
         let mut bound = f64::NEG_INFINITY;
         for e in 0..seq.delta() {
             let t = s.model().steady_state(seq.epoch(e)).unwrap();
@@ -184,8 +190,8 @@ proptest! {
             .collect();
         let slow = EpochPowerSequence::new(2e-3, epochs.clone()).unwrap();
         let fast = EpochPowerSequence::new(0.2e-3, epochs).unwrap();
-        let p_slow = s.peak_celsius_sampled(&slow, 8).unwrap();
-        let p_fast = s.peak_celsius_sampled(&fast, 8).unwrap();
+        let p_slow = peak_celsius_sampled_serial(&s, &slow, 8);
+        let p_fast = peak_celsius_sampled_serial(&s, &fast, 8);
         prop_assert!(p_fast <= p_slow + 0.1, "fast {p_fast} > slow {p_slow}");
     }
 

@@ -1,6 +1,7 @@
 //! Serial references the differential tests and the Algorithm-1 benches
-//! hold [`RotationPeakSolver`]'s kernel to, and the explicit epoch
-//! sequences its Algorithm-2 probe is held to.
+//! hold [`RotationPeakSolver`]'s kernel to, the sampled oracle the
+//! within-epoch physics claims rest on, and the explicit epoch sequences
+//! its Algorithm-2 probe is held to.
 //!
 //! The serial references close each steady cycle with the same Eq.-(10)
 //! start state and one-epoch recurrence as the library, but read the
@@ -86,9 +87,12 @@ pub fn peak_report_serial(solver: &RotationPeakSolver, seq: &EpochPowerSequence)
     }
 }
 
-/// [`RotationPeakSolver::peak_celsius_sampled`] with one junction dot
-/// product per core and sample instant. `samples == 1` is the boundary
-/// form, [`RotationPeakSolver::peak_celsius`].
+/// The steady cycle's hottest junction with every epoch sampled at
+/// `samples` evenly spaced instants (the last one its end), by one
+/// junction dot product per core and sample instant. The library samples
+/// epoch boundaries only; this oracle makes the within-epoch claims
+/// testable, and `samples == 1` is the boundary form,
+/// [`RotationPeakSolver::peak_celsius`], bit for bit.
 pub fn peak_celsius_sampled_serial(
     solver: &RotationPeakSolver,
     seq: &EpochPowerSequence,

@@ -18,7 +18,7 @@ use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_experiments::context::{Context, ContextError};
 use hp_experiments::{motivational_machine, thermal_model_for_grid, try_run};
 use hp_manycore::{ArchConfig, Machine, MigrationModel};
-use hp_sched::{PcMig, PcMigConfig};
+use hp_sched::PcMig;
 use hp_sim::{DtmScope, Metrics, SimConfig};
 use hp_workload::{closed_batch, Benchmark, Job, JobId};
 
@@ -137,13 +137,14 @@ fn main() -> Result<(), ContextError> {
         "t_dtm C", "resp ms", "peak C", "DTM"
     );
     for t_dtm in [60.0, 65.0, 70.0, 75.0, 80.0] {
-        let cfg = HotPotatoConfig {
-            t_dtm,
-            ..HotPotatoConfig::default()
-        };
         let sim_t = SimConfig { t_dtm, ..sim };
-        let m = run_hp(motivational_machine(), sim_t, blackscholes2(), cfg)
-            .with_context(|| format!("ablation 3: t_dtm {t_dtm} C"))?;
+        let m = run_hp(
+            motivational_machine(),
+            sim_t,
+            blackscholes2(),
+            HotPotatoConfig::default(),
+        )
+        .with_context(|| format!("ablation 3: t_dtm {t_dtm} C"))?;
         println!(
             "{:>12.0} {:>12.1} {:>8.1} {:>6}",
             t_dtm,
@@ -251,7 +252,7 @@ fn main() -> Result<(), ContextError> {
             HotPotatoConfig::default(),
         )
         .with_context(|| format!("ablation 6: {label}, hotpotato"))?;
-        let mut pm = PcMig::new(model.clone(), PcMigConfig::default());
+        let mut pm = PcMig::new(model.clone());
         let pm_m = try_run(motivational_machine(), &model, sim_w, jobs, &mut pm)
             .with_context(|| format!("ablation 6: {label}, pcmig"))?;
         println!(
@@ -315,7 +316,7 @@ fn main() -> Result<(), ContextError> {
                 let tau = [0.25e-3, 0.5e-3, 1e-3, 2e-3][i / 4];
                 let epochs = (0..4)
                     .map(|e| {
-                        let mut p = hp_linalg::Vector::constant(16, 0.3);
+                        let mut p = hp_linalg::Vector::constant(16, hp_power::IDLE_WATTS);
                         p[ring[e % 4]] = 7.0;
                         p[ring[(e + sep) % 4]] = 7.0;
                         p

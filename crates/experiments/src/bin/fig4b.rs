@@ -10,7 +10,7 @@ use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_experiments::context::{Context, ContextError};
 use hp_experiments::plot::ascii_chart;
 use hp_experiments::{paper_machine, thermal_model_for_grid, try_run};
-use hp_sched::{PcMig, PcMigConfig};
+use hp_sched::PcMig;
 use hp_sim::SimConfig;
 use hp_workload::open_poisson;
 
@@ -43,7 +43,7 @@ fn main() -> Result<(), ContextError> {
             let hp_m = try_run(paper_machine(), &model, sim_cfg, jobs.clone(), &mut hp)
                 .with_context(|| scenario("hotpotato run"))?;
 
-            let mut pm = PcMig::new(model.clone(), PcMigConfig::default());
+            let mut pm = PcMig::new(model.clone());
             let pm_m = try_run(paper_machine(), &model, sim_cfg, jobs, &mut pm)
                 .with_context(|| scenario("pcmig run"))?;
 

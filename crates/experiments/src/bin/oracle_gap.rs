@@ -13,13 +13,13 @@ use hotpotato::RotationPeakSolver;
 use hp_experiments::motivational_machine;
 use hp_floorplan::CoreId;
 use hp_manycore::Machine;
+use hp_power::IDLE_WATTS;
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::Benchmark;
 
 const T_DTM: f64 = 70.0;
 const DELTA: f64 = 1.0;
 const TAU: f64 = 0.5e-3;
-const IDLE: f64 = 0.3;
 
 fn demand_for(machine: &Machine, rings: &[Vec<usize>], b: Benchmark) -> ThreadDemand {
     let ladder = &machine.config().dvfs;
@@ -70,7 +70,7 @@ fn greedy_assignment(
             }
             let mut trial = assignment.clone();
             trial.push(r);
-            let peak = evaluate_assignment(solver, rings, &demands[..=i], &trial, TAU, IDLE)
+            let peak = evaluate_assignment(solver, rings, &demands[..=i], &trial, TAU, IDLE_WATTS)
                 .expect("evaluates");
             if peak + DELTA < T_DTM {
                 chosen = Some(r);
@@ -150,8 +150,9 @@ fn main() {
         // evaluations inside); wall-clock makes the oracle's cost visible
         // next to its answer.
         let t0 = std::time::Instant::now();
-        let oracle = exhaustive_best_assignment(&solver, &rings, &demands, TAU, IDLE, T_DTM, DELTA)
-            .expect("search runs");
+        let oracle =
+            exhaustive_best_assignment(&solver, &rings, &demands, TAU, IDLE_WATTS, T_DTM, DELTA)
+                .expect("search runs");
         let search = t0.elapsed();
         match oracle {
             Some(best) => {

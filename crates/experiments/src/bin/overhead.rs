@@ -27,6 +27,7 @@ use hp_experiments::thermal_model_for_grid;
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_obs::{Registry, ScopedTimer};
+use hp_power::IDLE_WATTS;
 use support::explicit_probe_sequences;
 
 fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
@@ -102,10 +103,10 @@ fn main() {
 
     // Algorithm 2's placement probe on the full chip at τ = 0.5 ms.
     let rings = loaded_rings(usize::MAX);
-    let explicit = explicit_probe_sequences(64, &rings, 0.3, 0.5e-3, true);
+    let explicit = explicit_probe_sequences(64, &rings, IDLE_WATTS, 0.5e-3, true);
     let probe_of = |rings: &[RingRotation<f64>]| {
         solver
-            .peak_of_rings(rings, |watts| watts, 0.3, 0.5e-3, true)
+            .peak_of_rings(rings, |watts| watts, IDLE_WATTS, 0.5e-3, true)
             .expect("probe computes")
     };
     let probe = || probe_of(&rings);
@@ -131,7 +132,7 @@ fn main() {
     // ring in turn), so the trial re-sums that ring only.
     for rep in 0..10_000 {
         let mut trial = rings.clone();
-        let mut session = solver.session(&trial, 0.3).expect("session opens");
+        let mut session = solver.session(&trial, IDLE_WATTS).expect("session opens");
         let mut peak = |rings: &[RingRotation<f64>]| {
             session
                 .peak(&solver, rings, |watts| watts, 0.5e-3, true)

@@ -12,6 +12,7 @@ use hotpotato::{EpochPowerSequence, RotationPeakSolver};
 use hp_experiments::pct;
 use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
+use hp_power::IDLE_WATTS;
 use hp_thermal::{stacked::stacked_model, ThermalConfig};
 
 fn main() {
@@ -22,11 +23,10 @@ fn main() {
     let cores = model.core_count();
     let solver = RotationPeakSolver::new(model).expect("decomposes");
     let watts = 6.0;
-    let idle = 0.3;
     let tau = 0.5e-3;
 
     let pinned = |core: usize| {
-        let mut p = Vector::constant(cores, idle);
+        let mut p = Vector::constant(cores, IDLE_WATTS);
         p[core] = watts;
         EpochPowerSequence::new(tau, vec![p]).expect("valid")
     };
@@ -36,7 +36,7 @@ fn main() {
     let interdie = {
         let epochs = (0..2)
             .map(|e| {
-                let mut p = Vector::constant(cores, idle);
+                let mut p = Vector::constant(cores, IDLE_WATTS);
                 p[if e == 0 { 5 } else { 5 + n }] = watts;
                 p
             })
@@ -49,7 +49,7 @@ fn main() {
         let ring = [5usize, 6, 10, 9];
         let epochs = (0..4)
             .map(|e| {
-                let mut p = Vector::constant(cores, idle);
+                let mut p = Vector::constant(cores, IDLE_WATTS);
                 p[ring[e % 4]] = watts;
                 p
             })
@@ -62,7 +62,7 @@ fn main() {
         let ring = [5usize, 6, 10, 9, 5 + n, 6 + n, 10 + n, 9 + n];
         let epochs = (0..8)
             .map(|e| {
-                let mut p = Vector::constant(cores, idle);
+                let mut p = Vector::constant(cores, IDLE_WATTS);
                 p[ring[e % 8]] = watts;
                 p
             })

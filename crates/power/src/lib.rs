@@ -39,3 +39,7 @@ pub use model::PowerModel;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, PowerError>;
+
+/// Idle-core power estimate, W (paper §VI: 0.3 W): what a free core
+/// draws in every scheduler's power map and in the TSP budgets.
+pub const IDLE_WATTS: f64 = 0.3;

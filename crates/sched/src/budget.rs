@@ -3,7 +3,7 @@
 
 use hp_floorplan::CoreId;
 use hp_manycore::{Machine, WorkPoint};
-use hp_power::DvfsLevel;
+use hp_power::{DvfsLevel, IDLE_WATTS};
 use hp_sim::{Action, SimView};
 use hp_thermal::{tsp, RcThermalModel};
 
@@ -23,17 +23,18 @@ pub(crate) enum Budget {
 }
 
 /// A policy's DVFS throttle: its budget and the budgets of the last set
-/// of executing cores.
+/// of executing cores at the last threshold.
 ///
-/// A budget is a pure function of the model, the threshold, the idle
-/// power and the set of executing cores, so the cache only memoises: a
-/// hit emits what a fresh solve would, and nothing of it is snapshotted.
+/// A budget is a pure function of the model, the DTM threshold the hook's
+/// view carries, [`IDLE_WATTS`] and the set of executing cores, so the
+/// cache only memoises: a hit emits what a fresh solve would, and nothing
+/// of it is snapshotted.
 #[derive(Debug)]
 pub(crate) struct Throttle {
     model: RcThermalModel,
-    t_dtm: f64,
-    idle_power: f64,
     budget: Budget,
+    /// The bits of the threshold, °C, `watts` was solved at.
+    t_dtm_bits: u64,
     /// The sorted executing cores `watts` belongs to.
     active: Vec<CoreId>,
     /// One budget per entry of `active`, or `None` when the threshold is
@@ -42,14 +43,12 @@ pub(crate) struct Throttle {
 }
 
 impl Throttle {
-    /// A throttle to `budget` for a chip with thermal model `model`, DTM
-    /// threshold `t_dtm` (°C) and per-core idle power (W).
-    pub(crate) fn new(model: RcThermalModel, t_dtm: f64, idle_power: f64, budget: Budget) -> Self {
+    /// A throttle to `budget` for a chip with thermal model `model`.
+    pub(crate) fn new(model: RcThermalModel, budget: Budget) -> Self {
         Throttle {
             model,
-            t_dtm,
-            idle_power,
             budget,
+            t_dtm_bits: 0,
             active: Vec::new(),
             watts: None,
         }
@@ -57,9 +56,9 @@ impl Throttle {
 
     /// One hook's DVFS actions: one [`Action::SetLevel`] per thread, the
     /// executing cores at the fastest level whose power fits their budget
-    /// and barrier-idle ones at the top level (they are clock-gated and
-    /// draw only leakage). With nothing executing the chip is released to
-    /// the top level.
+    /// under the view's DTM threshold and barrier-idle ones at the top
+    /// level (they are clock-gated and draw only leakage). With nothing
+    /// executing the chip is released to the top level.
     pub(crate) fn levels(&mut self, view: &SimView<'_>) -> Vec<Action> {
         let ladder = &view.machine.config().dvfs;
         let mut active: Vec<CoreId> = view
@@ -74,8 +73,9 @@ impl Throttle {
             }];
         }
         active.sort_unstable();
-        if active != self.active {
-            self.watts = self.solve(&active);
+        if view.t_dtm.to_bits() != self.t_dtm_bits || active != self.active {
+            self.watts = self.solve(&active, view.t_dtm);
+            self.t_dtm_bits = view.t_dtm.to_bits();
             self.active = active;
         }
         let Some(watts) = &self.watts else {
@@ -91,7 +91,7 @@ impl Throttle {
                 } else {
                     // `active` holds exactly these executing cores.
                     let k = self.active.binary_search(&t.core).ok()?;
-                    fastest_level_within(view.machine, &t.work, t.core, watts[k], self.t_dtm)
+                    fastest_level_within(view.machine, &t.work, t.core, watts[k], view.t_dtm)
                 };
                 Some(Action::SetLevel {
                     core: t.core,
@@ -101,18 +101,18 @@ impl Throttle {
             .collect()
     }
 
-    /// The budgets of `active`, one per core.
-    fn solve(&self, active: &[CoreId]) -> Option<Vec<f64>> {
+    /// The budgets of `active` under threshold `t_dtm` (°C), one per core.
+    fn solve(&self, active: &[CoreId], t_dtm: f64) -> Option<Vec<f64>> {
         let uniform = || {
-            tsp::budget(&self.model, active, self.t_dtm, self.idle_power)
+            tsp::budget(&self.model, active, t_dtm, IDLE_WATTS)
                 .map(|b| vec![b.per_core_watts; active.len()])
         };
         match self.budget {
             Budget::Uniform => uniform().ok(),
             Budget::WaterFilling => Some(
-                tsp::per_core_budgets(&self.model, active, self.t_dtm, self.idle_power)
+                tsp::per_core_budgets(&self.model, active, t_dtm, IDLE_WATTS)
                     .or_else(|_| uniform())
-                    .unwrap_or_else(|_| vec![self.idle_power; active.len()]),
+                    .unwrap_or_else(|_| vec![IDLE_WATTS; active.len()]),
             ),
         }
     }
@@ -148,7 +148,7 @@ fn fastest_level_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FallbackChain, FallbackConfig, PcGov, PcMig, PcMigConfig, TspUniform};
+    use crate::{FallbackChain, FallbackConfig, PcGov, PcMig, TspUniform};
     use hotpotato::HotPotatoConfig;
     use hp_floorplan::GridFloorplan;
     use hp_linalg::Vector;
@@ -176,8 +176,10 @@ mod tests {
     }
 
     /// Everything a [`SimView`] of the 4×4 chip borrows: one thread per
-    /// `(core, executing)` entry, in that order, at 60 °C.
+    /// `(core, executing)` entry, in that order, at 60 °C, and the DTM
+    /// threshold the view carries (70 °C).
     struct Chip {
+        t_dtm: f64,
         machine: Machine,
         temps: Vector,
         levels: Vec<DvfsLevel>,
@@ -214,6 +216,7 @@ mod tests {
                 })
                 .collect();
             Chip {
+                t_dtm: 70.0,
                 machine: machine(),
                 temps: Vector::constant(16, 60.0),
                 levels: vec![DvfsLevel(0); 16],
@@ -233,7 +236,7 @@ mod tests {
                 occupancy: &self.occupancy,
                 threads: &self.threads,
                 pending: &self.pending,
-                t_dtm: 70.0,
+                t_dtm: self.t_dtm,
                 dtm_active: false,
                 sensor_confidence: &self.confidence,
             }
@@ -266,14 +269,14 @@ mod tests {
         let first = Chip::new(&[(5, true), (9, false), (10, true), (0, true)]);
         let reordered = Chip::new(&[(0, true), (10, true), (5, true), (9, false)]);
         for budget in [Budget::Uniform, Budget::WaterFilling] {
-            let mut throttle = Throttle::new(model(), 70.0, 0.3, budget);
+            let mut throttle = Throttle::new(model(), budget);
             throttle.levels(&first.view());
             let cached = watts_ptr(&throttle);
             assert!(!cached.is_null());
             let actions = throttle.levels(&reordered.view());
             assert_eq!(watts_ptr(&throttle), cached, "{budget:?}: a hit");
             assert_eq!(throttle.active, [CoreId(0), CoreId(5), CoreId(10)]);
-            let fresh = Throttle::new(model(), 70.0, 0.3, budget).levels(&reordered.view());
+            let fresh = Throttle::new(model(), budget).levels(&reordered.view());
             assert_eq!(actions, fresh, "{budget:?}");
             assert_eq!(actions.len(), 4, "one level per thread");
         }
@@ -285,7 +288,7 @@ mod tests {
         // Core 9's thread leaves its barrier: one more executing core.
         let changed = Chip::new(&[(5, true), (9, true), (10, true)]);
         for budget in [Budget::Uniform, Budget::WaterFilling] {
-            let mut throttle = Throttle::new(model(), 70.0, 0.3, budget);
+            let mut throttle = Throttle::new(model(), budget);
             throttle.levels(&first.view());
             let before = throttle.watts.clone().unwrap();
             let cached = watts_ptr(&throttle);
@@ -294,7 +297,18 @@ mod tests {
             assert_eq!(throttle.active, [CoreId(5), CoreId(9), CoreId(10)]);
             assert_eq!(throttle.watts.as_ref().map(Vec::len), Some(3));
             assert!(throttle.watts.as_ref().unwrap()[0] < before[0]);
-            let fresh = Throttle::new(model(), 70.0, 0.3, budget).levels(&changed.view());
+            let fresh = Throttle::new(model(), budget).levels(&changed.view());
+            assert_eq!(actions, fresh, "{budget:?}");
+
+            // The same set at a lower threshold: a miss, to smaller budgets.
+            let mut cooler = Chip::new(&[(5, true), (9, true), (10, true)]);
+            cooler.t_dtm = 60.0;
+            let before = throttle.watts.clone().unwrap();
+            let cached = watts_ptr(&throttle);
+            let actions = throttle.levels(&cooler.view());
+            assert_ne!(watts_ptr(&throttle), cached, "{budget:?}: a miss");
+            assert!(throttle.watts.as_ref().unwrap()[0] < before[0]);
+            let fresh = Throttle::new(model(), budget).levels(&cooler.view());
             assert_eq!(actions, fresh, "{budget:?}");
         }
     }
@@ -304,7 +318,7 @@ mod tests {
         let chip = Chip::new(&[(5, false)]);
         let max = chip.machine.config().dvfs.max_level();
         for budget in [Budget::Uniform, Budget::WaterFilling] {
-            let actions = Throttle::new(model(), 70.0, 0.3, budget).levels(&chip.view());
+            let actions = Throttle::new(model(), budget).levels(&chip.view());
             assert_eq!(actions, [Action::SetAllLevels { level: max }]);
         }
     }
@@ -312,24 +326,21 @@ mod tests {
     #[test]
     fn an_unreachable_threshold_keeps_each_policys_actions() {
         // 40 °C is below the 45 °C ambient: no budget exists.
-        let t_dtm = 40.0;
         let mut chip = Chip::new(&[(5, true), (9, false), (10, true)]);
+        chip.t_dtm = 40.0;
         let ladder = &chip.machine.config().dvfs;
         let (min, max) = (ladder.min_level(), ladder.max_level());
         let crash = vec![Action::SetAllLevels { level: min }];
 
-        let mut tsp = TspUniform::new(model(), t_dtm, 0.3);
+        let mut tsp = TspUniform::new(model());
         assert_eq!(level_actions(tsp.schedule(&chip.view())), crash);
-        let config = PcMigConfig {
-            t_dtm,
-            ..PcMigConfig::default()
-        };
-        let mut pcmig = PcMig::new(model(), config);
+        let mut pcmig = PcMig::new(model());
         assert_eq!(level_actions(pcmig.schedule(&chip.view())), crash);
 
         // PCGov falls back to the uniform budget, then to idle power.
         let work = WorkPoint::compute_bound();
-        let at_idle = |core| fastest_level_within(&chip.machine, &work, CoreId(core), 0.3, t_dtm);
+        let at_idle =
+            |core| fastest_level_within(&chip.machine, &work, CoreId(core), IDLE_WATTS, chip.t_dtm);
         let expected = vec![
             Action::SetLevel {
                 core: CoreId(5),
@@ -344,18 +355,19 @@ mod tests {
                 level: at_idle(10),
             },
         ];
-        let mut pcgov = PcGov::new(model(), t_dtm, 0.3);
+        let mut pcgov = PcGov::new(model());
         assert_eq!(level_actions(pcgov.schedule(&chip.view())), expected);
         // The cached answer is the same on the next hook.
         assert_eq!(level_actions(pcgov.schedule(&chip.view())), expected);
 
         // The fallback's safe mode, entered on untrusted sensors.
         chip.confidence = vec![0.0; 16];
-        let config = HotPotatoConfig {
-            t_dtm,
-            ..HotPotatoConfig::default()
-        };
-        let mut chain = FallbackChain::new(model(), config, FallbackConfig::default()).unwrap();
+        let mut chain = FallbackChain::new(
+            model(),
+            HotPotatoConfig::default(),
+            FallbackConfig::default(),
+        )
+        .unwrap();
         assert_eq!(level_actions(chain.schedule(&chip.view())), crash);
         assert!(chain.is_degraded());
     }
@@ -376,13 +388,10 @@ mod tests {
         // Two jobs fit; the 20-thread one blocks the queue behind it.
         assert_eq!(pinned.len(), 2);
 
-        let mut tsp = TspUniform::new(model(), 70.0, 0.3);
+        let mut tsp = TspUniform::new(model());
         assert_eq!(placements(tsp.schedule(&view)), pinned);
-        assert_eq!(
-            placements(PcGov::new(model(), 70.0, 0.3).schedule(&view)),
-            pinned
-        );
-        let mut pcmig = PcMig::new(model(), PcMigConfig::default());
+        assert_eq!(placements(PcGov::new(model()).schedule(&view)), pinned);
+        let mut pcmig = PcMig::new(model());
         assert_eq!(placements(pcmig.schedule(&view)), pinned);
 
         // TSP-uniform takes the Fig. 2 preferred cores for its first job.
@@ -392,7 +401,7 @@ mod tests {
             job: JobId(1),
             cores: preferred.clone()
         }));
-        let mut tsp = TspUniform::new(model(), 70.0, 0.3).with_preferred_cores(preferred);
+        let mut tsp = TspUniform::new(model()).with_preferred_cores(preferred);
         assert_eq!(placements(tsp.schedule(&view)), pinned_there);
 
         // The fallback's safe mode, entered on untrusted sensors.

@@ -92,7 +92,9 @@ pub struct FallbackChain {
 }
 
 impl FallbackChain {
-    /// Creates the chain; `model` must match the simulated machine.
+    /// Creates the chain; `model` must match the simulated machine. The
+    /// rotation and the TSP-uniform safe mode both act against the view's
+    /// [`SimView::t_dtm`].
     ///
     /// # Errors
     ///
@@ -103,7 +105,7 @@ impl FallbackChain {
         fallback: FallbackConfig,
     ) -> hotpotato::Result<Self> {
         Ok(FallbackChain {
-            safe: TspUniform::new(model.clone(), config.t_dtm, config.idle_power),
+            safe: TspUniform::new(model.clone()),
             primary: HotPotato::new(model, config)?,
             fallback,
             degraded: false,

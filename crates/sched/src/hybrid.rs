@@ -38,21 +38,20 @@ use hp_thermal::RcThermalModel;
 #[derive(Debug)]
 pub struct HotPotatoDvfs {
     inner: HotPotato,
-    t_dtm: f64,
     /// Current chip-wide throttle level (None = peak everywhere).
     throttle: Option<DvfsLevel>,
 }
 
 impl HotPotatoDvfs {
     /// Creates the hybrid scheduler; `model` must match the simulated
-    /// machine.
+    /// machine. The rotation and the DVFS valve both act against the
+    /// view's [`SimView::t_dtm`].
     ///
     /// # Errors
     ///
     /// Propagates HotPotato construction failures.
     pub fn new(model: RcThermalModel, config: HotPotatoConfig) -> hotpotato::Result<Self> {
         Ok(HotPotatoDvfs {
-            t_dtm: config.t_dtm,
             inner: HotPotato::new(model, config)?,
             throttle: None,
         })
@@ -97,14 +96,14 @@ impl Scheduler for HotPotatoDvfs {
         let measured = view.core_temps.max();
         let margin = 0.5;
 
-        let next = if measured > self.t_dtm - margin {
+        let next = if measured > view.t_dtm - margin {
             // About to trip DTM: throttle one step further. Power drops
             // superlinearly in frequency, so a few 100 MHz steps suffice.
             Some(match self.throttle {
                 Some(level) => ladder.step_down(level),
                 None => ladder.step_down(ladder.max_level()),
             })
-        } else if measured < self.t_dtm - 3.0 * margin {
+        } else if measured < view.t_dtm - 3.0 * margin {
             // Comfortable again: release one step towards peak.
             match self.throttle {
                 Some(level) if ladder.step_up(level) == ladder.max_level() => None,

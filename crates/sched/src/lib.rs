@@ -21,11 +21,14 @@
 //! * [`FallbackChain`] — HotPotato that drops to a [`TspUniform`] safe
 //!   mode while its inputs are untrustworthy (DESIGN.md §8).
 //!
-//! All five implement [`hp_sim::Scheduler`]. The DVFS baselines (TSP,
-//! PCGov, PCMig and the fallback's safe mode) place jobs as
-//! [`PinnedScheduler`](hp_sim::schedulers::PinnedScheduler) does and turn
-//! budgets into DVFS levels through one path, which caches the budgets of
-//! the last set of executing cores.
+//! All five implement [`hp_sim::Scheduler`] and act against one DTM
+//! threshold, the engine's: every hook reads [`hp_sim::SimView::t_dtm`],
+//! and no scheduler holds a copy of it. The DVFS baselines (TSP, PCGov,
+//! PCMig and the fallback's safe mode) take only the thermal model, place
+//! jobs as [`PinnedScheduler`](hp_sim::schedulers::PinnedScheduler) does
+//! and turn budgets into DVFS levels through one path, which caches the
+//! budgets of the last set of executing cores at the last threshold. A
+//! free core draws [`hp_power::IDLE_WATTS`] in every budget.
 //!
 //! # Example
 //!
@@ -36,7 +39,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let model = RcThermalModel::new(&GridFloorplan::new(4, 4)?, &ThermalConfig::default())?;
-//! let sched = TspUniform::new(model, 70.0, 0.3);
+//! let sched = TspUniform::new(model);
 //! # let _ = sched;
 //! # Ok(())
 //! # }
@@ -50,5 +53,5 @@ mod tsp_uniform;
 
 pub use fallback::{FallbackChain, FallbackConfig};
 pub use hybrid::HotPotatoDvfs;
-pub use pcmig::{PcGov, PcMig, PcMigConfig};
+pub use pcmig::{PcGov, PcMig};
 pub use tsp_uniform::TspUniform;

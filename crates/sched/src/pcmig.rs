@@ -12,33 +12,16 @@ use crate::budget::{Budget, Throttle};
 /// which any change in the thermal arithmetic reorders.
 const TIE_CELSIUS: f64 = 1e-9;
 
-/// Configuration of the [`PcMig`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PcMigConfig {
-    /// DTM threshold, °C.
-    pub t_dtm: f64,
-    /// Idle-core power, W.
-    pub idle_power: f64,
-    /// Prediction horizon for the linear temperature extrapolation, s.
-    pub predict_horizon: f64,
-    /// Safety margin below the threshold that triggers a migration, °C.
-    pub migration_margin: f64,
-    /// Minimum time between two migrations of the same thread, s
-    /// (on-demand migrations are a measure of last resort, not a rotation).
-    pub migration_cooldown: f64,
-}
+/// How far ahead PCMig extrapolates each core's temperature trend, s.
+const PREDICT_SECONDS: f64 = 5e-3;
 
-impl Default for PcMigConfig {
-    fn default() -> Self {
-        PcMigConfig {
-            t_dtm: 70.0,
-            idle_power: 0.3,
-            predict_horizon: 5e-3,
-            migration_margin: 1.0,
-            migration_cooldown: 10e-3,
-        }
-    }
-}
+/// PCMig migrates a thread whose core is predicted to cross the DTM
+/// threshold less this margin, °C.
+const MIGRATION_MARGIN_CELSIUS: f64 = 1.0;
+
+/// Minimum time between two migrations of the same thread, s (on-demand
+/// migrations are a measure of last resort, not a rotation).
+const COOLDOWN_SECONDS: f64 = 10e-3;
 
 /// The PCGov scheduler \[6\], \[20\]: cache-aware lowest-AMD-first placement
 /// (as [`PinnedScheduler`] places) with Pareto-optimal per-core DVFS
@@ -53,7 +36,7 @@ impl Default for PcMigConfig {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let model = RcThermalModel::new(&GridFloorplan::new(4, 4)?, &ThermalConfig::default())?;
-/// let _sched = PcGov::new(model, 70.0, 0.3);
+/// let _sched = PcGov::new(model);
 /// # Ok(())
 /// # }
 /// ```
@@ -63,10 +46,12 @@ pub struct PcGov {
 }
 
 impl PcGov {
-    /// Creates the scheduler.
-    pub fn new(model: RcThermalModel, t_dtm: f64, idle_power: f64) -> Self {
+    /// Creates the scheduler for a chip with thermal model `model`. Each
+    /// hook budgets against the view's [`SimView::t_dtm`], with every free
+    /// core drawing [`hp_power::IDLE_WATTS`].
+    pub fn new(model: RcThermalModel) -> Self {
         PcGov {
-            throttle: Throttle::new(model, t_dtm, idle_power, Budget::WaterFilling),
+            throttle: Throttle::new(model, Budget::WaterFilling),
         }
     }
 }
@@ -89,10 +74,10 @@ impl Scheduler for PcGov {
 /// does, not PCGov's per-core budgets; DESIGN.md §2), plus
 /// **asynchronous on-demand thread migrations**.
 ///
-/// Every period each core's temperature trend is extrapolated
-/// `predict_horizon` seconds ahead; a thread whose core is predicted to
-/// cross `t_dtm − migration_margin` is migrated to the coolest free core
-/// (if any), with a per-thread cooldown so migration remains the last
+/// Every period each core's temperature trend is extrapolated 5 ms
+/// ahead; a thread whose core is predicted to cross the view's
+/// [`SimView::t_dtm`] less 1 °C is migrated to the coolest free core (if
+/// any), with a 10 ms per-thread cooldown so migration remains the last
 /// resort it is in the original. The original's neural-network
 /// temperature predictor is replaced by this linear extrapolation
 /// (DESIGN.md §2).
@@ -101,19 +86,18 @@ impl Scheduler for PcGov {
 ///
 /// ```
 /// use hp_floorplan::GridFloorplan;
-/// use hp_sched::{PcMig, PcMigConfig};
+/// use hp_sched::PcMig;
 /// use hp_thermal::{RcThermalModel, ThermalConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let model = RcThermalModel::new(&GridFloorplan::new(4, 4)?, &ThermalConfig::default())?;
-/// let _sched = PcMig::new(model, PcMigConfig::default());
+/// let _sched = PcMig::new(model);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct PcMig {
     throttle: Throttle,
-    config: PcMigConfig,
     /// Last observed core temperatures and their timestamp.
     last_temps: Option<(f64, Vec<f64>)>,
     /// Per-thread time of last migration.
@@ -135,11 +119,11 @@ hp_sim::codec! {
 }
 
 impl PcMig {
-    /// Creates the scheduler.
-    pub fn new(model: RcThermalModel, config: PcMigConfig) -> Self {
+    /// Creates the scheduler for a chip with thermal model `model`. Each
+    /// hook migrates and budgets against the view's [`SimView::t_dtm`].
+    pub fn new(model: RcThermalModel) -> Self {
         PcMig {
-            throttle: Throttle::new(model, config.t_dtm, config.idle_power, Budget::Uniform),
-            config,
+            throttle: Throttle::new(model, Budget::Uniform),
             last_temps: None,
             last_migration: std::collections::BTreeMap::new(),
             migrations_issued: 0,
@@ -170,7 +154,7 @@ impl Scheduler for PcMig {
                 (0..n)
                     .map(|c| {
                         let slope = (current[c] - prev[c]) / dt;
-                        current[c] + slope * self.config.predict_horizon
+                        current[c] + slope * PREDICT_SECONDS
                     })
                     .collect()
             }
@@ -179,7 +163,7 @@ impl Scheduler for PcMig {
         self.last_temps = Some((now, current));
 
         // On-demand migrations: hottest predicted core first.
-        let trigger = self.config.t_dtm - self.config.migration_margin;
+        let trigger = view.t_dtm - MIGRATION_MARGIN_CELSIUS;
         let mut hot_threads: Vec<(f64, ThreadId, CoreId)> = view
             .threads
             .iter()
@@ -187,7 +171,7 @@ impl Scheduler for PcMig {
             .filter(|t| {
                 self.last_migration
                     .get(&t.id)
-                    .is_none_or(|&last| now - last >= self.config.migration_cooldown)
+                    .is_none_or(|&last| now - last >= COOLDOWN_SECONDS)
             })
             .map(|t| (predicted[t.core.index()], t.id, t.core))
             .collect();
@@ -274,7 +258,7 @@ mod tests {
     #[test]
     fn pcgov_completes_safely() {
         let (mut sim, model) = setup();
-        let mut sched = PcGov::new(model, 70.0, 0.3);
+        let mut sched = PcGov::new(model);
         let jobs = vec![Job {
             id: JobId(0),
             benchmark: Benchmark::Swaptions,
@@ -289,7 +273,7 @@ mod tests {
     #[test]
     fn pcmig_migrates_on_demand() {
         let (mut sim, model) = setup();
-        let mut sched = PcMig::new(model, PcMigConfig::default());
+        let mut sched = PcMig::new(model);
         // A batch load leaves free cores to migrate to.
         let jobs = closed_batch(Benchmark::Blackscholes, 8, 3);
         let m = sim.run(jobs, &mut sched).unwrap();
@@ -344,7 +328,7 @@ mod tests {
             dtm_active: false,
             sensor_confidence: &[1.0; 16],
         };
-        let actions = PcMig::new(model, PcMigConfig::default()).schedule(&view);
+        let actions = PcMig::new(model).schedule(&view);
         let migrations: Vec<&Action> = actions
             .iter()
             .filter(|a| matches!(a, Action::Migrate { .. }))
@@ -363,7 +347,7 @@ mod tests {
         // Asynchronous on-demand migration is a last resort: the cooldown
         // keeps the count far below a synchronous rotation's.
         let (mut sim, model) = setup();
-        let mut sched = PcMig::new(model, PcMigConfig::default());
+        let mut sched = PcMig::new(model);
         let jobs = vec![Job {
             id: JobId(0),
             benchmark: Benchmark::Blackscholes,

@@ -11,7 +11,7 @@ use crate::budget::{Budget, Throttle};
 /// Jobs are placed as [`PinnedScheduler`] places them, on the lowest-AMD
 /// free cores; every scheduling period each busy core is throttled to the
 /// fastest level that fits the uniform TSP budget of the executing
-/// mapping. Threads never migrate.
+/// mapping under the view's DTM threshold. Threads never migrate.
 ///
 /// # Example
 ///
@@ -22,7 +22,7 @@ use crate::budget::{Budget, Throttle};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let model = RcThermalModel::new(&GridFloorplan::new(4, 4)?, &ThermalConfig::default())?;
-/// let _sched = TspUniform::new(model, 70.0, 0.3);
+/// let _sched = TspUniform::new(model);
 /// # Ok(())
 /// # }
 /// ```
@@ -33,12 +33,13 @@ pub struct TspUniform {
 }
 
 impl TspUniform {
-    /// Creates the scheduler for a chip with thermal model `model`,
-    /// DTM threshold `t_dtm` (°C) and per-core idle power (W).
-    pub fn new(model: RcThermalModel, t_dtm: f64, idle_power: f64) -> Self {
+    /// Creates the scheduler for a chip with thermal model `model`. Each
+    /// hook budgets against the view's [`SimView::t_dtm`], with every free
+    /// core drawing [`hp_power::IDLE_WATTS`].
+    pub fn new(model: RcThermalModel) -> Self {
         TspUniform {
             placer: PinnedScheduler::new(),
-            throttle: Throttle::new(model, t_dtm, idle_power, Budget::Uniform),
+            throttle: Throttle::new(model, Budget::Uniform),
         }
     }
 
@@ -110,8 +111,7 @@ mod tests {
     #[test]
     fn tsp_keeps_chip_under_threshold() {
         let (mut sim, model) = setup();
-        let mut sched =
-            TspUniform::new(model, 70.0, 0.3).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
+        let mut sched = TspUniform::new(model).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
         let m = sim.run(blackscholes2(), &mut sched).unwrap();
         assert_eq!(m.completed_jobs(), 1);
         assert!(
@@ -127,8 +127,7 @@ mod tests {
         // DVFS throttling must cost wall-clock time vs. the pinned
         // unmanaged run (Fig. 2(a) vs 2(b)).
         let (mut sim, model) = setup();
-        let mut tsp =
-            TspUniform::new(model, 70.0, 0.3).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
+        let mut tsp = TspUniform::new(model).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
         let tsp_m = sim.run(blackscholes2(), &mut tsp).unwrap();
 
         let machine = Machine::new(ArchConfig {

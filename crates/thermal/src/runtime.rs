@@ -63,8 +63,7 @@ pub struct SolverStats {
     /// (each a batch of one state), every accepted Algorithm-1
     /// `peak_celsius_many`, and every accepted rotating Algorithm-2
     /// probe (`ProbeSession::peak`, `peak_of_rings`) with an occupied
-    /// ring. Algorithm 1's
-    /// `peak`, `peak_celsius` and `peak_celsius_sampled`, and pinned or
+    /// ring. Algorithm 1's `peak` and `peak_celsius`, and pinned or
     /// empty-chip probes, are not counted.
     pub batch_calls: u64,
     /// Items pushed through those batches: states of the transient
@@ -92,7 +91,7 @@ pub struct NumericsStats {
     /// partly) from the backward-Euler path.
     pub fallback_activations: u64,
     /// Steps advanced by the dense fallback: states of the transient
-    /// solver, cycle epochs (or sub-epochs) of Algorithm 1.
+    /// solver, cycle epochs of Algorithm 1.
     pub fallback_steps: u64,
     /// Guard trips: eigen-path outputs that were non-finite or outside
     /// the physical envelope and triggered a dense recomputation.

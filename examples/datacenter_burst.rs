@@ -9,7 +9,7 @@
 
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_manycore::{ArchConfig, Machine};
-use hp_sched::{PcMig, PcMigConfig};
+use hp_sched::PcMig;
 use hp_sim::{SimConfig, Simulation};
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::open_poisson;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 sim.run(jobs.clone(), &mut s)?
             }
             _ => {
-                let mut s = PcMig::new(model, PcMigConfig::default());
+                let mut s = PcMig::new(model);
                 sim.run(jobs.clone(), &mut s)?
             }
         };

@@ -97,8 +97,7 @@ fn main() {
         }
     );
 
-    let mut tsp =
-        TspUniform::new(model(), 70.0, 0.3).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
+    let mut tsp = TspUniform::new(model()).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
     let (m, t) = run_with(&mut tsp, true);
     println!("TSP / DVFS |{}|", sparkline(&t, 60));
     println!(

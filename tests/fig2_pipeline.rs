@@ -55,8 +55,7 @@ fn fig2_ordering_and_safety() {
     let mut pinned = PinnedScheduler::with_preferred_cores(vec![CoreId(5), CoreId(10)]);
     let unmanaged = run(&mut pinned, false);
 
-    let mut tsp =
-        TspUniform::new(model(), 70.0, 0.3).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
+    let mut tsp = TspUniform::new(model()).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
     let tsp_m = run(&mut tsp, true);
 
     let mut hp = HotPotato::new(model(), HotPotatoConfig::default()).expect("valid config");
@@ -103,8 +102,7 @@ fn fig2_ordering_and_safety() {
 fn fig2_magnitudes_are_in_paper_range() {
     let mut pinned = PinnedScheduler::with_preferred_cores(vec![CoreId(5), CoreId(10)]);
     let unmanaged = run(&mut pinned, false);
-    let mut tsp =
-        TspUniform::new(model(), 70.0, 0.3).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
+    let mut tsp = TspUniform::new(model()).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
     let tsp_m = run(&mut tsp, true);
     let mut hp = HotPotato::new(model(), HotPotatoConfig::default()).expect("valid config");
     let rot = run(&mut hp, true);

@@ -4,7 +4,7 @@
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_floorplan::GridFloorplan;
 use hp_manycore::{ArchConfig, Machine};
-use hp_sched::{PcMig, PcMigConfig};
+use hp_sched::PcMig;
 use hp_sim::{Metrics, Scheduler, SimConfig, Simulation};
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::open_poisson;
@@ -47,7 +47,7 @@ fn both_schedulers_complete_across_loads() {
         let hp_m = run(&mut hp, rate, 3);
         assert_eq!(hp_m.completed_jobs(), 8, "hotpotato at rate {rate}");
 
-        let mut pm = PcMig::new(model(), PcMigConfig::default());
+        let mut pm = PcMig::new(model());
         let pm_m = run(&mut pm, rate, 3);
         assert_eq!(pm_m.completed_jobs(), 8, "pcmig at rate {rate}");
     }

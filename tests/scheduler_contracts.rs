@@ -5,7 +5,7 @@
 use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_floorplan::GridFloorplan;
 use hp_manycore::{ArchConfig, Machine};
-use hp_sched::{PcGov, PcMig, PcMigConfig, TspUniform};
+use hp_sched::{PcGov, PcMig, TspUniform};
 use hp_sim::schedulers::PinnedScheduler;
 use hp_sim::{Metrics, Scheduler, SimConfig, Simulation};
 use hp_thermal::{RcThermalModel, ThermalConfig};
@@ -85,7 +85,7 @@ fn hotpotato_contract() {
 
 #[test]
 fn pcmig_contract() {
-    let mut s = PcMig::new(model(), PcMigConfig::default());
+    let mut s = PcMig::new(model());
     let m = run(&mut s);
     check_common(&m);
     assert!(m.peak_temperature <= 71.0, "peak {:.1}", m.peak_temperature);
@@ -93,7 +93,7 @@ fn pcmig_contract() {
 
 #[test]
 fn pcgov_contract_no_migrations() {
-    let mut s = PcGov::new(model(), 70.0, 0.3);
+    let mut s = PcGov::new(model());
     let m = run(&mut s);
     check_common(&m);
     assert_eq!(m.migrations, 0, "PCGov never migrates");
@@ -101,7 +101,7 @@ fn pcgov_contract_no_migrations() {
 
 #[test]
 fn tsp_uniform_contract() {
-    let mut s = TspUniform::new(model(), 70.0, 0.3);
+    let mut s = TspUniform::new(model());
     let m = run(&mut s);
     check_common(&m);
     assert_eq!(m.migrations, 0);
@@ -136,7 +136,7 @@ fn migrating_schedulers_are_deterministic() {
     assert_eq!(a, b, "HotPotato run diverged on identical input");
 
     let run_pm = || {
-        let mut s = PcMig::new(model(), PcMigConfig::default());
+        let mut s = PcMig::new(model());
         strip_timings(run(&mut s))
     };
     let a = run_pm();
@@ -148,7 +148,7 @@ fn migrating_schedulers_are_deterministic() {
 fn hotpotato_beats_pcmig_where_it_should() {
     let mut hp = HotPotato::new(model(), HotPotatoConfig::default()).expect("valid config");
     let hp_m = run(&mut hp);
-    let mut pm = PcMig::new(model(), PcMigConfig::default());
+    let mut pm = PcMig::new(model());
     let pm_m = run(&mut pm);
 
     // The headline claim holds per benchmark class: rotation at peak
