@@ -11,8 +11,11 @@
 //! with one thread per ring, where its fixed per-probe costs (opening
 //! the probe session, reading the slot powers) weigh most, and the
 //! scheduler's common case, a trial that changes one ring of the full
-//! chip in a warm probe session, and (d) the design-time phase
-//! (eigendecomposition) — all through the shared
+//! chip in a warm probe session, (d) the design-time phase
+//! (eigendecomposition), and (e) the engine's transient step at its
+//! 100 µs interval, on a warm state whose readout certificate clears the
+//! spreader and sink rows (a junction-only readout) and on the first
+//! step from `initial_state` (a full readout) — all through the shared
 //! [`hp_obs`] profiler, so the output reports the same p50/p95/max
 //! percentiles the engine records for live scheduler hooks.
 
@@ -28,6 +31,7 @@ use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_obs::{Registry, ScopedTimer};
 use hp_power::IDLE_WATTS;
+use hp_thermal::TransientSolver;
 use support::explicit_probe_sequences;
 
 fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
@@ -77,6 +81,8 @@ fn print_summary(scope: &str, key: &str, label: &str, h: &hp_obs::HistogramSumma
 
 fn main() {
     let model = thermal_model_for_grid(8, 8);
+    // A clone shares the basis the peak solver decomposes below.
+    let thermal = model.clone();
     let reg = Registry::new();
 
     let solver = {
@@ -147,6 +153,34 @@ fn main() {
         std::hint::black_box(peak(&trial));
     }
 
+    // The engine's transient step. A warm state one interval past its
+    // full readout, advanced under the same power, is certified by its
+    // anchor: only the junctions are read out. The first advance from
+    // `initial_state` has no anchor and reads out every node.
+    let mut stepper = TransientSolver::new(&thermal).expect("basis is built");
+    let power = Vector::from_fn(64, |c| if c % 3 == 0 { 7.0 } else { 2.5 });
+    let warm = stepper
+        .step(&thermal, &thermal.ambient_state(), &power, 0.05)
+        .expect("step computes");
+    let mut anchored = stepper.initial_state(&warm).expect("state builds");
+    stepper
+        .advance(&thermal, &mut anchored, &power, 1e-4)
+        .expect("advance computes");
+    for _ in 0..10_000 {
+        let mut state = anchored.clone();
+        let _t = ScopedTimer::start(&reg, "thermal.step.certified");
+        stepper
+            .advance(&thermal, &mut state, &power, 1e-4)
+            .expect("advance computes");
+    }
+    for _ in 0..10_000 {
+        let mut state = stepper.initial_state(&warm).expect("state builds");
+        let _t = ScopedTimer::start(&reg, "thermal.step.full");
+        stepper
+            .advance(&thermal, &mut state, &power, 1e-4)
+            .expect("advance computes");
+    }
+
     let report = reg.snapshot();
     println!("Run-time overhead on the 64-core chip (paper: 23.76 us per schedule)");
     println!(
@@ -197,5 +231,14 @@ fn main() {
     println!("A one-ring trial on the full chip in a warm probe session:");
     if let Some(h) = report.histogram("alg2.session.trial") {
         print_summary("8x8 probe", "probe-trial", "warm session", h);
+    }
+    println!("The engine's transient step on the 8x8 chip, dt = 100 us:");
+    for (label, name) in [
+        ("certified (junctions)", "thermal.step.certified"),
+        ("full readout", "thermal.step.full"),
+    ] {
+        if let Some(h) = report.histogram(name) {
+            print_summary("8x8 step", "thermal-step", label, h);
+        }
     }
 }

@@ -107,8 +107,10 @@ struct RunState {
     n: usize,
     dt: f64,
     sched_every: u64,
-    /// Node temperatures plus, while the eigen path is live, their eigen
-    /// coordinates — advanced in modal form every interval.
+    /// Junction temperatures, the node vector (read out when a full
+    /// readout or a checkpoint needs it) and, while the eigen path is
+    /// live, the eigen coordinates — advanced in modal form every
+    /// interval.
     thermal: ThermalState,
     /// Junction temperatures of `thermal`, °C: read out once per
     /// interval after the thermal step and used by the next interval's
@@ -1146,9 +1148,11 @@ impl Simulation {
 
         // 5. Exact thermal step for the interval, in modal form: the
         // carried eigen coordinates relax towards this interval's power
-        // and the full node vector is read out for the envelope guard
-        // (DESIGN.md §6a). The fixed `dt` hits the solver's decay cache
-        // every interval, so no per-step exponentials are recomputed.
+        // and the junctions are read out; the other nodes are read out
+        // for the envelope guard only when the solver's certificate
+        // cannot clear them (DESIGN.md §6a). The fixed `dt` hits the
+        // solver's decay cache every interval, so no per-step
+        // exponentials are recomputed.
         // xtask: allow(nondet) — wall-clock observability timing; the
         // histogram it feeds is excluded from golden outputs.
         let thermal_start = Instant::now();
@@ -1176,7 +1180,7 @@ impl Simulation {
                 ),
             );
         }
-        let after = self.thermal.core_temperatures(st.thermal.nodes());
+        let after = st.thermal.junctions().clone();
         st.metrics.peak_temperature = st.metrics.peak_temperature.max(after.max());
         st.metrics.energy += power.sum() * dt;
         if self.config.record_trace {

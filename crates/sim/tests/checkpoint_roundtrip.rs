@@ -11,14 +11,19 @@
 //! * any single-byte corruption of the state block must be rejected as
 //!   `DigestMismatch` (or `Parse` when it breaks JSON syntax) — never
 //!   silently accepted;
-//! * truncation and schema tampering are typed errors, not panics.
+//! * truncation and schema tampering are typed errors, not panics;
+//! * a checkpoint captured right after an interval whose readout
+//!   certificate skipped the spreader and sink rows still holds the full
+//!   readout `modal_temps·Vᵀ`, bit for bit, and resumes exactly.
 
 use proptest::prelude::*;
 
 use hp_faults::FaultPlan;
+use hp_linalg::Matrix;
 use hp_manycore::{ArchConfig, Machine};
+use hp_obs::json::{self, Json};
 use hp_sim::{
-    schedulers::PinnedScheduler, CheckpointError, EngineCheckpoint, RunOptions, SimConfig,
+    schedulers::PinnedScheduler, CheckpointError, EngineCheckpoint, Metrics, RunOptions, SimConfig,
     Simulation,
 };
 use hp_thermal::ThermalConfig;
@@ -161,4 +166,95 @@ fn schema_tampering_is_a_version_error() {
         Err(CheckpointError::Version { found, .. }) => assert_eq!(found, "hp-ckpt-v9"),
         other => panic!("expected Version error, got {other:?}"),
     }
+}
+
+/// The floats of the checkpoint state's member `key`.
+fn state_floats(ckpt: &EngineCheckpoint, key: &str) -> Vec<f64> {
+    let doc = json::parse(&ckpt.to_json_string()).expect("own encoding parses");
+    match doc.get("state").and_then(|state| state.get(key)) {
+        Some(Json::Arr(values)) => values
+            .iter()
+            .map(|v| v.as_f64().expect("a number"))
+            .collect(),
+        other => panic!("state member {key}: {other:?}"),
+    }
+}
+
+/// Metrics with wall-clock observability stripped.
+fn normalized(m: &Metrics) -> Metrics {
+    let mut m = m.clone();
+    m.observability = m.observability.without_timings();
+    m
+}
+
+#[test]
+fn a_checkpoint_after_a_certified_interval_holds_the_full_readout_and_resumes_exactly() {
+    let machine = || {
+        Machine::new(ArchConfig {
+            grid_width: 4,
+            grid_height: 4,
+            ..ArchConfig::default()
+        })
+        .expect("valid grid")
+    };
+    let config = SimConfig {
+        record_trace: true,
+        ..SimConfig::default()
+    };
+    let sim = || Simulation::new(machine(), ThermalConfig::default(), config).expect("sim");
+    let jobs = || closed_batch(Benchmark::Canneal, 4, 11);
+    let mut golden_sim = sim();
+    let golden = golden_sim
+        .run(jobs(), &mut PinnedScheduler::new())
+        .expect("golden completes");
+
+    // Checkpoints every 10 ms; the budget stops the run 30 intervals
+    // after the one at step 200. Interval 200 is certified: the anchor
+    // of interval 66's full readout clears its spreader and sink rows,
+    // so the engine reads out only the junctions, and the checkpoint
+    // reads the other rows out on capture. (Of this run's 1413
+    // intervals, only 1, 13, 31, 66 and 511 read out every node.)
+    let dir = std::env::temp_dir().join(format!("hp-ckpt-certified-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("certified.ckpt.json");
+    let mut cut_sim = sim();
+    let _ = cut_sim.run_with_options(
+        jobs(),
+        &mut PinnedScheduler::new(),
+        &RunOptions {
+            checkpoint_every_seconds: Some(10e-3),
+            checkpoint_path: Some(path.clone()),
+            max_intervals: Some(230),
+            ..RunOptions::default()
+        },
+    );
+    let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint written and loads");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir(&dir).ok();
+    assert_eq!(ckpt.step(), 200);
+
+    let nodes = state_floats(&ckpt, "node_temps");
+    let z = state_floats(&ckpt, "modal_temps");
+    let model = golden_sim.thermal();
+    let readout = Matrix::from_fn(1, z.len(), |_, k| z[k])
+        .mul_matrix(model.basis().expect("basis").v_t())
+        .expect("z has the node count");
+    assert_eq!(nodes.len(), model.node_count());
+    for (i, t) in nodes.iter().enumerate() {
+        assert_eq!(t.to_bits(), readout[(0, i)].to_bits(), "node {i}");
+    }
+
+    let mut resumed_sim = sim();
+    let resumed = resumed_sim
+        .run_with_options(
+            jobs(),
+            &mut PinnedScheduler::new(),
+            &RunOptions {
+                resume_from: Some(ckpt),
+                ..RunOptions::default()
+            },
+        )
+        .expect("resumed run completes");
+    assert_eq!(normalized(&resumed), normalized(&golden));
+    assert_eq!(resumed_sim.trace(), golden_sim.trace());
 }

@@ -26,7 +26,9 @@
 //!   model builds that basis once, on first use by
 //!   [`RcThermalModel::basis`], and every clone of the model shares it,
 //!   so all solvers of one chip step in one basis. The interval engine
-//!   carries its [`ThermalState`] in eigen coordinates. Its
+//!   carries its [`ThermalState`] in eigen coordinates and, on intervals
+//!   whose spreader and sink rows a modal certificate provably keeps
+//!   inside the envelope guard, reads out only the junctions. Its
 //!   caches, envelope guard and tallies live in a [`ModalRuntime`], the
 //!   same bookkeeping Algorithm 1's rotation-peak solver uses.
 //! * [`tsp`] — Thermal Safe Power budgets (paper ref. \[14\]): the largest

@@ -14,8 +14,10 @@
 //! per-core power vector straight to its eigen-space steady state — the
 //! linear solve `B⁻¹P` folded into one thin matrix at design time.
 //! [`ModalBasis`] holds these operators in the transposed layouts the
-//! row-stacked GEMMs consume, plus the construction-time trust verdict
-//! on the eigendecomposition. Each model owns one, built on first use by
+//! row-stacked GEMMs consume, the per-mode weights of the spreader and
+//! sink rows that the transient solver's readout certificate bounds
+//! with, and the construction-time trust verdict on the
+//! eigendecomposition. Each model owns one, built on first use by
 //! [`RcThermalModel::basis`]. Operators another layer derives from the
 //! basis live in its [`cache`](ModalBasis::cache), shared the same way.
 
@@ -39,11 +41,11 @@ const BASIS_RESIDUAL_THRESHOLD: f64 = 1e-6;
 /// [`Matrix::mul_matrix`] whose inner products run in ascending index
 /// order, the order of the serial mat-vec forms. Construction costs the
 /// `O(N·cores)` Algorithm-1 operators and the `O(N³)` trust check on top
-/// of the eigendecomposition itself; the two `N × N` transposes only the
-/// transient solver reads are built on first use, so a basis serving
-/// Algorithm 1 alone never holds them. [`RcThermalModel::basis`] builds
-/// it once per model and hands the same instance to every solver of
-/// that model and of its clones.
+/// of the eigendecomposition itself; the two `N × N` transposes and the
+/// readout weights only the transient solver reads are built on first
+/// use, so a basis serving Algorithm 1 alone never holds them.
+/// [`RcThermalModel::basis`] builds it once per model and hands the same
+/// instance to every solver of that model and of its clones.
 #[derive(Debug)]
 pub struct ModalBasis {
     eigen: SystemEigen,
@@ -52,6 +54,9 @@ pub struct ModalBasis {
     v_t: OnceLock<Matrix>,
     /// `V⁻¹ᵀ` (`N × N`): node-to-modal projection of row-stacked states.
     v_inv_t: OnceLock<Matrix>,
+    /// `w_k = max |V_ik|` over the spreader and sink rows `i`; see
+    /// [`non_junction_weights`](ModalBasis::non_junction_weights).
+    non_junction_weights: OnceLock<Vector>,
     /// `projᵀ` (`cores × N`): per-core power to eigen-space steady state.
     proj_t: Matrix,
     /// `V⁻¹·T_amb-response`: the zero-power steady state in eigen
@@ -105,6 +110,7 @@ impl ModalBasis {
             fingerprint,
             v_t: OnceLock::new(),
             v_inv_t: OnceLock::new(),
+            non_junction_weights: OnceLock::new(),
             caches: Mutex::default(),
             proj_t,
             y_amb,
@@ -138,6 +144,15 @@ impl ModalBasis {
     /// `V⁻¹ᵀ` (`N × N`).
     pub fn v_inv_t(&self) -> &Matrix {
         self.v_inv_t.get_or_init(|| self.eigen.v_inv().transpose())
+    }
+
+    /// Per-mode weights of the spreader and sink rows (`N` entries):
+    /// `w_k = max |V_ik|` over the rows `i ≥ cores`, so a change `Δz` of
+    /// the eigen coordinates moves no such node by more than
+    /// `Σ_k w_k·|Δz_k|`. A NaN entry makes its weight +∞.
+    pub(crate) fn non_junction_weights(&self) -> &Vector {
+        self.non_junction_weights
+            .get_or_init(|| non_junction_weights(self.eigen.v(), self.cores))
     }
 
     /// `projᵀ` (`cores × N`): row `j` is core `j`'s per-watt contribution
@@ -215,6 +230,21 @@ impl ModalBasis {
         }
         Ok(y)
     }
+}
+
+/// Column-wise `max |v_ik|` over the rows `i ≥ cores` of `v`, +∞ for a
+/// column holding NaN there (`f64::max` would skip it).
+pub(crate) fn non_junction_weights(v: &Matrix, cores: usize) -> Vector {
+    Vector::from_fn(v.cols(), |k| {
+        (cores..v.rows()).fold(0.0, |w: f64, i| {
+            let magnitude = v[(i, k)].abs();
+            if magnitude.is_nan() {
+                f64::INFINITY
+            } else {
+                w.max(magnitude)
+            }
+        })
+    })
 }
 
 /// 64-bit FNV-1a over the little-endian bit patterns of `values`.
@@ -364,6 +394,28 @@ mod tests {
         // Later calls hand out the same matrices, not fresh transposes.
         assert!(std::ptr::eq(v_t, basis.v_t()));
         assert!(std::ptr::eq(v_inv_t, basis.v_inv_t()));
+    }
+
+    #[test]
+    fn non_junction_weights_are_the_column_maxima_of_the_other_rows() {
+        let basis = basis_of(&model_4x4());
+        let weights = basis.non_junction_weights();
+        let v = basis.eigen().v();
+        for k in 0..48 {
+            let column: Vec<f64> = (16..48).map(|i| v[(i, k)].abs()).collect();
+            assert!(column.contains(&weights[k]), "mode {k}");
+            assert!(column.iter().all(|&a| a <= weights[k]), "mode {k}");
+        }
+        // Built once, on first use.
+        assert!(std::ptr::eq(weights, basis.non_junction_weights()));
+        // Junction rows do not count; a NaN in another row is +∞.
+        let mut poisoned = v.clone();
+        poisoned[(3, 7)] = 1e9;
+        poisoned[(30, 9)] = f64::NAN;
+        poisoned[(47, 9)] = 2.0;
+        let w = non_junction_weights(&poisoned, 16);
+        assert_eq!(w[7], weights[7]);
+        assert_eq!(w[9], f64::INFINITY);
     }
 
     #[test]

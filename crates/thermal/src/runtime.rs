@@ -25,6 +25,16 @@ const GUARD_SLACK_CELSIUS: f64 = 1.0;
 /// numerical garbage, not physics.
 const GUARD_CEILING_RISE_CELSIUS: f64 = 1000.0;
 
+/// The envelope guard's bounds `(ambient − 1 °C, ambient + 1000 °C)` for
+/// an ambient of `ambient_celsius`, as the doubles the guard compares
+/// against.
+pub(crate) fn envelope_celsius(ambient_celsius: f64) -> (f64, f64) {
+    (
+        ambient_celsius - GUARD_SLACK_CELSIUS,
+        ambient_celsius + GUARD_CEILING_RISE_CELSIUS,
+    )
+}
+
 /// Decay data of one step length `dt` (s): `λᵢ·dt`, the modal decay
 /// factors `e^{λᵢ·dt}`, and their complements `1 − e^{λᵢ·dt}` taken
 /// from `expm1` so slow modes keep their significance.
@@ -164,8 +174,7 @@ impl<D> Ledger<D> {
         ambient_celsius: f64,
         values_celsius: impl IntoIterator<Item = f64>,
     ) -> bool {
-        let lo = ambient_celsius - GUARD_SLACK_CELSIUS;
-        let hi = ambient_celsius + GUARD_CEILING_RISE_CELSIUS;
+        let (lo, hi) = envelope_celsius(ambient_celsius);
         let violated = values_celsius
             .into_iter()
             .any(|v| !v.is_finite() || v < lo || v > hi);
@@ -270,9 +279,14 @@ impl<D> ModalRuntime<D> {
         self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The shared basis itself, for states that read out through it.
+    pub(crate) fn shared_basis(&self) -> &Arc<ModalBasis> {
+        &self.basis
+    }
+
     /// The basis and the ledger through exclusive access, without
     /// locking.
-    pub fn get_mut(&mut self) -> (&ModalBasis, &mut Ledger<D>) {
+    pub fn get_mut(&mut self) -> (&Arc<ModalBasis>, &mut Ledger<D>) {
         let ledger = self
             .ledger
             .get_mut()

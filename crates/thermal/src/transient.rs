@@ -1,31 +1,78 @@
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, NumericalError, Vector};
 
+use crate::runtime::envelope_celsius;
 use crate::{DenseStepper, Ledger, ModalBasis, ModalRuntime, RcThermalModel, Result, ThermalError};
 
 /// The thermal state the interval engine carries from one interval to
-/// the next: the node temperatures `T` (°C) and, while the eigen path is
-/// live, their eigen coordinates `z = V⁻¹·T`.
+/// the next: the junction temperatures `T_J` (°C), the node temperatures
+/// `T` (°C) and, while the eigen path is live, their eigen coordinates
+/// `z = V⁻¹·T`.
 ///
 /// Carrying `z` is what lets [`TransientSolver::advance`] skip the
-/// node-to-modal projection every interval; the node vector is still
-/// materialized every step, for the envelope guard, the junction
-/// readings and the dense fallback. Once the solver steps in node space
-/// (an armed model or a tripped guard) `z` is dropped for good. Build a
-/// state with [`TransientSolver::initial_state`] or, when resuming from
-/// a checkpoint, [`TransientSolver::restore_state`].
-#[derive(Debug, Clone, PartialEq)]
+/// node-to-modal projection every interval. An interval whose spreader
+/// and sink rows a modal certificate clears (see [`TransientSolver`])
+/// reads out only the junctions; [`nodes`](ThermalState::nodes) then
+/// reads `T = z·Vᵀ` out on first use, through the same GEMM row a full
+/// readout runs, so it holds the bits every interval used to
+/// materialize. Once the solver steps in node space (an armed model or a
+/// tripped guard) `z` is dropped for good. Build a state with
+/// [`TransientSolver::initial_state`] or, when resuming from a
+/// checkpoint, [`TransientSolver::restore_state`].
+///
+/// Two states are equal when their temperatures are: `T` (read out if
+/// need be) and `z`. Neither the certificate's anchor nor whether `T`
+/// has been read out yet takes part.
+#[derive(Clone)]
 pub struct ThermalState {
-    nodes: Vector,
+    /// `T_J`: the first `cores` entries of `T`, °C.
+    junctions: Vector,
+    /// `T`, °C: set whenever the solver computed it, read out of `z` on
+    /// first use otherwise.
+    nodes: OnceLock<Vector>,
     modal: Option<Vector>,
+    /// The last full readout of `z`, while the state carries one.
+    anchor: Option<Anchor>,
+    /// The basis `z` is read out through.
+    basis: Arc<ModalBasis>,
 }
 
 impl ThermalState {
-    /// Node temperatures `T`, °C.
+    /// A state whose node vector `nodes` is known, with no anchor.
+    fn known(basis: Arc<ModalBasis>, nodes: Vector, modal: Option<Vector>) -> Self {
+        ThermalState {
+            junctions: Vector::from(nodes.as_slice()[..basis.core_count()].to_vec()),
+            nodes: OnceLock::from(nodes),
+            modal,
+            anchor: None,
+            basis,
+        }
+    }
+
+    /// Node temperatures `T`, °C, read out as `z·Vᵀ` on first use after
+    /// a certified interval.
     pub fn nodes(&self) -> &Vector {
-        &self.nodes
+        self.nodes.get_or_init(|| {
+            // The node vector is unset only after a certified interval,
+            // which leaves `z` of the basis's node count, so the product
+            // exists. The NaN row stands in for the impossible case: it
+            // trips every check that reads it.
+            let n = self.basis.node_count();
+            self.modal
+                .as_ref()
+                .and_then(|z| row_matrix(z).mul_matrix(self.basis.v_t()).ok())
+                .map_or_else(|| Vector::constant(n, f64::NAN), |t| row_vector(&t))
+        })
+    }
+
+    /// Junction temperatures `T_J`, °C: the first `cores` entries of
+    /// [`nodes`](ThermalState::nodes), known every interval.
+    pub fn junctions(&self) -> &Vector {
+        &self.junctions
     }
 
     /// Eigen coordinates `z` of [`nodes`](ThermalState::nodes), °C, or
@@ -33,6 +80,150 @@ impl ThermalState {
     pub fn modal(&self) -> Option<&Vector> {
         self.modal.as_ref()
     }
+
+    /// Moves the state to the certified interval's eigen coordinates `z`
+    /// and junction temperatures `junctions` (°C), in place; `T` is read
+    /// out on demand.
+    fn step_certified(&mut self, z: &[f64], junctions: &[f64]) {
+        self.junctions.as_mut_slice().copy_from_slice(junctions);
+        if let Some(modal) = &mut self.modal {
+            modal.as_mut_slice().copy_from_slice(z);
+        }
+        self.nodes = OnceLock::new();
+    }
+
+    /// Reads `T` out if need be, then drops `z` and the anchor: the state
+    /// is stepped in node space from here on.
+    fn leave_modal(&mut self) {
+        self.nodes();
+        self.modal = None;
+        self.anchor = None;
+    }
+}
+
+impl PartialEq for ThermalState {
+    fn eq(&self, other: &Self) -> bool {
+        self.modal == other.modal && self.nodes() == other.nodes()
+    }
+}
+
+impl fmt::Debug for ThermalState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThermalState")
+            .field("junctions", &self.junctions)
+            .field("nodes", &self.nodes.get())
+            .field("modal", &self.modal)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Relative slack of the certificate's bound, `1 + 2⁻⁴⁰`: it absorbs
+/// the rounding of the bound's own arithmetic (see
+/// [`Anchor::certifies`]).
+const BOUND_SLACK: f64 = 1.0 + 4096.0 * f64::EPSILON;
+
+/// Largest node count `N` the slack covers: `γ_{N+16} ≤ 2⁻⁴¹`.
+const MAX_CERTIFIED_NODES: usize = (1 << 12) - 16;
+
+/// The last full readout of a carried state: its eigen coordinates `z_a`
+/// and the coolest and hottest of its spreader and sink rows, °C.
+#[derive(Debug, Clone)]
+struct Anchor {
+    modal: Vector,
+    coolest: f64,
+    hottest: f64,
+}
+
+impl Anchor {
+    /// The anchor of `z` whose full readout `z·Vᵀ` has the spreader and
+    /// sink rows `rows`.
+    fn new(z: &[f64], rows: &[f64]) -> Self {
+        let (coolest, hottest) = rows
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
+                (lo.min(t), hi.max(t))
+            });
+        Anchor {
+            modal: Vector::from(z.to_vec()),
+            coolest,
+            hottest,
+        }
+    }
+
+    /// Whether every spreader and sink row of the full readout `z·Vᵀ`
+    /// provably passes the envelope guard `[lo, hi]`, given that this
+    /// anchor's readout did, the per-mode `weights` of those rows, and
+    /// the guard bounds `(lo, hi)`.
+    ///
+    /// The bound. Both readouts are dot products of length `N`,
+    /// accumulated from 0.0 with one rounding per product and sum, so
+    /// with `u = 2⁻⁵³`, `γ_N = N·u/(1 − N·u)` and `η = 2⁻¹⁰⁷⁴` (Higham,
+    /// *Accuracy and Stability*, §3.1; a product that underflows errs by
+    /// at most `η/2` absolutely), every such row `i` satisfies
+    ///
+    /// ```text
+    /// |fl(z·V_i) − z·V_i| ≤ γ_N·Σ_k |z_k|·|V_ik| + N·η,
+    /// ```
+    ///
+    /// and the same for `z_a`, whose exact rows differ from `z`'s by
+    /// `|Σ_k (z_k − z_a,k)·V_ik| ≤ Σ_k w_k·|z_k − z_a,k|`. Hence every
+    /// computed row lies within
+    ///
+    /// ```text
+    /// B = Σ_k w_k·|z_k − z_a,k| + γ_N·Σ_k w_k·(|z_k| + |z_a,k|) + 2N·η
+    /// ```
+    ///
+    /// of the anchor's row, so inside `[coolest − B, hottest + B]`, and
+    /// finite: an overflow anywhere would make `B` exceed 10²⁹⁰.
+    ///
+    /// The evaluation. Each of `b`'s `N` non-negative terms is at most
+    /// six rounded operations deep (the two of γ_N included); the eight
+    /// lane sums and their total add at most `N + 8` more, the scaling
+    /// and the absolute term two. So `b` falls short of `B` without its
+    /// `η` terms by at most the factor `1 − γ_{N+16}`, less
+    /// `(2N + 1)·η/2` where products underflow. For `N + 16 ≤ 2¹²`,
+    /// `γ_{N+16} ≤ 2⁻⁴¹`, so the slack `1 + 2⁻⁴⁰` lifts `b` above
+    /// `(1 + u)·B`, the absolute term `2⁻¹⁰²² = 2⁵²·η` covering every `η`
+    /// term. The margins `coolest − lo ≥ 0` and `hi − hottest ≥ 0` round
+    /// up by at most the factor `1 + u`, so `b ≤ margin` in floating
+    /// point implies `B ≤ margin` exactly. A NaN or infinite coordinate
+    /// or weight makes `b` NaN or +∞, and both comparisons then fail.
+    fn certifies(&self, weights: &Vector, z: &[f64], (lo, hi): (f64, f64)) -> bool {
+        let n = z.len();
+        if n > MAX_CERTIFIED_NODES || self.modal.len() != n || weights.len() != n {
+            return false;
+        }
+        let n_u = usize_to_f64(n) * (f64::EPSILON / 2.0);
+        let gamma = n_u / (1.0 - n_u);
+        let term =
+            |zk: f64, ak: f64, wk: f64| wk * ((zk - ak).abs() + gamma * (zk.abs() + ak.abs()));
+        // Eight independent partial sums: the bound holds for any
+        // summation order, and the lanes vectorize.
+        let mut lanes = [0.0; 8];
+        let (z_body, z_tail) = z.as_chunks::<8>();
+        let (a_body, a_tail) = self.modal.as_slice().as_chunks::<8>();
+        let (w_body, w_tail) = weights.as_slice().as_chunks::<8>();
+        for ((zc, ac), wc) in z_body.iter().zip(a_body).zip(w_body) {
+            for l in 0..8 {
+                lanes[l] += term(zc[l], ac[l], wc[l]);
+            }
+        }
+        for ((&zk, &ak), &wk) in z_tail.iter().zip(a_tail).zip(w_tail) {
+            lanes[0] += term(zk, ak, wk);
+        }
+        let b = BOUND_SLACK * lanes.iter().sum::<f64>() + f64::MIN_POSITIVE;
+        b <= self.coolest - lo && b <= hi - self.hottest
+    }
+}
+
+/// `v` as a single-row matrix, the shape every GEMM row takes.
+fn row_matrix(v: &Vector) -> Matrix {
+    Matrix::from_fn(1, v.len(), |_, k| v[k])
+}
+
+/// The single row of `row` as a vector.
+fn row_vector(row: &Matrix) -> Vector {
+    Vector::from(row.row(0).to_vec())
 }
 
 /// MatEx-style transient temperature solver.
@@ -58,15 +249,30 @@ impl ThermalState {
 /// [`advance`](TransientSolver::advance) run one modal update: the power
 /// map becomes its eigen-space steady state through one `cores × N` GEMM
 /// row (no linear solve), the eigen coordinates relax towards it with the
-/// cached decay factors `e^{λΔt}`, one `N × N` GEMM row reads the node
-/// temperatures back out, and the runtime's envelope guard checks them.
-/// `step` first projects its node input (`z = V⁻¹·T`, one more `N × N`
-/// GEMM row); `advance` carries `z` in a [`ThermalState`] from one call
-/// to the next and skips it. Because the register-tiled GEMM accumulates
-/// each output element in ascending inner-index order, `step` is
-/// bit-identical to the serial mat-vec form of the same update. Decay
-/// vectors are cached per distinct `dt`, so an interval simulator
-/// computes the `N` exponentials once instead of every interval.
+/// cached decay factors `e^{λΔt}`, a GEMM row reads temperatures back
+/// out, and the runtime's envelope guard checks them. `step` first
+/// projects its node input (`z = V⁻¹·T`, one more `N × N` GEMM row) and
+/// reads out every node; `advance` carries `z` in a [`ThermalState`]
+/// from one call to the next and skips the projection. Because the
+/// register-tiled GEMM accumulates each output element in ascending
+/// inner-index order, `step` is bit-identical to the serial mat-vec form
+/// of the same update. Decay vectors are cached per distinct `dt`, so an
+/// interval simulator computes the `N` exponentials once instead of
+/// every interval.
+///
+/// # Readout certificate
+///
+/// The guard answers for every node, but the engine needs only the
+/// junctions. So a carried state keeps an *anchor*: the `z` of the last
+/// full readout (`z·Vᵀ`, all `N` nodes) and the coolest and hottest of
+/// that readout's spreader and sink rows. Each `advance` bounds how far
+/// the new `z` can move those rows from the anchor's, rounding of both
+/// readouts included, with the basis's per-mode weights `max |V_ik|`.
+/// When the bound keeps them inside the guard's envelope, the interval
+/// reads out only the junctions (`z·V_Jᵀ`, an `N × cores` GEMM row) and
+/// guards those; otherwise it reads out and guards every node, as `step`
+/// does, and re-anchors. Either way the guard passes or trips exactly
+/// when the full check would, and the junctions carry the same bits.
 ///
 /// # Example
 ///
@@ -142,14 +348,15 @@ impl TransientSolver {
         self.runtime.basis().eigen()
     }
 
-    /// Rejects a node vector whose length is not the model's node count.
-    fn check_nodes(&self, nodes: &Vector) -> Result<()> {
+    /// Rejects a node vector of `len` entries when that is not the
+    /// model's node count.
+    fn check_nodes(&self, len: usize) -> Result<()> {
         let n = self.runtime.basis().node_count();
-        if nodes.len() != n {
+        if len != n {
             return Err(ThermalError::Linalg(LinalgError::DimensionMismatch {
                 op: "thermal node state",
                 left: (n, 1),
-                right: (nodes.len(), 1),
+                right: (len, 1),
             }));
         }
         Ok(())
@@ -167,16 +374,19 @@ impl TransientSolver {
         Ok(())
     }
 
-    /// Rejects a negative or non-finite `dt`, then non-finite or
-    /// wrong-length node temperatures or power.
-    fn check_input(&self, node_temps: &Vector, core_power: &Vector, dt: f64) -> Result<()> {
+    /// Rejects a negative or non-finite `dt`.
+    fn check_dt(dt: f64) -> Result<()> {
         if !(dt.is_finite() && dt >= 0.0) {
             return Err(ThermalError::InvalidParameter {
                 name: "dt",
                 value: dt,
             });
         }
-        Self::check_finite(node_temps, "input node temperatures")?;
+        Ok(())
+    }
+
+    /// Rejects non-finite or wrong-length power.
+    fn check_power(&self, core_power: &Vector) -> Result<()> {
         Self::check_finite(core_power, "input core power")?;
         let cores = self.runtime.basis().core_count();
         if core_power.len() != cores {
@@ -185,7 +395,7 @@ impl TransientSolver {
                 got: core_power.len(),
             });
         }
-        self.check_nodes(node_temps)
+        Ok(())
     }
 
     /// The modal update of [`step`](TransientSolver::step) and
@@ -193,13 +403,16 @@ impl TransientSolver {
     /// seconds under `core_power`, counted as a batch of one.
     ///
     /// While `state` carries eigen coordinates and the solver is healthy,
-    /// `z` relaxes towards the power map's eigen-space steady state and
-    /// the node vector is read back out and guarded. Otherwise, or on a
-    /// guard trip (counted, sticky), the interval is recomputed by the
-    /// dense backward-Euler fallback from the previous node vector, `z`
-    /// is dropped, and a zero `dt` leaves the nodes unchanged.
+    /// `z` relaxes towards the power map's eigen-space steady state.
+    /// When the state's anchor certifies the new `z` (it must have been
+    /// read out through this very basis) only the junctions are read out
+    /// and guarded; otherwise every node is, and a passing readout
+    /// becomes the new anchor. On a guard trip (counted, sticky), or
+    /// without `z`, the interval is recomputed by the dense
+    /// backward-Euler fallback from the previous node vector, `z` is
+    /// dropped, and a zero `dt` leaves the nodes unchanged.
     fn update(
-        basis: &ModalBasis,
+        basis: &Arc<ModalBasis>,
         ledger: &mut Ledger<DenseStepper>,
         model: &RcThermalModel,
         state: &mut ThermalState,
@@ -213,21 +426,47 @@ impl TransientSolver {
             let y = basis.steady_modal(&powers)?;
             let mut z_next = Matrix::zeros(1, z.len());
             relax(&decay.m, z.as_slice(), y.row(0), z_next.row_mut(0));
-            let nodes = Vector::from(z_next.mul_matrix(basis.v_t())?.row(0).to_vec());
-            if !ledger.guard(model.config().ambient, nodes.iter().copied()) {
-                state.nodes = nodes;
-                state.modal = Some(Vector::from(z_next.row(0).to_vec()));
-                return Ok(());
+            let ambient = model.config().ambient;
+            let certified = Arc::ptr_eq(&state.basis, basis)
+                && state.anchor.as_ref().is_some_and(|anchor| {
+                    anchor.certifies(
+                        basis.non_junction_weights(),
+                        z_next.row(0),
+                        envelope_celsius(ambient),
+                    )
+                });
+            if certified {
+                // The GEMM accumulates every entry in ascending `k` from
+                // 0.0, so `z·V_Jᵀ` is the junction part of `z·Vᵀ` bit
+                // for bit.
+                let junctions = z_next.mul_matrix(basis.v_junction_t())?;
+                if !ledger.guard(ambient, junctions.row(0).iter().copied()) {
+                    state.step_certified(z_next.row(0), junctions.row(0));
+                    return Ok(());
+                }
+            } else {
+                let nodes = z_next.mul_matrix(basis.v_t())?;
+                if !ledger.guard(ambient, nodes.row(0).iter().copied()) {
+                    let (z, t) = (z_next.row(0), nodes.row(0));
+                    let mut next = ThermalState::known(
+                        Arc::clone(basis),
+                        Vector::from(t.to_vec()),
+                        Some(Vector::from(z.to_vec())),
+                    );
+                    next.anchor = Some(Anchor::new(z, &t[basis.core_count()..]));
+                    *state = next;
+                    return Ok(());
+                }
             }
         }
-        state.modal = None;
+        state.leave_modal();
         if dt > 0.0 {
             // The exact solution is the identity at dt = 0; the dense
             // stepper cannot be factorized for it, and needn't be.
             let stepper = ledger.dense(dt, || DenseStepper::new(model, dt))?;
-            let next = stepper.step(&state.nodes, &model.forcing(core_power)?)?;
+            let next = stepper.step(state.nodes(), &model.forcing(core_power)?)?;
             Self::check_finite(&next, "dense fallback output")?;
-            state.nodes = next;
+            *state = ThermalState::known(Arc::clone(basis), next, None);
             ledger.count_fallback_steps(1);
         }
         Ok(())
@@ -236,11 +475,12 @@ impl TransientSolver {
     /// Advances the node state by `dt` seconds under a constant per-core
     /// power map: [`initial_state`](TransientSolver::initial_state)'s
     /// projection, then the modal update of
-    /// [`advance`](TransientSolver::advance). An interval simulator that
-    /// steps the same state repeatedly should carry it in a
-    /// [`ThermalState`] and call `advance` instead, which skips the
-    /// per-step projection and takes no lock. `step` holds the runtime's
-    /// lock for its whole update.
+    /// [`advance`](TransientSolver::advance) with a full readout. An
+    /// interval simulator that steps the same state repeatedly should
+    /// carry it in a [`ThermalState`] and call `advance` instead, which
+    /// skips the per-step projection, reads out only the junctions when
+    /// it can, and takes no lock. `step` holds the runtime's lock for its
+    /// whole update.
     ///
     /// # Degradation
     ///
@@ -264,18 +504,22 @@ impl TransientSolver {
         core_power: &Vector,
         dt: f64,
     ) -> Result<Vector> {
-        self.check_input(node_temps, core_power, dt)?;
+        Self::check_dt(dt)?;
+        Self::check_finite(node_temps, "input node temperatures")?;
+        self.check_power(core_power)?;
+        self.check_nodes(node_temps.len())?;
         let mut state = self.project(node_temps)?;
         let mut ledger = self.runtime.lock();
         Self::update(
-            self.runtime.basis(),
+            self.runtime.shared_basis(),
             &mut ledger,
             model,
             &mut state,
             core_power,
             dt,
         )?;
-        Ok(state.nodes)
+        // A state without an anchor always reads out in full.
+        Ok(state.nodes().clone())
     }
 
     /// The state [`advance`](TransientSolver::advance) starts from: the
@@ -283,7 +527,9 @@ impl TransientSolver {
     /// projected through the same GEMM as [`step`](TransientSolver::step)
     /// — so the first `advance` from it equals `step` bit for bit. On a
     /// [`degraded`](TransientSolver::degraded) solver the state carries
-    /// no eigen coordinates and is stepped in node space.
+    /// no eigen coordinates and is stepped in node space. The state has
+    /// no anchor (`node_temps` is not a readout of its `z`), so its first
+    /// `advance` reads out every node.
     ///
     /// # Errors
     ///
@@ -291,7 +537,7 @@ impl TransientSolver {
     /// `node_temps`.
     pub fn initial_state(&self, node_temps: &Vector) -> Result<ThermalState> {
         Self::check_finite(node_temps, "input node temperatures")?;
-        self.check_nodes(node_temps)?;
+        self.check_nodes(node_temps.len())?;
         self.project(node_temps)
     }
 
@@ -301,20 +547,22 @@ impl TransientSolver {
         let modal = if self.degraded() {
             None
         } else {
-            let row = Matrix::from_fn(1, node_temps.len(), |_, i| node_temps[i]);
-            let z = row.mul_matrix(self.runtime.basis().v_inv_t())?;
-            Some(Vector::from(z.row(0).to_vec()))
+            let z = row_matrix(node_temps).mul_matrix(self.runtime.basis().v_inv_t())?;
+            Some(row_vector(&z))
         };
-        Ok(ThermalState {
-            nodes: node_temps.clone(),
+        Ok(ThermalState::known(
+            Arc::clone(self.runtime.shared_basis()),
+            node_temps.clone(),
             modal,
-        })
+        ))
     }
 
     /// Rebuilds a [`ThermalState`] from its parts — the checkpoint-resume
     /// path. `modal` must be exactly the eigen coordinates the captured
     /// state carried (`None` for a state stepped in node space); the
-    /// resumed run then continues bit-identically.
+    /// resumed run then continues bit-identically. Like
+    /// [`initial_state`](TransientSolver::initial_state)'s, the state has
+    /// no anchor, so its first `advance` reads out every node.
     ///
     /// # Errors
     ///
@@ -322,18 +570,26 @@ impl TransientSolver {
     /// a non-finite entry.
     pub fn restore_state(&self, nodes: Vector, modal: Option<Vector>) -> Result<ThermalState> {
         Self::check_finite(&nodes, "restored node temperatures")?;
-        self.check_nodes(&nodes)?;
+        self.check_nodes(nodes.len())?;
         if let Some(z) = &modal {
             Self::check_finite(z, "restored modal coordinates")?;
-            self.check_nodes(z)?;
+            self.check_nodes(z.len())?;
         }
-        Ok(ThermalState { nodes, modal })
+        Ok(ThermalState::known(
+            Arc::clone(self.runtime.shared_basis()),
+            nodes,
+            modal,
+        ))
     }
 
     /// Advances a carried [`ThermalState`] by `dt` seconds under a
     /// constant per-core power map — the interval engine's step, and
     /// the same modal update as [`step`](TransientSolver::step) without
-    /// its projection.
+    /// its projection. An interval the state's anchor certifies reads out
+    /// only the junctions (see the [readout
+    /// certificate](TransientSolver#readout-certificate)); the junctions,
+    /// `z`, the guard's verdict and every tally are those of a full
+    /// readout.
     ///
     /// A guard trip (counted, sticky) recomputes the interval with the
     /// dense fallback from the previous node vector and drops `z`, as
@@ -349,7 +605,8 @@ impl TransientSolver {
     ///
     /// # Errors
     ///
-    /// Same as [`step`](TransientSolver::step).
+    /// Same as [`step`](TransientSolver::step), plus
+    /// [`ThermalError::Linalg`] for a state of another node count.
     pub fn advance(
         &mut self,
         model: &RcThermalModel,
@@ -357,7 +614,9 @@ impl TransientSolver {
         core_power: &Vector,
         dt: f64,
     ) -> Result<()> {
-        self.check_input(&state.nodes, core_power, dt)?;
+        Self::check_dt(dt)?;
+        self.check_power(core_power)?;
+        self.check_nodes(state.basis.node_count())?;
         let (basis, ledger) = self.runtime.get_mut();
         Self::update(basis, ledger, model, state, core_power, dt)
     }
@@ -366,8 +625,10 @@ impl TransientSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NumericsStats, SolverStats, ThermalConfig};
+    use crate::{ModalDecay, NumericsStats, SolverStats, ThermalConfig};
     use hp_floorplan::GridFloorplan;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     /// One backward-Euler step of the dense fallback, built afresh.
     fn dense_step(model: &RcThermalModel, t: &Vector, p: &Vector, dt: f64) -> Vector {
@@ -933,5 +1194,293 @@ mod tests {
         let t_ss = model.steady_state(&p).unwrap();
         let progress = (t[5] - 45.0) / (t_ss[5] - 45.0);
         assert!(progress > 0.3 && progress < 0.95, "progress {progress:.2}");
+    }
+
+    /// Whether the last `advance` of `state` was certified: only a
+    /// certified interval leaves the node vector unread.
+    fn was_certified(state: &ThermalState) -> bool {
+        state.nodes.get().is_none()
+    }
+
+    /// Power map `k` of a run that changes it every few intervals.
+    fn varying_power(k: usize) -> Vector {
+        Vector::from_fn(16, |c| 0.4 + ((c * 7 + (k / 3) * 5) % 11) as f64 * 0.65)
+    }
+
+    #[test]
+    fn a_carried_run_takes_both_the_certified_and_the_full_readout() {
+        let (model, mut solver) = setup();
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        let mut certified = Vec::new();
+        for k in 0..600 {
+            solver
+                .advance(&model, &mut state, &varying_power(k), 1e-4)
+                .unwrap();
+            certified.push(was_certified(&state));
+        }
+        assert!(!certified[0], "no anchor before the first full readout");
+        let count = certified.iter().filter(|&&c| c).count();
+        assert!(count > 300, "{count} of 600 intervals certified");
+        assert!(count < 599, "every interval after the first certified");
+        let n = solver.runtime().numerics();
+        assert_eq!(n, NumericsStats::default());
+    }
+
+    #[test]
+    fn a_certified_state_reads_its_nodes_out_through_the_full_readout() {
+        let (model, mut solver) = setup();
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        for k in 0..2 {
+            solver
+                .advance(&model, &mut state, &varying_power(k), 1e-4)
+                .unwrap();
+        }
+        assert!(was_certified(&state));
+        let z = state.modal().unwrap().clone();
+        let full = row_matrix(&z).mul_matrix(solver.basis().v_t()).unwrap();
+        for (i, &t) in full.row(0).iter().enumerate() {
+            assert_eq!(state.nodes()[i].to_bits(), t.to_bits(), "node {i}");
+        }
+        for (c, &t) in state.junctions().iter().enumerate() {
+            assert_eq!(t.to_bits(), full.row(0)[c].to_bits(), "junction {c}");
+        }
+        // Equality ignores the anchor and whether `T` was read out: the
+        // restored copy has neither.
+        let restored = solver
+            .restore_state(state.nodes().clone(), Some(z))
+            .unwrap();
+        assert!(restored.anchor.is_none() && state.anchor.is_some());
+        assert_eq!(restored, state);
+        let mut lazy = state.clone();
+        lazy.nodes = OnceLock::new();
+        assert_eq!(lazy, state);
+    }
+
+    #[test]
+    fn a_certified_interval_still_trips_the_guard_on_its_junctions() {
+        // A chip held just under the guard's ceiling: its junctions sit
+        // 995 °C above ambient, its spreader and sink rows at most 335 °C.
+        // Doubling the power lifts the junctions ~20 °C, past the
+        // ceiling, within one interval, while the bound on the other
+        // rows stays far inside their margin: the interval is certified
+        // and the junction-only guard must trip.
+        let (model, mut solver) = setup();
+        let ambient = model.config().ambient;
+        let per_watt = model.steady_state(&Vector::constant(16, 1.0)).unwrap();
+        let rise = model.core_temperatures(&per_watt).max() - ambient;
+        let hot = Vector::constant(16, 995.0 / rise);
+        let t0 = model.steady_state(&hot).unwrap();
+        let mut state = solver.initial_state(&t0).unwrap();
+        solver.advance(&model, &mut state, &hot, 1e-4).unwrap();
+        let before = state.nodes().clone();
+        let step = hot.scaled(2.0);
+        let basis = Arc::clone(solver.runtime.shared_basis());
+        let y = basis.steady_modal(&row_matrix(&step)).unwrap();
+        let decay = ModalDecay::new(basis.eigen().eigenvalues(), 1e-4);
+        let mut z = vec![0.0; 48];
+        relax(
+            &decay.m,
+            state.modal().unwrap().as_slice(),
+            y.row(0),
+            &mut z,
+        );
+        let anchor = state.anchor.as_ref().unwrap();
+        let envelope = envelope_celsius(ambient);
+        assert!(anchor.certifies(basis.non_junction_weights(), &z, envelope));
+        solver.advance(&model, &mut state, &step, 1e-4).unwrap();
+        assert!(solver.degraded());
+        assert_eq!(solver.runtime().numerics().guard_trips, 1);
+        assert!(state.modal().is_none());
+        assert_eq!(state.nodes(), &dense_step(&model, &before, &step, 1e-4));
+    }
+
+    #[test]
+    fn the_certificate_clears_an_unchanged_state_and_refuses_poison() {
+        let (model, mut solver) = setup();
+        let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+        solver
+            .advance(&model, &mut state, &varying_power(0), 1e-4)
+            .unwrap();
+        let anchor = state.anchor.clone().unwrap();
+        let weights = solver.basis().non_junction_weights().clone();
+        let envelope = envelope_celsius(model.config().ambient);
+        let z = anchor.modal.as_slice().to_vec();
+        assert!(anchor.certifies(&weights, &z, envelope));
+        // No margin at all: even an unchanged `z` is refused.
+        let flush = (anchor.coolest, anchor.hottest);
+        assert!(!anchor.certifies(&weights, &z, flush));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = z.clone();
+            poisoned[5] = bad;
+            assert!(!anchor.certifies(&weights, &poisoned, envelope), "{bad}");
+        }
+        // Weights are magnitudes: NaN or +∞ refuses every `z`.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut w = weights.clone();
+            w[5] = bad;
+            assert!(!anchor.certifies(&w, &z, envelope), "{bad}");
+        }
+        // A NaN entry of `V` in a sink row makes its mode's weight +∞.
+        let mut v = solver.eigen().v().clone();
+        v[(40, 3)] = f64::NAN;
+        let w = crate::modal::non_junction_weights(&v, 16);
+        assert_eq!(w[3], f64::INFINITY);
+        assert!(!anchor.certifies(&w, &z, envelope));
+        // A length that is not the anchor's is refused.
+        assert!(!anchor.certifies(&weights, &z[1..], envelope));
+    }
+
+    /// SplitMix64: a deterministic stream of perturbations.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `PROPTEST_CASES` when set, else 256. The vendored proptest reads
+    /// no environment, so the soundness property reads it itself: CI
+    /// runs it at 1024 cases in release.
+    fn soundness_cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256)
+    }
+
+    /// The guard's verdict on the rows the certificate answers for:
+    /// every spreader and sink row of the full readout `z·Vᵀ` is finite
+    /// and inside `[lo, hi]`.
+    fn non_junction_rows_pass(basis: &ModalBasis, z: &[f64], (lo, hi): (f64, f64)) -> bool {
+        let t = Matrix::from_fn(1, z.len(), |_, k| z[k])
+            .mul_matrix(basis.v_t())
+            .unwrap();
+        t.row(0)[basis.core_count()..]
+            .iter()
+            .all(|&v| v.is_finite() && v >= lo && v <= hi)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(soundness_cases()))]
+
+        /// Soundness: a `z` the certificate clears has spreader and sink
+        /// rows the full guard passes. Real anchors (the last full
+        /// readout of a carried run on a random chip) meet three kinds
+        /// of `z`: the real next interval under a fresh power map, up to
+        /// 1000× the chip's watts, over 10 µs to 0.5 s; a perturbation of
+        /// `z_a` or of the carried `z` from 1e-12 to 1e3 °C, in every
+        /// mode or in one; and a step aimed straight down the anchor's
+        /// coolest row, sized to land within ±50 % of the floor margin.
+        /// Each `z` meets the guard's own envelope and a tight one,
+        /// 1e-13 to 10 °C below the anchor's coolest row and 1e-9 to
+        /// 1000 °C above its hottest; NaN and ±∞ coordinates and NaN
+        /// weights are mixed in.
+        #[test]
+        fn the_certificate_never_clears_a_row_the_guard_would_trip(
+            chip in (2usize..=4, 2usize..=4, 0.02..6.0f64, 0.25..3.0f64, 30.0..60.0f64),
+            history in (collection::vec(0.0..8.0f64, 16), 1usize..40, 0u64..u64::MAX),
+            jump in (-12.0..3.0f64, 0usize..3, -5.0..-0.3f64, 0.5..1.5f64),
+            margins in (-13.0..1.0f64, -9.0..3.0f64),
+            poison in 0usize..12,
+        ) {
+            let (w, h, sink, conv, ambient) = chip;
+            let d = ThermalConfig::default();
+            let cfg = ThermalConfig {
+                ambient,
+                c_sink: d.c_sink * sink,
+                g_sink_ambient: d.g_sink_ambient * conv,
+                ..d
+            };
+            let model = RcThermalModel::new(&GridFloorplan::new(w, h).unwrap(), &cfg).unwrap();
+            let mut solver = TransientSolver::new(&model).unwrap();
+            let basis = Arc::clone(solver.runtime.shared_basis());
+            let (n, cores) = (model.node_count(), model.core_count());
+            let (watts, intervals, seed) = history;
+            let mut stream = Stream(seed);
+            let mut state = solver.initial_state(&model.ambient_state()).unwrap();
+            for k in 0..intervals {
+                let p = Vector::from_fn(cores, |c| watts[(c + k) % 16]);
+                solver.advance(&model, &mut state, &p, 1e-4).unwrap();
+            }
+            let anchor = state.anchor.clone().expect("a healthy carried state is anchored");
+            let z_now = state.modal.clone().unwrap();
+            let floor_margin = 10f64.powf(margins.0);
+            let tight = (
+                anchor.coolest - floor_margin,
+                anchor.hottest + 10f64.powf(margins.1),
+            );
+            let (scale_exp, shape, dt_exp, aim) = jump;
+            let scale = 10f64.powf(scale_exp);
+            let one = (stream.next() % n as u64) as usize;
+            // The real next interval.
+            let powers = Matrix::from_fn(1, cores, |_, _| stream.uniform(0.0, 8.0) * (1.0 + scale));
+            let y = basis.steady_modal(&powers).unwrap();
+            let decay = ModalDecay::new(basis.eigen().eigenvalues(), 10f64.powf(dt_exp));
+            let mut relaxed = vec![0.0; n];
+            relax(&decay.m, z_now.as_slice(), y.row(0), &mut relaxed);
+            // A perturbation of every mode or of one, from the anchor or
+            // from the carried state.
+            let base = if shape == 2 { &z_now } else { &anchor.modal };
+            let perturbed: Vec<f64> = (0..n)
+                .map(|k| {
+                    if shape == 1 && k != one {
+                        base[k]
+                    } else {
+                        base[k] + stream.uniform(-scale, scale)
+                    }
+                })
+                .collect();
+            // A step that lowers the anchor's coolest row `i` by
+            // `s·Σ_k |V_ik|`, with `s·Σ_k w_k = aim × floor margin`.
+            let weights_clean = basis.non_junction_weights();
+            let t_a = row_matrix(&anchor.modal).mul_matrix(basis.v_t()).unwrap();
+            let coolest_row = (cores..n)
+                .min_by(|&a, &b| t_a.row(0)[a].total_cmp(&t_a.row(0)[b]))
+                .unwrap();
+            let s = aim * floor_margin / weights_clean.iter().sum::<f64>();
+            let v = basis.eigen().v();
+            let aimed: Vec<f64> = (0..n)
+                .map(|k| anchor.modal[k] - s * v[(coolest_row, k)].signum())
+                .collect();
+            let mut weights = weights_clean.clone();
+            let mut candidates = [relaxed, perturbed, aimed];
+            match poison {
+                1 => candidates[1][one] = f64::NAN,
+                2 => candidates[1][one] = f64::INFINITY,
+                3 => candidates[0][one] = f64::NEG_INFINITY,
+                4 => weights[one] = f64::NAN,
+                _ => {}
+            }
+            let envelopes = [tight, envelope_celsius(ambient)];
+            for (z, envelope) in candidates.iter().flat_map(|z| envelopes.map(|e| (z, e))) {
+                if anchor.certifies(&weights, z, envelope) {
+                    prop_assert!(poison != 4, "a NaN weight was accepted");
+                    prop_assert!(
+                        non_junction_rows_pass(&basis, z, envelope),
+                        "cleared a z whose full readout trips the guard"
+                    );
+                }
+            }
+            // A NaN entry of `V` in a spreader or sink row: its weight is
+            // +∞, and no `z` is cleared.
+            if poison == 5 {
+                let mut v = v.clone();
+                v[(cores + one % (n - cores), one)] = f64::NAN;
+                let poisoned = crate::modal::non_junction_weights(&v, cores);
+                for (z, envelope) in candidates.iter().flat_map(|z| envelopes.map(|e| (z, e))) {
+                    prop_assert!(!anchor.certifies(&poisoned, z, envelope));
+                }
+            }
+        }
     }
 }

@@ -3,6 +3,8 @@
 //! behavioural half of the `cargo xtask check` no-panic contract for
 //! hp-thermal.
 
+// These tests use the module's `step_reference` only.
+#[allow(dead_code)]
 mod support;
 
 use hp_floorplan::GridFloorplan;

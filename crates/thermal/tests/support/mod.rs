@@ -1,5 +1,5 @@
-//! The serial reference the differential tests hold
-//! [`TransientSolver::step`] to.
+//! The serial references the differential tests hold
+//! [`TransientSolver::step`] and [`TransientSolver::advance`] to.
 
 use hp_linalg::{NumericalError, Vector};
 use hp_thermal::{ThermalError, TransientSolver};
@@ -47,15 +47,53 @@ pub fn step_reference(
         });
     }
     let eigen = basis.eigen();
+    let z = eigen.v_inv().mul_vector(node_temps);
+    Ok(eigen
+        .v()
+        .mul_vector(&relax_reference(solver, &z, core_power, dt)))
+}
+
+/// `z ← m∘z + (1 − m)∘(proj·P + y_amb)` with per-element dot products
+/// and its own exponentials.
+fn relax_reference(solver: &TransientSolver, z: &Vector, core_power: &Vector, dt: f64) -> Vector {
+    let basis = solver.basis();
+    let eigen = basis.eigen();
     let (proj_t, y_amb) = (basis.proj_t(), basis.y_amb());
     let m = Vector::from_fn(eigen.dim(), |i| (eigen.eigenvalues()[i] * dt).exp());
-    let z = eigen.v_inv().mul_vector(node_temps);
-    let z_next = Vector::from_fn(eigen.dim(), |i| {
+    Vector::from_fn(eigen.dim(), |i| {
         let mut y = 0.0;
         for (j, &p) in core_power.iter().enumerate() {
             y += p * proj_t[(j, i)];
         }
         m[i] * z[i] + (1.0 - m[i]) * (y + y_amb[i])
-    });
-    Ok(eigen.v().mul_vector(&z_next))
+    })
+}
+
+/// A state carried the way the engine carried it before the readout
+/// certificate: eigen coordinates `z` and every node temperature, °C.
+#[derive(Debug, Clone)]
+pub struct CarriedReference {
+    /// `T = V·z`, read out every interval.
+    pub nodes: Vector,
+    /// `z`.
+    pub modal: Vector,
+}
+
+impl CarriedReference {
+    /// The state `initial_state(node_temps)` builds: `z = V⁻¹·T`.
+    pub fn new(solver: &TransientSolver, node_temps: &Vector) -> Self {
+        CarriedReference {
+            nodes: node_temps.clone(),
+            modal: solver.basis().eigen().v_inv().mul_vector(node_temps),
+        }
+    }
+
+    /// [`TransientSolver::advance`] on a healthy solver, as serial
+    /// mat-vecs: `z` relaxes as in [`step_reference`] and every node is
+    /// read out, `T = V·z`, every interval. No certificate, guard or
+    /// cache: the caller checks that the solver stayed healthy.
+    pub fn advance(&mut self, solver: &TransientSolver, core_power: &Vector, dt: f64) {
+        self.modal = relax_reference(solver, &self.modal, core_power, dt);
+        self.nodes = solver.basis().eigen().v().mul_vector(&self.modal);
+    }
 }

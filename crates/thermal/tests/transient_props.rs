@@ -9,7 +9,7 @@ use hp_floorplan::GridFloorplan;
 use hp_linalg::{Matrix, Vector};
 use hp_thermal::{RcThermalModel, ThermalConfig, TransientSolver};
 use proptest::prelude::*;
-use support::step_reference;
+use support::{step_reference, CarriedReference};
 
 /// A random-but-physical RC model: random grid dimensions and random
 /// scale factors on the capacitances/conductances that shape the
@@ -71,6 +71,100 @@ fn step_matches_serial_reference_bit_for_bit() {
             );
         }
     }
+}
+
+/// SplitMix64: a deterministic stream of power maps.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The carried-state contract: 600 intervals of 100 µs from ambient,
+/// with a fresh power map every two to seven intervals, through
+/// `advance` and through the reference that reads out every node every
+/// interval. The junctions agree bit for bit every interval, and every
+/// node and eigen coordinate every 50 intervals, whether the interval
+/// was certified (junctions only, `T` read out on demand) or not.
+fn advance_matches_the_full_readout_reference(model: &RcThermalModel, seed: u64) {
+    let mut solver = TransientSolver::new(model).unwrap();
+    let t0 = model.ambient_state();
+    let mut state = solver.initial_state(&t0).unwrap();
+    let mut reference = CarriedReference::new(&solver, &t0);
+    let cores = model.core_count();
+    let mut stream = Stream(seed);
+    let mut power = Vector::zeros(cores);
+    let mut next_change = 0;
+    for k in 0..600 {
+        if k == next_change {
+            power = Vector::from_fn(cores, |_| stream.uniform(0.3, 7.5));
+            next_change += 2 + (stream.next() % 6) as usize;
+        }
+        solver.advance(model, &mut state, &power, 1e-4).unwrap();
+        reference.advance(&solver, &power, 1e-4);
+        for c in 0..cores {
+            assert_eq!(
+                state.junctions()[c].to_bits(),
+                reference.nodes[c].to_bits(),
+                "interval {k} junction {c}"
+            );
+        }
+        if k % 50 == 49 {
+            let z = state.modal().expect("the eigen path stayed live");
+            for i in 0..model.node_count() {
+                assert_eq!(
+                    z[i].to_bits(),
+                    reference.modal[i].to_bits(),
+                    "interval {k} mode {i}"
+                );
+                assert_eq!(
+                    state.nodes()[i].to_bits(),
+                    reference.nodes[i].to_bits(),
+                    "interval {k} node {i}"
+                );
+            }
+        }
+    }
+    assert!(!solver.degraded());
+}
+
+#[test]
+fn advance_matches_the_full_readout_reference_on_4x4() {
+    let fp = GridFloorplan::new(4, 4).unwrap();
+    let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+    advance_matches_the_full_readout_reference(&model, 1);
+}
+
+#[test]
+fn advance_matches_the_full_readout_reference_in_the_slow_sink_regime() {
+    // Slow-sink eigenmodes have decay factors within ulps of 1.
+    let cfg = ThermalConfig {
+        c_sink: 40000.0,
+        g_sink_ambient: 0.02,
+        ..ThermalConfig::default()
+    };
+    let model = RcThermalModel::new(&GridFloorplan::new(3, 3).unwrap(), &cfg).unwrap();
+    advance_matches_the_full_readout_reference(&model, 2);
+}
+
+#[test]
+fn advance_matches_the_full_readout_reference_on_8x8() {
+    // 64 junction columns reach the tiled SIMD body of the `V_Jᵀ`
+    // readout, which 16 columns never do.
+    let fp = GridFloorplan::new(8, 8).unwrap();
+    let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+    advance_matches_the_full_readout_reference(&model, 3);
 }
 
 proptest! {
