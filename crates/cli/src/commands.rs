@@ -853,6 +853,18 @@ mod tests {
         assert!(a.counter("engine.intervals").unwrap_or(0) > 0);
         assert!(a.counter("sched.alg1.evaluations").unwrap_or(0) > 0);
         assert!(a.histogram("hook.schedule").is_some());
+        // Every interval times itself and its phases; the timings are
+        // what `without_timings` drops.
+        let intervals = a.counter("engine.intervals");
+        for name in [
+            "engine.interval",
+            "engine.perf_power",
+            "engine.thermal_step",
+            "engine.bookkeeping",
+        ] {
+            assert_eq!(a.histogram(name).map(|h| h.count), intervals, "{name}");
+            assert!(a.without_timings().histogram(name).is_none(), "{name}");
+        }
         assert_eq!(a.meta_value("scheduler"), Some("hotpotato"));
         assert_eq!(a.meta_value("grid"), Some("4x4"));
         std::fs::remove_file(&path_a).ok();

@@ -150,6 +150,11 @@ impl Matrix {
         self.data()
     }
 
+    /// Mutable view of the underlying row-major storage.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        self.data_mut()
+    }
+
     /// Immutable view of row `i`.
     ///
     /// # Panics
@@ -210,22 +215,8 @@ impl Matrix {
         })
     }
 
-    /// Matrix–matrix product `self * other`.
-    ///
-    /// Register-tiled over a block of output columns: each output element
-    /// accumulates its dot product in a register while the inner loop
-    /// streams a row of `self` against a 32-column panel of `other`, so
-    /// the hot loop does two loads per multiply-add instead of the
-    /// load/load/store of the textbook axpy form. For every output
-    /// element the `k`-contributions are accumulated in ascending order
-    /// from `0.0` — the exact addition order of
-    /// [`mul_vector`](Matrix::mul_vector)'s dot products — so multiplying
-    /// a column-stacked batch reproduces the per-vector products bit for
-    /// bit. The batched Algorithm-1 kernel
-    /// (`hotpotato::RotationPeakSolver::peak_celsius_many`) relies on
-    /// this. On x86-64 the same kernel body is re-compiled for AVX-512F /
-    /// AVX2 and dispatched at run time; lane-wise IEEE arithmetic keeps
-    /// the results identical to the portable build.
+    /// Matrix–matrix product `self * other`: a zero matrix of the
+    /// product's shape, filled by [`gemm_into`](Matrix::gemm_into).
     ///
     /// # Errors
     ///
@@ -239,30 +230,75 @@ impl Matrix {
                 right: (other.rows, other.cols),
             });
         }
-        let (m, n, inner) = (self.rows, other.cols, self.cols);
-        let (a, b) = (self.data(), other.data());
-        let mut out = Matrix::zeros(m, n);
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        Matrix::gemm_into(self.data(), self.rows, other, out.data_mut())?;
+        Ok(out)
+    }
+
+    /// The product `A·b` of the row-major `rows × b.rows()` block `a` and
+    /// `b`, written into the row-major `rows × b.cols()` slice `out`:
+    /// every element of `out` is overwritten, nothing is allocated. This
+    /// is the one GEMM entry; [`mul_matrix`](Matrix::mul_matrix) calls it
+    /// on a fresh zero matrix.
+    ///
+    /// Register-tiled over a block of output columns: each output element
+    /// accumulates its dot product in a register while the inner loop
+    /// streams a row of `a` against a 32-column panel of `b`, so the hot
+    /// loop does two loads per multiply-add instead of the load/load/store
+    /// of the textbook axpy form. For every output element the
+    /// `k`-contributions are accumulated in ascending order from `0.0` —
+    /// the exact addition order of [`mul_vector`](Matrix::mul_vector)'s
+    /// dot products — so multiplying a column-stacked batch reproduces
+    /// the per-vector products bit for bit, and a slice holds the bits
+    /// the same operands give as a [`Matrix`]. The batched Algorithm-1
+    /// kernel (`hotpotato::RotationPeakSolver::peak_celsius_many`) relies
+    /// on this. On x86-64 the same kernel body is re-compiled for
+    /// AVX-512F / AVX2 and dispatched at run time; lane-wise IEEE
+    /// arithmetic keeps the results identical to the portable build.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `a` does not hold
+    /// `rows × b.rows()` entries or `out` does not hold `rows × b.cols()`.
+    pub fn gemm_into(a: &[f64], rows: usize, b: &Matrix, out: &mut [f64]) -> Result<()> {
+        let (m, n, inner) = (rows, b.cols, b.rows);
+        if m.checked_mul(inner) != Some(a.len()) {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matrix multiply",
+                left: (m, a.len().checked_div(m).unwrap_or(a.len())),
+                right: (b.rows, b.cols),
+            });
+        }
+        if m.checked_mul(n) != Some(out.len()) {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matrix multiply output",
+                left: (m, out.len().checked_div(m).unwrap_or(out.len())),
+                right: (m, n),
+            });
+        }
+        let b = b.data();
         // Under Miri the `#[target_feature]` kernels cannot run (Miri has
         // no AVX); everything routes through the scalar reference body.
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: the avx512f requirement was just checked.
-                unsafe { gemm_tiled_avx512(out.data_mut(), a, b, m, n, inner) };
-                return Ok(out);
+                unsafe { gemm_tiled_avx512(out, a, b, m, n, inner) };
+                return Ok(());
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: the avx2 requirement was just checked.
-                unsafe { gemm_tiled_avx2(out.data_mut(), a, b, m, n, inner) };
-                return Ok(out);
+                unsafe { gemm_tiled_avx2(out, a, b, m, n, inner) };
+                return Ok(());
             }
         }
-        gemm_tiled(out.data_mut(), a, b, m, n, inner);
-        Ok(out)
+        gemm_tiled(out, a, b, m, n, inner);
+        Ok(())
     }
 
-    /// Name of the GEMM backend [`mul_matrix`](Matrix::mul_matrix)
-    /// dispatches to on this CPU: `"avx512f"`, `"avx2"`, or `"scalar"`.
+    /// Name of the GEMM backend [`gemm_into`](Matrix::gemm_into) (and so
+    /// [`mul_matrix`](Matrix::mul_matrix)) dispatches to on this CPU:
+    /// `"avx512f"`, `"avx2"`, or `"scalar"`.
     ///
     /// The sanitizer CI job logs this from a test to prove the SIMD
     /// kernels actually executed under AddressSanitizer; under Miri it
@@ -414,15 +450,16 @@ impl Sub<&Matrix> for &Matrix {
     }
 }
 
-/// Width of the output-column register tile in [`Matrix::mul_matrix`]:
+/// Width of the output-column register tile in [`Matrix::gemm_into`]:
 /// 32 f64 accumulators fill four AVX-512 (or eight AVX2) vector
 /// registers, giving enough independent add chains to hide FP latency.
 const GEMM_J_TILE: usize = 32;
 
 /// Shared GEMM body: `out = a × b` with `a` m×inner, `b` inner×n, all
-/// row-major and `out` pre-zeroed. Every output element is a plain
-/// ascending-`k` dot product accumulated from `0.0` in a register — see
-/// [`Matrix::mul_matrix`] for why that addition order is load-bearing.
+/// row-major; every element of `out` is written. Each output element is
+/// a plain ascending-`k` dot product accumulated from `0.0` in a
+/// register — see [`Matrix::gemm_into`] for why that addition order is
+/// load-bearing.
 #[inline(always)]
 fn gemm_tiled_body(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: usize) {
     let mut jb = 0;
@@ -474,7 +511,7 @@ fn gemm_tiled(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: 
 /// on a CPU without it is undefined behaviour (illegal instruction at
 /// best). The body itself is safe Rust: all slice accesses are
 /// bounds-checked, dimensions are validated by the sole caller
-/// ([`Matrix::mul_matrix`]), and no pointers are formed.
+/// ([`Matrix::gemm_into`]), and no pointers are formed.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 unsafe fn gemm_tiled_avx2(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: usize) {
@@ -601,6 +638,91 @@ mod tests {
             a.mul_matrix(&b),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    /// Deterministic entries in [-1, 1).
+    fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        Matrix::from_fn(rows, cols, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        })
+    }
+
+    /// A GEMM kernel build: `(out, a, b, m, n, inner)`.
+    type Kernel = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
+
+    /// The kernel builds this CPU can run, the portable one first.
+    fn backends() -> Vec<(&'static str, Kernel)> {
+        let mut out: Vec<(&'static str, Kernel)> = vec![("scalar", gemm_tiled)];
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                out.push(("avx2", |o, a, b, m, n, k| {
+                    // SAFETY: the avx2 requirement was checked before
+                    // this entry was listed.
+                    unsafe { gemm_tiled_avx2(o, a, b, m, n, k) }
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                out.push(("avx512f", |o, a, b, m, n, k| {
+                    // SAFETY: the avx512f requirement was checked before
+                    // this entry was listed.
+                    unsafe { gemm_tiled_avx512(o, a, b, m, n, k) }
+                }));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn gemm_into_equals_mul_matrix_bit_for_bit_on_every_backend() {
+        // 18 is all remainder columns, 48 one tile plus 16, 64 and 192
+        // whole tiles: the shapes of the 4×4 and 8×8 chips' operators.
+        for width in [18usize, 48, 64, 192] {
+            for (rows, inner) in [(1usize, width), (3, width), (1, 16), (2, 64)] {
+                let a = filled(rows, inner, 7 + width as u64);
+                let b = filled(inner, width, 99 + inner as u64);
+                let want = a.mul_matrix(&b).unwrap();
+                // A dirty buffer: every element must be overwritten.
+                let mut out = vec![f64::NAN; rows * width];
+                Matrix::gemm_into(a.as_slice(), rows, &b, &mut out).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(want.as_slice()), "{rows}x{inner}x{width}");
+                for (name, kernel) in backends() {
+                    let mut direct = vec![f64::NAN; rows * width];
+                    kernel(&mut direct, a.as_slice(), b.as_slice(), rows, width, inner);
+                    assert_eq!(
+                        bits(&direct),
+                        bits(want.as_slice()),
+                        "{name}: {rows}x{inner}x{width}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_into_rejects_mismatched_shapes() {
+        let b = filled(4, 3, 1);
+        let mismatch = |r: Result<()>| matches!(r, Err(LinalgError::DimensionMismatch { .. }));
+        // `a` short of, or past, rows × b.rows() entries.
+        assert!(mismatch(Matrix::gemm_into(&[0.0; 7], 2, &b, &mut [0.0; 6])));
+        assert!(mismatch(Matrix::gemm_into(&[0.0; 9], 2, &b, &mut [0.0; 6])));
+        // `out` short of, or past, rows × b.cols() entries.
+        assert!(mismatch(Matrix::gemm_into(&[0.0; 8], 2, &b, &mut [0.0; 5])));
+        assert!(mismatch(Matrix::gemm_into(&[0.0; 8], 2, &b, &mut [0.0; 7])));
+        // A row count whose product overflows is a mismatch, not a wrap.
+        assert!(mismatch(Matrix::gemm_into(&[], usize::MAX, &b, &mut [])));
+        // A rejected call leaves `out` untouched.
+        let mut out = [5.0; 5];
+        assert!(mismatch(Matrix::gemm_into(&[1.0; 8], 2, &b, &mut out)));
+        assert_eq!(out, [5.0; 5]);
+        let mut out = [5.0; 6];
+        Matrix::gemm_into(&[1.0; 8], 2, &b, &mut out).unwrap();
+        assert_ne!(out, [5.0; 6]);
     }
 
     #[test]

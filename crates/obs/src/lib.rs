@@ -6,6 +6,8 @@
 //! - [`Registry`] — named monotonic counters, point-in-time gauges,
 //!   log-bucketed duration histograms and free-form metadata behind one
 //!   interior-mutable handle (`&self` everywhere, poison-tolerant).
+//! - [`Histogram`] — one duration histogram, for a hot loop that records
+//!   into its own and folds it into a registry before each snapshot.
 //! - [`ScopedTimer`] — an RAII guard recording wall-clock time of a
 //!   scope into a registry histogram; this is how per-hook scheduler
 //!   overhead (the paper's 23.76 µs table) is measured.
@@ -31,7 +33,7 @@ mod registry;
 mod report;
 
 pub use error::{ObsError, Result};
-pub use registry::{Registry, ScopedTimer};
+pub use registry::{Histogram, Registry, ScopedTimer};
 pub use report::{
     CounterEntry, GaugeEntry, HistogramEntry, HistogramSummary, MetaEntry, ReportEvent, RunReport,
     SCHEMA,

@@ -16,16 +16,27 @@ const BUCKETS: usize = 256;
 
 /// One duration histogram: count / sum / exact max plus log₂ buckets for
 /// the percentile estimates.
+///
+/// A [`Registry`] keeps one per name. A hot loop may keep its own,
+/// record into it without a lock or a lookup by name, and fold it into
+/// the registry with [`Registry::absorb_histogram`] before a snapshot.
 #[derive(Debug, Clone)]
-struct Histogram {
+pub struct Histogram {
     count: u64,
     sum_seconds: f64,
     max_seconds: f64,
     buckets: Box<[u64; BUCKETS]>,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
+}
+
 impl Histogram {
-    fn new() -> Self {
+    /// An empty histogram.
+    pub fn new() -> Self {
         Histogram {
             count: 0,
             sum_seconds: 0.0,
@@ -52,7 +63,9 @@ impl Histogram {
         }
     }
 
-    fn observe(&mut self, seconds: f64) {
+    /// Records one duration observation, in seconds. Negative or
+    /// non-finite durations are clamped to zero.
+    pub fn observe_seconds(&mut self, seconds: f64) {
         let seconds = if seconds.is_finite() && seconds >= 0.0 {
             seconds
         } else {
@@ -64,6 +77,20 @@ impl Histogram {
         if let Some(slot) = self.buckets.get_mut(Self::bucket_index(seconds)) {
             *slot += 1;
         }
+    }
+
+    /// Adds every observation of `other` to this histogram and empties
+    /// `other`, in place.
+    fn absorb(&mut self, other: &mut Histogram) {
+        self.count += other.count;
+        self.sum_seconds += other.sum_seconds;
+        self.max_seconds = self.max_seconds.max(other.max_seconds);
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter_mut()) {
+            *mine += std::mem::take(theirs);
+        }
+        other.count = 0;
+        other.sum_seconds = 0.0;
+        other.max_seconds = 0.0;
     }
 
     /// Quantile estimate in seconds: the geometric midpoint of the bucket
@@ -197,10 +224,29 @@ impl Registry {
     pub fn observe_seconds(&self, name: &str, seconds: f64) {
         let mut inner = self.lock();
         if let Some(h) = inner.histograms.get_mut(name) {
-            h.observe(seconds);
+            h.observe_seconds(seconds);
         } else {
             let mut h = Histogram::new();
-            h.observe(seconds);
+            h.observe_seconds(seconds);
+            inner.histograms.insert(name.to_string(), h);
+        }
+    }
+
+    /// Folds the observations of `local` into histogram `name` and
+    /// empties `local`: the registry then reports what it would have had
+    /// every observation been recorded here with
+    /// [`observe_seconds`](Registry::observe_seconds) (the sum of
+    /// seconds up to rounding). An empty `local` creates no histogram.
+    pub fn absorb_histogram(&self, name: &str, local: &mut Histogram) {
+        if local.count == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        if let Some(h) = inner.histograms.get_mut(name) {
+            h.absorb(local);
+        } else {
+            let mut h = Histogram::new();
+            h.absorb(local);
             inner.histograms.insert(name.to_string(), h);
         }
     }
@@ -347,6 +393,38 @@ mod tests {
             std::hint::black_box(42);
         }
         assert_eq!(reg.snapshot().histogram("scope").map(|h| h.count), Some(1));
+    }
+
+    #[test]
+    fn absorbed_histograms_report_like_direct_observations() {
+        let samples = [3e-6, 10e-6, 10e-6, 250e-6, 1e-3, f64::NAN];
+        let direct = Registry::new();
+        for &s in &samples {
+            direct.observe_seconds("h", s);
+        }
+        // Two folds into one name, as a run that checkpoints midway
+        // makes; only the sum of seconds may round differently.
+        let folded = Registry::new();
+        let mut local = Histogram::new();
+        for (k, &s) in samples.iter().enumerate() {
+            local.observe_seconds(s);
+            if k == 2 {
+                folded.absorb_histogram("h", &mut local);
+            }
+        }
+        folded.absorb_histogram("h", &mut local);
+        // Absorbing empties `local`: a third fold adds nothing.
+        folded.absorb_histogram("h", &mut local);
+        let (a, b) = (direct.snapshot(), folded.snapshot());
+        let (a, b) = (a.histogram("h").unwrap(), b.histogram("h").unwrap());
+        assert_eq!(
+            (a.count, a.p50_us, a.p95_us, a.max_us),
+            (b.count, b.p50_us, b.p95_us, b.max_us)
+        );
+        assert!((a.mean_us - b.mean_us).abs() < 1e-9);
+        // An empty histogram creates nothing.
+        folded.absorb_histogram("empty", &mut Histogram::new());
+        assert!(folded.snapshot().histogram("empty").is_none());
     }
 
     #[test]

@@ -216,19 +216,42 @@ impl ModalBasis {
 
     /// The eigen-space steady states `y = P·projᵀ + y_amb` of a
     /// row-stacked batch of per-core power maps (`B × cores` in,
-    /// `B × N` out).
+    /// `B × N` out): a zero matrix filled by
+    /// [`steady_modal_into`](ModalBasis::steady_modal_into).
     ///
     /// # Errors
     ///
     /// [`ThermalError::Linalg`] if `powers` does not have `cores` columns.
     pub fn steady_modal(&self, powers: &Matrix) -> Result<Matrix> {
-        let mut y = powers.mul_matrix(&self.proj_t)?;
-        for r in 0..y.rows() {
-            for (v, &amb) in y.row_mut(r).iter_mut().zip(self.y_amb.iter()) {
+        if powers.cols() != self.cores {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matrix multiply",
+                left: (powers.rows(), powers.cols()),
+                right: (self.proj_t.rows(), self.proj_t.cols()),
+            }
+            .into());
+        }
+        let mut y = Matrix::zeros(powers.rows(), self.node_count());
+        self.steady_modal_into(powers.as_slice(), powers.rows(), y.as_mut_slice())?;
+        Ok(y)
+    }
+
+    /// [`steady_modal`](ModalBasis::steady_modal) of the `rows` power
+    /// maps `powers` (`rows × cores`, row-major), written into `out`
+    /// (`rows × N`, row-major) without allocating.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::Linalg`] if `powers` does not hold `rows × cores`
+    /// entries or `out` does not hold `rows × N`.
+    pub fn steady_modal_into(&self, powers: &[f64], rows: usize, out: &mut [f64]) -> Result<()> {
+        Matrix::gemm_into(powers, rows, &self.proj_t, out)?;
+        for row in out.chunks_exact_mut(self.y_amb.len().max(1)) {
+            for (v, &amb) in row.iter_mut().zip(self.y_amb.iter()) {
                 *v += amb;
             }
         }
-        Ok(y)
+        Ok(())
     }
 }
 

@@ -108,9 +108,20 @@ pub struct NumericsStats {
     pub guard_trips: u64,
 }
 
-/// The mutable half of a [`ModalRuntime`]: both caches, the trip flag
-/// and the seven tallies. Reached through [`ModalRuntime::lock`] or
-/// [`ModalRuntime::get_mut`].
+/// The buffers the transient step writes into, °C, kept from one step
+/// to the next so that a steady step allocates nothing: the modal steady
+/// state `y`, the relaxed coordinates `z` and the readout (junctions or
+/// every node). Each is sized on first use.
+#[derive(Debug, Default)]
+pub(crate) struct StepBuffers {
+    pub(crate) steady: Vec<f64>,
+    pub(crate) modal: Vec<f64>,
+    pub(crate) readout: Vec<f64>,
+}
+
+/// The mutable half of a [`ModalRuntime`]: both caches, the trip flag,
+/// the seven tallies and the transient step's buffers. Reached through
+/// [`ModalRuntime::lock`] or [`ModalRuntime::get_mut`].
 #[derive(Debug)]
 pub struct Ledger<D> {
     /// The basis's eigenvalues (1/s), from which cache misses compute
@@ -127,6 +138,8 @@ pub struct Ledger<D> {
     degraded: bool,
     stats: SolverStats,
     numerics: NumericsStats,
+    /// Derived scratch space: a clone starts without it.
+    pub(crate) buffers: StepBuffers,
 }
 
 impl<D> Ledger<D> {
@@ -138,6 +151,7 @@ impl<D> Ledger<D> {
             degraded: basis.armed(),
             stats: SolverStats::default(),
             numerics: NumericsStats::default(),
+            buffers: StepBuffers::default(),
         }
     }
 

@@ -5,7 +5,7 @@ use hp_linalg::convert::usize_to_f64;
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, NumericalError, Vector};
 
-use crate::runtime::envelope_celsius;
+use crate::runtime::{envelope_celsius, StepBuffers};
 use crate::{DenseStepper, Ledger, ModalBasis, ModalRuntime, RcThermalModel, Result, ThermalError};
 
 /// The thermal state the interval engine carries from one interval to
@@ -34,6 +34,9 @@ pub struct ThermalState {
     /// `T`, °C: set whenever the solver computed it, read out of `z` on
     /// first use otherwise.
     nodes: OnceLock<Vector>,
+    /// The storage of the node vector a certified interval set aside:
+    /// the next full readout writes into it instead of allocating.
+    spare: Option<Vector>,
     modal: Option<Vector>,
     /// The last full readout of `z`, while the state carries one.
     anchor: Option<Anchor>,
@@ -47,6 +50,7 @@ impl ThermalState {
         ThermalState {
             junctions: Vector::from(nodes.as_slice()[..basis.core_count()].to_vec()),
             nodes: OnceLock::from(nodes),
+            spare: None,
             modal,
             anchor: None,
             basis,
@@ -59,13 +63,14 @@ impl ThermalState {
         self.nodes.get_or_init(|| {
             // The node vector is unset only after a certified interval,
             // which leaves `z` of the basis's node count, so the product
-            // exists. The NaN row stands in for the impossible case: it
-            // trips every check that reads it.
-            let n = self.basis.node_count();
-            self.modal
-                .as_ref()
-                .and_then(|z| row_matrix(z).mul_matrix(self.basis.v_t()).ok())
-                .map_or_else(|| Vector::constant(n, f64::NAN), |t| row_vector(&t))
+            // exists. The NaN row stands in for the impossible case (a
+            // rejected product leaves it unwritten): it trips every check
+            // that reads it.
+            let mut t = Vector::constant(self.basis.node_count(), f64::NAN);
+            if let Some(z) = &self.modal {
+                Matrix::gemm_into(z.as_slice(), 1, self.basis.v_t(), t.as_mut_slice()).ok();
+            }
+            t
         })
     }
 
@@ -83,13 +88,42 @@ impl ThermalState {
 
     /// Moves the state to the certified interval's eigen coordinates `z`
     /// and junction temperatures `junctions` (°C), in place; `T` is read
-    /// out on demand.
+    /// out on demand, and its storage is kept for the next full readout.
     fn step_certified(&mut self, z: &[f64], junctions: &[f64]) {
         self.junctions.as_mut_slice().copy_from_slice(junctions);
         if let Some(modal) = &mut self.modal {
             modal.as_mut_slice().copy_from_slice(z);
         }
-        self.nodes = OnceLock::new();
+        if let Some(nodes) = self.nodes.take() {
+            self.spare = Some(nodes);
+        }
+    }
+
+    /// Moves the state to a fully read-out interval of `basis`: eigen
+    /// coordinates `z` and node temperatures `nodes` (°C), which become
+    /// the certificate's anchor. Written in place into the storage the
+    /// state already holds (that of `T` set aside by a certified
+    /// interval included).
+    fn step_read_out(&mut self, basis: &Arc<ModalBasis>, z: &[f64], nodes: &[f64]) {
+        if !Arc::ptr_eq(&self.basis, basis) {
+            self.basis = Arc::clone(basis);
+        }
+        let (junctions, rows) = nodes.split_at(basis.core_count().min(nodes.len()));
+        refill(&mut self.junctions, junctions);
+        let mut t = self
+            .nodes
+            .take()
+            .or_else(|| self.spare.take())
+            .unwrap_or_default();
+        refill(&mut t, nodes);
+        self.nodes = OnceLock::from(t);
+        if let Some(modal) = &mut self.modal {
+            refill(modal, z);
+        }
+        match &mut self.anchor {
+            Some(anchor) => anchor.set(z, rows),
+            None => self.anchor = Some(Anchor::new(z, rows)),
+        }
     }
 
     /// Reads `T` out if need be, then drops `z` and the anchor: the state
@@ -134,20 +168,39 @@ struct Anchor {
     hottest: f64,
 }
 
+/// Overwrites `v` with `values`, in place when the lengths agree.
+fn refill(v: &mut Vector, values: &[f64]) {
+    if v.len() == values.len() {
+        v.as_mut_slice().copy_from_slice(values);
+    } else {
+        *v = Vector::from(values.to_vec());
+    }
+}
+
+/// The coolest and hottest of `rows`, °C.
+fn extremes(rows: &[f64]) -> (f64, f64) {
+    rows.iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
+            (lo.min(t), hi.max(t))
+        })
+}
+
 impl Anchor {
     /// The anchor of `z` whose full readout `z·Vᵀ` has the spreader and
     /// sink rows `rows`.
     fn new(z: &[f64], rows: &[f64]) -> Self {
-        let (coolest, hottest) = rows
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &t| {
-                (lo.min(t), hi.max(t))
-            });
+        let (coolest, hottest) = extremes(rows);
         Anchor {
             modal: Vector::from(z.to_vec()),
             coolest,
             hottest,
         }
+    }
+
+    /// Moves the anchor to `z` with rows `rows`, in place.
+    fn set(&mut self, z: &[f64], rows: &[f64]) {
+        refill(&mut self.modal, z);
+        (self.coolest, self.hottest) = extremes(rows);
     }
 
     /// Whether every spreader and sink row of the full readout `z·Vᵀ`
@@ -216,16 +269,6 @@ impl Anchor {
     }
 }
 
-/// `v` as a single-row matrix, the shape every GEMM row takes.
-fn row_matrix(v: &Vector) -> Matrix {
-    Matrix::from_fn(1, v.len(), |_, k| v[k])
-}
-
-/// The single row of `row` as a vector.
-fn row_vector(row: &Matrix) -> Vector {
-    Vector::from(row.row(0).to_vec())
-}
-
 /// MatEx-style transient temperature solver.
 ///
 /// Holds its model's [`ModalBasis`] of `C = −A⁻¹B` (the one
@@ -258,7 +301,10 @@ fn row_vector(row: &Matrix) -> Vector {
 /// inner-index order, `step` is bit-identical to the serial mat-vec form
 /// of the same update. Decay vectors are cached per distinct `dt`, so an
 /// interval simulator computes the `N` exponentials once instead of
-/// every interval.
+/// every interval. Every GEMM row writes through
+/// [`Matrix::gemm_into`] into buffers the runtime's [`Ledger`] keeps,
+/// and `advance` writes the state in place, so once those have their
+/// sizes a carried interval allocates nothing.
 ///
 /// # Readout certificate
 ///
@@ -343,6 +389,13 @@ impl TransientSolver {
         self.runtime.degraded()
     }
 
+    /// [`degraded`](TransientSolver::degraded) through exclusive access,
+    /// without taking the runtime's lock: for an owner that steps the
+    /// solver with [`advance`](TransientSolver::advance).
+    pub fn degraded_unlocked(&mut self) -> bool {
+        self.runtime.get_mut().1.degraded()
+    }
+
     /// The underlying eigendecomposition of `C = −A⁻¹B`.
     pub fn eigen(&self) -> &SystemEigen {
         self.runtime.basis().eigen()
@@ -403,14 +456,11 @@ impl TransientSolver {
     /// seconds under `core_power`, counted as a batch of one.
     ///
     /// While `state` carries eigen coordinates and the solver is healthy,
-    /// `z` relaxes towards the power map's eigen-space steady state.
-    /// When the state's anchor certifies the new `z` (it must have been
-    /// read out through this very basis) only the junctions are read out
-    /// and guarded; otherwise every node is, and a passing readout
-    /// becomes the new anchor. On a guard trip (counted, sticky), or
-    /// without `z`, the interval is recomputed by the dense
-    /// backward-Euler fallback from the previous node vector, `z` is
-    /// dropped, and a zero `dt` leaves the nodes unchanged.
+    /// `z` relaxes towards the power map's eigen-space steady state (see
+    /// [`modal_update`](TransientSolver::modal_update)). On a guard trip
+    /// (counted, sticky), or without `z`, the interval is recomputed by
+    /// the dense backward-Euler fallback from the previous node vector,
+    /// `z` is dropped, and a zero `dt` leaves the nodes unchanged.
     fn update(
         basis: &Arc<ModalBasis>,
         ledger: &mut Ledger<DenseStepper>,
@@ -420,43 +470,13 @@ impl TransientSolver {
         dt: f64,
     ) -> Result<()> {
         ledger.count_batch(1);
-        if let Some(z) = state.modal.as_ref().filter(|_| !ledger.degraded()) {
-            let decay = ledger.decay(dt);
-            let powers = Matrix::from_fn(1, core_power.len(), |_, j| core_power[j]);
-            let y = basis.steady_modal(&powers)?;
-            let mut z_next = Matrix::zeros(1, z.len());
-            relax(&decay.m, z.as_slice(), y.row(0), z_next.row_mut(0));
-            let ambient = model.config().ambient;
-            let certified = Arc::ptr_eq(&state.basis, basis)
-                && state.anchor.as_ref().is_some_and(|anchor| {
-                    anchor.certifies(
-                        basis.non_junction_weights(),
-                        z_next.row(0),
-                        envelope_celsius(ambient),
-                    )
-                });
-            if certified {
-                // The GEMM accumulates every entry in ascending `k` from
-                // 0.0, so `z·V_Jᵀ` is the junction part of `z·Vᵀ` bit
-                // for bit.
-                let junctions = z_next.mul_matrix(basis.v_junction_t())?;
-                if !ledger.guard(ambient, junctions.row(0).iter().copied()) {
-                    state.step_certified(z_next.row(0), junctions.row(0));
-                    return Ok(());
-                }
-            } else {
-                let nodes = z_next.mul_matrix(basis.v_t())?;
-                if !ledger.guard(ambient, nodes.row(0).iter().copied()) {
-                    let (z, t) = (z_next.row(0), nodes.row(0));
-                    let mut next = ThermalState::known(
-                        Arc::clone(basis),
-                        Vector::from(t.to_vec()),
-                        Some(Vector::from(z.to_vec())),
-                    );
-                    next.anchor = Some(Anchor::new(z, &t[basis.core_count()..]));
-                    *state = next;
-                    return Ok(());
-                }
+        if state.modal.is_some() && !ledger.degraded() {
+            let mut buffers = std::mem::take(&mut ledger.buffers);
+            let stepped =
+                Self::modal_update(basis, ledger, &mut buffers, model, state, core_power, dt);
+            ledger.buffers = buffers;
+            if stepped? {
+                return Ok(());
             }
         }
         state.leave_modal();
@@ -470,6 +490,62 @@ impl TransientSolver {
             ledger.count_fallback_steps(1);
         }
         Ok(())
+    }
+
+    /// The eigen path of [`update`](TransientSolver::update), through the
+    /// ledger's kept `buffers`: `y` from the power slice, `z` relaxed
+    /// towards it, then a readout. When the state's anchor certifies the
+    /// new `z` (it must have been read out through this very basis) only
+    /// the junctions are read out and guarded; otherwise every node is,
+    /// and a passing readout becomes the new anchor. A passing interval
+    /// is written into `state` in place and returns `true`; a guard trip
+    /// leaves `state` as it was and returns `false`. Nothing is allocated
+    /// once the buffers and the state's storage have their sizes.
+    fn modal_update(
+        basis: &Arc<ModalBasis>,
+        ledger: &mut Ledger<DenseStepper>,
+        buffers: &mut StepBuffers,
+        model: &RcThermalModel,
+        state: &mut ThermalState,
+        core_power: &Vector,
+        dt: f64,
+    ) -> Result<bool> {
+        let Some(z) = &state.modal else {
+            return Ok(false);
+        };
+        let n = basis.node_count();
+        let decay = ledger.decay(dt);
+        buffers.steady.resize(n, 0.0);
+        buffers.modal.resize(n, 0.0);
+        basis.steady_modal_into(core_power.as_slice(), 1, &mut buffers.steady)?;
+        relax(&decay.m, z.as_slice(), &buffers.steady, &mut buffers.modal);
+        let ambient = model.config().ambient;
+        let certified = Arc::ptr_eq(&state.basis, basis)
+            && state.anchor.as_ref().is_some_and(|anchor| {
+                anchor.certifies(
+                    basis.non_junction_weights(),
+                    &buffers.modal,
+                    envelope_celsius(ambient),
+                )
+            });
+        // The GEMM accumulates every entry in ascending `k` from 0.0, so
+        // `z·V_Jᵀ` is the junction part of `z·Vᵀ` bit for bit.
+        let readout = if certified {
+            basis.v_junction_t()
+        } else {
+            basis.v_t()
+        };
+        buffers.readout.resize(readout.cols(), 0.0);
+        Matrix::gemm_into(&buffers.modal, 1, readout, &mut buffers.readout)?;
+        if ledger.guard(ambient, buffers.readout.iter().copied()) {
+            return Ok(false);
+        }
+        if certified {
+            state.step_certified(&buffers.modal, &buffers.readout);
+        } else {
+            state.step_read_out(basis, &buffers.modal, &buffers.readout);
+        }
+        Ok(true)
     }
 
     /// Advances the node state by `dt` seconds under a constant per-core
@@ -547,8 +623,10 @@ impl TransientSolver {
         let modal = if self.degraded() {
             None
         } else {
-            let z = row_matrix(node_temps).mul_matrix(self.runtime.basis().v_inv_t())?;
-            Some(row_vector(&z))
+            let mut z = Vector::zeros(node_temps.len());
+            let v_inv_t = self.runtime.basis().v_inv_t();
+            Matrix::gemm_into(node_temps.as_slice(), 1, v_inv_t, z.as_mut_slice())?;
+            Some(z)
         };
         Ok(ThermalState::known(
             Arc::clone(self.runtime.shared_basis()),
@@ -634,6 +712,11 @@ mod tests {
     fn dense_step(model: &RcThermalModel, t: &Vector, p: &Vector, dt: f64) -> Vector {
         let stepper = DenseStepper::new(model, dt).unwrap();
         stepper.step(t, &model.forcing(p).unwrap()).unwrap()
+    }
+
+    /// `v` as a single-row matrix, the shape every GEMM row takes.
+    fn row_matrix(v: &Vector) -> Matrix {
+        Matrix::from_fn(1, v.len(), |_, k| v[k])
     }
 
     fn setup() -> (RcThermalModel, TransientSolver) {
@@ -1348,16 +1431,6 @@ mod tests {
         }
     }
 
-    /// `PROPTEST_CASES` when set, else 256. The vendored proptest reads
-    /// no environment, so the soundness property reads it itself: CI
-    /// runs it at 1024 cases in release.
-    fn soundness_cases() -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256)
-    }
-
     /// The guard's verdict on the rows the certificate answers for:
     /// every spreader and sink row of the full readout `z·Vᵀ` is finite
     /// and inside `[lo, hi]`.
@@ -1370,9 +1443,9 @@ mod tests {
             .all(|&v| v.is_finite() && v >= lo && v <= hi)
     }
 
+    // The default config: 256 cases, or `PROPTEST_CASES` (CI runs 1024
+    // in release).
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(soundness_cases()))]
-
         /// Soundness: a `z` the certificate clears has spreader and sink
         /// rows the full guard passes. Real anchors (the last full
         /// readout of a carried run on a random chip) meet three kinds
