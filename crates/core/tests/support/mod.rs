@@ -1,4 +1,4 @@
-//! Serial references the differential tests and the Algorithm-1 benches
+//! Serial references the differential tests and `overhead`'s batch gate
 //! hold [`RotationPeakSolver`]'s kernel to, the sampled oracle the
 //! within-epoch physics claims rest on, and the explicit epoch sequences
 //! its Algorithm-2 probe is held to.

@@ -4,23 +4,28 @@
 //! The paper measures 23.76 µs per synchronous-rotation schedule
 //! computation across 10 000 runs (4.75 % of a 0.5 ms epoch). We time
 //! (a) one full-chip Algorithm-1 peak evaluation (the efficient
-//! recurrence), (b) the literal Eq.-(10) reference form, (c) one
+//! recurrence), (b) the literal Eq.-(10) reference form, (c) sixteen
+//! candidate rotations priced by one `peak_celsius_many` call against a
+//! loop of the serial reference, a gate the binary asserts (the batch
+//! agrees within 1e-9 °C and is at least 2× faster), (d) one
 //! Algorithm-2 placement probe with every slot of every ring occupied,
 //! as explicit epoch sequences through `peak_celsius_many` and as the
 //! one-shot superposition probe `peak_of_rings`, the same one-shot probe
 //! with one thread per ring, where its fixed per-probe costs (opening
 //! the probe session, reading the slot powers) weigh most, and the
 //! scheduler's common case, a trial that changes one ring of the full
-//! chip in a warm probe session, (d) the design-time phase
-//! (eigendecomposition), and (e) the engine's transient step at its
+//! chip in a warm probe session, (e) the §V node scaling: Algorithm 1
+//! at δ = 8 and the design-time eigendecomposition on the 4×4, 6×6, 8×8
+//! and 10×10 chips, and (f) the engine's transient step at its
 //! 100 µs interval, on a warm state whose readout certificate clears the
 //! spreader and sink rows (a junction-only readout) and on the first
 //! step from `initial_state` (a full readout) — all through the shared
 //! [`hp_obs`] profiler, so the output reports the same p50/p95/max
 //! percentiles the engine records for live scheduler hooks.
 
-// The binary builds the explicit probe sequences with the differential
-// tests' own reference and uses nothing else of the module.
+// The binary builds the explicit probe sequences and times the serial
+// loop with the differential tests' own references, and uses nothing
+// else of the module.
 #[allow(dead_code)]
 #[path = "../../../core/tests/support/mod.rs"]
 mod support;
@@ -32,7 +37,7 @@ use hp_linalg::Vector;
 use hp_obs::{Registry, ScopedTimer};
 use hp_power::IDLE_WATTS;
 use hp_thermal::TransientSolver;
-use support::explicit_probe_sequences;
+use support::{explicit_probe_sequences, peak_celsius_sampled_serial};
 
 fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
     // A rotation of `delta` epochs over a fully loaded chip: a mix of hot
@@ -79,16 +84,16 @@ fn print_summary(scope: &str, key: &str, label: &str, h: &hp_obs::HistogramSumma
     );
 }
 
+/// The chips of the §V node-scaling rows.
+const CHIPS: [(usize, usize); 4] = [(4, 4), (6, 6), (8, 8), (10, 10)];
+
 fn main() {
     let model = thermal_model_for_grid(8, 8);
     // A clone shares the basis the peak solver decomposes below.
     let thermal = model.clone();
     let reg = Registry::new();
 
-    let solver = {
-        let _t = ScopedTimer::start(&reg, "design.eigendecomposition");
-        RotationPeakSolver::new(model).expect("eigendecomposition succeeds")
-    };
+    let solver = RotationPeakSolver::new(model).expect("eigendecomposition succeeds");
     reg.set_meta("gemm_backend", hp_linalg::Matrix::gemm_backend());
 
     for delta in [4usize, 8, 16] {
@@ -105,6 +110,42 @@ fn main() {
             let _t = ScopedTimer::start(&reg, &reference);
             std::hint::black_box(solver.peak_reference(&seq).expect("peak computes"));
         }
+    }
+
+    // Sixteen candidate rotations at δ = 8, four τ and four epoch shifts,
+    // priced as a scheduler batches them. The two arms alternate, so host
+    // load slows both alike.
+    let taus = [0.25e-3, 0.5e-3, 1e-3, 2e-3];
+    let candidates: Vec<_> = (0..16)
+        .map(|i| full_load_sequence(64, 8, taus[i % 4]).shifted(i / 4))
+        .collect();
+    let serial_loop = || -> Vec<f64> {
+        candidates
+            .iter()
+            .map(|s| peak_celsius_sampled_serial(&solver, s, 1))
+            .collect()
+    };
+    let batched = || {
+        solver
+            .peak_celsius_many(&candidates)
+            .expect("batch computes")
+    };
+    let disagreement = serial_loop()
+        .iter()
+        .zip(batched())
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(
+        disagreement <= 1e-9,
+        "batch and serial loop disagree by {disagreement:e} C"
+    );
+    for _ in 0..200 {
+        {
+            let _t = ScopedTimer::start(&reg, "alg1.batch16.serial");
+            std::hint::black_box(serial_loop());
+        }
+        let _t = ScopedTimer::start(&reg, "alg1.batch16.batched");
+        std::hint::black_box(batched());
     }
 
     // Algorithm 2's placement probe on the full chip at τ = 0.5 ms.
@@ -153,6 +194,31 @@ fn main() {
         std::hint::black_box(peak(&trial));
     }
 
+    // §V node scaling. Each decomposition is of a fresh model, since a
+    // clone would share its basis.
+    let mut nodes = Vec::new();
+    for (w, h) in CHIPS {
+        let design = format!("design.{w}x{h}");
+        let decompose = || {
+            let model = thermal_model_for_grid(w, h);
+            let _t = ScopedTimer::start(&reg, &design);
+            RotationPeakSolver::new(model).expect("eigendecomposition succeeds")
+        };
+        // Three samples; the last solver prices the rotation.
+        for _ in 0..2 {
+            decompose();
+        }
+        let chip = decompose();
+        nodes.push(chip.model().node_count());
+        let seq = full_load_sequence(w * h, 8, 0.5e-3);
+        let _ = chip.peak_celsius(&seq).expect("peak computes");
+        let alg1 = format!("alg1.{w}x{h}");
+        for _ in 0..2_000 {
+            let _t = ScopedTimer::start(&reg, &alg1);
+            std::hint::black_box(chip.peak_celsius(&seq).expect("peak computes"));
+        }
+    }
+
     // The engine's transient step. A warm state one interval past its
     // full readout, advanced under the same power, is certified by its
     // anchor: only the junctions are read out. The first advance from
@@ -187,12 +253,6 @@ fn main() {
         "GEMM backend: {}",
         report.meta_value("gemm_backend").unwrap_or("unknown")
     );
-    if let Some(h) = report.histogram("design.eigendecomposition") {
-        println!(
-            "design-time phase (eigendecomposition of N=192 nodes): {:.1} ms",
-            h.max_us / 1e3
-        );
-    }
     for delta in [4usize, 8, 16] {
         if let Some(h) = report.histogram(&format!("alg1.delta{delta}")) {
             print_summary(
@@ -215,6 +275,25 @@ fn main() {
             );
         }
     }
+    println!("Sixteen candidate rotations, delta = 8, priced by one batch and by a serial loop:");
+    let serial = report
+        .histogram("alg1.batch16.serial")
+        .expect("timed above");
+    let batch = report
+        .histogram("alg1.batch16.batched")
+        .expect("timed above");
+    print_summary("batch16", "batch16", "serial loop", serial);
+    print_summary("batch16", "batch16", "batched", batch);
+    let speedup = serial.mean_us / batch.mean_us;
+    println!(
+        "batch16: batched {speedup:.2}x the serial loop (gate: >= 2x), \
+         agreeing within {disagreement:.1e} C (gate: <= 1e-9 C)"
+    );
+    println!("csv,overhead,batch16,speedup,{speedup:.4},{disagreement:e}");
+    assert!(
+        speedup >= 2.0,
+        "the batch must be at least 2x the serial loop, got {speedup:.2}x"
+    );
     println!("Algorithm 2 placement probe, every slot of the 8x8 chip occupied, tau = 0.5 ms:");
     for (label, name) in [
         ("explicit sequences", "alg2.explicit"),
@@ -231,6 +310,31 @@ fn main() {
     println!("A one-ring trial on the full chip in a warm probe session:");
     if let Some(h) = report.histogram("alg2.session.trial") {
         print_summary("8x8 probe", "probe-trial", "warm session", h);
+    }
+    println!(
+        "Node scaling (section V): algorithm 1 at delta = 8, the design-time eigendecomposition:"
+    );
+    for ((w, h), n) in CHIPS.into_iter().zip(nodes) {
+        let alg1 = report
+            .histogram(&format!("alg1.{w}x{h}"))
+            .expect("timed above");
+        let design = report
+            .histogram(&format!("design.{w}x{h}"))
+            .expect("timed above");
+        println!(
+            "N={n:>3} ({w}x{h}): algorithm 1 mean {:>8.2} us | p50 {:>8.2} us | \
+             eigendecomposition mean {:>6.2} ms ({} reps)",
+            alg1.mean_us,
+            alg1.p50_us,
+            design.mean_us / 1e3,
+            design.count
+        );
+        println!(
+            "csv,overhead,nodes,{n},{:.4},{:.4},{:.4}",
+            alg1.mean_us,
+            alg1.p50_us,
+            design.mean_us / 1e3
+        );
     }
     println!("The engine's transient step on the 8x8 chip, dt = 100 us:");
     for (label, name) in [

@@ -1,6 +1,5 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::{FaultError, FaultPlan, Result};
 
@@ -12,7 +11,7 @@ pub type SensorReading = Option<f64>;
 ///
 /// The engine folds these into `Metrics` so a chaos run reports exactly
 /// how much abuse it absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultStats {
     /// Readings perturbed by Gaussian noise.
     pub noisy_readings: u64,

@@ -8,7 +8,7 @@
 //! This crate supplies the three pieces the engine composes into a
 //! graceful-degradation chain:
 //!
-//! * [`FaultPlan`] — a seed-driven, serde-visible description of *what*
+//! * [`FaultPlan`] — a seed-driven, plain-data description of *what*
 //!   to inject: per-interval sensor faults (Gaussian noise, stuck-at-
 //!   last-value, dropout), migration failures with a blackout window,
 //!   and transient power spikes. All rates default to zero; a default

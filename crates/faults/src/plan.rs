@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{FaultError, Result};
 
-/// A deterministic, serde-visible fault-injection plan.
+/// A deterministic fault-injection plan.
 ///
 /// All rates are per-draw probabilities in `[0, 1]` and default to zero:
 /// `FaultPlan::default()` is *inert* ([`is_inert`](FaultPlan::is_inert)
@@ -29,7 +27,7 @@ use crate::{FaultError, Result};
 /// assert!(plan.validate().is_ok());
 /// assert!(FaultPlan::default().is_inert());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// RNG seed; the whole fault sequence is a pure function of the seed
     /// and the engine's call order.

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rings::RingSet;
 use crate::{FloorplanError, Result};
 
@@ -10,7 +8,7 @@ use crate::{FloorplanError, Result};
 /// Cores are numbered row-major: core `y * width + x` sits at column `x`,
 /// row `y` — the numbering used in the paper's Fig. 1 (a 4×4 chip whose
 /// centre cores are 5, 6, 9 and 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub usize);
 
 impl CoreId {
@@ -33,7 +31,7 @@ impl From<usize> for CoreId {
 }
 
 /// A grid coordinate `(x, y)` with `x` the column and `y` the row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Column, `0 ≤ x < width`.
     pub x: usize,
@@ -72,7 +70,7 @@ impl fmt::Display for Coord {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridFloorplan {
     width: usize,
     height: usize,

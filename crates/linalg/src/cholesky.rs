@@ -5,30 +5,39 @@
 //! as partial-pivoting LU, needs no pivoting, and — usefully for
 //! validation — *fails exactly when the input is not positive definite*,
 //! which turns "is this assembled RC network physical?" into a cheap
-//! decidable check (see [`Matrix::is_positive_definite`]).
+//! decidable check. hp-thermal's `RcThermalModel::validate` runs it on
+//! every assembled model and reports the failing pivot.
 
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Matrix, Result};
 
 /// A Cholesky factorization `A = L·Lᵀ` of a symmetric positive definite
-/// matrix (`L` lower triangular with positive diagonal).
+/// matrix (`L` lower triangular with positive diagonal). It exists
+/// exactly when the matrix is symmetric positive definite, so
+/// constructing one is the check.
 ///
 /// # Example
 ///
 /// ```
-/// use hp_linalg::{cholesky::CholeskyDecomposition, Matrix, Vector};
+/// use hp_linalg::{cholesky::CholeskyDecomposition, LinalgError, Matrix};
 ///
 /// # fn main() -> Result<(), hp_linalg::LinalgError> {
-/// let b = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-/// let chol = CholeskyDecomposition::new(&b)?;
-/// let x = chol.solve(&Vector::from(vec![9.0, 7.0]))?;
-/// let residual = (&b.mul_vector(&x) - &Vector::from(vec![9.0, 7.0])).norm_inf();
-/// assert!(residual < 1e-12);
+/// // A conductance-shaped matrix (diagonally dominant) is SPD...
+/// let b = Matrix::from_rows(&[&[4.0, -1.0], &[-1.0, 3.0]])?;
+/// assert!(CholeskyDecomposition::new(&b).is_ok());
+/// // ...a symmetric matrix with a negative eigenvalue is not.
+/// let indefinite = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]])?;
+/// assert!(matches!(
+///     CholeskyDecomposition::new(&indefinite),
+///     Err(LinalgError::Singular { pivot: 1 })
+/// ));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct CholeskyDecomposition {
-    /// Lower-triangular factor, stored densely (upper part zero).
+    /// Lower-triangular factor, stored densely (upper part zero). The
+    /// library asks only whether it exists; the tests check its values.
+    #[cfg_attr(not(test), allow(dead_code))]
     l: Matrix,
 }
 
@@ -86,73 +95,6 @@ impl CholeskyDecomposition {
         }
         Ok(CholeskyDecomposition { l })
     }
-
-    /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// The lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Solves `A·x = b` by forward/backward substitution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &Vector) -> Result<Vector> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky solve",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        // L·y = b.
-        let mut x = Vector::zeros(n);
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * x[j];
-            }
-            x[i] = s / self.l[(i, i)];
-        }
-        // Lᵀ·x = y.
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.l[(j, i)] * x[j];
-            }
-            x[i] = s / self.l[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Determinant (product of squared diagonal entries of `L`).
-    pub fn determinant(&self) -> f64 {
-        let mut det = 1.0;
-        for i in 0..self.dim() {
-            det *= self.l[(i, i)] * self.l[(i, i)];
-        }
-        det
-    }
-
-    /// Log-determinant, numerically stable for large well-conditioned
-    /// systems where the determinant itself would overflow.
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.dim()).map(|i| 2.0 * self.l[(i, i)].ln()).sum()
-    }
-}
-
-impl Matrix {
-    /// Returns `true` if the matrix is symmetric positive definite
-    /// (decided by attempting a Cholesky factorization).
-    pub fn is_positive_definite(&self) -> bool {
-        CholeskyDecomposition::new(self).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -166,29 +108,9 @@ mod tests {
     #[test]
     fn factor_reconstructs() {
         let a = spd3();
-        let chol = CholeskyDecomposition::new(&a).unwrap();
-        let l = chol.l();
+        let l = CholeskyDecomposition::new(&a).unwrap().l;
         let llt = l.mul_matrix(&l.transpose()).unwrap();
         assert!((&llt - &a).norm_inf() < 1e-12);
-    }
-
-    #[test]
-    fn solve_matches_lu() {
-        let a = spd3();
-        let b = Vector::from(vec![1.0, -2.0, 4.0]);
-        let x_chol = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
-        let x_lu = a.lu().unwrap().solve(&b).unwrap();
-        assert!((&x_chol - &x_lu).norm_inf() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_matches_lu() {
-        let a = spd3();
-        let d_chol = CholeskyDecomposition::new(&a).unwrap().determinant();
-        let d_lu = a.lu().unwrap().determinant();
-        assert!((d_chol - d_lu).abs() < 1e-9 * d_lu.abs());
-        let logd = CholeskyDecomposition::new(&a).unwrap().log_determinant();
-        assert!((logd - d_lu.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -199,7 +121,6 @@ mod tests {
             CholeskyDecomposition::new(&a),
             Err(LinalgError::Singular { .. })
         ));
-        assert!(!a.is_positive_definite());
     }
 
     #[test]
@@ -217,9 +138,8 @@ mod tests {
 
     #[test]
     fn identity_factors_to_identity() {
-        let chol = CholeskyDecomposition::new(&Matrix::identity(4)).unwrap();
-        assert!((&(chol.l().clone()) - &Matrix::identity(4)).norm_inf() < 1e-15);
-        assert_eq!(chol.determinant(), 1.0);
+        let l = CholeskyDecomposition::new(&Matrix::identity(4)).unwrap().l;
+        assert!((&l - &Matrix::identity(4)).norm_inf() < 1e-15);
     }
 
     #[test]
@@ -235,11 +155,14 @@ mod tests {
         for i in 0..4 {
             b[(i, i)] += 0.1;
         }
-        assert!(b.is_positive_definite());
+        assert!(CholeskyDecomposition::new(&b).is_ok());
         // ...but the pure Laplacian (singular) is not.
         for i in 0..4 {
             b[(i, i)] -= 0.1;
         }
-        assert!(!b.is_positive_definite());
+        assert!(matches!(
+            CholeskyDecomposition::new(&b),
+            Err(LinalgError::Singular { .. })
+        ));
     }
 }

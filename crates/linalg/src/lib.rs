@@ -14,8 +14,8 @@
 //! * [`LuDecomposition`] — partial-pivoting LU with solve / inverse /
 //!   determinant.
 //! * [`CholeskyDecomposition`] — pivot-free `L·Lᵀ` factorization for SPD
-//!   matrices; doubles as the positive-definiteness check for assembled
-//!   RC networks.
+//!   matrices, used as the positive-definiteness check for assembled RC
+//!   networks.
 //! * [`SymmetricEigen`] — Householder tridiagonalization + implicit-shift
 //!   QL for symmetric matrices, plus the diagonal-congruence transform used
 //!   to factorize `C = -A⁻¹B` when `A` is diagonal positive and `B` is

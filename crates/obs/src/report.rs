@@ -3,18 +3,16 @@
 //!
 //! Counters and gauges are seed-deterministic; histogram blocks hold
 //! wall-clock timings and are expected to differ between runs
-//! (DESIGN.md §10). Entries are stored as sorted vectors rather than
-//! maps so the derived vendored-serde impls apply and ordering stays
-//! deterministic. The `hp-report-v1` document is written and read by
-//! `hp_sim::codec`, which declares these types' members (DESIGN.md §13).
-
-use serde::{Deserialize, Serialize};
+//! (DESIGN.md §10). Entries are stored as vectors sorted by name, so
+//! their order is deterministic. The `hp-report-v1` document is written
+//! and read by `hp_sim::codec`, which declares these types' members
+//! (DESIGN.md §13).
 
 /// Magic schema tag written to and required from every report document.
 pub const SCHEMA: &str = "hp-report-v1";
 
 /// A named monotonic counter value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CounterEntry {
     /// Dotted counter name, e.g. `engine.intervals`.
     pub name: String,
@@ -23,7 +21,7 @@ pub struct CounterEntry {
 }
 
 /// A named point-in-time gauge value.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GaugeEntry {
     /// Dotted gauge name, e.g. `metrics.peak_celsius`.
     pub name: String,
@@ -32,7 +30,7 @@ pub struct GaugeEntry {
 }
 
 /// Percentile summary of one duration histogram, in microseconds.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramSummary {
     /// Number of observations.
     pub count: u64,
@@ -47,7 +45,7 @@ pub struct HistogramSummary {
 }
 
 /// A named duration histogram summary.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HistogramEntry {
     /// Dotted histogram name, e.g. `hook.schedule`.
     pub name: String,
@@ -56,7 +54,7 @@ pub struct HistogramEntry {
 }
 
 /// A named free-form metadata string.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetaEntry {
     /// Metadata key, e.g. `gemm_backend`.
     pub name: String,
@@ -65,7 +63,7 @@ pub struct MetaEntry {
 }
 
 /// One timestamped run event (degradations, DTM trips, aborts).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReportEvent {
     /// Simulated time of the event, seconds.
     pub time_seconds: f64,
@@ -80,7 +78,7 @@ pub struct ReportEvent {
 /// Produced by [`Registry::snapshot`](crate::Registry::snapshot),
 /// merged across layers via [`merge_prefixed`](RunReport::merge_prefixed),
 /// embedded in `hp_sim::Metrics`, and written by `hp simulate --report`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunReport {
     /// Seed-deterministic counters, sorted by name.
     pub counters: Vec<CounterEntry>,

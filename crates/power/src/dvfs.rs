@@ -1,11 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{PowerError, Result};
 
 /// An index into a [`DvfsLadder`]: level `0` is the slowest operating point.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DvfsLevel(pub usize);
 
 impl DvfsLevel {
@@ -44,7 +40,7 @@ impl std::fmt::Display for DvfsLevel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsLadder {
     f_min_ghz: f64,
     f_max_ghz: f64,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{PowerError, Result};
 
 /// Per-core power model: switching power plus temperature-dependent leakage.
@@ -26,7 +24,7 @@ use crate::{PowerError, Result};
 /// let throttled = m.core_power(2.0, 0.8, 1.0, 45.0);
 /// assert!(throttled < hot / 2.0); // DVFS is super-linear in power
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Effective switched capacitance at full activity, in nF (10⁻⁹ F).
     pub c_eff_nf: f64,

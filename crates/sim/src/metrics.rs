@@ -1,8 +1,7 @@
 use hp_workload::JobId;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// The job.
     pub job: JobId,
@@ -38,7 +37,7 @@ impl JobRecord {
 ///
 /// All counters are zero (and `min_sensor_confidence` is `1.0`) for a
 /// run without faults and without DTM engagement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Robustness {
     /// Whether the fault layer was engaged at all this run.
     pub faults_enabled: bool,
@@ -92,7 +91,7 @@ impl Default for Robustness {
 }
 
 /// Aggregate results of a simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metrics {
     /// Per-job outcomes, in job-id order.
     pub jobs: Vec<JobRecord>,

@@ -1,9 +1,7 @@
 use std::io::{self, Write};
 
-use serde::{Deserialize, Serialize};
-
 /// What kind of degradation transition a [`TraceEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// The DTM watchdog latch engaged (temperature reached `t_dtm`).
     WatchdogEngaged,
@@ -56,7 +54,7 @@ impl crate::codec::Labelled for TraceEventKind {
 /// One timestamped degradation transition, recorded unconditionally
 /// (independent of [`record_trace`](crate::SimConfig::record_trace) —
 /// events are sparse; temperature samples are not).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Simulated time of the transition, s.
     pub time_seconds: f64,
@@ -68,7 +66,7 @@ pub struct TraceEvent {
 
 /// A recorded per-interval temperature trace (the raw material of the
 /// paper's Fig. 2 thermal plots) plus the run's degradation event log.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TemperatureTrace {
     times: Vec<f64>,
     /// `temps[k][c]` = junction temperature of core `c` at `times[k]`, °C.

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, ThermalError};
 
 /// Package and material parameters of the compact RC thermal model.
@@ -27,7 +25,7 @@ use crate::{Result, ThermalError};
 /// };
 /// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalConfig {
     /// Ambient temperature in °C (paper: 45 °C).
     pub ambient: f64,

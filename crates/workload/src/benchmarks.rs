@@ -1,5 +1,4 @@
 use hp_manycore::WorkPoint;
-use serde::{Deserialize, Serialize};
 
 use crate::{PhaseWork, TaskPhase, TaskSpec};
 
@@ -23,7 +22,7 @@ use crate::{PhaseWork, TaskPhase, TaskSpec};
 /// let hot = Benchmark::Swaptions.work_point();
 /// assert!(cool.l1_mpki > 10.0 * hot.l1_mpki);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// Option pricing; compute-bound with a serial master–slave structure.
     Blackscholes,

@@ -1,11 +1,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{Benchmark, TaskSpec};
 
 /// Identifier of a job (task instance) inside a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub usize);
 
 impl std::fmt::Display for JobId {
@@ -15,7 +14,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// A task instance submitted to the system at a given time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Unique id within the workload.
     pub id: JobId,

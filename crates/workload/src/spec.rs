@@ -1,11 +1,10 @@
 use hp_manycore::WorkPoint;
-use serde::{Deserialize, Serialize};
 
 /// The work one thread performs during one barrier-separated phase.
 ///
 /// `instructions == 0` means the thread is idle for the entire phase
 /// (e.g. a slave thread during a serial master phase).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseWork {
     /// Instructions to retire in this phase (0 = idle).
     pub instructions: u64,
@@ -34,7 +33,7 @@ impl PhaseWork {
 /// early finishers idle-wait at the barrier (consuming idle power), which
 /// is how the master–slave alternation of *blackscholes* manifests
 /// thermally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskPhase {
     per_thread: Vec<PhaseWork>,
 }
@@ -95,7 +94,7 @@ impl TaskPhase {
 /// assert_eq!(spec.thread_count(), 2);
 /// assert_eq!(spec.total_instructions(), 3_000_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     name: String,
     phases: Vec<TaskPhase>,

@@ -11,7 +11,7 @@ use hotpotato::{HotPotato, HotPotatoConfig};
 use hp_manycore::{ArchConfig, Machine};
 use hp_sched::PcMig;
 use hp_sim::{SimConfig, Simulation};
-use hp_thermal::{RcThermalModel, ThermalConfig};
+use hp_thermal::ThermalConfig;
 use hp_workload::open_poisson;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,8 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for which in ["hotpotato", "pcmig"] {
         let machine = Machine::new(ArchConfig::default())?;
-        let model = RcThermalModel::new(machine.floorplan(), &ThermalConfig::default())?;
         let mut sim = Simulation::new(machine, ThermalConfig::default(), sim_config)?;
+        // The scheduler shares the simulation's model and its basis.
+        let model = sim.thermal().clone();
         let metrics = match which {
             "hotpotato" => {
                 let mut s = HotPotato::new(model, HotPotatoConfig::default())?;

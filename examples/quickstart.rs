@@ -7,11 +7,10 @@
 //! ```
 
 use hotpotato::{EpochPowerSequence, HotPotato, HotPotatoConfig, RotationPeakSolver};
-use hp_floorplan::GridFloorplan;
 use hp_linalg::Vector;
 use hp_manycore::{ArchConfig, Machine};
 use hp_sim::{SimConfig, Simulation};
-use hp_thermal::{RcThermalModel, ThermalConfig};
+use hp_thermal::ThermalConfig;
 use hp_workload::{Benchmark, Job, JobId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,14 +22,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         machine.rings().len()
     );
 
-    // 2. The thermal model and the rotation analytics (Algorithm 1).
-    let floorplan = GridFloorplan::new(8, 8)?;
-    let model = RcThermalModel::new(&floorplan, &ThermalConfig::default())?;
-    let solver = RotationPeakSolver::new(model.clone())?;
+    // 2. The simulation builds the chip's thermal model; the rotation
+    //    analytics (Algorithm 1) and the scheduler share it, so the chip
+    //    is decomposed once.
+    let mut sim = Simulation::new(machine, ThermalConfig::default(), SimConfig::default())?;
+    let solver = RotationPeakSolver::new(sim.thermal().clone())?;
 
     // Is it safe to rotate two 7 W threads (sitting opposite each other)
     // around the innermost ring at tau = 0.5 ms? Build the per-epoch power
     // maps of one rotation period and ask.
+    let machine = sim.machine();
     let ring = machine.rings().ring(0);
     let delta = ring.capacity();
     let epochs: Vec<Vector> = (0..delta)
@@ -63,8 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             arrival: 0.0,
         },
     ];
-    let mut sim = Simulation::new(machine, ThermalConfig::default(), SimConfig::default())?;
-    let mut scheduler = HotPotato::new(model, HotPotatoConfig::default())?;
+    let mut scheduler = HotPotato::new(sim.thermal().clone(), HotPotatoConfig::default())?;
     let metrics = sim.run(jobs, &mut scheduler)?;
     for job in &metrics.jobs {
         println!(

@@ -10,7 +10,7 @@
 //! ```
 
 use hotpotato::{HotPotato, HotPotatoConfig};
-use hp_floorplan::{CoreId, GridFloorplan};
+use hp_floorplan::CoreId;
 use hp_manycore::{ArchConfig, Machine};
 use hp_sched::TspUniform;
 use hp_sim::schedulers::PinnedScheduler;
@@ -27,14 +27,6 @@ fn machine() -> Machine {
     .expect("valid 4x4 config")
 }
 
-fn model() -> RcThermalModel {
-    RcThermalModel::new(
-        &GridFloorplan::new(4, 4).expect("non-empty grid"),
-        &ThermalConfig::default(),
-    )
-    .expect("valid thermal config")
-}
-
 fn jobs() -> Vec<Job> {
     vec![Job {
         id: JobId(0),
@@ -44,7 +36,12 @@ fn jobs() -> Vec<Job> {
     }]
 }
 
-fn run_with(scheduler: &mut dyn Scheduler, dtm: bool) -> (Metrics, TemperatureTrace) {
+/// Runs the workload under the scheduler `build` makes from the
+/// simulation's thermal model (a clone shares its basis).
+fn run_with<S: Scheduler>(
+    dtm: bool,
+    build: impl FnOnce(RcThermalModel) -> S,
+) -> (Metrics, TemperatureTrace) {
     let mut sim = Simulation::new(
         machine(),
         ThermalConfig::default(),
@@ -55,7 +52,8 @@ fn run_with(scheduler: &mut dyn Scheduler, dtm: bool) -> (Metrics, TemperatureTr
         },
     )
     .expect("valid sim config");
-    let metrics = sim.run(jobs(), scheduler).expect("run completes");
+    let mut scheduler = build(sim.thermal().clone());
+    let metrics = sim.run(jobs(), &mut scheduler).expect("run completes");
     (metrics, sim.trace().clone())
 }
 
@@ -83,8 +81,9 @@ fn main() {
     println!("Two-threaded blackscholes on the centre of a 16-core chip.");
     println!("Thermal threshold: 70 C. Scale: 1 = 45 C ... 8 = 85 C.\n");
 
-    let mut pinned = PinnedScheduler::with_preferred_cores(vec![CoreId(5), CoreId(10)]);
-    let (m, t) = run_with(&mut pinned, false);
+    let (m, t) = run_with(false, |_| {
+        PinnedScheduler::with_preferred_cores(vec![CoreId(5), CoreId(10)])
+    });
     println!("unmanaged  |{}|", sparkline(&t, 60));
     println!(
         "           response {:.1} ms, peak {:.1} C  <-- {} the 70 C threshold\n",
@@ -97,8 +96,9 @@ fn main() {
         }
     );
 
-    let mut tsp = TspUniform::new(model()).with_preferred_cores(vec![CoreId(5), CoreId(10)]);
-    let (m, t) = run_with(&mut tsp, true);
+    let (m, t) = run_with(true, |model| {
+        TspUniform::new(model).with_preferred_cores(vec![CoreId(5), CoreId(10)])
+    });
     println!("TSP / DVFS |{}|", sparkline(&t, 60));
     println!(
         "           response {:.1} ms, peak {:.1} C (slow but safe)\n",
@@ -106,8 +106,9 @@ fn main() {
         m.peak_temperature
     );
 
-    let mut hp = HotPotato::new(model(), HotPotatoConfig::default()).expect("valid config");
-    let (m, t) = run_with(&mut hp, true);
+    let (m, t) = run_with(true, |model| {
+        HotPotato::new(model, HotPotatoConfig::default()).expect("valid config")
+    });
     println!("HotPotato  |{}|", sparkline(&t, 60));
     println!(
         "           response {:.1} ms, peak {:.1} C, {} rotations (fast AND safe)",

@@ -104,9 +104,8 @@ fn render(m: &Metrics, trace: &TemperatureTrace) -> String {
     out
 }
 
-/// Minimal JSON field extraction — the workspace deliberately carries no
-/// JSON backend (vendored serde is value-level only), and the fixture's
-/// shape is fixed, so scalar fields and one flat number array suffice.
+/// Minimal JSON field extraction: the fixture's shape is fixed, so scalar
+/// fields and one flat number array suffice.
 fn field_num(json: &str, name: &str) -> f64 {
     let key = format!("\"{name}\":");
     let at = json
