@@ -16,12 +16,15 @@
 //! scheduler's common case, a trial that changes one ring of the full
 //! chip in a warm probe session, (e) the §V node scaling: Algorithm 1
 //! at δ = 8 and the design-time eigendecomposition on the 4×4, 6×6, 8×8
-//! and 10×10 chips, and (f) the engine's transient step at its
+//! and 10×10 chips, (f) the engine's transient step at its
 //! 100 µs interval, on a warm state whose readout certificate clears the
 //! spreader and sink rows (a junction-only readout) and on the first
-//! step from `initial_state` (a full readout) — all through the shared
-//! [`hp_obs`] profiler, so the output reports the same p50/p95/max
-//! percentiles the engine records for live scheduler hooks.
+//! step from `initial_state` (a full readout), and (g) one TSP budget of
+//! a 32-core mapping on the 8×8 chip with its junction-influence block
+//! `R_J` warm (the DVFS baselines' work on a budget-cache miss) and the
+//! first use that builds `R_J` — all through the shared [`hp_obs`]
+//! profiler, so the output reports the same p50/p95/max percentiles the
+//! engine records for live scheduler hooks.
 
 // The binary builds the explicit probe sequences and times the serial
 // loop with the differential tests' own references, and uses nothing
@@ -32,11 +35,11 @@ mod support;
 
 use hotpotato::{EpochPowerSequence, RingRotation, RotationPeakSolver};
 use hp_experiments::thermal_model_for_grid;
-use hp_floorplan::GridFloorplan;
+use hp_floorplan::{CoreId, GridFloorplan};
 use hp_linalg::Vector;
 use hp_obs::{Registry, ScopedTimer};
 use hp_power::IDLE_WATTS;
-use hp_thermal::TransientSolver;
+use hp_thermal::{tsp, TransientSolver};
 use support::{explicit_probe_sequences, peak_celsius_sampled_serial};
 
 fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
@@ -247,6 +250,22 @@ fn main() {
             .expect("advance computes");
     }
 
+    // TSP's uniform budget: `R_J`'s first build, each on a fresh model
+    // (a clone would share it), then one 32-core mapping with `R_J` warm.
+    for _ in 0..5 {
+        let fresh = thermal_model_for_grid(8, 8);
+        let _t = ScopedTimer::start(&reg, "tsp.junction_influence");
+        fresh.junction_influence().expect("R_J builds");
+    }
+    let mapping: Vec<CoreId> = (0..64).step_by(2).map(CoreId).collect();
+    let _ = tsp::budget(&thermal, &mapping, 70.0, IDLE_WATTS).expect("budget computes");
+    for _ in 0..10_000 {
+        let _t = ScopedTimer::start(&reg, "tsp.budget");
+        std::hint::black_box(
+            tsp::budget(&thermal, &mapping, 70.0, IDLE_WATTS).expect("budget computes"),
+        );
+    }
+
     let report = reg.snapshot();
     println!("Run-time overhead on the 64-core chip (paper: 23.76 us per schedule)");
     println!(
@@ -343,6 +362,15 @@ fn main() {
     ] {
         if let Some(h) = report.histogram(name) {
             print_summary("8x8 step", "thermal-step", label, h);
+        }
+    }
+    println!("TSP's uniform budget on the 8x8 chip, every other core active (32):");
+    for (label, name) in [
+        ("R_J first build", "tsp.junction_influence"),
+        ("budget on a warm R_J", "tsp.budget"),
+    ] {
+        if let Some(h) = report.histogram(name) {
+            print_summary("8x8 tsp", "tsp-budget", label, h);
         }
     }
 }

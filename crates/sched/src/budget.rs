@@ -122,6 +122,10 @@ impl Throttle {
 /// `budget_watts` (assuming worst-case junction temperature `temp_c` for
 /// the leakage term). Falls back to the minimum level when even that
 /// exceeds the budget.
+///
+/// Power is monotone in level, so the levels that fit form a prefix of
+/// the ladder: bisection finds its end in about five power evaluations
+/// where a scan from the bottom took up to one per level.
 fn fastest_level_within(
     machine: &Machine,
     work: &WorkPoint,
@@ -129,20 +133,22 @@ fn fastest_level_within(
     budget_watts: f64,
     temp_c: f64,
 ) -> DvfsLevel {
-    let ladder = &machine.config().dvfs;
-    let mut best = ladder.min_level();
-    for level in ladder.levels() {
-        let Ok(stack) = machine.cpi_stack_at_level(work, core, level) else {
-            break;
-        };
-        let p = machine.core_power(&stack, level, temp_c);
-        if p <= budget_watts {
-            best = level;
+    let fits = |level: DvfsLevel| {
+        machine
+            .cpi_stack_at_level(work, core, level)
+            .is_ok_and(|stack| machine.core_power(&stack, level, temp_c) <= budget_watts)
+    };
+    // Every level below `lo` fits; none from `hi` on does.
+    let (mut lo, mut hi) = (0, machine.config().dvfs.level_count());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fits(DvfsLevel(mid)) {
+            lo = mid + 1;
         } else {
-            break; // power is monotone in level
+            hi = mid;
         }
     }
-    best
+    DvfsLevel(lo.saturating_sub(1))
 }
 
 #[cfg(test)]
@@ -414,6 +420,66 @@ mod tests {
         .unwrap();
         assert_eq!(placements(chain.schedule(&chip.view())), pinned);
         assert!(chain.is_degraded());
+    }
+
+    /// The ladder scan bisection replaced: the last level of the prefix
+    /// that fits, stopping at the first that does not.
+    fn scanned_level_within(
+        machine: &Machine,
+        work: &WorkPoint,
+        core: CoreId,
+        budget_watts: f64,
+        temp_c: f64,
+    ) -> DvfsLevel {
+        let ladder = &machine.config().dvfs;
+        let mut best = ladder.min_level();
+        for level in ladder.levels() {
+            let Ok(stack) = machine.cpi_stack_at_level(work, core, level) else {
+                break;
+            };
+            if machine.core_power(&stack, level, temp_c) <= budget_watts {
+                best = level;
+            } else {
+                break;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn bisection_picks_the_scanned_level_at_every_boundary() {
+        let m = Machine::new(ArchConfig::default()).unwrap();
+        let mut points: Vec<WorkPoint> = Vec::new();
+        for benchmark in Benchmark::all() {
+            let spec = benchmark.spec(4);
+            for phase in spec.phases() {
+                for t in 0..phase.thread_count() {
+                    let work = phase.thread(t).work;
+                    if !work.is_idle() && !points.contains(&work) {
+                        points.push(work);
+                    }
+                }
+            }
+        }
+        assert!(points.len() >= Benchmark::all().len());
+        let ladder = &m.config().dvfs;
+        for work in &points {
+            for core in (0..m.core_count()).map(CoreId) {
+                let mut budgets = vec![0.0, 100.0];
+                for level in ladder.levels() {
+                    let stack = m.cpi_stack_at_level(work, core, level).unwrap();
+                    let p = m.core_power(&stack, level, 70.0);
+                    budgets.extend([p.next_down(), p, p.next_up()]);
+                }
+                for budget in budgets {
+                    assert_eq!(
+                        fastest_level_within(&m, work, core, budget, 70.0),
+                        scanned_level_within(&m, work, core, budget, 70.0),
+                        "{work:?} on {core} within {budget} W"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -91,6 +91,8 @@ pub struct RcThermalModel {
     a_diag: Vector,
     b: Matrix,
     g: Vector,
+    /// The LU factorization of `B`, solved by the steady state, the
+    /// health screen and `R_J`'s one-time build, never on a hook path.
     b_lu: LuDecomposition,
     /// Cached ambient response `B⁻¹·G·T_amb` (temperature with zero power).
     ambient_response: Vector,
@@ -98,6 +100,10 @@ pub struct RcThermalModel {
     /// call. The cell itself sits behind the `Arc`, so clones taken before
     /// that call share it too.
     basis: Arc<OnceLock<Arc<ModalBasis>>>,
+    /// `R_J`, built by the first
+    /// [`junction_influence`](RcThermalModel::junction_influence) call and
+    /// shared with every clone as the basis is.
+    junction: Arc<OnceLock<Matrix>>,
 }
 
 impl RcThermalModel {
@@ -207,6 +213,7 @@ impl RcThermalModel {
             b_lu,
             ambient_response,
             basis: Arc::default(),
+            junction: Arc::default(),
         })
     }
 
@@ -240,11 +247,6 @@ impl RcThermalModel {
         &self.g
     }
 
-    /// Cached LU factorization of `B`.
-    pub fn b_lu(&self) -> &LuDecomposition {
-        &self.b_lu
-    }
-
     /// The ambient response `B⁻¹·G·T_amb`: node temperatures with zero power.
     pub fn ambient_response(&self) -> &Vector {
         &self.ambient_response
@@ -269,6 +271,44 @@ impl RcThermalModel {
         let eigen = SystemEigen::new(&self.a_diag, &self.b)?;
         let basis = Arc::new(ModalBasis::new(self, eigen)?);
         Ok(self.basis.get_or_init(|| basis))
+    }
+
+    /// The junction-influence block `R_J`, °C/W, row-major: entry
+    /// `(i, j)` is junction `i`'s steady rise per W dissipated at junction
+    /// `j`. It is the `cores × cores` junction block of `B⁻¹`, the thermal
+    /// resistance matrix TSP (paper \[14\]) budgets with: with power `p`
+    /// (W) on the junctions, the steady junction temperatures are the
+    /// junction rows of [`ambient_response`](Self::ambient_response) plus
+    /// `R_J·p`.
+    ///
+    /// The first call builds it from the LU factorization of `B`, one
+    /// solve per core (about 2 ms on the 8×8 chip), never from the modal
+    /// basis: TSP is the fallback chain's safe mode when an Algorithm-1
+    /// evaluation fails (DESIGN.md §8), so it must not depend on the
+    /// eigendecomposition. Every later call, on this model or on any clone
+    /// of it, returns the same block. Threads racing on an unbuilt block
+    /// may each build it; all get the first one stored.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures as [`ThermalError::Linalg`]; the next
+    /// call then retries.
+    pub fn junction_influence(&self) -> Result<&Matrix> {
+        if let Some(influence) = self.junction.get() {
+            return Ok(influence);
+        }
+        let n = self.cores;
+        let mut influence = Matrix::zeros(n, n);
+        let mut unit = Vector::zeros(self.nodes);
+        for j in 0..n {
+            unit[j] = 1.0;
+            let column = self.b_lu.solve(&unit)?;
+            unit[j] = 0.0;
+            for i in 0..n {
+                influence[(i, j)] = column[i];
+            }
+        }
+        Ok(self.junction.get_or_init(|| influence))
     }
 
     /// Thermal node index of `core` in `layer`.
@@ -622,6 +662,46 @@ mod tests {
         let theirs = other.basis().unwrap();
         assert!(!std::ptr::eq(&**basis, &**theirs));
         assert_eq!(basis.fingerprint(), theirs.fingerprint());
+    }
+
+    #[test]
+    fn junction_influence_columns_are_steady_responses_to_one_watt() {
+        for (w, h) in [(4, 4), (8, 8)] {
+            let m = RcThermalModel::new(
+                &GridFloorplan::new(w, h).unwrap(),
+                &ThermalConfig::default(),
+            )
+            .unwrap();
+            let influence = m.junction_influence().unwrap();
+            let n = w * h;
+            for j in 0..n {
+                let mut unit = Vector::zeros(n);
+                unit[j] = 1.0;
+                let rise = &m.steady_state(&unit).unwrap() - m.ambient_response();
+                for i in 0..n {
+                    let got = influence[(i, j)];
+                    assert!(
+                        (got - rise[i]).abs() <= 1e-12,
+                        "R_J[{i}][{j}] = {got} vs {}",
+                        rise[i]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_junction_influence_built_without_the_basis() {
+        let m = model_4x4();
+        let early = m.clone();
+        let influence = m.junction_influence().unwrap();
+        assert!(std::ptr::eq(influence, early.junction_influence().unwrap()));
+        assert!(std::ptr::eq(
+            influence,
+            m.clone().junction_influence().unwrap()
+        ));
+        // The fallback chain's TSP rung must not depend on the basis.
+        assert!(m.basis.get().is_none());
     }
 
     #[test]

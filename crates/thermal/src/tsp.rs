@@ -6,34 +6,54 @@
 //! throttle each active core to its TSP budget; HotPotato instead keeps
 //! cores at peak power but rotates threads so the *time-averaged* power per
 //! core stays within what TSP would allow.
+//!
+//! Every budget reads junction rows only. With power on the junctions,
+//! the steady junction temperatures are `T_J = ambient_J + R_J·p`, where
+//! `ambient_J` is the junction rows of the ambient response and `R_J`
+//! the junction block of `B⁻¹`
+//! ([`RcThermalModel::junction_influence`]), built once per chip from the
+//! model's LU and shared by its clones. A budget is sums over `R_J`'s
+//! entries, with no linear solve.
 
 use hp_floorplan::CoreId;
 use hp_linalg::convert::usize_to_f64;
-use hp_linalg::Vector;
 
 use crate::{RcThermalModel, Result, ThermalError};
+
+/// Candidate budgets that round to the same multiple of this many W tie
+/// for the critical core, and the lower core index wins. Thermally
+/// symmetric junctions bind at equal budgets up to round-off, which any
+/// change in the thermal arithmetic reorders.
+const TIE_WATTS: f64 = 1e-9;
+
+/// `R_J` row sums that round to the same multiple of this many °C/W tie
+/// in [`worst_case_mapping`], and the lower core index wins.
+const TIE_CELSIUS_PER_WATT: f64 = 1e-9;
 
 /// The TSP budget for a specific mapping of active cores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TspBudget {
     /// Uniform per-core power budget (W) for the active cores.
     pub per_core_watts: f64,
-    /// The junction that binds the budget (first to reach the threshold).
+    /// The junction that binds the budget (first to reach the threshold;
+    /// of junctions that bind within 1e-9 W of each other, the lowest
+    /// index).
     pub critical_core: CoreId,
 }
 
 /// Computes the TSP budget for the mapping `active`, with all remaining
 /// cores drawing `idle_power` watts.
 ///
-/// The model is affine in power, so the junction temperature of node `i`
+/// The model is affine in power, so the junction temperature of core `i`
 /// at uniform active power `p` is
 ///
 /// ```text
-/// T_i(p) = amb_i + idle_i + p · S_i,   S_i = Σ_{j ∈ active} (B⁻¹)_{i,j}
+/// T_i(p) = amb_i + idle · Σ_{j ∉ active} R_ij + p · S_i,   S_i = Σ_{j ∈ active} R_ij
 /// ```
 ///
-/// and the budget is `min_i (T_dtm − amb_i − idle_i) / S_i` over junctions
-/// with `S_i > 0`: two linear solves, one for the baseline and one for `S`.
+/// with `R` the junction-influence block `R_J`, and the budget is
+/// `min_i (T_dtm − amb_i − idle · Σ_{j ∉ active} R_ij) / S_i` over
+/// junctions with `S_i > 0`: one pass over `R_J`.
 ///
 /// # Errors
 ///
@@ -41,6 +61,7 @@ pub struct TspBudget {
 /// * [`ThermalError::Floorplan`] for out-of-range core ids.
 /// * [`ThermalError::InvalidParameter`] if the idle load alone already
 ///   violates the threshold (reported on `t_dtm`).
+/// * A propagated solver error from `R_J`'s first build.
 ///
 /// # Example
 ///
@@ -67,43 +88,37 @@ pub fn budget(
         return Err(ThermalError::EmptyActiveSet);
     }
     let n = model.core_count();
+    let mut is_active = vec![false; n];
     for &c in active {
-        if c.index() >= n {
+        let Some(slot) = is_active.get_mut(c.index()) else {
             return Err(ThermalError::Floorplan(
                 hp_floorplan::FloorplanError::CoreOutOfRange {
                     core: c.index(),
                     cores: n,
                 },
             ));
-        }
+        };
+        *slot = true;
     }
-
-    // Baseline: ambient + idle power on the inactive cores (active cores
-    // contribute 0 W in the baseline; their power is the unknown).
-    let mut idle_map = Vector::constant(n, idle_power);
-    for &c in active {
-        idle_map[c.index()] = 0.0;
-    }
-    let baseline = model.steady_state(&idle_map)?;
-
-    // Sensitivity S = B^{-1} · 1_active restricted to junction rows.
-    let indicator = {
-        let mut p = Vector::zeros(n);
-        for &c in active {
-            p[c.index()] = 1.0;
-        }
-        model.expand_power(&p)?
-    };
-    let sensitivity = model.b_lu().solve(&indicator)?;
+    let resistance = model.junction_influence()?;
 
     let mut best = f64::INFINITY;
-    let mut critical = active[0];
-    for i in 0..n {
-        let s = sensitivity[i];
+    // The rounded key and index of the binding junction.
+    let mut critical: Option<(f64, usize)> = None;
+    for (i, &ambient) in model.ambient_response().iter().take(n).enumerate() {
+        // S_i over the active columns, the idle rise over the rest.
+        let (mut s, mut idle) = (0.0, 0.0);
+        for (&r, &on) in resistance.row(i).iter().zip(&is_active) {
+            if on {
+                s += r;
+            } else {
+                idle += r;
+            }
+        }
         if s <= 0.0 {
             continue;
         }
-        let headroom = t_dtm - baseline[i];
+        let headroom = t_dtm - (ambient + idle_power * idle);
         if headroom <= 0.0 {
             return Err(ThermalError::InvalidParameter {
                 name: "t_dtm",
@@ -111,15 +126,16 @@ pub fn budget(
             });
         }
         let p = headroom / s;
-        if p < best {
-            best = p;
-            critical = CoreId(i);
+        best = best.min(p);
+        let key = (p / TIE_WATTS).round();
+        if critical.is_none_or(|(k, _)| key < k) {
+            critical = Some((key, i));
         }
     }
 
     Ok(TspBudget {
         per_core_watts: best,
-        critical_core: critical,
+        critical_core: critical.map_or(active[0], |(_, i)| CoreId(i)),
     })
 }
 
@@ -129,12 +145,16 @@ pub fn budget(
 /// The uniform budget of [`budget`] is limited by the single most
 /// constrained junction; cooler (peripheral) cores still have headroom.
 /// This routine raises every active core's budget until *its own*
-/// junction sits at the threshold, by fixed-point iteration on the affine
-/// model:
+/// junction sits at the threshold, by under-relaxed fixed-point iteration
+/// on the junction temperatures `T = ambient_J + R_J·p`, starting from the
+/// uniform budget:
 ///
 /// ```text
-/// p_i ← p_i + (T_dtm − T_i) / (B⁻¹)_{ii}
+/// p_i ← max(0, p_i + 0.8 · (T_dtm − T_i) / (R_J)_{ii})
 /// ```
+///
+/// until every active junction is within 1e-6 °C of the threshold, for at
+/// most 200 iterations.
 ///
 /// The result allocates strictly more total power than the uniform
 /// budget whenever the mapping is thermally heterogeneous — the
@@ -154,31 +174,37 @@ pub fn per_core_budgets(
 ) -> Result<Vec<f64>> {
     // Start from the safe uniform budget.
     let uniform = budget(model, active, t_dtm, idle_power)?;
-    let n = model.core_count();
-    let mut p = Vector::constant(n, idle_power);
+    let resistance = model.junction_influence()?;
+    let ambient = model.ambient_response();
+    let mut p = vec![idle_power; model.core_count()];
     for &c in active {
         p[c.index()] = uniform.per_core_watts;
     }
-    // Diagonal sensitivities (B^{-1})_{ii} for the active junctions.
-    let mut diag = vec![0.0; active.len()];
-    for (k, &c) in active.iter().enumerate() {
-        let mut unit = Vector::zeros(n);
-        unit[c.index()] = 1.0;
-        let expanded = model.expand_power(&unit)?;
-        let col = model.b_lu().solve(&expanded)?;
-        diag[k] = col[c.index()];
-    }
+    // Diagonal sensitivities (R_J)_{ii} of the active junctions.
+    let diag: Vec<f64> = active
+        .iter()
+        .map(|c| resistance[(c.index(), c.index())])
+        .collect();
 
     const MAX_ITERS: usize = 200;
+    let mut temps = vec![0.0; active.len()];
     for _ in 0..MAX_ITERS {
-        let t = model.steady_state(&p)?;
+        // Every active junction at this iterate, before any update.
+        for (t, &c) in temps.iter_mut().zip(active) {
+            let rise: f64 = resistance
+                .row(c.index())
+                .iter()
+                .zip(&p)
+                .map(|(r, w)| r * w)
+                .sum();
+            *t = ambient[c.index()] + rise;
+        }
         let mut worst = 0.0f64;
-        for (k, &c) in active.iter().enumerate() {
-            let headroom = t_dtm - t[c.index()];
+        for ((&c, &t), &d) in active.iter().zip(&temps).zip(&diag) {
+            let headroom = t_dtm - t;
             worst = worst.max(headroom.abs());
             // Under-relaxed update keeps the coupled system stable.
-            let next = (p[c.index()] + 0.8 * headroom / diag[k]).max(0.0);
-            p[c.index()] = next;
+            p[c.index()] = (p[c.index()] + 0.8 * headroom / d).max(0.0);
         }
         if worst < 1e-6 {
             return Ok(active.iter().map(|c| p[c.index()]).collect());
@@ -198,13 +224,16 @@ pub fn per_core_budgets(
 /// directly (documented substitution — the schedulers only ever use
 /// mapping-specific budgets, this is for reporting). The model does not
 /// retain the floorplan, so the centre is found thermally: the `k`
-/// junctions with the largest `(B⁻¹·1)_i`, ties in core order.
+/// junctions with the largest `R_J` row sums (each junction's rise with
+/// 1 W on every core). Row sums that agree to 1e-9 °C/W tie, and the
+/// lower core index wins, so thermally symmetric cores are taken in core
+/// order.
 ///
 /// # Errors
 ///
 /// * [`ThermalError::EmptyActiveSet`] if `k == 0`.
 /// * [`ThermalError::InvalidParameter`] if `k` exceeds the core count.
-/// * A propagated solver error.
+/// * A propagated solver error from `R_J`'s first build.
 pub fn worst_case_mapping(model: &RcThermalModel, k: usize) -> Result<Vec<CoreId>> {
     let n = model.core_count();
     if k == 0 {
@@ -216,12 +245,15 @@ pub fn worst_case_mapping(model: &RcThermalModel, k: usize) -> Result<Vec<CoreId
             value: usize_to_f64(k),
         });
     }
-    let all = Vector::constant(n, 1.0);
-    let sens = model.b_lu().solve(&model.expand_power(&all)?)?;
-    let mut order: Vec<CoreId> = (0..n).map(CoreId).collect();
-    order.sort_by(|a, b| sens[b.index()].total_cmp(&sens[a.index()]));
-    order.truncate(k);
-    Ok(order)
+    let resistance = model.junction_influence()?;
+    let mut order: Vec<(f64, CoreId)> = (0..n)
+        .map(|i| {
+            let sum: f64 = resistance.row(i).iter().sum();
+            ((sum / TIE_CELSIUS_PER_WATT).round(), CoreId(i))
+        })
+        .collect();
+    order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    Ok(order.into_iter().take(k).map(|(_, c)| c).collect())
 }
 
 #[cfg(test)]
@@ -229,6 +261,7 @@ mod tests {
     use super::*;
     use crate::ThermalConfig;
     use hp_floorplan::GridFloorplan;
+    use hp_linalg::Vector;
 
     fn model_4x4() -> RcThermalModel {
         let fp = GridFloorplan::new(4, 4).unwrap();
@@ -377,6 +410,73 @@ mod tests {
         assert!(
             budgets[0] != budgets[1],
             "heterogeneous mapping must yield heterogeneous budgets"
+        );
+    }
+
+    /// The budget as two solves of the full model: the idle baseline and
+    /// the sensitivity `B⁻¹·1_active`, both through the model's LU.
+    fn lu_reference(model: &RcThermalModel, active: &[CoreId], t_dtm: f64, idle: f64) -> f64 {
+        let n = model.core_count();
+        let mut idle_map = Vector::constant(n, idle);
+        let mut indicator = Vector::zeros(n);
+        for &c in active {
+            idle_map[c.index()] = 0.0;
+            indicator[c.index()] = 1.0;
+        }
+        let baseline = model.steady_state(&idle_map).unwrap();
+        let sensitivity = &model.steady_state(&indicator).unwrap() - model.ambient_response();
+        (0..n)
+            .map(|i| (t_dtm - baseline[i]) / sensitivity[i])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn budget_matches_the_lu_reference() {
+        for (w, h) in [(4, 4), (8, 8)] {
+            let fp = GridFloorplan::new(w, h).unwrap();
+            let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+            let n = w * h;
+            let mappings: Vec<Vec<CoreId>> = vec![
+                vec![CoreId(0)],
+                vec![CoreId(n / 2), CoreId(n / 2 + 1)],
+                (0..n).step_by(2).map(CoreId).collect(),
+                (0..n / 2).map(CoreId).collect(),
+                worst_case_mapping(&model, n / 2).unwrap(),
+                (0..n).map(CoreId).collect(),
+            ];
+            for active in &mappings {
+                for (t_dtm, idle) in [(70.0, 0.3), (60.0, 0.0), (80.0, 1.0)] {
+                    let got = budget(&model, active, t_dtm, idle).unwrap().per_core_watts;
+                    let want = lu_reference(&model, active, t_dtm, idle);
+                    assert!(
+                        (got - want).abs() <= 1e-9,
+                        "{w}x{h}, {} active: {got} W vs {want} W",
+                        active.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thermally_symmetric_cores_tie_in_core_order() {
+        let fp = GridFloorplan::new(8, 8).unwrap();
+        let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+        // The four centre cores 27, 28, 35 and 36 are one orbit of the
+        // chip's symmetry: the lowest index wins.
+        assert_eq!(worst_case_mapping(&model, 1).unwrap(), [CoreId(27)]);
+        let mut centre = worst_case_mapping(&model, 4).unwrap();
+        assert_eq!(centre, [27usize, 28, 35, 36].map(CoreId));
+        // With all four active, each binds the budget alike.
+        centre.reverse();
+        let b = budget(&model, &centre, 70.0, 0.3).unwrap();
+        assert_eq!(b.critical_core, CoreId(27));
+        // So do the four corners of the 4×4 chip.
+        let model = model_4x4();
+        let corners = [15usize, 12, 3, 0].map(CoreId);
+        assert_eq!(
+            budget(&model, &corners, 70.0, 0.3).unwrap().critical_core,
+            CoreId(0)
         );
     }
 
