@@ -234,6 +234,10 @@ impl HotPotato {
     /// the slot of the core it currently occupies, so the next
     /// [`Scheduler::schedule`] call starts from reality.
     pub fn resync_from_view(&mut self, view: &SimView<'_>) {
+        // Seats restored from a checkpoint and not yet re-seated are an
+        // assignment too: left pending, the next `schedule` would seat
+        // them again beside the threads re-seated here.
+        self.restored_slots = None;
         if self.rings.is_empty() {
             self.rings = view
                 .machine

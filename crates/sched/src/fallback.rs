@@ -233,9 +233,13 @@ impl Scheduler for FallbackChain {
     }
 
     // The chain's own counters plus the wrapped rotation scheduler's
-    // blob, nested as an escaped string. (The FallbackConfig knobs are
-    // construction parameters, re-supplied by whoever builds the chain
-    // for the resumed run and pinned by the engine's spec hash.)
+    // blob, nested as an escaped string. The `FallbackConfig` and
+    // `HotPotatoConfig` knobs are construction parameters that neither
+    // this blob nor the engine's spec hash carries (the hash binds only
+    // the scheduler's name): whoever resumes must rebuild the chain with
+    // the configs of the checkpointed run. Campaigns always pass the
+    // default `FallbackConfig` and build the `HotPotatoConfig` from the
+    // job.
     fn snapshot(&self) -> Option<String> {
         Some(encode(&Snapshot {
             degraded: self.degraded,

@@ -55,9 +55,10 @@ use hp_thermal::{NumericsStats, SolverStats};
 use hp_workload::Job;
 
 use crate::codec::{self, Codec, Hex, Style};
-use crate::job::{PowerHistory, ThreadId};
+use crate::engine::SENSOR_STALENESS_BUDGET_INTERVALS;
+use crate::job::{ThreadId, ThreadRuntime, POWER_HISTORY_WINDOW_SECONDS};
 use crate::metrics::{JobRecord, Robustness};
-use crate::trace::TraceEvent;
+use crate::trace::TemperatureTrace;
 use crate::SimConfig;
 
 /// The schema string every `hp-ckpt-v2` document carries.
@@ -184,10 +185,10 @@ pub(crate) fn spec_hash(
         config.dtm_scope,
         config.horizon,
         config.record_trace,
-        config.power_history_window,
+        POWER_HISTORY_WINDOW_SECONDS,
         config.prewarm_power,
         config.dtm_hysteresis_celsius,
-        config.sensor_staleness_budget_intervals,
+        SENSOR_STALENESS_BUDGET_INTERVALS,
     );
     s.push_str("faults=");
     s.push_str(&codec::pretty(&config.faults));
@@ -219,24 +220,6 @@ pub(crate) fn spec_hash(
 // ---------------------------------------------------------------------
 
 crate::codec! {
-    /// One thread's frozen runtime.
-    #[derive(Debug, Clone, PartialEq)]
-    pub(crate) struct ThreadState {
-        pub core: usize,
-        /// `Some(remaining)` while running, `None` at the barrier.
-        pub running: Option<u64>,
-        pub stall_until: f64,
-        pub warmup_until: f64,
-        /// The windowed power history, running totals verbatim.
-        pub history: PowerHistory,
-        pub last_cpi: f64,
-        pub migrations: u64,
-        pub instructions_retired: u64,
-        pub energy: f64,
-    }
-}
-
-crate::codec! {
     /// One active job's frozen runtime (the `Job` itself is re-bound from
     /// the workload at resume; the spec hash guarantees it matches).
     #[derive(Debug, Clone, PartialEq)]
@@ -244,7 +227,7 @@ crate::codec! {
         pub job: usize,
         pub phase: usize,
         pub completed: Option<f64>,
-        pub threads: Vec<ThreadState>,
+        pub threads: Vec<ThreadRuntime>,
     }
 }
 
@@ -289,16 +272,6 @@ crate::codec! {
 }
 
 crate::codec! {
-    /// Frozen temperature trace + degradation event log.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub(crate) struct TraceState {
-        pub times: Vec<f64>,
-        pub temps: Vec<Vec<f64>>,
-        pub events: Vec<TraceEvent>,
-    }
-}
-
-crate::codec! {
     /// The scheduler the checkpoint was taken under and its opaque
     /// [`Scheduler::snapshot`](crate::Scheduler::snapshot) blob.
     #[derive(Debug, Clone, PartialEq)]
@@ -333,7 +306,7 @@ crate::codec! {
         pub robustness: Robustness,
         pub faults: Option<FaultState>,
         pub obs: ObsState,
-        pub trace: TraceState,
+        pub trace: TemperatureTrace,
         pub thermal_stats: SolverStats,
         pub numerics_stats: NumericsStats,
         pub scheduler: SchedulerState,
@@ -342,7 +315,6 @@ crate::codec! {
 
 // Types of other modules and crates, in the shape the state embeds them.
 crate::codec!(ThreadId [job, index]);
-crate::codec!(TraceEvent [time_seconds, kind, detail]);
 
 crate::codec!(JobRecord {
     job,
@@ -519,7 +491,9 @@ impl EngineCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::PowerHistory;
     use crate::trace::TraceEventKind;
+    use hp_floorplan::CoreId;
     use hp_workload::JobId;
 
     fn sample_state() -> CheckpointState {
@@ -541,8 +515,8 @@ mod tests {
                 job: 1,
                 phase: 1,
                 completed: None,
-                threads: vec![ThreadState {
-                    core: 0,
+                threads: vec![ThreadRuntime {
+                    core: CoreId(0),
                     running: Some(12345),
                     stall_until: 0.0015,
                     warmup_until: 0.002,
@@ -617,14 +591,12 @@ mod tests {
                 gauges: vec![("g".into(), f64::NEG_INFINITY)],
                 meta: vec![("k".into(), "v — µ".into())],
             },
-            trace: TraceState {
-                times: vec![0.0, 1e-4],
-                temps: vec![vec![45.0, 46.0], vec![45.5, 46.5]],
-                events: vec![TraceEvent {
-                    time_seconds: 1e-4,
-                    kind: TraceEventKind::WatchdogEngaged,
-                    detail: "peak 70.1 C".into(),
-                }],
+            trace: {
+                let mut t = TemperatureTrace::new();
+                t.push(0.0, vec![45.0, 46.0]);
+                t.push(1e-4, vec![45.5, 46.5]);
+                t.push_event(1e-4, TraceEventKind::WatchdogEngaged, "peak 70.1 C".into());
+                t
             },
             thermal_stats: SolverStats {
                 batch_calls: 42,

@@ -44,10 +44,6 @@ pub struct SimConfig {
     /// Record a per-interval temperature trace (costs memory; used by the
     /// Fig. 2 experiments).
     pub record_trace: bool,
-    /// Window for the per-thread average power history the scheduler sees,
-    /// s (paper Algorithm 1 uses "the power history of a thread from the
-    /// last 10 ms").
-    pub power_history_window: f64,
     /// Start the chip at the steady state of this uniform per-core power
     /// instead of at ambient (W). Models a long-running system whose heat
     /// sink is already warm — the regime where Algorithm 1's d→∞ cycle is
@@ -63,11 +59,6 @@ pub struct SimConfig {
     /// layer is bypassed entirely and runs are bit-identical to builds
     /// without it.
     pub faults: FaultPlan,
-    /// How many consecutive missed sensor readings the conditioning
-    /// layer bridges with the core's last good value before falling back
-    /// to the spatial median of its neighbours. Only consulted when
-    /// `faults` is active.
-    pub sensor_staleness_budget_intervals: u64,
 }
 
 impl Default for SimConfig {
@@ -80,11 +71,9 @@ impl Default for SimConfig {
             dtm_scope: DtmScope::Chip,
             horizon: 30.0,
             record_trace: false,
-            power_history_window: 10e-3,
             prewarm_power: None,
             dtm_hysteresis_celsius: 1.0,
             faults: FaultPlan::default(),
-            sensor_staleness_budget_intervals: 5,
         }
     }
 }
@@ -100,7 +89,6 @@ impl SimConfig {
             ("dt", self.dt),
             ("sched_period", self.sched_period),
             ("horizon", self.horizon),
-            ("power_history_window", self.power_history_window),
         ] {
             if !(value.is_finite() && value > 0.0) {
                 return Err(SimError::InvalidParameter { name, value });

@@ -14,10 +14,10 @@ use hp_workload::{Job, JobId};
 
 use crate::checkpoint::{
     self, ActiveJobState, CheckpointError, CheckpointState, EngineCheckpoint, FaultState,
-    MetricsState, ObsState, SchedulerState, ThreadState, TraceState,
+    MetricsState, ObsState, SchedulerState,
 };
 use crate::codec::Labelled;
-use crate::job::{JobRuntime, ThreadId, ThreadPhaseState, ThreadRuntime};
+use crate::job::{running_with, JobRuntime, ThreadId};
 use crate::metrics::{JobRecord, Metrics};
 use crate::scheduler::{Action, PendingJobView, Scheduler, SchedulerHealth, SimView, ThreadView};
 use crate::trace::{TemperatureTrace, TraceEventKind};
@@ -27,6 +27,11 @@ use crate::{Result, SimConfig, SimError};
 /// running on degraded sensors (trace event only; policy floors live in
 /// the schedulers).
 const SENSOR_DEGRADED_CONFIDENCE: f64 = 0.5;
+
+/// How many consecutive missed sensor readings the conditioning layer
+/// bridges with the core's last good value before falling back to the
+/// spatial median of its neighbours (the fault layer only).
+pub(crate) const SENSOR_STALENESS_BUDGET_INTERVALS: u64 = 5;
 
 /// The interval simulation engine.
 ///
@@ -147,24 +152,16 @@ struct RunState {
     tallies: EngineTallies,
 }
 
-/// The engine's counters and wall-clock histograms, kept in plain fields
-/// so that an interval records them without a lock or a lookup by name.
-/// [`flush`](EngineTallies::flush) folds them into the run's registry
-/// before every snapshot and every checkpoint capture, under the names a
-/// report has always carried, so the report is what recording each
-/// straight into the registry gave.
+/// The engine's counters that nothing else counts, and its wall-clock
+/// histograms, kept in plain fields so that an interval records them
+/// without a lock or a lookup by name. [`RunState::flush`] folds them
+/// into the run's registry before every snapshot and every checkpoint
+/// capture, under the names a report has always carried.
 #[derive(Debug, Default)]
 struct EngineTallies {
-    intervals: u64,
     sched_hooks: u64,
-    dtm_intervals: u64,
-    dtm_activations: u64,
-    fallback_hooks: u64,
-    fallback_activations: u64,
     placements: u64,
     dvfs_sets: u64,
-    dropped: u64,
-    migrations: u64,
     interval: Histogram,
     thermal_step: Histogram,
     perf_power: Histogram,
@@ -179,19 +176,9 @@ impl EngineTallies {
     /// nothing there.
     fn flush(&mut self, registry: &Registry) {
         let counters = [
-            ("engine.intervals", &mut self.intervals),
             ("engine.sched_hooks", &mut self.sched_hooks),
-            ("engine.dtm.intervals", &mut self.dtm_intervals),
-            ("engine.dtm.activations", &mut self.dtm_activations),
-            ("engine.fallback.hooks", &mut self.fallback_hooks),
-            (
-                "engine.fallback.activations",
-                &mut self.fallback_activations,
-            ),
             ("engine.actions.placements", &mut self.placements),
             ("engine.actions.dvfs_sets", &mut self.dvfs_sets),
-            ("engine.actions.dropped", &mut self.dropped),
-            ("engine.actions.migrations", &mut self.migrations),
         ];
         for (name, count) in counters {
             if *count > 0 {
@@ -215,6 +202,29 @@ impl EngineTallies {
 impl RunState {
     fn now(&self) -> f64 {
         self.step as f64 * self.dt
+    }
+
+    /// Brings the registry up to date: sets the engine counters the run
+    /// state already counts (the step and the metrics' DTM, fallback,
+    /// dropped-action and migration counts), then folds in the tallies.
+    /// A counter that never counted creates nothing.
+    fn flush(&mut self) {
+        let (m, r) = (&self.metrics, &self.metrics.robustness);
+        let counters = [
+            ("engine.intervals", self.step),
+            ("engine.dtm.intervals", m.dtm_intervals),
+            ("engine.dtm.activations", r.watchdog_activations),
+            ("engine.fallback.hooks", r.fallback_intervals),
+            ("engine.fallback.activations", r.fallback_activations),
+            ("engine.actions.dropped", r.dropped_actions),
+            ("engine.actions.migrations", m.migrations),
+        ];
+        for (name, count) in counters {
+            if count > 0 {
+                self.obs.set_counter(name, count);
+            }
+        }
+        self.tallies.flush(&self.obs);
     }
 }
 
@@ -424,7 +434,7 @@ impl Simulation {
                 }
             }
         };
-        st.tallies.flush(&st.obs);
+        st.flush();
         let obs = std::mem::take(&mut st.obs);
         let mut metrics = Self::finalize(st);
         // The observability block rides on the metrics in the Ok and the
@@ -507,7 +517,7 @@ impl Simulation {
             let arch = self.machine.config();
             let conditioner = SensorConditioner::new(
                 mesh_neighbors(arch.grid_height, arch.grid_width),
-                self.config.sensor_staleness_budget_intervals,
+                SENSOR_STALENESS_BUDGET_INTERVALS,
                 self.thermal.config().ambient,
             );
             Some(FaultRuntime {
@@ -594,7 +604,7 @@ impl Simulation {
         scheduler: &dyn Scheduler,
         spec: u64,
     ) -> EngineCheckpoint {
-        st.tallies.flush(&st.obs);
+        st.flush();
         let active: Vec<ActiveJobState> = st
             .active
             .values()
@@ -602,24 +612,7 @@ impl Simulation {
                 job: jr.job.id.0,
                 phase: jr.phase,
                 completed: jr.completed,
-                threads: jr
-                    .threads
-                    .iter()
-                    .map(|t| ThreadState {
-                        core: t.core.index(),
-                        running: match t.state {
-                            ThreadPhaseState::Running { remaining } => Some(remaining),
-                            ThreadPhaseState::AtBarrier => None,
-                        },
-                        stall_until: t.stall_until,
-                        warmup_until: t.warmup_until,
-                        history: t.history.clone(),
-                        last_cpi: t.last_cpi,
-                        migrations: t.migrations,
-                        instructions_retired: t.instructions_retired,
-                        energy: t.energy,
-                    })
-                    .collect(),
+                threads: jr.threads.clone(),
             })
             .collect();
         // Counters, gauges and metadata are seed-deterministic and
@@ -642,13 +635,6 @@ impl Simulation {
                 .iter()
                 .map(|m| (m.name.clone(), m.value.clone()))
                 .collect(),
-        };
-        let trace = TraceState {
-            times: self.trace.times().to_vec(),
-            temps: (0..self.trace.len())
-                .map(|k| self.trace.sample(k).to_vec())
-                .collect(),
-            events: self.trace.events().to_vec(),
         };
         let faults = st.faults.as_ref().map(|fr| FaultState {
             injector: fr.injector.snapshot(),
@@ -686,7 +672,7 @@ impl Simulation {
                 robustness: st.metrics.robustness,
                 faults,
                 obs,
-                trace,
+                trace: self.trace.clone(),
                 thermal_stats: self.solver.runtime().stats(),
                 numerics_stats: self.solver.runtime().numerics(),
                 scheduler: SchedulerState {
@@ -698,7 +684,9 @@ impl Simulation {
     }
 
     /// Rebuilds a mid-flight `RunState` from a verified checkpoint: the
-    /// resume half of the bit-identity contract.
+    /// resume half of the bit-identity contract. The state is a fresh
+    /// run's, from [`init_run`](Simulation::init_run), with everything the
+    /// checkpoint holds written over it.
     ///
     /// The supplied workload and scheduler must be the ones the
     /// checkpoint was captured under; `Job` structs are re-bound by id.
@@ -742,18 +730,32 @@ impl Simulation {
                 self.thermal.node_count()
             )));
         }
-        let thermal = self
+        match (self.config.faults.is_inert(), s.faults.is_some()) {
+            (true, true) => {
+                return Err(invalid(
+                    "checkpoint carries fault state but the fault plan is inert".into(),
+                ))
+            }
+            (false, false) => {
+                return Err(invalid(
+                    "fault plan is active but the checkpoint has no fault state".into(),
+                ))
+            }
+            _ => {}
+        }
+
+        let mut st = self.init_run(jobs, scheduler.name())?;
+        st.thermal = self
             .solver
             .restore_state(
                 Vector::from(s.node_temps.clone()),
                 s.modal_temps.clone().map(Vector::from),
             )
             .map_err(|e| invalid(format!("checkpoint thermal state rejected: {e}")))?;
-        let core_temps = self.thermal.core_temperatures(thermal.nodes());
+        st.core_temps = self.thermal.core_temperatures(st.thermal.nodes());
 
-        let total_jobs = jobs.len();
         let mut by_id: BTreeMap<usize, Job> = BTreeMap::new();
-        for j in jobs {
+        for j in std::mem::take(&mut st.arrivals) {
             if let Some(dup) = by_id.insert(j.id.0, j) {
                 return Err(invalid(format!("duplicate {} in the workload", dup.id)));
             }
@@ -765,17 +767,16 @@ impl Simulation {
                 ))
             })
         };
-        let arrivals: VecDeque<Job> = s
+        st.arrivals = s
             .arrivals
             .iter()
             .map(|&id| take(id))
             .collect::<Result<_>>()?;
-        let pending: VecDeque<Job> = s
+        st.pending = s
             .pending
             .iter()
             .map(|&id| take(id))
             .collect::<Result<_>>()?;
-        let mut active: BTreeMap<JobId, JobRuntime> = BTreeMap::new();
         for a in &s.active {
             let job = take(a.job)?;
             if a.threads.len() != job.spec.thread_count() {
@@ -786,50 +787,30 @@ impl Simulation {
                     job.spec.thread_count()
                 )));
             }
-            let id = job.id;
-            let threads: Vec<ThreadRuntime> = a
+            if let Some((i, t)) = a
                 .threads
                 .iter()
                 .enumerate()
-                .map(|(i, t)| {
-                    if t.core >= n {
-                        return Err(invalid(format!(
-                            "checkpoint places {id}.t{i} on core {} of {n}",
-                            t.core
-                        )));
-                    }
-                    Ok(ThreadRuntime {
-                        id: ThreadId { job: id, index: i },
-                        core: CoreId(t.core),
-                        state: match t.running {
-                            Some(remaining) => ThreadPhaseState::Running { remaining },
-                            None => ThreadPhaseState::AtBarrier,
-                        },
-                        stall_until: t.stall_until,
-                        warmup_until: t.warmup_until,
-                        history: t.history.clone(),
-                        last_cpi: t.last_cpi,
-                        migrations: t.migrations,
-                        instructions_retired: t.instructions_retired,
-                        energy: t.energy,
-                    })
-                })
-                .collect::<Result<_>>()?;
-            active.insert(
-                id,
-                JobRuntime {
-                    job,
-                    phase: a.phase,
-                    threads,
-                    completed: a.completed,
-                },
-            );
+                .find(|(_, t)| t.core.index() >= n)
+            {
+                return Err(invalid(format!(
+                    "checkpoint places {}.t{i} on core {} of {n}",
+                    job.id,
+                    t.core.index()
+                )));
+            }
+            let runtime = JobRuntime {
+                job,
+                phase: a.phase,
+                threads: a.threads.clone(),
+                completed: a.completed,
+            };
+            st.active.insert(runtime.job.id, runtime);
         }
-        let records: BTreeMap<JobId, JobRecord> =
-            s.records.iter().map(|r| (r.job, r.clone())).collect();
+        st.records = s.records.iter().map(|r| (r.job, r.clone())).collect();
 
         let dvfs = &self.machine.config().dvfs;
-        let levels: Vec<DvfsLevel> = s
+        st.levels = s
             .levels
             .iter()
             .map(|&i| {
@@ -840,28 +821,11 @@ impl Simulation {
             })
             .collect::<Result<_>>()?;
 
-        let faults = if self.config.faults.is_inert() {
-            if s.faults.is_some() {
-                return Err(invalid(
-                    "checkpoint carries fault state but the fault plan is inert".into(),
-                ));
-            }
-            None
-        } else {
-            let fz = s.faults.as_ref().ok_or_else(|| {
-                invalid("fault plan is active but the checkpoint has no fault state".into())
-            })?;
-            let mut injector = FaultInjector::new(&self.config.faults, n).map_err(fault_error)?;
-            injector
+        if let (Some(fr), Some(fz)) = (st.faults.as_mut(), &s.faults) {
+            fr.injector
                 .restore(&fz.injector)
                 .map_err(|e| invalid(format!("fault injector rejected the snapshot: {e}")))?;
-            let arch = self.machine.config();
-            let mut conditioner = SensorConditioner::new(
-                mesh_neighbors(arch.grid_height, arch.grid_width),
-                self.config.sensor_staleness_budget_intervals,
-                self.thermal.config().ambient,
-            );
-            if !conditioner.restore(&fz.conditioner) {
+            if !fr.conditioner.restore(&fz.conditioner) {
                 return Err(invalid(
                     "sensor conditioner rejected the snapshot (core count mismatch)".into(),
                 ));
@@ -871,14 +835,10 @@ impl Simulation {
                     "checkpoint sensor view disagrees with the machine's core count".into(),
                 ));
             }
-            Some(FaultRuntime {
-                injector,
-                conditioner,
-                sensed_temps: Vector::from(fz.sensed_temps.clone()),
-                confidence: fz.confidence.clone(),
-                sensors_degraded: fz.sensors_degraded,
-            })
-        };
+            fr.sensed_temps = Vector::from(fz.sensed_temps.clone());
+            fr.confidence = fz.confidence.clone();
+            fr.sensors_degraded = fz.sensors_degraded;
+        }
 
         if let Some(blob) = &s.scheduler.blob {
             scheduler
@@ -886,24 +846,36 @@ impl Simulation {
                 .map_err(|m| invalid(format!("scheduler rejected its snapshot: {m}")))?;
         }
 
-        let obs = Registry::new();
+        st.completed = usize::try_from(s.completed)
+            .map_err(|_| invalid(format!("completed count {} overflows", s.completed)))?;
+        st.step = s.step;
+        st.occupancy = s.occupancy.clone();
+        st.dtm_last_interval = s.dtm_last_interval;
+        st.dtm_core_latch = s.dtm_core_latch.clone();
+        st.busy_freq_integral = s.busy_freq_integral;
+        st.busy_time = s.busy_time;
+        st.sched_was_degraded = s.sched_was_degraded;
+        let m = &mut st.metrics;
+        m.makespan = s.metrics.makespan;
+        m.peak_temperature = s.metrics.peak_temperature;
+        m.dtm_intervals = s.metrics.dtm_intervals;
+        m.migrations = s.metrics.migrations;
+        m.energy = s.metrics.energy;
+        m.simulated_time = s.metrics.simulated_time;
+        m.robustness = s.robustness;
         for (name, v) in &s.obs.counters {
-            obs.set_counter(name, *v);
+            st.obs.set_counter(name, *v);
         }
         for (name, v) in &s.obs.gauges {
-            obs.set_gauge(name, *v);
+            st.obs.set_gauge(name, *v);
         }
         for (name, v) in &s.obs.meta {
-            obs.set_meta(name, v);
+            st.obs.set_meta(name, v);
         }
 
-        // Resumed trace continues in place; the t = 0 sample (if traced)
-        // is already inside, so nothing is re-pushed here.
-        self.trace = TemperatureTrace::from_parts(
-            s.trace.times.clone(),
-            s.trace.temps.clone(),
-            s.trace.events.clone(),
-        );
+        // The resumed trace continues in place; its t = 0 sample (if
+        // traced) is already inside.
+        self.trace = s.trace.clone();
         // Warm the decay cache for the fixed dt, discarding the warm-up
         // miss with the captured tallies: every in-run lookup hits, so
         // the final counters match an uninterrupted run.
@@ -911,47 +883,7 @@ impl Simulation {
             .runtime()
             .resume(&[self.config.dt], s.thermal_stats, s.numerics_stats);
         self.ckpt_resumes = 1;
-
-        let completed = usize::try_from(s.completed)
-            .map_err(|_| invalid(format!("completed count {} overflows", s.completed)))?;
-        let metrics = Metrics {
-            scheduler: scheduler.name().to_string(),
-            makespan: s.metrics.makespan,
-            peak_temperature: s.metrics.peak_temperature,
-            dtm_intervals: s.metrics.dtm_intervals,
-            migrations: s.metrics.migrations,
-            energy: s.metrics.energy,
-            simulated_time: s.metrics.simulated_time,
-            robustness: s.robustness,
-            ..Metrics::default()
-        };
-        Ok(RunState {
-            total_jobs,
-            arrivals,
-            n,
-            dt: self.config.dt,
-            sched_every: (self.config.sched_period / self.config.dt).round().max(1.0) as u64,
-            thermal,
-            core_temps,
-            power: Vector::zeros(n),
-            levels,
-            occupancy: s.occupancy.clone(),
-            pending,
-            active,
-            records,
-            metrics,
-            completed,
-            step: s.step,
-            dtm_last_interval: s.dtm_last_interval,
-            dtm_core_latch: s.dtm_core_latch.clone(),
-            busy_freq_integral: s.busy_freq_integral,
-            busy_time: s.busy_time,
-            full_confidence: vec![1.0; n],
-            faults,
-            sched_was_degraded: s.sched_was_degraded,
-            obs,
-            tallies: EngineTallies::default(),
-        })
+        Ok(st)
     }
 
     /// Simulates one interval. Returns `Ok(true)` when the workload has
@@ -1071,14 +1003,7 @@ impl Simulation {
             // xtask: allow(nondet) — wall-clock observability timing; the
             // histogram it feeds is excluded from golden outputs.
             let apply_start = Instant::now();
-            Self::apply_actions(
-                &self.machine,
-                &self.config,
-                &mut self.trace,
-                actions,
-                now,
-                st,
-            )?;
+            Self::apply_actions(&self.machine, &mut self.trace, actions, now, st)?;
             let apply_time = apply_start.elapsed();
             st.tallies
                 .apply_actions
@@ -1090,10 +1015,8 @@ impl Simulation {
             let degraded = scheduler.health() != SchedulerHealth::Nominal;
             if degraded {
                 st.metrics.robustness.fallback_intervals += 1;
-                st.tallies.fallback_hooks += 1;
                 if !st.sched_was_degraded {
                     st.metrics.robustness.fallback_activations += 1;
-                    st.tallies.fallback_activations += 1;
                     self.trace.push_event(
                         now,
                         TraceEventKind::FallbackEngaged,
@@ -1126,7 +1049,6 @@ impl Simulation {
             st.metrics.dtm_intervals += 1;
             if !st.dtm_last_interval {
                 st.metrics.robustness.watchdog_activations += 1;
-                st.tallies.dtm_activations += 1;
                 self.trace.push_event(
                     now,
                     TraceEventKind::WatchdogEngaged,
@@ -1199,15 +1121,10 @@ impl Simulation {
                         .machine
                         .cpi_stack_at_level(&effective, CoreId(core), level)?;
                     let retired = (stack.ips() * exec_time) as u64;
-                    if let ThreadPhaseState::Running { remaining } = t.state {
+                    if let Some(remaining) = t.running {
                         let done = retired.min(remaining);
                         t.instructions_retired += done;
-                        let left = remaining - done;
-                        t.state = if left == 0 {
-                            ThreadPhaseState::AtBarrier
-                        } else {
-                            ThreadPhaseState::Running { remaining: left }
-                        };
+                        t.running = running_with(remaining - done);
                     }
                     t.last_cpi = if nominal.is_idle() {
                         f64::INFINITY
@@ -1310,10 +1227,6 @@ impl Simulation {
         }
 
         st.step += 1;
-        st.tallies.intervals += 1;
-        if dtm_now {
-            st.tallies.dtm_intervals += 1;
-        }
         let interval = interval_start.elapsed();
         let perf_power = thermal_start.duration_since(perf_start);
         let tallies = &mut st.tallies;
@@ -1341,7 +1254,6 @@ impl Simulation {
     /// both modes: those failures are policy bugs, not injected faults.
     fn apply_actions(
         machine: &Machine,
-        config: &SimConfig,
         trace: &mut TemperatureTrace,
         actions: Vec<Action>,
         now: f64,
@@ -1391,9 +1303,9 @@ impl Simulation {
                         claimed[c.index()] = true;
                     }
                     let j = st.pending.remove(pos).ok_or(SimError::UnknownJob(job))?;
-                    let rt = JobRuntime::start(j, &cores, config.power_history_window);
-                    for t in &rt.threads {
-                        st.occupancy[t.core.index()] = Some(t.id);
+                    let rt = JobRuntime::start(j, &cores);
+                    for (index, t) in rt.threads.iter().enumerate() {
+                        st.occupancy[t.core.index()] = Some(ThreadId { job, index });
                     }
                     st.records.insert(
                         job,
@@ -1464,7 +1376,6 @@ impl Simulation {
                         // Scheduler bookkeeping drifted after earlier
                         // injected failures; drop just this migration.
                         st.metrics.robustness.dropped_actions += 1;
-                        st.tallies.dropped += 1;
                         continue;
                     }
                     return Err(SimError::UnknownThread(tid));
@@ -1506,7 +1417,6 @@ impl Simulation {
                     // batch is dropped and the scheduler retries next
                     // hook with a resynced view.
                     st.metrics.robustness.dropped_actions += staged.len() as u64;
-                    st.tallies.dropped += staged.len() as u64;
                     trace.push_event(
                         now,
                         TraceEventKind::ActionsDropped,
@@ -1536,7 +1446,6 @@ impl Simulation {
                 t.warmup_until = now + flush + warmup;
                 t.migrations += 1;
                 st.metrics.migrations += 1;
-                st.tallies.migrations += 1;
             }
         }
         Ok(())
@@ -1545,14 +1454,13 @@ impl Simulation {
 
 fn build_thread_views(active: &BTreeMap<JobId, JobRuntime>) -> Vec<ThreadView> {
     let mut out = Vec::new();
-    for jr in active.values() {
-        for (i, t) in jr.threads.iter().enumerate() {
-            let work = jr.work_point(i);
+    for (&job, jr) in active {
+        for (index, t) in jr.threads.iter().enumerate() {
             out.push(ThreadView {
-                id: t.id,
+                id: ThreadId { job, index },
                 benchmark: jr.job.benchmark,
                 core: t.core,
-                work,
+                work: jr.work_point(index),
                 last_cpi: t.last_cpi,
                 avg_power: t.history.average(),
             });

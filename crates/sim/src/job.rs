@@ -19,6 +19,10 @@ impl std::fmt::Display for ThreadId {
     }
 }
 
+/// The window of every thread's average power history, s: paper
+/// Algorithm 1 reads "the power history of a thread from the last 10 ms".
+pub(crate) const POWER_HISTORY_WINDOW_SECONDS: f64 = 10e-3;
+
 /// Windowed average power history (the "last 10 ms" of paper Algorithm 1).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct PowerHistory {
@@ -81,31 +85,27 @@ crate::codec!(PowerHistory {
     samples,
 });
 
-/// Per-thread execution state within the current phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ThreadPhaseState {
-    /// Executing; `remaining` instructions left in the current phase.
-    Running { remaining: u64 },
-    /// Finished its share of the current phase; idle-waiting at the barrier.
-    AtBarrier,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct ThreadRuntime {
-    pub id: ThreadId,
-    pub core: CoreId,
-    pub state: ThreadPhaseState,
-    /// Absolute time until which the thread is stalled by a migration flush.
-    pub stall_until: f64,
-    /// Absolute time until which post-migration cache warmup applies.
-    pub warmup_until: f64,
-    pub history: PowerHistory,
-    /// CPI observed in the last interval (∞ before the first).
-    pub last_cpi: f64,
-    pub migrations: u64,
-    pub instructions_retired: u64,
-    /// Energy drawn by the cores this thread occupied, J.
-    pub energy: f64,
+crate::codec! {
+    /// One thread's runtime, which a checkpoint carries as it is. The
+    /// thread's id is its job's id and its index in the job's threads.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct ThreadRuntime {
+        pub core: CoreId,
+        /// `Some(remaining)` instructions of the current phase while
+        /// running, `None` once the thread waits at the phase's barrier.
+        pub running: Option<u64>,
+        /// Absolute time until which the thread is stalled by a migration flush.
+        pub stall_until: f64,
+        /// Absolute time until which post-migration cache warmup applies.
+        pub warmup_until: f64,
+        pub history: PowerHistory,
+        /// CPI observed in the last interval (∞ before the first).
+        pub last_cpi: f64,
+        pub migrations: u64,
+        pub instructions_retired: u64,
+        /// Energy drawn by the cores this thread occupied, J.
+        pub energy: f64,
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -118,31 +118,20 @@ pub(crate) struct JobRuntime {
 
 impl JobRuntime {
     /// Starts a job on the given cores.
-    pub(crate) fn start(job: Job, cores: &[CoreId], history_window: f64) -> Self {
+    pub(crate) fn start(job: Job, cores: &[CoreId]) -> Self {
         let threads = cores
             .iter()
             .enumerate()
-            .map(|(i, &core)| {
-                let remaining = job.spec.phases()[0].thread(i).instructions;
-                ThreadRuntime {
-                    id: ThreadId {
-                        job: job.id,
-                        index: i,
-                    },
-                    core,
-                    state: if remaining > 0 {
-                        ThreadPhaseState::Running { remaining }
-                    } else {
-                        ThreadPhaseState::AtBarrier
-                    },
-                    stall_until: 0.0,
-                    warmup_until: 0.0,
-                    history: PowerHistory::new(history_window),
-                    last_cpi: f64::INFINITY,
-                    migrations: 0,
-                    instructions_retired: 0,
-                    energy: 0.0,
-                }
+            .map(|(i, &core)| ThreadRuntime {
+                core,
+                running: running_with(job.spec.phases()[0].thread(i).instructions),
+                stall_until: 0.0,
+                warmup_until: 0.0,
+                history: PowerHistory::new(POWER_HISTORY_WINDOW_SECONDS),
+                last_cpi: f64::INFINITY,
+                migrations: 0,
+                instructions_retired: 0,
+                energy: 0.0,
             })
             .collect();
         JobRuntime {
@@ -163,19 +152,15 @@ impl JobRuntime {
         if self.is_complete() {
             return WorkPoint::idle();
         }
-        match self.threads[index].state {
-            ThreadPhaseState::Running { .. } => {
-                self.job.spec.phases()[self.phase].thread(index).work
-            }
-            ThreadPhaseState::AtBarrier => WorkPoint::idle(),
+        match self.threads[index].running {
+            Some(_) => self.job.spec.phases()[self.phase].thread(index).work,
+            None => WorkPoint::idle(),
         }
     }
 
     /// True when every thread has reached the barrier of the current phase.
     pub(crate) fn phase_done(&self) -> bool {
-        self.threads
-            .iter()
-            .all(|t| t.state == ThreadPhaseState::AtBarrier)
+        self.threads.iter().all(|t| t.running.is_none())
     }
 
     /// Advances to the next phase; returns `false` if the job is finished.
@@ -186,15 +171,16 @@ impl JobRuntime {
         }
         let phase = &self.job.spec.phases()[self.phase];
         for (i, t) in self.threads.iter_mut().enumerate() {
-            let remaining = phase.thread(i).instructions;
-            t.state = if remaining > 0 {
-                ThreadPhaseState::Running { remaining }
-            } else {
-                ThreadPhaseState::AtBarrier
-            };
+            t.running = running_with(phase.thread(i).instructions);
         }
         true
     }
+}
+
+/// The running state of a thread with `remaining` instructions of its
+/// phase left: with none left, it waits at the barrier.
+pub(crate) fn running_with(remaining: u64) -> Option<u64> {
+    (remaining > 0).then_some(remaining)
 }
 
 #[cfg(test)]
@@ -213,31 +199,25 @@ mod tests {
 
     #[test]
     fn start_initializes_phase_zero() {
-        let rt = JobRuntime::start(job(), &[CoreId(0), CoreId(1)], 10e-3);
+        let rt = JobRuntime::start(job(), &[CoreId(0), CoreId(1)]);
         // Master runs, slave is already at the barrier (idle in phase 1).
-        assert!(matches!(
-            rt.threads[0].state,
-            ThreadPhaseState::Running { .. }
-        ));
-        assert_eq!(rt.threads[1].state, ThreadPhaseState::AtBarrier);
+        assert!(rt.threads[0].running.is_some());
+        assert_eq!(rt.threads[1].running, None);
         assert!(rt.work_point(1).is_idle());
         assert!(!rt.work_point(0).is_idle());
     }
 
     #[test]
     fn phase_advance_walks_structure() {
-        let mut rt = JobRuntime::start(job(), &[CoreId(0), CoreId(1)], 10e-3);
+        let mut rt = JobRuntime::start(job(), &[CoreId(0), CoreId(1)]);
         // Force master to the barrier.
-        rt.threads[0].state = ThreadPhaseState::AtBarrier;
+        rt.threads[0].running = None;
         assert!(rt.phase_done());
         assert!(rt.advance_phase());
         // Phase 2: slave runs, master waits.
-        assert_eq!(rt.threads[0].state, ThreadPhaseState::AtBarrier);
-        assert!(matches!(
-            rt.threads[1].state,
-            ThreadPhaseState::Running { .. }
-        ));
-        rt.threads[1].state = ThreadPhaseState::AtBarrier;
+        assert_eq!(rt.threads[0].running, None);
+        assert!(rt.threads[1].running.is_some());
+        rt.threads[1].running = None;
         assert!(rt.advance_phase());
         assert!(!rt.advance_phase(), "three phases only");
     }

@@ -93,19 +93,6 @@ impl TemperatureTrace {
         });
     }
 
-    /// Rebuilds a trace from checkpointed parts (the engine resume path).
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        temps: Vec<Vec<f64>>,
-        events: Vec<TraceEvent>,
-    ) -> Self {
-        TemperatureTrace {
-            times,
-            temps,
-            events,
-        }
-    }
-
     /// Degradation transitions recorded during the run, in time order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -184,6 +171,14 @@ impl TemperatureTrace {
         Ok(())
     }
 }
+
+// A checkpoint carries the trace and its event log as they are.
+crate::codec!(TemperatureTrace {
+    times,
+    temps,
+    events
+});
+crate::codec!(TraceEvent [time_seconds, kind, detail]);
 
 #[cfg(test)]
 mod tests {

@@ -216,18 +216,23 @@ pub fn per_core_budgets(
     })
 }
 
-/// The *worst-case* mapping of `k` active cores for TSP: the densest
-/// packing around the die centre, which produces the tightest budget.
+/// A *worst-case* mapping of `k` active cores for TSP: the densest
+/// packing around the die centre, chosen greedily for the tightest
+/// budget.
 ///
-/// The original TSP paper finds the exact worst case by search; for a
-/// symmetric grid the centre-packed mapping is the worst case, so we use it
-/// directly (documented substitution — the schedulers only ever use
+/// The original TSP paper finds the exact worst case by search; this
+/// greedy rule is a documented substitution (the schedulers only ever use
 /// mapping-specific budgets, this is for reporting). The model does not
-/// retain the floorplan, so the centre is found thermally: the `k`
-/// junctions with the largest `R_J` row sums (each junction's rise with
-/// 1 W on every core). Row sums that agree to 1e-9 °C/W tie, and the
-/// lower core index wins, so thermally symmetric cores are taken in core
-/// order.
+/// retain the floorplan, so the centre is found thermally. First come the
+/// cores whose `R_J` row sum (each junction's rise with 1 W on every
+/// core), rounded to 1e-9 °C/W, exceeds the `k`-th largest. The rest come
+/// from the cores that tie with the `k`-th (a symmetry orbit `k` may
+/// cut), one at a time: each the core that maximises the hottest
+/// junction's rise per watt on the cores chosen so far,
+/// `max_i Σ_{c ∈ chosen} R_J[i][c]`, rounded alike, the lower core index
+/// winning a tie. On the square grids from 4×4 to 10×10 at 70 °C this
+/// finds the tightest budget of any choice from the cut orbit, but it
+/// does not search.
 ///
 /// # Errors
 ///
@@ -246,14 +251,49 @@ pub fn worst_case_mapping(model: &RcThermalModel, k: usize) -> Result<Vec<CoreId
         });
     }
     let resistance = model.junction_influence()?;
-    let mut order: Vec<(f64, CoreId)> = (0..n)
-        .map(|i| {
-            let sum: f64 = resistance.row(i).iter().sum();
-            ((sum / TIE_CELSIUS_PER_WATT).round(), CoreId(i))
-        })
+    let key = |celsius_per_watt: f64| (celsius_per_watt / TIE_CELSIUS_PER_WATT).round();
+    let mut order: Vec<(f64, usize)> = (0..n)
+        .map(|i| (key(resistance.row(i).iter().sum()), i))
         .collect();
     order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    Ok(order.into_iter().take(k).map(|(_, c)| c).collect())
+    // The cores above the k-th, then the orbit `k` cuts: every core tied
+    // with the k-th, in core order.
+    let boundary = order[k - 1].0;
+    let above = order.iter().take_while(|(sum, _)| *sum > boundary).count();
+    let mut chosen: Vec<usize> = order[..above].iter().map(|&(_, c)| c).collect();
+    let mut orbit: Vec<usize> = order[above..]
+        .iter()
+        .take_while(|(sum, _)| *sum == boundary)
+        .map(|&(_, c)| c)
+        .collect();
+    // Each junction's rise per watt on the chosen cores.
+    let mut rise = vec![0.0; n];
+    let add = |rise: &mut [f64], c: usize| {
+        for (i, r) in rise.iter_mut().enumerate() {
+            *r += resistance[(i, c)];
+        }
+    };
+    for &c in &chosen {
+        add(&mut rise, c);
+    }
+    while chosen.len() < k {
+        let mut best: Option<(f64, usize)> = None;
+        for (at, &c) in orbit.iter().enumerate() {
+            let hottest = rise
+                .iter()
+                .enumerate()
+                .map(|(i, r)| r + resistance[(i, c)])
+                .fold(f64::NEG_INFINITY, f64::max);
+            if best.is_none_or(|(b, _)| key(hottest) > b) {
+                best = Some((key(hottest), at));
+            }
+        }
+        let Some((_, at)) = best else { break };
+        let c = orbit.remove(at);
+        add(&mut rise, c);
+        chosen.push(c);
+    }
+    Ok(chosen.into_iter().map(CoreId).collect())
 }
 
 #[cfg(test)]
@@ -478,6 +518,57 @@ mod tests {
             budget(&model, &corners, 70.0, 0.3).unwrap().critical_core,
             CoreId(0)
         );
+    }
+
+    /// The tightest budget over every choice from the orbit `k` cuts (the
+    /// cores whose rounded `R_J` row sum ties with the k-th largest), the
+    /// cores above it always active.
+    fn orbit_search(model: &RcThermalModel, k: usize) -> f64 {
+        let r = model.junction_influence().unwrap();
+        let key = |c: usize| (r.row(c).iter().sum::<f64>() / TIE_CELSIUS_PER_WATT).round();
+        let mut order: Vec<usize> = (0..model.core_count()).collect();
+        order.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
+        let boundary = key(order[k - 1]);
+        let above: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&c| key(c) > boundary)
+            .collect();
+        let orbit: Vec<usize> = order
+            .iter()
+            .copied()
+            .filter(|&c| key(c) == boundary)
+            .collect();
+        let mut tightest = f64::INFINITY;
+        for mask in 0u32..1 << orbit.len() {
+            if mask.count_ones() as usize != k - above.len() {
+                continue;
+            }
+            let picked = orbit.iter().enumerate().filter(|(j, _)| mask >> j & 1 == 1);
+            let active: Vec<CoreId> = above
+                .iter()
+                .chain(picked.map(|(_, c)| c))
+                .map(|&c| CoreId(c))
+                .collect();
+            tightest = tightest.min(budget(model, &active, 70.0, 0.3).unwrap().per_core_watts);
+        }
+        tightest
+    }
+
+    #[test]
+    fn worst_case_mapping_packs_a_cut_orbit_as_tightly_as_a_search() {
+        for (side, k) in [(4, 6), (8, 8), (10, 6)] {
+            let fp = GridFloorplan::new(side, side).unwrap();
+            let model = RcThermalModel::new(&fp, &ThermalConfig::default()).unwrap();
+            let mapping = worst_case_mapping(&model, k).unwrap();
+            assert_eq!(mapping.len(), k);
+            let got = budget(&model, &mapping, 70.0, 0.3).unwrap().per_core_watts;
+            let want = orbit_search(&model, k);
+            assert!(
+                (got - want).abs() <= 1e-9,
+                "{side}x{side}, k = {k}: {got} W vs {want} W"
+            );
+        }
     }
 
     #[test]

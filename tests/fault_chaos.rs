@@ -13,7 +13,9 @@
 //!    full fallback chain replays against the committed fixture
 //!    `tests/golden/fault_scenario_4x4.json`; regenerate intentional
 //!    changes with `GOLDEN_REGEN=1 cargo test -p hp-integration --test
-//!    fault_chaos`.
+//!    fault_chaos`. The storm's report carries every `engine.*` counter
+//!    the engine reads off its metrics, equal to the field it counts in,
+//!    through an interrupt and a resume too.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -25,7 +27,7 @@ use hp_floorplan::{CoreId, GridFloorplan};
 use hp_manycore::{ArchConfig, Machine};
 use hp_sched::{FallbackChain, FallbackConfig};
 use hp_sim::schedulers::PinnedScheduler;
-use hp_sim::{Metrics, SimConfig, Simulation, TemperatureTrace};
+use hp_sim::{EngineCheckpoint, Metrics, RunOptions, SimConfig, Simulation, TemperatureTrace};
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::{closed_batch, Benchmark, Job, JobId};
 use proptest::prelude::*;
@@ -233,10 +235,10 @@ fn fault_golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fault_scenario_4x4.json")
 }
 
-/// The pinned chaos scenario: a 4×4 chip under the full degradation
-/// chain, seed-42 fault storm (dropouts + stuck sensors + migration
-/// faults + power spikes), full swaptions load.
-fn run_fault_scenario() -> (Metrics, TemperatureTrace) {
+/// The engine of the pinned chaos scenario: a 4×4 chip under a seed-42
+/// fault storm (dropouts + stuck sensors + migration faults + power
+/// spikes).
+fn storm_sim() -> Simulation {
     let faults = FaultPlan {
         seed: 42,
         sensor_dropout_rate: 0.3,
@@ -256,16 +258,29 @@ fn run_fault_scenario() -> (Metrics, TemperatureTrace) {
         faults,
         ..SimConfig::default()
     };
-    let mut sim =
-        Simulation::new(machine_4x4(), ThermalConfig::default(), config).expect("valid sim");
-    let mut chain = FallbackChain::new(
+    Simulation::new(machine_4x4(), ThermalConfig::default(), config).expect("valid sim")
+}
+
+fn storm_chain() -> FallbackChain {
+    FallbackChain::new(
         model_4x4(),
         HotPotatoConfig::default(),
         FallbackConfig::default(),
     )
-    .expect("valid chain");
-    let jobs = closed_batch(Benchmark::Swaptions, 16, 1);
-    let metrics = sim.run(jobs, &mut chain).expect("survives the storm");
+    .expect("valid chain")
+}
+
+/// Full swaptions load.
+fn storm_jobs() -> Vec<Job> {
+    closed_batch(Benchmark::Swaptions, 16, 1)
+}
+
+/// The pinned chaos scenario: the storm under the full degradation chain.
+fn run_fault_scenario() -> (Metrics, TemperatureTrace) {
+    let mut sim = storm_sim();
+    let metrics = sim
+        .run(storm_jobs(), &mut storm_chain())
+        .expect("survives the storm");
     (metrics, sim.trace().clone())
 }
 
@@ -406,4 +421,80 @@ fn fault_scenario_is_reproducible_within_process() {
     m2.observability = m2.observability.without_timings();
     assert_eq!(m1, m2, "seeded fault storm must replay identically");
     assert_eq!(t1, t2);
+}
+
+/// Checks each `engine.*` counter the engine reads off its run state
+/// against the metrics field that counts the same events, and the
+/// interval count against `intervals` (one that never counted is
+/// absent). Returns how many counted.
+fn check_engine_counters(m: &Metrics, intervals: u64) -> usize {
+    let r = &m.robustness;
+    let fields = [
+        ("engine.intervals", intervals),
+        ("engine.dtm.intervals", m.dtm_intervals),
+        ("engine.dtm.activations", r.watchdog_activations),
+        ("engine.fallback.hooks", r.fallback_intervals),
+        ("engine.fallback.activations", r.fallback_activations),
+        ("engine.actions.dropped", r.dropped_actions),
+        ("engine.actions.migrations", m.migrations),
+    ];
+    for (name, want) in fields {
+        assert_eq!(
+            m.observability.counter(name),
+            (want > 0).then_some(want),
+            "{name}"
+        );
+    }
+    fields.iter().filter(|(_, want)| *want > 0).count()
+}
+
+#[test]
+fn engine_counters_equal_the_metrics_through_a_resume() {
+    let (golden, trace) = run_fault_scenario();
+    // Every interval appends a sample to the t = 0 one.
+    let intervals = trace.len() as u64 - 1;
+    assert_eq!(
+        check_engine_counters(&golden, intervals),
+        7,
+        "the storm counts all"
+    );
+
+    let path =
+        std::env::temp_dir().join(format!("hp-fault-chaos-{}.ckpt.json", std::process::id()));
+    let cut = storm_sim()
+        .run_with_options(
+            storm_jobs(),
+            &mut storm_chain(),
+            &RunOptions {
+                checkpoint_every_seconds: Some(20e-3),
+                checkpoint_path: Some(path.clone()),
+                max_intervals: Some(500),
+                ..RunOptions::default()
+            },
+        )
+        .expect_err("the interval budget cuts the run short");
+    check_engine_counters(
+        cut.partial_metrics().expect("partials survive the cut"),
+        500,
+    );
+    let ckpt = EngineCheckpoint::load_from_path(&path).expect("checkpoint written");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ckpt.step(), 400);
+    let resumed = storm_sim()
+        .run_with_options(
+            storm_jobs(),
+            &mut storm_chain(),
+            &RunOptions {
+                resume_from: Some(ckpt),
+                ..RunOptions::default()
+            },
+        )
+        .expect("resumed run completes");
+    assert_eq!(check_engine_counters(&resumed, intervals), 7);
+    let without_timings = |m: &Metrics| {
+        let mut m = m.clone();
+        m.observability = m.observability.without_timings();
+        m
+    };
+    assert_eq!(without_timings(&resumed), without_timings(&golden));
 }
