@@ -15,8 +15,12 @@
 //! the probe session, reading the slot powers) weigh most, and the
 //! scheduler's common case, a trial that changes one ring of the full
 //! chip in a warm probe session, (e) the §V node scaling: Algorithm 1
-//! at δ = 8 and the design-time eigendecomposition on the 4×4, 6×6, 8×8
-//! and 10×10 chips, (f) the engine's transient step at its
+//! at δ = 8 and the design-time eigendecomposition (the median of 11
+//! fresh models) on the 4×4, 6×6, 8×8 and 10×10 chips, and the 8×8
+//! chip's build by part — `RcThermalModel::new`, `SymmetricEigen::new`
+//! on its `S`, `SystemEigen::new` and a fresh model's `basis()`, each
+//! the minimum and the median of 11 fresh builds, (f) the engine's
+//! transient step at its
 //! 100 µs interval, on a warm state whose readout certificate clears the
 //! spreader and sink rows (a junction-only readout) and on the first
 //! step from `initial_state` (a full readout), and (g) one TSP budget of
@@ -36,10 +40,12 @@ mod support;
 use hotpotato::{EpochPowerSequence, RingRotation, RotationPeakSolver};
 use hp_experiments::thermal_model_for_grid;
 use hp_floorplan::{CoreId, GridFloorplan};
-use hp_linalg::Vector;
+use hp_linalg::eigen::SystemEigen;
+use hp_linalg::{Matrix, SymmetricEigen, Vector};
 use hp_obs::{Registry, ScopedTimer};
 use hp_power::IDLE_WATTS;
-use hp_thermal::{tsp, TransientSolver};
+use hp_thermal::{tsp, RcThermalModel, ThermalConfig, TransientSolver};
+use std::time::Instant;
 use support::{explicit_probe_sequences, peak_celsius_sampled_serial};
 
 fn full_load_sequence(cores: usize, delta: usize, tau: f64) -> EpochPowerSequence {
@@ -89,6 +95,38 @@ fn print_summary(scope: &str, key: &str, label: &str, h: &hp_obs::HistogramSumma
 
 /// The chips of the §V node-scaling rows.
 const CHIPS: [(usize, usize); 4] = [(4, 4), (6, 6), (8, 8), (10, 10)];
+
+/// Fresh builds behind each design-time row.
+const BUILDS: usize = 11;
+
+/// Runs `build` on [`BUILDS`] inputs from `fresh`, timing `build` alone
+/// (the result is dropped after the clock stops); returns the minimum
+/// and the median, ms.
+fn min_median_ms<T, R>(mut fresh: impl FnMut() -> T, mut build: impl FnMut(T) -> R) -> (f64, f64) {
+    let mut ms: Vec<f64> = (0..BUILDS)
+        .map(|_| {
+            let input = fresh();
+            let start = Instant::now();
+            let out = std::hint::black_box(build(input));
+            let elapsed = start.elapsed();
+            drop(out);
+            elapsed.as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    (ms[0], ms[BUILDS / 2])
+}
+
+/// `S = A^{-1/2}·B·A^{-1/2}` of `model`, symmetrized as
+/// `SystemEigen::new` forms it.
+fn symmetrized(model: &RcThermalModel) -> Matrix {
+    let (a, b) = (model.a_diag(), model.b());
+    let n = a.len();
+    let s = Matrix::from_fn(n, n, |i, j| {
+        1.0 / a[i].sqrt() * b[(i, j)] * (1.0 / a[j].sqrt())
+    });
+    Matrix::from_fn(n, n, |i, j| 0.5 * (s[(i, j)] + s[(j, i)]))
+}
 
 fn main() {
     let model = thermal_model_for_grid(8, 8);
@@ -200,18 +238,15 @@ fn main() {
     // §V node scaling. Each decomposition is of a fresh model, since a
     // clone would share its basis.
     let mut nodes = Vec::new();
+    let mut design = Vec::new();
     for (w, h) in CHIPS {
-        let design = format!("design.{w}x{h}");
-        let decompose = || {
-            let model = thermal_model_for_grid(w, h);
-            let _t = ScopedTimer::start(&reg, &design);
-            RotationPeakSolver::new(model).expect("eigendecomposition succeeds")
-        };
-        // Three samples; the last solver prices the rotation.
-        for _ in 0..2 {
-            decompose();
-        }
-        let chip = decompose();
+        let (_, median) = min_median_ms(
+            || thermal_model_for_grid(w, h),
+            |model| RotationPeakSolver::new(model).expect("eigendecomposition succeeds"),
+        );
+        design.push(median);
+        let chip = RotationPeakSolver::new(thermal_model_for_grid(w, h))
+            .expect("eigendecomposition succeeds");
         nodes.push(chip.model().node_count());
         let seq = full_load_sequence(w * h, 8, 0.5e-3);
         let _ = chip.peak_celsius(&seq).expect("peak computes");
@@ -221,6 +256,48 @@ fn main() {
             std::hint::black_box(chip.peak_celsius(&seq).expect("peak computes"));
         }
     }
+
+    // The 8×8 chip's build by part, each on fresh inputs: a model's
+    // basis is built once and shared by its clones.
+    let fp = GridFloorplan::new(8, 8).expect("8x8 grid");
+    let config = ThermalConfig::default();
+    let s = symmetrized(&thermal);
+    let setup = [
+        (
+            "RcThermalModel::new",
+            min_median_ms(
+                || (),
+                |()| RcThermalModel::new(&fp, &config).expect("model builds"),
+            ),
+        ),
+        (
+            "SymmetricEigen::new(S)",
+            min_median_ms(
+                || (),
+                |()| SymmetricEigen::new(&s).expect("eigendecomposition succeeds"),
+            ),
+        ),
+        (
+            "SystemEigen::new",
+            min_median_ms(
+                || (),
+                |()| {
+                    SystemEigen::new(thermal.a_diag(), thermal.b())
+                        .expect("eigendecomposition succeeds")
+                },
+            ),
+        ),
+        (
+            "basis()",
+            min_median_ms(
+                || thermal_model_for_grid(8, 8),
+                |model| {
+                    model.basis().expect("basis builds");
+                    model
+                },
+            ),
+        ),
+    ];
 
     // The engine's transient step. A warm state one interval past its
     // full readout, advanced under the same power, is certified by its
@@ -333,27 +410,24 @@ fn main() {
     println!(
         "Node scaling (section V): algorithm 1 at delta = 8, the design-time eigendecomposition:"
     );
-    for ((w, h), n) in CHIPS.into_iter().zip(nodes) {
+    for (((w, h), n), design_ms) in CHIPS.into_iter().zip(nodes).zip(design) {
         let alg1 = report
             .histogram(&format!("alg1.{w}x{h}"))
             .expect("timed above");
-        let design = report
-            .histogram(&format!("design.{w}x{h}"))
-            .expect("timed above");
         println!(
             "N={n:>3} ({w}x{h}): algorithm 1 mean {:>8.2} us | p50 {:>8.2} us | \
-             eigendecomposition mean {:>6.2} ms ({} reps)",
-            alg1.mean_us,
-            alg1.p50_us,
-            design.mean_us / 1e3,
-            design.count
+             eigendecomposition median {design_ms:>6.2} ms ({BUILDS} fresh models)",
+            alg1.mean_us, alg1.p50_us,
         );
         println!(
-            "csv,overhead,nodes,{n},{:.4},{:.4},{:.4}",
-            alg1.mean_us,
-            alg1.p50_us,
-            design.mean_us / 1e3
+            "csv,overhead,nodes,{n},{:.4},{:.4},{design_ms:.4}",
+            alg1.mean_us, alg1.p50_us,
         );
+    }
+    println!("The 8x8 chip's build by part, min and median of {BUILDS} fresh builds:");
+    for (part, (min, median)) in setup {
+        println!("8x8 setup: {part:<24} min {min:>6.2} ms | median {median:>6.2} ms");
+        println!("csv,overhead,setup,8x8,{part},{min:.4},{median:.4}");
     }
     println!("The engine's transient step on the 8x8 chip, dt = 100 us:");
     for (label, name) in [

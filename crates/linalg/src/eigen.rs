@@ -21,11 +21,29 @@
 //! Van Loan §8.3; Bowdler, Martin, Reinsch & Wilkinson): Householder
 //! reflections reduce `S` to tridiagonal form while accumulating their
 //! product, then implicitly shifted QL sweeps chase the off-diagonal to
-//! zero, applying every Givens rotation to the accumulated vectors. Both
-//! stages run on the *transposed* working matrix — row `j` holds the
-//! textbook's column `j` — so every `O(n)` inner loop, the rotations of
-//! the eigenvector accumulation included, walks one contiguous row.
+//! zero, applying every Givens rotation to the accumulated vectors.
+//!
+//! Every phase is laid out so that its `O(n²)`-per-step work is an
+//! element-wise update of contiguous rows, and the whole solver is one
+//! body compiled for AVX-512F, AVX2 and the portable instruction set,
+//! dispatched at run time (see `simd`):
+//!
+//! * the reduction keeps the full symmetric working block, so `M·u` is a
+//!   sum of row axpys and the rank-2 update runs over whole rows, and the
+//!   next `M·u` rides on each update pass;
+//! * the accumulation of the reflections runs on the textbook
+//!   orientation (row `k` holds `V[k][·]`), so every `gᵢ = Σₖ uₖ·Vₖᵢ`
+//!   accumulates across a row, and the next step's sums ride on each
+//!   update pass;
+//! * the QL sweeps run on the transpose (row `j` holds the textbook's
+//!   column `j`), so every Givens rotation rotates two rows.
+//!
+//! Each element sees the operations of the scalar textbook loops in the
+//! same order — lane-wise IEEE multiplies and adds, no fused
+//! multiply-add, no reassociated sum — so every build returns the same
+//! bits as those loops (the tests hold it to them, kept verbatim).
 
+use crate::simd::{multiversion, Backend};
 use crate::{LinalgError, Matrix, NumericalError, Result, Vector};
 
 /// Implicit-QL iterations allowed per eigenvalue before declaring
@@ -77,6 +95,21 @@ impl SymmetricEigen {
     ///   the residual subdiagonal entry, and the diagonal at abort as the
     ///   partial eigenvalue estimates.
     pub fn new(m: &Matrix) -> Result<Self> {
+        Self::with_backend(Backend::detect(), m)
+    }
+
+    /// Name of the instruction set [`new`](Self::new) and
+    /// [`SystemEigen::new`] run the solver with on this CPU: `"avx512f"`,
+    /// `"avx2"`, or `"scalar"` (always, under Miri). Every build returns
+    /// the same bits; the sanitizer CI job logs this to prove the SIMD
+    /// builds ran.
+    #[must_use]
+    pub fn backend() -> &'static str {
+        Backend::detect().name()
+    }
+
+    /// [`new`](Self::new) on `backend`'s build of the solver.
+    fn with_backend(backend: Backend, m: &Matrix) -> Result<Self> {
         if !m.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: m.rows(),
@@ -108,28 +141,22 @@ impl SymmetricEigen {
                 eigenvectors: Matrix::zeros(0, 0),
             });
         }
-        // Row j of `w` is column j of the textbook's working matrix; on
-        // return row j is the eigenvector of `d[j]`.
-        let mut w = m.transpose().as_slice().to_vec();
-        let mut d = vec![0.0; n];
-        let mut e = vec![0.0; n];
-        tridiagonalize(&mut w, &mut d, &mut e, n);
-        ql_implicit(&mut w, &mut d, &mut e, n)?;
-        Ok(Self::sorted(&d, &w))
-    }
-
-    /// Sorts the eigenpairs ascending; `vectors_t` holds one eigenvector
-    /// per row, in the order of `values`.
-    fn sorted(values: &[f64], vectors_t: &[f64]) -> Self {
-        let n = values.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+        // The solver reads the lower triangle; mirror it onto the upper.
+        let mut w = m.clone();
+        let rows = w.as_mut_slice();
+        for i in 0..n {
+            for j in 0..i {
+                rows[j * n + i] = rows[i * n + j];
+            }
+        }
+        let (values, order) = decompose(backend, rows, n)?;
         let eigenvalues = Vector::from_fn(n, |i| values[order[i]]);
-        let eigenvectors = Matrix::from_fn(n, n, |i, j| vectors_t[order[j] * n + i]);
-        SymmetricEigen {
+        let mut eigenvectors = Matrix::zeros(n, n);
+        transpose_rows(rows, &order, eigenvectors.as_mut_slice(), |_, x| x);
+        Ok(SymmetricEigen {
             eigenvalues,
             eigenvectors,
-        }
+        })
     }
 
     /// Eigenvalues, ascending.
@@ -141,123 +168,266 @@ impl SymmetricEigen {
     pub fn eigenvectors(&self) -> &Matrix {
         &self.eigenvectors
     }
-
-    /// Reconstructs `Q Λ Qᵀ` (for validation).
-    pub fn reconstruct(&self) -> Matrix {
-        let n = self.eigenvalues.len();
-        let q = &self.eigenvectors;
-        // Element-wise Q·Λ·Qᵀ — no intermediate products, no shape checks
-        // to fail.
-        Matrix::from_fn(n, n, |i, j| {
-            (0..n)
-                .map(|k| q[(i, k)] * self.eigenvalues[k] * q[(j, k)])
-                .sum()
-        })
-    }
 }
 
-/// Householder reduction of the symmetric `n × n` matrix held
-/// (transposed) in `w` to tridiagonal form — EISPACK `tred2`.
+/// Decomposes the symmetric `n × n` matrix held row-major in `w` (both
+/// triangles, equal bit for bit), `n ≥ 1`, on `backend`'s build. Returns
+/// the eigenvalues, unsorted, and the order that sorts them ascending;
+/// row `j` of `w` is then the eigenvector of eigenvalue `j`.
 ///
-/// On return `d` is the diagonal, `e[1..]` the subdiagonal (`e[0] = 0`),
-/// and row `j` of `w` is column `j` of the orthogonal `Q` with
-/// `M = Q·T·Qᵀ`. `w[j·n + k]` stands for the textbook's `V[k][j]`, so the
-/// symmetric mat-vec, the rank-2 update and the accumulation all stream
-/// rows.
-fn tridiagonalize(w: &mut [f64], d: &mut [f64], e: &mut [f64], n: usize) {
-    for j in 0..n {
-        d[j] = w[j * n + n - 1];
-    }
+/// # Errors
+///
+/// [`NumericalError::NonConvergence`] from [`ql_implicit`].
+fn decompose(backend: Backend, w: &mut [f64], n: usize) -> Result<(Vec<f64>, Vec<usize>)> {
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    let mut scratch = vec![0.0; 3 * n];
+    solve(backend, w, &mut d, &mut e, &mut scratch, n)?;
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
+    Ok((d, order))
+}
+
+multiversion! {
+    /// [`solve_body`] on `backend`'s build.
+    fn solve(
+        w: &mut [f64],
+        d: &mut [f64],
+        e: &mut [f64],
+        scratch: &mut [f64],
+        n: usize,
+    ) -> Result<()> = solve_body;
+}
+
+/// The whole solver on `w` (see [`decompose`]): reduction, accumulation
+/// on the transpose, QL. `d`, `e` hold `n` entries and `scratch` `3n`.
+#[inline(always)]
+fn solve_body(
+    w: &mut [f64],
+    d: &mut [f64],
+    e: &mut [f64],
+    scratch: &mut [f64],
+    n: usize,
+) -> Result<()> {
+    tridiagonalize(w, d, e, &mut scratch[..n], n);
+    transpose_in_place(w, n);
+    accumulate(w, d, e, scratch, n);
+    transpose_in_place(w, n);
+    ql_implicit(w, d, e, n)
+}
+
+/// Householder reduction of the symmetric `n × n` matrix in `w` to
+/// tridiagonal form — the reduction half of EISPACK `tred2`.
+///
+/// On return `d` holds the reflections' scales `h` (`d[0]` unused), `e[1..]`
+/// the subdiagonal, and `w` the reflections for [`accumulate`], stored as
+/// the textbook's `tred2` leaves them, transposed: `w[j·n + k]` stands for
+/// the textbook's `V[k][j]`. The working block stays symmetric in full:
+/// the rank-2 update of a mirrored element forms the textbook's two
+/// products with their factors commuted and adds them in the other
+/// order, which IEEE arithmetic makes the same bits. So `e = M·u` sums
+/// whole rows, each element in the textbook's ascending order from
+/// `+0.0`, and from the second reflection on it rides on the previous
+/// step's update pass, which takes the next row to reduce first.
+/// `next_e` holds `n` entries.
+#[inline(always)]
+fn tridiagonalize(w: &mut [f64], d: &mut [f64], e: &mut [f64], next_e: &mut [f64], n: usize) {
+    d.copy_from_slice(&w[(n - 1) * n..]);
+    // Step i's `h` when step i + 1's update pass has already formed its
+    // Householder vector and `e[..i] = M·u`.
+    let mut primed = None;
     for i in (1..n).rev() {
-        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
-        let mut h = 0.0;
-        if scale == 0.0 {
-            // Row already reduced: skip the reflection.
-            e[i] = d[i - 1];
-            for j in 0..i {
-                d[j] = w[j * n + i - 1];
-                w[j * n + i] = 0.0;
-                w[i * n + j] = 0.0;
-            }
-        } else {
-            // Householder vector, scaled against under/overflow.
-            for x in &mut d[..i] {
-                *x /= scale;
-                h += *x * *x;
-            }
-            let mut f = d[i - 1];
-            let mut g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
-            e[i] = scale * g;
-            h -= f * g;
-            d[i - 1] = f - g;
-            e[..i].fill(0.0);
-            // e = M·u over the leading i×i block, from its lower triangle.
-            w[i * n..i * n + i].copy_from_slice(&d[..i]);
-            for j in 0..i {
-                f = d[j];
-                let row = &w[j * n..j * n + i];
-                g = e[j] + row[j] * f;
-                for k in (j + 1)..i {
-                    g += row[k] * d[k];
-                    e[k] += row[k] * f;
+        let h = match primed.take() {
+            Some(h) => h,
+            None => {
+                let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+                if scale == 0.0 {
+                    // Row already reduced: skip the reflection.
+                    e[i] = d[i - 1];
+                    for j in 0..i {
+                        d[j] = w[j * n + i - 1];
+                        w[j * n + i] = 0.0;
+                        w[i * n + j] = 0.0;
+                    }
+                    d[i] = 0.0;
+                    continue;
                 }
-                e[j] = g;
-            }
-            f = 0.0;
-            for j in 0..i {
-                e[j] /= h;
-                f += e[j] * d[j];
-            }
-            let hh = f / (h + h);
-            for j in 0..i {
-                e[j] -= hh * d[j];
-            }
-            // Rank-2 update of the leading block.
-            for j in 0..i {
-                f = d[j];
-                g = e[j];
-                let row = &mut w[j * n..j * n + i];
-                for ((x, &ek), &dk) in row[j..].iter_mut().zip(&e[j..i]).zip(&d[j..i]) {
-                    *x -= f * ek + g * dk;
+                let (block, rest) = w.split_at_mut(i * n);
+                let u = &mut rest[..i];
+                let (h, ei) = householder(d, u, i, scale);
+                e[i] = ei;
+                let e = &mut e[..i];
+                e.fill(0.0);
+                for (row, &uj) in block.chunks_exact(n).zip(&*u) {
+                    for (ek, &x) in e.iter_mut().zip(&row[..i]) {
+                        *ek += x * uj;
+                    }
                 }
-                d[j] = row[i - 1];
-                w[j * n + i] = 0.0;
+                h
+            }
+        };
+        let (block, rest) = w.split_at_mut(i * n);
+        // u, kept in row i: the update overwrites d.
+        let u = &rest[..i];
+        let e = &mut e[..i];
+        let mut f = 0.0;
+        for (ej, &uj) in e.iter_mut().zip(u) {
+            *ej /= h;
+            f += *ej * uj;
+        }
+        let hh = f / (h + h);
+        for (ej, &uj) in e.iter_mut().zip(u) {
+            *ej -= hh * uj;
+        }
+        // Rank-2 update of the whole block, row i − 1 first: it is the
+        // next row to reduce (its copy in d is the textbook's column
+        // i − 1, the same bits), so the next reflection's `M·u` can sum
+        // the other rows as they are updated.
+        let (above, last) = block.split_at_mut((i - 1) * n);
+        rank2_row(&mut last[..n], e, u, i - 1, i);
+        d[..i].copy_from_slice(&last[..i]);
+        let scale: f64 = d[..i - 1].iter().map(|x| x.abs()).sum();
+        let next = (i > 1 && scale != 0.0).then(|| {
+            next_e[..i - 1].fill(0.0);
+            householder(d, &mut last[..i - 1], i - 1, scale)
+        });
+        for (j, row) in above.chunks_exact_mut(n).enumerate() {
+            rank2_row(row, e, u, j, i);
+            if next.is_some() {
+                let uj = d[j];
+                for (ek, &x) in next_e[..i - 1].iter_mut().zip(&row[..i - 1]) {
+                    *ek += x * uj;
+                }
             }
         }
         d[i] = h;
+        if let Some((next_h, next_ei)) = next {
+            e[..i - 1].copy_from_slice(&next_e[..i - 1]);
+            e[i - 1] = next_ei;
+            primed = Some(next_h);
+        }
     }
-    // Accumulate the reflections into Q.
+}
+
+/// Forms step `i`'s Householder vector `u` from `d[..i]`, row `i` of the
+/// reduced matrix, whose absolute sum is `scale` (non-zero): `d[..i]`
+/// and `u_row` become `u`. Returns `h = ‖u‖²/2` and the subdiagonal
+/// entry `e[i]`.
+#[inline(always)]
+fn householder(d: &mut [f64], u_row: &mut [f64], i: usize, scale: f64) -> (f64, f64) {
+    // Scaled against under/overflow.
+    let mut h = 0.0;
+    for x in &mut d[..i] {
+        *x /= scale;
+        h += *x * *x;
+    }
+    let f = d[i - 1];
+    let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+    h -= f * g;
+    d[i - 1] = f - g;
+    u_row.copy_from_slice(&d[..i]);
+    (h, scale * g)
+}
+
+/// The rank-2 update `M ← M − u·eᵀ − e·uᵀ` of row `j` of the leading
+/// `i × i` block, and the zero the reduction leaves in column `i`.
+#[inline(always)]
+fn rank2_row(row: &mut [f64], e: &[f64], u: &[f64], j: usize, i: usize) {
+    let (f, g) = (u[j], e[j]);
+    for ((x, &ek), &uk) in row[..i].iter_mut().zip(e).zip(u) {
+        *x -= f * ek + g * uk;
+    }
+    row[i] = 0.0;
+}
+
+/// Transposes the row-major `n × n` matrix `w` in place.
+#[inline(always)]
+fn transpose_in_place(w: &mut [f64], n: usize) {
+    for i in 1..n {
+        let (upper, lower) = w.split_at_mut(i * n);
+        for (j, x) in lower[..i].iter_mut().enumerate() {
+            std::mem::swap(x, &mut upper[j * n + i]);
+        }
+    }
+}
+
+/// Accumulates the reflections [`tridiagonalize`] left into the
+/// orthogonal `Q` with `M = Q·T·Qᵀ` — the accumulation half of EISPACK
+/// `tred2`, on the textbook orientation: `w[k·n + j]` is `V[k][j]`.
+///
+/// Step `i` forms `gⱼ = Σₖ uₖ·V[k][j]` for every `j ≤ i` at once, row
+/// `k` by row `k` from `-0.0` (where `f64`'s `Sum` starts, so an exactly
+/// zero `gⱼ` keeps the textbook's sign), then applies the rank-1 update
+/// row by row; when step `i + 1` has a reflection to apply, that pass
+/// also sums its `g` over the rows it has just updated. On return `d` is
+/// the diagonal of `T`, `e[1..]` its subdiagonal (`e[0] = 0`), and column
+/// `j` of `w` the column `j` of `Q`. `scratch` holds `3n` entries.
+#[inline(always)]
+fn accumulate(w: &mut [f64], d: &mut [f64], e: &mut [f64], scratch: &mut [f64], n: usize) {
+    let (u, sums) = scratch.split_at_mut(n);
+    let (mut g, mut next_g) = sums.split_at_mut(n);
+    // Whether `u`, `d` and `g` already hold step i's vectors, summed over
+    // the rows above row i by step i − 1's update pass.
+    let mut primed = false;
     for i in 0..n - 1 {
-        w[i * n + n - 1] = w[i * n + i];
+        w[(n - 1) * n + i] = w[i * n + i];
         w[i * n + i] = 1.0;
         let h = d[i + 1];
-        let (lead, rest) = w.split_at_mut((i + 1) * n);
-        let u = &mut rest[..=i];
+        let block = &mut w[..(i + 1) * n];
         if h != 0.0 {
-            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
-                *dk = uk / h;
+            let (first, last) = if primed { (i, i) } else { (0, i) };
+            if !primed {
+                g[..=i].fill(-0.0);
             }
-            for row in lead.chunks_exact_mut(n) {
-                let row = &mut row[..=i];
-                let g: f64 = u.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
-                for (x, &dk) in row.iter_mut().zip(&d[..=i]) {
-                    *x -= g * dk;
+            for k in first..=last {
+                let row = &block[k * n..(k + 1) * n];
+                let uk = row[i + 1];
+                u[k] = uk;
+                d[k] = uk / h;
+                for (gj, &x) in g[..=i].iter_mut().zip(&row[..=i]) {
+                    *gj += uk * x;
                 }
             }
+            // Step i + 1's sums ride on this update pass when it has a
+            // reflection to apply.
+            let next_h = if i + 2 < n { d[i + 2] } else { 0.0 };
+            primed = next_h != 0.0;
+            if primed {
+                next_g[..=i + 1].fill(-0.0);
+            }
+            for (k, row) in block.chunks_exact_mut(n).enumerate() {
+                let dk = d[k];
+                for (x, &gj) in row[..=i].iter_mut().zip(&*g) {
+                    *x -= gj * dk;
+                }
+                row[i + 1] = 0.0;
+                if primed {
+                    let uk = row[i + 2];
+                    u[k] = uk;
+                    d[k] = uk / next_h;
+                    for (gj, &x) in next_g[..=i + 1].iter_mut().zip(&row[..=i + 1]) {
+                        *gj += uk * x;
+                    }
+                }
+            }
+            std::mem::swap(&mut g, &mut next_g);
+        } else {
+            primed = false;
+            for row in block.chunks_exact_mut(n) {
+                row[i + 1] = 0.0;
+            }
         }
-        u.fill(0.0);
     }
-    for j in 0..n {
-        d[j] = w[j * n + n - 1];
-        w[j * n + n - 1] = 0.0;
-    }
-    w[n * n - 1] = 1.0;
+    let last = &mut w[(n - 1) * n..];
+    d.copy_from_slice(last);
+    last.fill(0.0);
+    last[n - 1] = 1.0;
     e[0] = 0.0;
 }
 
 /// Diagonalizes the symmetric tridiagonal matrix `(d, e)` from
-/// [`tridiagonalize`] by implicitly shifted QL iterations — EISPACK
-/// `tql2` — rotating the rows of `w` along.
+/// [`accumulate`] by implicitly shifted QL iterations — EISPACK `tql2` —
+/// rotating the rows of `w` along; row `j` of `w` is column `j` of `Q`.
 ///
 /// On return `d` holds the eigenvalues (unsorted) and row `j` of `w` the
 /// eigenvector of `d[j]`.
@@ -266,6 +436,7 @@ fn tridiagonalize(w: &mut [f64], d: &mut [f64], e: &mut [f64], n: usize) {
 ///
 /// [`NumericalError::NonConvergence`] once one eigenvalue has used
 /// [`MAX_QL_ITERATIONS`] iterations without decoupling.
+#[inline(always)]
 fn ql_implicit(w: &mut [f64], d: &mut [f64], e: &mut [f64], n: usize) -> Result<()> {
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
@@ -339,6 +510,22 @@ fn ql_implicit(w: &mut [f64], d: &mut [f64], e: &mut [f64], n: usize) -> Result<
     Ok(())
 }
 
+/// Writes `out[i·n + j] = scale(i, w[order[j]·n + i])`: the rows of `w`
+/// taken in `order`, transposed into the row-major `n × n` `out`. Blocks
+/// of eight source rows keep the strided reads in cache.
+fn transpose_rows(w: &[f64], order: &[usize], out: &mut [f64], scale: impl Fn(usize, f64) -> f64) {
+    const BLOCK: usize = 8;
+    let n = order.len();
+    for (jb, block) in order.chunks(BLOCK).enumerate() {
+        let j0 = jb * BLOCK;
+        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+            for (o, &src) in out_row[j0..j0 + block.len()].iter_mut().zip(block) {
+                *o = scale(i, w[src * n + i]);
+            }
+        }
+    }
+}
+
 /// Eigendecomposition of the thermal system matrix `C = -A⁻¹B`.
 ///
 /// Holds `C = V · diag(λ) · V⁻¹` with all `λ < 0`. Built once per chip
@@ -377,6 +564,11 @@ impl SystemEigen {
     ///   [`LinalgError::Numerical`]) if `B` holds a NaN or infinity.
     /// * Errors from the underlying [`SymmetricEigen::new`].
     pub fn new(a_diag: &Vector, b: &Matrix) -> Result<Self> {
+        Self::with_backend(Backend::detect(), a_diag, b)
+    }
+
+    /// [`new`](Self::new) on `backend`'s build of the solver.
+    fn with_backend(backend: Backend, a_diag: &Vector, b: &Matrix) -> Result<Self> {
         let n = a_diag.len();
         if b.rows() != n || b.cols() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -395,17 +587,53 @@ impl SystemEigen {
                 what: "conductance matrix B",
             }));
         }
+        if n == 0 {
+            return Ok(SystemEigen {
+                eigenvalues: Vector::zeros(0),
+                v: Matrix::zeros(0, 0),
+                v_inv: Matrix::zeros(0, 0),
+            });
+        }
         let inv_sqrt = Vector::from_fn(n, |i| 1.0 / a_diag[i].sqrt());
         let sqrt_a = Vector::from_fn(n, |i| a_diag[i].sqrt());
-        // S = A^{-1/2} B A^{-1/2}, symmetric by construction.
-        let s = Matrix::from_fn(n, n, |i, j| inv_sqrt[i] * b[(i, j)] * inv_sqrt[j]);
-        // Numerical symmetrization guards against round-off in B's assembly.
-        let s = Matrix::from_fn(n, n, |i, j| 0.5 * (s[(i, j)] + s[(j, i)]));
-        let eig = SymmetricEigen::new(&s)?;
-        let q = eig.eigenvectors();
-        let v = Matrix::from_fn(n, n, |i, j| inv_sqrt[i] * q[(i, j)]);
-        let v_inv = Matrix::from_fn(n, n, |i, j| q[(j, i)] * sqrt_a[j]);
-        let eigenvalues = Vector::from_fn(n, |i| -eig.eigenvalues()[i]);
+        // S = A^{-1/2} B A^{-1/2}, symmetrized against round-off in B's
+        // assembly: s_ij = ½·(s'_ij + s'_ji), which is s_ji bit for bit.
+        let mut s = Matrix::zeros(n, n);
+        let w = s.as_mut_slice();
+        let rows = w.chunks_exact_mut(n).zip(b.as_slice().chunks_exact(n));
+        for ((row, b_row), &ri) in rows.zip(inv_sqrt.iter()) {
+            for ((x, &bij), &rj) in row.iter_mut().zip(b_row).zip(inv_sqrt.iter()) {
+                *x = ri * bij * rj;
+            }
+        }
+        for i in 0..n {
+            for j in 0..=i {
+                let sym = 0.5 * (w[i * n + j] + w[j * n + i]);
+                w[i * n + j] = sym;
+                w[j * n + i] = sym;
+            }
+        }
+        if w.iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::Numerical(NumericalError::NonFinite {
+                what: "symmetric eigen input",
+            }));
+        }
+        let (values, order) = decompose(backend, w, n)?;
+        // With Q's columns the rows of `w` in `order`: V = A^{-1/2}·Q is a
+        // transposing gather, V⁻¹ = Qᵀ·A^{1/2} a row-by-row copy.
+        let mut v = Matrix::zeros(n, n);
+        transpose_rows(w, &order, v.as_mut_slice(), |i, x| inv_sqrt[i] * x);
+        let mut v_inv = Matrix::zeros(n, n);
+        for (out, &src) in v_inv.as_mut_slice().chunks_exact_mut(n).zip(&order) {
+            for ((o, &q), &sa) in out
+                .iter_mut()
+                .zip(&w[src * n..(src + 1) * n])
+                .zip(sqrt_a.iter())
+            {
+                *o = q * sa;
+            }
+        }
+        let eigenvalues = Vector::from_fn(n, |i| -values[order[i]]);
         Ok(SystemEigen {
             eigenvalues,
             v,
@@ -478,24 +706,6 @@ impl SystemEigen {
         worst
     }
 
-    /// Forms `V · diag(d) · V⁻¹` for an arbitrary spectral filter `d`.
-    ///
-    /// This is the workhorse of the rotation peak-temperature closed form
-    /// (paper Eq. 10), where `d` is e.g. `1 / (1 - e^{δλτ})`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != self.dim()`.
-    pub fn spectral_filter(&self, d: &Vector) -> Matrix {
-        let n = self.dim();
-        assert_eq!(d.len(), n, "spectral filter length mismatch");
-        Matrix::from_fn(n, n, |i, j| {
-            (0..n)
-                .map(|k| self.v[(i, k)] * d[k] * self.v_inv[(k, j)])
-                .sum()
-        })
-    }
-
     /// Applies `V · diag(d) · V⁻¹ · x` without forming the matrix.
     ///
     /// # Panics
@@ -511,7 +721,9 @@ impl SystemEigen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expm::{exp_apply, exp_matrix};
+    use crate::expm::{exp_apply, exp_matrix, spectral_filter};
+    use crate::inputs::{chips, corner_cases};
+    use crate::{scalar_reference, support};
 
     // The `jacobi_*` tests keep the names they had under the cyclic-Jacobi
     // solver; they cover `symmetric_eigen`, whatever its algorithm.
@@ -528,7 +740,7 @@ mod tests {
     fn jacobi_reconstruction() {
         let m = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 5.0]]).unwrap();
         let eig = m.symmetric_eigen().unwrap();
-        let err = (&eig.reconstruct() - &m).norm_inf();
+        let err = (&support::reconstruct(eig.eigenvalues(), eig.eigenvectors()) - &m).norm_inf();
         assert!(err < 1e-10, "reconstruction error {err}");
     }
 
@@ -636,7 +848,7 @@ mod tests {
             Matrix::from_rows(&[&[3.0, -1.0, 0.0], &[-1.0, 2.5, -0.5], &[0.0, -0.5, 1.5]]).unwrap();
         let sys = SystemEigen::new(&a_diag, &b).unwrap();
         // Reconstruct C = V diag(lambda) V^{-1} and compare with -A^{-1}B.
-        let c_rebuilt = sys.spectral_filter(sys.eigenvalues());
+        let c_rebuilt = spectral_filter(&sys, sys.eigenvalues());
         let c_direct = Matrix::from_fn(3, 3, |i, j| -b[(i, j)] / a_diag[i]);
         let err = (&c_rebuilt - &c_direct).norm_inf();
         assert!(err < 1e-10, "C reconstruction error {err}");
@@ -715,5 +927,56 @@ mod tests {
         let via_matrix = exp_matrix(&sys, 0.3).mul_vector(&x);
         let via_apply = exp_apply(&sys, 0.3, &x);
         assert!((&via_matrix - &via_apply).norm_inf() < 1e-12);
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts that `m`'s decomposition on every backend has the scalar
+    /// loops' bits.
+    fn assert_symmetric_bits(name: &str, m: &Matrix) {
+        let (values, vectors) = scalar_reference::symmetric_eigen(m).unwrap();
+        for backend in Backend::available() {
+            let eig = SymmetricEigen::with_backend(backend, m).unwrap();
+            let at = format!("{name} on {}", backend.name());
+            assert_eq!(
+                bits(eig.eigenvalues().as_slice()),
+                bits(values.as_slice()),
+                "{at}"
+            );
+            assert_eq!(
+                bits(eig.eigenvectors().as_slice()),
+                bits(vectors.as_slice()),
+                "{at}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_backend_decomposes_the_corner_cases_to_the_scalar_bits() {
+        for (name, m) in corner_cases() {
+            assert_symmetric_bits(name, &m);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "N up to 300: too slow under the interpreter")]
+    fn every_backend_decomposes_every_chip_to_the_scalar_bits() {
+        for chip in chips() {
+            assert_symmetric_bits(chip.name, &chip.s());
+            let (values, v, v_inv) = scalar_reference::system_eigen(&chip.a_diag, &chip.b).unwrap();
+            for backend in Backend::available() {
+                let sys = SystemEigen::with_backend(backend, &chip.a_diag, &chip.b).unwrap();
+                let at = format!("{} on {}", chip.name, backend.name());
+                assert_eq!(
+                    bits(sys.eigenvalues().as_slice()),
+                    bits(values.as_slice()),
+                    "{at}"
+                );
+                assert_eq!(bits(sys.v().as_slice()), bits(v.as_slice()), "{at}");
+                assert_eq!(bits(sys.v_inv().as_slice()), bits(v_inv.as_slice()), "{at}");
+            }
+        }
     }
 }

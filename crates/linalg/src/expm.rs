@@ -4,7 +4,7 @@
 #[path = "../tests/support/expm.rs"]
 mod oracle;
 
-pub(crate) use oracle::{exp_apply, exp_matrix, expm};
+pub(crate) use oracle::{exp_apply, exp_matrix, expm, spectral_filter};
 
 #[cfg(test)]
 mod tests {

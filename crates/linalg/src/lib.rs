@@ -39,6 +39,7 @@
 
 mod error;
 mod matrix;
+mod simd;
 mod vector;
 
 pub mod cholesky;
@@ -46,13 +47,25 @@ pub mod convert;
 pub mod eigen;
 pub mod lu;
 
-// The matrix exponentials the tests check the eigen route against live
-// in `tests/support/expm.rs`, which names this crate `hp_linalg` as the
-// integration tests do; their unit tests run with the crate's.
+// The test oracles live in `tests/support/`, shared with the integration
+// tests, which name this crate `hp_linalg`: the matrix exponentials the
+// eigen route is checked against (their unit tests run with the crate's),
+// the design-time kernels' scalar references and the inputs they are
+// held to them on, and the decomposition checks.
 #[cfg(test)]
 extern crate self as hp_linalg;
 #[cfg(test)]
 mod expm;
+#[cfg(test)]
+#[path = "../tests/support/inputs.rs"]
+mod inputs;
+#[cfg(test)]
+#[path = "../tests/support/scalar_reference.rs"]
+mod scalar_reference;
+#[cfg(test)]
+#[allow(dead_code)] // the unit tests use `reconstruct` only
+#[path = "../tests/support/mod.rs"]
+mod support;
 
 pub use cholesky::CholeskyDecomposition;
 pub use eigen::SymmetricEigen;

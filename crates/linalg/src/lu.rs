@@ -6,6 +6,7 @@
 //! Doolittle-style LU with partial pivoting is exact enough: `B` is
 //! symmetric positive definite and well conditioned for physical RC values.
 
+use crate::simd::{multiversion, Backend};
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// A partial-pivoting LU decomposition `P·A = L·U` of a square matrix.
@@ -48,6 +49,11 @@ impl LuDecomposition {
     /// * [`LinalgError::NotSquare`] if `a` is rectangular.
     /// * [`LinalgError::Singular`] if a pivot collapses to (near) zero.
     pub fn new(a: &Matrix) -> Result<Self> {
+        Self::with_backend(Backend::detect(), a)
+    }
+
+    /// [`new`](Self::new) on `backend`'s build of the elimination.
+    fn with_backend(backend: Backend, a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -57,48 +63,12 @@ impl LuDecomposition {
         let n = a.rows();
         let mut f = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         // A pivot is declared singular relative to the largest entry of the
         // matrix, not in absolute terms, so well-scaled tiny systems factor.
         let scale = a.norm_inf().max(f64::MIN_POSITIVE);
         let tiny = scale * 1e-14 * crate::convert::usize_to_f64(n);
-
-        for k in 0..n {
-            // Find the pivot row.
-            let mut pivot_row = k;
-            let mut pivot_val = f[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = f[(i, k)].abs();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = i;
-                }
-            }
-            if pivot_val <= tiny {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if pivot_row != k {
-                for j in 0..n {
-                    let tmp = f[(k, j)];
-                    f[(k, j)] = f[(pivot_row, j)];
-                    f[(pivot_row, j)] = tmp;
-                }
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
-            }
-            let pivot = f[(k, k)];
-            for i in (k + 1)..n {
-                let m = f[(i, k)] / pivot;
-                f[(i, k)] = m;
-                if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let fkj = f[(k, j)];
-                        f[(i, j)] -= m * fkj;
-                    }
-                }
-            }
-        }
+        let perm_sign = eliminate(backend, f.as_mut_slice(), &mut perm, n, tiny)?;
 
         Ok(LuDecomposition {
             factors: f,
@@ -326,9 +296,68 @@ impl LuDecomposition {
     }
 }
 
+multiversion! {
+    /// [`eliminate_body`] on `backend`'s build.
+    fn eliminate(f: &mut [f64], perm: &mut [usize], n: usize, tiny: f64) -> Result<f64> =
+        eliminate_body;
+}
+
+/// Gaussian elimination with partial pivoting of the row-major `n × n`
+/// matrix `f`, in place: on return `f` holds `L` (unit lower, below the
+/// diagonal) and `U`, and `perm` the row permutation applied to the
+/// identity it held. Returns the permutation's sign.
+///
+/// Every row update is one axpy over a contiguous row tail, in the
+/// textbook's order.
+///
+/// # Errors
+///
+/// [`LinalgError::Singular`] at the first pivot whose magnitude is at
+/// most `tiny`.
+#[inline(always)]
+fn eliminate_body(f: &mut [f64], perm: &mut [usize], n: usize, tiny: f64) -> Result<f64> {
+    let mut perm_sign = 1.0;
+    for k in 0..n {
+        // Find the pivot row.
+        let mut pivot_row = k;
+        let mut pivot_val = f[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = f[i * n + k].abs();
+            if v > pivot_val {
+                pivot_val = v;
+                pivot_row = i;
+            }
+        }
+        if pivot_val <= tiny {
+            return Err(LinalgError::Singular { pivot: k });
+        }
+        let (top, below) = f.split_at_mut((k + 1) * n);
+        let row_k = &mut top[k * n..];
+        if pivot_row != k {
+            row_k.swap_with_slice(&mut below[(pivot_row - k - 1) * n..(pivot_row - k) * n]);
+            perm.swap(k, pivot_row);
+            perm_sign = -perm_sign;
+        }
+        let pivot = row_k[k];
+        let tail = &row_k[k + 1..];
+        for row in below.chunks_exact_mut(n) {
+            let m = row[k] / pivot;
+            row[k] = m;
+            if m != 0.0 {
+                for (x, &y) in row[k + 1..].iter_mut().zip(tail) {
+                    *x -= m * y;
+                }
+            }
+        }
+    }
+    Ok(perm_sign)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inputs::{chips, lu_cases};
+    use crate::scalar_reference;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
@@ -468,5 +497,56 @@ mod tests {
             lu.solve(&Vector::zeros(2)),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts that `a`'s factors on every backend, and a solve with
+    /// them, have the scalar loops' bits.
+    fn assert_lu_bits(name: &str, a: &Matrix) {
+        let (factors, perm) = scalar_reference::lu_factors(a).unwrap();
+        let rhs = Vector::from_fn(a.rows(), |i| 1.0 + (i % 5) as f64 * 0.25);
+        let x = scalar_reference::lu_solve(&factors, &perm, &rhs);
+        for backend in Backend::available() {
+            let lu = LuDecomposition::with_backend(backend, a).unwrap();
+            let at = format!("{name} on {}", backend.name());
+            assert_eq!(
+                bits(lu.factors.as_slice()),
+                bits(factors.as_slice()),
+                "{at}"
+            );
+            assert_eq!(lu.perm, perm, "{at}");
+            assert_eq!(
+                bits(lu.solve(&rhs).unwrap().as_slice()),
+                bits(x.as_slice()),
+                "{at}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_backend_factors_the_corner_cases_to_the_scalar_bits() {
+        for (name, a) in lu_cases() {
+            assert_lu_bits(name, &a);
+        }
+        let singular =
+            Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0], &[1.0, 0.0, 1.0]]).unwrap();
+        let want = scalar_reference::lu_factors(&singular).unwrap_err();
+        for backend in Backend::available() {
+            assert_eq!(
+                LuDecomposition::with_backend(backend, &singular).unwrap_err(),
+                want
+            );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "N up to 300: too slow under the interpreter")]
+    fn every_backend_factors_every_chip_to_the_scalar_bits() {
+        for chip in chips() {
+            assert_lu_bits(chip.name, &chip.b);
+        }
     }
 }

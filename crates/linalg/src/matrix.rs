@@ -1,6 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
+use crate::simd::{multiversion, Backend};
 use crate::{LinalgError, LuDecomposition, Result, SymmetricEigen, Vector};
 
 /// An owned, dense, row-major matrix of `f64` values.
@@ -276,23 +277,7 @@ impl Matrix {
                 right: (m, n),
             });
         }
-        let b = b.data();
-        // Under Miri the `#[target_feature]` kernels cannot run (Miri has
-        // no AVX); everything routes through the scalar reference body.
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the avx512f requirement was just checked.
-                unsafe { gemm_tiled_avx512(out, a, b, m, n, inner) };
-                return Ok(());
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the avx2 requirement was just checked.
-                unsafe { gemm_tiled_avx2(out, a, b, m, n, inner) };
-                return Ok(());
-            }
-        }
-        gemm_tiled(out, a, b, m, n, inner);
+        gemm_tiled(Backend::detect(), out, a, b.data(), m, n, inner);
         Ok(())
     }
 
@@ -305,16 +290,7 @@ impl Matrix {
     /// always reports `"scalar"`.
     #[must_use]
     pub fn gemm_backend() -> &'static str {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return "avx512f";
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return "avx2";
-            }
-        }
-        "scalar"
+        Backend::detect().name()
     }
 
     /// Largest absolute entry.
@@ -326,15 +302,15 @@ impl Matrix {
     /// the Hager condition estimator works in
     /// ([`LuDecomposition::condition_estimate`]).
     pub fn norm_one(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for j in 0..self.cols {
-            let mut sum = 0.0;
-            for i in 0..self.rows {
-                sum += self[(i, j)].abs();
+        // Every column sum accumulates down the rows from 0.0, one row
+        // pass at a time.
+        let mut sums = vec![0.0; self.cols];
+        for row in self.data().chunks_exact(self.cols.max(1)) {
+            for (sum, x) in sums.iter_mut().zip(row) {
+                *sum += x.abs();
             }
-            worst = worst.max(sum);
         }
-        worst
+        sums.into_iter().fold(0.0f64, f64::max)
     }
 
     /// Largest absolute asymmetry `max |m[i][j] - m[j][i]|` (square matrices).
@@ -496,47 +472,10 @@ fn gemm_tiled_body(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, in
     }
 }
 
-fn gemm_tiled(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: usize) {
-    gemm_tiled_body(out, a, b, m, n, inner);
-}
-
-/// The same body compiled with AVX2 codegen. Lane-wise IEEE mul/add only
-/// (rustc does not contract to FMA), so results are bit-identical to
-/// [`gemm_tiled`].
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2, e.g. via
-/// `is_x86_feature_detected!("avx2")` — executing the AVX2-encoded body
-/// on a CPU without it is undefined behaviour (illegal instruction at
-/// best). The body itself is safe Rust: all slice accesses are
-/// bounds-checked, dimensions are validated by the sole caller
-/// ([`Matrix::gemm_into`]), and no pointers are formed.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_tiled_avx2(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: usize) {
-    gemm_tiled_body(out, a, b, m, n, inner);
-}
-
-/// The same body compiled with AVX-512F codegen; bit-identical results,
-/// as for [`gemm_tiled_avx2`].
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX-512F, e.g. via
-/// `is_x86_feature_detected!("avx512f")`; see [`gemm_tiled_avx2`] — the
-/// same contract applies, with AVX-512F in place of AVX2.
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx512f")]
-unsafe fn gemm_tiled_avx512(
-    out: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    m: usize,
-    n: usize,
-    inner: usize,
-) {
-    gemm_tiled_body(out, a, b, m, n, inner);
+multiversion! {
+    /// [`gemm_tiled_body`] on `backend`'s build.
+    fn gemm_tiled(out: &mut [f64], a: &[f64], b: &[f64], m: usize, n: usize, inner: usize) =
+        gemm_tiled_body;
 }
 
 impl Neg for &Matrix {
@@ -651,32 +590,6 @@ mod tests {
         })
     }
 
-    /// A GEMM kernel build: `(out, a, b, m, n, inner)`.
-    type Kernel = fn(&mut [f64], &[f64], &[f64], usize, usize, usize);
-
-    /// The kernel builds this CPU can run, the portable one first.
-    fn backends() -> Vec<(&'static str, Kernel)> {
-        let mut out: Vec<(&'static str, Kernel)> = vec![("scalar", gemm_tiled)];
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                out.push(("avx2", |o, a, b, m, n, k| {
-                    // SAFETY: the avx2 requirement was checked before
-                    // this entry was listed.
-                    unsafe { gemm_tiled_avx2(o, a, b, m, n, k) }
-                }));
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                out.push(("avx512f", |o, a, b, m, n, k| {
-                    // SAFETY: the avx512f requirement was checked before
-                    // this entry was listed.
-                    unsafe { gemm_tiled_avx512(o, a, b, m, n, k) }
-                }));
-            }
-        }
-        out
-    }
-
     #[test]
     fn gemm_into_equals_mul_matrix_bit_for_bit_on_every_backend() {
         // 18 is all remainder columns, 48 one tile plus 16, 64 and 192
@@ -691,13 +604,22 @@ mod tests {
                 Matrix::gemm_into(a.as_slice(), rows, &b, &mut out).unwrap();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&out), bits(want.as_slice()), "{rows}x{inner}x{width}");
-                for (name, kernel) in backends() {
+                for backend in Backend::available() {
                     let mut direct = vec![f64::NAN; rows * width];
-                    kernel(&mut direct, a.as_slice(), b.as_slice(), rows, width, inner);
+                    gemm_tiled(
+                        backend,
+                        &mut direct,
+                        a.as_slice(),
+                        b.as_slice(),
+                        rows,
+                        width,
+                        inner,
+                    );
                     assert_eq!(
                         bits(&direct),
                         bits(want.as_slice()),
-                        "{name}: {rows}x{inner}x{width}"
+                        "{}: {rows}x{inner}x{width}",
+                        backend.name()
                     );
                 }
             }

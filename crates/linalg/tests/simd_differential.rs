@@ -1,10 +1,19 @@
-//! Differential test for the SIMD GEMM kernels, written to run under
-//! AddressSanitizer in CI: the dispatched (AVX-512/AVX2) product must
-//! agree with the scalar reference on every entry, and the test prints
-//! which backend actually executed so the CI log can assert the SIMD
-//! path was exercised rather than silently falling back to scalar.
+//! Differential tests for the dispatched kernels, written to run under
+//! AddressSanitizer in CI: the dispatched (AVX-512/AVX2) GEMM must agree
+//! with a scalar product on every entry, and the eigensolver and the LU
+//! must reproduce their scalar loops bit for bit on every chip the
+//! tool-chain builds. Each test prints which backend actually executed,
+//! so the CI log can assert the SIMD path was exercised rather than
+//! silently falling back to scalar.
 
-use hp_linalg::Matrix;
+#[path = "support/inputs.rs"]
+mod inputs;
+#[path = "support/scalar_reference.rs"]
+mod scalar_reference;
+
+use hp_linalg::eigen::SystemEigen;
+use hp_linalg::{Matrix, SymmetricEigen, Vector};
+use inputs::{chips, corner_cases, lu_cases};
 
 /// Scalar reference product, independent of the library's kernels.
 fn naive_mul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -84,5 +93,69 @@ fn dispatch_uses_simd_when_available() {
         );
     } else {
         assert_eq!(backend, "scalar");
+    }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn dispatched_eigensolver_reproduces_the_scalar_loops_bit_for_bit() {
+    // CI greps this exact line to assert the SIMD path executed.
+    println!("eigen dispatch backend: {}", SymmetricEigen::backend());
+    let chips = chips();
+    let chip_s = chips.iter().map(|c| (c.name, c.s()));
+    for (name, m) in corner_cases().into_iter().chain(chip_s) {
+        let eig = SymmetricEigen::new(&m).expect("decomposes");
+        let (values, vectors) = scalar_reference::symmetric_eigen(&m).expect("decomposes");
+        assert_eq!(
+            bits(eig.eigenvalues().as_slice()),
+            bits(values.as_slice()),
+            "{name}"
+        );
+        assert_eq!(
+            bits(eig.eigenvectors().as_slice()),
+            bits(vectors.as_slice()),
+            "{name}"
+        );
+    }
+    for chip in &chips {
+        let sys = SystemEigen::new(&chip.a_diag, &chip.b).expect("decomposes");
+        let (values, v, v_inv) =
+            scalar_reference::system_eigen(&chip.a_diag, &chip.b).expect("decomposes");
+        let name = chip.name;
+        assert_eq!(
+            bits(sys.eigenvalues().as_slice()),
+            bits(values.as_slice()),
+            "{name}"
+        );
+        assert_eq!(bits(sys.v().as_slice()), bits(v.as_slice()), "{name}");
+        assert_eq!(
+            bits(sys.v_inv().as_slice()),
+            bits(v_inv.as_slice()),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn dispatched_lu_solves_as_the_scalar_loops_bit_for_bit() {
+    let chips = chips();
+    let chip_b = chips.iter().map(|c| (c.name, c.b.clone()));
+    for (name, a) in lu_cases().into_iter().chain(chip_b) {
+        let n = a.rows();
+        let lu = a.lu().expect("factors");
+        let (factors, perm) = scalar_reference::lu_factors(&a).expect("factors");
+        for seed in 0..3 {
+            let rhs = Vector::from_fn(n, |i| ((i * 7 + seed * 5) % 13) as f64 - 6.0);
+            let x = scalar_reference::lu_solve(&factors, &perm, &rhs);
+            let got = lu.solve(&rhs).expect("solves");
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(x.as_slice()),
+                "{name}, rhs {seed}"
+            );
+        }
     }
 }

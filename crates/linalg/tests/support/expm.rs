@@ -3,7 +3,7 @@
 //!
 //! [`expm`] is an independent Padé scaling-and-squaring exponential;
 //! [`exp_apply`] and [`exp_matrix`] form `e^{C·t}` through a
-//! [`SystemEigen`] basis.
+//! [`SystemEigen`] basis, the latter by [`spectral_filter`].
 
 use hp_linalg::eigen::SystemEigen;
 use hp_linalg::{LinalgError, Matrix, Result, Vector};
@@ -88,7 +88,22 @@ pub fn exp_apply(sys: &SystemEigen, t: f64, x: &Vector) -> Vector {
 
 /// Forms the dense matrix `e^{C·t}`.
 pub fn exp_matrix(sys: &SystemEigen, t: f64) -> Matrix {
-    sys.spectral_filter(&decay(sys, t))
+    spectral_filter(sys, &decay(sys, t))
+}
+
+/// Forms `V · diag(d) · V⁻¹` for an arbitrary spectral filter `d` of
+/// `sys`'s modes.
+///
+/// # Panics
+///
+/// Panics if `d.len() != sys.dim()`.
+pub fn spectral_filter(sys: &SystemEigen, d: &Vector) -> Matrix {
+    let n = sys.dim();
+    assert_eq!(d.len(), n, "spectral filter length mismatch");
+    let (v, v_inv) = (sys.v(), sys.v_inv());
+    Matrix::from_fn(n, n, |i, j| {
+        (0..n).map(|k| v[(i, k)] * d[k] * v_inv[(k, j)]).sum()
+    })
 }
 
 /// Converts a non-negative `f64` to `u32`, truncating toward zero and

@@ -82,12 +82,16 @@ fn sorted(values: &Vector, vectors: &Matrix) -> (Vector, Matrix) {
     )
 }
 
-/// `‖M − Q·diag(λ)·Qᵀ‖∞ / ‖M‖∞`: the decomposition's backward error.
-pub fn reconstruction_error(m: &Matrix, values: &Vector, vectors: &Matrix) -> f64 {
+/// `Q·diag(λ)·Qᵀ` for eigenvalues `λ` and eigenvectors (columns) `Q`.
+pub fn reconstruct(values: &Vector, vectors: &Matrix) -> Matrix {
     let n = values.len();
     let scaled = Matrix::from_fn(n, n, |i, k| vectors[(i, k)] * values[k]);
-    let rebuilt = scaled.mul_matrix(&vectors.transpose()).expect("square");
-    (&rebuilt - m).norm_inf() / m.norm_inf().max(f64::MIN_POSITIVE)
+    scaled.mul_matrix(&vectors.transpose()).expect("square")
+}
+
+/// `‖M − Q·diag(λ)·Qᵀ‖∞ / ‖M‖∞`: the decomposition's backward error.
+pub fn reconstruction_error(m: &Matrix, values: &Vector, vectors: &Matrix) -> f64 {
+    (&reconstruct(values, vectors) - m).norm_inf() / m.norm_inf().max(f64::MIN_POSITIVE)
 }
 
 /// `‖QᵀQ − I‖∞`: how far the eigenvectors are from orthonormal.

@@ -1397,10 +1397,33 @@ impl Simulation {
                 }
                 staged.push((tid, from, to));
             }
-            // Simulate the batch on a copy of the occupancy.
+            // Simulate the batch on a copy of the occupancy. A thread has
+            // one source core, so a source already vacated is a thread
+            // the batch names twice: staged to both destinations, it
+            // would leave one of them with a stale occupant.
             let mut next: Vec<Option<ThreadId>> = st.occupancy.to_vec();
-            for &(_, from, _) in &staged {
-                next[from.index()] = None;
+            let mut repeated: Option<ThreadId> = None;
+            for &(tid, from, _) in &staged {
+                if next[from.index()].take().is_none() {
+                    repeated = Some(tid);
+                    break;
+                }
+            }
+            if let Some(tid) = repeated {
+                if lenient {
+                    // As for a broken permutation below: drop it all.
+                    st.metrics.robustness.dropped_actions += staged.len() as u64;
+                    trace.push_event(
+                        now,
+                        TraceEventKind::ActionsDropped,
+                        format!(
+                            "dropped {} staged migrations: batch names {tid} more than once",
+                            staged.len()
+                        ),
+                    );
+                    return Ok(());
+                }
+                return Err(SimError::DuplicateMigration(tid));
             }
             let mut conflict: Option<CoreId> = None;
             for &(tid, _, to) in &staged {

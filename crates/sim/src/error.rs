@@ -24,6 +24,8 @@ pub enum SimError {
     UnknownJob(JobId),
     /// A scheduler action referenced an unknown or inactive thread.
     UnknownThread(ThreadId),
+    /// One migration batch named the same thread more than once.
+    DuplicateMigration(ThreadId),
     /// A placement or migration targeted a core that ends up multiply
     /// occupied.
     CoreConflict {
@@ -95,6 +97,9 @@ impl fmt::Display for SimError {
             }
             SimError::UnknownJob(id) => write!(f, "scheduler referenced unknown {id}"),
             SimError::UnknownThread(id) => write!(f, "scheduler referenced unknown {id}"),
+            SimError::DuplicateMigration(id) => {
+                write!(f, "migration batch names {id} more than once")
+            }
             SimError::CoreConflict { core } => {
                 write!(f, "scheduler action leaves {core} multiply occupied")
             }
@@ -192,6 +197,10 @@ mod tests {
     fn display_covers_variants() {
         let samples: Vec<SimError> = vec![
             SimError::UnknownJob(JobId(3)),
+            SimError::DuplicateMigration(ThreadId {
+                job: JobId(3),
+                index: 1,
+            }),
             SimError::CoreConflict { core: CoreId(5) },
             SimError::HorizonExceeded {
                 horizon: 1.0,

@@ -108,6 +108,32 @@ fn ill_conditioned_profile_matches_the_reference() {
 }
 
 #[test]
+fn basis_fingerprints_are_pinned() {
+    // FNV-1a over the bits of λ, V and y_amb. Every checkpoint's spec hash
+    // folds it in, so a changed bit anywhere in the design-time phase would
+    // turn every older checkpoint into a spec mismatch.
+    let (default, stiff) = (ThermalConfig::default(), ThermalConfig::ill_conditioned());
+    let pins = [
+        ("4x4", grid(4, 4, &default), 0x5a05_3655_9781_3246u64),
+        (
+            "ill-conditioned 4x4",
+            grid(4, 4, &stiff),
+            0x33e3_e845_6c9d_865a,
+        ),
+        ("8x8", grid(8, 8, &default), 0x2886_4c55_7954_2362),
+        (
+            "ill-conditioned 8x8",
+            grid(8, 8, &stiff),
+            0xe195_8699_cf92_7e27,
+        ),
+    ];
+    for (name, model, want) in pins {
+        let basis = model.basis().expect("basis builds");
+        assert_eq!(basis.fingerprint(), want, "{name}");
+    }
+}
+
+#[test]
 #[ignore = "N = 768: run in release with --ignored"]
 fn grid_16x16_keeps_the_contract() {
     let model = grid(16, 16, &ThermalConfig::default());

@@ -23,10 +23,13 @@ fn unwrap_abort(err: SimError) -> SimError {
 }
 
 use hotpotato::{HotPotato, HotPotatoConfig};
+use hp_faults::FaultPlan;
 use hp_floorplan::{CoreId, GridFloorplan};
 use hp_manycore::{ArchConfig, Machine};
 use hp_sim::schedulers::PinnedScheduler;
-use hp_sim::{Action, Scheduler, SimConfig, SimError, SimView, Simulation};
+use hp_sim::{
+    Action, Scheduler, SimConfig, SimError, SimView, Simulation, ThreadId, TraceEventKind,
+};
 use hp_thermal::{RcThermalModel, ThermalConfig};
 use hp_workload::{Benchmark, Job, JobId};
 
@@ -98,6 +101,43 @@ impl Scheduler for BadMigrator {
     }
 }
 
+/// A scheduler that migrates the first thread to two free cores in one
+/// batch.
+struct DoubleMigrator {
+    placed: bool,
+}
+
+impl Scheduler for DoubleMigrator {
+    fn name(&self) -> &str {
+        "double-migrator"
+    }
+
+    fn schedule(&mut self, view: &SimView<'_>) -> Vec<Action> {
+        if !self.placed {
+            if let Some(j) = view.pending.first() {
+                self.placed = true;
+                return vec![Action::PlaceJob {
+                    job: j.job,
+                    cores: (0..j.threads).map(CoreId).collect(),
+                }];
+            }
+        }
+        match view.threads.first() {
+            Some(t) => vec![
+                Action::Migrate {
+                    thread: t.id,
+                    to: CoreId(14),
+                },
+                Action::Migrate {
+                    thread: t.id,
+                    to: CoreId(15),
+                },
+            ],
+            None => Vec::new(),
+        }
+    }
+}
+
 /// A scheduler that references a thread that does not exist.
 struct GhostMigrator;
 
@@ -142,6 +182,50 @@ fn unknown_thread_is_rejected() {
         .expect("valid sim config");
     let err = unwrap_abort(sim.run(swaptions(2), &mut GhostMigrator).unwrap_err());
     assert!(matches!(err, SimError::UnknownThread(_)), "{err}");
+}
+
+#[test]
+fn migration_batch_naming_a_thread_twice_is_rejected() {
+    let mut sim = Simulation::new(machine(), ThermalConfig::default(), SimConfig::default())
+        .expect("valid sim config");
+    let err = unwrap_abort(
+        sim.run(swaptions(2), &mut DoubleMigrator { placed: false })
+            .unwrap_err(),
+    );
+    let first = ThreadId {
+        job: JobId(0),
+        index: 0,
+    };
+    assert_eq!(err, SimError::DuplicateMigration(first), "{err}");
+}
+
+#[test]
+fn lenient_engine_drops_a_batch_naming_a_thread_twice() {
+    // Under a fault plan the batch is dropped whole, as a batch that is
+    // no longer a permutation is, and the run goes on.
+    let config = SimConfig {
+        horizon: 120.0,
+        faults: FaultPlan {
+            force_active: true,
+            ..FaultPlan::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut sim =
+        Simulation::new(machine(), ThermalConfig::default(), config).expect("valid sim config");
+    let m = sim
+        .run(swaptions(2), &mut DoubleMigrator { placed: false })
+        .expect("completes with every batch dropped");
+    assert_eq!(m.migrations, 0);
+    let dropped = m.robustness.dropped_actions;
+    let events = sim.trace().events();
+    let batches = events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::ActionsDropped)
+        .inspect(|e| assert!(e.detail.contains("more than once"), "{}", e.detail))
+        .count();
+    assert!(batches > 0, "no batch was dropped");
+    assert_eq!(dropped, 2 * batches as u64, "two migrations per batch");
 }
 
 #[test]
